@@ -17,6 +17,24 @@ let fail fmt = Format.kasprintf failwith fmt
 let hr title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
+(* The BENCH_*.json documents and the serve request lines are [Json.t]
+   values, printed by [Json.to_string] like every other JSON document. *)
+let write_json path v =
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Json.to_string v);
+      output_char oc '\n');
+  Printf.printf "wrote %s\n%!" path
+
+(* [x] rounded to [digits] decimals, the precision the tables print *)
+let fixed digits x =
+  let m = 10. ** float_of_int digits in
+  Json.Float (Float.round (x *. m) /. m)
+
+let request op fields =
+  Json.to_string (Json.Obj (("op", Json.String op) :: fields))
+
+let on_network spec = [ ("network", Json.String spec) ]
+
 (* ------------------------------------------------------------------ *)
 (* Table 1: compression results                                        *)
 (* ------------------------------------------------------------------ *)
@@ -541,35 +559,27 @@ let incr_bench ?(k = 8) ?(n_deltas = 10) ~json_path ~assert_speedup () =
   Printf.printf "signature cache (cumulative): %d hits, %d misses\n%!" hits
     misses;
   let row_json r =
-    Printf.sprintf
-      "    {\"delta\": \"%s\", \"t_full_s\": %.6f, \"t_incr_s\": %.6f, \
-       \"speedup\": %.2f, \"reused\": %d, \"seeded\": %d, \"scratch\": %d, \
-       \"cache_hit_rate\": %.3f}"
-      (String.concat "'" (String.split_on_char '"' r.ir_delta))
-      r.ir_t_full r.ir_t_incr (speedup r) r.ir_reused r.ir_seeded r.ir_scratch
-      r.ir_hit_rate
+    Json.Obj
+      [
+        ("delta", Json.String r.ir_delta); ("t_full_s", fixed 6 r.ir_t_full);
+        ("t_incr_s", fixed 6 r.ir_t_incr); ("speedup", fixed 2 (speedup r));
+        ("reused", Json.Int r.ir_reused); ("seeded", Json.Int r.ir_seeded);
+        ("scratch", Json.Int r.ir_scratch);
+        ("cache_hit_rate", fixed 3 r.ir_hit_rate);
+      ]
   in
-  let doc =
-    Printf.sprintf
-      "{\n\
-      \  \"topology\": \"fattree\",\n\
-      \  \"k\": %d,\n\
-      \  \"nodes\": %d,\n\
-      \  \"links\": %d,\n\
-      \  \"ecs\": %d,\n\
-      \  \"init_time_s\": %.6f,\n\
-      \  \"single_link_cost_speedup\": %.2f,\n\
-      \  \"cache\": {\"hits\": %d, \"misses\": %d},\n\
-      \  \"deltas\": [\n%s\n  ]\n\
-       }\n"
-      k (Graph.n_nodes g) (Graph.n_links g) n_ecs t_init (speedup first) hits
-      misses
-      (String.concat ",\n" (List.map row_json rows))
-  in
-  let oc = open_out json_path in
-  output_string oc doc;
-  close_out oc;
-  Printf.printf "wrote %s\n%!" json_path;
+  write_json json_path
+    (Json.Obj
+       [
+         ("topology", Json.String "fattree"); ("k", Json.Int k);
+         ("nodes", Json.Int (Graph.n_nodes g));
+         ("links", Json.Int (Graph.n_links g)); ("ecs", Json.Int n_ecs);
+         ("init_time_s", fixed 6 t_init);
+         ("single_link_cost_speedup", fixed 2 (speedup first));
+         ( "cache",
+           Json.Obj [ ("hits", Json.Int hits); ("misses", Json.Int misses) ] );
+         ("deltas", Json.List (List.map row_json rows));
+       ]);
   match assert_speedup with
   | Some min_s when speedup first < min_s ->
     Printf.eprintf
@@ -702,27 +712,23 @@ let dataplane_bench ?(k = 8) ~json_path ~assert_speedup () =
   in
   let speedup r = r.dr_t_full /. max 1e-9 r.dr_t_incr in
   let row_json r =
-    Printf.sprintf
-      "    {\"topology\": \"%s\", \"nodes\": %d, \"classes\": %d, \
-       \"t_full_s\": %.6f, \"t_incr_s\": %.6f, \"speedup\": %.2f, \
-       \"reused\": %d, \"recompiled\": %d, \"fib_changes\": %d}"
-      r.dr_name r.dr_nodes r.dr_classes r.dr_t_full r.dr_t_incr (speedup r)
-      r.dr_reused r.dr_recompiled r.dr_changes
+    Json.Obj
+      [
+        ("topology", Json.String r.dr_name); ("nodes", Json.Int r.dr_nodes);
+        ("classes", Json.Int r.dr_classes); ("t_full_s", fixed 6 r.dr_t_full);
+        ("t_incr_s", fixed 6 r.dr_t_incr); ("speedup", fixed 2 (speedup r));
+        ("reused", Json.Int r.dr_reused);
+        ("recompiled", Json.Int r.dr_recompiled);
+        ("fib_changes", Json.Int r.dr_changes);
+      ]
   in
-  let doc =
-    Printf.sprintf
-      "{\n\
-      \  \"k\": %d,\n\
-      \  \"single_link_cost_speedup\": %.2f,\n\
-      \  \"rows\": [\n%s\n  ]\n\
-       }\n"
-      k (speedup ft)
-      (String.concat ",\n" (List.map row_json [ ft; wan ]))
-  in
-  let oc = open_out json_path in
-  output_string oc doc;
-  close_out oc;
-  Printf.printf "wrote %s\n%!" json_path;
+  write_json json_path
+    (Json.Obj
+       [
+         ("k", Json.Int k);
+         ("single_link_cost_speedup", fixed 2 (speedup ft));
+         ("rows", Json.List (List.map row_json [ ft; wan ]));
+       ]);
   match assert_speedup with
   | Some min_s when speedup ft < min_s ->
     Printf.eprintf
@@ -769,7 +775,7 @@ let serve_latency ~fixture =
      warm: the same request against the now-resident state; restored:
      the same request after a checkpoint/restore round-trip into a
      second engine — what a restarted server pays. *)
-  let line = Printf.sprintf "{\"op\":\"compress\",\"network\":\"%s\"}" fixture in
+  let line = request "compress" (on_network fixture) in
   let eng = Serve_engine.create ~resolve:serve_resolve () in
   let cold_resp = ref "" in
   let (), t_cold = Timing.time (fun () -> cold_resp := serve_req eng line) in
@@ -805,23 +811,20 @@ let serve_bench ?(k = 6) ?(n_requests = 200) ~json_path () =
   let (), t_load =
     Timing.time (fun () ->
         ignore
-          (serve_req eng
-             (Printf.sprintf "{\"op\":\"load\",\"network\":\"%s\"}" fixture)
-            : string))
+          (serve_req eng (request "load" (on_network fixture)) : string))
   in
   Printf.printf "%s: cold load %.3fs\n%!" fixture t_load;
   (* a deterministic mixed stream against the warm network: the request
      shapes a monitoring client actually sends *)
   let stream =
     [
-      Printf.sprintf "{\"op\":\"compress\",\"network\":\"%s\"}" fixture;
-      Printf.sprintf
-        "{\"op\":\"compress\",\"network\":\"%s\",\"ec\":\"10.0.0.0/24\"}"
-        fixture;
-      Printf.sprintf "{\"op\":\"lint\",\"network\":\"%s\"}" fixture;
-      Printf.sprintf "{\"op\":\"flow\",\"network\":\"%s\"}" fixture;
-      "{\"op\":\"health\"}";
-      "{\"op\":\"stats\"}";
+      request "compress" (on_network fixture);
+      request "compress"
+        (on_network fixture @ [ ("ec", Json.String "10.0.0.0/24") ]);
+      request "lint" (on_network fixture);
+      request "flow" (on_network fixture);
+      request "health" [];
+      request "stats" [];
     ]
   in
   let (), t_stream =
@@ -835,27 +838,27 @@ let serve_bench ?(k = 6) ?(n_requests = 200) ~json_path () =
   let rps = float_of_int n_requests /. max 1e-9 t_stream in
   Printf.printf "%d mixed requests in %.3fs: %.0f requests/s\n%!" n_requests
     t_stream rps;
-  let ft_cold, ft_warm, ft_restored = serve_latency ~fixture in
-  let wan_cold, wan_warm, wan_restored = serve_latency ~fixture:"wan" in
-  let doc =
-    Printf.sprintf
-      "{\n\
-      \  \"stream\": {\"fixture\": \"%s\", \"requests\": %d, \"total_s\": \
-       %.6f, \"requests_per_s\": %.1f, \"cold_load_s\": %.6f},\n\
-      \  \"latency\": [\n\
-      \    {\"fixture\": \"%s\", \"cold_s\": %.6f, \"warm_s\": %.6f, \
-       \"warm_restored_s\": %.6f},\n\
-      \    {\"fixture\": \"wan\", \"cold_s\": %.6f, \"warm_s\": %.6f, \
-       \"warm_restored_s\": %.6f}\n\
-      \  ]\n\
-       }\n"
-      fixture n_requests t_stream rps t_load fixture ft_cold ft_warm
-      ft_restored wan_cold wan_warm wan_restored
+  let ft = serve_latency ~fixture in
+  let wan = serve_latency ~fixture:"wan" in
+  let latency fixture (cold, warm, restored) =
+    Json.Obj
+      [
+        ("fixture", Json.String fixture); ("cold_s", fixed 6 cold);
+        ("warm_s", fixed 6 warm); ("warm_restored_s", fixed 6 restored);
+      ]
   in
-  let oc = open_out json_path in
-  output_string oc doc;
-  close_out oc;
-  Printf.printf "wrote %s\n%!" json_path
+  write_json json_path
+    (Json.Obj
+       [
+         ( "stream",
+           Json.Obj
+             [
+               ("fixture", Json.String fixture);
+               ("requests", Json.Int n_requests); ("total_s", fixed 6 t_stream);
+               ("requests_per_s", fixed 1 rps); ("cold_load_s", fixed 6 t_load);
+             ] );
+         ("latency", Json.List [ latency fixture ft; latency "wan" wan ]);
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Certification overhead (bonsai compress --certify)                  *)
@@ -916,23 +919,19 @@ let certify_bench ?(k = 6) ~json_path ~assert_overhead () =
       fixtures
   in
   let row_json (name, ecs, obligations, t_c, t_a, ov) =
-    Printf.sprintf
-      "    {\"fixture\": \"%s\", \"classes\": %d, \"obligations\": %d, \
-       \"compress_s\": %.6f, \"certify_s\": %.6f, \"overhead\": %.3f}"
-      name ecs obligations t_c t_a ov
+    Json.Obj
+      [
+        ("fixture", Json.String name); ("classes", Json.Int ecs);
+        ("obligations", Json.Int obligations); ("compress_s", fixed 6 t_c);
+        ("certify_s", fixed 6 t_a); ("overhead", fixed 3 ov);
+      ]
   in
-  let doc =
-    Printf.sprintf
-      "{\n\
-      \  \"audit\": \"sample\",\n\
-      \  \"fixtures\": [\n%s\n  ]\n\
-       }\n"
-      (String.concat ",\n" (List.map row_json rows))
-  in
-  let oc = open_out json_path in
-  output_string oc doc;
-  close_out oc;
-  Printf.printf "wrote %s\n%!" json_path;
+  write_json json_path
+    (Json.Obj
+       [
+         ("audit", Json.String "sample");
+         ("fixtures", Json.List (List.map row_json rows));
+       ]);
   match assert_overhead with
   | None -> ()
   | Some max_ov ->
@@ -1018,27 +1017,29 @@ let modular_bench ?(regions = 50) ?(region_size = 40) ~mono_budget_s
     mono_budget_s completed total t_mono mono_peak
     (if completed < total then " -- budget exhausted, rest degraded to identity"
      else "");
-  let doc =
-    Printf.sprintf
-      "{\n\
-      \  \"regions\": %d,\n\
-      \  \"region_size\": %d,\n\
-      \  \"routers\": %d,\n\
-      \  \"modular\": {\"time_s\": %.6f, \"peak_mb\": %.1f, \"modules\": %d, \
-       \"faulted\": %d, \"concrete\": %d, \"abstract\": %d},\n\
-      \  \"monolithic\": {\"time_s\": %.6f, \"peak_mb\": %.1f, \"budget_s\": \
-       %.1f, \"classes_total\": %d, \"classes_compressed\": %d, \"degraded\": \
-       %b}\n\
-       }\n"
-      regions region_size rep.Modular.rp_routers t_mod mod_peak
-      (List.length rep.Modular.rp_modules)
-      faulted concrete abstract t_mono mono_peak mono_budget_s total completed
-      (completed < total)
-  in
-  let oc = open_out json_path in
-  output_string oc doc;
-  close_out oc;
-  Printf.printf "wrote %s\n%!" json_path;
+  write_json json_path
+    (Json.Obj
+       [
+         ("regions", Json.Int regions); ("region_size", Json.Int region_size);
+         ("routers", Json.Int rep.Modular.rp_routers);
+         ( "modular",
+           Json.Obj
+             [
+               ("time_s", fixed 6 t_mod); ("peak_mb", fixed 1 mod_peak);
+               ("modules", Json.Int (List.length rep.Modular.rp_modules));
+               ("faulted", Json.Int faulted); ("concrete", Json.Int concrete);
+               ("abstract", Json.Int abstract);
+             ] );
+         ( "monolithic",
+           Json.Obj
+             [
+               ("time_s", fixed 6 t_mono); ("peak_mb", fixed 1 mono_peak);
+               ("budget_s", fixed 1 mono_budget_s);
+               ("classes_total", Json.Int total);
+               ("classes_compressed", Json.Int completed);
+               ("degraded", Json.Bool (completed < total));
+             ] );
+       ]);
   if faulted > 0 then begin
     Printf.eprintf "FAIL: %d module(s) faulted on the healthy workload\n"
       faulted;

@@ -108,45 +108,25 @@ let make_budget ms ticks =
       ?deadline_s:(Option.map (fun m -> float_of_int m /. 1000.0) ms)
       ?max_ticks:ticks ()
 
-let find_ec net = function
-  | None -> List.hd (Ecs.compute net)
-  | Some p -> (
-    let p = Prefix.of_string p in
-    match
-      List.find_opt
-        (fun ec -> Prefix.equal ec.Ecs.ec_prefix p)
-        (Ecs.compute net)
-    with
-    | Some ec -> ec
-    | None -> Format.kasprintf failwith "no destination class %a" Prefix.pp p)
+(* Every --format json output is one [Json.t] printed on one line, built
+   from the same encoders the resident engine answers with: stdout carries
+   exactly one machine-parseable document (or, for watch, one per event),
+   timings and diagnostics go to stderr. *)
+let print_json v = print_endline (Json.to_string v)
 
-(* JSON output helpers, shared by every subcommand with --format json:
-   stdout carries exactly one machine-parseable document (or, for watch,
-   one document per line), timings and diagnostics go to stderr. *)
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+let size_json g =
+  Json.Obj
+    [
+      ("nodes", Json.Int (Graph.n_nodes g)); ("links", Json.Int (Graph.n_links g));
+    ]
 
-let bdd_stats_json (st : Bdd.stats) =
-  Printf.sprintf
-    "{\"nodes\": %d, \"apply_hits\": %d, \"apply_misses\": %d, \"ite_hits\": \
-     %d, \"ite_misses\": %d}"
-    st.Bdd.nodes st.Bdd.apply_hits st.Bdd.apply_misses st.Bdd.ite_hits
-    st.Bdd.ite_misses
+let names_json name us = Json.List (List.map (fun u -> Json.String (name u)) us)
 
-let degradation_json = function
-  | None -> "null"
-  | Some (d : Bonsai_api.degradation) ->
-    Printf.sprintf "{\"completed\": %d, \"total\": %d}" d.Bonsai_api.deg_completed
-      d.Bonsai_api.deg_total
+let deltas_to_json ds =
+  Json.List (List.map (fun d -> Json.String (Delta.to_string d)) ds)
+
+let cache_json hits misses =
+  Json.Obj [ ("hits", Json.Int hits); ("misses", Json.Int misses) ]
 
 (* --- info ----------------------------------------------------------- *)
 
@@ -316,42 +296,37 @@ let compress_cmd_run spec ec_prefix dot all check check_dataplane format
              true s.Bonsai_api.results
     | `Json ->
       let class_json (r : Bonsai_api.ec_result) =
-        let t = r.Bonsai_api.abstraction in
-        let vs =
-          if check && not r.Bonsai_api.degraded then
-            List.length (check_violations net r)
-          else 0
+        let check_field =
+          if not check then []
+          else begin
+            let vs =
+              if r.Bonsai_api.degraded then 0
+              else List.length (check_violations net r)
+            in
+            if vs > 0 then checked_ok := false;
+            [ ("check_violations", Json.Int vs) ]
+          end
         in
-        if vs > 0 then checked_ok := false;
-        Printf.sprintf
-          "{\"destination\": %s, \"abstract_nodes\": %d, \"abstract_links\": \
-           %d, \"degraded\": %b%s}"
-          (json_string
-             (Format.asprintf "%a" Prefix.pp r.Bonsai_api.ec.Ecs.ec_prefix))
-          (Abstraction.n_abstract t)
-          (Graph.n_links t.Abstraction.abs_graph)
-          r.Bonsai_api.degraded
-          (if check then Printf.sprintf ", \"check_violations\": %d" vs
-           else "")
+        Json.Obj (Bonsai_api.ec_result_json_fields r @ check_field)
       in
       let classes = List.map class_json s.Bonsai_api.results in
-      let bdd =
-        match s.Bonsai_api.results with
-        | r :: _ ->
-          bdd_stats_json
-            (Bdd.stats
-               r.Bonsai_api.abstraction.Abstraction.universe.Policy_bdd.man)
-        | [] -> "null"
-      in
-      Format.printf "{@.";
-      Format.printf "  \"network\": {\"nodes\": %d, \"links\": %d},@."
-        (Graph.n_nodes g) (Graph.n_links g);
-      Format.printf "  \"skipped_anycast\": %d,@." s.Bonsai_api.skipped_anycast;
-      Format.printf "  \"classes\": [%s],@." (String.concat "," classes);
-      Format.printf "  \"degradation\": %s,@."
-        (degradation_json s.Bonsai_api.degradation);
-      Format.printf "  \"bdd\": %s@." bdd;
-      Format.printf "}@.";
+      print_json
+        (Json.Obj
+           [
+             ("network", size_json g);
+             ("skipped_anycast", Json.Int s.Bonsai_api.skipped_anycast);
+             ("classes", Json.List classes);
+             ( "degradation",
+               Bonsai_api.degradation_to_json s.Bonsai_api.degradation );
+             ( "bdd",
+               match s.Bonsai_api.results with
+               | r :: _ ->
+                 Bdd.stats_to_json
+                   (Bdd.stats
+                      r.Bonsai_api.abstraction.Abstraction.universe
+                        .Policy_bdd.man)
+               | [] -> Json.Null );
+           ]);
       report_budget ());
     let dp_status =
       if check_dataplane then
@@ -373,7 +348,7 @@ let compress_cmd_run spec ec_prefix dot all check check_dataplane format
       | `Ok, (`Certified | `Skipped) -> 0)
   end
   else begin
-    let ec = find_ec net ec_prefix in
+    let ec = Ecs.find net ec_prefix in
     (* Identity fallback built against a fresh, un-budgeted universe (the
        budgeted manager may be what ran out). *)
     let fallback () =
@@ -449,45 +424,41 @@ let compress_cmd_run spec ec_prefix dot all check check_dataplane format
     | `Json ->
       (* Wall time is nondeterministic; it goes to stderr so the JSON
          document stays golden-testable. *)
-      let roles_json =
+      let roles =
         if r.Bonsai_api.degraded then []
         else
           Array.to_list
             (Array.mapi
                (fun gid members ->
-                 Printf.sprintf
-                   "{\"id\": %d, \"copies\": %d, \"members\": [%s]}" gid
-                   t.Abstraction.copies.(gid)
-                   (String.concat ","
-                      (List.map
-                         (fun u ->
-                           json_string (Graph.name net.Device.graph u))
-                         members)))
+                 Json.Obj
+                   [
+                     ("id", Json.Int gid);
+                     ("copies", Json.Int t.Abstraction.copies.(gid));
+                     ("members", names_json (Graph.name g) members);
+                   ])
                t.Abstraction.groups)
       in
-      Format.printf "{@.";
-      Format.printf "  \"network\": {\"nodes\": %d, \"links\": %d},@."
-        (Graph.n_nodes g) (Graph.n_links g);
-      Format.printf "  \"destination\": %s,@."
-        (json_string
-           (Format.asprintf "%a" Prefix.pp r.Bonsai_api.ec.Ecs.ec_prefix));
-      Format.printf "  \"abstraction\": {\"nodes\": %d, \"links\": %d},@."
-        (Abstraction.n_abstract t)
-        (Graph.n_links t.Abstraction.abs_graph);
-      Format.printf "  \"refine_iterations\": %d,@."
-        r.Bonsai_api.refine_stats.Refine.iterations;
-      Format.printf "  \"roles\": [%s],@." (String.concat "," roles_json);
-      Format.printf "  \"degraded\": %b,@." r.Bonsai_api.degraded;
-      Format.printf "  \"fallback\": %s,@."
-        (json_string
-           (match why with
-           | None -> "none"
-           | Some (`Budget _) -> "budget"
-           | Some `Check -> "check"));
-      Format.printf "  \"bdd\": %s@."
-        (bdd_stats_json
-           (Bdd.stats t.Abstraction.universe.Policy_bdd.man));
-      Format.printf "}@.";
+      print_json
+        (Json.Obj
+           [
+             ("network", size_json g);
+             ( "destination",
+               Json.String (Prefix.to_string r.Bonsai_api.ec.Ecs.ec_prefix) );
+             ("abstraction", size_json t.Abstraction.abs_graph);
+             ( "refine_iterations",
+               Json.Int r.Bonsai_api.refine_stats.Refine.iterations );
+             ("roles", Json.List roles);
+             ("degraded", Json.Bool r.Bonsai_api.degraded);
+             ( "fallback",
+               Json.String
+                 (match why with
+                 | None -> "none"
+                 | Some (`Budget _) -> "budget"
+                 | Some `Check -> "check") );
+             ( "bdd",
+               Bdd.stats_to_json
+                 (Bdd.stats t.Abstraction.universe.Policy_bdd.man) );
+           ]);
       Printf.eprintf "compression time: %.3fs\n%!" r.Bonsai_api.time_s);
     report_budget ();
     let dp_status =
@@ -577,22 +548,13 @@ let modular_cmd_run spec mode count format budget_ms budget_ticks degrade
 (* Everything deterministic about an [Incr.report]; wall time is printed
    separately (stderr for diff, inline for watch events, which are not
    golden-tested). *)
-let report_json ?(recert = false) (rep : Incr.report) =
-  Printf.sprintf
-    "\"classes\": %d, \"reused\": %d, \"seeded\": %d, \"scratch\": %d, \
-     \"full_rebuild\": %b,%s \"cache\": {\"hits\": %d, \"misses\": %d}, \
-     \"degradation\": %s"
-    rep.Incr.r_ecs rep.Incr.r_reused rep.Incr.r_seeded rep.Incr.r_scratch
-    rep.Incr.r_full_rebuild
-    (if recert then
-       Printf.sprintf " \"recertified\": %d, \"recert_refuted\": %d,"
-         rep.Incr.r_recertified rep.Incr.r_recert_refuted
-     else "")
-    rep.Incr.r_cache_hits rep.Incr.r_cache_misses
-    (degradation_json rep.Incr.r_degradation)
-
-let deltas_json deltas =
-  String.concat "," (List.map (fun d -> json_string (Delta.to_string d)) deltas)
+let report_fields ~recert (rep : Incr.report) =
+  (("classes", Json.Int rep.Incr.r_ecs) :: Incr.reuse_json_fields rep)
+  @ (if recert then Incr.recert_json_fields rep else [])
+  @ [
+      ("cache", cache_json rep.Incr.r_cache_hits rep.Incr.r_cache_misses);
+      ("degradation", Bonsai_api.degradation_to_json rep.Incr.r_degradation);
+    ]
 
 let report_text ?(recert = false) (rep : Incr.report) =
   Format.printf "classes: %d (%d reused, %d seeded, %d scratch)%s@."
@@ -616,7 +578,9 @@ let diff_cmd_run old_spec new_spec format budget_ms budget_ticks degrade
   if deltas = [] then begin
     (match format with
     | `Text -> Format.printf "networks are identical@."
-    | `Json -> Format.printf "{\"identical\": true, \"deltas\": []}@.");
+    | `Json ->
+      print_json
+        (Json.Obj [ ("identical", Json.Bool true); ("deltas", Json.List []) ]));
     0
   end
   else begin
@@ -643,12 +607,11 @@ let diff_cmd_run old_spec new_spec format budget_ms budget_ticks degrade
       report_text ~recert:certify rep;
       Format.printf "bdd: %a@." Bdd.pp_stats bdd
     | `Json ->
-      Format.printf "{@.";
-      Format.printf "  \"identical\": false,@.";
-      Format.printf "  \"deltas\": [%s],@." (deltas_json deltas);
-      Format.printf "  %s,@." (report_json ~recert:certify rep);
-      Format.printf "  \"bdd\": %s@." (bdd_stats_json bdd);
-      Format.printf "}@.");
+      print_json
+        (Json.Obj
+           ((("identical", Json.Bool false) :: ("deltas", deltas_to_json deltas)
+            :: report_fields ~recert:certify rep)
+           @ [ ("bdd", Bdd.stats_to_json bdd) ])));
     Printf.eprintf "diff: %d deltas recompressed in %.3fs\n%!"
       (List.length deltas) rep.Incr.r_time_s;
     (* certify the maintained state the recompression actually produced —
@@ -696,9 +659,9 @@ let dataplane_diff_cmd_run old_spec new_spec format budget_ms budget_ticks
       in
       Printf.sprintf "[%s]%s" nhs dropped
   in
-  let added, removed, modified = Dp_diff.counts rep in
   (match format with
   | `Text ->
+    let added, removed, modified = Dp_diff.counts rep in
     Format.printf "deltas (%d):@." (List.length deltas);
     List.iter (fun d -> Format.printf "  - %a@." Delta.pp d) deltas;
     Format.printf "classes: %d (%d reused, %d recompiled)%s@."
@@ -731,51 +694,24 @@ let dataplane_diff_cmd_run old_spec new_spec format budget_ms budget_ticks
     | None -> ()
     | Some d -> Format.printf "@[<v>%a@]@." Bonsai_api.pp_degradation d)
   | `Json ->
-    let change_json (c : Dp_diff.change) =
-      let entry_json nm = function
-        | None -> "null"
-        | Some (e : Dataplane.entry) ->
-          Printf.sprintf "{\"next_hops\": [%s], \"acl_dropped\": [%s]}"
-            (String.concat ","
-               (List.map (fun u -> json_string (nm u)) e.Dataplane.e_next_hops))
-            (String.concat ","
-               (List.map (fun u -> json_string (nm u)) e.Dataplane.e_acl_dropped))
-      in
-      let router =
-        match c.Dp_diff.c_kind with
-        | Dp_diff.Removed -> old_name c.Dp_diff.c_router
-        | _ -> name c.Dp_diff.c_router
-      in
-      Printf.sprintf
-        "{\"router\": %s, \"prefix\": %s, \"kind\": %s, \"old\": %s, \
-         \"new\": %s}"
-        (json_string router)
-        (json_string (Format.asprintf "%a" Prefix.pp c.Dp_diff.c_prefix))
-        (json_string (Dp_diff.kind_string c.Dp_diff.c_kind))
-        (entry_json old_name c.Dp_diff.c_old)
-        (entry_json name c.Dp_diff.c_new)
-    in
-    Format.printf "{@.";
-    Format.printf "  \"identical\": %b,@."
-      (not (Dp_diff.changed rep) && rep.Dp_diff.dp_unknown = []);
-    Format.printf "  \"deltas\": [%s],@." (deltas_json deltas);
-    Format.printf
-      "  \"classes\": %d, \"reused\": %d, \"recompiled\": %d, \
-       \"anycast\": %d, \"full_rebuild\": %b,@."
-      rep.Dp_diff.dp_classes rep.Dp_diff.dp_reused rep.Dp_diff.dp_recompiled
-      rep.Dp_diff.dp_anycast rep.Dp_diff.dp_full_rebuild;
-    Format.printf "  \"added\": %d, \"removed\": %d, \"modified\": %d,@."
-      added removed modified;
-    Format.printf "  \"changes\": [%s],@."
-      (String.concat "," (List.map change_json rep.Dp_diff.dp_changes));
-    Format.printf "  \"unknown\": [%s],@."
-      (String.concat ","
-         (List.map
-            (fun p -> json_string (Format.asprintf "%a" Prefix.pp p))
-            rep.Dp_diff.dp_unknown));
-    Format.printf "  \"degradation\": %s@."
-      (degradation_json rep.Dp_diff.dp_degradation);
-    Format.printf "}@.");
+    print_json
+      (Json.Obj
+         ([
+            ( "identical",
+              Json.Bool
+                ((not (Dp_diff.changed rep)) && rep.Dp_diff.dp_unknown = []) );
+            ("deltas", deltas_to_json deltas);
+            ("classes", Json.Int rep.Dp_diff.dp_classes);
+            ("reused", Json.Int rep.Dp_diff.dp_reused);
+            ("recompiled", Json.Int rep.Dp_diff.dp_recompiled);
+            ("anycast", Json.Int rep.Dp_diff.dp_anycast);
+            ("full_rebuild", Json.Bool rep.Dp_diff.dp_full_rebuild);
+          ]
+         @ Dp_diff.changes_json_fields ~old_net ~new_net rep
+         @ [
+             ( "degradation",
+               Bonsai_api.degradation_to_json rep.Dp_diff.dp_degradation );
+           ])));
   Printf.eprintf "dataplane-diff: %d classes diffed in %.3fs\n%!"
     rep.Dp_diff.dp_classes rep.Dp_diff.dp_time_s;
   match rep.Dp_diff.dp_unknown with
@@ -850,11 +786,17 @@ let watch_cmd_run path poll_ms once max_events format budget_ms budget_ticks
   | `Json ->
     (* watch emits one JSON document per line (NDJSON) so consumers can
        stream events *)
-    Printf.printf
-      "{\"event\": \"init\", \"nodes\": %d, \"links\": %d, \"classes\": %d, \
-       \"cache\": {\"hits\": %d, \"misses\": %d}, \"degradation\": %s}\n%!"
-      (Graph.n_nodes g) (Graph.n_links g) n_classes hits misses
-      (degradation_json s.Bonsai_api.degradation));
+    print_json
+      (Json.Obj
+         [
+           ("event", Json.String "init");
+           ("nodes", Json.Int (Graph.n_nodes g));
+           ("links", Json.Int (Graph.n_links g));
+           ("classes", Json.Int n_classes);
+           ("cache", cache_json hits misses);
+           ( "degradation",
+             Bonsai_api.degradation_to_json s.Bonsai_api.degradation );
+         ]));
   if once then
     match s.Bonsai_api.degradation with
     | Some _ when not degrade -> 3
@@ -871,10 +813,14 @@ let watch_cmd_run path poll_ms once max_events format budget_ms budget_ticks
         report_text rep;
         Format.printf "time: %.3fs@." rep.Incr.r_time_s
       | `Json ->
-        Printf.printf
-          "{\"event\": \"recompress\", \"deltas\": [%s], %s, \"time_s\": \
-           %.3f}\n%!"
-          (deltas_json deltas) (report_json rep) rep.Incr.r_time_s);
+        (* milliseconds, as the text report shows *)
+        let t = Float.round (rep.Incr.r_time_s *. 1000.) /. 1000. in
+        print_json
+          (Json.Obj
+             ((("event", Json.String "recompress")
+              :: ("deltas", deltas_to_json deltas)
+              :: report_fields ~recert:false rep)
+             @ [ ("time_s", Json.Float t) ])));
       incr events
     in
     (* Consecutive read/parse failures back off exponentially (capped):
@@ -989,7 +935,7 @@ let lint_cmd_run spec format min_severity no_compression flow budget_ms
     let shown = Lint.filter ~min_severity ds in
     (match format with
     | `Text -> Format.printf "%a" Lint.pp_text shown
-    | `Json -> Format.printf "%a" Lint.pp_json shown);
+    | `Json -> print_json (Json.List (List.map Diag.to_json shown)));
     if Lint.has_errors ds then 1 else 0
   end
 
@@ -1012,7 +958,7 @@ let flow_cmd_run spec ec_prefix format facts budget_ms budget_ticks =
   let fact_dump =
     if not facts then None
     else begin
-      let ec = find_ec net ec_prefix in
+      let ec = Ecs.find net ec_prefix in
       let t = Flow.analyze ~budget net ec in
       let roles =
         match Bonsai_api.role_partition net ec with
@@ -1057,27 +1003,34 @@ let flow_cmd_run spec ec_prefix format facts budget_ms budget_ticks =
           show "ospf" ospf)
         fact_rows)
   | `Json ->
-    let diag_items = String.concat "," (List.map Diag.to_json ds) in
+    let opt f = function Some x -> f x | None -> Json.Null in
+    let str s = Json.String s in
     let fact_field =
       match fact_dump with
-      | None -> ""
+      | None -> []
       | Some (_, fact_rows) ->
-        Printf.sprintf ", \"facts\": [%s]"
-          (String.concat ","
-             (List.map
-                (fun (r, role, bgp, ospf) ->
-                  Printf.sprintf
-                    "{\"router\": %s, \"role\": %s, \"bgp\": %s, \"ospf\": %s}"
-                    (json_string (names r))
-                    (match role with
-                    | Some g -> string_of_int g
-                    | None -> "null")
-                    (match bgp with Some s -> json_string s | None -> "null")
-                    (match ospf with Some s -> json_string s | None -> "null"))
-                fact_rows))
+        [
+          ( "facts",
+            Json.List
+              (List.map
+                 (fun (r, role, bgp, ospf) ->
+                   Json.Obj
+                     [
+                       ("router", str (names r));
+                       ("role", opt (fun g -> Json.Int g) role);
+                       ("bgp", opt str bgp);
+                       ("ospf", opt str ospf);
+                     ])
+                 fact_rows) );
+        ]
     in
-    Printf.printf "{\"findings\": [%s], \"degraded\": %b%s}\n" diag_items
-      degraded fact_field);
+    print_json
+      (Json.Obj
+         ([
+            ("findings", Json.List (List.map Diag.to_json ds));
+            ("degraded", Json.Bool degraded);
+          ]
+         @ fact_field)));
   if degraded then
     (* same exit class as every other budget exhaustion *)
     Bonsai_error.exit_code
@@ -1096,7 +1049,7 @@ let flow_cmd_run spec ec_prefix format facts budget_ms budget_ticks =
 let verify_cmd_run spec src ec_prefix =
   guarded @@ fun () ->
   let net = resolve_network spec in
-  let ec = find_ec net ec_prefix in
+  let ec = Ecs.find net ec_prefix in
   let src_id =
     match Graph.find_by_name net.Device.graph src with
     | Some v -> v
@@ -1150,23 +1103,12 @@ let trace_cmd_run spec src_name addr all =
 
 (* --- faults ------------------------------------------------------------ *)
 
-let scenario_json ~names (sc : Scenario.t) =
-  let parts =
-    List.map
-      (fun (u, v) -> json_string (Printf.sprintf "%s-%s" (names u) (names v)))
-      sc.Scenario.down_links
-    @ List.map
-        (fun u -> json_string (Printf.sprintf "node:%s" (names u)))
-        sc.Scenario.down_nodes
-  in
-  "[" ^ String.concat "," parts ^ "]"
-
 let faults_cmd_run spec ec_prefix k samples seed format budget_ms
     budget_ticks =
   guarded @@ fun () ->
   let net = resolve_network spec in
   let budget = make_budget budget_ms budget_ticks in
-  let ec = find_ec net ec_prefix in
+  let ec = Ecs.find net ec_prefix in
   let dest = Ecs.single_origin ec in
   let g = net.Device.graph in
   let name = Graph.name g in
@@ -1267,61 +1209,72 @@ let faults_cmd_run spec ec_prefix k samples seed format budget_ms
         (side m.Soundness.concrete_reaches m.Soundness.concrete_stable)
         (side m.Soundness.abstract_reaches m.Soundness.abstract_stable))
   | `Json ->
-    let verdict_json (d : _ Solver.diagnosis) =
+    let scenario = Scenario.to_json ~names:name in
+    let verdict_fields (d : _ Solver.diagnosis) =
       match d.Solver.diag_verdict with
       | Solver.Oscillation { period; participants } ->
-        Printf.sprintf
-          "\"verdict\":\"oscillation\",\"period\":%d,\"participants\":[%s]"
-          period
-          (String.concat ","
-             (List.map (fun u -> json_string (name u)) participants))
-      | Solver.Likely_convergent -> "\"verdict\":\"likely-convergent\""
+        [
+          ("verdict", Json.String "oscillation");
+          ("period", Json.Int period);
+          ("participants", names_json name participants);
+        ]
+      | Solver.Likely_convergent ->
+        [ ("verdict", Json.String "likely-convergent") ]
       | Solver.Inconclusive rounds ->
-        Printf.sprintf "\"verdict\":\"inconclusive\",\"rounds\":%d" rounds
+        [ ("verdict", Json.String "inconclusive"); ("rounds", Json.Int rounds) ]
     in
-    Format.printf "{@.";
-    Format.printf "  \"destination\": %s,@."
-      (json_string (Format.asprintf "%a" Prefix.pp ec.Ecs.ec_prefix));
-    Format.printf "  \"nodes\": %d, \"links\": %d,@." (Graph.n_nodes g)
-      (Graph.n_links g);
-    Format.printf "  \"k\": %d, \"mode\": %s, \"scenarios\": %d,@." k
-      (json_string
-         (if plan.Fault_engine.exhaustive then "exhaustive" else "sampled"))
-      n_scenarios;
-    Format.printf "  \"stable\": %d,@." report.Fault_engine.n_stable;
-    if report.Fault_engine.n_skipped > 0 then
-      Format.printf "  \"skipped\": %d,@." report.Fault_engine.n_skipped;
-    Format.printf "  \"disconnected\": [%s],@."
-      (String.concat ","
-         (List.map
-            (fun (sc, stranded) ->
-              Printf.sprintf "{\"scenario\":%s,\"stranded\":[%s]}"
-                (scenario_json ~names:name sc)
-                (String.concat ","
-                   (List.map (fun u -> json_string (name u)) stranded)))
-            disconnected));
-    Format.printf "  \"diverged\": [%s],@."
-      (String.concat ","
-         (List.map
-            (fun (sc, d) ->
-              Printf.sprintf "{\"scenario\":%s,%s}"
-                (scenario_json ~names:name sc)
-                (verdict_json d))
-            diverged));
-    Format.printf "  \"abstraction\": {\"nodes\": %d, %s}@."
-      (Abstraction.n_abstract t)
-      (match break_ with
-      | None -> "\"sound\": true"
+    let soundness =
+      match break_ with
+      | None -> [ ("sound", Json.Bool true) ]
       | Some (sc, m) ->
-        Printf.sprintf
-          "\"sound\": false, \"minimal_scenario\": %s, \"node\": %s, \
-           \"abs_node\": %s, \"concrete_reaches\": %b, \
-           \"abstract_reaches\": %b"
-          (scenario_json ~names:name sc)
-          (json_string (name m.Soundness.mis_node))
-          (json_string (abs_name m.Soundness.mis_abs))
-          m.Soundness.concrete_reaches m.Soundness.abstract_reaches);
-    Format.printf "}@.");
+        [
+          ("sound", Json.Bool false);
+          ("minimal_scenario", scenario sc);
+          ("node", Json.String (name m.Soundness.mis_node));
+          ("abs_node", Json.String (abs_name m.Soundness.mis_abs));
+          ("concrete_reaches", Json.Bool m.Soundness.concrete_reaches);
+          ("abstract_reaches", Json.Bool m.Soundness.abstract_reaches);
+        ]
+    in
+    print_json
+      (Json.Obj
+         ([
+            ("destination", Json.String (Prefix.to_string ec.Ecs.ec_prefix));
+            ("nodes", Json.Int (Graph.n_nodes g));
+            ("links", Json.Int (Graph.n_links g));
+            ("k", Json.Int k);
+            ( "mode",
+              Json.String
+                (if plan.Fault_engine.exhaustive then "exhaustive"
+                 else "sampled") );
+            ("scenarios", Json.Int n_scenarios);
+            ("stable", Json.Int report.Fault_engine.n_stable);
+          ]
+         @ (if report.Fault_engine.n_skipped > 0 then
+              [ ("skipped", Json.Int report.Fault_engine.n_skipped) ]
+            else [])
+         @ [
+             ( "disconnected",
+               Json.List
+                 (List.map
+                    (fun (sc, stranded) ->
+                      Json.Obj
+                        [
+                          ("scenario", scenario sc);
+                          ("stranded", names_json name stranded);
+                        ])
+                    disconnected) );
+             ( "diverged",
+               Json.List
+                 (List.map
+                    (fun (sc, d) ->
+                      Json.Obj (("scenario", scenario sc) :: verdict_fields d))
+                    diverged) );
+             ( "abstraction",
+               Json.Obj
+                 (("nodes", Json.Int (Abstraction.n_abstract t)) :: soundness)
+             );
+           ])));
   Printf.eprintf "%d scenarios in %.3fs (%.0f scenarios/sec), %d cache hits\n"
     n_scenarios report.Fault_engine.time_s
     (float_of_int n_scenarios /. max 1e-9 report.Fault_engine.time_s)
@@ -1340,7 +1293,7 @@ let harden_cmd_run spec ec_prefix k rounds frontier samples seed format
   guarded @@ fun () ->
   let net = resolve_network spec in
   let budget = make_budget budget_ms budget_ticks in
-  let ec = find_ec net ec_prefix in
+  let ec = Ecs.find net ec_prefix in
   let dest = Ecs.single_origin ec in
   let g = net.Device.graph in
   let name = Graph.name g in
@@ -1417,50 +1370,52 @@ let harden_cmd_run spec ec_prefix k rounds frontier samples seed format
         rounds)
   | `Json ->
     let round_json (rl : Repair.round_log) =
-      Printf.sprintf
-        "{\"round\":%d,\"abs_nodes\":%d,\"abs_links\":%d,\"scenarios\":%d,%s\
-         \"new_pins\":[%s],\"total_pins\":%d}"
-        rl.Repair.rl_round rl.Repair.rl_abs_nodes rl.Repair.rl_abs_links
-        rl.Repair.rl_scenarios
-        (match rl.Repair.rl_counterexample with
-        | None -> ""
-        | Some sc ->
-          Printf.sprintf "\"counterexample\":%s,\"mismatches\":%d,"
-            (scenario_json ~names:name sc)
-            (List.length rl.Repair.rl_mismatches))
-        (String.concat ","
-           (List.map (fun u -> json_string (name u)) rl.Repair.rl_new_pins))
-        rl.Repair.rl_total_pins
+      Json.Obj
+        ([
+           ("round", Json.Int rl.Repair.rl_round);
+           ("abs_nodes", Json.Int rl.Repair.rl_abs_nodes);
+           ("abs_links", Json.Int rl.Repair.rl_abs_links);
+           ("scenarios", Json.Int rl.Repair.rl_scenarios);
+         ]
+        @ (match rl.Repair.rl_counterexample with
+          | None -> []
+          | Some sc ->
+            [
+              ("counterexample", Scenario.to_json ~names:name sc);
+              ("mismatches", Json.Int (List.length rl.Repair.rl_mismatches));
+            ])
+        @ [
+            ("new_pins", names_json name rl.Repair.rl_new_pins);
+            ("total_pins", Json.Int rl.Repair.rl_total_pins);
+          ])
     in
-    Format.printf "{@.";
-    Format.printf "  \"destination\": %s,@."
-      (json_string (Format.asprintf "%a" Prefix.pp ec.Ecs.ec_prefix));
-    Format.printf "  \"nodes\": %d, \"links\": %d,@." (Graph.n_nodes g)
-      (Graph.n_links g);
-    Format.printf "  \"k\": %d, \"mode\": %s,@." r.Repair.k
-      (json_string mode);
-    Format.printf "  \"rounds\": [%s],@."
-      (String.concat "," (List.map round_json r.Repair.rounds));
-    Format.printf "  \"pins\": [%s],@."
-      (String.concat ","
-         (List.map (fun u -> json_string (name u)) r.Repair.pins));
-    Format.printf
-      "  \"counterexamples\": %d, \"scenario_checks\": %d, \"cache_hits\": \
-       %d,@."
-      r.Repair.n_counterexamples r.Repair.n_scenarios r.Repair.cache_hits;
-    Format.printf "  \"sound\": %b, \"fallback\": %s,@." r.Repair.sound
-      (json_string
-         (match r.Repair.fallback with
-         | Bonsai_api.No_fallback -> "none"
-         | Bonsai_api.Budget_fallback _ -> "budget"
-         | Bonsai_api.Rounds_fallback -> "rounds"));
-    Format.printf
-      "  \"abstraction\": {\"nodes\": %d, \"links\": %d, \"ratio_nodes\": \
-       %.2f, \"ratio_links\": %.2f}@."
-      (Abstraction.n_abstract t)
-      (Graph.n_links t.Abstraction.abs_graph)
-      rn re;
-    Format.printf "}@.");
+    (* the ratios keep the two decimals the text report shows *)
+    let hundredths x = Json.Float (Float.round (x *. 100.) /. 100.) in
+    print_json
+      (Json.Obj
+         [
+           ("destination", Json.String (Prefix.to_string ec.Ecs.ec_prefix));
+           ("nodes", Json.Int (Graph.n_nodes g));
+           ("links", Json.Int (Graph.n_links g));
+           ("k", Json.Int r.Repair.k);
+           ("mode", Json.String mode);
+           ("rounds", Json.List (List.map round_json r.Repair.rounds));
+           ("pins", names_json name r.Repair.pins);
+           ("counterexamples", Json.Int r.Repair.n_counterexamples);
+           ("scenario_checks", Json.Int r.Repair.n_scenarios);
+           ("cache_hits", Json.Int r.Repair.cache_hits);
+           ("sound", Json.Bool r.Repair.sound);
+           ( "fallback",
+             Json.String (Bonsai_api.fallback_to_string r.Repair.fallback) );
+           ( "abstraction",
+             Json.Obj
+               [
+                 ("nodes", Json.Int (Abstraction.n_abstract t));
+                 ("links", Json.Int (Graph.n_links t.Abstraction.abs_graph));
+                 ("ratio_nodes", hundredths rn);
+                 ("ratio_links", hundredths re);
+               ] );
+         ]));
   let degrade_exit code = if degrade then 0 else code in
   (* certify the hardened abstraction itself — pins and repair rounds
      change the partition, so the witness must come from the result *)
@@ -1536,7 +1491,7 @@ let certify_cmd_run spec cert_path audit budget_ms budget_ticks =
 let explain_cmd_run spec a_name b_name ec_prefix =
   guarded @@ fun () ->
   let net = resolve_network spec in
-  let ec = find_ec net ec_prefix in
+  let ec = Ecs.find net ec_prefix in
   let node name =
     match Graph.find_by_name net.Device.graph name with
     | Some v -> v
@@ -1557,7 +1512,7 @@ let explain_cmd_run spec a_name b_name ec_prefix =
 let policy_cmd_run spec from_name to_name ec_prefix =
   guarded @@ fun () ->
   let net = resolve_network spec in
-  let ec = find_ec net ec_prefix in
+  let ec = Ecs.find net ec_prefix in
   let node name =
     match Graph.find_by_name net.Device.graph name with
     | Some v -> v
@@ -2090,12 +2045,6 @@ let watch_cmd =
       $ format_arg $ budget_ms_arg $ budget_ticks_arg $ degrade_arg)
 
 let lint_cmd =
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FMT" ~doc:"Output format (text|json).")
-  in
   let min_severity =
     Arg.(
       value
@@ -2139,7 +2088,7 @@ let lint_cmd =
           error-severity diagnostic; file:PATH networks get file:line \
           positions)")
     Term.(
-      const lint_cmd_run $ network_arg $ format $ min_severity
+      const lint_cmd_run $ network_arg $ format_arg $ min_severity
       $ no_compression $ flow $ budget_ms_arg $ budget_ticks_arg
       $ list_checks)
 
@@ -2268,12 +2217,6 @@ let faults_cmd =
       value & opt int 0
       & info [ "seed" ] ~docv:"SEED" ~doc:"Sampling seed.")
   in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FMT" ~doc:"Output format (text|json).")
-  in
   Cmd.v
     (cmd_info "faults"
        ~doc:
@@ -2284,7 +2227,7 @@ let faults_cmd =
           reported as skipped, exit 3)")
     Term.(
       const faults_cmd_run $ network_arg $ ec_arg $ k $ samples $ seed
-      $ format $ budget_ms_arg $ budget_ticks_arg)
+      $ format_arg $ budget_ms_arg $ budget_ticks_arg)
 
 let harden_cmd =
   let k =
@@ -2324,12 +2267,6 @@ let harden_cmd =
       value & opt int 0
       & info [ "seed" ] ~docv:"SEED" ~doc:"Sampling seed.")
   in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FMT" ~doc:"Output format (text|json).")
-  in
   Cmd.v
     (cmd_info "harden"
        ~doc:
@@ -2341,7 +2278,7 @@ let harden_cmd =
           0 under $(b,--degrade)) rather than emitting an unsound result.")
     Term.(
       const harden_cmd_run $ network_arg $ ec_arg $ k $ rounds $ frontier
-      $ samples $ seed $ format $ budget_ms_arg $ budget_ticks_arg
+      $ samples $ seed $ format_arg $ budget_ms_arg $ budget_ticks_arg
       $ degrade_arg $ certify_flag $ audit_arg $ certificate_arg)
 
 let certify_cmd =

@@ -85,34 +85,17 @@ let pp ppf d =
     (severity_to_string d.severity)
     d.check pp_loc d.loc d.message
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json d =
-  let buf = Buffer.create 128 in
-  let field k v = Buffer.add_string buf (Printf.sprintf ",\"%s\":%s" k v) in
-  let str_field k v = field k (Printf.sprintf "\"%s\"" (json_escape v)) in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"check\":\"%s\",\"severity\":\"%s\""
-       (json_escape d.check)
-       (severity_to_string d.severity));
-  Option.iter (str_field "router") d.loc.router;
-  Option.iter (str_field "neighbor") d.loc.neighbor;
-  Option.iter (str_field "route_map") d.loc.rm_name;
-  Option.iter (fun i -> field "clause" (string_of_int (i + 1))) d.loc.clause;
-  Option.iter (fun n -> field "line" (string_of_int n)) d.loc.line;
-  str_field "message" d.message;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let opt k f = function None -> [] | Some x -> [ (k, f x) ] in
+  let str s = Json.String s in
+  Json.Obj
+    ([
+       ("check", str d.check);
+       ("severity", str (severity_to_string d.severity));
+     ]
+    @ opt "router" str d.loc.router
+    @ opt "neighbor" str d.loc.neighbor
+    @ opt "route_map" str d.loc.rm_name
+    @ opt "clause" (fun i -> Json.Int (i + 1)) d.loc.clause
+    @ opt "line" (fun n -> Json.Int n) d.loc.line
+    @ [ ("message", str d.message) ])

@@ -45,6 +45,6 @@ val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 (** One line: [severity: [check] location: message]. *)
 
-val to_json : t -> string
+val to_json : t -> Json.t
 (** One JSON object (stable field order; absent location fields are
-    omitted). *)
+    omitted; [clause] is 1-based, as in {!pp}). *)

@@ -462,6 +462,16 @@ let hit_rate ~hits ~misses =
   let t = hits + misses in
   if t = 0 then 0.0 else float_of_int hits /. float_of_int t
 
+let stats_to_json (s : stats) =
+  Json.Obj
+    [
+      ("nodes", Json.Int s.nodes);
+      ("apply_hits", Json.Int s.apply_hits);
+      ("apply_misses", Json.Int s.apply_misses);
+      ("ite_hits", Json.Int s.ite_hits);
+      ("ite_misses", Json.Int s.ite_misses);
+    ]
+
 let pp_stats ppf (s : stats) =
   Format.fprintf ppf
     "nodes=%d apply memo %d/%d hits (%.0f%%), ite memo %d/%d hits (%.0f%%)"

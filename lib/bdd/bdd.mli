@@ -66,6 +66,9 @@ val stats : man -> stats
 
 val pp_stats : Format.formatter -> stats -> unit
 
+val stats_to_json : stats -> Json.t
+(** The five counters, in record order. *)
+
 (** {1 Constants and variables} *)
 
 val bot : t

@@ -17,6 +17,19 @@ let compute net =
 
 let count net = List.length (compute net)
 
+let find net = function
+  | None -> (
+    match compute net with
+    | ec :: _ -> ec
+    | [] -> failwith "network originates no destination prefixes")
+  | Some p -> (
+    let p = Prefix.of_string p in
+    match
+      List.find_opt (fun ec -> Prefix.equal ec.ec_prefix p) (compute net)
+    with
+    | Some ec -> ec
+    | None -> Format.kasprintf failwith "no destination class %a" Prefix.pp p)
+
 let ec_for net addr =
   match Prefix_trie.lpm (trie_of_network net) addr with
   | None -> None

@@ -19,6 +19,12 @@ val compute : Device.network -> ec list
 
 val count : Device.network -> int
 
+val find : Device.network -> string option -> ec
+(** The class of the given prefix (e.g. ["10.0.0.0/24"]), or the first
+    class when none is given.
+    @raise Failure when the network originates no prefix or no class has
+    that prefix; @raise Invalid_argument for an unparsable prefix. *)
+
 val ec_for : Device.network -> Ipv4.t -> ec option
 (** The class governing an address: the longest announced prefix
     containing it. *)

@@ -460,6 +460,29 @@ let pp_degradation ppf d =
     | Some n -> Printf.sprintf " (%s)" n)
     d.deg_completed d.deg_total
 
+let fallback_to_string = function
+  | No_fallback -> "none"
+  | Budget_fallback _ -> "budget"
+  | Rounds_fallback -> "rounds"
+
+let degradation_to_json = function
+  | None -> Json.Null
+  | Some d ->
+    Json.Obj
+      [
+        ("completed", Json.Int d.deg_completed);
+        ("total", Json.Int d.deg_total);
+      ]
+
+let ec_result_json_fields r =
+  [
+    ("destination", Json.String (Prefix.to_string r.ec.Ecs.ec_prefix));
+    ("abstract_nodes", Json.Int (Abstraction.n_abstract r.abstraction));
+    ( "abstract_links",
+      Json.Int (Graph.n_links r.abstraction.Abstraction.abs_graph) );
+    ("degraded", Json.Bool r.degraded);
+  ]
+
 let pp_summary ppf s =
   let g = s.net.Device.graph in
   Format.fprintf ppf

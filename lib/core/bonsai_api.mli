@@ -213,5 +213,17 @@ val pp_degradation : Format.formatter -> degradation -> unit
     wall-clock is deliberately omitted — the report is deterministic for a
     deterministic budget. *)
 
+val fallback_to_string : fallback -> string
+(** ["none"], ["budget"] or ["rounds"]. *)
+
+val degradation_to_json : degradation option -> Json.t
+(** [null], or the [completed] and [total] class counts (the budget phase
+    and ticks stay in {!pp_degradation}). *)
+
+val ec_result_json_fields : ec_result -> (string * Json.t) list
+(** One compressed class as a JSON row for the CLI and the resident
+    engine: [destination], [abstract_nodes], [abstract_links],
+    [degraded]. *)
+
 val pp_summary : Format.formatter -> summary -> unit
 (** Appends {!pp_degradation} when the summary is degraded. *)

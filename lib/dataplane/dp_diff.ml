@@ -241,3 +241,39 @@ let counts r =
       | Removed -> (a, rm + 1, m)
       | Modified -> (a, rm, m + 1))
     (0, 0, 0) r.dp_changes
+
+let changes_json_fields ~old_net ~new_net r =
+  let names (net : Device.network) us =
+    Json.List
+      (List.map (fun u -> Json.String (Graph.name net.Device.graph u)) us)
+  in
+  let entry net = function
+    | None -> Json.Null
+    | Some (e : Dataplane.entry) ->
+      Json.Obj
+        [
+          ("next_hops", names net e.Dataplane.e_next_hops);
+          ("acl_dropped", names net e.Dataplane.e_acl_dropped);
+        ]
+  in
+  let change c =
+    let router_net = match c.c_kind with Removed -> old_net | _ -> new_net in
+    Json.Obj
+      [
+        ("router", Json.String (Graph.name router_net.Device.graph c.c_router));
+        ("prefix", Json.String (Prefix.to_string c.c_prefix));
+        ("kind", Json.String (kind_string c.c_kind));
+        ("old", entry old_net c.c_old);
+        ("new", entry new_net c.c_new);
+      ]
+  in
+  let added, removed, modified = counts r in
+  [
+    ("added", Json.Int added);
+    ("removed", Json.Int removed);
+    ("modified", Json.Int modified);
+    ("changes", Json.List (List.map change r.dp_changes));
+    ( "unknown",
+      Json.List
+        (List.map (fun p -> Json.String (Prefix.to_string p)) r.dp_unknown) );
+  ]

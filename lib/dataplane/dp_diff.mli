@@ -63,3 +63,13 @@ val counts : report -> int * int * int
 (** (added, removed, modified) entry counts. *)
 
 val kind_string : change_kind -> string
+
+val changes_json_fields :
+  old_net:Device.network ->
+  new_net:Device.network ->
+  report ->
+  (string * Json.t) list
+(** The change review as JSON fields for the CLI and the resident engine:
+    the [added]/[removed]/[modified] counts, one [changes] row per FIB
+    change (router named in the network that holds the entry), and the
+    [unknown] class prefixes. *)

@@ -148,6 +148,15 @@ let shrink fails sc =
   if not (fails sc) then invalid_arg "Scenario.shrink: scenario does not fail";
   go sc
 
+let to_json ~names t =
+  Json.List
+    (List.map
+       (fun (u, v) -> Json.String (Printf.sprintf "%s-%s" (names u) (names v)))
+       t.down_links
+    @ List.map
+        (fun u -> Json.String (Printf.sprintf "node:%s" (names u)))
+        t.down_nodes)
+
 let pp ~names ppf t =
   let link (u, v) = Printf.sprintf "%s-%s" (names u) (names v) in
   let node u = Printf.sprintf "node %s" (names u) in

@@ -58,5 +58,9 @@ val shrink : (t -> bool) -> t -> t
     any single element of it makes the failure disappear. Calls [fails]
     O(size²) times. *)
 
+val to_json : names:(int -> string) -> t -> Json.t
+(** A list of strings: ["u-v"] per downed link, ["node:u"] per downed
+    node. *)
+
 val pp : names:(int -> string) -> Format.formatter -> t -> unit
 (** E.g. [{agg0_0-core1, node edge2_1}]. *)

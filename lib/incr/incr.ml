@@ -448,6 +448,20 @@ let rearm st =
         Budget.infinite)
     st.results
 
+let reuse_json_fields r =
+  [
+    ("reused", Json.Int r.r_reused);
+    ("seeded", Json.Int r.r_seeded);
+    ("scratch", Json.Int r.r_scratch);
+    ("full_rebuild", Json.Bool r.r_full_rebuild);
+  ]
+
+let recert_json_fields r =
+  [
+    ("recertified", Json.Int r.r_recertified);
+    ("recert_refuted", Json.Int r.r_recert_refuted);
+  ]
+
 let pp_report ppf r =
   Format.fprintf ppf
     "@[<v>deltas applied: %d@,\

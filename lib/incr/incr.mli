@@ -171,3 +171,10 @@ val rearm : state -> unit
 
 val bdd_stats : state -> Bdd.stats
 val pp_report : Format.formatter -> report -> unit
+
+val reuse_json_fields : report -> (string * Json.t) list
+(** How each class was maintained, for the CLI and the resident engine:
+    [reused], [seeded], [scratch], [full_rebuild]. *)
+
+val recert_json_fields : report -> (string * Json.t) list
+(** [recertified] and [recert_refuted], for a run with re-certification. *)

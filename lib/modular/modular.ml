@@ -817,25 +817,26 @@ let pp_report ppf rp =
   if rp.rp_skipped_anycast > 0 then
     Format.fprintf ppf "skipped %d anycast class(es)@." rp.rp_skipped_anycast
 
+let module_to_json ~timed mr =
+  Json.Obj
+    ([
+       ("module", Json.String mr.mr_name);
+       ("routers", Json.Int mr.mr_routers);
+       ("ecs", Json.Int mr.mr_ecs);
+       ("concrete", Json.Int mr.mr_concrete);
+       ("abstract", Json.Int mr.mr_abstract);
+       ("health", Json.String (health_name mr.mr_health));
+     ]
+    @ (if timed then [ ("time_s", Json.Float mr.mr_time_s) ] else [])
+    @
+    match mr.mr_detail with
+    | Some d -> [ ("detail", Json.String d) ]
+    | None -> [])
+
 let report_json_fields rp =
-  let module_json mr =
-    Json.Obj
-      ([
-         ("module", Json.String mr.mr_name);
-         ("routers", Json.Int mr.mr_routers);
-         ("ecs", Json.Int mr.mr_ecs);
-         ("concrete", Json.Int mr.mr_concrete);
-         ("abstract", Json.Int mr.mr_abstract);
-         ("health", Json.String (health_name mr.mr_health));
-         ("time_s", Json.Float mr.mr_time_s);
-       ]
-      @
-      match mr.mr_detail with
-      | Some d -> [ ("detail", Json.String d) ]
-      | None -> [])
-  in
   [
-    ("modules", Json.List (List.map module_json rp.rp_modules));
+    ( "modules",
+      Json.List (List.map (module_to_json ~timed:true) rp.rp_modules) );
     ("routers", Json.Int rp.rp_routers);
     ("skipped_anycast", Json.Int rp.rp_skipped_anycast);
     ("time_s", Json.Float rp.rp_time_s);

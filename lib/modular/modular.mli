@@ -169,6 +169,11 @@ val compose :
 val pp_report : Format.formatter -> report -> unit
 (** The health table, deterministic byte-for-byte (no wall-clock). *)
 
+val module_to_json : timed:bool -> module_report -> Json.t
+(** One module's health row for the CLI and the resident engine; with
+    [~timed:true] it carries the module's wall-clock [time_s], which
+    byte-stable output leaves out. *)
+
 val report_json_fields : report -> (string * Json.t) list
 (** JSON response fields for the CLI and the resident engine; includes
     per-module times (callers needing byte-stable output normalize or

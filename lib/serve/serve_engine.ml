@@ -153,23 +153,6 @@ let request_budget t req =
 
 let network_param req = Protocol.require_string req "network"
 
-let find_ec net = function
-  | None -> (
-    match Ecs.compute net with
-    | ec :: _ -> ec
-    | [] -> failwith "network originates no destination prefixes")
-  | Some p -> (
-    let p = Prefix.of_string p in
-    match
-      List.find_opt
-        (fun ec -> Prefix.equal ec.Ecs.ec_prefix p)
-        (Ecs.compute net)
-    with
-    | Some ec -> ec
-    | None -> Format.kasprintf failwith "no destination class %a" Prefix.pp p)
-
-let prefix_str p = Format.asprintf "%a" Prefix.pp p
-
 (* Mirror of the one-shot CLI's --degrade contract: a degraded result is
    a typed budget-exceeded response unless the request opted into
    degradation with "degrade": true — then it is an ok response whose
@@ -188,18 +171,6 @@ let check_degradation req = function
    counts, verdicts) but never wall-clock or cache counters — the
    kill-and-restart acceptance test diffs a warm-restored compress
    response byte-for-byte against a cold one. Timings live in `stats`. *)
-
-let ec_row (r : Bonsai_api.ec_result) =
-  Json.Obj
-    [
-      ("destination", Json.String (prefix_str r.Bonsai_api.ec.Ecs.ec_prefix));
-      ( "abstract_nodes",
-        Json.Int (Abstraction.n_abstract r.Bonsai_api.abstraction) );
-      ( "abstract_links",
-        Json.Int
-          (Graph.n_links r.Bonsai_api.abstraction.Abstraction.abs_graph) );
-      ("degraded", Json.Bool r.Bonsai_api.degraded);
-    ]
 
 let compress_op t req =
   let budget = request_budget t req in
@@ -226,24 +197,12 @@ let compress_op t req =
     ("skipped_anycast", Json.Int summary.Bonsai_api.skipped_anycast);
     ( "degraded",
       Json.Bool (Option.is_some summary.Bonsai_api.degradation) );
-    ("classes", Json.List (List.map ec_row results));
+    ( "classes",
+      Json.List
+        (List.map
+           (fun r -> Json.Obj (Bonsai_api.ec_result_json_fields r))
+           results) );
   ]
-
-let diag_json (d : Diag.t) =
-  let opt_str k = function
-    | None -> []
-    | Some s -> [ (k, Json.String s) ]
-  in
-  let opt_int k = function None -> [] | Some i -> [ (k, Json.Int i) ] in
-  Json.Obj
-    (("check", Json.String d.Diag.check)
-    :: ("severity", Json.String (Diag.severity_to_string d.Diag.severity))
-    :: (opt_str "router" d.Diag.loc.Diag.router
-       @ opt_str "neighbor" d.Diag.loc.Diag.neighbor
-       @ opt_str "route_map" d.Diag.loc.Diag.rm_name
-       @ opt_int "clause" d.Diag.loc.Diag.clause
-       @ opt_int "line" d.Diag.loc.Diag.line
-       @ [ ("message", Json.String d.Diag.message) ]))
 
 let lint_op t req =
   let budget = request_budget t req in
@@ -262,7 +221,7 @@ let lint_op t req =
   let ds = Lint.run ~compression ~flow ~budget net in
   [
     ("network", Json.String spec);
-    ("findings", Json.List (List.map diag_json ds));
+    ("findings", Json.List (List.map Diag.to_json ds));
     ("count", Json.Int (List.length ds));
     ("errors", Json.Bool (Lint.has_errors ds));
   ]
@@ -283,7 +242,7 @@ let flow_op t req =
   in
   [
     ("network", Json.String spec);
-    ("findings", Json.List (List.map diag_json ds));
+    ("findings", Json.List (List.map Diag.to_json ds));
     ("count", Json.Int (List.length ds));
     ("degraded", Json.Bool degraded);
   ]
@@ -313,21 +272,10 @@ let diff_op t req =
       ("to", Json.String to_spec);
       ("deltas", Json.Int (List.length deltas));
       ("ecs", Json.Int rep.Incr.r_ecs);
-      ("reused", Json.Int rep.Incr.r_reused);
-      ("seeded", Json.Int rep.Incr.r_seeded);
-      ("scratch", Json.Int rep.Incr.r_scratch);
-      ("full_rebuild", Json.Bool rep.Incr.r_full_rebuild);
-      ( "degraded",
-        Json.Bool (Option.is_some rep.Incr.r_degradation) );
     ]
-    @
-    match recertify with
-    | None -> []
-    | Some _ ->
-      [
-        ("recertified", Json.Int rep.Incr.r_recertified);
-        ("recert_refuted", Json.Int rep.Incr.r_recert_refuted);
-      ]
+    @ Incr.reuse_json_fields rep
+    @ [ ("degraded", Json.Bool (Option.is_some rep.Incr.r_degradation)) ]
+    @ if Option.is_some recertify then Incr.recert_json_fields rep else []
 
 (* Pre-deployment change review at warm-cache latency: diff the data
    planes of the warm network and a proposed one. Read-only with respect
@@ -349,40 +297,6 @@ let dataplane_diff_op t req =
   | Error e -> Bonsai_error.error e
   | Ok rep ->
     check_degradation req rep.Dp_diff.dp_degradation;
-    let added, removed, modified = Dp_diff.counts rep in
-    let name net u = Graph.name net.Device.graph u in
-    let entry_json net = function
-      | None -> Json.Null
-      | Some (e : Dataplane.entry) ->
-        Json.Obj
-          [
-            ( "next_hops",
-              Json.List
-                (List.map
-                   (fun u -> Json.String (name net u))
-                   e.Dataplane.e_next_hops) );
-            ( "acl_dropped",
-              Json.List
-                (List.map
-                   (fun u -> Json.String (name net u))
-                   e.Dataplane.e_acl_dropped) );
-          ]
-    in
-    let change_row (c : Dp_diff.change) =
-      let router_net =
-        match c.Dp_diff.c_kind with
-        | Dp_diff.Removed -> old_net
-        | _ -> new_net
-      in
-      Json.Obj
-        [
-          ("router", Json.String (name router_net c.Dp_diff.c_router));
-          ("prefix", Json.String (prefix_str c.Dp_diff.c_prefix));
-          ("kind", Json.String (Dp_diff.kind_string c.Dp_diff.c_kind));
-          ("old", entry_json old_net c.Dp_diff.c_old);
-          ("new", entry_json new_net c.Dp_diff.c_new);
-        ]
-    in
     [
       ("network", Json.String spec);
       ("to", Json.String to_spec);
@@ -392,25 +306,16 @@ let dataplane_diff_op t req =
       ("reused", Json.Int rep.Dp_diff.dp_reused);
       ("recompiled", Json.Int rep.Dp_diff.dp_recompiled);
       ("full_rebuild", Json.Bool rep.Dp_diff.dp_full_rebuild);
-      ("added", Json.Int added);
-      ("removed", Json.Int removed);
-      ("modified", Json.Int modified);
-      ("changes", Json.List (List.map change_row rep.Dp_diff.dp_changes));
-      ( "unknown",
-        Json.List
-          (List.map
-             (fun p -> Json.String (prefix_str p))
-             rep.Dp_diff.dp_unknown) );
-      ( "degraded",
-        Json.Bool (Option.is_some rep.Dp_diff.dp_degradation) );
     ]
+    @ Dp_diff.changes_json_fields ~old_net ~new_net rep
+    @ [ ("degraded", Json.Bool (Option.is_some rep.Dp_diff.dp_degradation)) ]
 
 let faults_op t req =
   let budget = request_budget t req in
   let spec = network_param req in
   let st, _ = get_state t ~budget spec in
   let net = Incr.network st in
-  let ec = find_ec net (Protocol.string_param req "ec") in
+  let ec = Ecs.find net (Protocol.string_param req "ec") in
   let k = Option.value ~default:1 (Protocol.int_param req "k") in
   let samples = Protocol.int_param req "samples" in
   let seed = Option.value ~default:0 (Protocol.int_param req "seed") in
@@ -438,7 +343,7 @@ let faults_op t req =
   in
   [
     ("network", Json.String spec);
-    ("destination", Json.String (prefix_str ec.Ecs.ec_prefix));
+    ("destination", Json.String (Prefix.to_string ec.Ecs.ec_prefix));
     ("scenarios", Json.Int (List.length plan.Fault_engine.scenarios));
     ("exhaustive", Json.Bool plan.Fault_engine.exhaustive);
     ("stable", Json.Int report.Fault_engine.n_stable);
@@ -459,7 +364,7 @@ let harden_op t req =
   let spec = network_param req in
   let st, _ = get_state t ~budget spec in
   let net = Incr.network st in
-  let ec = find_ec net (Protocol.string_param req "ec") in
+  let ec = Ecs.find net (Protocol.string_param req "ec") in
   let k = Protocol.int_param req "k" in
   let rounds = Protocol.int_param req "rounds" in
   let samples = Protocol.int_param req "samples" in
@@ -470,18 +375,14 @@ let harden_op t req =
     let abstraction = r.Repair.result.Bonsai_api.abstraction in
     [
       ("network", Json.String spec);
-      ("destination", Json.String (prefix_str ec.Ecs.ec_prefix));
+      ("destination", Json.String (Prefix.to_string ec.Ecs.ec_prefix));
       ("rounds", Json.Int (List.length r.Repair.rounds));
       ("pins", Json.Int (List.length r.Repair.pins));
       ("scenarios", Json.Int r.Repair.n_scenarios);
       ("counterexamples", Json.Int r.Repair.n_counterexamples);
       ("sound", Json.Bool r.Repair.sound);
       ( "fallback",
-        Json.String
-          (match r.Repair.fallback with
-          | Bonsai_api.No_fallback -> "none"
-          | Bonsai_api.Budget_fallback _ -> "budget"
-          | Bonsai_api.Rounds_fallback -> "rounds") );
+        Json.String (Bonsai_api.fallback_to_string r.Repair.fallback) );
       ("abstract_nodes", Json.Int (Abstraction.n_abstract abstraction));
       ( "abstract_links",
         Json.Int (Graph.n_links abstraction.Abstraction.abs_graph) );
@@ -635,25 +536,6 @@ let mtouch t men =
   t.clock <- t.clock + 1;
   men.men_stamp <- t.clock
 
-let modular_health_rows (rp : Modular.report) =
-  (* No wall-clock: the chaos suite diffs these rows byte-for-byte. *)
-  List.map
-    (fun (mr : Modular.module_report) ->
-      Json.Obj
-        ([
-           ("module", Json.String mr.Modular.mr_name);
-           ("routers", Json.Int mr.Modular.mr_routers);
-           ("ecs", Json.Int mr.Modular.mr_ecs);
-           ("concrete", Json.Int mr.Modular.mr_concrete);
-           ("abstract", Json.Int mr.Modular.mr_abstract);
-           ("health", Json.String (Modular.health_name mr.Modular.mr_health));
-         ]
-        @
-        match mr.Modular.mr_detail with
-        | Some d -> [ ("detail", Json.String d) ]
-        | None -> []))
-    rp.Modular.rp_modules
-
 let get_modular t ~budget ~mode ~count ~certify spec =
   match Hashtbl.find_opt t.modular_registry spec with
   | Some men ->
@@ -735,7 +617,11 @@ let modular_op t req =
   [
     ("network", Json.String spec);
     ("warm", Json.Bool warm);
-    ("modules", Json.List (modular_health_rows rp));
+    (* no wall-clock: the chaos suite diffs these rows byte-for-byte *)
+    ( "modules",
+      Json.List
+        (List.map (Modular.module_to_json ~timed:false) rp.Modular.rp_modules)
+    );
     ("routers", Json.Int rp.Modular.rp_routers);
     ("skipped_anycast", Json.Int rp.Modular.rp_skipped_anycast);
     ("faulted", Json.Bool (Modular.any_fault rp));

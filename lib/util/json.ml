@@ -215,6 +215,18 @@ let escape_into buf s =
     s;
   Buffer.add_char buf '"'
 
+(* The shortest decimal that parses back to [f], always with a '.' or an
+   exponent so that it reads back as a [Float], never as an [Int]. *)
+let float_repr f =
+  let rec go digits =
+    let s = Printf.sprintf "%.*g" digits f in
+    if digits >= 17 || Float.equal (float_of_string s) f then s
+    else go (digits + 1)
+  in
+  let s = go 1 in
+  if String.exists (function '.' | 'e' -> true | _ -> false) s then s
+  else s ^ ".0"
+
 let to_string v =
   let buf = Buffer.create 256 in
   let rec go = function
@@ -223,7 +235,7 @@ let to_string v =
     | Int i -> Buffer.add_string buf (string_of_int i)
     | Float f ->
       (* total: JSON has no nan/infinity literals *)
-      if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%g" f)
+      if Float.is_finite f then Buffer.add_string buf (float_repr f)
       else Buffer.add_string buf "null"
     | String s -> escape_into buf s
     | List items ->

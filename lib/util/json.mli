@@ -22,7 +22,9 @@ val parse : string -> (t, string) result
 
 val to_string : t -> string
 (** Compact single-line rendering (no newlines — NDJSON-safe; control
-    characters in strings are escaped). *)
+    characters in strings are escaped). A finite float prints as the
+    shortest decimal that parses back to it, always with a [.] or an
+    exponent, so [parse (to_string (Float f))] is [Ok (Float f)]. *)
 
 val member : string -> t -> t option
 (** Field lookup; [None] on a non-object or a missing key. *)

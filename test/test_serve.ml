@@ -1,8 +1,9 @@
 (* Tests for the resident engine (lib/serve): the JSON codec, protocol
    framing, the bounded admission queue, the checkpoint format's three
    corruption guards, the engine's crash-proof request boundary (budget
-   isolation, typed errors, warm-state restore), and the Sig_cache LRU
-   eviction the engine relies on to stay bounded.
+   isolation, typed errors, warm-state restore), the Sig_cache LRU
+   eviction the engine relies on to stay bounded, and the agreement of
+   the CLI's --format json output with the engine's responses.
 
    The QCheck iteration count defaults to a small CI-friendly number and
    scales with FUZZ_COUNT (e.g. `FUZZ_COUNT=500 dune exec
@@ -615,6 +616,127 @@ let prop_json_roundtrip =
         QCheck.Test.fail_reportf "reparse of %s failed: %s" (Json.to_string v)
           m)
 
+(* Floats print as the shortest decimal that reads back as the same
+   [Float] — integral values included, which must not come back as [Int]. *)
+let prop_json_float_roundtrip =
+  let open QCheck.Gen in
+  let finite = map (fun f -> if Float.is_finite f then f else 0.0) float in
+  QCheck.Test.make ~count:(10 * fuzz_count)
+    ~name:"float to_string/parse roundtrip"
+    (QCheck.make ~print:string_of_float
+       (oneof
+          [
+            finite;
+            map Float.round finite;
+            map float_of_int int;
+            map (fun i -> float_of_int i /. 100.) (int_range (-100000) 100000);
+          ]))
+    (fun f ->
+      match Json.parse (Json.to_string (Json.Float f)) with
+      | Ok (Json.Float f') -> Float.equal f f'
+      | Ok v ->
+        QCheck.Test.fail_reportf "%h read back as %s" f (Json.to_string v)
+      | Error m -> QCheck.Test.fail_reportf "%h: %s" f m)
+
+(* --- front ends: CLI --format json and serve answer alike --------------- *)
+
+(* Paths relative to this executable, so the tests find the CLI and the
+   fixture corpus under both `dune runtest` and `dune exec`. *)
+let build_path rel = Filename.concat (Filename.dirname Sys.executable_name) rel
+
+let run_cli args =
+  let ic =
+    Unix.open_process_in
+      (Filename.quote_command
+         (build_path "../bin/bonsai_cli.exe")
+         ~stderr:Filename.null args)
+  in
+  let out = In_channel.input_all ic in
+  ignore (Unix.close_process_in ic : Unix.process_status);
+  out
+
+let parse_or_fail what text =
+  match Json.parse text with
+  | Ok j -> j
+  | Error m -> Alcotest.failf "%s: invalid JSON (%s): %S" what m text
+
+(* A router name holding a control byte must come out escaped. *)
+let test_cli_json_control_byte () =
+  let path = Filename.temp_file "bonsai_ctrl" ".conf" in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc
+        "topology\n  node a\001x\n  node b\n  link a\001x b\n\n\
+         router a\001x\n  bgp neighbor b\n  originate 10.0.0.0/24\n\n\
+         router b\n  bgp neighbor a\001x\n");
+  let out = run_cli [ "compress"; "file:" ^ path; "--format"; "json" ] in
+  Sys.remove path;
+  let j = parse_or_fail "compress --format json" out in
+  let members =
+    match Json.member "roles" j with
+    | Some (Json.List roles) ->
+      List.concat_map
+        (fun r ->
+          match Json.member "members" r with
+          | Some (Json.List ms) -> List.filter_map Json.to_string_opt ms
+          | _ -> [])
+        roles
+    | _ -> []
+  in
+  Alcotest.(check bool) "router name read back" true (List.mem "a\001x" members)
+
+(* The N of the first "clause N" or "rule N" in a lint message. *)
+let clause_of_message msg =
+  let rec go = function
+    | ("clause" | "rule") :: n :: rest -> (
+      match int_of_string_opt n with Some i -> Some i | None -> go rest)
+    | _ :: rest -> go rest
+    | [] -> None
+  in
+  go (String.split_on_char ' ' msg)
+
+(* Both front ends report the 1-based clause their own messages name. *)
+let check_clauses what findings =
+  let with_clause = ref 0 in
+  List.iter
+    (fun f ->
+      let msg =
+        Option.value ~default:""
+          (Option.bind (Json.member "message" f) Json.to_string_opt)
+      in
+      let clause = Option.bind (Json.member "clause" f) Json.to_int_opt in
+      if Option.is_some clause then incr with_clause;
+      Alcotest.(check (option int)) (what ^ ": " ^ msg) (clause_of_message msg)
+        clause)
+    findings;
+  Alcotest.(check bool) (what ^ " has clause findings") true (!with_clause > 0)
+
+let test_lint_clause_agreement () =
+  let eng =
+    Serve_engine.create
+      ~resolve:(fun spec ->
+        match Config_text.load (String.sub spec 5 (String.length spec - 5)) with
+        | Ok net -> net
+        | Error m -> failwith m)
+      ()
+  in
+  List.iter
+    (fun fixture ->
+      let spec = "file:" ^ build_path ("../examples/configs/" ^ fixture) in
+      let cli = run_cli [ "lint"; spec; "--format"; "json" ] in
+      (match parse_or_fail ("lint " ^ fixture) cli with
+      | Json.List findings -> check_clauses ("cli " ^ fixture) findings
+      | _ -> Alcotest.failf "lint %s: not a JSON list" fixture);
+      let req =
+        Json.to_string
+          (Json.Obj
+             [ ("op", Json.String "lint"); ("network", Json.String spec) ])
+      in
+      let resp = parse_or_fail "serve lint" (handle eng req) in
+      match Json.member "findings" resp with
+      | Some (Json.List findings) -> check_clauses ("serve " ^ fixture) findings
+      | _ -> Alcotest.failf "serve lint %s: no findings list" fixture)
+    [ "shadow.conf"; "acl.conf" ]
+
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
@@ -669,5 +791,13 @@ let () =
           Alcotest.test_case "unchanged keeps first error" `Quick
             test_backoff_retry_unchanged_keeps_first_error;
         ] );
-      qsuite "fuzz" [ prop_total; prop_json_roundtrip ];
+      ( "front-ends",
+        [
+          Alcotest.test_case "cli json escapes control bytes" `Quick
+            test_cli_json_control_byte;
+          Alcotest.test_case "lint clause agrees" `Quick
+            test_lint_clause_agreement;
+        ] );
+      qsuite "fuzz"
+        [ prop_total; prop_json_roundtrip; prop_json_float_roundtrip ];
     ]
