@@ -358,7 +358,7 @@ let compress_cmd_run spec ec_prefix dot all check check_dataplane format
         abstraction =
           Abstraction.identity net ~dest:(Ecs.single_origin ec)
             ~dest_prefix:ec.Ecs.ec_prefix ~universe;
-        refine_stats = { Refine.iterations = 0; splits = 0 };
+        refine_stats = { Refine.iterations = 0; splits = 0; keyed = 0 };
         time_s = 0.0;
         degraded = true;
       }

@@ -329,17 +329,6 @@ exception Refutation_overflow
 
 let max_failures = 64
 
-let sig_equal (a : Compile.edge_signature) (b : Compile.edge_signature) =
-  a.Compile.sig_import = b.Compile.sig_import
-  && a.Compile.sig_export = b.Compile.sig_export
-  && Bool.equal a.Compile.sig_ibgp b.Compile.sig_ibgp
-  && Bool.equal a.Compile.sig_acl b.Compile.sig_acl
-  && (match (a.Compile.sig_ospf, b.Compile.sig_ospf) with
-     | None, None -> true
-     | Some (c, r, s), Some (c', r', s') -> c = c' && r = r' && s = s'
-     | _ -> false)
-  && Bool.equal a.Compile.sig_static b.Compile.sig_static
-
 let int_list_equal = List.equal Int.equal
 
 (* Deterministic spot-check subset: ends plus the middle. *)
@@ -631,7 +620,7 @@ let check_cert ~budget ~audit ~universe ~obligations (net : Device.network)
                 (fun (u, v) ->
                   tick ();
                   obligation ();
-                  if not (sig_equal s0 (signature u v)) then
+                  if not (Compile.signature_equal s0 (signature u v)) then
                     fail "transfer-equivalence"
                       (Printf.sprintf
                          "edges (%s,%s) and (%s,%s) map to one abstract \

@@ -125,72 +125,124 @@ let ospf_live (net : Device.network) ~dest =
          && List.exists (fun p -> Prefix.equal p dest) r.Device.originated)
        net.routers
 
+let signature_equal a b =
+  a.sig_import = b.sig_import
+  && a.sig_export = b.sig_export
+  && Bool.equal a.sig_ibgp b.sig_ibgp
+  && Bool.equal a.sig_acl b.sig_acl
+  && (match (a.sig_ospf, b.sig_ospf) with
+     | None, None -> true
+     | Some (c, r, s), Some (c', r', s') -> c = c' && r = r' && s = s'
+     | _ -> false)
+  && Bool.equal a.sig_static b.sig_static
+
+module Sig_tbl = Hashtbl.Make (struct
+  type t = edge_signature
+
+  let equal = signature_equal
+
+  let hash s =
+    let bit b k = if b then k else 0 in
+    let ospf =
+      match s.sig_ospf with
+      | None -> 0
+      | Some (c, r, a) -> 1 + (((c * 31) + r) * 31) + a
+    in
+    (((((s.sig_import * 31) + s.sig_export) * 31) + ospf) * 8)
+    + bit s.sig_ibgp 4 + bit s.sig_acl 2 + bit s.sig_static 1
+end)
+
+(* Route-map BDD memo: physical identity first (the map value seen
+   before), then structural equality for equal maps written out per
+   neighbor, under a hash deep enough to tell multi-clause maps apart. *)
+module Rm_memo = Hashtbl.Make (struct
+  type t = Route_map.t
+
+  let equal a b = a == b || a = b
+  let hash = Hashtbl.hash_param 100 200
+end)
+
 let edge_signatures ?universe ?rm_bdd (net : Device.network) ~dest =
   let u =
     match universe with
     | Some u -> u
     | None -> Policy_bdd.universe_of_network net
   in
-  (* Route-maps are shared across many interfaces; memoize their BDDs by
-     physical identity of the map. A caller that keeps route-map BDDs
-     alive across calls (the policy-signature cache of lib/incr) supplies
-     its own [rm_bdd] instead — it must encode against [u]. *)
+  (* Route-maps are shared across many interfaces; memoize their BDDs. A
+     caller that keeps route-map BDDs alive across calls (the
+     policy-signature cache of lib/incr) supplies its own [rm_bdd]
+     instead — it must encode against [u]. *)
   let rm_bdd =
     match rm_bdd with
     | Some f -> f
     | None ->
-      let rm_memo : (Route_map.t option, Bdd.t) Hashtbl.t =
-        Hashtbl.create 64
-      in
-      fun rm ->
-        (match Hashtbl.find_opt rm_memo rm with
+      let identity = lazy (Policy_bdd.identity u) in
+      let memo = Rm_memo.create 64 in
+      (function
+      | None -> Lazy.force identity
+      | Some rm -> (
+        match Rm_memo.find_opt memo rm with
         | Some b -> b
         | None ->
-          let b =
-            match rm with
-            | None -> Policy_bdd.identity u
-            | Some rm -> Policy_bdd.encode_route_map u rm ~dest
-          in
-          Hashtbl.replace rm_memo rm b;
-          b)
+          let b = Policy_bdd.encode_route_map u rm ~dest in
+          Rm_memo.replace memo rm b;
+          b))
   in
   let ospf_live = ospf_live net ~dest in
-  let memo = Hashtbl.create 256 in
-  let signature recv sender =
-    match Hashtbl.find_opt memo (recv, sender) with
+  let routers = net.routers in
+  let static_nh =
+    Array.map (fun r -> lazy (Device.static_next_hops r ~dest)) routers
+  in
+  (* equal signatures are shared, so the per-edge memo holds few distinct
+     records *)
+  let shared = Sig_tbl.create 64 in
+  let compute recv sender =
+    let r = routers.(recv) and rs = routers.(sender) in
+    let sig_acl = Acl.permits (Device.acl_for r sender) dest in
+    let sig_ospf =
+      if not ospf_live then None
+      else
+        match
+          (Device.ospf_link_config r sender, Device.ospf_link_config rs recv)
+        with
+        | Some l, Some _ ->
+          Some (l.Device.cost, r.Device.ospf_area, rs.Device.ospf_area)
+        | _ -> None
+    in
+    let sig_static =
+      List.exists (Int.equal sender) (Lazy.force static_nh.(recv))
+    in
+    let s =
+      match
+        (Device.bgp_neighbor_config r sender, Device.bgp_neighbor_config rs recv)
+      with
+      | Some nb, Some _ ->
+        { sig_import = Bdd.hash (rm_bdd nb.Device.import_rm);
+          sig_export = Bdd.hash (rm_bdd nb.Device.export_rm);
+          sig_ibgp = nb.Device.ibgp; sig_acl; sig_ospf; sig_static }
+      | _ ->
+        { sig_import = -1; sig_export = -1; sig_ibgp = false; sig_acl;
+          sig_ospf; sig_static }
+    in
+    match Sig_tbl.find_opt shared s with
     | Some s -> s
     | None ->
-      let r = net.routers.(recv) in
-      let bgp_on =
-        Option.is_some (Device.bgp_neighbor_config r sender)
-        && Option.is_some (Device.bgp_neighbor_config net.routers.(sender) recv)
-      in
-      let sig_import, sig_export, sig_ibgp =
-        if not bgp_on then (-1, -1, false)
-        else
-          match Device.bgp_neighbor_config r sender with
-          | None -> (-1, -1, false)
-          | Some nb ->
-            ( Bdd.hash (rm_bdd nb.Device.import_rm),
-              Bdd.hash (rm_bdd nb.Device.export_rm),
-              nb.Device.ibgp )
-      in
-      let sig_acl = Acl.permits (Device.acl_for r sender) dest in
-      let sig_ospf =
-        if not ospf_live then None
-        else
-          match
-            (Device.ospf_link_config r sender,
-             Device.ospf_link_config net.routers.(sender) recv)
-          with
-          | Some l, Some _ ->
-            Some (l.Device.cost, r.Device.ospf_area,
-                  net.routers.(sender).Device.ospf_area)
-          | _ -> None
-      in
-      let sig_static = List.mem sender (Device.static_next_hops r ~dest) in
-      let s = { sig_import; sig_export; sig_ibgp; sig_acl; sig_ospf; sig_static } in
-      Hashtbl.replace memo (recv, sender) s;
+      Sig_tbl.add shared s s;
       s
+  in
+  (* memoized per directed edge, in an array indexed by edge id *)
+  let g = net.graph in
+  let unset =
+    { sig_import = min_int; sig_export = min_int; sig_ibgp = false;
+      sig_acl = false; sig_ospf = None; sig_static = false }
+  in
+  let memo = Array.make (Graph.n_edges g) unset in
+  let signature recv sender =
+    let e = Graph.edge_index g recv sender in
+    if e < 0 then compute recv sender
+    else begin
+      if memo.(e) == unset then memo.(e) <- compute recv sender;
+      memo.(e)
+    end
   in
   (u, signature)

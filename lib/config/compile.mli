@@ -57,6 +57,9 @@ type edge_signature = {
     transfer function (each contributes its import to routes it receives
     and its export to routes its neighbors receive). *)
 
+val signature_equal : edge_signature -> edge_signature -> bool
+(** Field-wise equality, without the polymorphic compare. *)
+
 val ospf_live : Device.network -> dest:Prefix.t -> bool
 (** Whether OSPF can carry [dest] at all: some router redistributes, or
     an originator of [dest] has OSPF interfaces (the [origin_protocols]
@@ -70,8 +73,9 @@ val edge_signatures :
   Device.network ->
   dest:Prefix.t ->
   Policy_bdd.universe * (int -> int -> edge_signature)
-(** Builds (lazily, memoized) the signature of every edge, sharing one BDD
-    universe. Returns the universe for reuse across destinations.
+(** Builds (lazily, memoized per edge) the signature of every edge,
+    sharing one BDD universe. Equal signatures are returned as one shared
+    value. Returns the universe for reuse across destinations.
 
     [rm_bdd] (default: a per-call memo) supplies the BDD of a route-map
     ([None] = permit-all), specialized to [dest]; it must encode against

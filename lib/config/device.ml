@@ -95,9 +95,15 @@ let originations net =
     net.routers;
   List.rev !acc
 
-let bgp_neighbor_config r u = List.assoc_opt u r.bgp_neighbors
-let ospf_link_config r u = List.assoc_opt u r.ospf_links
-let acl_for r u = List.assoc_opt u r.acl_out
+(* [List.assoc_opt] with int keys compared directly, not through the
+   polymorphic compare: these lookups run once per edge per class. *)
+let rec find_nbr u = function
+  | [] -> None
+  | (v, x) :: rest -> if Int.equal u v then Some x else find_nbr u rest
+
+let bgp_neighbor_config r u = find_nbr u r.bgp_neighbors
+let ospf_link_config r u = find_nbr u r.ospf_links
+let acl_for r u = find_nbr u r.acl_out
 
 (* Longest-prefix match among the static routes covering [dest]; routes
    of equal (maximal) length all contribute next hops (static ECMP). *)

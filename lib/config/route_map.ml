@@ -62,14 +62,19 @@ let relevant rm ~dest =
 let sort_uniq = List.sort_uniq Int.compare
 
 let local_prefs rm ~dest =
-  relevant rm ~dest
-  |> List.concat_map (fun cl ->
-         if cl.verdict = Deny then []
-         else
-           List.filter_map
-             (function Set_local_pref lp -> Some lp | _ -> None)
-             cl.actions)
-  |> sort_uniq
+  let sets_lp cl =
+    List.exists (function Set_local_pref _ -> true | _ -> false) cl.actions
+  in
+  if not (List.exists sets_lp rm) then []
+  else
+    relevant rm ~dest
+    |> List.concat_map (fun cl ->
+           if cl.verdict = Deny then []
+           else
+             List.filter_map
+               (function Set_local_pref lp -> Some lp | _ -> None)
+               cl.actions)
+    |> sort_uniq
 
 let communities_matched rm =
   List.concat_map

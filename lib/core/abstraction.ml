@@ -36,32 +36,33 @@ let link_image t (u, v) =
           (node_image t v))
       (node_image t u)
 
-(* Group-level edge representatives, computed once. *)
-let group_edge_reprs (net : Device.network) group_of =
-  let reprs = Hashtbl.create 256 in
+module Int_tbl = Hashtbl.Make (Int)
+
+(* Group-level edge representatives, keyed [g1 * n_groups + g2]. The
+   edge walk is in lexicographic order, so the first edge seen between
+   two groups is the least one. *)
+let group_edge_reprs (net : Device.network) group_of n_groups =
+  let reprs = Int_tbl.create 256 in
   Graph.iter_edges net.graph (fun u v ->
-      let key = (group_of.(u), group_of.(v)) in
-      match Hashtbl.find_opt reprs key with
-      | Some (u', v') -> if (u, v) < (u', v') then Hashtbl.replace reprs key (u, v)
-      | None -> Hashtbl.replace reprs key (u, v));
+      let key = (group_of.(u) * n_groups) + group_of.(v) in
+      if not (Int_tbl.mem reprs key) then Int_tbl.add reprs key (u, v));
   reprs
 
 let make net ~dest ~dest_prefix ~universe ~partition ~copies =
   let n = Graph.n_nodes net.Device.graph in
   let group_of = Union_split_find.canonical partition in
   let n_groups = Union_split_find.num_classes partition in
-  let groups = Array.make n_groups [] in
+  let groups = Array.make n_groups [] and sizes = Array.make n_groups 0 in
   for u = n - 1 downto 0 do
-    groups.(group_of.(u)) <- u :: groups.(group_of.(u))
+    groups.(group_of.(u)) <- u :: groups.(group_of.(u));
+    sizes.(group_of.(u)) <- sizes.(group_of.(u)) + 1
   done;
-  let edge_reprs = group_edge_reprs net group_of in
   let copies_arr =
     Array.init n_groups (fun g ->
         match groups.(g) with
         | [] -> invalid_arg "Abstraction.make: empty group"
-        | m :: _ as ms ->
-          if List.mem dest ms then 1
-          else max 1 (min (copies m) (List.length ms)))
+        | m :: _ ->
+          if g = group_of.(dest) then 1 else max 1 (min (copies m) sizes.(g)))
   in
   (* Intra-group concrete edges yield no abstract self-loop (see
      Refine): for single-copy groups they are simply omitted; for split
@@ -84,27 +85,26 @@ let make net ~dest ~dest_prefix ~universe ~partition ~copies =
   let b = Graph.Builder.create () in
   for a = 0 to n_abs - 1 do
     let g = group_of_abs.(a) in
-    let m = List.hd groups.(g) in
-    let size = List.length groups.(g) in
-    let copy = a - abs_of_group.(g) in
+    let name = "~" ^ Graph.name net.Device.graph (List.hd groups.(g)) in
+    let size = string_of_int sizes.(g) in
+    let copy = string_of_int (a - abs_of_group.(g)) in
     let name =
-      if copies_arr.(g) > 1 then
-        Printf.sprintf "~%s(%d)#%d" (Graph.name net.Device.graph m) size copy
-      else if size > 1 then
-        Printf.sprintf "~%s(%d)" (Graph.name net.Device.graph m) size
-      else Printf.sprintf "~%s" (Graph.name net.Device.graph m)
+      if copies_arr.(g) > 1 then name ^ "(" ^ size ^ ")#" ^ copy
+      else if sizes.(g) > 1 then name ^ "(" ^ size ^ ")"
+      else name
     in
     ignore (Graph.Builder.add_node b name)
   done;
-  Hashtbl.iter
-    (fun (g1, g2) _ ->
+  Int_tbl.iter
+    (fun _ (u, v) ->
+      let g1 = group_of.(u) and g2 = group_of.(v) in
       for i = 0 to copies_arr.(g1) - 1 do
         for j = 0 to copies_arr.(g2) - 1 do
           let a1 = abs_of_group.(g1) + i and a2 = abs_of_group.(g2) + j in
           if a1 <> a2 then Graph.Builder.add_edge b a1 a2
         done
       done)
-    edge_reprs;
+    (group_edge_reprs net group_of n_groups);
   let abs_graph = Graph.Builder.build b in
   {
     net;
@@ -147,20 +147,16 @@ let identity_family net ~universe =
 let is_identity t =
   Array.for_all (function [ _ ] -> true | _ -> false) t.groups
 
-let repr_edge t a1 a2 =
-  let reprs = group_edge_reprs t.net t.group_of in
-  match Hashtbl.find_opt reprs (t.group_of_abs.(a1), t.group_of_abs.(a2)) with
-  | Some e -> e
-  | None -> raise Not_found
-
 (* Memoized variant used by the abstract SRPs (rebuilding the table per
    edge lookup would be quadratic). *)
 let edge_repr_fun t =
-  let reprs = group_edge_reprs t.net t.group_of in
+  let n_groups = Array.length t.groups in
+  let reprs = group_edge_reprs t.net t.group_of n_groups in
   fun a1 a2 ->
-    match Hashtbl.find_opt reprs (t.group_of_abs.(a1), t.group_of_abs.(a2)) with
-    | Some e -> e
-    | None -> raise Not_found
+    Int_tbl.find reprs
+      ((t.group_of_abs.(a1) * n_groups) + t.group_of_abs.(a2))
+
+let repr_edge t a1 a2 = edge_repr_fun t a1 a2
 
 let erase_comms t (a : Bgp.attr) =
   let in_universe c =

@@ -47,7 +47,7 @@ let effective_prefs (net : Device.network) (ec : Ecs.ec) u =
     && (dest_r.Device.ospf_links = []
        || dest_r.Device.ospf_area = r.Device.ospf_area)
   in
-  let import_could_accept =
+  let import_could_accept () =
     r.Device.bgp_neighbors <> []
     && List.exists
          (fun (_, (nb : Device.bgp_neighbor)) ->
@@ -67,7 +67,8 @@ let effective_prefs (net : Device.network) (ec : Ecs.ec) u =
              scan (Route_map.relevant rm ~dest:ec.Ecs.ec_prefix)))
          r.Device.bgp_neighbors
   in
-  if redistributes && same_region && import_could_accept then -1 :: p else p
+  if redistributes && same_region && import_could_accept () then -1 :: p
+  else p
 
 let compress_ec_exn ?universe ?rm_bdd ?pinned ?(budget = Budget.infinite)
     (net : Device.network) (ec : Ecs.ec) =
@@ -134,7 +135,7 @@ let identity_ec ~identity_of (ec : Ecs.ec) =
   {
     ec;
     abstraction;
-    refine_stats = { Refine.iterations = 0; splits = 0 };
+    refine_stats = { Refine.iterations = 0; splits = 0; keyed = 0 };
     time_s = Timing.now () -. t0;
     degraded = true;
   }

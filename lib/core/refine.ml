@@ -1,21 +1,159 @@
-type stats = { iterations : int; splits : int }
+type stats = { iterations : int; splits : int; keyed : int }
 
 let group_prefs ~prefs members =
-  List.concat_map prefs members |> List.sort_uniq Int.compare
+  List.fold_left
+    (List.fold_left (fun acc p -> if List.exists (Int.equal p) acc then acc else p :: acc))
+    [] (List.map prefs members)
+  |> List.sort Int.compare
+
+(* Two-level interning: each directed edge's own signature once (one
+   hash reaches every field of one signature), then the edge's (own,
+   reverse) pair of ids through an int table. *)
+let edge_keys g ~signature =
+  let n_edges = Graph.n_edges g in
+  let sid = Array.make n_edges (-1) and pid = Array.make n_edges (-1) in
+  let singles = Hashtbl.create 64 and pairs = Hashtbl.create 64 in
+  let intern tbl k =
+    match Hashtbl.find_opt tbl k with
+    | Some id -> id
+    | None ->
+      Hashtbl.add tbl k (Hashtbl.length tbl);
+      Hashtbl.length tbl - 1
+  in
+  (* [e] is [-1] for the missing reverse of a one-way edge, so single ids
+     stay below [2 * n_edges] *)
+  let single e u v =
+    if e >= 0 && sid.(e) < 0 then sid.(e) <- intern singles (signature u v);
+    if e >= 0 then sid.(e) else intern singles (signature u v)
+  in
+  fun u i ->
+    let e = Graph.edge_base g u + i and v = (Graph.succ g u).(i) in
+    if pid.(e) < 0 then
+      pid.(e) <-
+        intern pairs ((single e u v * 2 * n_edges) + single (Graph.edge_index g v u) v u);
+    pid.(e)
+
+module Key_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b = Array.length a = Array.length b && Array.for_all2 Int.equal a b
+  let hash (a : t) = Array.fold_left (fun h x -> (h * 31) + x) 17 a
+end)
+
+(* Groups [xs] by key, in order of first appearance. *)
+let group_by_key key xs =
+  let tbl = Key_tbl.create 8 and groups = ref [] in
+  List.iter
+    (fun x ->
+      let k = key x in
+      match Key_tbl.find_opt tbl k with
+      | Some g -> g := x :: !g
+      | None ->
+        let g = ref [ x ] in
+        Key_tbl.add tbl k g;
+        groups := g :: !groups)
+    xs;
+  List.rev_map ( ! ) !groups
+
+let stabilise ?(budget = Budget.infinite) ~phase part ~succ ~pred ~edge_key
+    ~concrete ~live_self =
+  let n = Union_split_find.length part in
+  let m = max n 1 and find x = Union_split_find.find part x in
+  let size c = Union_split_find.class_size part c in
+  let iterations = ref 0 and splits = ref 0 and keyed = ref 0 in
+  (* Per class: frozen (keyed concretely, so its parts never split again)
+     and its touched members, whose keys may have changed; a class is on
+     the worklist while it has touched members. *)
+  let frozen = Array.make m false and touched = Array.make m [] in
+  let marked = Array.make m false and pending = Queue.create () in
+  let mark w =
+    let c = find w in
+    if not (marked.(w) || frozen.(c) || size c = 1) then begin
+      if touched.(c) = [] then Queue.add c pending;
+      marked.(w) <- true;
+      touched.(c) <- w :: touched.(c)
+    end
+  in
+  (* [u]'s (edge signature, neighbor) pairs as ascending distinct codes;
+     the neighbor is [v] itself in a concrete class, else its class id *)
+  let key ~conc u =
+    incr keyed;
+    let vs = succ u in
+    let k = Array.make (Array.length vs) 0 and len = ref 0 in
+    for i = 0 to Array.length vs - 1 do
+      let c = (edge_key u i * m) + if conc then vs.(i) else find vs.(i) in
+      let j = ref !len in
+      while !j > 0 && k.(!j - 1) > c do decr j done;
+      if !j = 0 || k.(!j - 1) <> c then begin
+        Array.blit k !j k (!j + 1) (!len - !j);
+        k.(!j) <- c;
+        incr len
+      end
+    done;
+    if !len = Array.length k then k else Array.sub k 0 !len
+  in
+  (* Only members of fresh classes changed class id, so only their
+     predecessors can have changed keys. *)
+  let split c groups =
+    let fresh = Union_split_find.split_off part ~cls:c groups in
+    if fresh <> [] then incr splits;
+    List.iter
+      (fun f ->
+        frozen.(f) <- frozen.(c);
+        Union_split_find.iter_members part f (fun x -> Array.iter mark (pred x)))
+      fresh
+  in
+  (* Untouched members keep their common key, which no touched member
+     shares (each points into a class the untouched ones do not reach):
+     only touched members need keys, and a lone one needs none. *)
+  let drain () =
+    while not (Queue.is_empty pending) do
+      Budget.tick budget ~phase;
+      Budget.check budget ~phase;
+      incr iterations;
+      let c = Queue.pop pending in
+      let t = touched.(c) in
+      touched.(c) <- [];
+      List.iter (fun w -> marked.(w) <- false) t;
+      split c (match t with [ _ ] -> [ t ] | _ -> group_by_key (key ~conc:frozen.(c)) t)
+    done
+  in
+  (* Peel order: classes by smallest member, then the smallest offending
+     member, so the choice does not depend on class-id history. *)
+  let rec peel () =
+    let canon = Union_split_find.canonical part and best = ref (-1) in
+    for u = 0 to n - 1 do
+      if (!best < 0 || canon.(u) < canon.(!best)) && size (find u) > 1 then
+        Array.iter (fun v -> if find v = find u && live_self u v then best := u) (succ u)
+    done;
+    if !best >= 0 then begin
+      split (find !best) [ [ !best ] ];
+      drain ();
+      peel ()
+    end
+  in
+  (* every class starts queued and fully touched (a concrete one is keyed
+     only then) *)
+  List.iter
+    (fun c ->
+      let ms = Union_split_find.members part c in
+      List.iter (fun w -> marked.(w) <- true) ms;
+      touched.(c) <- ms;
+      frozen.(c) <- concrete ms;
+      Queue.add c pending)
+    (Union_split_find.class_ids part);
+  drain ();
+  peel ();
+  { iterations = !iterations; splits = !splits; keyed = !keyed }
 
 let find_partition ?(live_self = fun _ _ -> false) ?(pinned = []) ?seed
     ?(budget = Budget.infinite) (net : Device.network) ~dest ~signature
     ~prefs =
   let g = net.Device.graph in
   let n = Graph.n_nodes g in
-  let part =
-    match seed with
-    | None -> Union_split_find.create n
-    | Some s ->
-      if Union_split_find.length s <> n then
-        invalid_arg "Refine.find_partition: seed size mismatch";
-      s
-  in
+  let part = match seed with Some s -> s | None -> Union_split_find.create n in
+  if Union_split_find.length part <> n then
+    invalid_arg "Refine.find_partition: seed size mismatch";
   if n > 1 && not (Union_split_find.is_singleton part dest) then
     ignore (Union_split_find.split part [ dest ]);
   (* Pins seed the partition with forced singletons. Refinement only
@@ -25,103 +163,24 @@ let find_partition ?(live_self = fun _ _ -> false) ?(pinned = []) ?seed
   List.iter
     (fun u -> ignore (Union_split_find.pin part u))
     (List.sort_uniq Int.compare pinned);
-  let iterations = ref 0 and splits = ref 0 in
-  (* Worklist of classes to (re)examine. A node's key depends on its own
-     interface signatures (fixed) and on the class ids of its successors,
-     so when members move to a fresh class, only the classes of their
-     graph predecessors can be affected. *)
-  let pending = Queue.create () in
-  let in_pending = Hashtbl.create 64 in
-  let push c =
-    if not (Hashtbl.mem in_pending c) then begin
-      Hashtbl.replace in_pending c ();
-      Queue.add c pending
-    end
-  in
-  let refine_class cls =
-    let members = Union_split_find.members part cls in
-    if List.length members > 1 then begin
-      let num_prefs = List.length (group_prefs ~prefs members) in
-      (* The key includes BOTH directions of each incident edge: a node is
-         also characterized by how its neighbors treat routes from it
-         (e.g. two upstreams are different roles when downstream import
-         policies assign them different preferences, even though their own
-         configurations agree). *)
-      let key u =
-        Array.to_list (Graph.succ g u)
-        |> List.map (fun v ->
-               let nbr =
-                 if num_prefs > 1 then v else Union_split_find.find part v
-               in
-               (signature u v, signature v u, nbr))
-        |> List.sort_uniq compare
-      in
-      match Union_split_find.refine part ~cls ~key with
-      | [] -> ()
-      | fresh ->
-        incr splits;
-        push cls;
-        List.iter
-          (fun c ->
-            push c;
-            List.iter
-              (fun v -> Array.iter (fun w -> push (Union_split_find.find part w)) (Graph.pred g v))
-              (Union_split_find.members part c))
-          fresh
-    end
-  in
-  let signature_fixpoint () =
-    List.iter push (Union_split_find.class_ids part);
-    while not (Queue.is_empty pending) do
-      Budget.tick budget ~phase:"refine";
-      Budget.check budget ~phase:"refine";
-      incr iterations;
-      let c = Queue.pop pending in
-      Hashtbl.remove in_pending c;
-      if Union_split_find.class_size part c > 1 then refine_class c
-    done
-  in
-  (* Intra-class edges whose transfer is {e live} (does not depend on the
-     neighbor's label — static routes) cannot be dropped as dead abstract
-     self-loops: a merged class would hide e.g. a static forwarding loop
-     (Figure 6 misconfigured). Peel one endpoint and re-refine. *)
-  let peel_live_self_edges () =
-    let changed = ref false in
-    List.iter
-      (fun cls ->
-        let members = Union_split_find.members part cls in
-        if List.length members > 1 && !changed = false then begin
-          let in_class = Hashtbl.create 8 in
-          List.iter (fun u -> Hashtbl.replace in_class u ()) members;
-          let offender =
-            List.find_opt
-              (fun u ->
-                Array.exists
-                  (fun v -> Hashtbl.mem in_class v && live_self u v)
-                  (Graph.succ g u))
-              members
-          in
-          match offender with
-          | Some u ->
-            ignore (Union_split_find.split part [ u ]);
-            incr splits;
-            changed := true
-          | None -> ()
-        end)
-      (Union_split_find.class_ids part);
-    !changed
-  in
-  (try
-     signature_fixpoint ();
-     while peel_live_self_edges () do
-       signature_fixpoint ()
-     done
-   with Budget.Exhausted info ->
-     (* surface how far the fixpoint got: the degradation report prints
-        the partition size reached when the budget ran out *)
-     raise
-       (Budget.Exhausted
-          (Budget.with_note info
-             (Printf.sprintf "partition had %d/%d classes"
-                (Union_split_find.num_classes part) n))));
-  (part, { iterations = !iterations; splits = !splits })
+  (* The key includes BOTH directions of each incident edge: a node is
+     also characterized by how its neighbors treat routes from it (e.g.
+     two upstreams are different roles when downstream import policies
+     assign them different preferences, even though their own
+     configurations agree). A class whose members carry several
+     local-preference values keys on concrete neighbors (∀∀). *)
+  match
+    stabilise ~budget ~phase:"refine" part ~succ:(Graph.succ g)
+      ~pred:(Graph.pred g) ~edge_key:(edge_keys g ~signature)
+      ~concrete:(fun ms -> List.compare_length_with (group_prefs ~prefs ms) 1 > 0)
+      ~live_self
+  with
+  | stats -> (part, stats)
+  | exception Budget.Exhausted info ->
+    (* surface how far the fixpoint got: the degradation report prints
+       the partition size reached when the budget ran out *)
+    raise
+      (Budget.Exhausted
+         (Budget.with_note info
+            (Printf.sprintf "partition had %d/%d classes"
+               (Union_split_find.num_classes part) n)))

@@ -18,8 +18,11 @@
     from. *)
 
 type stats = {
-  iterations : int;  (** passes of the outer fixpoint loop *)
+  iterations : int;  (** classes popped from the worklist *)
   splits : int;  (** total class splits performed *)
+  keyed : int;
+      (** member keys evaluated: deterministic, and O(E log V) by the
+          smaller-half rule *)
 }
 
 val find_partition :
@@ -34,8 +37,9 @@ val find_partition :
   Union_split_find.t * stats
 (** Computes the refined partition. [signature u v] is the directed-edge
     signature (usually {!Compile.edge_signatures}, but any type compared
-    structurally works); [prefs u] the local-preference values assignable
-    at [u] ({!Compile.prefs}). [live_self u v] (default: never) marks
+    and hashed structurally works; each edge's pair of signatures is
+    evaluated once, on first use, and interned to an int); [prefs u] the
+    local-preference values assignable at [u] ({!Compile.prefs}). [live_self u v] (default: never) marks
     edges whose transfer does not depend on the neighbor's label — static
     routes; classes containing such an internal edge are split, because
     those self-loops cannot be dropped as dead.
@@ -61,6 +65,42 @@ val find_partition :
     iteration; on exhaustion [Budget.Exhausted] is re-raised with a note
     recording how many classes the partition had reached — the payload of
     the CLI's degradation report. *)
+
+val edge_keys :
+  Graph.t -> signature:(int -> int -> 'k) -> int -> int -> int
+(** [edge_keys g ~signature] is a lazy interning of edge signatures:
+    [key u i], for the [i]-th out-edge [(u, v)] of [u], is a small int
+    equal for two edges iff their [(signature u v, signature v u)] pairs
+    are structurally equal. Each pair is evaluated on the first call for
+    its edge. *)
+
+val stabilise :
+  ?budget:Budget.t ->
+  phase:string ->
+  Union_split_find.t ->
+  succ:(int -> int array) ->
+  pred:(int -> int array) ->
+  edge_key:(int -> int -> int) ->
+  concrete:(int list -> bool) ->
+  live_self:(int -> int -> bool) ->
+  stats
+(** The refinement kernel behind {!find_partition}, on any (multi)graph
+    over the partition's elements: [succ u] are [u]'s out-neighbors,
+    [edge_key u i] the interned signature of its [i]-th out-edge, and
+    [pred v] every [u] with [v] in [succ u]. Refines the partition in
+    place to the coarsest stable refinement, where an element's key is
+    its set of [(edge_key, neighbor class)] pairs — or
+    [(edge_key, neighbor)] in a class for which [concrete members]
+    holds, decided once, when the class is first examined. Then peels
+    [live_self] edges as {!find_partition} describes — the smallest
+    offending member of the first offending class by smallest member —
+    and refines again.
+
+    Every class starts queued and is keyed in full once. After that, a
+    split re-keys only the predecessors of the members of its fresh
+    classes, and the largest part keeps the old id, so a member is
+    re-keyed O(log V) times per in-edge. Consumes one [phase] tick per
+    worklist pop. *)
 
 val group_prefs : prefs:(int -> int list) -> int list -> int list
 (** Union of [prefs] over the members of a class — the paper's

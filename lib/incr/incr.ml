@@ -46,7 +46,7 @@ let identity_ec ~identity_of (ec : Ecs.ec) =
   {
     Bonsai_api.ec;
     abstraction;
-    refine_stats = { Refine.iterations = 0; splits = 0 };
+    refine_stats = { Refine.iterations = 0; splits = 0; keyed = 0 };
     time_s = Timing.now () -. t0;
     degraded = true;
   }
@@ -99,41 +99,23 @@ let run_ecs ~budget:_ net ecs worker =
    merged. *)
 let quotient_merge part (net : Device.network) ~dest ~signature ~pinned
     ~budget =
-  let g = net.Device.graph in
-  let cls_ids = Union_split_find.class_ids part in
-  let m = List.length cls_ids in
-  if m > 1 then begin
-    let idx_of = Hashtbl.create m in
-    let rep = Array.make m 0 in
-    List.iteri
-      (fun i c ->
-        Hashtbl.replace idx_of c i;
-        rep.(i) <- List.hd (Union_split_find.members part c))
-      cls_ids;
-    let q = Union_split_find.create m in
-    let qidx u = Hashtbl.find idx_of (Union_split_find.find part u) in
-    ignore (Union_split_find.pin q (qidx dest));
-    List.iter (fun u -> ignore (Union_split_find.pin q (qidx u))) pinned;
-    let key i =
-      let u = rep.(i) in
-      Array.to_list (Graph.succ g u)
-      |> List.map (fun v ->
-             (signature u v, signature v u, Union_split_find.find q (qidx v)))
-      |> List.sort_uniq compare
-    in
-    let changed = ref true in
-    while !changed do
-      Budget.tick budget ~phase:"quotient-merge";
-      changed := Union_split_find.refine_all q ~key
-    done;
-    Union_split_find.iter_classes q (fun _ block ->
-        match block with
-        | [] | [ _ ] -> ()
-        | i0 :: rest ->
-          List.iter
-            (fun i -> ignore (Union_split_find.merge part rep.(i0) rep.(i)))
-            rest)
-  end
+  let g = net.Device.graph and qidx = Union_split_find.canonical part in
+  (* quotient node = F-class index by smallest member, represented by that
+     member and its out-edges *)
+  let rep = Array.make (Union_split_find.num_classes part) 0 in
+  for u = Array.length qidx - 1 downto 0 do rep.(qidx.(u)) <- u done;
+  let succ = Array.map (fun u -> Array.map (Array.get qidx) (Graph.succ g u)) rep in
+  let pred = Array.make (Array.length rep) [] in
+  Array.iteri (fun i js -> Array.iter (fun j -> pred.(j) <- i :: pred.(j)) js) succ;
+  let pred = Array.map Array.of_list pred in
+  let q = Union_split_find.create (Array.length rep) in
+  List.iter (fun u -> ignore (Union_split_find.pin q qidx.(u))) (dest :: pinned);
+  let edge_key = Refine.edge_keys g ~signature in
+  ignore
+    (Refine.stabilise ~budget ~phase:"quotient-merge" q ~succ:(Array.get succ)
+       ~pred:(Array.get pred) ~edge_key:(fun i k -> edge_key rep.(i) k)
+       ~concrete:(fun _ -> false) ~live_self:(fun _ _ -> false));
+  Union_split_find.of_class_array (Array.map (Union_split_find.find q) qidx)
 
 let seeded_compress ~cache ~pinned ~budget net (ec : Ecs.ec)
     (old_r : Bonsai_api.ec_result) =
@@ -159,7 +141,7 @@ let seeded_compress ~cache ~pinned ~budget net (ec : Ecs.ec)
     Refine.find_partition net ~dest ~live_self ~pinned ~seed ~budget
       ~signature ~prefs
   in
-  quotient_merge part net ~dest ~signature ~pinned ~budget;
+  let part = quotient_merge part net ~dest ~signature ~pinned ~budget in
   let abstraction =
     Abstraction.make net ~dest ~dest_prefix:ec.Ecs.ec_prefix ~universe
       ~partition:part

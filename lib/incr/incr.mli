@@ -109,11 +109,12 @@ val quotient_merge :
   signature:(int -> int -> 'k) ->
   pinned:int list ->
   budget:Budget.t ->
-  unit
+  Union_split_find.t
 (** The merge half of the seeded path (DESIGN.md §12), coarsening a
-    stable over-refinement in place: refine the quotient (one element
-    per class, key from a representative) and merge classes sharing a
-    quotient block. Exposed for modular compression, whose composition
+    stable over-refinement: refine the quotient (one element per class,
+    key from a representative) with {!Refine.stabilise} and return the
+    partition whose classes are the unions of classes sharing a quotient
+    block. Exposed for modular compression, whose composition
     pass seeds a global refinement with the union of per-module
     partitions and needs the identical merge to recover the exact
     from-scratch partition. *)

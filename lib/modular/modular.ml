@@ -747,7 +747,7 @@ let compose ?(budget = Budget.infinite) st =
       Refine.find_partition net ~dest ~live_self ~seed ~budget ~signature
         ~prefs
     in
-    Incr.quotient_merge part net ~dest ~signature ~pinned:[] ~budget;
+    let part = Incr.quotient_merge part net ~dest ~signature ~pinned:[] ~budget in
     let abstraction =
       Abstraction.make net ~dest ~dest_prefix:ec.Ecs.ec_prefix ~universe
         ~partition:part

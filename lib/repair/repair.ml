@@ -32,7 +32,7 @@ let identity_result (net : Device.network) (ec : Ecs.ec) =
     abstraction =
       Abstraction.identity net ~dest:(Ecs.single_origin ec)
         ~dest_prefix:ec.Ecs.ec_prefix ~universe;
-    refine_stats = { Refine.iterations = 0; splits = 0 };
+    refine_stats = { Refine.iterations = 0; splits = 0; keyed = 0 };
     time_s = 0.0;
     degraded = true;
   }

@@ -2,9 +2,10 @@ type t = {
   names : string array;
   succ : int array array;
   pred : int array array;
-  edge_set : (int * int, unit) Hashtbl.t;
+  base : int array;
+      (* CSR edge index: u's out-edges are [base.(u) .. base.(u+1) - 1], in
+         [succ.(u)] order; [base.(n)] is the number of directed edges *)
   by_name : (string, int) Hashtbl.t;
-  n_edges : int;
 }
 
 module Builder = struct
@@ -13,10 +14,10 @@ module Builder = struct
   type t = {
     mutable b_names : string list; (* reversed *)
     mutable b_n : int;
-    b_edges : (int * int, unit) Hashtbl.t;
+    mutable b_edges : (int * int) list; (* may repeat; deduplicated by [build] *)
   }
 
-  let create () = { b_names = []; b_n = 0; b_edges = Hashtbl.create 64 }
+  let create () = { b_names = []; b_n = 0; b_edges = [] }
 
   let add_node b name =
     let id = b.b_n in
@@ -28,7 +29,7 @@ module Builder = struct
     if u = v then invalid_arg "Graph.Builder.add_edge: self-loop";
     if u < 0 || u >= b.b_n || v < 0 || v >= b.b_n then
       invalid_arg "Graph.Builder.add_edge: unknown endpoint";
-    Hashtbl.replace b.b_edges (u, v) ()
+    b.b_edges <- (u, v) :: b.b_edges
 
   let add_link b u v =
     add_edge b u v;
@@ -37,34 +38,32 @@ module Builder = struct
   let build b : graph =
     let n = b.b_n in
     let names = Array.of_list (List.rev b.b_names) in
-    let out_deg = Array.make n 0 and in_deg = Array.make n 0 in
-    Hashtbl.iter
-      (fun (u, v) () ->
-        out_deg.(u) <- out_deg.(u) + 1;
-        in_deg.(v) <- in_deg.(v) + 1)
-      b.b_edges;
-    let succ = Array.init n (fun u -> Array.make out_deg.(u) 0) in
-    let pred = Array.init n (fun v -> Array.make in_deg.(v) 0) in
-    let oi = Array.make n 0 and ii = Array.make n 0 in
-    Hashtbl.iter
-      (fun (u, v) () ->
-        succ.(u).(oi.(u)) <- v;
-        oi.(u) <- oi.(u) + 1;
-        pred.(v).(ii.(v)) <- u;
-        ii.(v) <- ii.(v) + 1)
-      b.b_edges;
-    Array.iter (fun a -> Array.sort compare a) succ;
-    Array.iter (fun a -> Array.sort compare a) pred;
+    let out = Array.make n [] in
+    List.iter (fun (u, v) -> out.(u) <- v :: out.(u)) b.b_edges;
+    let succ =
+      Array.map (fun vs -> Array.of_list (List.sort_uniq Int.compare vs)) out
+    in
+    let in_deg = Array.make n 0 in
+    Array.iter (Array.iter (fun v -> in_deg.(v) <- in_deg.(v) + 1)) succ;
+    let pred = Array.map (fun d -> Array.make d 0) in_deg in
+    (* sources are visited in ascending order, so each [pred] array comes
+       out sorted *)
+    let fill = Array.make n 0 in
+    Array.iteri
+      (fun u vs ->
+        Array.iter
+          (fun v ->
+            pred.(v).(fill.(v)) <- u;
+            fill.(v) <- fill.(v) + 1)
+          vs)
+      succ;
+    let base = Array.make (n + 1) 0 in
+    for u = 0 to n - 1 do
+      base.(u + 1) <- base.(u) + Array.length succ.(u)
+    done;
     let by_name = Hashtbl.create n in
     Array.iteri (fun i s -> Hashtbl.replace by_name s i) names;
-    {
-      names;
-      succ;
-      pred;
-      edge_set = Hashtbl.copy b.b_edges;
-      by_name;
-      n_edges = Hashtbl.length b.b_edges;
-    }
+    { names; succ; pred; base; by_name }
 end
 
 let of_links ~n links =
@@ -76,27 +75,44 @@ let of_links ~n links =
   Builder.build b
 
 let n_nodes g = Array.length g.names
-let n_edges g = g.n_edges
-
-let n_links g =
-  let count = ref 0 in
-  Hashtbl.iter
-    (fun (u, v) () ->
-      if u < v || not (Hashtbl.mem g.edge_set (v, u)) then incr count)
-    g.edge_set;
-  !count
-
+let n_edges g = g.base.(n_nodes g)
 let name g i = g.names.(i)
 let find_by_name g s = Hashtbl.find_opt g.by_name s
 let succ g i = g.succ.(i)
 let pred g i = g.pred.(i)
-let has_edge g u v = Hashtbl.mem g.edge_set (u, v)
+let edge_base g u = g.base.(u)
+
+(* Binary search for [v] in the ascending [succ.(u)]. *)
+let edge_index g u v =
+  if u < 0 || u >= n_nodes g then -1
+  else begin
+    let a = g.succ.(u) in
+    let lo = ref 0 and hi = ref (Array.length a) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if a.(mid) < v then lo := mid + 1 else hi := mid
+    done;
+    if !lo < Array.length a && a.(!lo) = v then g.base.(u) + !lo else -1
+  end
+
+let has_edge g u v = edge_index g u v >= 0
+
+let iter_edges g f = Array.iteri (fun u vs -> Array.iter (fun v -> f u v) vs) g.succ
 
 let edges g =
-  Hashtbl.fold (fun e () acc -> e :: acc) g.edge_set [] |> List.sort compare
+  let acc = ref [] in
+  for u = n_nodes g - 1 downto 0 do
+    let vs = g.succ.(u) in
+    for i = Array.length vs - 1 downto 0 do
+      acc := (u, vs.(i)) :: !acc
+    done
+  done;
+  !acc
 
-let iter_edges g f =
-  List.iter (fun (u, v) -> f u v) (edges g)
+let n_links g =
+  let count = ref 0 in
+  iter_edges g (fun u v -> if u < v || not (has_edge g v u) then incr count);
+  !count
 
 let fold_nodes g ~init ~f =
   let acc = ref init in

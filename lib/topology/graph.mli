@@ -48,11 +48,28 @@ val succ : t -> int -> int array
 (** Out-neighbors, ascending. Do not mutate. *)
 
 val pred : t -> int -> int array
+(** In-neighbors, ascending. Do not mutate. *)
+
 val has_edge : t -> int -> int -> bool
+(** Binary search in [succ]. *)
+
+val edge_base : t -> int -> int
+(** Dense directed-edge ids (a CSR index over the sorted [succ] arrays):
+    the [i]-th out-neighbor of [u] is reached by edge [edge_base g u + i].
+    Ids run over [0 .. n_edges g - 1] in {!edges} order, so per-edge data
+    can live in a flat array. *)
+
+val edge_index : t -> int -> int -> int
+(** [edge_index g u v] is the id of the edge [(u, v)], or [-1] if there
+    is none. *)
+
 val edges : t -> (int * int) list
-(** All directed edges, lexicographic order. *)
+(** All directed edges, lexicographic order (= edge-id order). *)
 
 val iter_edges : t -> (int -> int -> unit) -> unit
+(** Visits every directed edge in {!edges} order, without building the
+    list. *)
+
 val fold_nodes : t -> init:'a -> f:('a -> int -> 'a) -> 'a
 
 val degree : t -> int -> int

@@ -1,183 +1,141 @@
+(* Array-based refinable partition (Valmari–Lehtinen): class [c] owns the
+   slice [first.(c), past.(c)) of [elems], and [pos] inverts [elems], so
+   moving k elements out of a class costs O(k). The live class ids are
+   [0 .. count - 1]. *)
 type t = {
   n : int;
-  cls : int array; (* element -> class id *)
-  member_lists : (int, int list) Hashtbl.t; (* class id -> members, sorted *)
-  mutable next_id : int;
+  elems : int array;
+  pos : int array;
+  cls : int array;
+  first : int array;
+  past : int array;
+  mutable count : int;
 }
 
 let create n =
   if n < 0 then invalid_arg "Union_split_find.create: negative size";
-  let member_lists = Hashtbl.create 16 in
-  if n > 0 then Hashtbl.replace member_lists 0 (List.init n Fun.id);
-  { n; cls = Array.make (max n 1) 0; member_lists; next_id = 1 }
-
-let discrete n =
-  if n < 0 then invalid_arg "Union_split_find.discrete: negative size";
-  let member_lists = Hashtbl.create (max 16 n) in
-  for x = 0 to n - 1 do
-    Hashtbl.replace member_lists x [ x ]
-  done;
-  { n; cls = Array.init (max n 1) Fun.id; member_lists; next_id = n }
-
-let of_class_array a =
-  let n = Array.length a in
-  let member_lists = Hashtbl.create 16 in
-  let max_id = ref (-1) in
-  for x = n - 1 downto 0 do
-    let c = a.(x) in
-    if c < 0 then
-      invalid_arg "Union_split_find.of_class_array: negative class id";
-    if c > !max_id then max_id := c;
-    let ms = Option.value ~default:[] (Hashtbl.find_opt member_lists c) in
-    Hashtbl.replace member_lists c (x :: ms)
-  done;
-  let cls = Array.make (max n 1) 0 in
-  Array.blit a 0 cls 0 n;
-  { n; cls; member_lists; next_id = !max_id + 1 }
+  let m = max n 1 in
+  let past = Array.make m 0 in
+  past.(0) <- n;
+  { n; elems = Array.init m Fun.id; pos = Array.init m Fun.id;
+    cls = Array.make m 0; first = Array.make m 0; past; count = min n 1 }
 
 let length t = t.n
-
-let num_classes t = Hashtbl.length t.member_lists
+let num_classes t = t.count
 
 let check_elt t x =
   if x < 0 || x >= t.n then invalid_arg "Union_split_find: element out of range"
+
+let check_cls t c =
+  if c < 0 || c >= t.count then invalid_arg "Union_split_find: dead class id"
 
 let find t x =
   check_elt t x;
   t.cls.(x)
 
+let class_size t c =
+  check_cls t c;
+  t.past.(c) - t.first.(c)
+
+let iter_members t c f =
+  check_cls t c;
+  for i = t.first.(c) to t.past.(c) - 1 do
+    f t.elems.(i)
+  done
+
 let members t c =
-  match Hashtbl.find_opt t.member_lists c with
-  | Some ms -> ms
-  | None -> invalid_arg "Union_split_find: dead class id"
+  let ms = ref [] in
+  iter_members t c (fun x -> ms := x :: !ms);
+  List.sort Int.compare !ms
 
-let class_size t c = List.length (members t c)
+let class_ids t = List.init t.count Fun.id
 
-let class_ids t =
-  Hashtbl.fold (fun c _ acc -> c :: acc) t.member_lists [] |> List.sort compare
+(* Moves the grouped elements to the tail of the slice, group by group, so
+   the ungrouped rest is the head and each part is a contiguous sub-slice.
+   The largest part keeps [cls]; the others become fresh classes by a
+   boundary update and a relabel of their own members. A failed check
+   leaves the slice permuted but the partition unchanged. *)
+let split_off t ~cls groups =
+  check_cls t cls;
+  let hi = ref t.past.(cls) in
+  let move x =
+    check_elt t x;
+    if t.cls.(x) <> cls then
+      invalid_arg "Union_split_find.split: elements span several classes";
+    if t.pos.(x) >= !hi then
+      invalid_arg "Union_split_find.split: duplicate element";
+    decr hi;
+    let y = t.elems.(!hi) in
+    t.elems.(t.pos.(x)) <- y;
+    t.pos.(y) <- t.pos.(x);
+    t.elems.(!hi) <- x;
+    t.pos.(x) <- !hi
+  in
+  let parts =
+    List.fold_left
+      (fun parts g ->
+        let top = !hi in
+        List.iter move g;
+        (!hi, top) :: parts)
+      [] (List.rev groups)
+  in
+  let parts = List.filter (fun (lo, top) -> lo < top) ((t.first.(cls), !hi) :: parts) in
+  let keep, _ =
+    List.fold_left
+      (fun (k, best) (lo, top) -> if top - lo > best then (lo, top - lo) else (k, best))
+      (0, 0) parts
+  in
+  List.filter_map
+    (fun (lo, top) ->
+      let c = if lo = keep then cls else t.count in
+      t.count <- max t.count (c + 1);
+      t.first.(c) <- lo;
+      t.past.(c) <- top;
+      if c = cls then None
+      else begin
+        for i = lo to top - 1 do
+          t.cls.(t.elems.(i)) <- c
+        done;
+        Some c
+      end)
+    parts
+
+let of_class_array a =
+  if Array.exists (fun c -> c < 0) a then
+    invalid_arg "Union_split_find.of_class_array: negative class id";
+  let t = create (Array.length a) in
+  let groups = Array.make (Array.fold_left max (-1) a + 1) [] in
+  for x = Array.length a - 1 downto 0 do
+    groups.(a.(x)) <- x :: groups.(a.(x))
+  done;
+  if t.count > 0 then
+    ignore (split_off t ~cls:0 (List.filter (( <> ) []) (Array.to_list groups)));
+  t
+
+let discrete n =
+  if n < 0 then invalid_arg "Union_split_find.discrete: negative size";
+  of_class_array (Array.init n Fun.id)
 
 let split t xs =
   match xs with
   | [] -> invalid_arg "Union_split_find.split: empty subset"
   | x0 :: _ ->
-    let c = find t x0 in
-    let seen = Hashtbl.create (List.length xs) in
-    List.iter
-      (fun x ->
-        check_elt t x;
-        if t.cls.(x) <> c then
-          invalid_arg "Union_split_find.split: elements span several classes";
-        if Hashtbl.mem seen x then
-          invalid_arg "Union_split_find.split: duplicate element";
-        Hashtbl.replace seen x ())
-      xs;
-    let old_members = members t c in
-    let k = Hashtbl.length seen in
-    if k = List.length old_members then c
-    else begin
-      let fresh = t.next_id in
-      t.next_id <- fresh + 1;
-      List.iter (fun x -> t.cls.(x) <- fresh) xs;
-      let moved, kept = List.partition (fun x -> Hashtbl.mem seen x) old_members in
-      Hashtbl.replace t.member_lists c kept;
-      Hashtbl.replace t.member_lists fresh moved;
-      fresh
-    end
+    ignore (split_off t ~cls:(find t x0) [ xs ]);
+    t.cls.(x0)
 
-let merge t x y =
-  check_elt t x;
-  check_elt t y;
-  let cx = t.cls.(x) and cy = t.cls.(y) in
-  if cx = cy then cx
-  else begin
-    let mx = members t cx and my = members t cy in
-    let keep, kill, kms, dms =
-      if List.length mx >= List.length my then (cx, cy, mx, my)
-      else (cy, cx, my, mx)
-    in
-    List.iter (fun e -> t.cls.(e) <- keep) dms;
-    Hashtbl.remove t.member_lists kill;
-    Hashtbl.replace t.member_lists keep (List.merge Int.compare kms dms);
-    keep
-  end
-
-let pin t x =
-  check_elt t x;
-  let c = t.cls.(x) in
-  if class_size t c = 1 then c else split t [ x ]
-
+let pin t x = if class_size t (find t x) = 1 then t.cls.(x) else split t [ x ]
 let is_singleton t x = class_size t (find t x) = 1
-
-let refine t ~cls ~key =
-  match members t cls with
-  | [] | [ _ ] -> []
-  | ms ->
-    let groups : ('k, int list) Hashtbl.t = Hashtbl.create 8 in
-    let order = ref [] in
-    List.iter
-      (fun x ->
-        let k = key x in
-        match Hashtbl.find_opt groups k with
-        | None ->
-          order := k :: !order;
-          Hashtbl.replace groups k [ x ]
-        | Some xs -> Hashtbl.replace groups k (x :: xs))
-      ms;
-    let order = List.rev !order in
-    if List.length order <= 1 then []
-    else begin
-      (* The largest group keeps the original class id: split out the rest. *)
-      let groups_l =
-        List.map (fun k -> List.rev (Hashtbl.find groups k)) order
-      in
-      let largest =
-        List.fold_left
-          (fun best g ->
-            match best with
-            | None -> Some g
-            | Some b -> if List.length g > List.length b then Some g else best)
-          None groups_l
-      in
-      let largest = match largest with Some g -> g | None -> assert false in
-      List.filter_map
-        (fun g -> if g != largest then Some (split t g) else None)
-        groups_l
-    end
-
-let refine_all t ~key =
-  let changed = ref false in
-  List.iter
-    (fun c -> if refine t ~cls:c ~key <> [] then changed := true)
-    (class_ids t);
-  !changed
-
-let iter_classes t f =
-  List.iter (fun c -> f c (members t c)) (class_ids t)
-
 let to_class_array t = Array.sub t.cls 0 t.n
 
 let canonical t =
-  let remap = Hashtbl.create 16 in
-  let next = ref 0 in
-  Array.init t.n (fun x ->
-      let c = t.cls.(x) in
-      match Hashtbl.find_opt remap c with
-      | Some i -> i
-      | None ->
-        let i = !next in
-        incr next;
-        Hashtbl.replace remap c i;
-        i)
+  let remap = Array.make (max t.count 1) (-1) and next = ref 0 in
+  Array.map
+    (fun c ->
+      if remap.(c) < 0 then begin
+        remap.(c) <- !next;
+        incr next
+      end;
+      remap.(c))
+    (to_class_array t)
 
 let equal a b = a.n = b.n && canonical a = canonical b
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  iter_classes t (fun c ms ->
-      Format.fprintf ppf "%d: {%a}@,"
-        c
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-           Format.pp_print_int)
-        ms);
-  Format.fprintf ppf "@]"

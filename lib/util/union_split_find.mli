@@ -3,9 +3,14 @@
     (paper Algorithm 1).
 
     Unlike classical union-find, the characteristic operation is {e split}:
-    carving a subset of an existing class out into a fresh class. Classes
-    are identified by small integer ids that remain stable until the class
-    is split. *)
+    carving subsets of an existing class out into fresh classes. Classes
+    are identified by dense integer ids ([0 .. num_classes - 1]); an id
+    stays with the largest part when its class is split.
+
+    The representation is array-based (Valmari–Lehtinen): each class owns
+    a contiguous slice of an element array, so {!find}, {!class_size} and
+    creating a class cost O(1), and a split costs O(size of the split-off
+    groups + size of the fresh classes), never O(size of the class). *)
 
 type t
 
@@ -16,8 +21,9 @@ val create : int -> t
 
 val of_class_array : int array -> t
 (** [of_class_array a] restores a partition from a class-assignment
-    snapshot: element [x] joins class [a.(x)]. Accepts any array of
-    non-negative ids (in particular {!to_class_array} and {!canonical}
+    snapshot: elements [x] and [y] share a class iff [a.(x) = a.(y)]
+    (the ids themselves are renumbered). Accepts any array of non-negative
+    ids (in particular {!to_class_array} and {!canonical}
     output, or an [Abstraction.group_of] table), so a partition computed
     by an earlier refinement can be re-used as the {e seed} of an
     incremental one.
@@ -42,51 +48,44 @@ val members : t -> int -> int list
 (** [members t c] lists the elements of class [c] in increasing order.
     @raise Invalid_argument if [c] is not a live class id. *)
 
+val iter_members : t -> int -> (int -> unit) -> unit
+(** [iter_members t c f] applies [f] to the members of class [c] in no
+    particular order, without allocating. [f] must not split [c]. *)
+
 val class_size : t -> int -> int
+(** O(1). *)
 
 val class_ids : t -> int list
 (** Ids of all live classes, in increasing order. *)
 
+val split_off : t -> cls:int -> int list list -> int list
+(** [split_off t ~cls groups] splits class [cls] into the given disjoint
+    groups of its members plus the rest (the members in no group, when
+    there are any). The largest part keeps the id [cls] (the rest, then
+    the earliest group, on ties); every other part becomes a fresh class.
+    Returns the fresh ids in part order, [[]] when nothing split.
+    @raise Invalid_argument if a grouped element is outside [cls] or
+    appears twice. *)
+
 val split : t -> int list -> int
-(** [split t xs] moves the elements [xs] into a fresh class and returns its
-    id. All elements must currently belong to the {e same} class, and [xs]
-    must be a non-empty strict subset of that class (splitting a whole class
-    is a no-op and returns the existing id).
+(** [split t xs] separates the elements [xs] from the rest of their class
+    and returns the id of the class now holding [xs]: the larger of the
+    two parts keeps the old id, the other gets a fresh one. All elements
+    must currently belong to the {e same} class; splitting a whole class
+    is a no-op and returns the existing id.
     @raise Invalid_argument if elements span several classes or are
     duplicated. *)
-
-val merge : t -> int -> int -> int
-(** [merge t x y] coarsens the partition by uniting the classes of [x]
-    and [y]; returns the id of the surviving class (the larger one; the
-    other id dies). A no-op when they already share a class. Merging is
-    the inverse device of {!split}: the incremental refiner first
-    coarsens a stale partition locally and then re-splits, instead of
-    refining from scratch. *)
 
 val pin : t -> int -> int
 (** [pin t x] forces [x] into a singleton class and returns its class id
     (a no-op when [x] is already alone). A pinned element stays a
-    singleton under any sequence of further {!split}/{!refine} calls —
+    singleton under any sequence of further {!split}/{!split_off} calls —
     refinement only ever makes classes smaller — which is what makes
     pin sets a monotone repair device: the partition seeded with a
     superset of pins refines the partition seeded with a subset. *)
 
 val is_singleton : t -> int -> bool
 (** [is_singleton t x]: the class of [x] has exactly one member. *)
-
-val refine : t -> cls:int -> key:(int -> 'k) -> int list
-(** [refine t ~cls ~key] groups the members of class [cls] by [key] (using
-    polymorphic equality/hashing on the key) and splits the class so each
-    group becomes its own class. The largest group keeps the original id.
-    Returns the ids of the freshly created classes ([[]] if no split
-    happened). *)
-
-val refine_all : t -> key:(int -> 'k) -> bool
-(** [refine_all t ~key] applies {!refine} to every live class; returns
-    [true] if any class was split. *)
-
-val iter_classes : t -> (int -> int list -> unit) -> unit
-(** [iter_classes t f] calls [f class_id members] for each live class. *)
 
 val to_class_array : t -> int array
 (** [to_class_array t] is an array mapping each element to its class id. *)
@@ -99,5 +98,3 @@ val canonical : t -> int array
 val equal : t -> t -> bool
 (** [equal a b] holds when the two partitions group elements identically
     (ids are ignored). *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,14 +1,27 @@
 #!/usr/bin/env bash
 # Fail if polymorphic comparison spellings reappear in directories that
-# were swept to typed equality (lib/bdd, lib/routing, lib/faults).
+# were swept to typed equality (lib/bdd, lib/routing, lib/faults) or in
+# the refinement kernel's hot loop (refine, union-split-find, graph,
+# abstraction). In the kernel files a bare [compare] is flagged too, so
+# that [List.sort compare] and the like cannot creep back in.
 # Attached to @runtest via the @forbid-polycompare alias in the root dune.
 set -u
 
+spelled='Stdlib\.compare|Pervasives\.compare|let compare = compare\b|attr_equal = \( = \)'
+bare='(^|[^.[:alnum:]_])compare([^[:alnum:]_]|$)'
+kernel="lib/core/refine.ml lib/util/union_split_find.ml lib/topology/graph.ml lib/core/abstraction.ml"
+
 bad=0
-for f in lib/bdd/*.ml lib/routing/*.ml lib/faults/*.ml; do
+for f in lib/bdd/*.ml lib/routing/*.ml lib/faults/*.ml $kernel; do
   [ -e "$f" ] || continue
-  if grep -nE 'Stdlib\.compare|Pervasives\.compare|let compare = compare\b|attr_equal = \( = \)' "$f"; then
+  if grep -nE "$spelled" "$f"; then
     echo "forbid-polycompare: polymorphic compare in $f (use typed equality)" >&2
+    bad=1
+  fi
+done
+for f in $kernel; do
+  if grep -nE "$bare" "$f"; then
+    echo "forbid-polycompare: bare compare in $f (use Int.compare or a typed compare)" >&2
     bad=1
   fi
 done

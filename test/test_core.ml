@@ -1,6 +1,12 @@
 (* Tests for the Bonsai core: refinement, abstraction construction, and the
    paper's worked examples (Figures 1, 2/3, 8, 11; Table 1 shapes). *)
 
+(* QCheck iteration count; scale with FUZZ_COUNT. *)
+let fuzz_count =
+  match Option.bind (Sys.getenv_opt "FUZZ_COUNT") int_of_string_opt with
+  | Some n when n > 0 -> n
+  | _ -> 200
+
 let uniform_signature _ _ = 0
 let no_prefs _ = []
 
@@ -454,6 +460,304 @@ let test_explain () =
        (fun r -> Astring_contains.contains r "local preferences")
        reasons)
 
+(* --- Oracle: the list-based refinement the kernel replaced ---------- *)
+
+(* The former [Union_split_find] (member lists in a table, polymorphic
+   [refine]) and [Refine.find_partition], kept verbatim as a reference,
+   except that [peel_live_self_edges] scans classes by smallest member
+   (the kernel's canonical peel order) instead of by class id. *)
+module Oracle = struct
+  type t = {
+    n : int;
+    cls : int array;
+    member_lists : (int, int list) Hashtbl.t;
+    mutable next_id : int;
+  }
+
+  let create n =
+    let member_lists = Hashtbl.create 16 in
+    if n > 0 then Hashtbl.replace member_lists 0 (List.init n Fun.id);
+    { n; cls = Array.make (max n 1) 0; member_lists; next_id = 1 }
+
+  let of_class_array a =
+    let n = Array.length a in
+    let member_lists = Hashtbl.create 16 in
+    let max_id = ref (-1) in
+    for x = n - 1 downto 0 do
+      let c = a.(x) in
+      if c > !max_id then max_id := c;
+      let ms = Option.value ~default:[] (Hashtbl.find_opt member_lists c) in
+      Hashtbl.replace member_lists c (x :: ms)
+    done;
+    let cls = Array.make (max n 1) 0 in
+    Array.blit a 0 cls 0 n;
+    { n; cls; member_lists; next_id = !max_id + 1 }
+
+  let find t x = t.cls.(x)
+  let class_members t c = Hashtbl.find t.member_lists c
+  let class_size t c = List.length (class_members t c)
+  let num_classes t = Hashtbl.length t.member_lists
+
+  let class_ids t =
+    Hashtbl.fold (fun c _ acc -> c :: acc) t.member_lists []
+    |> List.sort Int.compare
+
+  let split t xs =
+    match xs with
+    | [] -> invalid_arg "split"
+    | x0 :: _ ->
+      let c = find t x0 in
+      let seen = Hashtbl.create (List.length xs) in
+      List.iter (fun x -> Hashtbl.replace seen x ()) xs;
+      let old_members = class_members t c in
+      let k = Hashtbl.length seen in
+      if k = List.length old_members then c
+      else begin
+        let fresh = t.next_id in
+        t.next_id <- fresh + 1;
+        List.iter (fun x -> t.cls.(x) <- fresh) xs;
+        let moved, kept =
+          List.partition (fun x -> Hashtbl.mem seen x) old_members
+        in
+        Hashtbl.replace t.member_lists c kept;
+        Hashtbl.replace t.member_lists fresh moved;
+        fresh
+      end
+
+  let pin t x = if class_size t (find t x) = 1 then find t x else split t [ x ]
+  let is_singleton t x = class_size t (find t x) = 1
+
+  let refine t ~cls ~key =
+    match class_members t cls with
+    | [] | [ _ ] -> []
+    | ms ->
+      let groups = Hashtbl.create 8 in
+      let order = ref [] in
+      List.iter
+        (fun x ->
+          let k = key x in
+          match Hashtbl.find_opt groups k with
+          | None ->
+            order := k :: !order;
+            Hashtbl.replace groups k [ x ]
+          | Some xs -> Hashtbl.replace groups k (x :: xs))
+        ms;
+      let order = List.rev !order in
+      if List.length order <= 1 then []
+      else begin
+        let groups_l =
+          List.map (fun k -> List.rev (Hashtbl.find groups k)) order
+        in
+        let largest =
+          List.fold_left
+            (fun best g ->
+              match best with
+              | None -> Some g
+              | Some b -> if List.length g > List.length b then Some g else best)
+            None groups_l
+        in
+        let largest = match largest with Some g -> g | None -> assert false in
+        List.filter_map
+          (fun g -> if g != largest then Some (split t g) else None)
+          groups_l
+      end
+
+  let canonical t =
+    let remap = Hashtbl.create 16 in
+    let next = ref 0 in
+    Array.init t.n (fun x ->
+        let c = t.cls.(x) in
+        match Hashtbl.find_opt remap c with
+        | Some i -> i
+        | None ->
+          let i = !next in
+          incr next;
+          Hashtbl.replace remap c i;
+          i)
+
+  let find_partition ~live_self ~pinned ~seed g ~dest ~signature ~prefs =
+    let n = Graph.n_nodes g in
+    let part = match seed with None -> create n | Some a -> of_class_array a in
+    if n > 1 && not (is_singleton part dest) then ignore (split part [ dest ]);
+    List.iter (fun u -> ignore (pin part u)) (List.sort_uniq Int.compare pinned);
+    let pending = Queue.create () in
+    let in_pending = Hashtbl.create 64 in
+    let push c =
+      if not (Hashtbl.mem in_pending c) then begin
+        Hashtbl.replace in_pending c ();
+        Queue.add c pending
+      end
+    in
+    let refine_class cls =
+      let members = class_members part cls in
+      if List.length members > 1 then begin
+        let num_prefs = List.length (Refine.group_prefs ~prefs members) in
+        let key u =
+          Array.to_list (Graph.succ g u)
+          |> List.map (fun v ->
+                 let nbr = if num_prefs > 1 then v else find part v in
+                 (signature u v, signature v u, nbr))
+          |> List.sort_uniq compare
+        in
+        match refine part ~cls ~key with
+        | [] -> ()
+        | fresh ->
+          push cls;
+          List.iter
+            (fun c ->
+              push c;
+              List.iter
+                (fun v -> Array.iter (fun w -> push (find part w)) (Graph.pred g v))
+                (class_members part c))
+            fresh
+      end
+    in
+    let signature_fixpoint () =
+      List.iter push (class_ids part);
+      while not (Queue.is_empty pending) do
+        let c = Queue.pop pending in
+        Hashtbl.remove in_pending c;
+        if class_size part c > 1 then refine_class c
+      done
+    in
+    let peel_live_self_edges () =
+      let changed = ref false in
+      let canon = canonical part in
+      let by_smallest =
+        List.sort
+          (fun a b -> Int.compare canon.(List.hd (class_members part a)) canon.(List.hd (class_members part b)))
+          (class_ids part)
+      in
+      List.iter
+        (fun cls ->
+          let members = class_members part cls in
+          if List.length members > 1 && !changed = false then begin
+            let in_class = Hashtbl.create 8 in
+            List.iter (fun u -> Hashtbl.replace in_class u ()) members;
+            let offender =
+              List.find_opt
+                (fun u ->
+                  Array.exists
+                    (fun v -> Hashtbl.mem in_class v && live_self u v)
+                    (Graph.succ g u))
+                members
+            in
+            match offender with
+            | Some u ->
+              ignore (split part [ u ]);
+              changed := true
+            | None -> ()
+          end)
+        by_smallest;
+      !changed
+    in
+    signature_fixpoint ();
+    while peel_live_self_edges () do
+      signature_fixpoint ()
+    done;
+    part
+end
+
+(* Random graphs with random small-int signatures, local-preference sets,
+   pins, seed partitions and live self edges: the kernel and the oracle
+   reach the same partition. *)
+let gen_refine_case =
+  QCheck.Gen.(
+    let* n = int_range 1 14 in
+    let* links = list_size (int_range 0 (3 * n)) (pair (int_bound (n - 1)) (int_bound (n - 1))) in
+    let* one_way = list_size (int_range 0 n) (pair (int_bound (n - 1)) (int_bound (n - 1))) in
+    let* sigs = array_repeat (n * n) (frequencyl [ (8, 0); (1, 1); (1, 2) ]) in
+    let* prefs =
+      array_repeat n (frequencyl [ (6, [ 100 ]); (1, [ 100; 200 ]); (1, [ 200 ]) ])
+    in
+    let* pinned = list_size (int_range 0 2) (int_bound (n - 1)) in
+    let* seed = opt (array_repeat n (int_bound 1)) in
+    let* live = list_size (int_range 0 (2 * n)) (int_bound ((n * n) - 1)) in
+    let* dest = int_bound (n - 1) in
+    return (n, links, one_way, sigs, prefs, pinned, seed, live, dest))
+
+let refine_case_graph (n, links, one_way, _, _, _, _, _, _) =
+  let b = Graph.Builder.create () in
+  for i = 0 to n - 1 do
+    ignore (Graph.Builder.add_node b (Printf.sprintf "n%d" i))
+  done;
+  List.iter (fun (u, v) -> if u <> v then Graph.Builder.add_link b u v) links;
+  List.iter (fun (u, v) -> if u <> v then Graph.Builder.add_edge b u v) one_way;
+  Graph.Builder.build b
+
+let prop_kernel_matches_oracle =
+  QCheck.Test.make ~count:fuzz_count ~name:"refinement kernel = list-based oracle"
+    (QCheck.make gen_refine_case
+       ~print:(fun (n, links, one_way, sigs, prefs, pinned, seed, live, dest) ->
+         let ints l = String.concat ";" (List.map string_of_int l) in
+         let pairs l =
+           String.concat ";" (List.map (fun (u, v) -> Printf.sprintf "%d,%d" u v) l)
+         in
+         Printf.sprintf
+           "n=%d links=[%s] one_way=[%s] sigs=[%s] prefs=[%s] pinned=[%s] seed=%s live=[%s] dest=%d"
+           n (pairs links) (pairs one_way) (ints (Array.to_list sigs))
+           (String.concat " " (Array.to_list (Array.map ints prefs)))
+           (ints pinned)
+           (match seed with None -> "-" | Some a -> ints (Array.to_list a))
+           (ints live) dest))
+    (fun ((n, _, _, sigs, prefs, pinned, seed, live, dest) as case) ->
+      let g = refine_case_graph case in
+      let signature u v = sigs.((u * n) + v) in
+      let prefs u = prefs.(u) in
+      let live_self u v = List.mem ((u * n) + v) live in
+      let expected =
+        Oracle.find_partition ~live_self ~pinned ~seed g ~dest ~signature ~prefs
+      in
+      let part, _ =
+        Refine.find_partition (bare_net g) ~live_self ~pinned
+          ?seed:(Option.map Union_split_find.of_class_array seed)
+          ~dest ~signature ~prefs
+      in
+      Union_split_find.canonical part = Oracle.canonical expected
+      && Union_split_find.num_classes part = Oracle.num_classes expected)
+
+(* Peel order: classes by smallest member, then the smallest offender.
+   Classes {0,4} (live 4->0) and {1,2,3} (live 1->2, 2->3) both hold a
+   live self edge. Peeling 4 first separates 2 (the only one linked to 4)
+   and leaves {1,3}; peeling the globally smallest offender 1 first (or
+   the class with the lower id, {1,2,3}) ends in the discrete partition. *)
+let test_peel_order_canonical () =
+  let g =
+    Graph.of_links ~n:6
+      [ (1, 2); (2, 3); (1, 3); (1, 0); (3, 0); (2, 4); (0, 4); (0, 5); (4, 5) ]
+  in
+  let live_self u v = List.mem (u, v) [ (4, 0); (1, 2); (2, 3) ] in
+  let part, _ =
+    Refine.find_partition (bare_net g) ~live_self ~dest:5
+      ~signature:uniform_signature ~prefs:(fun _ -> [ 100 ])
+  in
+  Alcotest.(check (array int)) "canonical classes" [| 0; 1; 2; 1; 3; 4 |]
+    (Union_split_find.canonical part)
+
+(* Work counter as a complexity trip-wire: member keys evaluated stay
+   within c * E * ceil(log2 V) on the ring (one distance class peeled per
+   round) and the mesh (the worst shape per edge) as they double. *)
+let test_keyed_bound () =
+  let ceil_log2 v =
+    let rec go k p = if p >= v then k else go (k + 1) (2 * p) in
+    go 0 1
+  in
+  List.iter
+    (fun (name, make) ->
+      List.iter
+        (fun n ->
+          let net = make ~n in
+          let ec = List.hd (Ecs.compute net) in
+          let r = Bonsai_api.compress_ec_exn net ec in
+          let g = net.Device.graph in
+          let bound = 2 * Graph.n_edges g * ceil_log2 (Graph.n_nodes g) in
+          let keyed = r.Bonsai_api.refine_stats.Refine.keyed in
+          if keyed > bound then
+            Alcotest.failf "%s:%d: %d keys evaluated, bound %d" name n keyed
+              bound)
+        [ 64; 128; 256 ])
+    [ ("ring", Synthesis.ring_bgp); ("mesh", Synthesis.mesh_bgp) ]
+
 let () =
   Alcotest.run "bonsai-core"
     [
@@ -512,4 +816,10 @@ let () =
       ( "roles",
         [ Alcotest.test_case "datacenter 26/112" `Quick test_datacenter_roles ]
       );
+      ( "complexity",
+        [ Alcotest.test_case "keyed within E log V" `Quick test_keyed_bound ] );
+      ( "peel",
+        [ Alcotest.test_case "canonical order" `Quick test_peel_order_canonical ] );
+      ( "fuzz",
+        List.map QCheck_alcotest.to_alcotest [ prop_kernel_matches_oracle ] );
     ]

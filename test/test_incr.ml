@@ -1,8 +1,8 @@
 (* Tests for the incremental compression engine (lib/incr): the delta
    model (diff/apply inverses), the policy-signature cache, the seeded
-   refinement (snapshot/merge support in Union_split_find), and the
-   headline property — an incrementally maintained abstraction is equal
-   to a from-scratch compression after every delta.
+   refinement (snapshot restore and multi-way split in Union_split_find),
+   and the headline property — an incrementally maintained abstraction is
+   equal to a from-scratch compression after every delta.
 
    The QCheck iteration count defaults to a small CI-friendly number and
    scales with FUZZ_COUNT (e.g. `FUZZ_COUNT=500 dune exec
@@ -13,7 +13,7 @@ let fuzz_count =
   | Some n when n > 0 -> n
   | _ -> 40
 
-(* --- Union_split_find: snapshot restore and merge --------------------- *)
+(* --- Union_split_find: snapshot restore and multi-way split ----------- *)
 
 let test_of_class_array () =
   let p = Union_split_find.create 6 in
@@ -31,20 +31,20 @@ let test_of_class_array_empty () =
   Alcotest.(check int) "empty length" 0 (Union_split_find.length p);
   Alcotest.(check int) "empty classes" 0 (Union_split_find.num_classes p)
 
-let test_merge () =
+let test_split_off () =
   let p = Union_split_find.create 6 in
-  ignore (Union_split_find.split p [ 0; 2 ]);
-  ignore (Union_split_find.split p [ 5 ]);
-  ignore (Union_split_find.merge p 0 5);
-  Alcotest.(check int) "classes after merge" 2 (Union_split_find.num_classes p);
-  Alcotest.(check bool) "0 and 5 together" true
-    (Union_split_find.find p 0 = Union_split_find.find p 5);
-  let c = Union_split_find.merge p 0 0 in
-  Alcotest.(check int) "self-merge is a no-op" c (Union_split_find.find p 0);
-  ignore (Union_split_find.merge p 0 1);
-  Alcotest.(check int) "all merged" 1 (Union_split_find.num_classes p);
-  Alcotest.(check (list int)) "members sorted" [ 0; 1; 2; 3; 4; 5 ]
-    (Union_split_find.members p (Union_split_find.find p 3))
+  let c = Union_split_find.find p 0 in
+  let fresh = Union_split_find.split_off p ~cls:c [ [ 0; 1 ]; [ 2 ] ] in
+  Alcotest.(check int) "two fresh classes" 2 (List.length fresh);
+  Alcotest.(check int) "largest part keeps the id" c (Union_split_find.find p 4);
+  Alcotest.(check (list int)) "members sorted" [ 0; 1 ]
+    (Union_split_find.members p (Union_split_find.find p 1));
+  let seen = ref [] in
+  Union_split_find.iter_members p c (fun x -> seen := x :: !seen);
+  Alcotest.(check (list int)) "iter_members" [ 3; 4; 5 ]
+    (List.sort Int.compare !seen);
+  Alcotest.(check (list int)) "whole class is a no-op" []
+    (Union_split_find.split_off p ~cls:c [ [ 5; 3; 4 ] ])
 
 (* --- Bdd.stats -------------------------------------------------------- *)
 
@@ -456,7 +456,7 @@ let () =
           Alcotest.test_case "of_class_array" `Quick test_of_class_array;
           Alcotest.test_case "of_class_array empty" `Quick
             test_of_class_array_empty;
-          Alcotest.test_case "merge" `Quick test_merge;
+          Alcotest.test_case "split_off" `Quick test_split_off;
         ] );
       ("bdd-stats", [ Alcotest.test_case "stats" `Quick test_bdd_stats ]);
       ( "delta",

@@ -154,6 +154,46 @@ let test_dot_groups_and_direction () =
     (Astring_contains.contains dot "fillcolor=\"#e6194b\""
     && Astring_contains.contains dot "fillcolor=\"#3cb44b\"")
 
+(* Edge walks read the sorted successor arrays: on random graphs (with
+   duplicate and one-way edges) [edges] is the sorted, deduplicated builder
+   list, [iter_edges] and the edge ids follow it, and [has_edge] and
+   [n_links] agree with it. *)
+let prop_edge_walk =
+  let compare_edge (u, v) (u', v') =
+    match Int.compare u u' with 0 -> Int.compare v v' | d -> d
+  in
+  QCheck.Test.make ~name:"edges = sorted builder edges" ~count:200
+    QCheck.(
+      pair (int_range 1 12)
+        (small_list (pair (int_bound 11) (int_bound 11))))
+    (fun (n, raw) ->
+      let raw = List.filter (fun (u, v) -> u <> v && u < n && v < n) raw in
+      let b = Graph.Builder.create () in
+      for i = 0 to n - 1 do
+        ignore (Graph.Builder.add_node b (string_of_int i))
+      done;
+      List.iter (fun (u, v) -> Graph.Builder.add_edge b u v) raw;
+      let g = Graph.Builder.build b in
+      let expected = List.sort_uniq compare_edge raw in
+      let mem e = List.exists (fun e' -> compare_edge e e' = 0) expected in
+      let walked = ref [] in
+      Graph.iter_edges g (fun u v -> walked := (u, v) :: !walked);
+      let pairs = List.init (n * n) (fun i -> (i / n, i mod n)) in
+      Graph.edges g = expected
+      && List.rev !walked = expected
+      && Graph.n_edges g = List.length expected
+      && List.for_all (fun (u, v) -> Graph.has_edge g u v = mem (u, v)) pairs
+      && List.for_all2
+           (fun i (u, v) -> Graph.edge_index g u v = i)
+           (List.init (List.length expected) Fun.id)
+           expected
+      && List.for_all
+           (fun (u, v) -> mem (u, v) || Graph.edge_index g u v = -1)
+           pairs
+      && Graph.n_links g
+         = List.length
+             (List.filter (fun (u, v) -> u < v || not (mem (v, u))) expected))
+
 let () =
   Alcotest.run "topology"
     [
@@ -182,6 +222,7 @@ let () =
           Alcotest.test_case "fold/stats" `Quick test_fold_and_stats;
           Alcotest.test_case "one-way links" `Quick test_one_way_edge_link_count;
         ] );
+      ("properties", [ QCheck_alcotest.to_alcotest prop_edge_walk ]);
       ( "dot",
         [
           Alcotest.test_case "output" `Quick test_dot_output;

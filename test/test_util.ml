@@ -41,12 +41,17 @@ let test_split_rejects_duplicates () =
     (Invalid_argument "Union_split_find.split: duplicate element") (fun () ->
       ignore (Union_split_find.split t [ 1; 1 ]))
 
+(* Refinement by a key is [split_off] with the members grouped by that
+   key; [by_key] groups a class the way the refinement kernel does. *)
+let by_key t c key =
+  let ms = Union_split_find.members t c in
+  List.sort_uniq Int.compare (List.map key ms)
+  |> List.map (fun k -> List.filter (fun x -> key x = k) ms)
+
 let test_refine_by_parity () =
   let t = Union_split_find.create 10 in
-  let fresh =
-    Union_split_find.refine t ~cls:(Union_split_find.find t 0)
-      ~key:(fun x -> x mod 2)
-  in
+  let c = Union_split_find.find t 0 in
+  let fresh = Union_split_find.split_off t ~cls:c (by_key t c (fun x -> x mod 2)) in
   Alcotest.(check int) "one new class" 1 (List.length fresh);
   Alcotest.(check int) "classes" 2 (Union_split_find.num_classes t);
   Alcotest.(check bool) "evens together" true
@@ -56,9 +61,8 @@ let test_refine_by_parity () =
 
 let test_refine_stable_when_uniform () =
   let t = Union_split_find.create 8 in
-  let fresh =
-    Union_split_find.refine t ~cls:(Union_split_find.find t 0) ~key:(fun _ -> 0)
-  in
+  let c = Union_split_find.find t 0 in
+  let fresh = Union_split_find.split_off t ~cls:c (by_key t c (fun _ -> 0)) in
   Alcotest.(check (list int)) "no change" [] fresh
 
 let test_canonical_and_equal () =
@@ -92,15 +96,19 @@ let test_out_of_range_errors () =
     (Invalid_argument "Union_split_find.create: negative size") (fun () ->
       ignore (Union_split_find.create (-1)))
 
-let test_to_class_array_and_refine_all () =
+let test_to_class_array_and_refine () =
   let t = Union_split_find.create 6 in
-  ignore (Union_split_find.refine_all t ~key:(fun x -> x mod 3));
+  let refine_each () =
+    List.concat_map
+      (fun c -> Union_split_find.split_off t ~cls:c (by_key t c (fun x -> x mod 3)))
+      (Union_split_find.class_ids t)
+  in
+  ignore (refine_each ());
   let arr = Union_split_find.to_class_array t in
   Alcotest.(check int) "array length" 6 (Array.length arr);
   Alcotest.(check bool) "classes by residue" true
     (arr.(0) = arr.(3) && arr.(1) = arr.(4) && arr.(0) <> arr.(1));
-  Alcotest.(check bool) "refine_all stable after" false
-    (Union_split_find.refine_all t ~key:(fun x -> x mod 3))
+  Alcotest.(check bool) "refine stable after" true (refine_each () = [])
 
 let test_timing () =
   let r, t = Timing.time (fun () -> 42) in
@@ -153,8 +161,8 @@ let prop_refine_groups_by_key =
     QCheck.(pair (int_range 1 50) (int_range 1 5))
     (fun (n, k) ->
       let t = Union_split_find.create n in
-      ignore (Union_split_find.refine t ~cls:(Union_split_find.find t 0)
-                ~key:(fun x -> x mod k));
+      let c = Union_split_find.find t 0 in
+      ignore (Union_split_find.split_off t ~cls:c (by_key t c (fun x -> x mod k)));
       let ok = ref true in
       for i = 0 to n - 1 do
         for j = 0 to n - 1 do
@@ -183,8 +191,8 @@ let () =
           Alcotest.test_case "canonical equality" `Quick test_canonical_and_equal;
           Alcotest.test_case "class ids cover" `Quick test_class_ids_cover_everything;
           Alcotest.test_case "errors" `Quick test_out_of_range_errors;
-          Alcotest.test_case "class array / refine_all" `Quick
-            test_to_class_array_and_refine_all;
+          Alcotest.test_case "class array / refine" `Quick
+            test_to_class_array_and_refine;
           Alcotest.test_case "timing" `Quick test_timing;
         ] );
       ( "properties",
