@@ -747,19 +747,6 @@ let dataplane_bench ?(k = 8) ~json_path ~assert_speedup () =
    without socket noise. The CI soak (scripts/serve_soak.sh) covers the
    transport. *)
 
-let serve_resolve spec =
-  match String.split_on_char ':' spec with
-  | [ "fattree"; k ] -> (
-    match int_of_string_opt k with
-    | Some k -> Synthesis.fattree_shortest_path (Generators.fattree ~k)
-    | None -> fail "serve bench: bad spec %s" spec)
-  | [ "ring"; n ] -> (
-    match int_of_string_opt n with
-    | Some n -> Synthesis.ring_bgp ~n
-    | None -> fail "serve bench: bad spec %s" spec)
-  | [ "wan" ] -> (Synthesis.wan ()).Synthesis.net
-  | _ -> fail "serve bench: unknown spec %s" spec
-
 let serve_req eng line =
   let resp, _ = Serve_engine.handle_line eng ~queue_depth:0 line in
   (match Json.parse resp with
@@ -776,7 +763,7 @@ let serve_latency ~fixture =
      the same request after a checkpoint/restore round-trip into a
      second engine — what a restarted server pays. *)
   let line = request "compress" (on_network fixture) in
-  let eng = Serve_engine.create ~resolve:serve_resolve () in
+  let eng = Serve_engine.create () in
   let cold_resp = ref "" in
   let (), t_cold = Timing.time (fun () -> cold_resp := serve_req eng line) in
   let (), t_warm = Timing.time (fun () -> ignore (serve_req eng line : string)) in
@@ -786,7 +773,7 @@ let serve_latency ~fixture =
     | Ok n -> n
     | Error e -> fail "serve bench: checkpoint: %s" e
   in
-  let eng' = Serve_engine.create ~resolve:serve_resolve () in
+  let eng' = Serve_engine.create () in
   (match Serve_engine.restore eng' ~path:ckpt with
   | `Restored n when n = saved -> ()
   | `Restored n -> fail "serve bench: restored %d of %d networks" n saved
@@ -807,7 +794,7 @@ let serve_latency ~fixture =
 let serve_bench ?(k = 6) ?(n_requests = 200) ~json_path () =
   hr "Resident engine (bonsai serve)";
   let fixture = Printf.sprintf "fattree:%d" k in
-  let eng = Serve_engine.create ~resolve:serve_resolve () in
+  let eng = Serve_engine.create () in
   let (), t_load =
     Timing.time (fun () ->
         ignore

@@ -19,57 +19,11 @@ exception Usage of string
    for an unknown spec — both handled by [guarded] below, mapping parse
    errors to their dedicated exit code. *)
 let resolve_network_full spec =
-  let fail () =
-    raise
-      (Usage
-         (Printf.sprintf
-            "unknown network %S (expected fattree:K, fattree-prefer:K, \
-             ring:N, mesh:N, random:N[:SEED], multiwan:R:S, datacenter, \
-             wan, file:PATH)"
-            spec))
-  in
-  let pure net = (net, None) in
-  match String.split_on_char ':' spec with
-  | "file" :: rest -> (
-    match Config_text.load_full (String.concat ":" rest) with
-    | Ok (net, locs) -> (net, Some locs)
-    | Error ds ->
-      Bonsai_error.error (Bonsai_error.Parse_error { diagnostics = ds }))
-  | [ "datacenter" ] -> pure (Synthesis.datacenter ()).Synthesis.net
-  | [ "wan" ] -> pure (Synthesis.wan ()).Synthesis.net
-  | [ "fattree"; k ] -> (
-    match int_of_string_opt k with
-    | Some k -> pure (Synthesis.fattree_shortest_path (Generators.fattree ~k))
-    | None -> fail ())
-  | [ "fattree-prefer"; k ] -> (
-    match int_of_string_opt k with
-    | Some k -> pure (Synthesis.fattree_prefer_bottom (Generators.fattree ~k))
-    | None -> fail ())
-  | [ "ring"; n ] -> (
-    match int_of_string_opt n with
-    | Some n -> pure (Synthesis.ring_bgp ~n)
-    | None -> fail ())
-  | [ "mesh"; n ] -> (
-    match int_of_string_opt n with
-    | Some n -> pure (Synthesis.mesh_bgp ~n)
-    | None -> fail ())
-  | [ "multiwan"; r; s ] -> (
-    (* R regions of S routers each, module-annotated (plus a core
-       module) — the modular-compression workload at any scale. *)
-    match (int_of_string_opt r, int_of_string_opt s) with
-    | Some regions, Some region_size ->
-      pure (Synthesis.multiwan ~regions ~region_size).Synthesis.net
-    | _ -> fail ())
-  | [ "random"; n ] | [ "random"; n; _ ] -> (
-    let seed =
-      match String.split_on_char ':' spec with
-      | [ _; _; s ] -> Option.value ~default:0 (int_of_string_opt s)
-      | _ -> 0
-    in
-    match int_of_string_opt n with
-    | Some n -> pure (Synthesis.random_network ~n ~seed)
-    | None -> fail ())
-  | _ -> fail ()
+  match Synthesis.of_spec spec with
+  | Ok r -> r
+  | Error (`Unknown m) -> raise (Usage m)
+  | Error (`Parse ds) ->
+    Bonsai_error.error (Bonsai_error.Parse_error { diagnostics = ds })
 
 let resolve_network spec = fst (resolve_network_full spec)
 
@@ -228,18 +182,10 @@ let run_check_dataplane ~budget ~format net
          (List.length unknown));
     `Incomplete
   | Dp_bisim.Refuted rf ->
-    let t =
-      match
-        List.find_opt
-          (fun (r : Bonsai_api.ec_result) ->
-            Prefix.equal r.Bonsai_api.ec.Ecs.ec_prefix rf.Dp_bisim.rf_prefix)
-          results
-      with
-      | Some r -> r.Bonsai_api.abstraction
-      | None -> assert false
-    in
+    let r = Option.get (Bonsai_api.find_result results rf.Dp_bisim.rf_prefix) in
     Bonsai_error.error
-      (Bonsai_error.Soundness_break (Dp_bisim.refutation_string net t rf))
+      (Bonsai_error.Soundness_break
+         (Dp_bisim.refutation_string net r.Bonsai_api.abstraction rf))
 
 let compress_cmd_run spec ec_prefix dot all check check_dataplane format
     budget_ms budget_ticks degrade certify audit certificate modules =
@@ -349,20 +295,7 @@ let compress_cmd_run spec ec_prefix dot all check check_dataplane format
   end
   else begin
     let ec = Ecs.find net ec_prefix in
-    (* Identity fallback built against a fresh, un-budgeted universe (the
-       budgeted manager may be what ran out). *)
-    let fallback () =
-      let universe = Policy_bdd.universe_of_network net in
-      {
-        Bonsai_api.ec;
-        abstraction =
-          Abstraction.identity net ~dest:(Ecs.single_origin ec)
-            ~dest_prefix:ec.Ecs.ec_prefix ~universe;
-        refine_stats = { Refine.iterations = 0; splits = 0; keyed = 0 };
-        time_s = 0.0;
-        degraded = true;
-      }
-    in
+    let fallback () = Bonsai_api.identity_result net ec in
     let r, why =
       match Bonsai_api.compress_ec ~budget net ec with
       | Ok r -> (r, None)
@@ -1576,11 +1509,10 @@ let serve_cmd_run stdio socket tcp max_inflight budget_ms budget_ticks
       raise (Usage "one of --stdio, --socket PATH or --tcp HOST:PORT is required")
     | _ -> raise (Usage "--stdio, --socket and --tcp are mutually exclusive")
   in
-  (* [resolve_network]'s Usage (unknown spec) becomes a Failure so the
-     engine answers it as a bad-request instead of killing the server *)
-  let resolve spec = try resolve_network spec with Usage m -> failwith m in
+  (* the engine's default resolver answers an unknown spec as a
+     bad-request instead of killing the server *)
   let engine =
-    Serve_engine.create ~resolve ?budget_ms ?budget_ticks ?cache_cap
+    Serve_engine.create ?budget_ms ?budget_ticks ?cache_cap
       ~max_networks ()
   in
   Serve_loop.run ~engine ~listen ~max_inflight ~drain_ms ?checkpoint_path

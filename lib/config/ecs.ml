@@ -69,6 +69,8 @@ let single_origin ec =
          ec.ec_prefix
          (List.length ec.ec_origins))
 
+let is_single_origin ec = match ec.ec_origins with [ _ ] -> true | _ -> false
+
 let pp ppf ec =
   Format.fprintf ppf "%a@%a" Prefix.pp ec.ec_prefix
     (Format.pp_print_list

@@ -40,4 +40,8 @@ val single_origin : ec -> int
     (multiple origins) — the compression pipeline currently requires a
     unique destination router per class (see DESIGN.md limitations). *)
 
+val is_single_origin : ec -> bool
+(** The class has exactly one origin: {!single_origin} will not raise.
+    The pipelines compress these and skip the anycast rest. *)
+
 val pp : Format.formatter -> ec -> unit

@@ -695,3 +695,40 @@ let multiwan_stream ~regions ~region_size =
     (multiwan_region_name k, { Device.graph = g; routers })
   in
   Seq.init regions region
+
+let of_spec spec =
+  let unknown =
+    Error
+      (`Unknown
+        (Printf.sprintf
+           "unknown network %S (expected fattree:K, fattree-prefer:K, \
+            ring:N, mesh:N, random:N[:SEED], multiwan:R:S, datacenter, \
+            wan, file:PATH)"
+           spec))
+  in
+  let int_arg s make =
+    match int_of_string_opt s with Some k -> Ok (make k, None) | None -> unknown
+  in
+  match String.split_on_char ':' spec with
+  | "file" :: rest -> (
+    match Config_text.load_full (String.concat ":" rest) with
+    | Ok (net, locs) -> Ok (net, Some locs)
+    | Error ds -> Error (`Parse ds))
+  | [ "datacenter" ] -> Ok ((datacenter ()).net, None)
+  | [ "wan" ] -> Ok ((wan ()).net, None)
+  | [ "fattree"; k ] ->
+    int_arg k (fun k -> fattree_shortest_path (Generators.fattree ~k))
+  | [ "fattree-prefer"; k ] ->
+    int_arg k (fun k -> fattree_prefer_bottom (Generators.fattree ~k))
+  | [ "ring"; n ] -> int_arg n (fun n -> ring_bgp ~n)
+  | [ "mesh"; n ] -> int_arg n (fun n -> mesh_bgp ~n)
+  | [ "multiwan"; r; s ] -> (
+    match (int_of_string_opt r, int_of_string_opt s) with
+    | Some regions, Some region_size ->
+      Ok ((multiwan ~regions ~region_size).net, None)
+    | _ -> unknown)
+  | [ "random"; n ] -> int_arg n (fun n -> random_network ~n ~seed:0)
+  | [ "random"; n; s ] ->
+    let seed = Option.value ~default:0 (int_of_string_opt s) in
+    int_arg n (fun n -> random_network ~n ~seed)
+  | _ -> unknown

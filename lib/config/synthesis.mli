@@ -82,3 +82,15 @@ val multiwan_stream :
     [env] stub router attached to both gateways that originates
     {!multiwan_external} — the interface route every boundary session
     of the region would carry for destinations outside it. *)
+
+val of_spec :
+  string ->
+  ( Device.network * Config_text.loc_table option,
+    [ `Unknown of string | `Parse of (int * string) list ] )
+  result
+(** Resolves a network spec: [fattree:K], [fattree-prefer:K], [ring:N],
+    [mesh:N], [random:N[:SEED]] (an unparsable seed is 0),
+    [multiwan:R:S], [datacenter], [wan] or [file:PATH]. Only a [file:]
+    network carries a source location table. [`Unknown] holds the
+    message naming the accepted forms; [`Parse] the file's
+    diagnostics. *)

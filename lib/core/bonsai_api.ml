@@ -70,8 +70,8 @@ let effective_prefs (net : Device.network) (ec : Ecs.ec) u =
   if redistributes && same_region && import_could_accept () then -1 :: p
   else p
 
-let compress_ec_exn ?universe ?rm_bdd ?pinned ?(budget = Budget.infinite)
-    (net : Device.network) (ec : Ecs.ec) =
+let compress_ec_exn ?universe ?rm_bdd ?(pinned = []) ?seed
+    ?(budget = Budget.infinite) (net : Device.network) (ec : Ecs.ec) =
   let dest = Ecs.single_origin ec in
   let t0 = Timing.now () in
   let universe =
@@ -88,24 +88,39 @@ let compress_ec_exn ?universe ?rm_bdd ?pinned ?(budget = Budget.infinite)
   let universe, signature =
     Compile.edge_signatures ~universe ?rm_bdd net ~dest:ec.Ecs.ec_prefix
   in
-  let prefs_memo = Hashtbl.create 64 in
-  let prefs u =
-    match Hashtbl.find_opt prefs_memo u with
-    | Some p -> p
-    | None ->
-      let p = effective_prefs net ec u in
-      Hashtbl.replace prefs_memo u p;
-      p
-  in
   let live_self u v = (signature u v).Compile.sig_static in
-  let partition, refine_stats =
-    Refine.find_partition net ~dest ~live_self ?pinned ~budget ~signature
-      ~prefs
-  in
-  let copies m =
-    let cls = Union_split_find.find partition m in
-    List.length
-      (Refine.group_prefs ~prefs (Union_split_find.members partition cls))
+  let partition, refine_stats, copies =
+    match seed with
+    | None ->
+      let prefs_memo = Hashtbl.create 64 in
+      let prefs u =
+        match Hashtbl.find_opt prefs_memo u with
+        | Some p -> p
+        | None ->
+          let p = effective_prefs net ec u in
+          Hashtbl.replace prefs_memo u p;
+          p
+      in
+      let partition, stats =
+        Refine.find_partition net ~dest ~live_self ~pinned ~budget ~signature
+          ~prefs
+      in
+      let copies m =
+        let cls = Union_split_find.find partition m in
+        List.length
+          (Refine.group_prefs ~prefs (Union_split_find.members partition cls))
+      in
+      (partition, stats, copies)
+    | Some seed ->
+      (* The caller proved the class seedable: every node sits at the
+         default preference, so one copy per class. *)
+      let partition, stats =
+        Refine.find_partition net ~dest ~live_self ~pinned ~seed ~budget
+          ~signature ~prefs:(fun _ -> [ Bgp.default_lp ])
+      in
+      ( Refine.quotient_merge partition net ~dest ~signature ~pinned ~budget,
+        stats,
+        fun _ -> 1 )
   in
   let abstraction =
     Abstraction.make net ~dest ~dest_prefix:ec.Ecs.ec_prefix ~universe
@@ -126,23 +141,47 @@ let role_partition ?budget (net : Device.network) (ec : Ecs.ec) =
   | Error _ as e -> e
   | Ok r -> Ok (Array.copy r.abstraction.Abstraction.group_of)
 
-let identity_ec ~identity_of (ec : Ecs.ec) =
-  let t0 = Timing.now () in
-  let abstraction =
-    Lazy.force identity_of ~dest:(Ecs.single_origin ec)
-      ~dest_prefix:ec.Ecs.ec_prefix
-  in
+(* Identity fallbacks use a fresh, un-budgeted universe — the budgeted
+   manager may be the very thing that ran out — and one skeleton shared
+   across every class built from the same family. *)
+let identity_family ?keep_unmatched_comms net =
+  Abstraction.identity_family net
+    ~universe:(Policy_bdd.universe_of_network ?keep_unmatched_comms net)
+
+let identity_of family (ec : Ecs.ec) =
   {
     ec;
-    abstraction;
+    abstraction =
+      family ~dest:(Ecs.single_origin ec) ~dest_prefix:ec.Ecs.ec_prefix;
     refine_stats = { Refine.iterations = 0; splits = 0; keyed = 0 };
-    time_s = Timing.now () -. t0;
+    time_s = 0.0;
     degraded = true;
   }
 
-let compress_exn ?keep_unmatched_comms ?(stride = 1) ?max_ecs ?(domains = 1)
+let identity_result net ec = identity_of (identity_family net) ec
+
+let compress_classes ?keep_unmatched_comms net ecs worker =
+  let family = lazy (identity_family ?keep_unmatched_comms net) in
+  let rec go acc = function
+    | [] -> (List.rev acc, None)
+    | ec :: rest as todo -> (
+      match worker ec with
+      | r -> go (r :: acc) rest
+      | exception Budget.Exhausted info ->
+        ( List.rev_append acc
+            (List.map (identity_of (Lazy.force family)) todo),
+          Some
+            { deg_info = info; deg_completed = List.length acc;
+              deg_total = List.length ecs } ))
+  in
+  go [] ecs
+
+let find_result results p =
+  List.find_opt (fun r -> Prefix.equal r.ec.Ecs.ec_prefix p) results
+
+let compress_exn ?keep_unmatched_comms ?(stride = 1) ?(domains = 1)
     ?(budget = Budget.infinite) (net : Device.network) =
-  let universe0, bdd_time_s =
+  let universe, bdd_time_s =
     Timing.time (fun () ->
         Policy_bdd.universe_of_network ?keep_unmatched_comms net)
   in
@@ -151,88 +190,46 @@ let compress_exn ?keep_unmatched_comms ?(stride = 1) ?max_ecs ?(domains = 1)
     if stride <= 1 then ecs
     else List.filteri (fun i _ -> i mod stride = 0) ecs
   in
-  let ecs =
-    match max_ecs with
-    | None -> ecs
-    | Some k -> List.filteri (fun i _ -> i < k) ecs
-  in
-  let singles, anycast = List.partition (fun ec -> match ec.Ecs.ec_origins with [ _ ] -> true | _ -> false) ecs in
-  let skipped_anycast = List.length anycast in
-  let run_chunk chunk =
-    (* BDD managers are not shared across domains: each worker builds its
-       own universe (cheap — it only scans the configurations). *)
-    let universe = Policy_bdd.universe_of_network ?keep_unmatched_comms net in
-    List.map (fun ec -> compress_ec_exn ~universe net ec) chunk
-  in
-  if Budget.is_infinite budget then begin
-    let results =
-      if domains <= 1 then run_chunk singles
-      else begin
-        let chunks = Array.make domains [] in
-        List.iteri
-          (fun i ec -> chunks.(i mod domains) <- ec :: chunks.(i mod domains))
-          singles;
-        let workers =
-          Array.map
-            (fun chunk ->
-              let chunk = List.rev chunk in
-              Domain.spawn (fun () -> run_chunk chunk))
-            chunks
+  let singles, anycast = List.partition Ecs.is_single_origin ecs in
+  let results, degradation =
+    if domains > 1 && Budget.is_infinite budget then begin
+      (* BDD managers are not shared across domains: each worker builds
+         its own universe (cheap — it only scans the configurations). *)
+      let run_chunk chunk =
+        let universe =
+          Policy_bdd.universe_of_network ?keep_unmatched_comms net
         in
-        Array.to_list workers |> List.concat_map Domain.join
-        |> List.sort (fun a b -> Prefix.compare a.ec.Ecs.ec_prefix b.ec.Ecs.ec_prefix)
-      end
-    in
-    { net; bdd_time_s; results; skipped_anycast; degradation = None }
-  end
-  else begin
-    (* Budgeted runs are sequential: degradation needs a well-defined
-       "first class that ran out", and the budget is a single mutable
-       token not meant to be shared across domains. *)
-    let total = List.length singles in
-    (* Identity fallbacks use a fresh, un-budgeted universe — the
-       budgeted manager may be the very thing that ran out — and share
-       one skeleton across all degraded classes. *)
-    let identity_of =
-      lazy
-        (Abstraction.identity_family net
-           ~universe:(Policy_bdd.universe_of_network ?keep_unmatched_comms net))
-    in
-    let acc = ref [] in
-    let degradation = ref None in
-    let rec go = function
-      | [] -> ()
-      | ec :: rest -> (
-        match compress_ec_exn ~universe:universe0 ~budget net ec with
-        | r ->
-          acc := r :: !acc;
-          go rest
-        | exception Budget.Exhausted info ->
-          degradation :=
-            Some
-              {
-                deg_info = info;
-                deg_completed = List.length !acc;
-                deg_total = total;
-              };
-          List.iter
-            (fun ec -> acc := identity_ec ~identity_of ec :: !acc)
-            (ec :: rest))
-    in
-    go singles;
-    {
-      net;
-      bdd_time_s;
-      results = List.rev !acc;
-      skipped_anycast;
-      degradation = !degradation;
-    }
-  end
+        List.map (fun ec -> compress_ec_exn ~universe net ec) chunk
+      in
+      let chunks = Array.make domains [] in
+      List.iteri
+        (fun i ec -> chunks.(i mod domains) <- ec :: chunks.(i mod domains))
+        singles;
+      let workers =
+        Array.map
+          (fun chunk ->
+            let chunk = List.rev chunk in
+            Domain.spawn (fun () -> run_chunk chunk))
+          chunks
+      in
+      ( Array.to_list workers |> List.concat_map Domain.join
+        |> List.sort (fun a b ->
+               Prefix.compare a.ec.Ecs.ec_prefix b.ec.Ecs.ec_prefix),
+        None )
+    end
+    else
+      (* Budgeted runs are sequential too: degradation needs a
+         well-defined "first class that ran out", and the budget is a
+         single mutable token not meant to be shared across domains. *)
+      compress_classes ?keep_unmatched_comms net singles (fun ec ->
+          compress_ec_exn ~universe ~budget net ec)
+  in
+  { net; bdd_time_s; results; skipped_anycast = List.length anycast;
+    degradation }
 
-let compress ?keep_unmatched_comms ?stride ?max_ecs ?domains ?budget net =
+let compress ?keep_unmatched_comms ?stride ?domains ?budget net =
   Bonsai_error.protect (fun () ->
-      compress_exn ?keep_unmatched_comms ?stride ?max_ecs ?domains ?budget
-        net)
+      compress_exn ?keep_unmatched_comms ?stride ?domains ?budget net)
 
 (* --- fault-sound compression (CEGAR repair, lib/repair) -------------- *)
 

@@ -67,16 +67,26 @@ val compress_ec_exn :
   ?universe:Policy_bdd.universe ->
   ?rm_bdd:(Route_map.t option -> Bdd.t) ->
   ?pinned:int list ->
+  ?seed:Union_split_find.t ->
   ?budget:Budget.t ->
   Device.network ->
   Ecs.ec ->
   ec_result
 (** Like {!compress_ec} but raising: [Budget.Exhausted] on exhaustion,
-    [Invalid_argument] on an anycast class.
+    [Invalid_argument] on an anycast class. This is the one per-class
+    kernel: every pipeline (scratch, incremental, modular) compresses a
+    class through it.
 
-    The incremental recompression API lives in lib/incr ([Incr.init] /
-    [Incr.recompress]) — it cannot be defined here because lib/incr
-    depends on this library. *)
+    [seed] starts refinement from an existing partition (refined in
+    place) instead of the coarsest one, then coarsens the stable
+    over-refinement back with {!Refine.quotient_merge} under the same
+    pins: the result is the from-scratch partition. It is only exact
+    for a {e seedable} class ([Incr.ec_seedable]: every node at the
+    default preference, no static route for the class), so the seeded
+    call uses the constant preference [[Bgp.default_lp]] and one copy
+    per abstract node. The incremental engine seeds with the previous
+    partition, modular composition with the union of per-module
+    partitions. *)
 
 val role_partition :
   ?budget:Budget.t ->
@@ -89,18 +99,41 @@ val role_partition :
     need the grouping — [bonsai flow --facts] prints provenance facts per
     role instead of per router through this. *)
 
+val identity_result : Device.network -> Ecs.ec -> ec_result
+(** The identity fallback for one class: the discrete partition (see
+    {!Abstraction.identity}) against a fresh, un-budgeted universe — the
+    budgeted manager may be what ran out — marked [degraded], with zero
+    refinement stats and [time_s = 0.0]. *)
+
+val compress_classes :
+  ?keep_unmatched_comms:bool ->
+  Device.network ->
+  Ecs.ec list ->
+  (Ecs.ec -> ec_result) ->
+  ec_result list * degradation option
+(** The degradation loop shared by every pipeline: run [worker] on each
+    class in order. When it raises [Budget.Exhausted] at class [i], class
+    [i] and every later class fall back to the identity abstraction
+    (as {!identity_result}, one skeleton shared across them), and the
+    degradation records [i] completed classes out of all of them.
+    Results keep the order of the classes. [keep_unmatched_comms]
+    selects the fallback's universe, as in {!compress}. *)
+
+val find_result : ec_result list -> Prefix.t -> ec_result option
+(** The result for the class with this prefix. *)
+
 val compress :
   ?keep_unmatched_comms:bool ->
   ?stride:int ->
-  ?max_ecs:int ->
   ?domains:int ->
   ?budget:Budget.t ->
   Device.network ->
   (summary, Bonsai_error.t) result
 (** Compress every destination class. For sampling large networks,
-    [stride] keeps every k-th class and [max_ecs] caps how many are
-    processed. [keep_unmatched_comms] selects the naive attribute
-    abstraction (see {!Policy_bdd.universe_of_network}). [domains] > 1
+    [stride] keeps every k-th class. [keep_unmatched_comms] selects the
+    naive attribute abstraction (see {!Policy_bdd.universe_of_network}).
+    Without [domains] > 1, classes run through {!compress_classes}.
+    [domains] > 1
     processes classes in parallel on that many OCaml domains (destination
     classes are disjoint, exactly the parallelism the paper exploits, §7);
     each domain owns a private BDD manager.
@@ -117,7 +150,6 @@ val compress :
 val compress_exn :
   ?keep_unmatched_comms:bool ->
   ?stride:int ->
-  ?max_ecs:int ->
   ?domains:int ->
   ?budget:Budget.t ->
   Device.network ->

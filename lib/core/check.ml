@@ -54,13 +54,14 @@ let check (t : Abstraction.t) ~signature =
             else
               List.iter (fun v -> sigs := signature u v :: !sigs) nbrs)
           members1;
-        match List.sort_uniq compare !sigs with
-        | [] | [ _ ] -> ()
-        | _ :: _ :: _ ->
+        match !sigs with
+        | s :: rest
+          when not (List.for_all (Compile.signature_equal s) rest) ->
           add "transfer-equivalence"
             (Printf.sprintf
                "edges mapping to abstract (%d,%d) have differing signatures"
                a1 a2)
+        | _ -> ()
       end);
   (* forall-forall for split groups: identical concrete neighborhoods *)
   Array.iteri
@@ -69,10 +70,10 @@ let check (t : Abstraction.t) ~signature =
         let nbr_sets =
           List.map
             (fun u ->
-              Array.to_list (Graph.succ g u) |> List.sort_uniq compare)
+              Array.to_list (Graph.succ g u) |> List.sort_uniq Int.compare)
             members
         in
-        match List.sort_uniq compare nbr_sets with
+        match List.sort_uniq (List.compare Int.compare) nbr_sets with
         | [] | [ _ ] -> ()
         | _ ->
           add "forall-forall"

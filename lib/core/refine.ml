@@ -184,3 +184,35 @@ let find_partition ?(live_self = fun _ _ -> false) ?(pinned = []) ?seed
          (Budget.with_note info
             (Printf.sprintf "partition had %d/%d classes"
                (Union_split_find.num_classes part) n)))
+
+(* Seeded refinement. [find_partition ~seed] only splits, so from
+   the stale partition it reaches the coarsest STABLE refinement F of the
+   seed under the new signatures — possibly finer than the true coarsest
+   stable partition P' when the change allowed classes to re-merge. F
+   being stable, each of its classes has a uniform signature key, so we
+   run the same refinement on the QUOTIENT (one element per F-class, key
+   taken from a representative member) and merge F-classes that share a
+   quotient block. Both the lifted quotient fixpoint and P' are the
+   coarsest stable coarsening of F refining {dest}|{pins}|rest, hence
+   equal — the seeded result matches from-scratch exactly (DESIGN.md
+   §12). Pinned classes enter the quotient as singletons and are never
+   merged. *)
+let quotient_merge part (net : Device.network) ~dest ~signature ~pinned
+    ~budget =
+  let g = net.Device.graph and qidx = Union_split_find.canonical part in
+  (* quotient node = F-class index by smallest member, represented by that
+     member and its out-edges *)
+  let rep = Array.make (Union_split_find.num_classes part) 0 in
+  for u = Array.length qidx - 1 downto 0 do rep.(qidx.(u)) <- u done;
+  let succ = Array.map (fun u -> Array.map (Array.get qidx) (Graph.succ g u)) rep in
+  let pred = Array.make (Array.length rep) [] in
+  Array.iteri (fun i js -> Array.iter (fun j -> pred.(j) <- i :: pred.(j)) js) succ;
+  let pred = Array.map Array.of_list pred in
+  let q = Union_split_find.create (Array.length rep) in
+  List.iter (fun u -> ignore (Union_split_find.pin q qidx.(u))) (dest :: pinned);
+  let edge_key = edge_keys g ~signature in
+  ignore
+    (stabilise ~budget ~phase:"quotient-merge" q ~succ:(Array.get succ)
+       ~pred:(Array.get pred) ~edge_key:(fun i k -> edge_key rep.(i) k)
+       ~concrete:(fun _ -> false) ~live_self:(fun _ _ -> false));
+  Union_split_find.of_class_array (Array.map (Union_split_find.find q) qidx)

@@ -105,3 +105,20 @@ val stabilise :
 val group_prefs : prefs:(int -> int list) -> int list -> int list
 (** Union of [prefs] over the members of a class — the paper's
     [prefs(û)]. *)
+
+val quotient_merge :
+  Union_split_find.t ->
+  Device.network ->
+  dest:int ->
+  signature:(int -> int -> 'k) ->
+  pinned:int list ->
+  budget:Budget.t ->
+  Union_split_find.t
+(** The merge half of the seeded path (DESIGN.md §12), coarsening a
+    stable over-refinement: refine the quotient (one element per class,
+    key from a representative) with {!stabilise} and return the
+    partition whose classes are the unions of classes sharing a quotient
+    block. [Bonsai_api.compress_ec_exn ~seed] runs it after
+    [find_partition ~seed], which turns a stale (incremental) or
+    union-of-modules (modular) seed into the exact from-scratch
+    partition. *)

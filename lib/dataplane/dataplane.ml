@@ -97,7 +97,7 @@ let compile_ec ?(protocol = `Bgp) ?budget (net : Device.network)
       | Error (`Diverged _) -> `Unsolved))
   | _ -> `Anycast
 
-let of_network ?(protocol = `Bgp) ?max_ecs ?budget (net : Device.network) =
+let of_network ?(protocol = `Bgp) ?budget (net : Device.network) =
   let n = Graph.n_nodes net.Device.graph in
   let t =
     {
@@ -108,12 +108,6 @@ let of_network ?(protocol = `Bgp) ?max_ecs ?budget (net : Device.network) =
       ecs = 0;
       unknown = [];
     }
-  in
-  let ecs = Ecs.compute net in
-  let ecs =
-    match max_ecs with
-    | None -> ecs
-    | Some k -> List.filteri (fun i _ -> i < k) ecs
   in
   let origins = ref [] in
   List.iter
@@ -133,7 +127,7 @@ let of_network ?(protocol = `Bgp) ?max_ecs ?budget (net : Device.network) =
         | _ -> ());
         t.unknown <- ec.Ecs.ec_prefix :: t.unknown
       | `Anycast -> ())
-    ecs;
+    (Ecs.compute net);
   { t with origin = !origins; unknown = List.rev t.unknown }
 
 let fib t u =

@@ -60,7 +60,6 @@ val compile_ec :
 
 val of_network :
   ?protocol:[ `Bgp | `Multi ] ->
-  ?max_ecs:int ->
   ?budget:Budget.t ->
   Device.network ->
   t

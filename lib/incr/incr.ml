@@ -28,132 +28,13 @@ let resolve_pins (net : Device.network) names =
   List.filter_map (Graph.find_by_name net.Device.graph) names
   |> List.sort_uniq Int.compare
 
-let single_origin_ec (ec : Ecs.ec) =
-  match ec.Ecs.ec_origins with [ _ ] -> true | _ -> false
-
-let compute_scratch ~cache ~pinned ~budget net (ec : Ecs.ec) =
+(* Every class, scratch or seeded, compresses against the shared
+   signature cache. *)
+let compress_class ?seed ~cache ~pinned ~budget net (ec : Ecs.ec) =
   Bonsai_api.compress_ec_exn
     ~universe:(Sig_cache.universe cache)
     ~rm_bdd:(Sig_cache.rm_bdd cache ~dest:ec.Ecs.ec_prefix)
-    ~pinned ~budget net ec
-
-let identity_ec ~identity_of (ec : Ecs.ec) =
-  let t0 = Timing.now () in
-  let abstraction =
-    Lazy.force identity_of ~dest:(Ecs.single_origin ec)
-      ~dest_prefix:ec.Ecs.ec_prefix
-  in
-  {
-    Bonsai_api.ec;
-    abstraction;
-    refine_stats = { Refine.iterations = 0; splits = 0; keyed = 0 };
-    time_s = Timing.now () -. t0;
-    degraded = true;
-  }
-
-(* Sequential per-class loop with the same degradation contract as
-   [Bonsai_api.compress]: the class that exhausts the budget and every
-   remaining class fall back to the identity abstraction. *)
-let run_ecs ~budget:_ net ecs worker =
-  let total = List.length ecs in
-  let identity_of =
-    lazy
-      (Abstraction.identity_family net
-         ~universe:(Policy_bdd.universe_of_network net))
-  in
-  let acc = ref [] and degradation = ref None in
-  let rec go = function
-    | [] -> ()
-    | ec :: rest -> (
-      match worker ec with
-      | r ->
-        acc := r :: !acc;
-        go rest
-      | exception Budget.Exhausted info ->
-        degradation :=
-          Some
-            {
-              Bonsai_api.deg_info = info;
-              deg_completed = List.length !acc;
-              deg_total = total;
-            };
-        List.iter
-          (fun ec -> acc := identity_ec ~identity_of ec :: !acc)
-          (ec :: rest))
-  in
-  go ecs;
-  (List.rev !acc, !degradation)
-
-(* ------------------------------------------------------------------ *)
-(* Seeded refinement. [Refine.find_partition ~seed] only splits, so from
-   the stale partition it reaches the coarsest STABLE refinement F of the
-   seed under the new signatures — possibly finer than the true coarsest
-   stable partition P' when the change allowed classes to re-merge. F
-   being stable, each of its classes has a uniform signature key, so we
-   run the same refinement on the QUOTIENT (one element per F-class, key
-   taken from a representative member) and merge F-classes that share a
-   quotient block. Both the lifted quotient fixpoint and P' are the
-   coarsest stable coarsening of F refining {dest}|{pins}|rest, hence
-   equal — the seeded result matches from-scratch exactly (DESIGN.md
-   §12). Pinned classes enter the quotient as singletons and are never
-   merged. *)
-let quotient_merge part (net : Device.network) ~dest ~signature ~pinned
-    ~budget =
-  let g = net.Device.graph and qidx = Union_split_find.canonical part in
-  (* quotient node = F-class index by smallest member, represented by that
-     member and its out-edges *)
-  let rep = Array.make (Union_split_find.num_classes part) 0 in
-  for u = Array.length qidx - 1 downto 0 do rep.(qidx.(u)) <- u done;
-  let succ = Array.map (fun u -> Array.map (Array.get qidx) (Graph.succ g u)) rep in
-  let pred = Array.make (Array.length rep) [] in
-  Array.iteri (fun i js -> Array.iter (fun j -> pred.(j) <- i :: pred.(j)) js) succ;
-  let pred = Array.map Array.of_list pred in
-  let q = Union_split_find.create (Array.length rep) in
-  List.iter (fun u -> ignore (Union_split_find.pin q qidx.(u))) (dest :: pinned);
-  let edge_key = Refine.edge_keys g ~signature in
-  ignore
-    (Refine.stabilise ~budget ~phase:"quotient-merge" q ~succ:(Array.get succ)
-       ~pred:(Array.get pred) ~edge_key:(fun i k -> edge_key rep.(i) k)
-       ~concrete:(fun _ -> false) ~live_self:(fun _ _ -> false));
-  Union_split_find.of_class_array (Array.map (Union_split_find.find q) qidx)
-
-let seeded_compress ~cache ~pinned ~budget net (ec : Ecs.ec)
-    (old_r : Bonsai_api.ec_result) =
-  let t0 = Timing.now () in
-  let dest = Ecs.single_origin ec in
-  let universe = Sig_cache.universe cache in
-  let rm_bdd = Sig_cache.rm_bdd cache ~dest:ec.Ecs.ec_prefix in
-  Bdd.set_budget universe.Policy_bdd.man budget;
-  Fun.protect ~finally:(fun () ->
-      Bdd.set_budget universe.Policy_bdd.man Budget.infinite)
-  @@ fun () ->
-  let _, signature =
-    Compile.edge_signatures ~universe ~rm_bdd net ~dest:ec.Ecs.ec_prefix
-  in
-  (* seedability guarantees every node sits at the default preference *)
-  let prefs _ = [ Bgp.default_lp ] in
-  let live_self u v = (signature u v).Compile.sig_static in
-  let seed =
-    Union_split_find.of_class_array
-      old_r.Bonsai_api.abstraction.Abstraction.group_of
-  in
-  let part, refine_stats =
-    Refine.find_partition net ~dest ~live_self ~pinned ~seed ~budget
-      ~signature ~prefs
-  in
-  let part = quotient_merge part net ~dest ~signature ~pinned ~budget in
-  let abstraction =
-    Abstraction.make net ~dest ~dest_prefix:ec.Ecs.ec_prefix ~universe
-      ~partition:part
-      ~copies:(fun _ -> 1)
-  in
-  {
-    Bonsai_api.ec;
-    abstraction;
-    refine_stats;
-    time_s = Timing.now () -. t0;
-    degraded = false;
-  }
+    ~pinned ?seed ~budget net ec
 
 (* ------------------------------------------------------------------ *)
 (* Seedability: the seeded path replays refinement with the trivial
@@ -257,12 +138,10 @@ let init ?(pinned = []) ?cache_cap ?universe ?(budget = Budget.infinite)
     |> List.sort_uniq String.compare
   in
   let pins = resolve_pins net pinned_names in
-  let singles, anycast =
-    List.partition single_origin_ec (Ecs.compute net)
-  in
+  let singles, anycast = List.partition Ecs.is_single_origin (Ecs.compute net) in
   let results, degradation =
-    run_ecs ~budget net singles (fun ec ->
-        compute_scratch ~cache ~pinned:pins ~budget net ec)
+    Bonsai_api.compress_classes net singles
+      (compress_class ~cache ~pinned:pins ~budget net)
   in
   {
     net;
@@ -301,14 +180,12 @@ let recompress ?(budget = Budget.infinite) ?recertify st deltas =
   in
   let hits0, misses0 = Sig_cache.stats cache in
   let pinned = resolve_pins net' st.pinned_names in
-  let singles, anycast =
-    List.partition single_origin_ec (Ecs.compute net')
-  in
+  let singles, anycast = List.partition Ecs.is_single_origin (Ecs.compute net') in
   let reused = ref 0 and seeded = ref 0 and scratch = ref 0 in
   let recertified = ref 0 and recert_refuted = ref 0 in
   let worker =
     if full then fun ec ->
-      let r = compute_scratch ~cache ~pinned ~budget net' ec in
+      let r = compress_class ~cache ~pinned ~budget net' ec in
       incr scratch;
       r
     else begin
@@ -346,7 +223,7 @@ let recompress ?(budget = Budget.infinite) ?recertify st deltas =
             r
           | Certify.Refuted _ ->
             incr recert_refuted;
-            let r = compute_scratch ~cache ~pinned ~budget net' ec in
+            let r = compress_class ~cache ~pinned ~budget net' ec in
             incr scratch;
             r)
       in
@@ -362,15 +239,18 @@ let recompress ?(budget = Budget.infinite) ?recertify st deltas =
           when (not old_r.Bonsai_api.degraded)
                && old_r.Bonsai_api.ec.Ecs.ec_origins = ec.Ecs.ec_origins
                && ec_seedable ~prefs_trivial net' ec ->
-          recert ec seeded
-            (seeded_compress ~cache ~pinned ~budget net' ec old_r)
+          let seed =
+            Union_split_find.of_class_array
+              old_r.Bonsai_api.abstraction.Abstraction.group_of
+          in
+          recert ec seeded (compress_class ~seed ~cache ~pinned ~budget net' ec)
         | _ ->
-          let r = compute_scratch ~cache ~pinned ~budget net' ec in
+          let r = compress_class ~cache ~pinned ~budget net' ec in
           incr scratch;
           r
     end
   in
-  let results, degradation = run_ecs ~budget net' singles worker in
+  let results, degradation = Bonsai_api.compress_classes net' singles worker in
   let hits1, misses1 = Sig_cache.stats cache in
   st.net <- net';
   st.cache <- cache;

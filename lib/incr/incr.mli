@@ -14,8 +14,9 @@
       destination) re-refine starting from the {e old} partition — a
       split-only fixpoint reaches the coarsest stable refinement of the
       old partition, and a quotient-level refine-and-merge pass coarsens
-      it back to exactly the from-scratch partition (see DESIGN.md §12
-      for the proof sketch);
+      it back to exactly the from-scratch partition
+      ([Bonsai_api.compress_ec_exn ~seed]; see DESIGN.md §12 for the proof
+      sketch);
     - {e scratch}: everything else recomputes, still sharing the
       policy-signature cache ({!Sig_cache}) so unchanged route-maps are
       never re-encoded;
@@ -25,9 +26,10 @@
 
     Repair pins survive: they are stored by router name, re-resolved
     against the updated network, and both the seeded and the scratch path
-    force them into singleton classes. Budget exhaustion degrades exactly
-    like [Bonsai_api.compress]: the class that ran out and every remaining
-    class fall back to the identity abstraction.
+    force them into singleton classes. Budget exhaustion degrades through
+    the same loop as [Bonsai_api.compress] ([Bonsai_api.compress_classes]):
+    the class that ran out and every remaining class fall back to the
+    identity abstraction.
 
     This module is the library surface ISSUE.md calls
     [Bonsai_api.recompress]; it lives here because lib/incr depends on
@@ -101,23 +103,6 @@ val recompress_net :
 (** [recompress_net st net'] diffs the current network against [net'] and
     recompresses; returns the deltas it derived. The engine of
     [bonsai watch], where only the new configuration text is known. *)
-
-val quotient_merge :
-  Union_split_find.t ->
-  Device.network ->
-  dest:int ->
-  signature:(int -> int -> 'k) ->
-  pinned:int list ->
-  budget:Budget.t ->
-  Union_split_find.t
-(** The merge half of the seeded path (DESIGN.md §12), coarsening a
-    stable over-refinement: refine the quotient (one element per class,
-    key from a representative) with {!Refine.stabilise} and return the
-    partition whose classes are the unions of classes sharing a quotient
-    block. Exposed for modular compression, whose composition
-    pass seeds a global refinement with the union of per-module
-    partitions and needs the identical merge to recover the exact
-    from-scratch partition. *)
 
 val no_lp_no_redistribute : Device.network -> bool
 (** No import route-map sets a local preference and no router

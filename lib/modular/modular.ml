@@ -371,9 +371,6 @@ let supervise ~params ~budget ~certify ~injected ~retry_pause ~remaining ms =
         ms.ms_detail <- Some detail));
   ms.ms_time_s <- Timing.now () -. t0
 
-let single_ec (ec : Ecs.ec) =
-  match ec.Ecs.ec_origins with [ _ ] -> true | _ -> false
-
 let module_report_of ms =
   let n_members = Array.length ms.ms_members in
   let ecs_count, concrete, abstract =
@@ -397,7 +394,10 @@ let module_report_of ms =
       (k, n_members * k, List.fold_left ( + ) 0 per)
     | None ->
       (* Degraded: the identity abstraction per destination class. *)
-      let k = List.length (List.filter single_ec (Ecs.compute ms.ms_subnet)) in
+      let k =
+        List.length
+          (List.filter Ecs.is_single_origin (Ecs.compute ms.ms_subnet))
+      in
       (k, n_members * k, n_members * k)
   in
   {
@@ -437,7 +437,9 @@ let build_state ~mode ~count ~certify ~retry_pause ~budget ~inject_fault net =
     | Error m -> Bonsai_error.error (Bonsai_error.Compile_error m)
   in
   let ecs = Ecs.compute net in
-  let anycast = List.length (List.filter (fun e -> not (single_ec e)) ecs) in
+  let anycast =
+    List.length (List.filter (fun e -> not (Ecs.is_single_origin e)) ecs)
+  in
   let params = Policy_bdd.universe_params net in
   let modules =
     List.map (fun (name, members) -> subnet_of net ~name ~members ~ecs) parts
@@ -682,29 +684,22 @@ let compose ?(budget = Budget.infinite) st =
     Timing.time (fun () -> Policy_bdd.universe_of_network net)
   in
   let ecs = Ecs.compute net in
-  let singles = List.filter single_ec ecs in
+  let singles = List.filter Ecs.is_single_origin ecs in
   let anycast = List.length ecs - List.length singles in
   let prefs_trivial = Incr.no_lp_no_redistribute net in
   (* Per-module group labels for a class, looked up by prefix. *)
   let module_groups ms (ec : Ecs.ec) =
-    match ms.ms_state with
-    | None -> None
-    | Some engine ->
-      let s = Incr.summary engine in
-      List.find_opt
-        (fun (r : Bonsai_api.ec_result) ->
-          Prefix.compare r.Bonsai_api.ec.Ecs.ec_prefix ec.Ecs.ec_prefix = 0)
-        s.Bonsai_api.results
-      |> Option.map (fun (r : Bonsai_api.ec_result) ->
-             r.Bonsai_api.abstraction.Abstraction.group_of)
+    Option.bind ms.ms_state (fun engine ->
+        Bonsai_api.find_result (Incr.summary engine).Bonsai_api.results
+          ec.Ecs.ec_prefix)
+    |> Option.map (fun (r : Bonsai_api.ec_result) ->
+           r.Bonsai_api.abstraction.Abstraction.group_of)
   in
-  let seeded_result (ec : Ecs.ec) =
-    let t0 = Timing.now () in
-    let dest = Ecs.single_origin ec in
-    (* Seed: union of per-module partitions, class ids disjoint across
-       modules; a degraded module contributes singletons (the identity
-       partition), which only refines the union — still exact after the
-       merge pass (DESIGN.md §16). *)
+  (* Seed: union of per-module partitions, class ids disjoint across
+     modules; a degraded module contributes singletons (the identity
+     partition), which only refines the union — still exact after the
+     merge pass (DESIGN.md §16). *)
+  let union_seed (ec : Ecs.ec) =
     let cls = Array.make n 0 in
     let offset = ref 0 in
     List.iter
@@ -733,45 +728,19 @@ let compose ?(budget = Budget.infinite) st =
           Array.iteri (fun i v -> cls.(v) <- !offset + i) ms.ms_members;
           offset := !offset + m))
       st.st_modules;
-    let seed = Union_split_find.of_class_array cls in
-    Bdd.set_budget universe.Policy_bdd.man budget;
-    Fun.protect ~finally:(fun () ->
-        Bdd.set_budget universe.Policy_bdd.man Budget.infinite)
-    @@ fun () ->
-    let _, signature =
-      Compile.edge_signatures ~universe net ~dest:ec.Ecs.ec_prefix
-    in
-    let prefs _ = [ Bgp.default_lp ] in
-    let live_self u v = (signature u v).Compile.sig_static in
-    let part, refine_stats =
-      Refine.find_partition net ~dest ~live_self ~seed ~budget ~signature
-        ~prefs
-    in
-    let part = Incr.quotient_merge part net ~dest ~signature ~pinned:[] ~budget in
-    let abstraction =
-      Abstraction.make net ~dest ~dest_prefix:ec.Ecs.ec_prefix ~universe
-        ~partition:part
-        ~copies:(fun _ -> 1)
-    in
-    {
-      Bonsai_api.ec;
-      abstraction;
-      refine_stats;
-      time_s = Timing.now () -. t0;
-      degraded = false;
-    }
+    Union_split_find.of_class_array cls
   in
   let results =
     List.map
       (fun ec ->
-        if
-          prefs_trivial
-          && Incr.ec_seedable ~prefs_trivial:true net ec
-        then seeded_result ec
-        else
-          match Bonsai_api.compress_ec ~universe ~budget net ec with
-          | Ok r -> r
-          | Error e -> Bonsai_error.error e)
+        let seed =
+          if prefs_trivial && Incr.ec_seedable ~prefs_trivial:true net ec then
+            Some (union_seed ec)
+          else None
+        in
+        try Bonsai_api.compress_ec_exn ~universe ?seed ~budget net ec
+        with Invalid_argument m ->
+          Bonsai_error.error (Bonsai_error.Compile_error m))
       singles
   in
   {

@@ -26,9 +26,10 @@
     levels — all preserved verbatim by the subnet construction (boundary
     neighbors are replicated as pinned singleton stubs) — so the union
     of per-module partitions is a {e stable} refinement of the global
-    partition, and the incremental engine's quotient-merge pass
-    ({!Incr.quotient_merge}) coarsens it back to exactly the
-    from-scratch result under the seeded-path guards. Degraded modules
+    partition, and the seeded path's quotient-merge pass
+    ({!Refine.quotient_merge}, run by [Bonsai_api.compress_ec_exn ~seed])
+    coarsens it back to exactly the from-scratch result under the
+    seeded-path guards. Degraded modules
     contribute the identity (discrete) partition, which only refines the
     union further — degradation composes. *)
 
@@ -162,7 +163,8 @@ val compose :
     summary. Under the seeded-path guards ({!Incr.no_lp_no_redistribute}
     + {!Incr.ec_seedable}) this seeds a global refinement with the union
     of module partitions and recovers the {e exact} from-scratch
-    partition via {!Incr.quotient_merge}; otherwise it falls back to
+    partition via {!Refine.quotient_merge}
+    ([Bonsai_api.compress_ec_exn ~seed]); otherwise it falls back to
     from-scratch compression of the class (sound, just not reusing
     module work). Degraded modules enter as identity partitions. *)
 

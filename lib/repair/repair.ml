@@ -22,21 +22,6 @@ type t = {
   k : int;
 }
 
-(* The identity fallback mirrors graceful degradation in Bonsai_api: a
-   fresh, un-budgeted universe (the budgeted manager may be the very
-   resource that ran out) and the discrete partition. *)
-let identity_result (net : Device.network) (ec : Ecs.ec) =
-  let universe = Policy_bdd.universe_of_network net in
-  {
-    Bonsai_api.ec;
-    abstraction =
-      Abstraction.identity net ~dest:(Ecs.single_origin ec)
-        ~dest_prefix:ec.Ecs.ec_prefix ~universe;
-    refine_stats = { Refine.iterations = 0; splits = 0; keyed = 0 };
-    time_s = 0.0;
-    degraded = true;
-  }
-
 (* Exhaustive up to the frontier; past it an importance sample that
    doubles each round. A widened sample with the same seed extends the
    previous one (Scenario.sample draws deterministically), so scenarios
@@ -81,6 +66,8 @@ let harden_exn ?(k = 1) ?(rounds = 8) ?(frontier = 1024) ?(samples = 64)
       k;
     }
   in
+  (* the identity abstraction is sound by construction *)
+  let fallback why = finish (Bonsai_api.identity_result net ec) why true in
   let rec round_loop round (r : Bonsai_api.ec_result) =
     let t = r.Bonsai_api.abstraction in
     let abstract_ = Abstraction.bgp_srp t in
@@ -135,7 +122,7 @@ let harden_exn ?(k = 1) ?(rounds = 8) ?(frontier = 1024) ?(samples = 64)
            exhausted: degrade to the always-sound identity. *)
         log (Some minimal) mismatches [];
         if rounds = 0 then finish r Bonsai_api.No_fallback false
-        else finish (identity_result net ec) Bonsai_api.Rounds_fallback true
+        else fallback Bonsai_api.Rounds_fallback
       end
       else begin
         let unpinned us =
@@ -168,7 +155,7 @@ let harden_exn ?(k = 1) ?(rounds = 8) ?(frontier = 1024) ?(samples = 64)
         if fresh = [] then
           (* every node pinned and still breaking: defensive fallback
              (the identity abstraction cannot mismatch) *)
-          finish (identity_result net ec) Bonsai_api.Rounds_fallback true
+          fallback Bonsai_api.Rounds_fallback
         else
           round_loop (round + 1)
             (Bonsai_api.compress_ec_exn ~pinned:!pins ~budget net ec)
@@ -176,7 +163,7 @@ let harden_exn ?(k = 1) ?(rounds = 8) ?(frontier = 1024) ?(samples = 64)
   in
   try round_loop 1 (Bonsai_api.compress_ec_exn ~budget net ec)
   with Budget.Exhausted info ->
-    finish (identity_result net ec) (Bonsai_api.Budget_fallback info) true
+    fallback (Bonsai_api.Budget_fallback info)
 
 let harden ?k ?rounds ?frontier ?samples ?seed ?budget net ec =
   Bonsai_error.protect (fun () ->

@@ -58,8 +58,17 @@ type t = {
       (* quarantines not yet drained by the server loop (spec, detail) *)
 }
 
-let create ~resolve ?budget_ms ?budget_ticks ?cache_cap ?(max_networks = 8) ()
-    =
+(* An unknown spec is the client's mistake (bad-request); an unparsable
+   file keeps its typed parse error. *)
+let resolve_spec spec =
+  match Synthesis.of_spec spec with
+  | Ok (net, _) -> net
+  | Error (`Unknown m) -> failwith m
+  | Error (`Parse ds) ->
+    Bonsai_error.error (Bonsai_error.Parse_error { diagnostics = ds })
+
+let create ?(resolve = resolve_spec) ?budget_ms ?budget_ticks ?cache_cap
+    ?(max_networks = 8) () =
   if max_networks < 1 then
     invalid_arg "Serve_engine.create: max_networks < 1";
   {
@@ -182,14 +191,9 @@ let compress_op t req =
     | None -> summary.Bonsai_api.results
     | Some p -> (
       let p = Prefix.of_string p in
-      match
-        List.filter
-          (fun (r : Bonsai_api.ec_result) ->
-            Prefix.equal r.Bonsai_api.ec.Ecs.ec_prefix p)
-          summary.Bonsai_api.results
-      with
-      | [] -> Format.kasprintf failwith "no destination class %a" Prefix.pp p
-      | rs -> rs)
+      match Bonsai_api.find_result summary.Bonsai_api.results p with
+      | None -> Format.kasprintf failwith "no destination class %a" Prefix.pp p
+      | Some r -> [ r ])
   in
   [
     ("network", Json.String (network_param req));
@@ -327,10 +331,8 @@ let faults_op t req =
   (* the abstraction is the warm one the registry already holds *)
   let r =
     match
-      List.find_opt
-        (fun (r : Bonsai_api.ec_result) ->
-          Prefix.equal r.Bonsai_api.ec.Ecs.ec_prefix ec.Ecs.ec_prefix)
-        (Incr.summary st).Bonsai_api.results
+      Bonsai_api.find_result (Incr.summary st).Bonsai_api.results
+        ec.Ecs.ec_prefix
     with
     | Some r -> r
     | None -> Format.kasprintf failwith "no result for class %a" Ecs.pp ec

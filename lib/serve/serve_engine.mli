@@ -34,7 +34,7 @@
 type t
 
 val create :
-  resolve:(string -> Device.network) ->
+  ?resolve:(string -> Device.network) ->
   ?budget_ms:int ->
   ?budget_ticks:int ->
   ?cache_cap:int ->
@@ -43,7 +43,9 @@ val create :
   t
 (** [resolve] maps a network spec (e.g. ["fattree:4"], ["file:PATH"])
     to a network; it may raise [Failure] (→ bad-request) or
-    [Bonsai_error.Error] (→ the matching typed response).
+    [Bonsai_error.Error] (→ the matching typed response). The default
+    resolves through {!Synthesis.of_spec}: an unknown spec is a
+    [Failure], an unparsable file a [Parse_error].
     [budget_ms]/[budget_ticks] are server-wide caps: every request runs
     under [Budget.scoped] of its own ["budget_ms"]/["budget_ticks"]
     parameters clamped by these. [cache_cap] bounds each network's

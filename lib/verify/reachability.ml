@@ -29,15 +29,9 @@ let check_pairs (type a) (sol : a Solution.t) =
   done;
   (!pairs, !unreachable)
 
-let run_ecs ?timeout_s ?max_ecs (net : Device.network) per_ec =
+let run_ecs ?timeout_s (net : Device.network) per_ec =
   let t0 = Timing.now () in
   let deadline = Option.map (fun s -> t0 +. s) timeout_s in
-  let ecs = Ecs.compute net in
-  let ecs =
-    match max_ecs with
-    | None -> ecs
-    | Some k -> List.filteri (fun i _ -> i < k) ecs
-  in
   let pairs = ref 0 and unreachable = ref 0 and ecs_done = ref 0 in
   let compress_time = ref 0.0 in
   let timed_out = ref false in
@@ -56,7 +50,7 @@ let run_ecs ?timeout_s ?max_ecs (net : Device.network) per_ec =
           compress_time := !compress_time +. ct;
           incr ecs_done
         | _ -> ())
-    ecs;
+    (Ecs.compute net);
   {
     pairs = !pairs;
     unreachable = !unreachable;
@@ -78,8 +72,8 @@ let concrete_solution ?(protocol = `Bgp) (net : Device.network) ec =
     let sol = solve_or_fail srp in
     `Multi_sol sol
 
-let concrete_all_pairs ?timeout_s ?protocol ?max_ecs net =
-  run_ecs ?timeout_s ?max_ecs net (fun ec ->
+let concrete_all_pairs ?timeout_s ?protocol net =
+  run_ecs ?timeout_s net (fun ec ->
       let p, u =
         match concrete_solution ?protocol net ec with
         | `Bgp_sol sol -> check_pairs sol
@@ -94,12 +88,12 @@ let abstract_solution ?(protocol = `Bgp) ~universe (net : Device.network) ec =
   | `Bgp -> (r, `Bgp_sol (solve_or_fail (Abstraction.bgp_srp t)))
   | `Multi -> (r, `Multi_sol (solve_or_fail (Abstraction.multi_srp t)))
 
-let abstract_all_pairs ?timeout_s ?protocol ?max_ecs (net : Device.network) =
+let abstract_all_pairs ?timeout_s ?protocol (net : Device.network) =
   let universe, u_time =
     Timing.time (fun () -> Policy_bdd.universe_of_network net)
   in
   let first = ref true in
-  run_ecs ?timeout_s ?max_ecs net (fun ec ->
+  run_ecs ?timeout_s net (fun ec ->
       let (r, sol), t =
         Timing.time (fun () -> abstract_solution ?protocol ~universe net ec)
       in

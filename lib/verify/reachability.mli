@@ -21,12 +21,10 @@ type result = {
 }
 
 val concrete_all_pairs :
-  ?timeout_s:float -> ?protocol:protocol -> ?max_ecs:int ->
-  Device.network -> result
+  ?timeout_s:float -> ?protocol:protocol -> Device.network -> result
 
 val abstract_all_pairs :
-  ?timeout_s:float -> ?protocol:protocol -> ?max_ecs:int ->
-  Device.network -> result
+  ?timeout_s:float -> ?protocol:protocol -> Device.network -> result
 (** Compress each class first (time included), then verify on the abstract
     network. The [pairs] counted are abstract pairs — one per abstract
     node, i.e. one per role, which is exactly the saving. *)

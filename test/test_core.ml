@@ -758,6 +758,85 @@ let test_keyed_bound () =
         [ 64; 128; 256 ])
     [ ("ring", Synthesis.ring_bgp); ("mesh", Synthesis.mesh_bgp) ]
 
+(* --- one per-class path ------------------------------------------------ *)
+
+let prefix_of (ec : Ecs.ec) = Prefix.to_string ec.Ecs.ec_prefix
+
+(* The shared degradation loop: a worker that runs out at class [i] keeps
+   classes before [i] compressed, in order, and turns [i] and every later
+   class into an untimed identity fallback. *)
+let test_compress_classes_degrades () =
+  let net = Synthesis.fattree_shortest_path (Generators.fattree ~k:4) in
+  let ecs = List.filter Ecs.is_single_origin (Ecs.compute net) in
+  let n = List.length ecs in
+  let info =
+    { Budget.phase = "test"; ticks = 7; elapsed_s = 0.0; note = None }
+  in
+  for i = 0 to n do
+    let calls = ref 0 in
+    let worker ec =
+      if !calls = i then raise (Budget.Exhausted info);
+      incr calls;
+      Bonsai_api.compress_ec_exn net ec
+    in
+    let results, deg = Bonsai_api.compress_classes net ecs worker in
+    Alcotest.(check (list string))
+      "class order" (List.map prefix_of ecs)
+      (List.map
+         (fun (r : Bonsai_api.ec_result) -> prefix_of r.Bonsai_api.ec)
+         results);
+    List.iteri
+      (fun j (r : Bonsai_api.ec_result) ->
+        Alcotest.(check bool) "degraded from i on" (j >= i)
+          r.Bonsai_api.degraded;
+        if j >= i then begin
+          Alcotest.(check (float 0.0)) "untimed" 0.0 r.Bonsai_api.time_s;
+          Alcotest.(check bool) "identity" true
+            (Abstraction.is_identity r.Bonsai_api.abstraction)
+        end)
+      results;
+    match deg with
+    | None -> Alcotest.(check int) "no raise, no degradation" n i
+    | Some d ->
+      Alcotest.(check int) "completed" i d.Bonsai_api.deg_completed;
+      Alcotest.(check int) "total" n d.Bonsai_api.deg_total;
+      Alcotest.(check int) "info kept" 7 d.Bonsai_api.deg_info.Budget.ticks
+  done
+
+(* Seeding with the discrete partition (a stable over-refinement of
+   anything) and merging back gives the scratch abstraction on seedable
+   classes. *)
+let test_seeded_matches_scratch () =
+  List.iter
+    (fun (name, net) ->
+      let n = Graph.n_nodes net.Device.graph in
+      let canon (r : Bonsai_api.ec_result) =
+        Union_split_find.canonical
+          (Union_split_find.of_class_array
+             r.Bonsai_api.abstraction.Abstraction.group_of)
+      in
+      let links (r : Bonsai_api.ec_result) =
+        Graph.n_links r.Bonsai_api.abstraction.Abstraction.abs_graph
+      in
+      List.iter
+        (fun ec ->
+          let what = name ^ " " ^ prefix_of ec in
+          Alcotest.(check bool) (what ^ " seedable") true
+            (Incr.ec_seedable ~prefs_trivial:false net ec);
+          let scratch = Bonsai_api.compress_ec_exn net ec in
+          let seeded =
+            Bonsai_api.compress_ec_exn ~seed:(Union_split_find.discrete n) net
+              ec
+          in
+          Alcotest.(check (array int)) (what ^ " partition") (canon scratch)
+            (canon seeded);
+          Alcotest.(check int) (what ^ " links") (links scratch) (links seeded))
+        (List.filter Ecs.is_single_origin (Ecs.compute net)))
+    [
+      ("fattree:4", Synthesis.fattree_shortest_path (Generators.fattree ~k:4));
+      ("ring:12", Synthesis.ring_bgp ~n:12);
+    ]
+
 let () =
   Alcotest.run "bonsai-core"
     [
@@ -820,6 +899,13 @@ let () =
         [ Alcotest.test_case "keyed within E log V" `Quick test_keyed_bound ] );
       ( "peel",
         [ Alcotest.test_case "canonical order" `Quick test_peel_order_canonical ] );
+      ( "per-class",
+        [
+          Alcotest.test_case "compress_classes degrades in order" `Quick
+            test_compress_classes_degrades;
+          Alcotest.test_case "seeded = scratch" `Quick
+            test_seeded_matches_scratch;
+        ] );
       ( "fuzz",
         List.map QCheck_alcotest.to_alcotest [ prop_kernel_matches_oracle ] );
     ]

@@ -276,18 +276,19 @@ let test_robust_sampling_on_large () =
 let test_concrete_all_pairs_fattree () =
   let ft = Generators.fattree ~k:4 in
   let net = Synthesis.fattree_shortest_path ft in
-  let r = Reachability.concrete_all_pairs ~max_ecs:2 net in
-  Alcotest.(check int) "ecs" 2 r.Reachability.ecs_done;
-  Alcotest.(check int) "pairs" (2 * 19) r.Reachability.pairs;
+  let r = Reachability.concrete_all_pairs net in
+  (* one class per edge router *)
+  Alcotest.(check int) "ecs" 8 r.Reachability.ecs_done;
+  Alcotest.(check int) "pairs" (8 * 19) r.Reachability.pairs;
   Alcotest.(check int) "all reachable" 0 r.Reachability.unreachable
 
 let test_abstract_all_pairs_fattree () =
   let ft = Generators.fattree ~k:4 in
   let net = Synthesis.fattree_shortest_path ft in
-  let r = Reachability.abstract_all_pairs ~max_ecs:2 net in
-  Alcotest.(check int) "ecs" 2 r.Reachability.ecs_done;
+  let r = Reachability.abstract_all_pairs net in
+  Alcotest.(check int) "ecs" 8 r.Reachability.ecs_done;
   (* 6 abstract nodes per class: 5 non-dest pairs each *)
-  Alcotest.(check int) "abstract pairs" (2 * 5) r.Reachability.pairs;
+  Alcotest.(check int) "abstract pairs" (8 * 5) r.Reachability.pairs;
   Alcotest.(check int) "all reachable" 0 r.Reachability.unreachable
 
 let test_queries_agree () =
