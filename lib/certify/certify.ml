@@ -388,12 +388,12 @@ let check_cert ~budget ~audit ~universe ~obligations (net : Device.network)
   let tick () = Budget.tick budget ~phase:"certify" in
   let obligation () = incr obligations in
   (* -- resolve the class ------------------------------------------- *)
-  match
-    List.find_opt
-      (fun (ec : Ecs.ec) ->
-        String.equal (Prefix.to_string ec.Ecs.ec_prefix) c.c_prefix)
-      (Ecs.compute net)
-  with
+  let class_of prefix =
+    match Prefix.of_string_opt prefix with
+    | Some p when String.equal (Prefix.to_string p) prefix -> Ecs.of_prefix net p
+    | _ -> None
+  in
+  match class_of c.c_prefix with
   | None -> fail "class" "prefix is not an announced destination class"
   | Some ec when List.length ec.Ecs.ec_origins <> 1 ->
     fail "class" "anycast class cannot be certified"
@@ -421,7 +421,7 @@ let check_cert ~budget ~audit ~universe ~obligations (net : Device.network)
                 None)
             members
         in
-        let ids = List.sort_uniq compare ids in
+        let ids = List.sort_uniq Int.compare ids in
         if List.length ids <> List.length members then begin
           ok := false;
           fail "partition"
@@ -579,6 +579,7 @@ let check_cert ~budget ~audit ~universe ~obligations (net : Device.network)
       (* ∀∃2 and transfer agreement per inter-group pair *)
       let _, signature = Compile.edge_signatures ~universe net ~dest:ec.Ecs.ec_prefix in
       let probes = probe_attrs universe in
+      let policy = Compile.bgp_policy net ~dest:ec.Ecs.ec_prefix in
       Hashtbl.iter
         (fun (g1, g2) () ->
           if g1 <> g2 then begin
@@ -610,7 +611,12 @@ let check_cert ~budget ~audit ~universe ~obligations (net : Device.network)
                       edges := (u, v) :: !edges)
                   (Graph.succ g u))
               members;
-            let edges = List.sort compare !edges in
+            let edges =
+              List.sort
+                (fun (u, v) (u', v') ->
+                  match Int.compare u u' with 0 -> Int.compare v v' | c -> c)
+                !edges
+            in
             match edges with
             | [] -> () (* already reported by ∀∃2 *)
             | (u0, v0) :: rest ->
@@ -628,10 +634,10 @@ let check_cert ~budget ~audit ~universe ~obligations (net : Device.network)
                          (name u0) (name v0) (name u) (name v)))
                 (sample_list audit rest);
               (* BDD-free spot check: execute the route maps directly *)
-              let pol0 = Compile.bgp_policy net ~dest:ec.Ecs.ec_prefix u0 v0 in
+              let pol0 = policy u0 v0 in
               List.iter
                 (fun (u, v) ->
-                  let pol = Compile.bgp_policy net ~dest:ec.Ecs.ec_prefix u v in
+                  let pol = policy u v in
                   List.iter
                     (fun a ->
                       tick ();
@@ -686,7 +692,7 @@ let check_cert ~budget ~audit ~universe ~obligations (net : Device.network)
         (fun gid members ->
           if copies_claim.(gid) > 1 then begin
             let nbrs u =
-              Array.to_list (Graph.succ g u) |> List.sort_uniq compare
+              Array.to_list (Graph.succ g u) |> List.sort_uniq Int.compare
             in
             match members with
             | [] -> ()
@@ -730,10 +736,8 @@ let check_cert ~budget ~audit ~universe ~obligations (net : Device.network)
               fail "labeling" "rebuilt abstract graph size differs"
             else begin
               let sol =
-                {
-                  Solution.srp = Abstraction.bgp_srp t;
-                  labels = Array.of_list labels;
-                }
+                Solution.of_labels (Abstraction.bgp_srp t)
+                  (Array.of_list labels)
               in
               obligation ();
               if not (Solution.is_stable sol) then

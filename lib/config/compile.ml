@@ -1,19 +1,21 @@
-let bgp_policy (net : Device.network) ~dest u v : Bgp.policy =
- fun a ->
-  let ru = net.routers.(u) and rv = net.routers.(v) in
-  match (Device.bgp_neighbor_config ru v, Device.bgp_neighbor_config rv u) with
-  | Some imp, Some exp ->
-    if not (Acl.permits (Device.acl_for ru v) dest) then None
-    else
-      let eval rm a =
-        match rm with
-        | None -> Some a
-        | Some rm -> Route_map.eval rm ~dest a
-      in
-      Option.bind (eval exp.export_rm a) (eval imp.import_rm)
-  | _ -> None
+(* Route-map memo: physical identity first (the map value seen before),
+   then structural equality for equal maps written out per neighbor,
+   under a hash deep enough to tell multi-clause maps apart. *)
+module Rm_memo = Hashtbl.Make (struct
+  type t = Route_map.t
 
-let matched_comms (net : Device.network) =
+  let equal a b = a == b || a = b
+  let hash = Hashtbl.hash_param 100 200
+end)
+
+module Acl_memo = Hashtbl.Make (struct
+  type t = Acl.t
+
+  let equal a b = a == b || a = b
+  let hash = Hashtbl.hash_param 100 200
+end)
+
+let scan_matched_comms (net : Device.network) =
   let set = Hashtbl.create 32 in
   let scan = function
     | None -> ()
@@ -31,9 +33,189 @@ let matched_comms (net : Device.network) =
     net.routers;
   fun c -> Hashtbl.mem set c
 
+(* --- compiled transfers ----------------------------------------------- *)
+
+(* The destination-independent facts of every directed edge (receiver
+   [u], sender [v]), indexed by edge id: what the transfer of any class
+   reads from configuration, resolved once per network. Route maps and
+   ACLs are interned, so each distinct one is specialized once per
+   destination. *)
+type edge_facts = {
+  net : Device.network;
+  multi : Multi.edges;
+      (* the class-independent tables: sessions, OSPF, areas and
+         redistribution; [static_on] and [bgp_policy] are per class *)
+  import_id : int array;  (* [u]'s import map; -1: none (permit all) *)
+  export_id : int array;  (* [v]'s export map; -1: none *)
+  acl_id : int array;  (* [u]'s outbound ACL towards [v]; -1: none *)
+  maps : Route_map.t array;
+  acls : Acl.t array;
+  tie_filter : int -> bool;  (* [matched_comms] *)
+}
+
+(* Ids count up from 0 in first-seen order; [None] is -1. The second
+   function returns the interned values, indexed by id. *)
+let interner (type a) (module H : Hashtbl.S with type key = a) =
+  let tbl = H.create 64 and seen = ref [] in
+  let id = function
+    | None -> -1
+    | Some x -> (
+      match H.find_opt tbl x with
+      | Some i -> i
+      | None ->
+        let i = H.length tbl in
+        H.add tbl x i;
+        seen := x :: !seen;
+        i)
+  in
+  (id, fun () -> Array.of_list (List.rev !seen))
+
+let build_facts (net : Device.network) =
+  let g = net.graph and r = net.routers in
+  let m = Graph.n_edges g in
+  let bgp_on = Array.make m false and ibgp = Array.make m false in
+  let import_id = Array.make m (-1) and export_id = Array.make m (-1) in
+  let acl_id = Array.make m (-1) in
+  let ospf_on = Array.make m false and ospf_cost = Array.make m 1 in
+  let map_id, maps = interner (module Rm_memo) in
+  let acl_id_of, acls = interner (module Acl_memo) in
+  for u = 0 to Graph.n_nodes g - 1 do
+    let base = Graph.edge_base g u in
+    Array.iteri
+      (fun i v ->
+        let e = base + i in
+        (match
+           (Device.bgp_neighbor_config r.(u) v, Device.bgp_neighbor_config r.(v) u)
+         with
+        | Some imp, Some exp ->
+          bgp_on.(e) <- true;
+          ibgp.(e) <- imp.Device.ibgp;
+          import_id.(e) <- map_id imp.Device.import_rm;
+          export_id.(e) <- map_id exp.Device.export_rm
+        | _ -> ());
+        acl_id.(e) <- acl_id_of (Device.acl_for r.(u) v);
+        match (Device.ospf_link_config r.(u) v, Device.ospf_link_config r.(v) u) with
+        | Some l, Some _ ->
+          ospf_on.(e) <- true;
+          ospf_cost.(e) <- l.Device.cost
+        | _ -> ())
+      (Graph.succ g u)
+  done;
+  let redistributes k =
+    Array.map
+      (fun (ru : Device.router) ->
+        List.exists (Multi.redistribution_equal k) ru.Device.redistribute)
+      r
+  in
+  {
+    net;
+    multi =
+      {
+        Multi.graph = g;
+        ospf_on;
+        ospf_cost;
+        bgp_on;
+        ibgp;
+        static_on = [||];
+        bgp_policy = (fun _ _ -> None);
+        area = Array.map (fun (ru : Device.router) -> ru.Device.ospf_area) r;
+        bgp_into_ospf = redistributes Multi.Bgp_into_ospf;
+        ospf_into_bgp = redistributes Multi.Ospf_into_bgp;
+        static_into_bgp = redistributes Multi.Static_into_bgp;
+      };
+    import_id;
+    export_id;
+    acl_id;
+    maps = maps ();
+    acls = acls ();
+    tie_filter = scan_matched_comms net;
+  }
+
+(* Networks are never mutated after construction, so the facts are keyed
+   by the network's identity. Two entries per domain: a data-plane diff
+   compiles the old and the new network class by class, alternately. *)
+let facts_cache : edge_facts list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let edge_facts (net : Device.network) =
+  let cache = Domain.DLS.get facts_cache in
+  match !cache with
+  | f :: _ when f.net == net -> f
+  | [ f0; f ] when f.net == net ->
+    cache := [ f; f0 ];
+    f
+  | recent ->
+    let f = build_facts net in
+    cache := (match recent with [] -> [ f ] | f0 :: _ -> [ f; f0 ]);
+    f
+
+let matched_comms net = (edge_facts net).tie_filter
+
+(* One destination's view: each distinct route map specialized and each
+   ACL's verdict computed on first use. *)
+type class_facts = {
+  facts : edge_facts;
+  dest : Prefix.t;
+  compiled : Route_map.compiled option array;
+  acl_verdict : int array;  (* -1 unknown, 0 deny, 1 permit *)
+}
+
+let class_facts net ~dest =
+  let facts = edge_facts net in
+  {
+    facts;
+    dest;
+    compiled = Array.make (Array.length facts.maps) None;
+    acl_verdict = Array.make (Array.length facts.acls) (-1);
+  }
+
+let compiled_map cf id =
+  if id < 0 then Route_map.Identity
+  else
+    match cf.compiled.(id) with
+    | Some c -> c
+    | None ->
+      let c = Route_map.compile cf.facts.maps.(id) ~dest:cf.dest in
+      cf.compiled.(id) <- Some c;
+      c
+
+let acl_permits cf e =
+  let id = cf.facts.acl_id.(e) in
+  id < 0
+  ||
+  match cf.acl_verdict.(id) with
+  | 1 -> true
+  | 0 -> false
+  | _ ->
+    let ok = Acl.permits (Some cf.facts.acls.(id)) cf.dest in
+    cf.acl_verdict.(id) <- (if ok then 1 else 0);
+    ok
+
+(* The policy of edge [e]: the sender's export map, then the receiver's
+   import map; dropped without a session on both ends or when the
+   receiver's outbound ACL towards the sender denies the destination. *)
+let edge_policy cf e a =
+  if not (cf.facts.multi.Multi.bgp_on.(e) && acl_permits cf e) then None
+  else
+    match Route_map.apply (compiled_map cf cf.facts.export_id.(e)) a with
+    | None -> None
+    | Some a -> Route_map.apply (compiled_map cf cf.facts.import_id.(e)) a
+
+let bgp_policy (net : Device.network) ~dest =
+  let cf = class_facts net ~dest in
+  let g = net.graph in
+  fun u v ->
+    let e = Graph.edge_index g u v in
+    if e < 0 then fun _ -> None else edge_policy cf e
+
 let bgp_srp (net : Device.network) ~dest ~dest_prefix =
-  Bgp.make ~tie_filter:(matched_comms net)
-    ~policy:(bgp_policy net ~dest:dest_prefix) net.graph ~dest
+  let cf = class_facts net ~dest:dest_prefix in
+  let g = net.graph in
+  Bgp.make ~tie_filter:cf.facts.tie_filter
+    ~policy:(fun u v a ->
+      let e = Graph.edge_index g u v in
+      if e < 0 then None else edge_policy cf e a)
+    g ~dest
 
 (* Which protocols an origin node announces into: BGP if it speaks BGP,
    OSPF if it has OSPF interfaces; a node with neither still announces
@@ -51,42 +233,27 @@ let origin_protocols (net : Device.network) origin =
   match ps with [] -> [ Multi.P_ebgp ] | ps -> ps
 
 let multi_srp (net : Device.network) ~dest ~dest_prefix =
-  let r = net.routers in
-  let ospf_enabled u v =
-    Option.is_some (Device.ospf_link_config r.(u) v)
-    && Option.is_some (Device.ospf_link_config r.(v) u)
-  in
-  let ospf_cost u v =
-    match Device.ospf_link_config r.(u) v with
-    | Some l -> l.Device.cost
-    | None -> 1
-  in
-  let ospf_area v = r.(v).Device.ospf_area in
-  let bgp_enabled u v =
-    Option.is_some (Device.bgp_neighbor_config r.(u) v)
-    && Option.is_some (Device.bgp_neighbor_config r.(v) u)
-  in
-  let ibgp u v =
-    match Device.bgp_neighbor_config r.(u) v with
-    | Some nb -> nb.Device.ibgp
-    | None -> false
-  in
-  let statics =
-    Array.to_list
-      (Array.mapi
-         (fun u ru ->
-           Device.static_next_hops ru ~dest:dest_prefix
-           |> List.map (fun nh -> (u, nh)))
-         r)
-    |> List.concat
-  in
-  let origin_protocols = origin_protocols net dest in
-  Multi.make ~ospf_cost ~ospf_area ~ospf_enabled ~bgp_enabled ~ibgp
-    ~bgp_policy:(bgp_policy net ~dest:dest_prefix)
-    ~static_routes:statics
-    ~redistribute:(fun v -> r.(v).Device.redistribute)
-    ~bgp_tie_filter:(matched_comms net)
-    ~origin_protocols net.graph ~dest
+  let cf = class_facts net ~dest:dest_prefix in
+  let f = cf.facts in
+  let g = net.graph in
+  let static_on = Array.make (Graph.n_edges g) false in
+  Array.iteri
+    (fun u ru ->
+      match ru.Device.static_routes with
+      | [] -> ()
+      | _ ->
+        List.iter
+          (fun v ->
+            let e = Graph.edge_index g u v in
+            if e < 0 then
+              invalid_arg "Multi.make: static route along a missing edge";
+            static_on.(e) <- true)
+          (Device.static_next_hops ru ~dest:dest_prefix))
+    net.routers;
+  Multi.of_edges ~bgp_tie_filter:f.tie_filter
+    ~origin_protocols:(origin_protocols net dest)
+    { f.multi with static_on; bgp_policy = edge_policy cf }
+    ~dest
 
 let prefs (net : Device.network) ~dest v =
   let lps =
@@ -150,16 +317,6 @@ module Sig_tbl = Hashtbl.Make (struct
     in
     (((((s.sig_import * 31) + s.sig_export) * 31) + ospf) * 8)
     + bit s.sig_ibgp 4 + bit s.sig_acl 2 + bit s.sig_static 1
-end)
-
-(* Route-map BDD memo: physical identity first (the map value seen
-   before), then structural equality for equal maps written out per
-   neighbor, under a hash deep enough to tell multi-clause maps apart. *)
-module Rm_memo = Hashtbl.Make (struct
-  type t = Route_map.t
-
-  let equal a b = a == b || a = b
-  let hash = Hashtbl.hash_param 100 200
 end)
 
 let edge_signatures ?universe ?rm_bdd (net : Device.network) ~dest =

@@ -10,10 +10,24 @@ val bgp_policy : Device.network -> dest:Prefix.t -> int -> int -> Bgp.policy
 (** [bgp_policy net ~dest u v] is the executable policy for routes received
     at [u] from [v]: [v]'s export route-map, then [u]'s import route-map,
     with the route dropped when BGP is not configured on both ends or when
-    [u]'s outbound ACL towards [v] denies the destination. *)
+    [u]'s outbound ACL towards [v] denies the destination.
+
+    Compiled, not interpreted: [bgp_policy net ~dest] specializes the
+    network's route maps and ACLs to [dest] (each distinct one once, on
+    first use), and [bgp_policy net ~dest u v] resolves the edge, so the
+    policy itself only reads arrays. Apply it partially when policies of
+    many edges are needed. A pair that is not an edge of [net.graph]
+    drops every route.
+
+    The destination-independent per-edge tables (sessions, OSPF links,
+    interned maps and ACLs) are built once per network and kept for the
+    two most recently used networks of each domain, recognized by
+    physical equality: a network must not be mutated after it is first
+    compiled. *)
 
 val bgp_srp : Device.network -> dest:int -> dest_prefix:Prefix.t -> Bgp.attr Srp.t
-(** Single-protocol eBGP network (the synthetic evaluation networks). *)
+(** Single-protocol eBGP network (the synthetic evaluation networks),
+    with the compiled {!bgp_policy}. *)
 
 val origin_protocols : Device.network -> int -> Multi.proto list
 (** The protocols node [origin] announces a destination into: eBGP if it
@@ -27,7 +41,11 @@ val multi_srp :
     interface configs, static routes covering the destination, and
     redistribution (paper §6). The destination originates into the
     protocols under which it is configured (BGP if it has any BGP
-    neighbor, OSPF if it has any OSPF interface). *)
+    neighbor, OSPF if it has any OSPF interface). Built by
+    {!Multi.of_edges} from the per-network tables (see {!bgp_policy})
+    plus this destination's static routes and compiled policies.
+    @raise Invalid_argument on a static route to a non-adjacent next
+    hop. *)
 
 val prefs : Device.network -> dest:Prefix.t -> int -> int list
 (** [prefs net ~dest v] — the paper's [prefs(v)] (§4.3): the set of BGP

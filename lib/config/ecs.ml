@@ -6,7 +6,7 @@ let trie_of_network net =
     (fun (p, v) ->
       Prefix_trie.update trie p (function
         | None -> [ v ]
-        | Some vs -> if List.mem v vs then vs else List.sort compare (v :: vs)))
+        | Some vs -> if List.mem v vs then vs else List.sort Int.compare (v :: vs)))
     (Device.originations net);
   trie
 
@@ -17,6 +17,19 @@ let compute net =
 
 let count net = List.length (compute net)
 
+(* Routers are visited in ascending order, each at most once, so the
+   origins come out sorted and duplicate-free, as [compute] gives them. *)
+let of_prefix (net : Device.network) p =
+  let origins = ref [] in
+  Array.iteri
+    (fun v (r : Device.router) ->
+      if List.exists (Prefix.equal p) r.Device.originated then
+        origins := v :: !origins)
+    net.Device.routers;
+  match !origins with
+  | [] -> None
+  | vs -> Some { ec_prefix = p; ec_origins = List.rev vs }
+
 let find net = function
   | None -> (
     match compute net with
@@ -24,9 +37,7 @@ let find net = function
     | [] -> failwith "network originates no destination prefixes")
   | Some p -> (
     let p = Prefix.of_string p in
-    match
-      List.find_opt (fun ec -> Prefix.equal ec.ec_prefix p) (compute net)
-    with
+    match of_prefix net p with
     | Some ec -> ec
     | None -> Format.kasprintf failwith "no destination class %a" Prefix.pp p)
 

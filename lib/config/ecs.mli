@@ -19,6 +19,11 @@ val compute : Device.network -> ec list
 
 val count : Device.network -> int
 
+val of_prefix : Device.network -> Prefix.t -> ec option
+(** The class of exactly this announced prefix (the member of {!compute}
+    with that prefix), found by scanning the originations without
+    building the trie; [None] when no router originates it. *)
+
 val find : Device.network -> string option -> ec
 (** The class of the given prefix (e.g. ["10.0.0.0/24"]), or the first
     class when none is given.

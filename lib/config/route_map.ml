@@ -14,9 +14,23 @@ type t = clause list
 let permit_all = [ { verdict = Permit; conds = []; actions = [] } ]
 let deny_all = []
 
+(* The evaluator allocates no closure per call: it runs once per BGP
+   transfer in the concrete solve. *)
+let rec has_any_comm a = function
+  | [] -> false
+  | c :: cs -> Bgp.has_comm c a || has_any_comm a cs
+
+let rec covers dest = function
+  | [] -> false
+  | p :: ps -> Prefix.subset dest p || covers dest ps
+
 let cond_holds ~dest a = function
-  | Match_community cs -> List.exists (fun c -> Bgp.has_comm c a) cs
-  | Match_prefix ps -> List.exists (fun p -> Prefix.subset dest p) ps
+  | Match_community cs -> has_any_comm a cs
+  | Match_prefix ps -> covers dest ps
+
+let rec all_hold ~dest a = function
+  | [] -> true
+  | c :: cs -> cond_holds ~dest a c && all_hold ~dest a cs
 
 let apply_action a = function
   | Set_local_pref lp -> { a with Bgp.lp }
@@ -24,17 +38,19 @@ let apply_action a = function
   | Delete_community c -> Bgp.del_comm c a
   | Set_med med -> { a with Bgp.med }
 
-let eval rm ~dest a =
-  let rec go = function
-    | [] -> None
-    | cl :: rest ->
-      if List.for_all (cond_holds ~dest a) cl.conds then
-        match cl.verdict with
-        | Deny -> None
-        | Permit -> Some (List.fold_left apply_action a cl.actions)
-      else go rest
-  in
-  go rm
+let rec apply_actions a = function
+  | [] -> a
+  | act :: rest -> apply_actions (apply_action a act) rest
+
+let rec eval rm ~dest a =
+  match rm with
+  | [] -> None
+  | cl :: rest ->
+    if all_hold ~dest a cl.conds then
+      match cl.verdict with
+      | Deny -> None
+      | Permit -> Some (apply_actions a cl.actions)
+    else eval rest ~dest a
 
 (* A prefix condition is static once the destination is fixed. *)
 let static_cond ~dest = function
@@ -58,6 +74,23 @@ let relevant rm ~dest =
       in
       if !keep then Some { cl with conds } else None)
     rm
+
+type compiled =
+  | Identity
+  | Drop
+  | Clauses of { rm : t; dest : Prefix.t }
+
+let compile rm ~dest =
+  match relevant rm ~dest with
+  | [] | { verdict = Deny; conds = []; _ } :: _ -> Drop
+  | { verdict = Permit; conds = []; actions = [] } :: _ -> Identity
+  | rm -> Clauses { rm; dest }
+
+let apply c a =
+  match c with
+  | Identity -> Some a
+  | Drop -> None
+  | Clauses { rm; dest } -> eval rm ~dest a
 
 let sort_uniq = List.sort_uniq Int.compare
 

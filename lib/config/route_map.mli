@@ -33,6 +33,26 @@ val eval : t -> dest:Prefix.t -> Bgp.attr -> Bgp.attr option
 (** [eval rm ~dest a] runs the route-map on advertisement [a] for a route
     to [dest]. [None] means filtered. *)
 
+(** {1 Per-destination compilation} *)
+
+type compiled =
+  | Identity  (** every route passes unchanged *)
+  | Drop  (** every route is filtered *)
+  | Clauses of { rm : t; dest : Prefix.t }
+      (** the {!relevant} clauses, evaluated by {!eval} *)
+(** A route-map specialized to one destination, so that the transfer
+    functions of a destination's SRP never re-resolve prefix conditions
+    and skip maps that cannot act. *)
+
+val compile : t -> dest:Prefix.t -> compiled
+(** [compile rm ~dest] applies {!relevant} once. A map whose first
+    remaining clause permits unconditionally with no action is
+    [Identity]; one with no remaining clause, or whose first remaining
+    clause denies unconditionally, is [Drop].
+    [apply (compile rm ~dest) a] equals [eval rm ~dest a] for every [a]. *)
+
+val apply : compiled -> Bgp.attr -> Bgp.attr option
+
 val local_prefs : t -> dest:Prefix.t -> int list
 (** Local-preference values that clauses reachable for this destination may
     assign (the ingredients of the paper's [prefs(v)], §4.3); sorted,

@@ -167,17 +167,20 @@ let erase_comms t (a : Bgp.attr) =
 let h_attr t ~fr (a : Bgp.attr) =
   { (erase_comms t a) with Bgp.path = List.map fr a.path }
 
-let bgp_srp ?loop_prevention t =
+(* The abstract policy is the representative concrete policy composed
+   with the attribute abstraction h: communities outside the BDD universe
+   (set but never matched anywhere) are erased, so abstract attributes are
+   exactly the h-images of concrete ones. *)
+let abstract_policy t =
   let repr = edge_repr_fun t in
-  (* The abstract policy is the representative concrete policy composed
-     with the attribute abstraction h: communities outside the BDD
-     universe (set but never matched anywhere) are erased, so abstract
-     attributes are exactly the h-images of concrete ones. *)
-  let policy a1 a2 =
+  let concrete = Compile.bgp_policy t.net ~dest:t.dest_prefix in
+  fun a1 a2 ->
     let u, v = repr a1 a2 in
-    let p = Compile.bgp_policy t.net ~dest:t.dest_prefix u v in
+    let p = concrete u v in
     fun a -> Option.map (erase_comms t) (p a)
-  in
+
+let bgp_srp ?loop_prevention t =
+  let policy = abstract_policy t in
   Bgp.make ?loop_prevention ~tie_filter:(Compile.matched_comms t.net) ~policy
     t.abs_graph ~dest:t.abs_dest
 
@@ -221,10 +224,7 @@ let multi_srp t =
     ~bgp_enabled:(fun a1 a2 -> Option.is_some (bgp_nb a1 a2))
     ~ibgp:(fun a1 a2 ->
       match bgp_nb a1 a2 with Some nb -> nb.Device.ibgp | None -> false)
-    ~bgp_policy:(fun a1 a2 ->
-      let u, v = repr a1 a2 in
-      let p = Compile.bgp_policy t.net ~dest:t.dest_prefix u v in
-      fun a -> Option.map (erase_comms t) (p a))
+    ~bgp_policy:(abstract_policy t)
     ~static_routes:!statics
     ~redistribute:(fun a -> r.(repr_of_abs t a).Device.redistribute)
     ~bgp_tie_filter:(Compile.matched_comms t.net)

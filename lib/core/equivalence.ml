@@ -188,7 +188,7 @@ let generic (type a) ~(abs_srp : a Srp.t) (t : Abstraction.t)
             err "no donor member for unassigned abstract copy %d" a
         end
       done;
-      let abs_sol = { Solution.srp = abs_srp; labels = abs_labels } in
+      let abs_sol = Solution.of_labels abs_srp abs_labels in
       (* 1. abstract labeling must be a stable solution *)
       List.iter
         (fun (node, why) ->

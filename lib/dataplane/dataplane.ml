@@ -46,55 +46,47 @@ let split_acl (net : Device.network) u prefix nhs =
     (fun v -> Acl.permits (Device.acl_for net.Device.routers.(u) v) prefix)
     nhs
 
+let class_fib (net : Device.network) (ec : Ecs.ec) (sol : 'a Solution.t) =
+  let n = Graph.n_nodes net.Device.graph in
+  let entries = ref [] in
+  for u = n - 1 downto 0 do
+    match Solution.fwd sol u with
+    | [] -> ()
+    | fwd ->
+      let permitted, dropped =
+        split_acl net u ec.Ecs.ec_prefix (List.map snd fwd)
+      in
+      entries :=
+        ( u,
+          {
+            e_prefix = ec.Ecs.ec_prefix;
+            e_next_hops = permitted;
+            e_acl_dropped = dropped;
+          } )
+        :: !entries
+  done;
+  {
+    cf_prefix = ec.Ecs.ec_prefix;
+    cf_origin = sol.Solution.srp.Srp.dest;
+    cf_entries = !entries;
+  }
+
 let compile_ec ?(protocol = `Bgp) ?budget (net : Device.network)
     (ec : Ecs.ec) =
   match ec.Ecs.ec_origins with
   | [ dest ] -> (
     Option.iter (fun b -> Budget.tick b ~phase:"dataplane") budget;
-    let build (type a) (sol : a Solution.t) =
-      let n = Graph.n_nodes net.Device.graph in
-      let entries = ref [] in
-      for u = n - 1 downto 0 do
-        match Solution.fwd sol u with
-        | [] -> ()
-        | fwd ->
-          let permitted, dropped =
-            split_acl net u ec.Ecs.ec_prefix (List.map snd fwd)
-          in
-          entries :=
-            ( u,
-              {
-                e_prefix = ec.Ecs.ec_prefix;
-                e_next_hops = permitted;
-                e_acl_dropped = dropped;
-              } )
-            :: !entries
-      done;
-      `Compiled
-        {
-          cf_prefix = ec.Ecs.ec_prefix;
-          cf_origin = dest;
-          cf_entries = !entries;
-        }
+    let solved = function
+      | Ok (sol, _) -> `Compiled (class_fib net ec sol)
+      | Error (`Budget ((info : Budget.info), _)) ->
+        raise (Budget.Exhausted info)
+      | Error (`Diverged _) -> `Unsolved
     in
-    let budget_stop (info : Budget.info) = raise (Budget.Exhausted info) in
+    let dest_prefix = ec.Ecs.ec_prefix in
     match protocol with
-    | `Bgp -> (
-      match
-        Solver.solve ?budget
-          (Compile.bgp_srp net ~dest ~dest_prefix:ec.Ecs.ec_prefix)
-      with
-      | Ok (sol, _) -> build sol
-      | Error (`Budget (info, _)) -> budget_stop info
-      | Error (`Diverged _) -> `Unsolved)
-    | `Multi -> (
-      match
-        Solver.solve ?budget
-          (Compile.multi_srp net ~dest ~dest_prefix:ec.Ecs.ec_prefix)
-      with
-      | Ok (sol, _) -> build sol
-      | Error (`Budget (info, _)) -> budget_stop info
-      | Error (`Diverged _) -> `Unsolved))
+    | `Bgp -> solved (Solver.solve ?budget (Compile.bgp_srp net ~dest ~dest_prefix))
+    | `Multi ->
+      solved (Solver.solve ?budget (Compile.multi_srp net ~dest ~dest_prefix)))
   | _ -> `Anycast
 
 let of_network ?(protocol = `Bgp) ?budget (net : Device.network) =
@@ -187,8 +179,7 @@ let n_entries t = t.entries
 let ecs_solved t = t.ecs
 let unknown_classes t = t.unknown
 
-let ec_of_prefix t p =
-  List.find_opt (fun ec -> Prefix.equal ec.Ecs.ec_prefix p) (Ecs.compute t.net)
+let ec_of_prefix t p = Ecs.of_prefix t.net p
 
 let ranges_of_prefix t p =
   match ec_of_prefix t p with

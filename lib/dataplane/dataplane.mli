@@ -58,6 +58,12 @@ val compile_ec :
     per call and raises [Budget.Exhausted] (for the caller to convert)
     when the allowance runs out mid-solve. *)
 
+val class_fib : Device.network -> Ecs.ec -> 'a Solution.t -> class_fib
+(** The class FIB of a solved class: each router's {!Solution.fwd} with
+    the outbound ACLs folded in. It evaluates no transfer when the
+    solution carries its forwarding table, as {!Solver.solve}'s do.
+    {!compile_ec} is [Solver.solve] followed by this. *)
+
 val of_network :
   ?protocol:[ `Bgp | `Multi ] ->
   ?budget:Budget.t ->

@@ -67,10 +67,13 @@ let outcome_flags ~lookup ~dest ~n =
   in
   go
 
-let lookup_of_class (cf : Dataplane.class_fib) u =
-  match List.assoc_opt u cf.cf_entries with
-  | Some e -> e.Dataplane.e_next_hops
-  | None -> []
+(* The class FIB indexed by router once, so each lookup is O(1). *)
+let lookup_of_class ~n (cf : Dataplane.class_fib) =
+  let hops = Array.make n [] in
+  List.iter
+    (fun (u, (e : Dataplane.entry)) -> hops.(u) <- e.Dataplane.e_next_hops)
+    cf.Dataplane.cf_entries;
+  fun u -> hops.(u)
 
 (* The abstract class FIB: solve the abstract SRP and fold the ACLs of
    representative concrete edges into the abstract next hops (sound
@@ -118,7 +121,9 @@ let check_class ~protocol ?budget (net : Device.network)
     | `Anycast -> `Ok 0
     | `Unsolved -> `Unknown
     | `Compiled cf -> (
-      let concrete_lookup = lookup_of_class cf in
+      let concrete_lookup =
+        lookup_of_class ~n:(Graph.n_nodes net.Device.graph) cf
+      in
       let abs_lookup =
         match abstract_lookup ~protocol ?budget t with
         | `Solved l -> l

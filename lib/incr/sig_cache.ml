@@ -27,12 +27,15 @@ let create ?(max_entries = max_int) ?universe net =
 
 let universe t = t.sc_universe
 
-(* Everything that determines the variable layout; [man] excluded. *)
-let fingerprint (u : Policy_bdd.universe) =
-  (u.comms, u.lps, u.meds, u.lp_bits, u.med_bits, u.width)
-
+(* The parameters determine the whole variable layout (bit widths
+   included), so comparing them needs no fresh BDD manager. *)
 let compatible t net =
-  fingerprint t.sc_universe = fingerprint (Policy_bdd.universe_of_network net)
+  let p = Policy_bdd.params_of_universe t.sc_universe
+  and q = Policy_bdd.universe_params net in
+  let same a b = Array.length a = Array.length b && Array.for_all2 Int.equal a b in
+  same p.Policy_bdd.up_comms q.Policy_bdd.up_comms
+  && same p.Policy_bdd.up_lps q.Policy_bdd.up_lps
+  && same p.Policy_bdd.up_meds q.Policy_bdd.up_meds
 
 let touch t e =
   t.sc_clock <- t.sc_clock + 1;

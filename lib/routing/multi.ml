@@ -93,103 +93,156 @@ let pp ppf a =
     (String.concat "; " !parts)
     (proto_name (selected a))
 
-let make ?(ospf_cost = fun _ _ -> 1) ?(ospf_area = fun _ -> 0)
-    ?(ospf_enabled = fun _ _ -> true) ?(bgp_enabled = fun _ _ -> true)
-    ?(ibgp = fun _ _ -> false) ?(bgp_policy = fun _ _ a -> Some a)
-    ?(static_routes = []) ?(redistribute = fun _ -> [])
-    ?(bgp_tie_filter = fun _ -> true)
-    ?(origin_protocols = [ P_ospf; P_ebgp ]) graph ~dest =
-  let static_set = Hashtbl.create 16 in
-  List.iter
-    (fun (u, v) ->
-      if not (Graph.has_edge graph u v) then
-        invalid_arg "Multi.make: static route along a missing edge";
-      Hashtbl.replace static_set (u, v) ())
-    static_routes;
-  let originates p = List.exists (proto_equal p) origin_protocols in
-  let init =
-    {
-      static_ = originates P_static;
-      ospf =
-        (if originates P_ospf then Some { Ospf.cost = 0; inter_area = false }
-         else None);
-      bgp =
-        (if originates P_ebgp then Some { battr = Bgp.init; via_ibgp = false }
-         else None);
-    }
-  in
-  let trans u v a =
-    let static' = Hashtbl.mem static_set (u, v) in
-    (* Redistribution into OSPF at the advertising node [v]: if [v] holds a
-       BGP route but no OSPF route, it may originate one. *)
-    let ospf_raw = Option.bind a (fun x -> x.ospf) in
-    let ospf_in =
-      match ospf_raw with
-      | Some o -> Some o
-      | None ->
-        if
-          List.exists (redistribution_equal Bgp_into_ospf) (redistribute v)
-          && Option.is_some (Option.bind a (fun x -> x.bgp))
-        then Some { Ospf.cost = 0; inter_area = false }
-        else None
+type edges = {
+  graph : Graph.t;
+  ospf_on : bool array;
+  ospf_cost : int array;
+  bgp_on : bool array;
+  ibgp : bool array;
+  static_on : bool array;
+  bgp_policy : int -> Bgp.attr -> Bgp.attr option;
+  area : int array;
+  bgp_into_ospf : bool array;
+  ospf_into_bgp : bool array;
+  static_into_bgp : bool array;
+}
+
+let no_ospf = { Ospf.cost = 0; inter_area = false }
+let fresh_bgp = { battr = Bgp.init; via_ibgp = false }
+
+(* The transfer kernel: one edge-index search, then array reads by edge
+   id and node; a pair that is not an edge of [t.graph] carries nothing. *)
+let transfer t u v a =
+  let e = Graph.edge_index t.graph u v in
+  if e < 0 then None
+  else
+    let static' = t.static_on.(e) in
+    let ospf_raw, bgp_raw, have_static =
+      match a with
+      | None -> (None, None, false)
+      | Some x -> (x.ospf, x.bgp, x.static_)
     in
+    (* Redistribution into OSPF at the advertising node [v]: if [v] holds
+       a BGP route but no OSPF route, it may originate one. *)
     let ospf' =
-      match ospf_in with
-      | Some o when ospf_enabled u v ->
-        Some
-          {
-            Ospf.cost = o.Ospf.cost + ospf_cost u v;
-            inter_area =
-              o.Ospf.inter_area
-              || not (Int.equal (ospf_area u) (ospf_area v));
-          }
-      | _ -> None
+      if not t.ospf_on.(e) then None
+      else
+        let ospf_in =
+          match ospf_raw with
+          | Some _ -> ospf_raw
+          | None ->
+            if t.bgp_into_ospf.(v) && Option.is_some bgp_raw then Some no_ospf
+            else None
+        in
+        match ospf_in with
+        | None -> None
+        | Some o ->
+          Some
+            {
+              Ospf.cost = o.Ospf.cost + t.ospf_cost.(e);
+              inter_area =
+                o.Ospf.inter_area || not (Int.equal t.area.(u) t.area.(v));
+            }
     in
     (* Redistribution happens at the advertising node [v]: if [v] has no
        BGP route but holds a redistributable one, it originates a fresh
        BGP announcement. *)
-    let bgp_at_v =
-      match Option.bind a (fun x -> x.bgp) with
-      | Some b -> Some b
-      | None ->
-        let rs = redistribute v in
-        let have_ospf = Option.is_some ospf_raw in
-        let have_static = match a with Some x -> x.static_ | None -> false in
-        if
-          (List.exists (redistribution_equal Ospf_into_bgp) rs && have_ospf)
-          || List.exists (redistribution_equal Static_into_bgp) rs
-             && have_static
-        then Some { battr = Bgp.init; via_ibgp = false }
-        else None
-    in
     let bgp' =
-      match bgp_at_v with
-      | Some b when bgp_enabled u v ->
-        if ibgp u v then
-          if b.via_ibgp then None (* no re-advertisement over iBGP *)
+      if not t.bgp_on.(e) then None
+      else
+        let bgp_at_v =
+          match bgp_raw with
+          | Some _ -> bgp_raw
+          | None ->
+            if
+              (t.ospf_into_bgp.(v) && Option.is_some ospf_raw)
+              || (t.static_into_bgp.(v) && have_static)
+            then Some fresh_bgp
+            else None
+        in
+        match bgp_at_v with
+        | None -> None
+        | Some b ->
+          if t.ibgp.(e) then
+            if b.via_ibgp then None (* no re-advertisement over iBGP *)
+            else
+              match t.bgp_policy e b.battr with
+              | None -> None
+              | Some battr -> Some { battr; via_ibgp = true }
           else
-            Option.map
-              (fun battr -> { battr; via_ibgp = true })
-              (bgp_policy u v b.battr)
-        else
-          let path = v :: b.battr.Bgp.path in
-          if List.exists (Int.equal u) path then None
-          else
-            Option.map
-              (fun battr -> { battr; via_ibgp = false })
-              (bgp_policy u v { b.battr with Bgp.path })
-      | _ -> None
+            let path = v :: b.battr.Bgp.path in
+            if List.exists (Int.equal u) path then None
+            else
+              match t.bgp_policy e { b.battr with Bgp.path } with
+              | None -> None
+              | Some battr -> Some { battr; via_ibgp = false }
     in
     if static' || Option.is_some ospf' || Option.is_some bgp' then
       Some { static_ = static'; ospf = ospf'; bgp = bgp' }
     else None
+
+let of_edges ?(bgp_tie_filter = fun _ -> true)
+    ?(origin_protocols = [ P_ospf; P_ebgp ]) t ~dest =
+  let originates p = List.exists (proto_equal p) origin_protocols in
+  let init =
+    {
+      static_ = originates P_static;
+      ospf = (if originates P_ospf then Some no_ospf else None);
+      bgp = (if originates P_ebgp then Some fresh_bgp else None);
+    }
   in
   {
-    Srp.graph;
+    Srp.graph = t.graph;
     dest;
     init;
     compare = compare_with ~tie_filter:bgp_tie_filter;
-    trans;
+    trans = transfer t;
     attr_equal = equal;
     pp_attr = pp;
   }
+
+let make ?(ospf_cost = fun _ _ -> 1) ?(ospf_area = fun _ -> 0)
+    ?(ospf_enabled = fun _ _ -> true) ?(bgp_enabled = fun _ _ -> true)
+    ?(ibgp = fun _ _ -> false) ?(bgp_policy = fun _ _ a -> Some a)
+    ?(static_routes = []) ?(redistribute = fun _ -> [])
+    ?bgp_tie_filter ?origin_protocols graph ~dest =
+  let n = Graph.n_nodes graph and m = Graph.n_edges graph in
+  let ospf_on = Array.make m false and ospf_cost' = Array.make m 0 in
+  let bgp_on = Array.make m false and ibgp' = Array.make m false in
+  let policies = Array.make m (fun _ -> None) in
+  (* each closure is evaluated once per edge, where the transfer would
+     consult it *)
+  Graph.iter_edges graph (fun u v ->
+      let e = Graph.edge_index graph u v in
+      if ospf_enabled u v then begin
+        ospf_on.(e) <- true;
+        ospf_cost'.(e) <- ospf_cost u v
+      end;
+      if bgp_enabled u v then begin
+        bgp_on.(e) <- true;
+        ibgp'.(e) <- ibgp u v;
+        policies.(e) <- bgp_policy u v
+      end);
+  let static_on = Array.make m false in
+  List.iter
+    (fun (u, v) ->
+      let e = Graph.edge_index graph u v in
+      if e < 0 then invalid_arg "Multi.make: static route along a missing edge";
+      static_on.(e) <- true)
+    static_routes;
+  let redistributes r = Array.init n (fun v -> List.exists (redistribution_equal r) (redistribute v)) in
+  of_edges ?bgp_tie_filter ?origin_protocols
+    {
+      graph;
+      ospf_on;
+      ospf_cost = ospf_cost';
+      bgp_on;
+      ibgp = ibgp';
+      static_on;
+      bgp_policy = (fun e a -> policies.(e) a);
+      area = Array.init n ospf_area;
+      bgp_into_ospf = redistributes Bgp_into_ospf;
+      ospf_into_bgp = redistributes Ospf_into_bgp;
+      static_into_bgp = redistributes Static_into_bgp;
+    }
+    ~dest

@@ -47,6 +47,35 @@ type redistribution = Ospf_into_bgp | Static_into_bgp | Bgp_into_ospf
 
 val redistribution_equal : redistribution -> redistribution -> bool
 
+type edges = {
+  graph : Graph.t;  (** the topology the tables are indexed by *)
+  ospf_on : bool array;  (** edge id -> OSPF adjacency on the edge *)
+  ospf_cost : int array;  (** edge id -> receiver-side cost, where [ospf_on] *)
+  bgp_on : bool array;  (** edge id -> BGP session on the edge *)
+  ibgp : bool array;  (** edge id -> the session is iBGP, where [bgp_on] *)
+  static_on : bool array;
+      (** edge id -> the receiver routes the destination statically via
+          the sender *)
+  bgp_policy : int -> Bgp.attr -> Bgp.attr option;
+      (** edge id -> the session's policy, where [bgp_on] *)
+  area : int array;  (** node -> OSPF area *)
+  bgp_into_ospf : bool array;  (** node -> redistributes BGP into OSPF *)
+  ospf_into_bgp : bool array;
+  static_into_bgp : bool array;
+}
+(** One destination's multi-protocol configuration as arrays indexed by
+    {!Graph.edge_index} of [graph] (receiver first) and by node. *)
+
+val of_edges :
+  ?bgp_tie_filter:(int -> bool) ->
+  ?origin_protocols:proto list ->
+  edges ->
+  dest:int ->
+  attr Srp.t
+(** The SRP over [graph]. Its transfer reads the tables only; it is
+    defined on the edges of [graph] (and of any subgraph on the same
+    nodes, such as a failure scenario's) and drops on any other pair. *)
+
 val make :
   ?ospf_cost:(int -> int -> int) ->
   ?ospf_area:(int -> int) ->
@@ -64,6 +93,9 @@ val make :
 (** Per-edge predicates receive [(u, v)] with [u] the receiving node.
     [ospf_enabled]/[bgp_enabled] default to all edges; [ibgp] to none;
     [bgp_policy] to accept-unchanged; [origin_protocols] (which protocols
-    the destination originates into) defaults to OSPF and eBGP. *)
+    the destination originates into) defaults to OSPF and eBGP. Each
+    per-edge closure is evaluated once per edge of the graph (the
+    per-node ones once per node), and the result is {!of_edges} of those
+    tables. *)
 
 val pp : Format.formatter -> attr -> unit

@@ -1,4 +1,13 @@
-type 'a t = { srp : 'a Srp.t; labels : 'a option array }
+type 'a t = {
+  srp : 'a Srp.t;
+  labels : 'a option array;
+  fwd_table : (int * int) list array option;
+}
+
+let of_labels srp labels = { srp; labels; fwd_table = None }
+
+let with_forwarding srp labels table =
+  { srp; labels; fwd_table = Some table }
 
 let label s u = s.labels.(u)
 
@@ -53,12 +62,15 @@ let stability_violations s =
 let is_stable s = stability_violations s = []
 
 let fwd s u =
-  match s.labels.(u) with
-  | None -> []
-  | Some a ->
-    choices s u
-    |> List.filter_map (fun (e, c) ->
-           if s.srp.Srp.compare c a = 0 then Some e else None)
+  match s.fwd_table with
+  | Some table -> table.(u)
+  | None -> (
+    match s.labels.(u) with
+    | None -> []
+    | Some a ->
+      choices s u
+      |> List.filter_map (fun (e, c) ->
+             if s.srp.Srp.compare c a = 0 then Some e else None))
 
 let fwd_edges s =
   let n = Graph.n_nodes s.srp.Srp.graph in
@@ -66,7 +78,10 @@ let fwd_edges s =
   for u = n - 1 downto 0 do
     acc := fwd s u @ !acc
   done;
-  List.sort compare !acc
+  List.sort
+    (fun (u, v) (u', v') ->
+      match Int.compare u u' with 0 -> Int.compare v v' | c -> c)
+    !acc
 
 let forwarding_paths s ~src ~max_len =
   let dest = s.srp.Srp.dest in

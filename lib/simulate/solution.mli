@@ -1,7 +1,25 @@
 (** SRP solutions: labelings [L : V -> A⊥] and the forwarding relation they
     induce (paper §3.1, Figure 4). *)
 
-type 'a t = { srp : 'a Srp.t; labels : 'a option array }
+type 'a t = private {
+  srp : 'a Srp.t;
+  labels : 'a option array;
+  fwd_table : (int * int) list array option;
+      (** [fwd] of every node, when the producer computed it alongside the
+          labeling (the solver's final sweep); [None]: derived on demand *)
+}
+(** The labels must not be mutated once a solution carries a forwarding
+    table. *)
+
+val of_labels : 'a Srp.t -> 'a option array -> 'a t
+(** A labeling whose forwarding relation {!fwd} derives from the
+    transfer functions on demand. Checkers build their solutions this
+    way, so nothing they verify is taken from the solver. *)
+
+val with_forwarding :
+  'a Srp.t -> 'a option array -> (int * int) list array -> 'a t
+(** A labeling with its forwarding table precomputed: entry [u] must be
+    exactly what {!fwd} derives for [u] (see {!Solver.solve}). *)
 
 val label : 'a t -> int -> 'a option
 
@@ -25,8 +43,9 @@ val stability_violations : 'a t -> (int * string) list
 
 val fwd : 'a t -> int -> (int * int) list
 (** [fwd s u] — the paper's [fwd_L(u)]: edges whose attribute is as good
-    ([≈]) as the chosen label. Empty for the destination and for
-    unreachable nodes. *)
+    ([≈]) as the chosen label, in [Graph.succ] order. Empty for
+    unreachable nodes. Read from the forwarding table when the solution
+    carries one, with no transfer evaluated. *)
 
 val fwd_edges : 'a t -> (int * int) list
 (** All forwarding edges, sorted. *)

@@ -1,4 +1,4 @@
-type stats = { steps : int; updates : int }
+type stats = { steps : int; updates : int; transfers : int }
 
 type cycle = { period : int; participants : int list }
 
@@ -99,6 +99,49 @@ let diagnose (srp : 'a Srp.t) (labels : 'a option array) ~rounds =
   done;
   match !result with Some v -> v | None -> Inconclusive !r
 
+(* The post-drain sweep: every node's successors once, in [Graph.succ]
+   order. From the same choices it decides local stability (exactly
+   [Solution.node_violation]'s predicate) and collects the forwarding
+   edges (exactly [Solution.fwd], in the same order), so neither is
+   re-derived from the transfer functions later. *)
+let sweep (srp : 'a Srp.t) (labels : 'a option array) =
+  let g = srp.Srp.graph in
+  let n = Graph.n_nodes g in
+  let table = Array.make n [] in
+  let stable = ref true in
+  for u = 0 to n - 1 do
+    let label = labels.(u) in
+    let has_choice = ref false and offered = ref false
+    and better = ref false and fwd = ref [] in
+    Array.iter
+      (fun v ->
+        match srp.Srp.trans u v labels.(v) with
+        | None -> ()
+        | Some c -> (
+          has_choice := true;
+          match label with
+          | None -> ()
+          | Some a ->
+            if srp.Srp.attr_equal c a then offered := true;
+            let k = srp.Srp.compare c a in
+            if k < 0 then better := true
+            else if k = 0 then fwd := (u, v) :: !fwd))
+      (Graph.succ g u);
+    (match label with Some _ -> table.(u) <- List.rev !fwd | None -> ());
+    let ok =
+      if u = srp.Srp.dest then
+        match label with
+        | Some a -> srp.Srp.attr_equal a srp.Srp.init
+        | None -> false
+      else
+        match label with
+        | None -> not !has_choice
+        | Some _ -> !offered && not !better
+    in
+    if not ok then stable := false
+  done;
+  (!stable, table)
+
 let solve ?(seed = 0) ?max_steps ?(budget = Budget.infinite)
     ?(diag_rounds = 64) (srp : 'a Srp.t) =
   let g = srp.Srp.graph in
@@ -114,6 +157,16 @@ let solve ?(seed = 0) ?max_steps ?(budget = Budget.infinite)
   let rng = Random.State.make [| seed; 0x50f7 |] in
   let labels : 'a option array = Array.make n None in
   if n > 0 then labels.(srp.Srp.dest) <- Some srp.Srp.init;
+  let transfers = ref 0 in
+  let counted =
+    {
+      srp with
+      Srp.trans =
+        (fun u v l ->
+          incr transfers;
+          srp.Srp.trans u v l);
+    }
+  in
   (* Per-node neighbor order decides tie-breaking among equally good
      choices; a seeded shuffle explores different stable solutions. *)
   let nbr_order =
@@ -126,7 +179,7 @@ let solve ?(seed = 0) ?max_steps ?(budget = Budget.infinite)
     let best = ref None in
     Array.iter
       (fun v ->
-        match srp.Srp.trans u v labels.(v) with
+        match counted.Srp.trans u v labels.(v) with
         | None -> ()
         | Some a -> (
           match !best with
@@ -173,12 +226,16 @@ let solve ?(seed = 0) ?max_steps ?(budget = Budget.infinite)
      done
    with Budget.Exhausted info -> interrupted := Some info);
   let steps = Budget.ticks step_budget in
-  let sol = { Solution.srp; labels } in
   match !interrupted with
-  | Some info -> Error (`Budget (info, sol))
+  | Some info -> Error (`Budget (info, Solution.of_labels srp labels))
   | None ->
-    if !budget_ok && Solution.is_stable sol then
-      Ok (sol, { steps; updates = !updates })
+    let stable, table =
+      if !budget_ok then sweep counted labels else (false, [||])
+    in
+    if stable then
+      Ok
+        ( Solution.with_forwarding srp labels table,
+          { steps; updates = !updates; transfers = !transfers } )
     else begin
       let diag_trace = List.of_seq (Queue.to_seq trace) in
       (* diagnosis mutates a copy; [diag_sol] is the post-sweep labeling *)
@@ -187,7 +244,7 @@ let solve ?(seed = 0) ?max_steps ?(budget = Budget.infinite)
       Error
         (`Diverged
           {
-            diag_sol = { Solution.srp; labels = labels' };
+            diag_sol = Solution.of_labels srp labels';
             diag_steps = steps;
             diag_trace;
             diag_verdict;
@@ -277,7 +334,7 @@ let enumerate_solutions ?(max_nodes = 12) (srp : 'a Srp.t) =
     match labels_of_choice () with
     | None -> ()
     | Some labels ->
-      let sol = { Solution.srp; labels } in
+      let sol = Solution.of_labels srp labels in
       if
         Solution.is_stable sol
         && not (List.exists (Solution.equal_labels sol) !found)

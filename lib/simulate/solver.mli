@@ -17,7 +17,13 @@
     budget was simply too small), or gives up after a bounded number of
     rounds ("inconclusive"). [solve] never raises on divergence. *)
 
-type stats = { steps : int; updates : int }
+type stats = {
+  steps : int;  (** node activations *)
+  updates : int;  (** label changes *)
+  transfers : int;
+      (** transfer-function evaluations: [|succ u|] per activation of [u],
+          plus exactly [Graph.n_edges] for the final stability sweep *)
+}
 
 type cycle = {
   period : int;  (** sweeps until the label vector repeats *)
@@ -61,7 +67,18 @@ val solve :
     ticks / cancellation, shared across a whole pipeline run) is consumed
     one tick per activation; its exhaustion instead returns [`Budget] with
     the exhaustion info and the partial (unstable) labeling reached so
-    far. [solve] never raises. *)
+    far. [solve] never raises.
+
+    When the worklist drains, one sweep visits every node's successors
+    once (in [Graph.succ] order) and decides stability exactly as
+    {!Solution.is_stable} would, while collecting every node's
+    {!Solution.fwd}: a returned solution carries its forwarding table, so
+    reading it evaluates no transfer. *)
+
+val sweep : 'a Srp.t -> 'a option array -> bool * (int * int) list array
+(** The final sweep of {!solve} on any labeling: [Graph.n_edges]
+    transfers decide {!Solution.is_stable} and give every node's
+    {!Solution.fwd}. *)
 
 val solve_exn :
   ?seed:int -> ?max_steps:int -> ?budget:Budget.t -> ?diag_rounds:int ->

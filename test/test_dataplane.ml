@@ -413,6 +413,333 @@ let prop_corruption_refuted =
         | Dp_bisim.Refuted _ -> true
         | _ -> false))
 
+(* --- compiled transfers: the interpreting oracle agrees ----------------- *)
+
+(* [Synthesis.random_network] dressed with everything the compiled
+   transfer resolves per edge: prefix-matching and community-rewriting
+   route maps, one-sided and iBGP sessions, outbound ACLs, OSPF links with
+   costs and areas, static routes (longest match and ECMP) and
+   redistribution. A second class is originated so prefix conditions and
+   ACL rules decide differently per class. *)
+let decorated_network ~n ~seed =
+  let base = Synthesis.random_network ~n ~seed in
+  let g = base.Device.graph in
+  let rng = Random.State.make [| seed; 0x7a11 |] in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let chance k = Random.State.int rng k = 0 in
+  let p0 = Synthesis.prefix_of_index 0 and p1 = Synthesis.prefix_of_index 1 in
+  let space = p_of "10.0.0.0/8" in
+  let open Route_map in
+  let extra_maps : Route_map.t option array =
+    [|
+      Some
+        [
+          { verdict = Deny; conds = [ Match_prefix [ p1 ] ]; actions = [] };
+          { verdict = Permit; conds = []; actions = [ Set_med 3 ] };
+        ];
+      Some
+        [
+          {
+            verdict = Permit;
+            conds = [ Match_prefix [ space ]; Match_community [ 1; 3 ] ];
+            actions = [ Set_local_pref 150; Add_community 3 ];
+          };
+          { verdict = Permit; conds = []; actions = [] };
+        ];
+      Some [ { verdict = Permit; conds = []; actions = [] } ];
+      Some [];
+      Some
+        [
+          { verdict = Permit; conds = [ Match_prefix [ p0 ] ]; actions = [] };
+          { verdict = Deny; conds = []; actions = [] };
+        ];
+    |]
+  in
+  let acls : Acl.t array =
+    [|
+      [ { Acl.permit = false; prefix = p1 }; { Acl.permit = true; prefix = space } ];
+      [ { Acl.permit = true; prefix = p0 } ];
+      [ { Acl.permit = false; prefix = space } ];
+    |]
+  in
+  let origin1 = 1 + Random.State.int rng (n - 1) in
+  let routers =
+    Array.mapi
+      (fun v (r : Device.router) ->
+        let nbrs = Array.to_list (Graph.succ g v) in
+        let bgp_neighbors =
+          List.filter_map
+            (fun (u, (nb : Device.bgp_neighbor)) ->
+              if chance 8 then None
+              else
+                let nb =
+                  if chance 3 then
+                    { nb with Device.import_rm = pick extra_maps }
+                  else nb
+                in
+                let nb =
+                  if chance 4 then
+                    { nb with Device.export_rm = pick extra_maps }
+                  else nb
+                in
+                Some (u, { nb with Device.ibgp = chance 5 }))
+            r.Device.bgp_neighbors
+        in
+        let ospf_links =
+          List.filter_map
+            (fun u ->
+              if chance 3 then None
+              else Some (u, { Device.cost = 1 + Random.State.int rng 4; area = 0 }))
+            nbrs
+        in
+        let acl_out =
+          List.filter_map
+            (fun u -> if chance 4 then Some (u, pick acls) else None)
+            nbrs
+        in
+        let static_routes =
+          List.concat_map
+            (fun u ->
+              if chance 5 then [ (pick [| p0; p1; space |], u) ] else [])
+            nbrs
+        in
+        let redistribute =
+          List.filter
+            (fun _ -> chance 4)
+            [ Multi.Ospf_into_bgp; Multi.Static_into_bgp; Multi.Bgp_into_ospf ]
+        in
+        {
+          r with
+          Device.bgp_neighbors;
+          ospf_links;
+          ospf_area = Random.State.int rng 2;
+          acl_out;
+          static_routes;
+          redistribute;
+          originated =
+            (if v = origin1 then p1 :: r.Device.originated
+             else r.Device.originated);
+        })
+      base.Device.routers
+  in
+  { base with Device.routers }
+
+let random_bgp_attr rng ~n =
+  let comms = List.filter (fun _ -> Random.State.bool rng) [ 1; 2; 3 ] in
+  {
+    Bgp.lp = [| 50; 100; 200 |].(Random.State.int rng 3);
+    med = Random.State.int rng 4;
+    comms;
+    path = List.init (Random.State.int rng 4) (fun _ -> Random.State.int rng n);
+  }
+
+let random_multi_attr rng ~n =
+  let ospf =
+    if Random.State.bool rng then
+      Some { Ospf.cost = Random.State.int rng 10; inter_area = Random.State.bool rng }
+    else None
+  in
+  let bgp =
+    if Random.State.bool rng then
+      Some
+        { Multi.battr = random_bgp_attr rng ~n; via_ibgp = Random.State.bool rng }
+    else None
+  in
+  { Multi.static_ = Random.State.bool rng || (ospf = None && bgp = None); ospf; bgp }
+
+(* Both transfers on every directed edge, for [None] and for random
+   attributes; the first disagreement is reported. *)
+let agree ~what ~equal (compiled : 'a Srp.t) (interp : 'a Srp.t) attrs =
+  let mismatch = ref None in
+  Graph.iter_edges compiled.Srp.graph (fun u v ->
+      List.iter
+        (fun a ->
+          let c = compiled.Srp.trans u v a and i = interp.Srp.trans u v a in
+          if !mismatch = None && not (Option.equal equal c i) then
+            mismatch :=
+              Some
+                (Format.asprintf "%s: edge (%d,%d) on %a: compiled %a, interpreted %a"
+                   what u v (Srp.pp_label compiled) a (Srp.pp_label compiled) c
+                   (Srp.pp_label compiled) i))
+        (None :: attrs));
+  !mismatch
+
+(* The solver's fused sweep against the interpreting Solution checks on
+   one labeling: the verdict equals [Solution.is_stable] and every node's
+   forwarding edges equal [Solution.fwd]. *)
+let sweep_agrees (srp : 'a Srp.t) labels =
+  let stable, table = Solver.sweep srp labels in
+  let derived = Solution.of_labels srp labels in
+  Bool.equal stable (Solution.is_stable derived)
+  && Array.for_all Fun.id
+       (Array.mapi
+          (fun u fwd -> List.equal ( = ) fwd (Solution.fwd derived u))
+          table)
+
+let solved_agrees (srp : 'a Srp.t) ~seed =
+  match Solver.solve ~seed srp with
+  | Ok (sol, _) ->
+    let derived = Solution.of_labels srp sol.Solution.labels in
+    Solution.is_stable derived
+    && List.for_all
+         (fun u -> List.equal ( = ) (Solution.fwd sol u) (Solution.fwd derived u))
+         (List.init (Graph.n_nodes srp.Srp.graph) Fun.id)
+  | Error _ -> true
+
+(* A labeling with a few entries moved: set to [None] or to another
+   node's label, so the sweep also meets unstable labelings. *)
+let perturbed rng (labels : 'a option array) =
+  let l = Array.copy labels in
+  let n = Array.length l in
+  for _ = 1 to 1 + Random.State.int rng 3 do
+    let u = Random.State.int rng n in
+    l.(u) <- (if Random.State.bool rng then None else l.(Random.State.int rng n))
+  done;
+  l
+
+let check_class ~what ~equal ~random_attr rng compiled interp =
+  let n = Graph.n_nodes compiled.Srp.graph in
+  let attrs = List.init 6 (fun _ -> Some (random_attr rng ~n)) in
+  match agree ~what ~equal compiled interp attrs with
+  | Some m -> Error m
+  | None -> (
+    match (Solver.solve compiled, Solver.solve interp) with
+    | Ok (s, st), Ok (s', st') ->
+      if not (Solution.equal_labels s s') then
+        Error (what ^ ": solutions differ")
+      else if
+        st.Solver.steps <> st'.Solver.steps
+        || st.Solver.updates <> st'.Solver.updates
+      then Error (what ^ ": solver work differs")
+      else if
+        not
+          (solved_agrees compiled ~seed:0
+          && solved_agrees compiled ~seed:(1 + Random.State.int rng 1000))
+      then Error (what ^ ": fused forwarding table differs from Solution.fwd")
+      else if
+        not
+          (List.for_all
+             (fun _ -> sweep_agrees compiled (perturbed rng s.Solution.labels))
+             [ 1; 2; 3 ])
+      then Error (what ^ ": fused stability verdict differs from is_stable")
+      else Ok ()
+    | Error _, Error _ -> Ok ()
+    | _ -> Error (what ^ ": one side diverged"))
+
+let prop_compiled_transfers =
+  QCheck.Test.make ~count:fuzz_count
+    ~name:"compiled transfers = interpreted (bgp and multi)"
+    QCheck.(int_range 0 100000)
+    (fun seed ->
+      let net = decorated_network ~n:(4 + (seed mod 7)) ~seed in
+      let rng = Random.State.make [| seed; 0x0c0de |] in
+      List.for_all
+        (fun (ec : Ecs.ec) ->
+          let dest = Ecs.single_origin ec and dest_prefix = ec.Ecs.ec_prefix in
+          let results =
+            [
+              check_class ~what:"bgp" ~equal:Bgp.equal
+                ~random_attr:random_bgp_attr rng
+                (Compile.bgp_srp net ~dest ~dest_prefix)
+                (Interpreted.bgp_srp net ~dest ~dest_prefix);
+              check_class ~what:"multi" ~equal:Multi.equal
+                ~random_attr:random_multi_attr rng
+                (Compile.multi_srp net ~dest ~dest_prefix)
+                (Interpreted.multi_srp net ~dest ~dest_prefix);
+            ]
+          in
+          match List.find_map (function Error m -> Some m | Ok () -> None) results with
+          | None -> true
+          | Some m -> QCheck.Test.fail_reportf "%a: %s" Prefix.pp dest_prefix m)
+        (List.filter Ecs.is_single_origin (Ecs.compute net)))
+
+(* --- solver work: one post-drain sweep, no re-transfer after it -------- *)
+
+(* Solve [srp] with every transfer logged. The solve's [transfers] must
+   equal the log; the log must end with exactly one visit of every edge
+   in [Graph.edges] order (the final sweep), preceded by one complete
+   successor walk per activation; and building the class FIB from the
+   solution must not transfer at all. *)
+let rec split_at k l =
+  if k = 0 then ([], l)
+  else
+    match l with
+    | [] -> ([], [])
+    | x :: rest ->
+      let a, b = split_at (k - 1) rest in
+      (x :: a, b)
+
+let check_solver_work net (ec : Ecs.ec) ~protocol (srp : 'a Srp.t) =
+  let g = srp.Srp.graph in
+  let log = ref [] and count = ref 0 in
+  let logged =
+    {
+      srp with
+      Srp.trans =
+        (fun u v a ->
+          incr count;
+          log := (u, v) :: !log;
+          srp.Srp.trans u v a);
+    }
+  in
+  let name = Prefix.to_string ec.Ecs.ec_prefix in
+  match Solver.solve logged with
+  | Error _ -> Alcotest.failf "%s must solve" name
+  | Ok (sol, stats) ->
+    Alcotest.(check int) (name ^ ": transfers counted") !count
+      stats.Solver.transfers;
+    let drain, sweep =
+      split_at (!count - Graph.n_edges g) (List.rev !log)
+    in
+    Alcotest.(check (list (pair int int)))
+      (name ^ ": the post-drain check visits each edge once")
+      (Graph.edges g) sweep;
+    let rec walks acts = function
+      | [] -> acts
+      | (u, _) :: _ as calls ->
+        let succ = Array.to_list (Graph.succ g u) in
+        let walk, rest = split_at (List.length succ) calls in
+        Alcotest.(check (list int))
+          (name ^ ": an activation walks every successor")
+          succ (List.map snd walk);
+        walks (acts + 1) rest
+    in
+    Alcotest.(check int) (name ^ ": one walk per activation")
+      stats.Solver.steps (walks 0 drain);
+    let before = !count in
+    let cf = Dataplane.class_fib net ec sol in
+    Alcotest.(check int) (name ^ ": the class FIB transfers nothing") before
+      !count;
+    (match Dataplane.compile_ec ~protocol net ec with
+    | `Compiled cf' ->
+      Alcotest.(check bool) (name ^ ": compile_ec builds that FIB") true
+        (cf = cf')
+    | `Anycast | `Unsolved -> Alcotest.failf "%s must compile" name)
+
+let solver_work_on net ~classes =
+  let protocol = Dataplane.detect_protocol net in
+  List.iter
+    (fun (ec : Ecs.ec) ->
+      let dest = Ecs.single_origin ec and dest_prefix = ec.Ecs.ec_prefix in
+      match protocol with
+      | `Bgp ->
+        check_solver_work net ec ~protocol
+          (Compile.bgp_srp net ~dest ~dest_prefix)
+      | `Multi ->
+        check_solver_work net ec ~protocol
+          (Compile.multi_srp net ~dest ~dest_prefix))
+    (List.filteri
+       (fun i _ -> i < classes)
+       (List.filter Ecs.is_single_origin (Ecs.compute net)))
+
+let test_solver_work_datacenter () =
+  solver_work_on (Synthesis.datacenter ()).Synthesis.net ~classes:4
+
+let test_solver_work_fattree () =
+  solver_work_on
+    (Synthesis.fattree_shortest_path (Generators.fattree ~k:8))
+    ~classes:4
+
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
@@ -445,11 +772,17 @@ let () =
           Alcotest.test_case "budget incomplete" `Quick
             test_bisim_budget_incomplete;
         ] );
+      ( "work",
+        [
+          Alcotest.test_case "datacenter" `Quick test_solver_work_datacenter;
+          Alcotest.test_case "fattree:8" `Quick test_solver_work_fattree;
+        ] );
       qsuite "fuzz"
         [
           prop_bisim_ring;
           prop_bisim_fattree;
           prop_bisim_multi;
           prop_corruption_refuted;
+          prop_compiled_transfers;
         ];
     ]

@@ -69,7 +69,7 @@ let test_stability_violations_detected () =
   let srp = Rip.make g ~dest:0 in
   let sol = Solver.solve_exn srp in
   (* corrupt the solution *)
-  let bad = { sol with Solution.labels = Array.copy sol.Solution.labels } in
+  let bad = Solution.of_labels sol.Solution.srp (Array.copy sol.Solution.labels) in
   bad.Solution.labels.(2) <- Some 7;
   Alcotest.(check bool) "corrupted is unstable" false (Solution.is_stable bad);
   Alcotest.(check bool) "violation names node 2" true
