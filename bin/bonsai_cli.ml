@@ -101,18 +101,18 @@ let info_cmd_run spec =
 (* --- compress --------------------------------------------------------- *)
 
 (* Re-validate the effective-abstraction conditions (paper Figure 4) on a
-   finished abstraction. *)
-let check_violations net (r : Bonsai_api.ec_result) =
+   finished abstraction. The signatures are re-derived in [universe], one
+   built for the re-check, so --check leaves the engine's BDD manager (and
+   the counters printed from it) untouched. *)
+let check_violations universe net (r : Bonsai_api.ec_result) =
   let _, signature =
-    Compile.edge_signatures
-      ~universe:r.Bonsai_api.abstraction.Abstraction.universe net
-      ~dest:r.Bonsai_api.ec.Ecs.ec_prefix
+    Compile.edge_signatures ~universe net ~dest:r.Bonsai_api.ec.Ecs.ec_prefix
   in
   Check.check r.Bonsai_api.abstraction ~signature
 
 (* Text renderer of the above; true iff clean. *)
-let check_result net (r : Bonsai_api.ec_result) =
-  match check_violations net r with
+let check_result universe net (r : Bonsai_api.ec_result) =
+  match check_violations universe net r with
   | [] ->
     Format.printf "check %a: ok@." Prefix.pp r.Bonsai_api.ec.Ecs.ec_prefix;
     true
@@ -221,6 +221,7 @@ let compress_cmd_run spec ec_prefix dot all check check_dataplane format
         (Budget.ticks budget) (Budget.elapsed_s budget)
   in
   let degrade_exit code = if degrade then 0 else code in
+  let check_universe = lazy (Policy_bdd.universe_of_network net) in
   let g = net.Device.graph in
   if all then begin
     let s =
@@ -238,7 +239,10 @@ let compress_cmd_run spec ec_prefix dot all check check_dataplane format
         || List.fold_left
              (* degraded classes are the identity abstraction — nothing to
                 re-check, and their report line already flags them *)
-             (fun ok r -> (r.Bonsai_api.degraded || check_result net r) && ok)
+             (fun ok r ->
+               (r.Bonsai_api.degraded
+               || check_result (Lazy.force check_universe) net r)
+               && ok)
              true s.Bonsai_api.results
     | `Json ->
       let class_json (r : Bonsai_api.ec_result) =
@@ -247,7 +251,9 @@ let compress_cmd_run spec ec_prefix dot all check check_dataplane format
           else begin
             let vs =
               if r.Bonsai_api.degraded then 0
-              else List.length (check_violations net r)
+              else
+                List.length
+                  (check_violations (Lazy.force check_universe) net r)
             in
             if vs > 0 then checked_ok := false;
             [ ("check_violations", Json.Int vs) ]
@@ -307,8 +313,8 @@ let compress_cmd_run spec ec_prefix dot all check check_dataplane format
       if check && why = None then begin
         let ok =
           match format with
-          | `Text -> check_result net r
-          | `Json -> check_violations net r = []
+          | `Text -> check_result (Lazy.force check_universe) net r
+          | `Json -> check_violations (Lazy.force check_universe) net r = []
         in
         if ok then (r, why) else (fallback (), Some `Check)
       end

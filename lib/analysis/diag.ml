@@ -7,12 +7,6 @@ let severity_to_string = function
   | Warning -> "warning"
   | Info -> "info"
 
-let severity_of_string = function
-  | "error" -> Some Error
-  | "warning" -> Some Warning
-  | "info" -> Some Info
-  | _ -> None
-
 type loc = {
   router : string option;
   neighbor : string option;

@@ -13,7 +13,6 @@ val severity_rank : severity -> int
 (** [Error] = 2, [Warning] = 1, [Info] = 0. *)
 
 val severity_to_string : severity -> string
-val severity_of_string : string -> severity option
 
 type loc = {
   router : string option;  (** node name the finding is attached to *)

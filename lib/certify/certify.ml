@@ -653,21 +653,16 @@ let check_cert ~budget ~audit ~universe ~obligations (net : Device.network)
           end)
         group_pairs;
       (* claimed edge representatives must be the least concrete edge *)
+      let group_of_abs = Array.make n_abs 0 in
+      Array.iteri
+        (fun gid start ->
+          Array.fill group_of_abs start (max 1 copies_claim.(gid)) gid)
+        abs_of_group;
       List.iter
         (fun ((a1, a2), (un, vn)) ->
           tick ();
           if a1 >= 0 && a1 < n_abs && a2 >= 0 && a2 < n_abs then begin
-            let gid_of_abs a =
-              (* invert the block layout *)
-              let r = ref 0 in
-              Array.iteri
-                (fun gid start ->
-                  if start <= a && a < start + max 1 copies_claim.(gid) then
-                    r := gid)
-                abs_of_group;
-              !r
-            in
-            let g1 = gid_of_abs a1 and g2 = gid_of_abs a2 in
+            let g1 = group_of_abs.(a1) and g2 = group_of_abs.(a2) in
             match
               (Graph.find_by_name g un, Graph.find_by_name g vn,
                Hashtbl.find_opt min_edges (g1, g2))
@@ -833,32 +828,3 @@ let pp_verdict ppf = function
     Format.fprintf ppf
       "audit incomplete: budget exhausted in %s after %d ticks"
       info.Budget.phase info.Budget.ticks
-
-let verdict_json = function
-  | Certified { ecs; obligations } ->
-    [
-      ("certified", Json.Bool true);
-      ("certified_ecs", Json.Int ecs);
-      ("obligations", Json.Int obligations);
-    ]
-  | Refuted fs ->
-    [
-      ("certified", Json.Bool false);
-      ( "certificate_failures",
-        Json.List
-          (List.map
-             (fun f ->
-               Json.Obj
-                 [
-                   ("prefix", Json.String f.f_prefix);
-                   ("condition", Json.String f.f_condition);
-                   ("detail", Json.String f.f_detail);
-                 ])
-             fs) );
-    ]
-  | Audit_incomplete info ->
-    [
-      ("certified", Json.Bool false);
-      ("audit_incomplete", Json.Bool true);
-      ("audit_phase", Json.String info.Budget.phase);
-    ]

@@ -109,7 +109,3 @@ val obligation_count : verdict -> int
 
 val failures_string : failure list -> string
 val pp_verdict : Format.formatter -> verdict -> unit
-
-val verdict_json : verdict -> (string * Json.t) list
-(** Response fields: [("certified", Bool ...)] plus either the obligation
-    count, the failure list, or the budget phase. *)

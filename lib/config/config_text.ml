@@ -165,7 +165,6 @@ type loc_table = {
   rm_names : (Route_map.t * string) list;
 }
 
-let empty_locs = { router_lines = []; route_maps = []; rm_names = [] }
 
 let router_line locs name = List.assoc_opt name locs.router_lines
 let rm_name_of locs rm = List.assoc_opt rm locs.rm_names
@@ -572,7 +571,6 @@ let read_file path =
                                  file)" path))
 
 let load path = Result.bind (read_file path) parse
-let load_with_locs path = Result.bind (read_file path) parse_with_locs
 
 let load_full path =
   match read_file path with

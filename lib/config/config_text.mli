@@ -67,8 +67,6 @@ type loc_table = {
       (** parsed route-map value -> its name (first definition wins) *)
 }
 
-val empty_locs : loc_table
-
 val router_line : loc_table -> string -> int option
 val rm_name_of : loc_table -> Route_map.t -> string option
 val rm_loc : loc_table -> string -> rm_loc option
@@ -78,7 +76,6 @@ val clause_line : loc_table -> string -> int -> int option
     seq-sorted) clause of the named route-map. *)
 
 val parse_with_locs : string -> (Device.network * loc_table, string) result
-val load_with_locs : string -> (Device.network * loc_table, string) result
 
 val parse_full :
   string -> (Device.network * loc_table, (int * string) list) result

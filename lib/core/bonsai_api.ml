@@ -231,51 +231,8 @@ let compress ?keep_unmatched_comms ?stride ?domains ?budget net =
   Bonsai_error.protect (fun () ->
       compress_exn ?keep_unmatched_comms ?stride ?domains ?budget net)
 
-(* --- fault-sound compression (CEGAR repair, lib/repair) -------------- *)
-
-type hardened = {
-  h_result : ec_result;
-  h_rounds : int;
-  h_pins : int list;
-  h_counterexamples : int;
-  h_scenarios : int;
-  h_cache_hits : int;
-  h_fallback : fallback;
-  h_sound : bool;
-}
-
-and fallback = No_fallback | Budget_fallback of Budget.info | Rounds_fallback
-
-type fault_sound_fn =
-  ?k:int ->
-  ?rounds:int ->
-  ?frontier:int ->
-  ?samples:int ->
-  ?seed:int ->
-  ?budget:Budget.t ->
-  Device.network ->
-  Ecs.ec ->
-  (hardened, Bonsai_error.t) result
-
-(* The repair loop needs lib/faults (scenarios, soundness sweeps), which
-   sits above this library; Repair (lib/repair) registers the real
-   implementation at link time. A library-level forward reference, not a
-   per-call hook: any executable linking repro_repair gets the loop. *)
-let fault_sound_impl : fault_sound_fn ref =
-  ref (fun ?k:_ ?rounds:_ ?frontier:_ ?samples:_ ?seed:_ ?budget:_ _ _ ->
-      Error
-        (Bonsai_error.Internal
-           "compress_fault_sound: repro_repair is not linked (Repair \
-            registers the implementation)"))
-
-let register_fault_sound f = fault_sound_impl := f
-
-let compress_fault_sound ?k ?rounds ?frontier ?samples ?seed ?budget net ec
-    =
-  !fault_sound_impl ?k ?rounds ?frontier ?samples ?seed ?budget net ec
-
-let hardened_ratio h =
-  Abstraction.compression_ratio h.h_result.abstraction
+(* Which fallback [Repair.harden] (lib/repair) took, if any. *)
+type fallback = No_fallback | Budget_fallback of Budget.info | Rounds_fallback
 
 let float_stats f s =
   let xs = List.map f s.results in

@@ -159,60 +159,13 @@ val compress_exn :
 
 (** {1 Fault-sound compression (counterexample-guided repair)} *)
 
-type hardened = {
-  h_result : ec_result;
-      (** the final abstraction; [degraded] iff a fallback fired *)
-  h_rounds : int;
-      (** soundness sweeps completed (0 if the budget died first) *)
-  h_pins : int list;
-      (** concrete nodes forced into singleton classes, sorted *)
-  h_counterexamples : int;  (** 1-minimal failing scenarios consumed *)
-  h_scenarios : int;  (** scenario checks across all sweeps *)
-  h_cache_hits : int;  (** re-solves avoided by the scenario cache *)
-  h_fallback : fallback;
-  h_sound : bool;
-      (** the final sweep found no mismatch (always true for fallbacks —
-          the identity abstraction is sound by construction; [false] only
-          when repair was disabled and a counterexample survived) *)
-}
-
-and fallback =
+(** Which fallback [Repair.harden] (lib/repair) took, if any. *)
+type fallback =
   | No_fallback
   | Budget_fallback of Budget.info
       (** the budget ran out mid-repair: identity abstraction returned *)
   | Rounds_fallback
       (** the retry count ran out: identity abstraction returned *)
-
-type fault_sound_fn =
-  ?k:int ->
-  ?rounds:int ->
-  ?frontier:int ->
-  ?samples:int ->
-  ?seed:int ->
-  ?budget:Budget.t ->
-  Device.network ->
-  Ecs.ec ->
-  (hardened, Bonsai_error.t) result
-
-val compress_fault_sound : fault_sound_fn
-(** Compression that is sound under failures, not just for the intact
-    topology: compress, sweep failure scenarios up to [k] downed links
-    through the soundness check, and on a mismatch pin the disagreeing
-    nodes and re-refine, iterating until the sweep is clean (CEGAR). On
-    budget or round exhaustion the result degrades to the identity
-    abstraction — sound, compression ratio 1 — rather than ever returning
-    an unsound artifact. Implemented by [Repair.harden] (lib/repair),
-    which registers itself here at link time; executables that do not
-    link [repro_repair] get [Error (Internal _)]. See {!Repair} for
-    parameter semantics and the per-round trace. *)
-
-val register_fault_sound : fault_sound_fn -> unit
-(** Install the implementation (called by [Repair] at module
-    initialization; not meant for end users). *)
-
-val hardened_ratio : hardened -> float * float
-(** (node ratio, edge ratio) of the final abstraction, as
-    {!Abstraction.compression_ratio}. *)
 
 (** {1 Reporting} *)
 

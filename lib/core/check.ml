@@ -82,13 +82,3 @@ let check (t : Abstraction.t) ~signature =
       end)
     t.Abstraction.groups;
   List.rev !out
-
-let check_exn t ~signature =
-  match check t ~signature with
-  | [] -> ()
-  | vs ->
-    let msg =
-      String.concat "; "
-        (List.map (fun v -> v.condition ^ ": " ^ v.detail) vs)
-    in
-    failwith ("Check.check_exn: " ^ msg)

@@ -24,8 +24,4 @@ val check : Abstraction.t -> signature:(int -> int -> Compile.edge_signature)
       local-preference levels have identical concrete neighborhoods;
     - {b self-loop freedom} of the abstract graph. *)
 
-val check_exn : Abstraction.t ->
-  signature:(int -> int -> Compile.edge_signature) -> unit
-(** @raise Failure listing the violations, if any. *)
-
 val pp_violation : Format.formatter -> violation -> unit

@@ -121,23 +121,21 @@ let run ?budget ?cache ?protocol ~(old_net : Device.network)
   let full_rebuild = node_change || cache = None in
   let touched =
     List.concat_map (Delta.touched new_net) deltas
-    |> List.sort_uniq Stdlib.compare
+    |> List.sort_uniq Int.compare
   in
   let old_ecs = Ecs.compute old_net and new_ecs = Ecs.compute new_net in
   let old_by_prefix = Hashtbl.create 64 in
   List.iter
     (fun (ec : Ecs.ec) -> Hashtbl.replace old_by_prefix ec.Ecs.ec_prefix ec)
     old_ecs;
-  let new_prefixes =
-    List.fold_left
-      (fun acc (ec : Ecs.ec) -> ec.Ecs.ec_prefix :: acc)
-      [] new_ecs
-  in
+  let new_prefixes = Hashtbl.create 64 in
+  List.iter
+    (fun (ec : Ecs.ec) -> Hashtbl.replace new_prefixes ec.Ecs.ec_prefix ())
+    new_ecs;
   (* classes only the old network had: their entries disappear *)
   let removed_ecs =
     List.filter
-      (fun (ec : Ecs.ec) ->
-        not (List.exists (Prefix.equal ec.Ecs.ec_prefix) new_prefixes))
+      (fun (ec : Ecs.ec) -> not (Hashtbl.mem new_prefixes ec.Ecs.ec_prefix))
       old_ecs
   in
   let reused = ref 0 and recompiled = ref 0 and anycast = ref 0 in
@@ -190,7 +188,7 @@ let run ?budget ?cache ?protocol ~(old_net : Device.network)
     List.sort
       (fun a b ->
         match Prefix.compare a.c_prefix b.c_prefix with
-        | 0 -> Stdlib.compare a.c_router b.c_router
+        | 0 -> Int.compare a.c_router b.c_router
         | c -> c)
       !changes
   in

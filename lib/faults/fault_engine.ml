@@ -20,9 +20,9 @@ let cache () = { tbl = Hashtbl.create 64; hits = 0 }
 let cache_hits c = c.hits
 let cache_size c = Hashtbl.length c.tbl
 
-let solve_scenario ?max_steps ~budget (srp : 'a Srp.t) sc =
+let solve_scenario ~budget (srp : 'a Srp.t) sc =
   let srp' = derive srp sc in
-  match Solver.solve ?max_steps ~budget srp' with
+  match Solver.solve ~budget srp' with
   | Error (`Budget (info, _)) -> raise (Budget.Exhausted info)
   | Error (`Diverged d) -> Diverged d
   | Ok (sol, _) ->
@@ -35,16 +35,16 @@ let solve_scenario ?max_steps ~budget (srp : 'a Srp.t) sc =
     done;
     if !stranded = [] then Stable sol else Disconnected (sol, !stranded)
 
-let run ?max_steps ?(budget = Budget.infinite) ?cache (srp : 'a Srp.t) sc =
+let run ?(budget = Budget.infinite) ?cache (srp : 'a Srp.t) sc =
   match cache with
-  | None -> solve_scenario ?max_steps ~budget srp sc
+  | None -> solve_scenario ~budget srp sc
   | Some c -> (
     match Hashtbl.find_opt c.tbl sc with
     | Some outcome ->
       c.hits <- c.hits + 1;
       outcome
     | None ->
-      let outcome = solve_scenario ?max_steps ~budget srp sc in
+      let outcome = solve_scenario ~budget srp sc in
       Hashtbl.replace c.tbl sc outcome;
       outcome)
 
@@ -74,8 +74,7 @@ type 'a report = {
   time_s : float;
 }
 
-let survey ?max_steps ?(budget = Budget.infinite) ?cache (srp : 'a Srp.t)
-    plan =
+let survey ?(budget = Budget.infinite) ?cache (srp : 'a Srp.t) plan =
   let t0 = Timing.now () in
   let hits0 = match cache with Some c -> c.hits | None -> 0 in
   (* A budget exhaustion mid-survey truncates the scan rather than losing
@@ -84,7 +83,7 @@ let survey ?max_steps ?(budget = Budget.infinite) ?cache (srp : 'a Srp.t)
   (try
      List.iter
        (fun sc ->
-         outcomes := (sc, run ?max_steps ~budget ?cache srp sc) :: !outcomes)
+         outcomes := (sc, run ~budget ?cache srp sc) :: !outcomes)
        plan.scenarios
    with Budget.Exhausted _ -> ());
   let outcomes = List.rev !outcomes in

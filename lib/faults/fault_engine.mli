@@ -26,11 +26,11 @@ val derive : 'a Srp.t -> Scenario.t -> 'a Srp.t
 type 'a cache
 (** Memo table for {!run}, keyed by the scenario's normalized downed set
     (scenarios are canonical: sorted, deduplicated). A cache is only
-    meaningful for a fixed [(srp, max_steps)] pair — the caller owns that
-    invariant. The repair loop (lib/repair) threads one concrete-side
-    cache across all of its rounds so a scenario is never re-solved
-    twice, and [bonsai faults] shares one between the survey and the
-    soundness sweep. *)
+    meaningful for a fixed [srp] — the caller owns that invariant. The
+    repair loop (lib/repair) threads one concrete-side cache across all
+    of its rounds so a scenario is never re-solved twice, and
+    [bonsai faults] shares one between the survey and the soundness
+    sweep. *)
 
 val cache : unit -> 'a cache
 val cache_hits : 'a cache -> int
@@ -40,12 +40,11 @@ val cache_size : 'a cache -> int
 (** Distinct scenarios solved through the cache. *)
 
 val run :
-  ?max_steps:int -> ?budget:Budget.t -> ?cache:'a cache -> 'a Srp.t ->
-  Scenario.t -> 'a outcome
+  ?budget:Budget.t -> ?cache:'a cache -> 'a Srp.t -> Scenario.t -> 'a outcome
 (** A cache hit consumes no budget.
     @raise Budget.Exhausted when the caller-supplied [budget] (default
-    infinite; distinct from the solver's internal [max_steps] cutoff,
-    whose exhaustion is classified as [Diverged]) runs out mid-solve. *)
+    infinite; distinct from the solver's own divergence cutoff, whose
+    exhaustion is classified as [Diverged]) runs out mid-solve. *)
 
 type plan = { scenarios : Scenario.t list; exhaustive : bool }
 
@@ -70,8 +69,7 @@ type 'a report = {
 }
 
 val survey :
-  ?max_steps:int -> ?budget:Budget.t -> ?cache:'a cache -> 'a Srp.t ->
-  plan -> 'a report
+  ?budget:Budget.t -> ?cache:'a cache -> 'a Srp.t -> plan -> 'a report
 (** Run every planned scenario ([scenarios/sec = List.length outcomes /.
     time_s] is the bench metric). Exhaustion of [budget] truncates the
     scan: outcomes computed so far are kept and the remainder counted in

@@ -18,7 +18,6 @@ let make ?(nodes = []) links =
     down_nodes = List.sort_uniq Int.compare nodes;
   }
 
-let empty = { down_links = []; down_nodes = [] }
 let size t = List.length t.down_links + List.length t.down_nodes
 
 let is_empty t =

@@ -12,7 +12,6 @@ type t = {
 
 type element = Link of int * int | Node of int
 
-val empty : t
 val make : ?nodes:int list -> (int * int) list -> t
 val size : t -> int
 val is_empty : t -> bool

@@ -13,21 +13,21 @@ let abstract_scenario (t : Abstraction.t) sc =
     (List.concat_map (Abstraction.link_image t) sc.Scenario.down_links)
 
 (* reachability vector of a re-solved SRP; divergence reaches nothing *)
-let solve_reaches ?max_steps ?cache (srp : 'a Srp.t) sc =
-  match Fault_engine.run ?max_steps ?cache srp sc with
+let solve_reaches ?cache (srp : 'a Srp.t) sc =
+  match Fault_engine.run ?cache srp sc with
   | Fault_engine.Stable sol -> (true, fun u -> u = srp.Srp.dest || Solution.reaches sol u)
   | Fault_engine.Disconnected (sol, _) ->
     (true, fun u -> u = srp.Srp.dest || Solution.reaches sol u)
   | Fault_engine.Diverged _ -> (false, fun u -> u = srp.Srp.dest)
 
-let check_all ?max_steps ?concrete_cache ?abstract_cache (t : Abstraction.t)
+let check_all ?concrete_cache ?abstract_cache (t : Abstraction.t)
     ~(concrete : 'a Srp.t) ~(abstract_ : 'b Srp.t) sc =
   let abs_sc = abstract_scenario t sc in
   let concrete_stable, c_reaches =
-    solve_reaches ?max_steps ?cache:concrete_cache concrete sc
+    solve_reaches ?cache:concrete_cache concrete sc
   in
   let abstract_stable, a_reaches =
-    solve_reaches ?max_steps ?cache:abstract_cache abstract_ abs_sc
+    solve_reaches ?cache:abstract_cache abstract_ abs_sc
   in
   let n = Graph.n_nodes concrete.Srp.graph in
   let out = ref [] in
@@ -52,28 +52,25 @@ let check_all ?max_steps ?concrete_cache ?abstract_cache (t : Abstraction.t)
   done;
   !out
 
-let check ?max_steps ?concrete_cache ?abstract_cache t ~concrete ~abstract_
-    sc =
+let check ?concrete_cache ?abstract_cache t ~concrete ~abstract_ sc =
   match
-    check_all ?max_steps ?concrete_cache ?abstract_cache t ~concrete
-      ~abstract_ sc
+    check_all ?concrete_cache ?abstract_cache t ~concrete ~abstract_ sc
   with
   | [] -> None
   | m :: _ -> Some m
 
-let first_break ?max_steps ?concrete_cache ?abstract_cache t ~concrete
-    ~abstract_ scenarios =
+let first_break ?concrete_cache ?abstract_cache t ~concrete ~abstract_
+    scenarios =
   let fails sc =
     Option.is_some
-      (check ?max_steps ?concrete_cache ?abstract_cache t ~concrete
-         ~abstract_ sc)
+      (check ?concrete_cache ?abstract_cache t ~concrete ~abstract_ sc)
   in
   List.find_opt fails scenarios
   |> Option.map (fun sc ->
          let minimal = Scenario.shrink fails sc in
          match
-           check ?max_steps ?concrete_cache ?abstract_cache t ~concrete
-             ~abstract_ minimal
+           check ?concrete_cache ?abstract_cache t ~concrete ~abstract_
+             minimal
          with
          | Some m -> (minimal, m)
          | None -> assert false)

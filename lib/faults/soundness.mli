@@ -24,7 +24,6 @@ val abstract_scenario : Abstraction.t -> Scenario.t -> Scenario.t
     through {!Abstraction.node_image}. *)
 
 val check_all :
-  ?max_steps:int ->
   ?concrete_cache:'a Fault_engine.cache ->
   ?abstract_cache:'b Fault_engine.cache ->
   Abstraction.t ->
@@ -47,7 +46,6 @@ val check_all :
     (the abstract one only for the lifetime of one abstraction). *)
 
 val check :
-  ?max_steps:int ->
   ?concrete_cache:'a Fault_engine.cache ->
   ?abstract_cache:'b Fault_engine.cache ->
   Abstraction.t ->
@@ -58,7 +56,6 @@ val check :
 (** The lowest-id mismatch of {!check_all} ([None] iff none). *)
 
 val first_break :
-  ?max_steps:int ->
   ?concrete_cache:'a Fault_engine.cache ->
   ?abstract_cache:'b Fault_engine.cache ->
   Abstraction.t ->

@@ -323,19 +323,3 @@ let recert_json_fields r =
     ("recertified", Json.Int r.r_recertified);
     ("recert_refuted", Json.Int r.r_recert_refuted);
   ]
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>deltas applied: %d@,\
-     classes: %d (%d reused, %d seeded, %d scratch)%s@,\
-     signature cache: %d hits, %d misses@,\
-     time: %.3fs@]"
-    r.r_deltas r.r_ecs r.r_reused r.r_seeded r.r_scratch
-    (if r.r_full_rebuild then " [full rebuild]" else "")
-    r.r_cache_hits r.r_cache_misses r.r_time_s;
-  if r.r_recertified > 0 || r.r_recert_refuted > 0 then
-    Format.fprintf ppf "@,re-certified: %d (%d refuted, recomputed)"
-      r.r_recertified r.r_recert_refuted;
-  match r.r_degradation with
-  | None -> ()
-  | Some d -> Format.fprintf ppf "@,%a" Bonsai_api.pp_degradation d

@@ -156,7 +156,6 @@ val rearm : state -> unit
     a freshly unmarshaled state; a no-op on states built by {!init}. *)
 
 val bdd_stats : state -> Bdd.stats
-val pp_report : Format.formatter -> report -> unit
 
 val reuse_json_fields : report -> (string * Json.t) list
 (** How each class was maintained, for the CLI and the resident engine:

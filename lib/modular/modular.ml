@@ -8,8 +8,6 @@ let mode_of_string = function
   | "auto" -> Some Auto
   | _ -> None
 
-let mode_to_string = function Annot -> "annot" | Auto -> "auto"
-
 (* ------------------------------------------------------------------ *)
 (* Partitioning *)
 
@@ -131,11 +129,11 @@ let any_fault rp =
 type module_state = {
   ms_name : string;
   ms_members : int array;  (* global ids, ascending *)
-  ms_env : int array;  (* global ids of boundary stubs, ascending *)
-  mutable ms_subnet : Device.network;
+  ms_subnet : Device.network;
       (* members first (same order), then stubs *)
   ms_pinned : int list;  (* subnet ids of the stubs *)
-  mutable ms_state : Incr.state option;
+  mutable ms_state : Bonsai_api.summary option;
+      (* the warm per-class results; [None] while degraded or refuted *)
   mutable ms_health : health;
   mutable ms_detail : string option;
   mutable ms_time_s : float;
@@ -283,7 +281,6 @@ let subnet_of (net : Device.network) ~name ~members ~(ecs : Ecs.ec list) =
   {
     ms_name = name;
     ms_members = memb;
-    ms_env = env;
     ms_subnet = subnet;
     ms_pinned = pinned;
     ms_state = None;
@@ -308,16 +305,16 @@ let attempt ~params ~budget ms =
   let universe = Policy_bdd.universe_of_params params in
   match Incr.init ~pinned:ms.ms_pinned ~universe ~budget ms.ms_subnet with
   | Ok st -> (
-    match (Incr.summary st).Bonsai_api.degradation with
-    | None -> Ok st
+    let summary = Incr.summary st in
+    match summary.Bonsai_api.degradation with
+    | None -> Ok summary
     | Some d -> Error (budget_detail d.Bonsai_api.deg_info))
   | Error (Bonsai_error.Budget_exceeded i) -> Error (budget_detail i)
   | Error e -> Error (Bonsai_error.to_string e)
 
-let certify_state ~budget ms st =
+let certify_state ~budget ms (summary : Bonsai_api.summary) =
   (* Independent audit in a fresh universe derived from the subnet
      itself — nothing shared with the engine under audit. *)
-  let summary = Incr.summary st in
   let universe = Policy_bdd.universe_of_network ms.ms_subnet in
   let rec go = function
     | [] -> None
@@ -375,8 +372,7 @@ let module_report_of ms =
   let n_members = Array.length ms.ms_members in
   let ecs_count, concrete, abstract =
     match ms.ms_state with
-    | Some st ->
-      let s = Incr.summary st in
+    | Some s ->
       let groups_of (r : Bonsai_api.ec_result) =
         let g = r.Bonsai_api.abstraction.Abstraction.group_of in
         let seen = Hashtbl.create 16 in
@@ -415,18 +411,15 @@ let module_report_of ms =
 (* Whole-network state *)
 
 type state = {
-  mutable st_net : Device.network;
-  st_mode : mode;
-  st_count : int option;
-  st_certify : bool;
-  st_retry_pause : string -> unit;
-  mutable st_skipped_anycast : int;
-  mutable st_modules : module_state list;  (* sorted by name *)
-  mutable st_params : Policy_bdd.universe_params;
-  mutable st_time_s : float;
+  st_net : Device.network;
+  st_skipped_anycast : int;
+  st_modules : module_state list;  (* sorted by name *)
+  st_time_s : float;
 }
 
-let build_state ~mode ~count ~certify ~retry_pause ~budget ~inject_fault net =
+let run ?(mode = Auto) ?count ?(budget = Budget.infinite) ?(certify = false)
+    ?(inject_fault = []) ?(retry_pause = fun _ -> ()) net =
+  Bonsai_error.protect @@ fun () ->
   let t0 = Timing.now () in
   (match Device.validate net with
   | Ok () -> ()
@@ -453,20 +446,10 @@ let build_state ~mode ~count ~certify ~retry_pause ~budget ~inject_fault net =
     modules;
   {
     st_net = net;
-    st_mode = mode;
-    st_count = count;
-    st_certify = certify;
-    st_retry_pause = retry_pause;
     st_skipped_anycast = anycast;
     st_modules = modules;
-    st_params = params;
     st_time_s = Timing.now () -. t0;
   }
-
-let run ?(mode = Auto) ?count ?(budget = Budget.infinite) ?(certify = false)
-    ?(inject_fault = []) ?(retry_pause = fun _ -> ()) net =
-  Bonsai_error.protect @@ fun () ->
-  build_state ~mode ~count ~certify ~retry_pause ~budget ~inject_fault net
 
 let report st =
   let mods = List.map module_report_of st.st_modules in
@@ -478,12 +461,11 @@ let report st =
   }
 
 let network st = st.st_net
-let module_names st = List.map (fun ms -> ms.ms_name) st.st_modules
 
 let module_summary st name =
   Option.bind
     (List.find_opt (fun ms -> ms.ms_name = name) st.st_modules)
-    (fun ms -> Option.map Incr.summary ms.ms_state)
+    (fun ms -> ms.ms_state)
 
 (* ------------------------------------------------------------------ *)
 (* Streaming: already-summarized module subnets, one at a time; only
@@ -508,7 +490,6 @@ let run_stream ?(budget = Budget.infinite) ?(certify = false)
         {
           ms_name = name;
           ms_members = Array.init n (fun i -> i);
-          ms_env = [||];
           ms_subnet = net;
           ms_pinned = [];
           ms_state = None;
@@ -524,7 +505,7 @@ let run_stream ?(budget = Budget.infinite) ?(certify = false)
         ms;
       incr processed;
       entries := module_report_of ms :: !entries;
-      (* Drop the engine state before pulling the next module. *)
+      (* Drop the module's results before pulling the next module. *)
       ms.ms_state <- None)
     seq;
   let mods =
@@ -538,37 +519,15 @@ let run_stream ?(budget = Budget.infinite) ?(certify = false)
   }
 
 (* ------------------------------------------------------------------ *)
-(* Module-level quarantine and repair (the resident engine's hooks) *)
-
-let find_module st name =
-  List.find_opt (fun ms -> ms.ms_name = name) st.st_modules
-
-let quarantine st name =
-  match find_module st name with
-  | Some ms when Option.is_some ms.ms_state ->
-    ms.ms_state <- None;
-    ms.ms_health <- Refuted;
-    ms.ms_detail <- Some "quarantined";
-    true
-  | _ -> false
-
-let rebuild_module ?(budget = Budget.infinite) st name =
-  Bonsai_error.protect @@ fun () ->
-  match find_module st name with
-  | None ->
-    Bonsai_error.error
-      (Bonsai_error.Compile_error ("unknown module " ^ name))
-  | Some ms ->
-    supervise ~params:st.st_params ~budget ~certify:st.st_certify
-      ~injected:false ~retry_pause:st.st_retry_pause ~remaining:1 ms
+(* Module-level quarantine (the resident engine's self-audit) *)
 
 let self_audit ?(budget = Budget.infinite) st =
   List.filter_map
     (fun ms ->
       match ms.ms_state with
       | None -> None
-      | Some engine -> (
-        match certify_state ~budget ms engine with
+      | Some summary -> (
+        match certify_state ~budget ms summary with
         | None -> None
         | Some detail ->
           ms.ms_state <- None;
@@ -576,101 +535,6 @@ let self_audit ?(budget = Budget.infinite) st =
           ms.ms_detail <- Some detail;
           Some (ms.ms_name, detail)))
     st.st_modules
-
-(* ------------------------------------------------------------------ *)
-(* Incremental update: deltas confined to the interior of one healthy
-   module recompress only that module. *)
-
-let touched_names (d : Delta.t) =
-  match d with
-  | Delta.Link_up (a, b) | Delta.Link_down (a, b) -> [ a; b ]
-  | Delta.Node_add _ | Delta.Node_remove _ -> []
-  | Delta.Ospf_cost { node; nbr; _ }
-  | Delta.Ospf_link_set { node; nbr; _ }
-  | Delta.Route_map_set { node; nbr; _ }
-  | Delta.Bgp_neighbor_set { node; nbr; _ }
-  | Delta.Acl_set { node; nbr; _ } -> [ node; nbr ]
-  | Delta.Ospf_area_set { node; _ }
-  | Delta.Originate_set { node; _ }
-  | Delta.Redistribute_set { node; _ } -> [ node ]
-  | Delta.Static_set { node; routes } -> node :: List.map snd routes
-
-let structural (d : Delta.t) =
-  match d with
-  | Delta.Node_add _ | Delta.Node_remove _ -> true
-  (* Origination changes reshape the global destination classes, which
-     every module's interface-route placement depends on. *)
-  | Delta.Originate_set _ -> true
-  | _ -> false
-
-let rebuild_in_place ?budget st net =
-  let budget = match budget with Some b -> b | None -> Budget.infinite in
-  let st' =
-    build_state ~mode:st.st_mode ~count:st.st_count ~certify:st.st_certify
-      ~retry_pause:st.st_retry_pause ~budget ~inject_fault:[] net
-  in
-  st.st_net <- st'.st_net;
-  st.st_skipped_anycast <- st'.st_skipped_anycast;
-  st.st_modules <- st'.st_modules;
-  st.st_params <- st'.st_params;
-  st.st_time_s <- st'.st_time_s
-
-let update ?budget st deltas =
-  Bonsai_error.protect @@ fun () ->
-  let g = st.st_net.Device.graph in
-  (* name -> (module, interior?) for the fast-path test *)
-  let owner = Hashtbl.create 64 in
-  List.iter
-    (fun ms ->
-      let in_module = Hashtbl.create 64 in
-      Array.iter
-        (fun v -> Hashtbl.replace in_module (Graph.name g v) ())
-        ms.ms_members;
-      Array.iter
-        (fun v ->
-          let interior =
-            Array.for_all
-              (fun w -> Hashtbl.mem in_module (Graph.name g w))
-              (Graph.succ g v)
-          in
-          Hashtbl.replace owner (Graph.name g v) (ms, interior))
-        ms.ms_members)
-    st.st_modules;
-  let targeted =
-    if List.exists structural deltas then None
-    else begin
-      let names = List.concat_map touched_names deltas in
-      match names with
-      | [] -> None
-      | first :: _ -> (
-        match Hashtbl.find_opt owner first with
-        | None -> None
-        | Some (ms0, _) ->
-          let ok =
-            List.for_all
-              (fun nm ->
-                match Hashtbl.find_opt owner nm with
-                | Some (ms, interior) -> ms == ms0 && interior
-                | None -> false)
-              names
-          in
-          if ok then Some ms0 else None)
-    end
-  in
-  match targeted with
-  | Some ms when Option.is_some ms.ms_state -> (
-    let engine = Option.get ms.ms_state in
-    match Incr.recompress ?budget engine deltas with
-    | Error e -> Bonsai_error.error e
-    | Ok rep ->
-      (* Names are preserved in the subnet, so the same deltas apply
-         globally and locally. *)
-      ms.ms_subnet <- Incr.network engine;
-      st.st_net <- Delta.apply st.st_net deltas;
-      Some rep)
-  | _ ->
-    rebuild_in_place ?budget st (Delta.apply st.st_net deltas);
-    None
 
 (* ------------------------------------------------------------------ *)
 (* Composition: per-module partitions -> whole-network abstractions *)
@@ -689,9 +553,8 @@ let compose ?(budget = Budget.infinite) st =
   let prefs_trivial = Incr.no_lp_no_redistribute net in
   (* Per-module group labels for a class, looked up by prefix. *)
   let module_groups ms (ec : Ecs.ec) =
-    Option.bind ms.ms_state (fun engine ->
-        Bonsai_api.find_result (Incr.summary engine).Bonsai_api.results
-          ec.Ecs.ec_prefix)
+    Option.bind ms.ms_state (fun (s : Bonsai_api.summary) ->
+        Bonsai_api.find_result s.Bonsai_api.results ec.Ecs.ec_prefix)
     |> Option.map (fun (r : Bonsai_api.ec_result) ->
            r.Bonsai_api.abstraction.Abstraction.group_of)
   in

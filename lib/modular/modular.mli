@@ -36,7 +36,6 @@
 type mode = Annot | Auto
 
 val mode_of_string : string -> mode option
-val mode_to_string : mode -> string
 
 val partition :
   ?count:int ->
@@ -78,10 +77,9 @@ val any_fault : report -> bool
 (** Some module is degraded or refuted (the CLI's degrade-gate input). *)
 
 type state
-(** A composed run kept warm: the global network, the partition, and one
-    incremental engine state ({!Incr.state}) per healthy module — each
-    with its own signature cache, so a delta recompresses only its
-    module. *)
+(** A composed run kept warm: the global network, the partition, and the
+    per-class results of every healthy module, which {!compose} seeds
+    from and {!self_audit} re-checks. *)
 
 val run :
   ?mode:mode ->
@@ -120,41 +118,20 @@ val run_stream :
 val report : state -> report
 val network : state -> Device.network
 
-val module_names : state -> string list
-(** Sorted; the health-table order. *)
-
 val module_summary : state -> string -> Bonsai_api.summary option
 (** The named module's warm per-class results over its subnet (boundary
     stubs included), shaped like a [Bonsai_api.compress] summary; [None]
     if the module is unknown or cold (degraded/quarantined). The resident
-    engine reads — and its test-corrupt hook mutates — warm module state
-    through this. *)
-
-val quarantine : state -> string -> bool
-(** Drop the named module's warm engine state (its next use degrades to
-    identity until {!rebuild_module}); [false] if unknown or already
-    cold. The resident engine's module-level quarantine on self-audit
-    refutation. *)
-
-val rebuild_module :
-  ?budget:Budget.t -> state -> string -> (unit, Bonsai_error.t) result
-(** Recompress just the named module cold (fresh subnet state), leaving
-    every other module's warm state untouched; updates the health table
-    entry. *)
+    engine's test-corrupt hook mutates warm module state through this. *)
 
 val self_audit : ?budget:Budget.t -> state -> (string * string) list
 (** Re-check every warm module's results with the independent
-    certificate checker (fresh universe per module). Returns refuted
-    [(module, detail)] pairs {e after} quarantining each — the caller
-    records incidents and may {!rebuild_module}. *)
-
-val update :
-  ?budget:Budget.t -> state -> Delta.t list -> (Incr.report option, Bonsai_error.t) result
-(** Apply configuration deltas. When every touched router is an
-    {e interior} member of one healthy module (no boundary router, no
-    node add/remove), only that module recompresses — through its own
-    signature cache — and [Some report] carries the incremental stats.
-    Anything wider falls back to a full re-run ([None]). *)
+    certificate checker (fresh universe per module). A refuted module is
+    quarantined: its results are dropped and its health becomes
+    [Refuted] with the refutation as detail, so its rows report the
+    identity abstraction and {!compose} treats it as degraded, while
+    every other module stays warm. Returns the refuted
+    [(module, detail)] pairs, for the caller to record as incidents. *)
 
 val compose :
   ?budget:Budget.t -> state -> (Bonsai_api.summary, Bonsai_error.t) result

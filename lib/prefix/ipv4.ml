@@ -39,7 +39,6 @@ let to_string a =
     (a land 0xFF)
 
 let pp ppf a = Format.pp_print_string ppf (to_string a)
-let compare = Int.compare
 let equal = Int.equal
 
 let bit a i =

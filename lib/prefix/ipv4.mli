@@ -17,7 +17,6 @@ val of_string : string -> t
 val of_string_opt : string -> t option
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
-val compare : t -> t -> int
 val equal : t -> t -> bool
 
 val bit : t -> int -> bool

@@ -91,6 +91,5 @@ let fold t f init =
   in
   go t [] 0 init
 
-let iter t f = fold t (fun p v () -> f p v) ()
 let cardinal t = fold t (fun _ _ n -> n + 1) 0
 let bindings t = List.rev (fold t (fun p v acc -> (p, v) :: acc) [])

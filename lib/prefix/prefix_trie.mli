@@ -28,6 +28,5 @@ val fold : 'a t -> (Prefix.t -> 'a -> 'b -> 'b) -> 'b -> 'b
 (** Folds over bound prefixes in trie (depth-first, shorter prefixes first
     on equal paths). *)
 
-val iter : 'a t -> (Prefix.t -> 'a -> unit) -> unit
 val cardinal : 'a t -> int
 val bindings : 'a t -> (Prefix.t * 'a) list

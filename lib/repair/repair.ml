@@ -171,24 +171,4 @@ let harden ?k ?rounds ?frontier ?samples ?seed ?budget net ec =
       with Invalid_argument m ->
         Bonsai_error.error (Bonsai_error.Compile_error m))
 
-let to_hardened (r : t) =
-  {
-    Bonsai_api.h_result = r.result;
-    h_rounds = List.length r.rounds;
-    h_pins = r.pins;
-    h_counterexamples = r.n_counterexamples;
-    h_scenarios = r.n_scenarios;
-    h_cache_hits = r.cache_hits;
-    h_fallback = r.fallback;
-    h_sound = r.sound;
-  }
-
 let ratio (r : t) = Abstraction.compression_ratio r.result.Bonsai_api.abstraction
-
-(* Make [Bonsai_api.compress_fault_sound] real for every executable that
-   links this library. *)
-let () =
-  Bonsai_api.register_fault_sound
-    (fun ?k ?rounds ?frontier ?samples ?seed ?budget net ec ->
-      Result.map to_hardened
-        (harden ?k ?rounds ?frontier ?samples ?seed ?budget net ec))

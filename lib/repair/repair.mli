@@ -100,12 +100,7 @@ val harden :
   (t, Bonsai_error.t) result
 (** {!harden_exn} behind the crash-proof boundary
     ({!Bonsai_error.protect}); [Invalid_argument] becomes
-    [Compile_error]. Registered as {!Bonsai_api.compress_fault_sound} at
-    link time. *)
-
-val to_hardened : t -> Bonsai_api.hardened
-(** The core-level summary (drops the per-round trace and scenario
-    payloads). *)
+    [Compile_error]. *)
 
 val ratio : t -> float * float
 (** (node, link) compression ratio of the final abstraction — 1.0/1.0

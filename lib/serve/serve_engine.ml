@@ -17,19 +17,10 @@
    would poison every later answer for that network with permanently
    degraded results. Only fully-compressed states enter the registry. *)
 
-type entry = {
+type 'a entry = {
   en_spec : string;
-  en_state : Incr.state;
-  mutable en_stamp : int;  (* LRU clock for the network registry *)
-}
-
-(* Warm modular runs, in a registry of their own: a modular state is a
-   set of per-module engines, quarantined module-by-module rather than
-   evicted wholesale. *)
-type mentry = {
-  men_spec : string;
-  men_state : Modular.state;
-  mutable men_stamp : int;
+  en_state : 'a;
+  mutable en_stamp : int;  (* LRU clock for the registry *)
 }
 
 type t = {
@@ -38,8 +29,10 @@ type t = {
   cap_max_ticks : int option;
   cache_cap : int option;
   max_networks : int;
-  registry : (string, entry) Hashtbl.t;
-  modular_registry : (string, mentry) Hashtbl.t;
+  registry : (string, Incr.state entry) Hashtbl.t;
+  modular_registry : (string, Modular.state entry) Hashtbl.t;
+      (* warm modular runs: a modular state holds per-module results,
+         quarantined module-by-module rather than evicted wholesale *)
   mutable clock : int;
   mutable n_requests : int;
   mutable n_ok : int;
@@ -105,27 +98,26 @@ let touch t en =
   t.clock <- t.clock + 1;
   en.en_stamp <- t.clock
 
-let evict_lru t =
+let evict_lru t registry =
   let victim =
     Hashtbl.fold
       (fun _ en acc ->
         match acc with
         | Some best when best.en_stamp <= en.en_stamp -> acc
         | _ -> Some en)
-      t.registry None
+      registry None
   in
   match victim with
   | None -> ()
   | Some en ->
-    Hashtbl.remove t.registry en.en_spec;
+    Hashtbl.remove registry en.en_spec;
     t.n_net_evictions <- t.n_net_evictions + 1
 
-let admit t spec st =
-  if Hashtbl.length t.registry >= t.max_networks then evict_lru t;
+let admit t registry spec st =
+  if Hashtbl.length registry >= t.max_networks then evict_lru t registry;
   let en = { en_spec = spec; en_state = st; en_stamp = 0 } in
   touch t en;
-  Hashtbl.replace t.registry spec en;
-  t.audit_dirty <- true
+  Hashtbl.replace registry spec en
 
 type warmth = Warm | Cold_cached | Cold_transient
 
@@ -145,9 +137,19 @@ let get_state t ~budget spec =
       if Option.is_some (Incr.summary st).Bonsai_api.degradation then
         (st, Cold_transient)
       else begin
-        admit t spec st;
+        admit t t.registry spec st;
+        t.audit_dirty <- true;
         (st, Cold_cached)
       end)
+
+(* The warm network if the spec is in the registry, else resolved afresh
+   (nothing is cached): for ops that read only the configuration. *)
+let warm_or_resolve t spec =
+  match Hashtbl.find_opt t.registry spec with
+  | Some en ->
+    touch t en;
+    Incr.network en.en_state
+  | None -> t.resolve spec
 
 (* --- parameter helpers ------------------------------------------------ *)
 
@@ -161,6 +163,14 @@ let request_budget t req =
     ?cap_deadline_s:t.cap_deadline_s ?cap_max_ticks:t.cap_max_ticks ()
 
 let network_param req = Protocol.require_string req "network"
+
+let audit_param req key =
+  Option.map
+    (fun s ->
+      match Certify.audit_of_string s with
+      | Some a -> a
+      | None -> Format.kasprintf failwith "bad %s level %S" key s)
+    (Protocol.string_param req key)
 
 (* Mirror of the one-shot CLI's --degrade contract: a degraded result is
    a typed budget-exceeded response unless the request opted into
@@ -211,13 +221,7 @@ let compress_op t req =
 let lint_op t req =
   let budget = request_budget t req in
   let spec = network_param req in
-  let net =
-    match Hashtbl.find_opt t.registry spec with
-    | Some en ->
-      touch t en;
-      Incr.network en.en_state
-    | None -> t.resolve spec
-  in
+  let net = warm_or_resolve t spec in
   let compression =
     Option.value ~default:true (Protocol.bool_param req "compression")
   in
@@ -233,13 +237,7 @@ let lint_op t req =
 let flow_op t req =
   let budget = request_budget t req in
   let spec = network_param req in
-  let net =
-    match Hashtbl.find_opt t.registry spec with
-    | Some en ->
-      touch t en;
-      Incr.network en.en_state
-    | None -> t.resolve spec
-  in
+  let net = warm_or_resolve t spec in
   let ds = List.sort Diag.compare (Lint_flow.run ~budget net) in
   let degraded =
     List.exists (fun d -> String.equal d.Diag.check "flow-degraded") ds
@@ -257,14 +255,7 @@ let diff_op t req =
   let to_spec = Protocol.require_string req "to" in
   let st, _ = get_state t ~budget spec in
   let net' = t.resolve to_spec in
-  let recertify =
-    match Protocol.string_param req "recertify" with
-    | None -> None
-    | Some s -> (
-      match Certify.audit_of_string s with
-      | Some a -> Some a
-      | None -> Format.kasprintf failwith "bad recertify level %S" s)
-  in
+  let recertify = audit_param req "recertify" in
   match Incr.recompress_net ~budget ?recertify st net' with
   | Error e -> Bonsai_error.error e
   | Ok (deltas, rep) ->
@@ -398,7 +389,7 @@ let harden_op t req =
    from the registry's own [Incr.state] and check it independently in a
    fresh BDD universe ([Certify.check_result] — the emission itself is
    exception-proof, a state too broken to export a witness is refuted). *)
-let audit_entry ~budget ~audit (en : entry) =
+let audit_entry ~budget ~audit (en : Incr.state entry) =
   try
     let net = Incr.network en.en_state in
     let summary = Incr.summary en.en_state in
@@ -476,12 +467,7 @@ let audit_step ?(budget = Budget.infinite) t =
 let audit_op t req =
   let budget = request_budget t req in
   let audit =
-    match Protocol.string_param req "audit" with
-    | None -> Certify.Sample
-    | Some s -> (
-      match Certify.audit_of_string s with
-      | Some a -> a
-      | None -> Format.kasprintf failwith "bad audit level %S" s)
+    Option.value ~default:Certify.Sample (audit_param req "audit")
   in
   let specs =
     match Protocol.string_param req "network" with
@@ -534,15 +520,11 @@ let audit_op t req =
 
 (* --- modular ---------------------------------------------------------- *)
 
-let mtouch t men =
-  t.clock <- t.clock + 1;
-  men.men_stamp <- t.clock
-
 let get_modular t ~budget ~mode ~count ~certify spec =
   match Hashtbl.find_opt t.modular_registry spec with
-  | Some men ->
-    mtouch t men;
-    (men.men_state, true)
+  | Some en ->
+    touch t en;
+    (en.en_state, true)
   | None -> (
     let net = t.resolve spec in
     match Modular.run ~mode ?count ~budget ~certify net with
@@ -560,26 +542,7 @@ let get_modular t ~budget ~mode ~count ~certify spec =
             | Modular.Healthy | Modular.Retried -> false)
           rp.Modular.rp_modules
       in
-      if not all_faulted then begin
-        if Hashtbl.length t.modular_registry >= t.max_networks then begin
-          let victim =
-            Hashtbl.fold
-              (fun _ men acc ->
-                match acc with
-                | Some best when best.men_stamp <= men.men_stamp -> acc
-                | _ -> Some men)
-              t.modular_registry None
-          in
-          match victim with
-          | None -> ()
-          | Some men ->
-            Hashtbl.remove t.modular_registry men.men_spec;
-            t.n_net_evictions <- t.n_net_evictions + 1
-        end;
-        let men = { men_spec = spec; men_state = st; men_stamp = 0 } in
-        mtouch t men;
-        Hashtbl.replace t.modular_registry spec men
-      end;
+      if not all_faulted then admit t t.modular_registry spec st;
       (st, false))
 
 let modular_op t req =
@@ -607,10 +570,7 @@ let modular_op t req =
          each refutation is an incident for the server loop to log. *)
       let refuted = Modular.self_audit ~budget st in
       List.iter
-        (fun (m, detail) ->
-          t.n_incidents <- t.n_incidents + 1;
-          t.pending_incidents <-
-            (spec ^ "/" ^ m, detail) :: t.pending_incidents)
+        (fun (m, detail) -> push_incident t (spec ^ "/" ^ m) detail)
         refuted;
       List.map fst refuted
     end
@@ -685,8 +645,8 @@ let test_corrupt_op t req =
     | Some m -> (
       match Hashtbl.find_opt t.modular_registry spec with
       | None -> failwith "network not warm (modular)"
-      | Some men -> (
-        match Modular.module_summary men.men_state m with
+      | Some en -> (
+        match Modular.module_summary en.en_state m with
         | None -> Format.kasprintf failwith "module %S not warm" m
         | Some s -> s.Bonsai_api.results))
     | None -> (
@@ -833,7 +793,7 @@ let restore t ~path =
       (fun (spec, st) ->
         (* marshaled copies lost Budget.infinite's physical identity *)
         Incr.rearm st;
-        admit t spec st)
+        admit t t.registry spec st)
       rows;
     t.restored <- true;
     t.checkpoint_status <- "restored";

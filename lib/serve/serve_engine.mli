@@ -11,7 +11,7 @@
     Ops: [compress], [lint], [flow], [diff], [faults], [harden],
     [load], [unload], [audit], [modular], [health], [stats],
     [shutdown]. [modular] keeps its own warm registry of
-    {!Modular.state}s (per-module engines with per-module fault
+    {!Modular.state}s (per-module results with per-module fault
     isolation); with ["audit": true] it self-audits every warm module
     and quarantines refutations {e module-by-module} — the rest of the
     network's modules stay warm. Responses

@@ -72,17 +72,6 @@ let fwd s u =
       |> List.filter_map (fun (e, c) ->
              if s.srp.Srp.compare c a = 0 then Some e else None))
 
-let fwd_edges s =
-  let n = Graph.n_nodes s.srp.Srp.graph in
-  let acc = ref [] in
-  for u = n - 1 downto 0 do
-    acc := fwd s u @ !acc
-  done;
-  List.sort
-    (fun (u, v) (u', v') ->
-      match Int.compare u u' with 0 -> Int.compare v v' | c -> c)
-    !acc
-
 let forwarding_paths s ~src ~max_len =
   let dest = s.srp.Srp.dest in
   let rec go u path_rev seen len =

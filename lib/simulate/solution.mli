@@ -47,9 +47,6 @@ val fwd : 'a t -> int -> (int * int) list
     unreachable nodes. Read from the forwarding table when the solution
     carries one, with no transfer evaluated. *)
 
-val fwd_edges : 'a t -> (int * int) list
-(** All forwarding edges, sorted. *)
-
 val forwarding_paths : 'a t -> src:int -> max_len:int -> int list list
 (** All forwarding paths from [src] following [fwd] edges until the
     destination, a node with no forwarding edge (black hole), a repeated

@@ -28,16 +28,15 @@ type 'a fault_result =
   | Fault_fails of Scenario.t * 'a Solution.t
   | Fault_diverges of Scenario.t * 'a Solver.diagnosis
 
-let scenario_violates ?max_steps srp prop sc =
-  match Fault_engine.run ?max_steps srp sc with
+let scenario_violates srp prop sc =
+  match Fault_engine.run srp sc with
   | Fault_engine.Stable sol | Fault_engine.Disconnected (sol, _) ->
     if prop sol then None else Some (`Fails sol)
   | Fault_engine.Diverged d -> Some (`Diverged d)
 
-let for_all_failures ?(k = 1) ?budget ?samples ?seed ?max_steps
-    (srp : 'a Srp.t) prop =
+let for_all_failures ?(k = 1) ?budget ?samples ?seed (srp : 'a Srp.t) prop =
   let plan = Fault_engine.plan ?budget ?samples ?seed ~k srp.Srp.graph in
-  let fails sc = scenario_violates ?max_steps srp prop sc <> None in
+  let fails sc = scenario_violates srp prop sc <> None in
   match List.find_opt fails plan.Fault_engine.scenarios with
   | None ->
     Fault_holds
@@ -47,7 +46,7 @@ let for_all_failures ?(k = 1) ?budget ?samples ?seed ?max_steps
       }
   | Some sc -> (
     let minimal = Scenario.shrink fails sc in
-    match scenario_violates ?max_steps srp prop minimal with
+    match scenario_violates srp prop minimal with
     | Some (`Fails sol) -> Fault_fails (minimal, sol)
     | Some (`Diverged d) -> Fault_diverges (minimal, d)
     | None -> assert false)

@@ -56,7 +56,6 @@ val for_all_failures :
   ?budget:int ->
   ?samples:int ->
   ?seed:int ->
-  ?max_steps:int ->
   'a Srp.t ->
   ('a Solution.t -> bool) ->
   'a fault_result

@@ -2,7 +2,7 @@
    engine-produced certificates (the checker must never refute a correct
    answer), and refutation of a table of deliberate mutations — merged
    classes, a moved node, a swapped representative, an altered labeling,
-   a phantom abstract edge. The QCheck acceptance property runs under
+   a phantom abstract edge, a non-least edge representative. The QCheck acceptance property runs under
    the @fuzz alias and scales with FUZZ_COUNT. *)
 
 let fuzz_count =
@@ -258,6 +258,45 @@ let test_reject_phantom_edge () =
          conds)
   end
 
+let test_reject_non_least_edge_repr () =
+  (* claim a concrete edge of the same group pair that is not the least:
+     the transfer anchor must be the one the checker would pick *)
+  let net, t = ring_cert () in
+  let c = first_cert t in
+  let g = net.Device.graph in
+  let group_of name =
+    let rec go i = function
+      | ms :: rest -> if List.mem name ms then i else go (i + 1) rest
+      | [] -> Alcotest.failf "%s is in no group" name
+    in
+    go 0 c.Certify.c_groups
+  in
+  let other_edge (un, vn) =
+    let g1 = group_of un and g2 = group_of vn in
+    List.find_map
+      (fun (u, v) ->
+        let u = Graph.name g u and v = Graph.name g v in
+        if group_of u = g1 && group_of v = g2 && (u, v) <> (un, vn) then
+          Some (u, v)
+        else None)
+      (Graph.edges g)
+  in
+  let rec mutate = function
+    | [] -> Alcotest.fail "no abstract edge with two concrete edges"
+    | (a, e) :: rest -> (
+      match other_edge e with
+      | Some e' -> (a, e') :: rest
+      | None -> (a, e) :: mutate rest)
+  in
+  let moved = { c with Certify.c_edge_reprs = mutate c.Certify.c_edge_reprs } in
+  let conds =
+    expect_refuted net
+      (with_first_cert t (fun _ -> moved))
+      "non-least edge representative"
+  in
+  Alcotest.(check (list string)) "edge-repr is the condition" [ "edge-repr" ]
+    conds
+
 (* --- audit budget ----------------------------------------------------- *)
 
 let test_audit_incomplete_never_certifies () =
@@ -320,6 +359,8 @@ let () =
           Alcotest.test_case "altered labeling" `Quick
             test_reject_altered_labeling;
           Alcotest.test_case "phantom edge" `Quick test_reject_phantom_edge;
+          Alcotest.test_case "non-least edge representative" `Quick
+            test_reject_non_least_edge_repr;
         ] );
       ( "budget",
         [

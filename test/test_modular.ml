@@ -229,49 +229,6 @@ let test_stream () =
         (m.Modular.mr_abstract < m.Modular.mr_concrete))
     rep.Modular.rp_modules
 
-(* --- warm-state operations ------------------------------------------- *)
-
-let test_quarantine_rebuild () =
-  let st =
-    ok_exn "run"
-      (Modular.run ~mode:Modular.Annot (multiwan ~regions:3 ~region_size:4))
-  in
-  Alcotest.(check bool) "warm before" true
-    (Option.is_some (Modular.module_summary st "region1"));
-  Alcotest.(check bool) "quarantine" true (Modular.quarantine st "region1");
-  Alcotest.(check bool) "cold after" true
-    (Option.is_none (Modular.module_summary st "region1"));
-  Alcotest.(check bool) "second quarantine is a no-op" false
-    (Modular.quarantine st "region1");
-  (match Modular.rebuild_module st "region1" with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "rebuild: %a" Bonsai_error.pp e);
-  Alcotest.(check bool) "warm again" true
-    (Option.is_some (Modular.module_summary st "region1"));
-  check_compose_exact ~what:"compose (rebuilt)" st
-
-let test_update_targeted () =
-  let st =
-    ok_exn "run"
-      (Modular.run ~mode:Modular.Annot (multiwan ~regions:3 ~region_size:4))
-  in
-  (* r0n2 is an access router: its only neighbors are region0's two
-     gateways, and a static-table delta touches only the one router, so
-     the edit is interior to one healthy module. (An Acl_set would not
-     qualify: it touches both endpoints, and in multiwan every link has
-     a boundary gateway or core endpoint.) *)
-  let d = Delta.Static_set { node = "r0n2"; routes = [] } in
-  (match Modular.update st [ d ] with
-  | Ok (Some _) -> ()
-  | Ok None -> Alcotest.fail "interior delta fell back to a full re-run"
-  | Error e -> Alcotest.failf "update: %a" Bonsai_error.pp e);
-  check_compose_exact ~what:"compose (updated)" st;
-  (* a structural delta must fall back to a full re-run *)
-  match Modular.update st [ Delta.Node_remove "r2n3" ] with
-  | Ok None -> check_compose_exact ~what:"compose (rebuilt after removal)" st
-  | Ok (Some _) -> Alcotest.fail "structural delta took the targeted path"
-  | Error e -> Alcotest.failf "update (structural): %a" Bonsai_error.pp e
-
 (* --- fuzz ------------------------------------------------------------- *)
 
 let prop_compose =
@@ -354,11 +311,5 @@ let () =
       ( "fault-isolation",
         [ Alcotest.test_case "injected fault" `Quick test_fault_isolated ] );
       ("stream", [ Alcotest.test_case "multiwan-stream" `Quick test_stream ]);
-      ( "warm-state",
-        [
-          Alcotest.test_case "quarantine/rebuild" `Quick
-            test_quarantine_rebuild;
-          Alcotest.test_case "targeted update" `Quick test_update_targeted;
-        ] );
       qsuite "fuzz" [ prop_compose; prop_fault_isolation ];
     ]

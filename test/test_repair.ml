@@ -191,25 +191,6 @@ let test_invalid_args () =
   | Error (Bonsai_error.Compile_error _) -> ()
   | _ -> Alcotest.fail "negative rounds must be a Compile_error"
 
-(* --- the registered Bonsai_api entry point ----------------------------- *)
-
-let test_api_registration () =
-  (* this test binary links repro_repair, so the forward reference must
-     be filled in *)
-  let net = fattree4 () in
-  let ec = first_ec net in
-  match Bonsai_api.compress_fault_sound ~k:1 net ec with
-  | Error e -> Alcotest.failf "unexpected error: %a" Bonsai_error.pp e
-  | Ok h ->
-    Alcotest.(check bool) "sound" true h.Bonsai_api.h_sound;
-    Alcotest.(check bool) "rounds counted" true (h.Bonsai_api.h_rounds >= 2);
-    Alcotest.(check bool) "pins reported" true (h.Bonsai_api.h_pins <> []);
-    Alcotest.(check bool)
-      "counterexamples reported" true
-      (h.Bonsai_api.h_counterexamples >= 1);
-    let rn, _ = Bonsai_api.hardened_ratio h in
-    Alcotest.(check bool) "ratio computed" true (rn >= 1.0)
-
 (* --- properties --------------------------------------------------------- *)
 
 (* Hardened output is fault-sound on the swept space, whatever the
@@ -271,11 +252,6 @@ let () =
           Alcotest.test_case "k=0 is trivially sound" `Quick
             test_k_zero_trivially_sound;
           Alcotest.test_case "invalid arguments" `Quick test_invalid_args;
-        ] );
-      ( "api",
-        [
-          Alcotest.test_case "compress_fault_sound registered" `Quick
-            test_api_registration;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest qcheck_hardened_is_sound ]);
     ]

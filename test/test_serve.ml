@@ -737,6 +737,68 @@ let test_lint_clause_agreement () =
       | _ -> Alcotest.failf "serve lint %s: no findings list" fixture)
     [ "shadow.conf"; "acl.conf" ]
 
+(* Module-level quarantine: the modular op's self-audit refutes a
+   silently corrupted module and quarantines it alone; every other
+   module stays warm, and the refutation is one incident. *)
+let test_engine_modular_quarantine () =
+  let eng = Serve_engine.create () in
+  let spec = "file:" ^ build_path "modular/modular3.conf" in
+  let request op fields =
+    let line =
+      Json.to_string
+        (Json.Obj
+           ([ ("op", Json.String op); ("network", Json.String spec) ] @ fields))
+    in
+    parse_or_fail op (handle eng line)
+  in
+  let modular fields =
+    request "modular" (("modules", Json.String "annot") :: fields)
+  in
+  let field name j =
+    match Json.member name j with
+    | Some v -> v
+    | None -> Alcotest.failf "no %s in %s" name (Json.to_string j)
+  in
+  let health j =
+    match field "modules" j with
+    | Json.List rows ->
+      List.map
+        (fun row ->
+          match (field "module" row, field "health" row) with
+          | Json.String m, Json.String h -> (m, h)
+          | _ -> Alcotest.fail "malformed module row")
+        rows
+    | _ -> Alcotest.fail "modules: expected a list"
+  in
+  let incidents () =
+    let stats = parse_or_fail "stats" (handle eng "{\"op\":\"stats\"}") in
+    match field "incidents" stats with
+    | Json.Int n -> n
+    | _ -> Alcotest.fail "incidents: expected an int"
+  in
+  let warm = modular [] in
+  Alcotest.(check (list (pair string string)))
+    "all modules healthy"
+    [ ("core", "ok"); ("east", "ok"); ("west", "ok") ]
+    (health warm);
+  let before = incidents () in
+  Unix.putenv "BONSAI_TEST_HOOKS" "1";
+  let corrupted = request "test-corrupt" [ ("module", Json.String "west") ] in
+  Unix.putenv "BONSAI_TEST_HOOKS" "0";
+  Alcotest.(check bool) "corrupted" true
+    (Json.equal (field "ok" corrupted) (Json.Bool true));
+  let audited = modular [ ("audit", Json.Bool true) ] in
+  Alcotest.(check bool) "answered warm" true
+    (Json.equal (field "warm" audited) (Json.Bool true));
+  Alcotest.(check bool) "quarantined exactly west" true
+    (Json.equal (field "quarantined" audited)
+       (Json.List [ Json.String "west" ]));
+  Alcotest.(check (list (pair string string)))
+    "only west refuted"
+    [ ("core", "ok"); ("east", "ok"); ("west", "refuted") ]
+    (health audited);
+  Alcotest.(check int) "one more incident" (before + 1) (incidents ())
+
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
@@ -780,6 +842,8 @@ let () =
             test_engine_version_skew_distinct;
           Alcotest.test_case "self-audit quarantines" `Quick
             test_engine_self_audit_quarantines;
+          Alcotest.test_case "modular self-audit quarantines" `Quick
+            test_engine_modular_quarantine;
         ] );
       ( "backoff",
         [
