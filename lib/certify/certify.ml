@@ -40,20 +40,6 @@ type verdict =
 (* ------------------------------------------------------------------ *)
 (* Emission                                                            *)
 
-(* Least concrete edge per ordered group pair — the same representative
-   [Abstraction.repr_edge] would pick, computed in one pass instead of
-   per-lookup (the degraded identity abstraction has one abstract edge
-   per concrete edge). *)
-let min_edge_table graph group_of =
-  let reprs = Hashtbl.create 256 in
-  Graph.iter_edges graph (fun u v ->
-      let key = (group_of.(u), group_of.(v)) in
-      match Hashtbl.find_opt reprs key with
-      | Some (u', v') ->
-        if u < u' || (u = u' && v < v') then Hashtbl.replace reprs key (u, v)
-      | None -> Hashtbl.replace reprs key (u, v));
-  reprs
-
 let attr_json (a : Bgp.attr) =
   Json.Obj
     [
@@ -113,17 +99,13 @@ let of_ec_result (net : Device.network) (r : Bonsai_api.ec_result) =
   Graph.iter_edges t.Abstraction.abs_graph (fun a b ->
       abs_edges := (a, b) :: !abs_edges);
   let abs_edges = List.rev !abs_edges in
-  let ereprs = min_edge_table g t.Abstraction.group_of in
+  let repr = Abstraction.edge_repr_fun t in
   let edge_reprs =
     List.map
       (fun (a, b) ->
-        let key =
-          ( t.Abstraction.group_of_abs.(a),
-            t.Abstraction.group_of_abs.(b) )
-        in
-        match Hashtbl.find_opt ereprs key with
-        | Some (u, v) -> ((a, b), (name u, name v))
-        | None ->
+        match repr a b with
+        | u, v -> ((a, b), (name u, name v))
+        | exception Not_found ->
           (* unreachable for a well-formed abstraction; refuted cleanly
              by the checker's completeness pass *)
           ((a, b), ("?", "?")))
@@ -343,6 +325,19 @@ let sample_list audit xs =
       let n = Array.length arr in
       [ arr.(0); arr.(n / 2); arr.(n - 1) ])
 
+(* [sample_list] over the indices [lo .. hi - 1], without the list. *)
+let sample_range audit lo hi f =
+  let n = hi - lo in
+  match audit with
+  | Sample when n > 3 ->
+    f lo;
+    f (lo + (n / 2));
+    f (hi - 1)
+  | Full | Sample ->
+    for i = lo to hi - 1 do
+      f i
+    done
+
 (* BDD-free probe attributes: the route maps are executed directly on a
    small attribute matrix covering every community the network can match
    plus off-universe preference values. *)
@@ -528,130 +523,211 @@ let check_cert ~budget ~audit ~universe ~obligations (net : Device.network)
           total := !total + max 1 copies_claim.(gid))
         groups;
       let n_abs = !total in
-      let cert_edges = Hashtbl.create 256 in
-      List.iter
-        (fun (a, b) ->
-          if a = b then
-            fail "self-loop-free" (Printf.sprintf "abstract loop at %d" a)
-          else if a < 0 || b < 0 || a >= n_abs || b >= n_abs then
-            fail "abs-edges"
-              (Printf.sprintf "abstract edge (%d,%d) out of range" a b)
-          else Hashtbl.replace cert_edges (a, b) ())
-        c.c_abs_edges;
-      (* expected abstract edges from the concrete graph (∀∃1 plus
-         completeness: the certificate may neither omit nor invent) *)
-      let group_pairs = Hashtbl.create 256 in
-      let min_edges = Hashtbl.create 256 in
-      Graph.iter_edges g (fun u v ->
-          let key = (group_of.(u), group_of.(v)) in
-          Hashtbl.replace group_pairs key ();
-          match Hashtbl.find_opt min_edges key with
-          | Some (u', v') ->
-            if u < u' || (u = u' && v < v') then
-              Hashtbl.replace min_edges key (u, v)
-          | None -> Hashtbl.replace min_edges key (u, v));
-      let expected = Hashtbl.create 256 in
-      Hashtbl.iter
-        (fun (g1, g2) () ->
-          for i = 0 to copies_claim.(g1) - 1 do
+      (* -- concrete edges bucketed by group pair --------------------- *)
+      (* Every edge as the code [u lsl bits lor v], counting-sorted by
+         target group and then, stably, by source group. Walking [succ]
+         lists the edges in lexicographic order, so [order] ends sorted by
+         (group of u, group of v, u, v): bucket [b] ([order] from
+         [b_start.(b)] to [b_start.(b + 1)]) holds the edges of the group
+         pair [b_key.(b) = g1 * n_groups + g2], sorted, least edge
+         first, and the buckets ascend by group pair. *)
+      let m = Graph.n_edges g in
+      let bits =
+        let rec width b = if 1 lsl b >= n then b else width (b + 1) in
+        width 0
+      in
+      let src k = k lsr bits and dst k = k land ((1 lsl bits) - 1) in
+      let prefix_sums a =
+        for k = 1 to Array.length a - 1 do
+          a.(k) <- a.(k) + a.(k - 1)
+        done
+      in
+      let by_src = Array.make (n_groups + 1) 0 in
+      let by_dst = Array.make (n_groups + 1) 0 in
+      for u = 0 to n - 1 do
+        let succ = Graph.succ g u in
+        let k = group_of.(u) + 1 in
+        by_src.(k) <- by_src.(k) + Array.length succ;
+        for i = 0 to Array.length succ - 1 do
+          let k = group_of.(succ.(i)) + 1 in
+          by_dst.(k) <- by_dst.(k) + 1
+        done
+      done;
+      prefix_sums by_src;
+      prefix_sums by_dst;
+      let by_target = Array.make m 0 in
+      for u = 0 to n - 1 do
+        let succ = Graph.succ g u in
+        for i = 0 to Array.length succ - 1 do
+          let v = succ.(i) in
+          let k = group_of.(v) in
+          by_target.(by_dst.(k)) <- (u lsl bits) lor v;
+          by_dst.(k) <- by_dst.(k) + 1
+        done
+      done;
+      let order = Array.make m 0 in
+      for i = 0 to m - 1 do
+        let e = by_target.(i) in
+        let k = group_of.(src e) in
+        order.(by_src.(k)) <- e;
+        by_src.(k) <- by_src.(k) + 1
+      done;
+      (* one walk to count the buckets, one to record them *)
+      let walk_buckets f =
+        let prev = ref (-1) in
+        for i = 0 to m - 1 do
+          let e = order.(i) in
+          let key = (group_of.(src e) * n_groups) + group_of.(dst e) in
+          if key <> !prev then begin
+            f key i;
+            prev := key
+          end
+        done
+      in
+      let n_buckets = ref 0 in
+      walk_buckets (fun _ _ -> incr n_buckets);
+      let n_buckets = !n_buckets in
+      let b_key = Array.make n_buckets 0 in
+      let b_start = Array.make (n_buckets + 1) m in
+      let b = ref 0 in
+      walk_buckets (fun key i ->
+          b_key.(!b) <- key;
+          b_start.(!b) <- i;
+          incr b);
+      (* the first bucket whose group pair is [key] or above: the
+         buckets of source group [g1] run from [lower_bound (g1 *
+         n_groups)] to [lower_bound ((g1 + 1) * n_groups)] *)
+      let lower_bound key =
+        let rec search lo hi =
+          if lo >= hi then lo
+          else
+            let mid = (lo + hi) / 2 in
+            if b_key.(mid) < key then search (mid + 1) hi else search lo mid
+        in
+        search 0 n_buckets
+      in
+      let bucket_of g1 g2 =
+        let key = (g1 * n_groups) + g2 in
+        let b = lower_bound key in
+        if b < n_buckets && b_key.(b) = key then b else -1
+      in
+      (* -- ∀∃1 plus completeness: the certificate may neither omit nor
+         invent an abstract edge. Abstract ids are laid out by group and
+         copy, so walking (group, copy, bucket, copy) yields the expected
+         edges ascending, and one merge against the sorted claim finds
+         both kinds of failure. *)
+      let claimed =
+        List.filter_map
+          (fun (a, b) ->
+            if a = b then begin
+              fail "self-loop-free" (Printf.sprintf "abstract loop at %d" a);
+              None
+            end
+            else if a < 0 || b < 0 || a >= n_abs || b >= n_abs then begin
+              fail "abs-edges"
+                (Printf.sprintf "abstract edge (%d,%d) out of range" a b);
+              None
+            end
+            else Some ((a * n_abs) + b))
+          c.c_abs_edges
+        |> List.sort_uniq Int.compare |> Array.of_list
+      in
+      let pos = ref 0 and phantoms = ref [] in
+      let phantom_below key =
+        while !pos < Array.length claimed && claimed.(!pos) < key do
+          phantoms := claimed.(!pos) :: !phantoms;
+          incr pos
+        done
+      in
+      for g1 = 0 to n_groups - 1 do
+        let first = lower_bound (g1 * n_groups)
+        and last = lower_bound ((g1 + 1) * n_groups) in
+        for i = 0 to copies_claim.(g1) - 1 do
+          for b = first to last - 1 do
+            let g2 = b_key.(b) mod n_groups in
             for j = 0 to copies_claim.(g2) - 1 do
               let a1 = abs_of_group.(g1) + i and a2 = abs_of_group.(g2) + j in
-              if a1 <> a2 then Hashtbl.replace expected (a1, a2) ()
+              if a1 <> a2 then begin
+                let key = (a1 * n_abs) + a2 in
+                phantom_below key;
+                if !pos < Array.length claimed && claimed.(!pos) = key then
+                  incr pos
+                else
+                  fail "forall-exists-1"
+                    (Printf.sprintf
+                       "concrete edges map to abstract (%d,%d) but the \
+                        certificate omits it"
+                       a1 a2)
+              end
             done
-          done)
-        group_pairs;
-      Hashtbl.iter
-        (fun (a1, a2) () ->
-          if not (Hashtbl.mem cert_edges (a1, a2)) then
-            fail "forall-exists-1"
-              (Printf.sprintf
-                 "concrete edges map to abstract (%d,%d) but the certificate \
-                  omits it"
-                 a1 a2))
-        expected;
-      Hashtbl.iter
-        (fun (a1, a2) () ->
-          if not (Hashtbl.mem expected (a1, a2)) then
-            fail "phantom-edge"
-              (Printf.sprintf
-                 "certificate edge (%d,%d) has no concrete witness" a1 a2))
-        cert_edges;
-      (* ∀∃2 and transfer agreement per inter-group pair *)
-      let _, signature = Compile.edge_signatures ~universe net ~dest:ec.Ecs.ec_prefix in
+          done
+        done
+      done;
+      phantom_below max_int;
+      List.iter
+        (fun key ->
+          fail "phantom-edge"
+            (Printf.sprintf "certificate edge (%d,%d) has no concrete witness"
+               (key / n_abs) (key mod n_abs)))
+        (List.rev !phantoms);
+      (* -- ∀∃2 and transfer agreement per inter-group bucket ---------- *)
+      let _, signature =
+        Compile.edge_signatures ~universe net ~dest:ec.Ecs.ec_prefix
+      in
       let probes = probe_attrs universe in
       let policy = Compile.bgp_policy net ~dest:ec.Ecs.ec_prefix in
-      Hashtbl.iter
-        (fun (g1, g2) () ->
-          if g1 <> g2 then begin
-            let members = groups.(g1) in
-            (* ∀∃2: every member must keep an edge into g2 *)
-            List.iter
-              (fun u ->
-                tick ();
-                obligation ();
-                let has =
-                  Array.exists
-                    (fun v -> v <> u && group_of.(v) = g2)
-                    (Graph.succ g u)
-                in
-                if not has then
-                  fail "forall-exists-2"
-                    (Printf.sprintf
-                       "%s (group %d) has no edge into group %d" (name u) g1
-                       g2))
-              (sample_list audit members);
-            (* transfer agreement: recomputed signatures in the fresh
-               universe, anchored at the least edge of the pair *)
-            let edges = ref [] in
-            List.iter
-              (fun u ->
-                Array.iter
-                  (fun v ->
-                    if v <> u && group_of.(v) = g2 then
-                      edges := (u, v) :: !edges)
-                  (Graph.succ g u))
-              members;
-            let edges =
-              List.sort
-                (fun (u, v) (u', v') ->
-                  match Int.compare u u' with 0 -> Int.compare v v' | c -> c)
-                !edges
-            in
-            match edges with
-            | [] -> () (* already reported by ∀∃2 *)
-            | (u0, v0) :: rest ->
-              let s0 = signature u0 v0 in
+      (* [stamp.(u) = b]: [u] is a source of an edge in bucket [b] *)
+      let stamp = Array.make n (-1) in
+      for b = 0 to n_buckets - 1 do
+        let g1 = b_key.(b) / n_groups and g2 = b_key.(b) mod n_groups in
+        let lo = b_start.(b) and hi = b_start.(b + 1) in
+        if g1 <> g2 then begin
+          for i = lo to hi - 1 do
+            stamp.(src order.(i)) <- b
+          done;
+          (* ∀∃2: every member must keep an edge into g2 *)
+          List.iter
+            (fun u ->
               tick ();
+              obligation ();
+              if stamp.(u) <> b then
+                fail "forall-exists-2"
+                  (Printf.sprintf "%s (group %d) has no edge into group %d"
+                     (name u) g1 g2))
+            (sample_list audit groups.(g1));
+          (* transfer agreement: recomputed signatures in the fresh
+             universe, anchored at the least edge of the bucket *)
+          let u0 = src order.(lo) and v0 = dst order.(lo) in
+          let s0 = signature u0 v0 in
+          tick ();
+          sample_range audit (lo + 1) hi (fun i ->
+              let u = src order.(i) and v = dst order.(i) in
+              tick ();
+              obligation ();
+              if not (Compile.signature_equal s0 (signature u v)) then
+                fail "transfer-equivalence"
+                  (Printf.sprintf
+                     "edges (%s,%s) and (%s,%s) map to one abstract edge but \
+                      differ in signature"
+                     (name u0) (name v0) (name u) (name v)));
+          (* BDD-free spot check: execute the route maps directly *)
+          let pol0 = policy u0 v0 in
+          sample_range Sample (lo + 1) hi (fun i ->
+              let u = src order.(i) and v = dst order.(i) in
+              let pol = policy u v in
               List.iter
-                (fun (u, v) ->
+                (fun a ->
                   tick ();
                   obligation ();
-                  if not (Compile.signature_equal s0 (signature u v)) then
+                  if not (opt_attr_equal universe (pol0 a) (pol a)) then
                     fail "transfer-equivalence"
                       (Printf.sprintf
-                         "edges (%s,%s) and (%s,%s) map to one abstract \
-                          edge but differ in signature"
-                         (name u0) (name v0) (name u) (name v)))
-                (sample_list audit rest);
-              (* BDD-free spot check: execute the route maps directly *)
-              let pol0 = policy u0 v0 in
-              List.iter
-                (fun (u, v) ->
-                  let pol = policy u v in
-                  List.iter
-                    (fun a ->
-                      tick ();
-                      obligation ();
-                      if not (opt_attr_equal universe (pol0 a) (pol a)) then
-                        fail "transfer-equivalence"
-                          (Printf.sprintf
-                             "route maps of (%s,%s) and (%s,%s) disagree on \
-                              a probe announcement (lp %d)"
-                             (name u0) (name v0) (name u) (name v) a.Bgp.lp))
-                    probes)
-                (sample_list Sample rest)
-          end)
-        group_pairs;
+                         "route maps of (%s,%s) and (%s,%s) disagree on a \
+                          probe announcement (lp %d)"
+                         (name u0) (name v0) (name u) (name v) a.Bgp.lp))
+                probes)
+        end
+      done;
       (* claimed edge representatives must be the least concrete edge *)
       let group_of_abs = Array.make n_abs 0 in
       Array.iteri
@@ -662,24 +738,23 @@ let check_cert ~budget ~audit ~universe ~obligations (net : Device.network)
         (fun ((a1, a2), (un, vn)) ->
           tick ();
           if a1 >= 0 && a1 < n_abs && a2 >= 0 && a2 < n_abs then begin
-            let g1 = group_of_abs.(a1) and g2 = group_of_abs.(a2) in
-            match
-              (Graph.find_by_name g un, Graph.find_by_name g vn,
-               Hashtbl.find_opt min_edges (g1, g2))
-            with
-            | Some u, Some v, Some e0 when e0 = (u, v) -> ()
-            | _, _, None ->
+            let b = bucket_of group_of_abs.(a1) group_of_abs.(a2) in
+            if b < 0 then
               fail "edge-repr"
                 (Printf.sprintf
                    "abstract edge (%d,%d) claims representative (%s,%s) but \
                     no concrete edge maps onto it"
                    a1 a2 un vn)
-            | _ ->
-              fail "edge-repr"
-                (Printf.sprintf
-                   "abstract edge (%d,%d): (%s,%s) is not the least \
-                    concrete edge of the class"
-                   a1 a2 un vn)
+            else
+              let e0 = order.(b_start.(b)) in
+              match (Graph.find_by_name g un, Graph.find_by_name g vn) with
+              | Some u, Some v when u = src e0 && v = dst e0 -> ()
+              | _ ->
+                fail "edge-repr"
+                  (Printf.sprintf
+                     "abstract edge (%d,%d): (%s,%s) is not the least \
+                      concrete edge of the class"
+                     a1 a2 un vn)
           end)
         (sample_list audit c.c_edge_reprs);
       (* ∀∀ identical neighborhoods for split groups *)

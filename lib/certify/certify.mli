@@ -87,6 +87,10 @@ val check :
     every condition but spot-checks the per-member/per-edge agreement
     obligations on a deterministic subset; [Full] checks every member and
     every concrete edge. Budget exhaustion yields {!Audit_incomplete}.
+    Each certificate costs O(E + obligations): the concrete edges are
+    bucketed by group pair in one sorting pass, and the per-pair
+    failures (∀∃1, phantom edges, ∀∃2, transfer agreement) come in
+    ascending group-pair order.
 
     [universe] (default: a fresh [Policy_bdd.universe_of_network]) lets a
     caller auditing many classes amortize the universe build; it must be

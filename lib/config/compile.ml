@@ -47,6 +47,9 @@ type edge_facts = {
          redistribution; [static_on] and [bgp_policy] are per class *)
   import_id : int array;  (* [u]'s import map; -1: none (permit all) *)
   export_id : int array;  (* [v]'s export map; -1: none *)
+  own_export_id : int array;
+      (* [u]'s own export map towards [v] (the edge signature's export
+         side); -1: none *)
   acl_id : int array;  (* [u]'s outbound ACL towards [v]; -1: none *)
   maps : Route_map.t array;
   acls : Acl.t array;
@@ -75,6 +78,7 @@ let build_facts (net : Device.network) =
   let m = Graph.n_edges g in
   let bgp_on = Array.make m false and ibgp = Array.make m false in
   let import_id = Array.make m (-1) and export_id = Array.make m (-1) in
+  let own_export_id = Array.make m (-1) in
   let acl_id = Array.make m (-1) in
   let ospf_on = Array.make m false and ospf_cost = Array.make m 1 in
   let map_id, maps = interner (module Rm_memo) in
@@ -91,7 +95,8 @@ let build_facts (net : Device.network) =
           bgp_on.(e) <- true;
           ibgp.(e) <- imp.Device.ibgp;
           import_id.(e) <- map_id imp.Device.import_rm;
-          export_id.(e) <- map_id exp.Device.export_rm
+          export_id.(e) <- map_id exp.Device.export_rm;
+          own_export_id.(e) <- map_id imp.Device.export_rm
         | _ -> ());
         acl_id.(e) <- acl_id_of (Device.acl_for r.(u) v);
         match (Device.ospf_link_config r.(u) v, Device.ospf_link_config r.(v) u) with
@@ -125,6 +130,7 @@ let build_facts (net : Device.network) =
       };
     import_id;
     export_id;
+    own_export_id;
     acl_id;
     maps = maps ();
     acls = acls ();
@@ -325,61 +331,51 @@ let edge_signatures ?universe ?rm_bdd (net : Device.network) ~dest =
     | Some u -> u
     | None -> Policy_bdd.universe_of_network net
   in
-  (* Route-maps are shared across many interfaces; memoize their BDDs. A
-     caller that keeps route-map BDDs alive across calls (the
-     policy-signature cache of lib/incr) supplies its own [rm_bdd]
-     instead — it must encode against [u]. *)
   let rm_bdd =
     match rm_bdd with
     | Some f -> f
-    | None ->
-      let identity = lazy (Policy_bdd.identity u) in
-      let memo = Rm_memo.create 64 in
-      (function
-      | None -> Lazy.force identity
-      | Some rm -> (
-        match Rm_memo.find_opt memo rm with
-        | Some b -> b
-        | None ->
-          let b = Policy_bdd.encode_route_map u rm ~dest in
-          Rm_memo.replace memo rm b;
-          b))
+    | None -> (
+      function
+      | None -> Policy_bdd.identity u
+      | Some rm -> Policy_bdd.encode_route_map u rm ~dest)
+  in
+  let cf = class_facts net ~dest in
+  let f = cf.facts in
+  let multi = f.multi in
+  (* each distinct route map's BDD id, looked up once per class *)
+  let map_hash = Array.make (Array.length f.maps) min_int in
+  let identity_hash = lazy (Bdd.hash (rm_bdd None)) in
+  let hash_of id =
+    if id < 0 then Lazy.force identity_hash
+    else begin
+      if map_hash.(id) = min_int then
+        map_hash.(id) <- Bdd.hash (rm_bdd (Some f.maps.(id)));
+      map_hash.(id)
+    end
   in
   let ospf_live = ospf_live net ~dest in
-  let routers = net.routers in
   let static_nh =
-    Array.map (fun r -> lazy (Device.static_next_hops r ~dest)) routers
+    Array.map (fun r -> lazy (Device.static_next_hops r ~dest)) net.routers
   in
   (* equal signatures are shared, so the per-edge memo holds few distinct
      records *)
   let shared = Sig_tbl.create 64 in
-  let compute recv sender =
-    let r = routers.(recv) and rs = routers.(sender) in
-    let sig_acl = Acl.permits (Device.acl_for r sender) dest in
-    let sig_ospf =
-      if not ospf_live then None
-      else
-        match
-          (Device.ospf_link_config r sender, Device.ospf_link_config rs recv)
-        with
-        | Some l, Some _ ->
-          Some (l.Device.cost, r.Device.ospf_area, rs.Device.ospf_area)
-        | _ -> None
-    in
-    let sig_static =
-      List.exists (Int.equal sender) (Lazy.force static_nh.(recv))
-    in
+  let compute e recv sender =
     let s =
-      match
-        (Device.bgp_neighbor_config r sender, Device.bgp_neighbor_config rs recv)
-      with
-      | Some nb, Some _ ->
-        { sig_import = Bdd.hash (rm_bdd nb.Device.import_rm);
-          sig_export = Bdd.hash (rm_bdd nb.Device.export_rm);
-          sig_ibgp = nb.Device.ibgp; sig_acl; sig_ospf; sig_static }
-      | _ ->
-        { sig_import = -1; sig_export = -1; sig_ibgp = false; sig_acl;
-          sig_ospf; sig_static }
+      {
+        sig_import = (if multi.bgp_on.(e) then hash_of f.import_id.(e) else -1);
+        sig_export =
+          (if multi.bgp_on.(e) then hash_of f.own_export_id.(e) else -1);
+        sig_ibgp = multi.ibgp.(e);
+        sig_acl = acl_permits cf e;
+        sig_ospf =
+          (if ospf_live && multi.ospf_on.(e) then
+             Some
+               (multi.ospf_cost.(e), multi.area.(recv), multi.area.(sender))
+           else None);
+        sig_static =
+          List.exists (Int.equal sender) (Lazy.force static_nh.(recv));
+      }
     in
     match Sig_tbl.find_opt shared s with
     | Some s -> s
@@ -389,16 +385,17 @@ let edge_signatures ?universe ?rm_bdd (net : Device.network) ~dest =
   in
   (* memoized per directed edge, in an array indexed by edge id *)
   let g = net.graph in
-  let unset =
-    { sig_import = min_int; sig_export = min_int; sig_ibgp = false;
-      sig_acl = false; sig_ospf = None; sig_static = false }
+  let no_edge =
+    { sig_import = -1; sig_export = -1; sig_ibgp = false; sig_acl = true;
+      sig_ospf = None; sig_static = false }
   in
+  let unset = { no_edge with sig_import = min_int } in
   let memo = Array.make (Graph.n_edges g) unset in
   let signature recv sender =
     let e = Graph.edge_index g recv sender in
-    if e < 0 then compute recv sender
+    if e < 0 then no_edge
     else begin
-      if memo.(e) == unset then memo.(e) <- compute recv sender;
+      if memo.(e) == unset then memo.(e) <- compute e recv sender;
       memo.(e)
     end
   in

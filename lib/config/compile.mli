@@ -93,10 +93,16 @@ val edge_signatures :
   Policy_bdd.universe * (int -> int -> edge_signature)
 (** Builds (lazily, memoized per edge) the signature of every edge,
     sharing one BDD universe. Equal signatures are returned as one shared
-    value. Returns the universe for reuse across destinations.
+    value. Returns the universe for reuse across destinations. The
+    signatures are read from the per-network edge tables of
+    {!bgp_policy}; a pair that is not an edge of [net.graph] gets the
+    signature of an unconfigured interface (no session, OSPF link or
+    static route; ACL permits).
 
-    [rm_bdd] (default: a per-call memo) supplies the BDD of a route-map
-    ([None] = permit-all), specialized to [dest]; it must encode against
-    the same universe. The incremental engine passes a cache that
-    persists across recompressions, so the signatures of untouched
-    devices become table lookups. *)
+    [rm_bdd] (default: encode in the universe) supplies the BDD of a
+    route-map ([None] = permit-all), specialized to [dest]; it must
+    encode against the same universe. It is called at most once per
+    distinct route map (and once for [None]) per call. The incremental
+    engine passes a cache that persists across recompressions, so its
+    hits count only reuse across calls: the signatures of untouched
+    devices in later recompressions. *)

@@ -36,17 +36,49 @@ let link_image t (u, v) =
           (node_image t v))
       (node_image t u)
 
-module Int_tbl = Hashtbl.Make (Int)
+(* Group-level edge representatives: for every ordered pair of groups
+   joined by a concrete edge, the least such edge, found without hashing.
+   Walking a group's members in ascending order, and each member's
+   successors in ascending order, meets the least edge into every target
+   group first; [seen] stamps the target groups met from the current
+   source group. The pairs of source group [g1] are [pairs] from
+   [first.(g1)] to [first.(g1 + 1)], as [(g2, (u, v))] sorted by [g2]. *)
+type edge_reprs = { first : int array; pairs : (int * (int * int)) array }
 
-(* Group-level edge representatives, keyed [g1 * n_groups + g2]. The
-   edge walk is in lexicographic order, so the first edge seen between
-   two groups is the least one. *)
-let group_edge_reprs (net : Device.network) group_of n_groups =
-  let reprs = Int_tbl.create 256 in
-  Graph.iter_edges net.graph (fun u v ->
-      let key = (group_of.(u) * n_groups) + group_of.(v) in
-      if not (Int_tbl.mem reprs key) then Int_tbl.add reprs key (u, v));
-  reprs
+let group_edge_reprs (net : Device.network) groups group_of =
+  let n_groups = Array.length groups in
+  let seen = Array.make n_groups (-1) in
+  let first = Array.make (n_groups + 1) 0 in
+  let segments = Array.make n_groups [||] in
+  for g1 = 0 to n_groups - 1 do
+    let found = ref [] in
+    List.iter
+      (fun u ->
+        Array.iter
+          (fun v ->
+            let g2 = group_of.(v) in
+            if seen.(g2) <> g1 then begin
+              seen.(g2) <- g1;
+              found := (g2, (u, v)) :: !found
+            end)
+          (Graph.succ net.Device.graph u))
+      groups.(g1);
+    let segment = Array.of_list !found in
+    Array.sort (fun (a, _) (b, _) -> Int.compare a b) segment;
+    first.(g1 + 1) <- first.(g1) + Array.length segment;
+    segments.(g1) <- segment
+  done;
+  { first; pairs = Array.concat (Array.to_list segments) }
+
+let find_repr r g1 g2 =
+  let rec search lo hi =
+    if lo >= hi then raise Not_found
+    else
+      let mid = (lo + hi) / 2 in
+      let g, e = r.pairs.(mid) in
+      if g = g2 then e else if g < g2 then search (mid + 1) hi else search lo mid
+  in
+  search r.first.(g1) r.first.(g1 + 1)
 
 let make net ~dest ~dest_prefix ~universe ~partition ~copies =
   let n = Graph.n_nodes net.Device.graph in
@@ -95,16 +127,18 @@ let make net ~dest ~dest_prefix ~universe ~partition ~copies =
     in
     ignore (Graph.Builder.add_node b name)
   done;
-  Int_tbl.iter
-    (fun _ (u, v) ->
-      let g1 = group_of.(u) and g2 = group_of.(v) in
+  let reprs = group_edge_reprs net groups group_of in
+  for g1 = 0 to n_groups - 1 do
+    for k = reprs.first.(g1) to reprs.first.(g1 + 1) - 1 do
+      let g2, _ = reprs.pairs.(k) in
       for i = 0 to copies_arr.(g1) - 1 do
         for j = 0 to copies_arr.(g2) - 1 do
           let a1 = abs_of_group.(g1) + i and a2 = abs_of_group.(g2) + j in
           if a1 <> a2 then Graph.Builder.add_edge b a1 a2
         done
-      done)
-    (group_edge_reprs net group_of n_groups);
+      done
+    done
+  done;
   let abs_graph = Graph.Builder.build b in
   {
     net;
@@ -150,11 +184,8 @@ let is_identity t =
 (* Memoized variant used by the abstract SRPs (rebuilding the table per
    edge lookup would be quadratic). *)
 let edge_repr_fun t =
-  let n_groups = Array.length t.groups in
-  let reprs = group_edge_reprs t.net t.group_of n_groups in
-  fun a1 a2 ->
-    Int_tbl.find reprs
-      ((t.group_of_abs.(a1) * n_groups) + t.group_of_abs.(a2))
+  let reprs = group_edge_reprs t.net t.groups t.group_of in
+  fun a1 a2 -> find_repr reprs t.group_of_abs.(a1) t.group_of_abs.(a2)
 
 let repr_edge t a1 a2 = edge_repr_fun t a1 a2
 

@@ -106,10 +106,13 @@ let solution_unchanged ~old_net ~new_net ~cache ~touched (ec : Ecs.ec) =
   in
   List.for_all
     (fun u ->
-      Bonsai_api.effective_prefs old_net ec u
-      = Bonsai_api.effective_prefs new_net ec u
+      List.equal Int.equal
+        (Bonsai_api.effective_prefs old_net ec u)
+        (Bonsai_api.effective_prefs new_net ec u)
       && Array.for_all
-           (fun v -> sig_old u v = sig_new u v && sig_old v u = sig_new v u)
+           (fun v ->
+             Compile.signature_equal (sig_old u v) (sig_new u v)
+             && Compile.signature_equal (sig_old v u) (sig_new v u))
            (Graph.succ new_net.Device.graph u))
     touched
 

@@ -2,17 +2,17 @@
 # Fail if polymorphic comparison spellings reappear in directories that
 # were swept to typed equality (lib/bdd, lib/routing, lib/faults) or in
 # the refinement kernel's hot loop (refine, union-split-find, graph,
-# abstraction), its Figure 4 re-checks (check, certify), the concrete
-# solver (solver, solution), the destination classes (ecs) and the
-# data-plane diff (dp_diff). In the kernel files a bare [compare] is
-# flagged too, so that [List.sort compare] and the like cannot creep
-# back in.
+# abstraction), the edge signatures it refines on (compile), its Figure 4
+# re-checks (check, certify), the concrete solver (solver, solution), the
+# destination classes (ecs) and the data-plane diff (dp_diff). In the
+# kernel files a bare [compare] is flagged too, so that
+# [List.sort compare] and the like cannot creep back in.
 # Attached to @runtest via the @forbid-polycompare alias in the root dune.
 set -u
 
 spelled='Stdlib\.compare|Pervasives\.compare|let compare = compare\b|attr_equal = \( = \)'
 bare='(^|[^.[:alnum:]_])compare([^[:alnum:]_]|$)'
-kernel="lib/core/refine.ml lib/util/union_split_find.ml lib/topology/graph.ml lib/core/abstraction.ml lib/core/check.ml lib/simulate/solver.ml lib/simulate/solution.ml lib/config/ecs.ml lib/certify/certify.ml lib/dataplane/dp_diff.ml"
+kernel="lib/config/compile.ml lib/core/refine.ml lib/util/union_split_find.ml lib/topology/graph.ml lib/core/abstraction.ml lib/core/check.ml lib/simulate/solver.ml lib/simulate/solution.ml lib/config/ecs.ml lib/certify/certify.ml lib/dataplane/dp_diff.ml"
 
 bad=0
 for f in lib/bdd/*.ml lib/routing/*.ml lib/faults/*.ml $kernel; do

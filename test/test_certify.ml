@@ -114,6 +114,13 @@ let expect_refuted net t what =
   | _ -> ());
   refuted_conditions v
 
+(* Every failure's condition, in the order the checker reports them. *)
+let ordered_conditions = function
+  | Certify.Refuted fs -> List.map (fun f -> f.Certify.f_condition) fs
+  | v ->
+    Alcotest.failf "expected a refutation, got %s"
+      (Format.asprintf "%a" Certify.pp_verdict v)
+
 let ring_cert () =
   let net = Synthesis.ring_bgp ~n:6 in
   (net, cert_of net ~name:"ring:6")
@@ -149,6 +156,17 @@ let test_reject_merged_classes () =
     Alcotest.(check bool) "some condition failed" true (conds <> [])
   | _ -> Alcotest.fail "ring:6 cert has too few groups")
 
+(* The moved-node report in checker order: partition, representatives,
+   then ∀∃1, ∀∃2 by ascending group pair, edge representatives and the
+   labeling. *)
+let moved_node_conditions =
+  [
+    "partition"; "partition"; "partition"; "representative"; "representative";
+    "forall-exists-1"; "forall-exists-1"; "forall-exists-2"; "forall-exists-2";
+    "forall-exists-2"; "forall-exists-2"; "forall-exists-2"; "edge-repr";
+    "edge-repr"; "edge-repr"; "edge-repr"; "labeling-stability";
+  ]
+
 let test_reject_moved_node () =
   (* the shape the serve self-audit must catch: a well-formed partition
      that puts one router in the wrong role *)
@@ -162,8 +180,10 @@ let test_reject_moved_node () =
       { c with Certify.c_groups = g0 :: (g1 @ [ m ]) :: ms :: rest }
     | _ -> Alcotest.fail "no multi-member group to move from"
   in
-  ignore
-    (expect_refuted net (with_first_cert t (fun _ -> moved)) "moved node")
+  let v = Certify.check ~audit:Certify.Full net (with_first_cert t (fun _ -> moved)) in
+  Alcotest.(check (list string))
+    "moved node: conditions in report order" moved_node_conditions
+    (ordered_conditions v)
 
 let test_reject_swapped_representative () =
   let net, t = ring_cert () in
@@ -297,6 +317,71 @@ let test_reject_non_least_edge_repr () =
   Alcotest.(check (list string)) "edge-repr is the condition" [ "edge-repr" ]
     conds
 
+(* Network mutations: the first ring:6 certificate, honest for the network
+   it was emitted from, is checked against a changed copy. Its class has
+   roles {n0}, {n1,n5}, {n2,n4}, {n3}. *)
+let first_ring_cert () =
+  let net, t = ring_cert () in
+  let c = first_cert t in
+  Alcotest.(check (list (list string)))
+    "ring:6 roles"
+    [ [ "n0" ]; [ "n1"; "n5" ]; [ "n2"; "n4" ]; [ "n3" ] ]
+    c.Certify.c_groups;
+  (net, { t with Certify.certs = [ c ] })
+
+let test_reject_changed_import () =
+  (* n5, the non-representative member of {n1,n5}, also sets MED on
+     import: its edges no longer transfer like n1's *)
+  let net, t = first_ring_cert () in
+  let n5 = Option.get (Graph.find_by_name net.Device.graph "n5") in
+  let with_med = function
+    | None ->
+      Some [ { Route_map.verdict = Permit; conds = []; actions = [ Set_med 7 ] } ]
+    | Some rm ->
+      Some
+        (List.map
+           (fun (cl : Route_map.clause) ->
+             { cl with Route_map.actions = cl.Route_map.actions @ [ Set_med 7 ] })
+           rm)
+  in
+  let routers = Array.copy net.Device.routers in
+  routers.(n5) <-
+    {
+      (routers.(n5)) with
+      Device.bgp_neighbors =
+        List.map
+          (fun (v, (nb : Device.bgp_neighbor)) ->
+            (v, { nb with Device.import_rm = with_med nb.Device.import_rm }))
+          routers.(n5).Device.bgp_neighbors;
+    };
+  let v = Certify.check ~audit:Certify.Full { net with Device.routers } t in
+  Alcotest.(check (list string)) "transfer-equivalence only"
+    [ "transfer-equivalence" ]
+    (List.sort_uniq String.compare (ordered_conditions v))
+
+let test_reject_missing_edge () =
+  (* without the n3-n4 link, n4 keeps no edge into {n3} while n2 does;
+     every group pair keeps a concrete edge and its least edge *)
+  let net, t = first_ring_cert () in
+  let g = net.Device.graph in
+  let id name = Option.get (Graph.find_by_name g name) in
+  let cut = (id "n3", id "n4") in
+  let b = Graph.Builder.create () in
+  for u = 0 to Graph.n_nodes g - 1 do
+    ignore (Graph.Builder.add_node b (Graph.name g u))
+  done;
+  List.iter
+    (fun (u, v) ->
+      if (u, v) <> cut && (v, u) <> cut then Graph.Builder.add_edge b u v)
+    (Graph.edges g);
+  let v =
+    Certify.check ~audit:Certify.Full
+      { net with Device.graph = Graph.Builder.build b }
+      t
+  in
+  Alcotest.(check (list string)) "forall-exists-2 only" [ "forall-exists-2" ]
+    (ordered_conditions v)
+
 (* --- audit budget ----------------------------------------------------- *)
 
 let test_audit_incomplete_never_certifies () =
@@ -361,6 +446,8 @@ let () =
           Alcotest.test_case "phantom edge" `Quick test_reject_phantom_edge;
           Alcotest.test_case "non-least edge representative" `Quick
             test_reject_non_least_edge_repr;
+          Alcotest.test_case "changed import" `Quick test_reject_changed_import;
+          Alcotest.test_case "missing edge" `Quick test_reject_missing_edge;
         ] );
       ( "budget",
         [

@@ -653,6 +653,94 @@ let prop_compiled_transfers =
           | Some m -> QCheck.Test.fail_reportf "%a: %s" Prefix.pp dest_prefix m)
         (List.filter Ecs.is_single_origin (Ecs.compute net)))
 
+(* --- compiled signatures: the config-walking oracle agrees -------------- *)
+
+(* The edge signature read straight from the routers' configurations:
+   session lookups, ACL evaluation and route-map BDDs per edge, with no
+   compiled per-network tables. [rm_bdd] must encode against the
+   universe the compared signatures use, so BDD ids are comparable. *)
+let reference_signature ~rm_bdd (net : Device.network) ~dest =
+  let ospf_live = Compile.ospf_live net ~dest in
+  let routers = net.Device.routers in
+  fun recv sender ->
+    let r = routers.(recv) and rs = routers.(sender) in
+    let sig_acl = Acl.permits (Device.acl_for r sender) dest in
+    let sig_ospf =
+      if not ospf_live then None
+      else
+        match
+          (Device.ospf_link_config r sender, Device.ospf_link_config rs recv)
+        with
+        | Some l, Some _ ->
+          Some (l.Device.cost, r.Device.ospf_area, rs.Device.ospf_area)
+        | _ -> None
+    in
+    let sig_static =
+      List.exists (Int.equal sender) (Device.static_next_hops r ~dest)
+    in
+    match
+      (Device.bgp_neighbor_config r sender, Device.bgp_neighbor_config rs recv)
+    with
+    | Some nb, Some _ ->
+      {
+        Compile.sig_import = Bdd.hash (rm_bdd nb.Device.import_rm);
+        sig_export = Bdd.hash (rm_bdd nb.Device.export_rm);
+        sig_ibgp = nb.Device.ibgp;
+        sig_acl;
+        sig_ospf;
+        sig_static;
+      }
+    | _ ->
+      {
+        Compile.sig_import = -1;
+        sig_export = -1;
+        sig_ibgp = false;
+        sig_acl;
+        sig_ospf;
+        sig_static;
+      }
+
+(* The compiled signature of every directed edge equals the oracle's, for
+   every class, with the default route-map encoder and with a persistent
+   [Sig_cache] one; the first disagreement is reported. *)
+let signature_mismatch net (ec : Ecs.ec) ~universe ~rm_bdd =
+  let dest = ec.Ecs.ec_prefix in
+  let _, compiled = Compile.edge_signatures ~universe ?rm_bdd net ~dest in
+  let reference_rm =
+    match rm_bdd with
+    | Some f -> f
+    | None -> (
+      function
+      | None -> Policy_bdd.identity universe
+      | Some rm -> Policy_bdd.encode_route_map universe rm ~dest)
+  in
+  let reference = reference_signature ~rm_bdd:reference_rm net ~dest in
+  List.find_opt
+    (fun (u, v) -> not (Compile.signature_equal (compiled u v) (reference u v)))
+    (Graph.edges net.Device.graph)
+
+let prop_compiled_signatures =
+  QCheck.Test.make ~count:fuzz_count
+    ~name:"compiled edge signatures = config-walking oracle"
+    QCheck.(int_range 0 100000)
+    (fun seed ->
+      let net = decorated_network ~n:(4 + (seed mod 7)) ~seed in
+      let cache = Sig_cache.create net in
+      List.for_all
+        (fun (ec : Ecs.ec) ->
+          let fresh = Policy_bdd.universe_of_network net in
+          let cached = Sig_cache.universe cache in
+          let rm = Sig_cache.rm_bdd cache ~dest:ec.Ecs.ec_prefix in
+          match
+            ( signature_mismatch net ec ~universe:fresh ~rm_bdd:None,
+              signature_mismatch net ec ~universe:cached ~rm_bdd:(Some rm) )
+          with
+          | None, None -> true
+          | Some (u, v), _ | None, Some (u, v) ->
+            QCheck.Test.fail_reportf "%a: edge (%d,%d) signature differs"
+              Prefix.pp ec.Ecs.ec_prefix u v)
+        (Ecs.compute net))
+
 (* --- solver work: one post-drain sweep, no re-transfer after it -------- *)
 
 (* Solve [srp] with every transfer logged. The solve's [transfers] must
@@ -784,5 +872,6 @@ let () =
           prop_bisim_multi;
           prop_corruption_refuted;
           prop_compiled_transfers;
+          prop_compiled_signatures;
         ];
     ]
