@@ -524,19 +524,24 @@ let check_cert ~budget ~audit ~universe ~obligations (net : Device.network)
         groups;
       let n_abs = !total in
       (* -- concrete edges bucketed by group pair --------------------- *)
-      (* Every edge as the code [u lsl bits lor v], counting-sorted by
-         target group and then, stably, by source group. Walking [succ]
-         lists the edges in lexicographic order, so [order] ends sorted by
-         (group of u, group of v, u, v): bucket [b] ([order] from
-         [b_start.(b)] to [b_start.(b + 1)]) holds the edges of the group
-         pair [b_key.(b) = g1 * n_groups + g2], sorted, least edge
-         first, and the buckets ascend by group pair. *)
+      (* Every edge by its id, counting-sorted by target group and then,
+         stably, by source group. Edge ids follow the lexicographic
+         order of (u, v), so [order] ends sorted by (group of u, group of
+         v, u, v): bucket [b] ([order] from [b_start.(b)] to
+         [b_start.(b + 1)]) holds the edges of the group pair [b_key.(b)
+         = g1 * n_groups + g2], sorted, least edge first, and the buckets
+         ascend by group pair. *)
       let m = Graph.n_edges g in
-      let bits =
-        let rec width b = if 1 lsl b >= n then b else width (b + 1) in
-        width 0
-      in
-      let src k = k lsr bits and dst k = k land ((1 lsl bits) - 1) in
+      let src_of = Array.make m 0 and dst_of = Array.make m 0 in
+      for u = 0 to n - 1 do
+        let base = Graph.edge_base g u in
+        Array.iteri
+          (fun i v ->
+            src_of.(base + i) <- u;
+            dst_of.(base + i) <- v)
+          (Graph.succ g u)
+      done;
+      let src = Array.get src_of and dst = Array.get dst_of in
       let prefix_sums a =
         for k = 1 to Array.length a - 1 do
           a.(k) <- a.(k) + a.(k - 1)
@@ -556,14 +561,10 @@ let check_cert ~budget ~audit ~universe ~obligations (net : Device.network)
       prefix_sums by_src;
       prefix_sums by_dst;
       let by_target = Array.make m 0 in
-      for u = 0 to n - 1 do
-        let succ = Graph.succ g u in
-        for i = 0 to Array.length succ - 1 do
-          let v = succ.(i) in
-          let k = group_of.(v) in
-          by_target.(by_dst.(k)) <- (u lsl bits) lor v;
-          by_dst.(k) <- by_dst.(k) + 1
-        done
+      for e = 0 to m - 1 do
+        let k = group_of.(dst e) in
+        by_target.(by_dst.(k)) <- e;
+        by_dst.(k) <- by_dst.(k) + 1
       done;
       let order = Array.make m 0 in
       for i = 0 to m - 1 do
@@ -671,8 +672,8 @@ let check_cert ~budget ~audit ~universe ~obligations (net : Device.network)
                (key / n_abs) (key mod n_abs)))
         (List.rev !phantoms);
       (* -- ∀∃2 and transfer agreement per inter-group bucket ---------- *)
-      let _, signature =
-        Compile.edge_signatures ~universe net ~dest:ec.Ecs.ec_prefix
+      let table =
+        Compile.signature_table ~universe net ~dest:ec.Ecs.ec_prefix
       in
       let probes = probe_attrs universe in
       let policy = Compile.bgp_policy net ~dest:ec.Ecs.ec_prefix in
@@ -695,16 +696,16 @@ let check_cert ~budget ~audit ~universe ~obligations (net : Device.network)
                   (Printf.sprintf "%s (group %d) has no edge into group %d"
                      (name u) g1 g2))
             (sample_list audit groups.(g1));
-          (* transfer agreement: recomputed signatures in the fresh
+          (* transfer agreement: recomputed signature ids in the fresh
              universe, anchored at the least edge of the bucket *)
           let u0 = src order.(lo) and v0 = dst order.(lo) in
-          let s0 = signature u0 v0 in
+          let s0 = table.Compile.sid order.(lo) in
           tick ();
           sample_range audit (lo + 1) hi (fun i ->
               let u = src order.(i) and v = dst order.(i) in
               tick ();
               obligation ();
-              if not (Compile.signature_equal s0 (signature u v)) then
+              if not (Int.equal s0 (table.Compile.sid order.(i))) then
                 fail "transfer-equivalence"
                   (Printf.sprintf
                      "edges (%s,%s) and (%s,%s) map to one abstract edge but \

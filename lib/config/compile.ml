@@ -51,6 +51,12 @@ type edge_facts = {
       (* [u]'s own export map towards [v] (the edge signature's export
          side); -1: none *)
   acl_id : int array;  (* [u]'s outbound ACL towards [v]; -1: none *)
+  kind : int array;
+      (* the edge's kind: edges of one kind agree on every fact an edge
+         signature reads apart from the per-class static routes *)
+  kind_rep : (int * int * int) array;
+      (* by kind, one edge of the kind with its receiver and sender *)
+  static_routers : int list;  (* the routers with static routes *)
   maps : Route_map.t array;
   acls : Acl.t array;
   tie_filter : int -> bool;  (* [matched_comms] *)
@@ -72,6 +78,43 @@ let interner (type a) (module H : Hashtbl.S with type key = a) =
         i)
   in
   (id, fun () -> Array.of_list (List.rev !seen))
+
+module Kind_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b = Array.for_all2 Int.equal a b
+  let hash (a : t) = Array.fold_left (fun h x -> (h * 31) + x) 17 a
+end)
+
+(* Edge kinds: edges are interned by every fact a signature reads from
+   the per-network tables (sessions, the two maps, the ACL, the OSPF link
+   and, on an OSPF link, both endpoints' areas). *)
+let edge_kinds g ~bgp_on ~ibgp ~import_id ~own_export_id ~acl_id ~ospf_on
+    ~ospf_cost ~area =
+  let kinds = Kind_tbl.create 64 and reps = ref [] in
+  let kind = Array.make (Graph.n_edges g) 0 in
+  let b x = if x then 1 else 0 in
+  for u = 0 to Graph.n_nodes g - 1 do
+    let base = Graph.edge_base g u in
+    Array.iteri
+      (fun i v ->
+        let e = base + i in
+        let areas = if ospf_on.(e) then (area.(u), area.(v)) else (-1, -1) in
+        let key =
+          [| b bgp_on.(e); b ibgp.(e); import_id.(e); own_export_id.(e);
+             acl_id.(e); b ospf_on.(e); ospf_cost.(e); fst areas; snd areas |]
+        in
+        kind.(e) <-
+          (match Kind_tbl.find_opt kinds key with
+          | Some k -> k
+          | None ->
+            let k = Kind_tbl.length kinds in
+            Kind_tbl.add kinds key k;
+            reps := (e, u, v) :: !reps;
+            k))
+      (Graph.succ g u)
+  done;
+  (kind, Array.of_list (List.rev !reps))
 
 let build_facts (net : Device.network) =
   let g = net.graph and r = net.routers in
@@ -112,6 +155,11 @@ let build_facts (net : Device.network) =
         List.exists (Multi.redistribution_equal k) ru.Device.redistribute)
       r
   in
+  let area = Array.map (fun (ru : Device.router) -> ru.Device.ospf_area) r in
+  let kind, kind_rep =
+    edge_kinds g ~bgp_on ~ibgp ~import_id ~own_export_id ~acl_id ~ospf_on
+      ~ospf_cost ~area
+  in
   {
     net;
     multi =
@@ -123,7 +171,7 @@ let build_facts (net : Device.network) =
         ibgp;
         static_on = [||];
         bgp_policy = (fun _ _ -> None);
-        area = Array.map (fun (ru : Device.router) -> ru.Device.ospf_area) r;
+        area;
         bgp_into_ospf = redistributes Multi.Bgp_into_ospf;
         ospf_into_bgp = redistributes Multi.Ospf_into_bgp;
         static_into_bgp = redistributes Multi.Static_into_bgp;
@@ -132,6 +180,12 @@ let build_facts (net : Device.network) =
     export_id;
     own_export_id;
     acl_id;
+    kind;
+    kind_rep;
+    static_routers =
+      List.filter
+        (fun u -> r.(u).Device.static_routes <> [])
+        (List.init (Array.length r) Fun.id);
     maps = maps ();
     acls = acls ();
     tie_filter = scan_matched_comms net;
@@ -199,13 +253,21 @@ let acl_permits cf e =
 
 (* The policy of edge [e]: the sender's export map, then the receiver's
    import map; dropped without a session on both ends or when the
-   receiver's outbound ACL towards the sender denies the destination. *)
+   receiver's outbound ACL towards the sender denies the destination.
+   LOCAL_PREF is not carried over eBGP: between the two maps it is reset
+   to the default unless the session is iBGP. *)
 let edge_policy cf e a =
-  if not (cf.facts.multi.Multi.bgp_on.(e) && acl_permits cf e) then None
+  let multi = cf.facts.multi in
+  if not (multi.Multi.bgp_on.(e) && acl_permits cf e) then None
   else
     match Route_map.apply (compiled_map cf cf.facts.export_id.(e)) a with
     | None -> None
-    | Some a -> Route_map.apply (compiled_map cf cf.facts.import_id.(e)) a
+    | Some a ->
+      let a =
+        if multi.Multi.ibgp.(e) || a.Bgp.lp = Bgp.default_lp then a
+        else { a with Bgp.lp = Bgp.default_lp }
+      in
+      Route_map.apply (compiled_map cf cf.facts.import_id.(e)) a
 
 let bgp_policy (net : Device.network) ~dest =
   let cf = class_facts net ~dest in
@@ -325,7 +387,19 @@ module Sig_tbl = Hashtbl.Make (struct
     + bit s.sig_ibgp 4 + bit s.sig_acl 2 + bit s.sig_static 1
 end)
 
-let edge_signatures ?universe ?rm_bdd (net : Device.network) ~dest =
+type signature_table = {
+  universe : Policy_bdd.universe;
+  sid : int -> int;
+  signature : int -> edge_signature;
+  bound : int;
+  no_edge : int;
+}
+
+let no_edge_signature =
+  { sig_import = -1; sig_export = -1; sig_ibgp = false; sig_acl = true;
+    sig_ospf = None; sig_static = false }
+
+let signature_table ?universe ?rm_bdd (net : Device.network) ~dest =
   let u =
     match universe with
     | Some u -> u
@@ -341,7 +415,7 @@ let edge_signatures ?universe ?rm_bdd (net : Device.network) ~dest =
   in
   let cf = class_facts net ~dest in
   let f = cf.facts in
-  let multi = f.multi in
+  let multi = f.multi and g = net.graph in
   (* each distinct route map's BDD id, looked up once per class *)
   let map_hash = Array.make (Array.length f.maps) min_int in
   let identity_hash = lazy (Bdd.hash (rm_bdd None)) in
@@ -354,49 +428,79 @@ let edge_signatures ?universe ?rm_bdd (net : Device.network) ~dest =
     end
   in
   let ospf_live = ospf_live net ~dest in
-  let static_nh =
-    Array.map (fun r -> lazy (Device.static_next_hops r ~dest)) net.routers
+  (* this class's static edges, ascending: the only signatures that
+     differ from their kind's *)
+  let static_edges =
+    List.concat_map
+      (fun recv ->
+        List.filter_map
+          (fun sender ->
+            let e = Graph.edge_index g recv sender in
+            if e < 0 then None else Some e)
+          (Device.static_next_hops net.routers.(recv) ~dest))
+      f.static_routers
+    |> List.sort_uniq Int.compare |> Array.of_list
   in
-  (* equal signatures are shared, so the per-edge memo holds few distinct
-     records *)
+  let n_static = Array.length static_edges in
+  let n_kinds = Array.length f.kind_rep in
+  let bound = n_kinds + n_static + 1 in
+  (* dense ids in first-use order; equal signatures share one id *)
+  let records = Array.make bound no_edge_signature in
   let shared = Sig_tbl.create 64 in
-  let compute e recv sender =
-    let s =
-      {
-        sig_import = (if multi.bgp_on.(e) then hash_of f.import_id.(e) else -1);
-        sig_export =
-          (if multi.bgp_on.(e) then hash_of f.own_export_id.(e) else -1);
-        sig_ibgp = multi.ibgp.(e);
-        sig_acl = acl_permits cf e;
-        sig_ospf =
-          (if ospf_live && multi.ospf_on.(e) then
-             Some
-               (multi.ospf_cost.(e), multi.area.(recv), multi.area.(sender))
-           else None);
-        sig_static =
-          List.exists (Int.equal sender) (Lazy.force static_nh.(recv));
-      }
-    in
+  let intern s =
     match Sig_tbl.find_opt shared s with
-    | Some s -> s
+    | Some id -> id
     | None ->
-      Sig_tbl.add shared s s;
-      s
+      let id = Sig_tbl.length shared in
+      Sig_tbl.add shared s id;
+      records.(id) <- s;
+      id
   in
-  (* memoized per directed edge, in an array indexed by edge id *)
-  let g = net.graph in
-  let no_edge =
-    { sig_import = -1; sig_export = -1; sig_ibgp = false; sig_acl = true;
-      sig_ospf = None; sig_static = false }
+  let no_edge = intern no_edge_signature in
+  let kind_signature k ~static =
+    let e, recv, sender = f.kind_rep.(k) in
+    {
+      sig_import = (if multi.bgp_on.(e) then hash_of f.import_id.(e) else -1);
+      sig_export =
+        (if multi.bgp_on.(e) then hash_of f.own_export_id.(e) else -1);
+      sig_ibgp = multi.ibgp.(e);
+      sig_acl = acl_permits cf e;
+      sig_ospf =
+        (if ospf_live && multi.ospf_on.(e) then
+           Some (multi.ospf_cost.(e), multi.area.(recv), multi.area.(sender))
+         else None);
+      sig_static = static;
+    }
   in
-  let unset = { no_edge with sig_import = min_int } in
-  let memo = Array.make (Graph.n_edges g) unset in
-  let signature recv sender =
-    let e = Graph.edge_index g recv sender in
-    if e < 0 then no_edge
-    else begin
-      if memo.(e) == unset then memo.(e) <- compute e recv sender;
-      memo.(e)
+  let kind_sid = Array.make n_kinds (-1) in
+  let static_sid = Array.make n_static (-1) in
+  let rec static_slot e lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      if static_edges.(mid) < e then static_slot e (mid + 1) hi
+      else if static_edges.(mid) > e then static_slot e lo mid
+      else mid
+  in
+  let sid e =
+    let j = if n_static = 0 then -1 else static_slot e 0 n_static in
+    if j >= 0 then begin
+      if static_sid.(j) < 0 then
+        static_sid.(j) <- intern (kind_signature f.kind.(e) ~static:true);
+      static_sid.(j)
     end
+    else
+      let k = f.kind.(e) in
+      if kind_sid.(k) < 0 then
+        kind_sid.(k) <- intern (kind_signature k ~static:false);
+      kind_sid.(k)
   in
-  (u, signature)
+  { universe = u; sid; signature = Array.get records; bound; no_edge }
+
+let edge_signatures ?universe ?rm_bdd (net : Device.network) ~dest =
+  let t = signature_table ?universe ?rm_bdd net ~dest in
+  let g = net.graph in
+  ( t.universe,
+    fun recv sender ->
+      let e = Graph.edge_index g recv sender in
+      t.signature (if e < 0 then t.no_edge else t.sid e) )

@@ -85,24 +85,60 @@ val ospf_live : Device.network -> dest:Prefix.t -> bool
     the incremental engine must see it unchanged across a delta before it
     trusts signature locality and reuses untouched classes. *)
 
+type signature_table = {
+  universe : Policy_bdd.universe;  (** the universe the BDD ids live in *)
+  sid : int -> int;
+      (** [sid e]: the signature id of the directed edge with id [e] (see
+          {!Graph.edge_index}) *)
+  signature : int -> edge_signature;
+      (** the signature of an id returned by [sid], or of [no_edge] *)
+  bound : int;  (** every id is below [bound] *)
+  no_edge : int;
+      (** the id of an unconfigured interface's signature (no session,
+          OSPF link or static route; ACL permits): the signature of a
+          pair that is not an edge *)
+}
+(** One destination's edge signatures as dense ints. Within one table,
+    two ids are equal iff their signatures are {!signature_equal}, so
+    refinement keys on ints and never compares or hashes a record. *)
+
+val signature_table :
+  ?universe:Policy_bdd.universe ->
+  ?rm_bdd:(Route_map.t option -> Bdd.t) ->
+  Device.network ->
+  dest:Prefix.t ->
+  signature_table
+(** The signature table of [dest], sharing one BDD universe (default: a
+    fresh one for [net]).
+
+    Signatures are computed per edge {e kind}, not per edge: the
+    per-network edge tables of {!bgp_policy} intern every directed edge
+    by the facts a signature reads apart from static routes (session and
+    iBGP flag, import and own export map, ACL, OSPF link and cost, and on
+    an OSPF link both endpoints' areas). A kind's signature is built and
+    interned on the first [sid] of one of its edges; the only per-edge
+    entries are the edges along which the receiver has a static route to
+    [dest] ({!Device.static_next_hops}, resolved when the table is made).
+    So [bound] is the number of kinds plus static edges plus one, and a
+    table builds at most that many records.
+
+    [rm_bdd] (default: encode in the universe) supplies the BDD of a
+    route-map ([None] = permit-all), specialized to [dest]; it must
+    encode against the same universe. It is called lazily, at most once
+    per distinct route map (and once for [None]) per table, when the
+    first signature that reads it is built. The incremental engine
+    passes a cache that persists across recompressions, so its hits
+    count only reuse across calls: the signatures of untouched devices
+    in later recompressions. *)
+
 val edge_signatures :
   ?universe:Policy_bdd.universe ->
   ?rm_bdd:(Route_map.t option -> Bdd.t) ->
   Device.network ->
   dest:Prefix.t ->
   Policy_bdd.universe * (int -> int -> edge_signature)
-(** Builds (lazily, memoized per edge) the signature of every edge,
-    sharing one BDD universe. Equal signatures are returned as one shared
-    value. Returns the universe for reuse across destinations. The
-    signatures are read from the per-network edge tables of
-    {!bgp_policy}; a pair that is not an edge of [net.graph] gets the
-    signature of an unconfigured interface (no session, OSPF link or
-    static route; ACL permits).
-
-    [rm_bdd] (default: encode in the universe) supplies the BDD of a
-    route-map ([None] = permit-all), specialized to [dest]; it must
-    encode against the same universe. It is called at most once per
-    distinct route map (and once for [None]) per call. The incremental
-    engine passes a cache that persists across recompressions, so its
-    hits count only reuse across calls: the signatures of untouched
-    devices in later recompressions. *)
+(** A record view of {!signature_table}: [signature u v] is the signature
+    of the edge [(u, v)], built lazily per kind, and a pair that is not an
+    edge of [net.graph] gets the unconfigured interface's. Equal
+    signatures are returned as one shared value. Returns the universe for
+    reuse across destinations. *)

@@ -85,25 +85,46 @@ let compress_ec_exn ?universe ?rm_bdd ?(pinned = []) ?seed
   Fun.protect ~finally:(fun () ->
       Bdd.set_budget universe.Policy_bdd.man Budget.infinite)
   @@ fun () ->
-  let universe, signature =
-    Compile.edge_signatures ~universe ?rm_bdd net ~dest:ec.Ecs.ec_prefix
+  let { Compile.sid; signature; bound; no_edge; _ } =
+    Compile.signature_table ~universe ?rm_bdd net ~dest:ec.Ecs.ec_prefix
   in
-  let live_self u v = (signature u v).Compile.sig_static in
+  let g = net.Device.graph in
+  let n = Graph.n_nodes g in
+  (* refinement multiplies a pair code (below [bound * bound]) by the
+     node count *)
+  if bound > max_int / bound / max n 1 then
+    invalid_arg "Bonsai_api.compress_ec: too many edge signatures";
+  (* each edge's (own, reverse) pair of signature ids as one int, filled
+     on first use: signatures, and the BDD encoding behind them, are
+     built inside refinement, so a budget that runs out while encoding
+     reports the partition size reached *)
+  let pair = Array.make (Graph.n_edges g) (-1) in
+  let edge_key u i =
+    let e = Graph.edge_base g u + i in
+    if pair.(e) < 0 then begin
+      let r = Graph.edge_index g (Graph.succ g u).(i) u in
+      pair.(e) <- (sid e * bound) + if r < 0 then no_edge else sid r
+    end;
+    pair.(e)
+  in
+  let live_self u v =
+    let e = Graph.edge_index g u v in
+    e >= 0 && (signature (sid e)).Compile.sig_static
+  in
   let partition, refine_stats, copies =
     match seed with
     | None ->
-      let prefs_memo = Hashtbl.create 64 in
+      let prefs_memo = Array.make n None in
       let prefs u =
-        match Hashtbl.find_opt prefs_memo u with
+        match prefs_memo.(u) with
         | Some p -> p
         | None ->
           let p = effective_prefs net ec u in
-          Hashtbl.replace prefs_memo u p;
+          prefs_memo.(u) <- Some p;
           p
       in
       let partition, stats =
-        Refine.find_partition net ~dest ~live_self ~pinned ~budget ~signature
-          ~prefs
+        Refine.partition net ~dest ~live_self ~pinned ~budget ~edge_key ~prefs
       in
       let copies m =
         let cls = Union_split_find.find partition m in
@@ -115,10 +136,10 @@ let compress_ec_exn ?universe ?rm_bdd ?(pinned = []) ?seed
       (* The caller proved the class seedable: every node sits at the
          default preference, so one copy per class. *)
       let partition, stats =
-        Refine.find_partition net ~dest ~live_self ~pinned ~seed ~budget
-          ~signature ~prefs:(fun _ -> [ Bgp.default_lp ])
+        Refine.partition net ~dest ~live_self ~pinned ~seed ~budget ~edge_key
+          ~prefs:(fun _ -> [ Bgp.default_lp ])
       in
-      ( Refine.quotient_merge partition net ~dest ~signature ~pinned ~budget,
+      ( Refine.quotient_merge partition net ~dest ~edge_key ~pinned ~budget,
         stats,
         fun _ -> 1 )
   in

@@ -54,11 +54,11 @@ val compress_ec :
     class is [Error (Compile_error _)].
 
     [pinned] forces the listed concrete nodes into singleton partition
-    classes before refinement (see {!Refine.find_partition}); the CEGAR
+    classes before refinement (see {!Refine.partition}); the CEGAR
     repair loop uses it to carve fault-suspect nodes out of merged
     groups.
 
-    [rm_bdd] is threaded to {!Compile.edge_signatures}: the incremental
+    [rm_bdd] is threaded to {!Compile.signature_table}: the incremental
     engine's policy-signature cache ([Sig_cache] in lib/incr) supplies
     it so route-maps of untouched devices are never re-encoded. It must
     encode against [universe]. *)
@@ -75,7 +75,8 @@ val compress_ec_exn :
 (** Like {!compress_ec} but raising: [Budget.Exhausted] on exhaustion,
     [Invalid_argument] on an anycast class. This is the one per-class
     kernel: every pipeline (scratch, incremental, modular) compresses a
-    class through it.
+    class through it. It refines on int keys, each edge's pair of
+    {!Compile.signature_table} ids, filled lazily during refinement.
 
     [seed] starts refinement from an existing partition (refined in
     place) instead of the coarsest one, then coarsens the stable

@@ -146,9 +146,9 @@ let stabilise ?(budget = Budget.infinite) ~phase part ~succ ~pred ~edge_key
   peel ();
   { iterations = !iterations; splits = !splits; keyed = !keyed }
 
-let find_partition ?(live_self = fun _ _ -> false) ?(pinned = []) ?seed
-    ?(budget = Budget.infinite) (net : Device.network) ~dest ~signature
-    ~prefs =
+let partition ?(live_self = fun _ _ -> false) ?(pinned = []) ?seed
+    ?(budget = Budget.infinite) (net : Device.network) ~dest ~edge_key ~prefs
+    =
   let g = net.Device.graph in
   let n = Graph.n_nodes g in
   let part = match seed with Some s -> s | None -> Union_split_find.create n in
@@ -171,7 +171,7 @@ let find_partition ?(live_self = fun _ _ -> false) ?(pinned = []) ?seed
      local-preference values keys on concrete neighbors (∀∀). *)
   match
     stabilise ~budget ~phase:"refine" part ~succ:(Graph.succ g)
-      ~pred:(Graph.pred g) ~edge_key:(edge_keys g ~signature)
+      ~pred:(Graph.pred g) ~edge_key
       ~concrete:(fun ms -> List.compare_length_with (group_prefs ~prefs ms) 1 > 0)
       ~live_self
   with
@@ -185,6 +185,11 @@ let find_partition ?(live_self = fun _ _ -> false) ?(pinned = []) ?seed
             (Printf.sprintf "partition had %d/%d classes"
                (Union_split_find.num_classes part) n)))
 
+let find_partition ?live_self ?pinned ?seed ?budget (net : Device.network)
+    ~dest ~signature ~prefs =
+  partition ?live_self ?pinned ?seed ?budget net ~dest
+    ~edge_key:(edge_keys net.Device.graph ~signature) ~prefs
+
 (* Seeded refinement. [find_partition ~seed] only splits, so from
    the stale partition it reaches the coarsest STABLE refinement F of the
    seed under the new signatures — possibly finer than the true coarsest
@@ -197,7 +202,7 @@ let find_partition ?(live_self = fun _ _ -> false) ?(pinned = []) ?seed
    equal — the seeded result matches from-scratch exactly (DESIGN.md
    §12). Pinned classes enter the quotient as singletons and are never
    merged. *)
-let quotient_merge part (net : Device.network) ~dest ~signature ~pinned
+let quotient_merge part (net : Device.network) ~dest ~edge_key ~pinned
     ~budget =
   let g = net.Device.graph and qidx = Union_split_find.canonical part in
   (* quotient node = F-class index by smallest member, represented by that
@@ -210,7 +215,6 @@ let quotient_merge part (net : Device.network) ~dest ~signature ~pinned
   let pred = Array.map Array.of_list pred in
   let q = Union_split_find.create (Array.length rep) in
   List.iter (fun u -> ignore (Union_split_find.pin q qidx.(u))) (dest :: pinned);
-  let edge_key = edge_keys g ~signature in
   ignore
     (stabilise ~budget ~phase:"quotient-merge" q ~succ:(Array.get succ)
        ~pred:(Array.get pred) ~edge_key:(fun i k -> edge_key rep.(i) k)

@@ -25,24 +25,28 @@ type stats = {
           smaller-half rule *)
 }
 
-val find_partition :
+val partition :
   ?live_self:(int -> int -> bool) ->
   ?pinned:int list ->
   ?seed:Union_split_find.t ->
   ?budget:Budget.t ->
   Device.network ->
   dest:int ->
-  signature:(int -> int -> 'k) ->
+  edge_key:(int -> int -> int) ->
   prefs:(int -> int list) ->
   Union_split_find.t * stats
-(** Computes the refined partition. [signature u v] is the directed-edge
-    signature (usually {!Compile.edge_signatures}, but any type compared
-    and hashed structurally works; each edge's pair of signatures is
-    evaluated once, on first use, and interned to an int); [prefs u] the
-    local-preference values assignable at [u] ({!Compile.prefs}). [live_self u v] (default: never) marks
-    edges whose transfer does not depend on the neighbor's label — static
-    routes; classes containing such an internal edge are split, because
-    those self-loops cannot be dropped as dead.
+(** Computes the refined partition. [edge_key u i] is the key of [u]'s
+    [i]-th out-edge [(u, v)]: a non-negative int, equal for two edges iff
+    their [(signature u v, signature v u)] pairs are equal. The key
+    includes {e both} directions because a node is also characterized by
+    how its neighbors treat routes from it.
+    [Bonsai_api.compress_ec_exn] builds it from {!Compile.signature_table}
+    ids. Keys times the node count must stay below [max_int]. [prefs u]
+    are the local-preference values assignable at [u] ({!Compile.prefs}).
+    [live_self u v] (default: never) marks edges whose transfer does not
+    depend on the neighbor's label — static routes; classes containing
+    such an internal edge are split, because those self-loops cannot be
+    dropped as dead.
 
     [pinned] (default none) seeds the partition with forced singleton
     classes: each pinned node is split out before refinement starts and —
@@ -66,13 +70,22 @@ val find_partition :
     recording how many classes the partition had reached — the payload of
     the CLI's degradation report. *)
 
-val edge_keys :
-  Graph.t -> signature:(int -> int -> 'k) -> int -> int -> int
-(** [edge_keys g ~signature] is a lazy interning of edge signatures:
-    [key u i], for the [i]-th out-edge [(u, v)] of [u], is a small int
-    equal for two edges iff their [(signature u v, signature v u)] pairs
-    are structurally equal. Each pair is evaluated on the first call for
-    its edge. *)
+val find_partition :
+  ?live_self:(int -> int -> bool) ->
+  ?pinned:int list ->
+  ?seed:Union_split_find.t ->
+  ?budget:Budget.t ->
+  Device.network ->
+  dest:int ->
+  signature:(int -> int -> 'k) ->
+  prefs:(int -> int list) ->
+  Union_split_find.t * stats
+(** {!partition} for any signature function, for generic callers (tests,
+    examples, benchmarks): [signature u v] is the directed-edge signature
+    ({!Compile.edge_signatures}, or any type compared and hashed
+    structurally). An adapter: each edge's [(signature u v, signature v
+    u)] pair is evaluated once, on first use, and interned to an int
+    [edge_key] through polymorphic hash tables. *)
 
 val stabilise :
   ?budget:Budget.t ->
@@ -84,7 +97,7 @@ val stabilise :
   concrete:(int list -> bool) ->
   live_self:(int -> int -> bool) ->
   stats
-(** The refinement kernel behind {!find_partition}, on any (multi)graph
+(** The refinement kernel behind {!partition}, on any (multi)graph
     over the partition's elements: [succ u] are [u]'s out-neighbors,
     [edge_key u i] the interned signature of its [i]-th out-edge, and
     [pred v] every [u] with [v] in [succ u]. Refines the partition in
@@ -92,7 +105,7 @@ val stabilise :
     its set of [(edge_key, neighbor class)] pairs — or
     [(edge_key, neighbor)] in a class for which [concrete members]
     holds, decided once, when the class is first examined. Then peels
-    [live_self] edges as {!find_partition} describes — the smallest
+    [live_self] edges as {!partition} describes — the smallest
     offending member of the first offending class by smallest member —
     and refines again.
 
@@ -110,13 +123,14 @@ val quotient_merge :
   Union_split_find.t ->
   Device.network ->
   dest:int ->
-  signature:(int -> int -> 'k) ->
+  edge_key:(int -> int -> int) ->
   pinned:int list ->
   budget:Budget.t ->
   Union_split_find.t
 (** The merge half of the seeded path (DESIGN.md §12), coarsening a
     stable over-refinement: refine the quotient (one element per class,
-    key from a representative) with {!stabilise} and return the
+    key from a representative, [edge_key] as in {!partition}) with
+    {!stabilise} and return the
     partition whose classes are the unions of classes sharing a quotient
     block. [Bonsai_api.compress_ec_exn ~seed] runs it after
     [find_partition ~seed], which turns a stale (incremental) or

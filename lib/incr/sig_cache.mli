@@ -38,7 +38,7 @@ val rm_bdd : t -> dest:Prefix.t -> Route_map.t option -> Bdd.t
 (** The relation BDD of a route-map specialized to [dest] ([None] =
     permit-all), encoding on miss. Shaped so
     [rm_bdd cache ~dest : Route_map.t option -> Bdd.t] plugs directly
-    into [Compile.edge_signatures ?rm_bdd]. *)
+    into [Compile.signature_table ?rm_bdd]. *)
 
 val stats : t -> int * int
 (** Cumulative (hits, misses) of {!rm_bdd} lookups. *)

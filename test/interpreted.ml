@@ -38,7 +38,12 @@ let bgp_policy (net : Device.network) ~dest u v : Bgp.policy =
       let eval rm a =
         match rm with None -> Some a | Some rm -> eval_route_map rm ~dest a
       in
-      Option.bind (eval exp.export_rm a) (eval imp.import_rm)
+      (* LOCAL_PREF crosses iBGP sessions only *)
+      let carry a =
+        if imp.ibgp then a else { a with Bgp.lp = Bgp.default_lp }
+      in
+      Option.bind (eval exp.export_rm a) (fun a ->
+          eval imp.import_rm (carry a))
   | _ -> None
 
 let bgp_srp (net : Device.network) ~dest ~dest_prefix =

@@ -741,6 +741,113 @@ let prop_compiled_signatures =
               Prefix.pp ec.Ecs.ec_prefix u v)
         (Ecs.compute net))
 
+(* --- signature ids: equal iff the oracle's records are equal ---------- *)
+
+(* [decorated_network] with about one directed edge in six dropped, so
+   some links are one-way; a static route along a dropped edge goes with
+   it. *)
+let one_way_network ~n ~seed =
+  let net = decorated_network ~n ~seed in
+  let g = net.Device.graph in
+  let rng = Random.State.make [| seed; 0x1e57 |] in
+  let b = Graph.Builder.create () in
+  for v = 0 to n - 1 do
+    ignore (Graph.Builder.add_node b (Graph.name g v))
+  done;
+  Graph.iter_edges g (fun u v ->
+      if Random.State.int rng 6 > 0 then Graph.Builder.add_edge b u v);
+  let graph = Graph.Builder.build b in
+  let routers =
+    Array.mapi
+      (fun u (r : Device.router) ->
+        {
+          r with
+          Device.static_routes =
+            List.filter
+              (fun (_, nh) -> Graph.has_edge graph u nh)
+              r.Device.static_routes;
+        })
+      net.Device.routers
+  in
+  { Device.graph; routers }
+
+let unconfigured =
+  {
+    Compile.sig_import = -1;
+    sig_export = -1;
+    sig_ibgp = false;
+    sig_acl = true;
+    sig_ospf = None;
+    sig_static = false;
+  }
+
+(* One class: every pair of directed edges gets equal ids iff the oracle
+   gives them equal records (ids below [bound], the no-edge id iff the
+   unconfigured record), and the int-keyed [compress_ec_exn] partition
+   equals the generic [Refine.find_partition ~signature] one. *)
+let signature_id_mismatch net (ec : Ecs.ec) =
+  let dest = ec.Ecs.ec_prefix in
+  let universe = Policy_bdd.universe_of_network net in
+  let t = Compile.signature_table ~universe net ~dest in
+  let rm_bdd = function
+    | None -> Policy_bdd.identity universe
+    | Some rm -> Policy_bdd.encode_route_map universe rm ~dest
+  in
+  let reference = reference_signature ~rm_bdd net ~dest in
+  let g = net.Device.graph in
+  let edges =
+    List.map
+      (fun (u, v) -> (Graph.edge_index g u v, reference u v))
+      (Graph.edges g)
+  in
+  let ids_agree =
+    List.for_all
+      (fun (e1, s1) ->
+        let id1 = t.Compile.sid e1 in
+        id1 >= 0 && id1 < t.Compile.bound
+        && Bool.equal (Int.equal id1 t.Compile.no_edge)
+             (Compile.signature_equal s1 unconfigured)
+        && List.for_all
+             (fun (e2, s2) ->
+               Bool.equal
+                 (Int.equal id1 (t.Compile.sid e2))
+                 (Compile.signature_equal s1 s2))
+             edges)
+      edges
+    && Compile.signature_equal
+         (t.Compile.signature t.Compile.no_edge)
+         unconfigured
+  in
+  if not ids_agree then Some "signature ids disagree with the oracle"
+  else
+    let r = Bonsai_api.compress_ec_exn net ec in
+    let _, signature = Compile.edge_signatures net ~dest in
+    let partition, _ =
+      Refine.find_partition net ~dest:(Ecs.single_origin ec)
+        ~live_self:(fun u v -> (signature u v).Compile.sig_static)
+        ~signature ~prefs:(Bonsai_api.effective_prefs net ec)
+    in
+    if
+      Array.for_all2 Int.equal
+        (Union_split_find.canonical partition)
+        r.Bonsai_api.abstraction.Abstraction.group_of
+    then None
+    else Some "int-keyed partition differs from find_partition ~signature"
+
+let prop_signature_ids =
+  QCheck.Test.make ~count:fuzz_count
+    ~name:"signature ids = oracle; int-keyed partition"
+    QCheck.(int_range 0 100000)
+    (fun seed ->
+      let net = one_way_network ~n:(4 + (seed mod 7)) ~seed in
+      List.for_all
+        (fun (ec : Ecs.ec) ->
+          match signature_id_mismatch net ec with
+          | None -> true
+          | Some m ->
+            QCheck.Test.fail_reportf "%a: %s" Prefix.pp ec.Ecs.ec_prefix m)
+        (List.filter Ecs.is_single_origin (Ecs.compute net)))
+
 (* --- solver work: one post-drain sweep, no re-transfer after it -------- *)
 
 (* Solve [srp] with every transfer logged. The solve's [transfers] must
@@ -873,5 +980,6 @@ let () =
           prop_corruption_refuted;
           prop_compiled_transfers;
           prop_compiled_signatures;
+          prop_signature_ids;
         ];
     ]

@@ -176,6 +176,35 @@ let prop_reachability_preserved =
             (List.init n Fun.id)
         | _ -> false))
 
+(* Shrunk from the two properties above. Router imports that set local
+   preference used to leak it over eBGP sessions to every router
+   downstream, where [Compile.prefs] does not count it: the ∀∀ split was
+   missed and Thm 4.5 failed. LOCAL_PREF now crosses iBGP sessions
+   only. *)
+let test_lp_stays_behind_ebgp () =
+  let n = 10 and seed = 1192 and solver_seed = 0 in
+  let net = Synthesis.random_network ~n ~seed in
+  let ec = List.hd (Ecs.compute net) in
+  let t = compress_cfg net ec in
+  let srp = Compile.bgp_srp net ~dest:0 ~dest_prefix:ec.Ecs.ec_prefix in
+  match Solver.solve ~seed:solver_seed srp with
+  | Error _ -> Alcotest.fail "the concrete network must converge"
+  | Ok (sol, _) -> (
+    let outcome, abs_sol = Equivalence.check_bgp t sol in
+    Alcotest.(check (list string))
+      "CP-equivalence" [] outcome.Equivalence.errors;
+    match abs_sol with
+    | None -> Alcotest.fail "the abstract network must converge"
+    | Some abs_sol ->
+      List.iter
+        (fun u ->
+          Alcotest.(check bool)
+            (Printf.sprintf "router %d reaches the destination iff f(%d) does"
+               u u)
+            (Properties.reachable sol u)
+            (Properties.reachable abs_sol outcome.Equivalence.fr.(u)))
+        (List.init n Fun.id))
+
 let prop_path_lengths_preserved =
   QCheck.Test.make ~name:"path lengths preserved through f" ~count:40
     QCheck.(pair (int_range 2 14) (int_range 0 2000))
@@ -396,6 +425,11 @@ let () =
       ( "static",
         [
           Alcotest.test_case "figure 6" `Quick test_static_figure6_fwd_equivalence;
+        ] );
+      ( "regressions",
+        [
+          Alcotest.test_case "lp stays behind eBGP (10, 1192, 0)" `Quick
+            test_lp_stays_behind_ebgp;
         ] );
       ( "real-networks",
         [

@@ -365,6 +365,11 @@ let prop_pipeline_never_crashes =
     QCheck.(pair (int_range 2 12) (int_range 0 100_000))
     pipeline_case
 
+(* Shrunk from the property above: an eBGP-leaked local preference
+   broke CP-equivalence on this network. *)
+let test_pipeline_lp_regression () =
+  Alcotest.(check bool) "pipeline (7, 51903)" true (pipeline_case (7, 51903))
+
 (* Same pipeline under a starvation budget: with one tick everything
    either degrades or reports Budget_exceeded — never hangs, never
    crashes. *)
@@ -424,6 +429,11 @@ let () =
           Alcotest.test_case "exit codes distinct" `Quick
             test_error_exit_codes_distinct;
           Alcotest.test_case "protect" `Quick test_protect_catches;
+        ] );
+      ( "regressions",
+        [
+          Alcotest.test_case "pipeline lp (7, 51903)" `Quick
+            test_pipeline_lp_regression;
         ] );
       ( "fuzz",
         List.map QCheck_alcotest.to_alcotest
