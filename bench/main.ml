@@ -449,6 +449,7 @@ type incr_row = {
   ir_delta : string;
   ir_t_full : float;
   ir_t_incr : float;
+  ir_t_diff : float;  (* [Delta.diff] from the network before to after *)
   ir_reused : int;
   ir_seeded : int;
   ir_scratch : int;
@@ -513,11 +514,12 @@ let incr_bench ?(k = 8) ?(n_deltas = 10) ~json_path ~assert_speedup () =
   Printf.printf "from-scratch init: %.3fs\n%!" t_init;
   let rng = Random.State.make [| 0xb05a1; k |] in
   let deltas = incr_delta_stream rng net n_deltas in
-  Printf.printf "%-40s %10s %10s %9s %22s %6s\n" "delta" "full" "incr"
-    "speedup" "reused/seeded/scratch" "cache";
+  Printf.printf "%-40s %10s %10s %9s %22s %6s %10s\n" "delta" "full" "incr"
+    "speedup" "reused/seeded/scratch" "cache" "diff";
   let rows =
     List.map
       (fun d ->
+        let before = Incr.network st in
         let rep =
           match Incr.recompress st [ d ] with
           | Ok r -> r
@@ -528,6 +530,7 @@ let incr_bench ?(k = 8) ?(n_deltas = 10) ~json_path ~assert_speedup () =
         let _, t_full =
           Timing.time (fun () -> Bonsai_api.compress_exn (Incr.network st))
         in
+        let _, t_diff = Timing.time (fun () -> Delta.diff before (Incr.network st)) in
         let hit_rate =
           let total = rep.Incr.r_cache_hits + rep.Incr.r_cache_misses in
           if total = 0 then 1.0
@@ -538,16 +541,18 @@ let incr_bench ?(k = 8) ?(n_deltas = 10) ~json_path ~assert_speedup () =
             ir_delta = Delta.to_string d;
             ir_t_full = t_full;
             ir_t_incr = rep.Incr.r_time_s;
+            ir_t_diff = t_diff;
             ir_reused = rep.Incr.r_reused;
             ir_seeded = rep.Incr.r_seeded;
             ir_scratch = rep.Incr.r_scratch;
             ir_hit_rate = hit_rate;
           }
         in
-        Printf.printf "%-40s %9.4fs %9.4fs %8.1fx %12d/%3d/%3d %5.0f%%\n%!"
+        Printf.printf "%-40s %9.4fs %9.4fs %8.1fx %12d/%3d/%3d %5.0f%% %9.6fs\n%!"
           row.ir_delta row.ir_t_full row.ir_t_incr
           (row.ir_t_full /. max 1e-9 row.ir_t_incr)
-          row.ir_reused row.ir_seeded row.ir_scratch (100.0 *. hit_rate);
+          row.ir_reused row.ir_seeded row.ir_scratch (100.0 *. hit_rate)
+          row.ir_t_diff;
         row)
       deltas
   in
@@ -563,6 +568,7 @@ let incr_bench ?(k = 8) ?(n_deltas = 10) ~json_path ~assert_speedup () =
       [
         ("delta", Json.String r.ir_delta); ("t_full_s", fixed 6 r.ir_t_full);
         ("t_incr_s", fixed 6 r.ir_t_incr); ("speedup", fixed 2 (speedup r));
+        ("t_diff_s", fixed 6 r.ir_t_diff);
         ("reused", Json.Int r.ir_reused); ("seeded", Json.Int r.ir_seeded);
         ("scratch", Json.Int r.ir_scratch);
         ("cache_hit_rate", fixed 3 r.ir_hit_rate);

@@ -1,6 +1,12 @@
 type rule = { permit : bool; prefix : Prefix.t }
 type t = rule list
 
+let equal a b =
+  a == b
+  || List.equal
+       (fun r s -> Bool.equal r.permit s.permit && Prefix.equal r.prefix s.prefix)
+       a b
+
 let permits acl dest =
   match acl with
   | None -> true

@@ -9,6 +9,9 @@
 type rule = { permit : bool; prefix : Prefix.t }
 type t = rule list
 
+val equal : t -> t -> bool
+(** Rule-by-rule equality, physical equality first. *)
+
 val permits : t option -> Prefix.t -> bool
 (** [permits acl dest] decides whether traffic to [dest] may pass. [None]
     (no ACL configured) permits. A destination {e overlapping} a rule's

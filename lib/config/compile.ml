@@ -4,14 +4,14 @@
 module Rm_memo = Hashtbl.Make (struct
   type t = Route_map.t
 
-  let equal a b = a == b || a = b
+  let equal = Route_map.equal
   let hash = Hashtbl.hash_param 100 200
 end)
 
 module Acl_memo = Hashtbl.Make (struct
   type t = Acl.t
 
-  let equal a b = a == b || a = b
+  let equal = Acl.equal
   let hash = Hashtbl.hash_param 100 200
 end)
 

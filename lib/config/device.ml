@@ -20,7 +20,17 @@ type bgp_neighbor = {
   rel : relation;
 }
 
+let bgp_neighbor_equal a b =
+  a == b
+  || Bool.equal a.ibgp b.ibgp
+     && relation_equal a.rel b.rel
+     && Option.equal Route_map.equal a.import_rm b.import_rm
+     && Option.equal Route_map.equal a.export_rm b.export_rm
+
 type ospf_link = { cost : int; area : int }
+
+let ospf_link_equal a b =
+  a == b || (Int.equal a.cost b.cost && Int.equal a.area b.area)
 
 type router = {
   name : string;

@@ -20,7 +20,13 @@ type bgp_neighbor = {
   rel : relation;  (** relationship {e of} the neighbor to this router *)
 }
 
+val bgp_neighbor_equal : bgp_neighbor -> bgp_neighbor -> bool
+(** Field-wise equality (route maps by {!Route_map.equal}), physical
+    equality first. *)
+
 type ospf_link = { cost : int; area : int }
+
+val ospf_link_equal : ospf_link -> ospf_link -> bool
 
 type router = {
   name : string;

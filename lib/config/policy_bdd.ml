@@ -217,19 +217,47 @@ let compose u r1 r2 =
 let encode_opt u rm ~dest =
   match rm with None -> identity u | Some rm -> encode_route_map u rm ~dest
 
-let edge_policy u (net : Device.network) ~dest recv sender =
-  let r_recv = net.routers.(recv) and r_send = net.routers.(sender) in
-  match
-    (Device.bgp_neighbor_config r_recv sender,
-     Device.bgp_neighbor_config r_send recv)
-  with
-  | Some imp, Some exp ->
-    if not (Acl.permits (Device.acl_for r_recv sender) dest) then drop_all u
-    else
-      compose u
-        (encode_opt u exp.export_rm ~dest)
-        (encode_opt u imp.import_rm ~dest)
-  | _ -> drop_all u
+(* The maps an edge policy composes: the sender's export map, then the
+   receiver's import map. *)
+module Maps_tbl = Hashtbl.Make (struct
+  type t = Route_map.t option * Route_map.t option
+
+  let equal (e1, i1) (e2, i2) =
+    Option.equal Route_map.equal e1 e2 && Option.equal Route_map.equal i1 i2
+
+  let hash = Hashtbl.hash_param 100 200
+end)
+
+(* Memoized on what an edge policy reads: the two maps, and whether the
+   receiver's ACL towards the sender permits [dest]. BDDs are
+   hash-consed, so a memoized policy is the very node a fresh encoding
+   would build. *)
+let edge_policies u (net : Device.network) ~dest =
+  let memo = Maps_tbl.create 16 in
+  fun recv sender ->
+    let r_recv = net.routers.(recv) and r_send = net.routers.(sender) in
+    match
+      (Device.bgp_neighbor_config r_recv sender,
+       Device.bgp_neighbor_config r_send recv)
+    with
+    | Some imp, Some exp ->
+      if not (Acl.permits (Device.acl_for r_recv sender) dest) then drop_all u
+      else begin
+        let maps = (exp.export_rm, imp.import_rm) in
+        match Maps_tbl.find_opt memo maps with
+        | Some p -> p
+        | None ->
+          let p =
+            compose u
+              (encode_opt u exp.export_rm ~dest)
+              (encode_opt u imp.import_rm ~dest)
+          in
+          Maps_tbl.add memo maps p;
+          p
+      end
+    | _ -> drop_all u
+
+let edge_policy u net ~dest recv sender = edge_policies u net ~dest recv sender
 
 let apply u rel (a : Bgp.attr) =
   let m = u.man in

@@ -77,6 +77,14 @@ val edge_policy :
     BGP is not configured on both ends or if the receiver's outbound ACL
     towards the sender denies the destination. *)
 
+val edge_policies :
+  universe -> Device.network -> dest:Prefix.t -> int -> int -> Bdd.t
+(** [edge_policies u net ~dest] is [edge_policy u net ~dest] with one memo
+    shared by all its calls: edges whose sender exports through the same
+    route-map and whose receiver imports through the same route-map (and
+    whose receiver's ACL permits [dest]) encode once. Each result is the
+    node a fresh {!edge_policy} returns. *)
+
 val apply : universe -> Bdd.t -> Bgp.attr -> Bgp.attr option
 (** Run a policy relation on a concrete advertisement (communities outside
     the universe pass through untouched; the local-preference and MED must

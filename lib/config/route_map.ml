@@ -11,6 +11,35 @@ type verdict = Permit | Deny
 type clause = { verdict : verdict; conds : cond list; actions : action list }
 type t = clause list
 
+let cond_equal a b =
+  match (a, b) with
+  | Match_community x, Match_community y -> List.equal Int.equal x y
+  | Match_prefix x, Match_prefix y -> List.equal Prefix.equal x y
+  | (Match_community _ | Match_prefix _), _ -> false
+
+let action_equal a b =
+  match (a, b) with
+  | Set_local_pref x, Set_local_pref y
+  | Add_community x, Add_community y
+  | Delete_community x, Delete_community y
+  | Set_med x, Set_med y ->
+    Int.equal x y
+  | (Set_local_pref _ | Add_community _ | Delete_community _ | Set_med _), _ ->
+    false
+
+let verdict_equal a b =
+  match (a, b) with
+  | Permit, Permit | Deny, Deny -> true
+  | (Permit | Deny), _ -> false
+
+let clause_equal a b =
+  a == b
+  || verdict_equal a.verdict b.verdict
+     && List.equal cond_equal a.conds b.conds
+     && List.equal action_equal a.actions b.actions
+
+let equal a b = a == b || List.equal clause_equal a b
+
 let permit_all = [ { verdict = Permit; conds = []; actions = [] } ]
 let deny_all = []
 

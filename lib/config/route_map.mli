@@ -26,6 +26,9 @@ type verdict = Permit | Deny
 type clause = { verdict : verdict; conds : cond list; actions : action list }
 type t = clause list
 
+val equal : t -> t -> bool
+(** Clause-by-clause equality, physical equality first. *)
+
 val permit_all : t
 val deny_all : t
 

@@ -4,10 +4,10 @@
     delta list computed against one network applies to any network with
     the same names — node ids may be renumbered by unrelated changes.
     [diff] and [apply] are inverses on the semantic content of a network:
-    [diff a (apply a ds)] is [[]] for any well-formed [ds], and
-    [apply a (diff a b)] is semantically equal to [b] (router and
-    neighbor-list orderings may differ; every observer keyed by node id or
-    name agrees). *)
+    [apply a (diff a b)] is semantically equal to [b], so
+    [diff (apply a (diff a b)) b] is [[]] (router and neighbor-list
+    orderings may differ; every observer keyed by node id or name agrees).
+    Both run in time linear in the two networks plus the change. *)
 
 type dir = Import | Export
 
@@ -55,15 +55,37 @@ val diff : Device.network -> Device.network -> t list
     networks are semantically equal. Emitted in application order: node
     removals, link removals, node additions, link additions, then
     per-router configuration changes (route-map-granular when only a
-    session's import/export map changed). *)
+    session's import/export map changed).
+
+    Routers are matched by name through each graph's name table and links
+    by one merge of the sorted neighbor arrays. A router record, or any
+    list, map or ACL in it, that both networks share physically under
+    unchanged node ids is equal without a look inside; other lists are
+    compared entry by entry, and put in canonical name order only where
+    they differ. *)
 
 val apply : Device.network -> t list -> Device.network
 (** Apply deltas in order. Node ids of routers present in both networks
     are preserved whenever no node is added or removed; added routers get
-    fresh ids past the existing ones.
+    fresh ids past the existing ones. Every router comes out in canonical
+    order (neighbor lists by node id, static routes by prefix and next-hop
+    name, originated prefixes sorted, redistribution deduplicated); a
+    router no delta touches keeps its record when it already is, and the
+    graph is kept when no node or link changed (and every edge has its
+    reverse), so a later [diff] finds them physically equal.
     @raise Invalid_argument when a delta references an unknown router, an
     [Ospf_cost]/[Route_map_set] targets a non-existent interface/session,
-    or a [Node_add]/[Link_up] duplicates an existing name/link. *)
+    or a [Node_add]/[Link_up] duplicates an existing name/link. A name
+    that no router takes by the end is reported for the first router in
+    node order that refers to it and, within that router, looked up in
+    its ACLs, static routes, OSPF interfaces, then BGP sessions. *)
+
+val work : unit -> int
+(** Work units [diff] and [apply] have done on the calling domain so far:
+    routers and list entries compared or walked, link-merge steps, deltas
+    applied and routers and edges finished. Deterministic, so a test can
+    bound it where a timer would be noise: both are linear in routers
+    plus links plus the change. *)
 
 val touched : Device.network -> t -> int list
 (** Node ids (in the given network) whose configuration or incident

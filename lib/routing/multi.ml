@@ -77,6 +77,14 @@ let redistribution_equal a b =
     true
   | (Ospf_into_bgp | Static_into_bgp | Bgp_into_ospf), _ -> false
 
+let redistribution_rank = function
+  | Ospf_into_bgp -> 0
+  | Static_into_bgp -> 1
+  | Bgp_into_ospf -> 2
+
+let redistribution_compare a b =
+  Int.compare (redistribution_rank a) (redistribution_rank b)
+
 let pp ppf a =
   let parts = ref [] in
   (match a.bgp with

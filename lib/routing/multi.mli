@@ -47,6 +47,9 @@ type redistribution = Ospf_into_bgp | Static_into_bgp | Bgp_into_ospf
 
 val redistribution_equal : redistribution -> redistribution -> bool
 
+val redistribution_compare : redistribution -> redistribution -> int
+(** Declaration order: [Ospf_into_bgp < Static_into_bgp < Bgp_into_ospf]. *)
+
 type edges = {
   graph : Graph.t;  (** the topology the tables are indexed by *)
   ospf_on : bool array;  (** edge id -> OSPF adjacency on the edge *)

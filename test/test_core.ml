@@ -758,6 +758,47 @@ let test_keyed_bound () =
         [ 64; 128; 256 ])
     [ ("ring", Synthesis.ring_bgp); ("mesh", Synthesis.mesh_bgp) ]
 
+(* The same trip-wire for the change model: applying a one-edit delta and
+   diffing the result against the original stay within c * (routers +
+   links) on fattree:k as k triples, for a configuration edit and for a
+   link failure. A link scan per link, or a pass over every router per
+   delta, is quadratic there. *)
+let test_delta_linear () =
+  List.iter
+    (fun k ->
+      let net = Synthesis.fattree_shortest_path (Generators.fattree ~k) in
+      let g = net.Device.graph in
+      let node = Graph.name g 0 and nbr = Graph.name g (Graph.succ g 0).(0) in
+      let size = Graph.n_nodes g + Graph.n_links g in
+      let within what ds =
+        let w0 = Delta.work () in
+        let back = Delta.diff net (Delta.apply net ds) in
+        let work = Delta.work () - w0 in
+        Alcotest.(check bool) "the edits come back" true (back <> []);
+        if work > 8 * size then
+          Alcotest.failf "fattree:%d, %s: %d work units, bound %d" k what work
+            (8 * size)
+      in
+      List.iter
+        (fun d -> within (Delta.to_string d) [ d ])
+        [
+          Delta.Ospf_link_set { node; nbr; link = Some { Device.cost = 5; area = 0 } };
+          Delta.Link_down (node, nbr);
+        ];
+      (* k edits in one list: each costs its own routers, not a pass over
+         the network. *)
+      let links = ref [] in
+      Graph.iter_edges g (fun u v ->
+          if u < v then links := (Graph.name g u, Graph.name g v) :: !links);
+      let first_k l = List.filteri (fun i _ -> i < k) l in
+      within
+        (Printf.sprintf "%d links down" k)
+        (List.map (fun (a, b) -> Delta.Link_down (a, b)) (first_k (List.rev !links)));
+      within
+        (Printf.sprintf "%d nodes removed" k)
+        (List.init k (fun i -> Delta.Node_remove (Graph.name g i))))
+    [ 8; 16; 24 ]
+
 (* --- one per-class path ------------------------------------------------ *)
 
 let prefix_of (ec : Ecs.ec) = Prefix.to_string ec.Ecs.ec_prefix
@@ -896,7 +937,10 @@ let () =
         [ Alcotest.test_case "datacenter 26/112" `Quick test_datacenter_roles ]
       );
       ( "complexity",
-        [ Alcotest.test_case "keyed within E log V" `Quick test_keyed_bound ] );
+        [
+          Alcotest.test_case "keyed within E log V" `Quick test_keyed_bound;
+          Alcotest.test_case "delta within V + E" `Quick test_delta_linear;
+        ] );
       ( "peel",
         [ Alcotest.test_case "canonical order" `Quick test_peel_order_canonical ] );
       ( "per-class",

@@ -323,6 +323,179 @@ let prop_random =
 let prop_multi =
   exercise_net (fun seed -> Synthesis.random_multi_network ~n:8 ~seed)
 
+(* --- Delta against the list-based reference ------------------------- *)
+
+(* [net] renumbered: node [i] becomes [perm.(i)], every neighbor list in
+   its old order (so no longer ascending). *)
+let permute (net : Device.network) perm =
+  let g = net.Device.graph in
+  let n = Graph.n_nodes g in
+  let inv = Array.make n 0 in
+  Array.iteri (fun i j -> inv.(j) <- i) perm;
+  let b = Graph.Builder.create () in
+  Array.iter (fun i -> ignore (Graph.Builder.add_node b (Graph.name g i))) inv;
+  Graph.iter_edges g (fun u v -> Graph.Builder.add_edge b perm.(u) perm.(v));
+  let nbr l = List.map (fun (v, x) -> (perm.(v), x)) l in
+  let router i =
+    let r = net.Device.routers.(i) in
+    {
+      r with
+      Device.bgp_neighbors = nbr r.Device.bgp_neighbors;
+      ospf_links = nbr r.Device.ospf_links;
+      acl_out = nbr r.Device.acl_out;
+      static_routes = List.map (fun (p, v) -> (p, perm.(v))) r.Device.static_routes;
+    }
+  in
+  { Device.graph = Graph.Builder.build b; routers = Array.map router inv }
+
+let shuffle rng a =
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  a
+
+(* Random delta lists over [net], valid and invalid: names are sometimes
+   ones no router has, links sometimes absent or duplicated, and
+   references to new names sometimes are never backed by a [Node_add]. *)
+let random_deltas rng (net : Device.network) =
+  let g = net.Device.graph in
+  let n = Graph.n_nodes g in
+  let int k = Random.State.int rng k in
+  let fresh () = Printf.sprintf "new%d" (int 3) in
+  (* A quarter of the lists only add routers and set per-neighbor state
+     on two routers, towards new names half the time: several unresolved
+     references in one router, in different lists. *)
+  let focus = int 4 = 0 in
+  let node () =
+    if focus then Graph.name g (int (min 2 n))
+    else if int 8 = 0 then fresh ()
+    else Graph.name g (int n)
+  in
+  let nbr () = if focus && int 2 = 0 then fresh () else node () in
+  let edges = Array.of_list (Graph.edges g) in
+  let link () =
+    if focus || Array.length edges = 0 || int 4 = 0 then (node (), nbr ())
+    else
+      let u, v = edges.(int (Array.length edges)) in
+      (Graph.name g u, Graph.name g v)
+  in
+  let rm () = [| None; Some lp_bump; Some Route_map.permit_all |].(int 3) in
+  let prefix () = Synthesis.prefix_of_index (int 4) in
+  let one () =
+    match if focus then [| 3; 6; 9; 10; 11 |].(int 5) else int 15 with
+    | 0 | 1 ->
+      let a, b = link () in
+      Delta.Link_down (a, b)
+    | 2 -> Delta.Link_up (node (), node ())
+    | 3 -> Delta.Node_add (if int 4 = 0 then node () else fresh ())
+    | 4 -> Delta.Node_remove (node ())
+    | 5 ->
+      let node, nbr = link () in
+      Delta.Ospf_cost { node; nbr; cost = 1 + int 5 }
+    | 6 ->
+      let node, nbr = link () in
+      let link =
+        if int 3 = 0 then None else Some { Device.cost = 1 + int 5; area = int 2 }
+      in
+      Delta.Ospf_link_set { node; nbr; link }
+    | 7 -> Delta.Ospf_area_set { node = node (); area = int 3 }
+    | 8 ->
+      let node, nbr = link () in
+      Delta.Route_map_set
+        { node; nbr; dir = (if int 2 = 0 then Delta.Import else Delta.Export); rm = rm () }
+    | 9 ->
+      let node, nbr = link () in
+      let config =
+        if int 3 = 0 then None
+        else
+          Some
+            { Device.import_rm = rm (); export_rm = rm (); ibgp = int 4 = 0;
+              rel = Device.Rel_unknown }
+      in
+      Delta.Bgp_neighbor_set { node; nbr; config }
+    | 10 ->
+      let node, nbr = link () in
+      let acl =
+        if int 3 = 0 then None
+        else Some [ { Acl.permit = int 2 = 0; prefix = prefix () } ]
+      in
+      Delta.Acl_set { node; nbr; acl }
+    | 11 ->
+      Delta.Static_set
+        { node = node (); routes = List.init (int 3) (fun _ -> (prefix (), nbr ())) }
+    | 12 ->
+      Delta.Originate_set { node = node (); prefixes = List.init (int 3) (fun _ -> prefix ()) }
+    | _ ->
+      Delta.Redistribute_set
+        {
+          node = node ();
+          redistribute =
+            List.init (int 4) (fun _ ->
+                [| Multi.Ospf_into_bgp; Multi.Static_into_bgp; Multi.Bgp_into_ospf |].(int 3));
+        }
+  in
+  List.init (1 + int 6) (fun _ -> one ())
+
+let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+let same_network (a : Device.network) (b : Device.network) =
+  let ga = a.Device.graph and gb = b.Device.graph in
+  Graph.n_nodes ga = Graph.n_nodes gb
+  && List.for_all
+       (fun i ->
+         String.equal (Graph.name ga i) (Graph.name gb i)
+         && Graph.succ ga i = Graph.succ gb i)
+       (List.init (Graph.n_nodes ga) Fun.id)
+  && a.Device.routers = b.Device.routers
+
+let show ds = String.concat "; " (List.map Delta.to_string ds)
+
+let prop_delta_reference =
+  QCheck.Test.make ~count:(25 * fuzz_count) ~name:"delta ≡ list-based reference"
+    QCheck.(int_range 0 100000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let mk s =
+        let n = 4 + (s mod 6) in
+        if s mod 2 = 0 then Synthesis.random_network ~n ~seed:s
+        else Synthesis.random_multi_network ~n ~seed:s
+      in
+      let a = mk seed in
+      let b =
+        match Random.State.int rng 3 with
+        | 0 -> mk (seed + 1 + Random.State.int rng 3)
+        | 1 -> permute (mk seed) (shuffle rng (Array.init (Graph.n_nodes a.Device.graph) Fun.id))
+        | _ -> a
+      in
+      let check_diff what x y =
+        let got = Delta.diff x y and want = Delta_reference.diff x y in
+        if got <> want then
+          QCheck.Test.fail_reportf "%s: diff [%s], reference [%s]" what (show got) (show want)
+      in
+      check_diff "a b" a b;
+      check_diff "b a" b a;
+      let b' = Delta.apply a (Delta.diff a b) in
+      if Delta.diff b' b <> [] then
+        QCheck.Test.fail_reportf "diff (apply a (diff a b)) b = [%s]" (show (Delta.diff b' b));
+      let ds = random_deltas rng a in
+      match (outcome (fun () -> Delta.apply a ds), outcome (fun () -> Delta_reference.apply a ds)) with
+      | Ok x, Ok y ->
+        if not (same_network x y) then
+          QCheck.Test.fail_reportf "apply [%s]: networks differ" (show ds);
+        check_diff "a (apply a ds)" a x;
+        check_diff "(apply a ds) a" x a;
+        check_diff "(apply a ds) b" x b;
+        true
+      | Error m, Error m' ->
+        if not (String.equal m m') then
+          QCheck.Test.fail_reportf "apply [%s]: raised %S, reference %S" (show ds) m m';
+        true
+      | Ok _, Error m -> QCheck.Test.fail_reportf "apply [%s]: reference raised %S" (show ds) m
+      | Error m, Ok _ -> QCheck.Test.fail_reportf "apply [%s]: raised %S" (show ds) m)
+
 (* --- engine classification ------------------------------------------- *)
 
 let test_reuse_on_remote_change () =
@@ -482,5 +655,6 @@ let () =
           Alcotest.test_case "recertify covers reuse" `Quick
             test_recertify_reused;
         ] );
-      qsuite "fuzz" [ prop_ring; prop_fattree; prop_random; prop_multi ];
+      qsuite "fuzz"
+        [ prop_ring; prop_fattree; prop_random; prop_multi; prop_delta_reference ];
     ]

@@ -243,6 +243,122 @@ let test_locs () =
     Alcotest.(check (option string)) "route-map name recovered" (Some "RM")
       (Config_text.rm_name_of locs rm)
 
+(* --- compression blockers: memoized ≡ reference ---------------------- *)
+
+let fuzz_count =
+  match Option.bind (Sys.getenv_opt "FUZZ_COUNT") int_of_string_opt with
+  | Some n when n > 0 -> n
+  | _ -> 40
+
+let set_actions actions = Some [ clause ~actions [] ]
+
+(* Near-equal maps (one field apart) beside identical copies of each, so
+   groups both merge and block. *)
+let rm_pool =
+  [|
+    None;
+    Some Route_map.permit_all;
+    set_actions [ Route_map.Set_local_pref 100 ];
+    set_actions [ Route_map.Set_local_pref 150 ];
+    set_actions [ Route_map.Add_community c1 ];
+    set_actions [ Route_map.Add_community c2 ];
+    Some
+      [
+        clause ~verdict:Route_map.Deny [ Route_map.Match_community [ c1 ] ];
+        clause [];
+      ];
+  |]
+
+(* [net] with route maps and ACLs redrawn on random interfaces, each map
+   a fresh copy so that equal maps are rarely the same value. *)
+let perturb rng (net : Device.network) =
+  let int k = Random.State.int rng k in
+  let copy = Option.map (List.map (fun (cl : Route_map.clause) -> { cl with Route_map.conds = cl.Route_map.conds })) in
+  let dests = List.map fst (Device.originations net) in
+  let acl () =
+    match dests with
+    | [] -> None
+    | _ ->
+      let prefix = List.nth dests (int (List.length dests)) in
+      Some [ { Acl.permit = int 2 = 0; prefix }; { Acl.permit = true; prefix = p "0.0.0.0/0" } ]
+  in
+  let routers =
+    Array.map
+      (fun (r : Device.router) ->
+        {
+          r with
+          Device.bgp_neighbors =
+            List.map
+              (fun (v, (c : Device.bgp_neighbor)) ->
+                let c =
+                  if int 3 = 0 then { c with Device.import_rm = copy rm_pool.(int (Array.length rm_pool)) }
+                  else c
+                in
+                let c =
+                  if int 6 = 0 then { c with Device.export_rm = copy rm_pool.(int (Array.length rm_pool)) }
+                  else c
+                in
+                (v, c))
+              r.Device.bgp_neighbors;
+          acl_out =
+            List.filter_map
+              (fun v -> if int 8 = 0 then Option.map (fun a -> (v, a)) (acl ()) else None)
+              (List.map fst r.Device.bgp_neighbors)
+            @ r.Device.acl_out;
+        })
+      net.Device.routers
+  in
+  { net with Device.routers }
+
+let fuzz_network seed =
+  let rng = Random.State.make [| seed |] in
+  let base =
+    match seed mod 3 with
+    | 0 -> Synthesis.fattree_shortest_path (Generators.fattree ~k:4)
+    | 1 -> Synthesis.random_network ~n:(5 + (seed mod 6)) ~seed
+    | _ -> Synthesis.ring_bgp ~n:(4 + (seed mod 5))
+  in
+  perturb rng base
+
+(* The memo behind the blockers: for every destination and every edge,
+   the shared-memo policy is the very node a fresh encoding builds. *)
+let prop_edge_policies_memo =
+  QCheck.Test.make ~count:fuzz_count ~name:"memoized edge policy ≡ fresh"
+    QCheck.(int_range 0 100000)
+    (fun seed ->
+      let net = fuzz_network seed in
+      let g = net.Device.graph in
+      let u = Policy_bdd.universe_of_network net in
+      List.iter
+        (fun (dest, _) ->
+          let memo = Policy_bdd.edge_policies u net ~dest in
+          for v = 0 to Graph.n_nodes g - 1 do
+            Array.iter
+              (fun w ->
+                if
+                  not
+                    (Policy_bdd.same (memo v w)
+                       (Policy_bdd.edge_policy u net ~dest v w))
+                then
+                  QCheck.Test.fail_reportf "%s: policy on %s<-%s differs"
+                    (Prefix.to_string dest) (Graph.name g v) (Graph.name g w))
+              (Graph.succ g v)
+          done)
+        (Device.originations net);
+      true)
+
+let prop_blockers_reference =
+  QCheck.Test.make ~count:fuzz_count ~name:"memoized blockers ≡ reference"
+    QCheck.(int_range 0 100000)
+    (fun seed ->
+      let net = fuzz_network seed in
+      let got = Lint_compress.blockers net
+      and want = Blockers_reference.blockers net in
+      if got <> want then
+        QCheck.Test.fail_reportf "%d blockers, reference %d" (List.length got)
+          (List.length want);
+      true)
+
 let () =
   Alcotest.run "lint"
     [
@@ -264,4 +380,7 @@ let () =
           Alcotest.test_case "datacenter" `Quick test_datacenter_infos_only;
         ] );
       ("locations", [ Alcotest.test_case "line table" `Quick test_locs ]);
+      ( "fuzz",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_edge_policies_memo; prop_blockers_reference ] );
     ]
