@@ -27,6 +27,12 @@ let resolve_network_full spec =
 
 let resolve_network spec = fst (resolve_network_full spec)
 
+(* A router by name; an unknown name fails the command. *)
+let router (net : Device.network) name =
+  match Graph.find_by_name net.Device.graph name with
+  | Some v -> v
+  | None -> Format.kasprintf failwith "unknown router %S" name
+
 let network_arg =
   Cmdliner.Arg.(
     required
@@ -54,6 +60,10 @@ let guarded f =
     Format.eprintf "bonsai: @[<v>%a@]@." Bonsai_error.pp err;
     Bonsai_error.exit_code err
 
+(* A typed pipeline failure escapes to [guarded], which maps it to its
+   exit code. *)
+let ok_or_raise = function Ok x -> x | Error e -> Bonsai_error.error e
+
 let make_budget ms ticks =
   match (ms, ticks) with
   | None, None -> Budget.infinite
@@ -67,6 +77,13 @@ let make_budget ms ticks =
    exactly one machine-parseable document (or, for watch, one per event),
    timings and diagnostics go to stderr. *)
 let print_json v = print_endline (Json.to_string v)
+
+(* Elapsed wall clock is nondeterministic, so it goes to stderr; the
+   degradation report on stdout stays golden-testable. *)
+let report_budget budget =
+  if not (Budget.is_infinite budget) then
+    Printf.eprintf "budget: %d ticks consumed, %.3fs elapsed\n%!"
+      (Budget.ticks budget) (Budget.elapsed_s budget)
 
 let size_json g =
   Json.Obj
@@ -202,24 +219,11 @@ let compress_cmd_run spec ec_prefix dot all check check_dataplane format
     match modules with
     | None -> None
     | Some mode ->
-      let st =
-        match Modular.run ~mode ~budget net with
-        | Ok st -> st
-        | Error e -> Bonsai_error.error e
-      in
+      let st = ok_or_raise (Modular.run ~mode ~budget net) in
       Format.eprintf "%a%!" Modular.pp_report (Modular.report st);
-      (match Modular.compose ~budget st with
-      | Ok s -> Some s
-      | Error e -> Bonsai_error.error e)
+      Some (ok_or_raise (Modular.compose ~budget st))
   in
   let all = all || Option.is_some modular_summary in
-  (* Elapsed wall clock is nondeterministic, so it goes to stderr; the
-     degradation report on stdout stays golden-testable. *)
-  let report_budget () =
-    if not (Budget.is_infinite budget) then
-      Printf.eprintf "budget: %d ticks consumed, %.3fs elapsed\n%!"
-        (Budget.ticks budget) (Budget.elapsed_s budget)
-  in
   let degrade_exit code = if degrade then 0 else code in
   let check_universe = lazy (Policy_bdd.universe_of_network net) in
   let g = net.Device.graph in
@@ -233,7 +237,7 @@ let compress_cmd_run spec ec_prefix dot all check check_dataplane format
     (match format with
     | `Text ->
       Format.printf "%a@." Bonsai_api.pp_summary s;
-      report_budget ();
+      report_budget budget;
       checked_ok :=
         (not check)
         || List.fold_left
@@ -279,7 +283,7 @@ let compress_cmd_run spec ec_prefix dot all check check_dataplane format
                         .Policy_bdd.man)
                | [] -> Json.Null );
            ]);
-      report_budget ());
+      report_budget budget);
     let dp_status =
       if check_dataplane then
         run_check_dataplane ~budget ~format net s.Bonsai_api.results
@@ -399,7 +403,7 @@ let compress_cmd_run spec ec_prefix dot all check check_dataplane format
                  (Bdd.stats t.Abstraction.universe.Policy_bdd.man) );
            ]);
       Printf.eprintf "compression time: %.3fs\n%!" r.Bonsai_api.time_s);
-    report_budget ();
+    report_budget budget;
     let dp_status =
       if check_dataplane then run_check_dataplane ~budget ~format net [ r ]
       else `Ok
@@ -435,17 +439,11 @@ let modular_cmd_run spec mode count format budget_ms budget_ticks degrade
                     escalated slice\n%!" name ms;
     Unix.sleepf (float_of_int ms /. 1000.0)
   in
-  let report_budget () =
-    if not (Budget.is_infinite budget) then
-      Printf.eprintf "budget: %d ticks consumed, %.3fs elapsed\n%!"
-        (Budget.ticks budget) (Budget.elapsed_s budget)
-  in
   let finish (rp : Modular.report) =
     (match format with
     | `Text -> Format.printf "%a%!" Modular.pp_report rp
-    | `Json ->
-      print_endline (Json.to_string (Json.Obj (Modular.report_json_fields rp))));
-    report_budget ();
+    | `Json -> print_json (Json.Obj (Modular.report_json_fields rp)));
+    report_budget budget;
     let refuted =
       List.exists
         (fun (mr : Modular.module_report) ->
@@ -465,22 +463,16 @@ let modular_cmd_run spec mode count format budget_ms budget_ticks degrade
     match (int_of_string_opt r, int_of_string_opt s) with
     | Some regions, Some region_size -> (
       let seq = Synthesis.multiwan_stream ~regions ~region_size in
-      match
-        Modular.run_stream ~budget ~certify ~inject_fault ~retry_pause
-          ~count:regions seq
-      with
-      | Ok rp -> finish rp
-      | Error e -> Bonsai_error.error e)
+      finish
+        (ok_or_raise
+           (Modular.run_stream ~budget ~certify ~inject_fault ~retry_pause
+              ~count:regions seq)))
     | _ ->
       raise (Usage "multiwan-stream spec is multiwan-stream:REGIONS:SIZE"))
-  | _ -> (
+  | _ ->
     let net = resolve_network spec in
-    match
-      Modular.run ~mode ?count ~budget ~certify ~inject_fault ~retry_pause
-        net
-    with
-    | Ok st -> finish (Modular.report st)
-    | Error e -> Bonsai_error.error e)
+    Modular.run ~mode ?count ~budget ~certify ~inject_fault ~retry_pause net
+    |> ok_or_raise |> Modular.report |> finish
 
 (* --- diff / watch: incremental recompression --------------------------- *)
 
@@ -524,19 +516,12 @@ let diff_cmd_run old_spec new_spec format budget_ms budget_ticks degrade
   end
   else begin
     let budget = make_budget budget_ms budget_ticks in
-    let st =
-      match Incr.init ~budget old_net with
-      | Ok st -> st
-      | Error e -> Bonsai_error.error e
-    in
+    let st = ok_or_raise (Incr.init ~budget old_net) in
     let rep =
-      match
-        Incr.recompress ~budget
-          ?recertify:(if certify then Some audit else None)
-          st deltas
-      with
-      | Ok rep -> rep
-      | Error e -> Bonsai_error.error e
+      ok_or_raise
+        (Incr.recompress ~budget
+           ?recertify:(if certify then Some audit else None)
+           st deltas)
     in
     let bdd = Incr.bdd_stats st in
     (match format with
@@ -578,11 +563,7 @@ let dataplane_diff_cmd_run old_spec new_spec format budget_ms budget_ticks
   let new_net = resolve_network new_spec in
   let budget = make_budget budget_ms budget_ticks in
   let deltas = Delta.diff old_net new_net in
-  let rep =
-    match Dp_diff.run ~budget ~old_net ~new_net deltas with
-    | Ok rep -> rep
-    | Error e -> Bonsai_error.error e
-  in
+  let rep = ok_or_raise (Dp_diff.run ~budget ~old_net ~new_net deltas) in
   let name u = Graph.name new_net.Device.graph u in
   let old_name u = Graph.name old_net.Device.graph u in
   let hops nm = function
@@ -705,9 +686,7 @@ let watch_cmd_run path poll_ms once max_events format budget_ms budget_ticks
       Bonsai_error.error (Bonsai_error.Parse_error { diagnostics = ds })
   in
   let st =
-    match Incr.init ~budget:(make_budget budget_ms budget_ticks) net0 with
-    | Ok st -> st
-    | Error e -> Bonsai_error.error e
+    ok_or_raise (Incr.init ~budget:(make_budget budget_ms budget_ticks) net0)
   in
   let s = Incr.summary st in
   let hits, misses = Incr.cache_stats st in
@@ -874,7 +853,7 @@ let lint_cmd_run spec format min_severity no_compression flow budget_ms
     let shown = Lint.filter ~min_severity ds in
     (match format with
     | `Text -> Format.printf "%a" Lint.pp_text shown
-    | `Json -> print_json (Json.List (List.map Diag.to_json shown)));
+    | `Json -> print_json (Diag.list_to_json shown));
     if Lint.has_errors ds then 1 else 0
   end
 
@@ -887,90 +866,36 @@ let lint_cmd_run spec format min_severity no_compression flow budget_ms
 let flow_cmd_run spec ec_prefix format facts budget_ms budget_ticks =
   guarded @@ fun () ->
   let net, locs = resolve_network_full spec in
-  let budget = make_budget budget_ms budget_ticks in
-  let ds = Lint_flow.run ?locs ~budget net in
-  let ds = List.sort Diag.compare ds in
-  let degraded =
-    List.exists (fun d -> String.equal d.Diag.check "flow-degraded") ds
+  let r =
+    Lint_flow.report ?locs ~budget:(make_budget budget_ms budget_ticks)
+      ~facts:(if facts then Some (Ecs.find net ec_prefix) else None)
+      net
   in
-  let names = Graph.name net.Device.graph in
-  let fact_dump =
-    if not facts then None
-    else begin
-      let ec = Ecs.find net ec_prefix in
-      let t = Flow.analyze ~budget net ec in
-      let roles =
-        match Bonsai_api.role_partition net ec with
-        | Ok g -> Some g
-        | Error _ -> None
-      in
-      let rows =
-        List.init (Graph.n_nodes net.Device.graph) (fun r ->
-            let plane p =
-              match Flow.fact t r p with
-              | None -> None
-              | Some f -> Some (Format.asprintf "%a" (Flow.pp_fact ~names) f)
-            in
-            ( r,
-              Option.map (fun g -> g.(r)) roles,
-              plane Flow.Bgp,
-              plane Flow.Ospf ))
-      in
-      Some (ec, rows)
-    end
-  in
+  let ds = r.Lint_flow.findings in
   (match format with
-  | `Text ->
+  | `Text -> (
     List.iter (fun d -> Format.printf "%a@." Diag.pp d) ds;
     Format.printf "%d finding%s@." (List.length ds)
       (if List.length ds = 1 then "" else "s");
-    (match fact_dump with
+    match r.Lint_flow.facts with
     | None -> ()
-    | Some (ec, fact_rows) ->
+    | Some (ec, rows) ->
       Format.printf "facts for %a:@." Prefix.pp ec.Ecs.ec_prefix;
       List.iter
-        (fun (r, role, bgp, ospf) ->
-          Format.printf "  %s%s:@." (names r)
-            (match role with
+        (fun (fr : Lint_flow.fact_row) ->
+          Format.printf "  %s%s:@." fr.fr_router
+            (match fr.fr_role with
             | Some g -> Printf.sprintf " (role %d)" g
             | None -> "");
           let show plane = function
             | None -> Format.printf "    %s: unreachable@." plane
             | Some s -> Format.printf "    %s: %s@." plane s
           in
-          show "bgp" bgp;
-          show "ospf" ospf)
-        fact_rows)
-  | `Json ->
-    let opt f = function Some x -> f x | None -> Json.Null in
-    let str s = Json.String s in
-    let fact_field =
-      match fact_dump with
-      | None -> []
-      | Some (_, fact_rows) ->
-        [
-          ( "facts",
-            Json.List
-              (List.map
-                 (fun (r, role, bgp, ospf) ->
-                   Json.Obj
-                     [
-                       ("router", str (names r));
-                       ("role", opt (fun g -> Json.Int g) role);
-                       ("bgp", opt str bgp);
-                       ("ospf", opt str ospf);
-                     ])
-                 fact_rows) );
-        ]
-    in
-    print_json
-      (Json.Obj
-         ([
-            ("findings", Json.List (List.map Diag.to_json ds));
-            ("degraded", Json.Bool degraded);
-          ]
-         @ fact_field)));
-  if degraded then
+          show "bgp" fr.fr_bgp;
+          show "ospf" fr.fr_ospf)
+        rows)
+  | `Json -> print_json (Json.Obj (Lint_flow.report_json_fields r)));
+  if r.Lint_flow.degraded then
     (* same exit class as every other budget exhaustion *)
     Bonsai_error.exit_code
       (Bonsai_error.Budget_exceeded
@@ -989,11 +914,7 @@ let verify_cmd_run spec src ec_prefix =
   guarded @@ fun () ->
   let net = resolve_network spec in
   let ec = Ecs.find net ec_prefix in
-  let src_id =
-    match Graph.find_by_name net.Device.graph src with
-    | Some v -> v
-    | None -> Format.kasprintf failwith "unknown router %S" src
-  in
+  let src_id = router net src in
   let cv, ct =
     Timing.time (fun () -> Reachability.concrete_query net ~src:src_id ~ec)
   in
@@ -1014,11 +935,7 @@ let verify_cmd_run spec src ec_prefix =
 let trace_cmd_run spec src_name addr all =
   guarded @@ fun () ->
   let net = resolve_network spec in
-  let src =
-    match Graph.find_by_name net.Device.graph src_name with
-    | Some v -> v
-    | None -> Format.kasprintf failwith "unknown router %S" src_name
-  in
+  let src = router net src_name in
   let addr = Ipv4.of_string addr in
   let dp = Dataplane.of_network net in
   Format.printf "data plane: %d classes solved, %d FIB entries@."
@@ -1042,44 +959,30 @@ let trace_cmd_run spec src_name addr all =
 
 (* --- faults ------------------------------------------------------------ *)
 
+(* The head of the faults and harden text reports. *)
+let print_class_header (net : Device.network) ec =
+  let g = net.Device.graph in
+  Format.printf
+    "destination %a (originated at %s)@.topology: %d nodes, %d links@."
+    Prefix.pp ec.Ecs.ec_prefix
+    (Graph.name g (Ecs.single_origin ec))
+    (Graph.n_nodes g) (Graph.n_links g)
+
 let faults_cmd_run spec ec_prefix k samples seed format budget_ms
     budget_ticks =
   guarded @@ fun () ->
   let net = resolve_network spec in
-  let budget = make_budget budget_ms budget_ticks in
   let ec = Ecs.find net ec_prefix in
-  let dest = Ecs.single_origin ec in
-  let g = net.Device.graph in
-  let name = Graph.name g in
-  let srp = Compile.bgp_srp net ~dest ~dest_prefix:ec.Ecs.ec_prefix in
-  let plan = Fault_engine.plan ?samples ~seed ~k g in
-  (* One concrete-side cache spans the survey and the soundness sweep:
-     the soundness check re-solves the same scenarios the survey just
-     solved (and shrinking probes sub-scenarios), so sharing avoids the
-     double work and the stats line reports how much was saved. *)
-  let cache = Fault_engine.cache () in
-  let report = Fault_engine.survey ~budget ~cache srp plan in
-  let r = Bonsai_api.compress_ec_exn net ec in
-  let t = r.Bonsai_api.abstraction in
-  let abs_name = Graph.name t.Abstraction.abs_graph in
-  let break_ =
-    Soundness.first_break t ~concrete:srp ~concrete_cache:cache
-      ~abstract_:(Abstraction.bgp_srp t) plan.Fault_engine.scenarios
+  let abstraction =
+    (Bonsai_api.compress_ec_exn net ec).Bonsai_api.abstraction
   in
-  let n_scenarios = List.length plan.Fault_engine.scenarios in
-  let disconnected =
-    List.filter_map
-      (function
-        | sc, Fault_engine.Disconnected (_, stranded) -> Some (sc, stranded)
-        | _ -> None)
-      report.Fault_engine.outcomes
+  let r =
+    Soundness.run ~budget:(make_budget budget_ms budget_ticks) ~samples ~seed
+      ~k ~abstraction net ec
   in
-  let diverged =
-    List.filter_map
-      (function
-        | sc, Fault_engine.Diverged d -> Some (sc, d) | _ -> None)
-      report.Fault_engine.outcomes
-  in
+  let s = r.Soundness.survey in
+  let name = Graph.name net.Device.graph in
+  let n_scenarios = List.length s.Fault_engine.plan.Fault_engine.scenarios in
   let pp_sc = Scenario.pp ~names:name in
   let side reaches stable =
     if not stable then "diverged"
@@ -1088,53 +991,42 @@ let faults_cmd_run spec ec_prefix k samples seed format budget_ms
   in
   (match format with
   | `Text ->
-    Format.printf "destination %a (originated at %s)@." Prefix.pp
-      ec.Ecs.ec_prefix (name dest);
-    Format.printf "topology: %d nodes, %d links@." (Graph.n_nodes g)
-      (Graph.n_links g);
+    print_class_header net ec;
     Format.printf "scenarios: %d (%s, up to %d failed link%s)@." n_scenarios
-      (if plan.Fault_engine.exhaustive then "exhaustive" else "sampled")
+      (if s.Fault_engine.plan.Fault_engine.exhaustive then "exhaustive"
+       else "sampled")
       k
       (if k = 1 then "" else "s");
-    Format.printf "  stable & reachable: %d@." report.Fault_engine.n_stable;
-    Format.printf "  disconnected:       %d@."
-      report.Fault_engine.n_disconnected;
-    Format.printf "  diverged:           %d@." report.Fault_engine.n_diverged;
-    if report.Fault_engine.n_skipped > 0 then
-      Format.printf "  skipped (budget):   %d@." report.Fault_engine.n_skipped;
-    let cap = 12 in
-    if disconnected <> [] then begin
-      Format.printf "disconnected scenarios%s:@."
-        (if List.length disconnected > cap then
-           Printf.sprintf " (first %d of %d)" cap (List.length disconnected)
-         else "");
-      List.iteri
-        (fun i (sc, stranded) ->
-          if i < cap then
-            Format.printf "  %a: %d stranded (%s%s)@." pp_sc sc
-              (List.length stranded)
-              (String.concat ", "
-                 (List.map name (List.filteri (fun i _ -> i < 6) stranded)))
-              (if List.length stranded > 6 then ", ..." else ""))
-        disconnected
-    end;
-    if diverged <> [] then begin
-      Format.printf "diverged scenarios%s:@."
-        (if List.length diverged > cap then
-           Printf.sprintf " (first %d of %d)" cap (List.length diverged)
-         else "");
-      List.iteri
-        (fun i (sc, (d : _ Solver.diagnosis)) ->
-          if i < cap then
-            Format.printf "  %a: %a@." pp_sc sc
-              (Solver.pp_verdict
-                 ~graph:d.Solver.diag_sol.Solution.srp.Srp.graph)
-              d.Solver.diag_verdict)
-        diverged
-    end;
-    Format.printf "abstraction: %d nodes, %d links@." (Abstraction.n_abstract t)
-      (Graph.n_links t.Abstraction.abs_graph);
-    (match break_ with
+    Format.printf "  stable & reachable: %d@." s.Fault_engine.n_stable;
+    Format.printf "  disconnected:       %d@." s.Fault_engine.n_disconnected;
+    Format.printf "  diverged:           %d@." s.Fault_engine.n_diverged;
+    if s.Fault_engine.n_skipped > 0 then
+      Format.printf "  skipped (budget):   %d@." s.Fault_engine.n_skipped;
+    let listing what xs pp_row =
+      let cap = 12 in
+      if xs <> [] then begin
+        Format.printf "%s scenarios%s:@." what
+          (if List.length xs > cap then
+             Printf.sprintf " (first %d of %d)" cap (List.length xs)
+           else "");
+        List.iteri (fun i x -> if i < cap then pp_row x) xs
+      end
+    in
+    listing "disconnected" r.Soundness.disconnected (fun (sc, stranded) ->
+        Format.printf "  %a: %d stranded (%s%s)@." pp_sc sc
+          (List.length stranded)
+          (String.concat ", "
+             (List.map name (List.filteri (fun i _ -> i < 6) stranded)))
+          (if List.length stranded > 6 then ", ..." else ""));
+    listing "diverged" r.Soundness.diverged
+      (fun (sc, (d : _ Solver.diagnosis)) ->
+        Format.printf "  %a: %a@." pp_sc sc
+          (Solver.pp_verdict ~graph:d.Solver.diag_sol.Solution.srp.Srp.graph)
+          d.Solver.diag_verdict);
+    Format.printf "abstraction: %d nodes, %d links@."
+      (Abstraction.n_abstract abstraction)
+      (Graph.n_links abstraction.Abstraction.abs_graph);
+    (match r.Soundness.break_ with
     | None ->
       Format.printf
         "  fault soundness: ok (verdicts agree on every scenario)@."
@@ -1144,85 +1036,19 @@ let faults_cmd_run spec ec_prefix k samples seed format budget_ms
       Format.printf
         "  first diverging pair: %s vs %s (concrete %s, abstract %s)@."
         (name m.Soundness.mis_node)
-        (abs_name m.Soundness.mis_abs)
+        (Graph.name abstraction.Abstraction.abs_graph m.Soundness.mis_abs)
         (side m.Soundness.concrete_reaches m.Soundness.concrete_stable)
         (side m.Soundness.abstract_reaches m.Soundness.abstract_stable))
-  | `Json ->
-    let scenario = Scenario.to_json ~names:name in
-    let verdict_fields (d : _ Solver.diagnosis) =
-      match d.Solver.diag_verdict with
-      | Solver.Oscillation { period; participants } ->
-        [
-          ("verdict", Json.String "oscillation");
-          ("period", Json.Int period);
-          ("participants", names_json name participants);
-        ]
-      | Solver.Likely_convergent ->
-        [ ("verdict", Json.String "likely-convergent") ]
-      | Solver.Inconclusive rounds ->
-        [ ("verdict", Json.String "inconclusive"); ("rounds", Json.Int rounds) ]
-    in
-    let soundness =
-      match break_ with
-      | None -> [ ("sound", Json.Bool true) ]
-      | Some (sc, m) ->
-        [
-          ("sound", Json.Bool false);
-          ("minimal_scenario", scenario sc);
-          ("node", Json.String (name m.Soundness.mis_node));
-          ("abs_node", Json.String (abs_name m.Soundness.mis_abs));
-          ("concrete_reaches", Json.Bool m.Soundness.concrete_reaches);
-          ("abstract_reaches", Json.Bool m.Soundness.abstract_reaches);
-        ]
-    in
-    print_json
-      (Json.Obj
-         ([
-            ("destination", Json.String (Prefix.to_string ec.Ecs.ec_prefix));
-            ("nodes", Json.Int (Graph.n_nodes g));
-            ("links", Json.Int (Graph.n_links g));
-            ("k", Json.Int k);
-            ( "mode",
-              Json.String
-                (if plan.Fault_engine.exhaustive then "exhaustive"
-                 else "sampled") );
-            ("scenarios", Json.Int n_scenarios);
-            ("stable", Json.Int report.Fault_engine.n_stable);
-          ]
-         @ (if report.Fault_engine.n_skipped > 0 then
-              [ ("skipped", Json.Int report.Fault_engine.n_skipped) ]
-            else [])
-         @ [
-             ( "disconnected",
-               Json.List
-                 (List.map
-                    (fun (sc, stranded) ->
-                      Json.Obj
-                        [
-                          ("scenario", scenario sc);
-                          ("stranded", names_json name stranded);
-                        ])
-                    disconnected) );
-             ( "diverged",
-               Json.List
-                 (List.map
-                    (fun (sc, d) ->
-                      Json.Obj (("scenario", scenario sc) :: verdict_fields d))
-                    diverged) );
-             ( "abstraction",
-               Json.Obj
-                 (("nodes", Json.Int (Abstraction.n_abstract t)) :: soundness)
-             );
-           ])));
+  | `Json -> print_json (Json.Obj (Soundness.report_json_fields r)));
   Printf.eprintf "%d scenarios in %.3fs (%.0f scenarios/sec), %d cache hits\n"
-    n_scenarios report.Fault_engine.time_s
-    (float_of_int n_scenarios /. max 1e-9 report.Fault_engine.time_s)
-    (Fault_engine.cache_hits cache);
+    n_scenarios s.Fault_engine.time_s
+    (float_of_int n_scenarios /. max 1e-9 s.Fault_engine.time_s)
+    r.Soundness.cache_hits;
   if
-    report.Fault_engine.n_disconnected + report.Fault_engine.n_diverged > 0
-    || break_ <> None
+    s.Fault_engine.n_disconnected + s.Fault_engine.n_diverged > 0
+    || Option.is_some r.Soundness.break_
   then 1
-  else if report.Fault_engine.n_skipped > 0 then 3
+  else if s.Fault_engine.n_skipped > 0 then 3
   else 0
 
 (* --- harden ------------------------------------------------------------ *)
@@ -1233,13 +1059,11 @@ let harden_cmd_run spec ec_prefix k rounds frontier samples seed format
   let net = resolve_network spec in
   let budget = make_budget budget_ms budget_ticks in
   let ec = Ecs.find net ec_prefix in
-  let dest = Ecs.single_origin ec in
   let g = net.Device.graph in
   let name = Graph.name g in
   let r =
-    match Repair.harden ~k ~rounds ~frontier ?samples ~seed ~budget net ec with
-    | Ok r -> r
-    | Error e -> Bonsai_error.error e
+    ok_or_raise
+      (Repair.harden ~k ~rounds ~frontier ?samples ~seed ~budget net ec)
   in
   let t = r.Repair.result.Bonsai_api.abstraction in
   let rn, re = Repair.ratio r in
@@ -1247,10 +1071,7 @@ let harden_cmd_run spec ec_prefix k rounds frontier samples seed format
   let mode = if r.Repair.plan_exhaustive then "exhaustive" else "sampled" in
   (match format with
   | `Text ->
-    Format.printf "destination %a (originated at %s)@." Prefix.pp
-      ec.Ecs.ec_prefix (name dest);
-    Format.printf "topology: %d nodes, %d links@." (Graph.n_nodes g)
-      (Graph.n_links g);
+    print_class_header net ec;
     Format.printf "harden: k=%d, %s scenarios, max %d repair round%s@."
       r.Repair.k mode rounds
       (if rounds = 1 then "" else "s");
@@ -1307,54 +1128,7 @@ let harden_cmd_run spec ec_prefix k rounds frontier samples seed format
         "DEGRADED: %d repair rounds exhausted; fell back to the identity \
          abstraction (sound, no compression)@."
         rounds)
-  | `Json ->
-    let round_json (rl : Repair.round_log) =
-      Json.Obj
-        ([
-           ("round", Json.Int rl.Repair.rl_round);
-           ("abs_nodes", Json.Int rl.Repair.rl_abs_nodes);
-           ("abs_links", Json.Int rl.Repair.rl_abs_links);
-           ("scenarios", Json.Int rl.Repair.rl_scenarios);
-         ]
-        @ (match rl.Repair.rl_counterexample with
-          | None -> []
-          | Some sc ->
-            [
-              ("counterexample", Scenario.to_json ~names:name sc);
-              ("mismatches", Json.Int (List.length rl.Repair.rl_mismatches));
-            ])
-        @ [
-            ("new_pins", names_json name rl.Repair.rl_new_pins);
-            ("total_pins", Json.Int rl.Repair.rl_total_pins);
-          ])
-    in
-    (* the ratios keep the two decimals the text report shows *)
-    let hundredths x = Json.Float (Float.round (x *. 100.) /. 100.) in
-    print_json
-      (Json.Obj
-         [
-           ("destination", Json.String (Prefix.to_string ec.Ecs.ec_prefix));
-           ("nodes", Json.Int (Graph.n_nodes g));
-           ("links", Json.Int (Graph.n_links g));
-           ("k", Json.Int r.Repair.k);
-           ("mode", Json.String mode);
-           ("rounds", Json.List (List.map round_json r.Repair.rounds));
-           ("pins", names_json name r.Repair.pins);
-           ("counterexamples", Json.Int r.Repair.n_counterexamples);
-           ("scenario_checks", Json.Int r.Repair.n_scenarios);
-           ("cache_hits", Json.Int r.Repair.cache_hits);
-           ("sound", Json.Bool r.Repair.sound);
-           ( "fallback",
-             Json.String (Bonsai_api.fallback_to_string r.Repair.fallback) );
-           ( "abstraction",
-             Json.Obj
-               [
-                 ("nodes", Json.Int (Abstraction.n_abstract t));
-                 ("links", Json.Int (Graph.n_links t.Abstraction.abs_graph));
-                 ("ratio_nodes", hundredths rn);
-                 ("ratio_links", hundredths re);
-               ] );
-         ]));
+  | `Json -> print_json (Json.Obj (Repair.json_fields net r)));
   let degrade_exit code = if degrade then 0 else code in
   (* certify the hardened abstraction itself — pins and repair rounds
      change the partition, so the witness must come from the result *)
@@ -1431,11 +1205,7 @@ let explain_cmd_run spec a_name b_name ec_prefix =
   guarded @@ fun () ->
   let net = resolve_network spec in
   let ec = Ecs.find net ec_prefix in
-  let node name =
-    match Graph.find_by_name net.Device.graph name with
-    | Some v -> v
-    | None -> Format.kasprintf failwith "unknown router %S" name
-  in
+  let node = router net in
   (match Bonsai_api.explain net ec (node a_name) (node b_name) with
   | [] ->
     Format.printf "%s and %s play the same role for %a@." a_name b_name
@@ -1452,11 +1222,7 @@ let policy_cmd_run spec from_name to_name ec_prefix =
   guarded @@ fun () ->
   let net = resolve_network spec in
   let ec = Ecs.find net ec_prefix in
-  let node name =
-    match Graph.find_by_name net.Device.graph name with
-    | Some v -> v
-    | None -> Format.kasprintf failwith "unknown router %S" name
-  in
+  let node = router net in
   let recv = node from_name and sender = node to_name in
   let u = Policy_bdd.universe_of_network net in
   let b = Policy_bdd.edge_policy u net ~dest:ec.Ecs.ec_prefix recv sender in
@@ -2132,15 +1898,19 @@ let explain_cmd =
     (cmd_info "explain" ~doc:"Explain why two routers play different roles")
     Term.(const explain_cmd_run $ network_arg $ a_arg $ b_arg $ ec_arg)
 
+(* The failure bound and sampling seed of faults and harden. *)
+let k_arg =
+  Arg.(
+    value & opt int 1
+    & info [ "k"; "kmax" ] ~docv:"K"
+        ~doc:
+          "Maximum number of simultaneous link failures per scenario (also \
+           reachable as the prefix $(b,--k)).")
+
+let seed_arg =
+  Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"Sampling seed.")
+
 let faults_cmd =
-  let k =
-    Arg.(
-      value & opt int 1
-      & info [ "k"; "kmax" ] ~docv:"K"
-          ~doc:
-            "Maximum number of simultaneous link failures (also reachable as \
-             the prefix $(b,--k)).")
-  in
   let samples =
     Arg.(
       value
@@ -2149,11 +1919,6 @@ let faults_cmd =
           ~doc:
             "Force sampling with N scenarios (default: exhaustive when the \
              scenario space is small, 256 samples otherwise).")
-  in
-  let seed =
-    Arg.(
-      value & opt int 0
-      & info [ "seed" ] ~docv:"SEED" ~doc:"Sampling seed.")
   in
   Cmd.v
     (cmd_info "faults"
@@ -2164,16 +1929,10 @@ let faults_cmd =
           budget bounds the survey — scenarios it cannot afford are \
           reported as skipped, exit 3)")
     Term.(
-      const faults_cmd_run $ network_arg $ ec_arg $ k $ samples $ seed
+      const faults_cmd_run $ network_arg $ ec_arg $ k_arg $ samples $ seed_arg
       $ format_arg $ budget_ms_arg $ budget_ticks_arg)
 
 let harden_cmd =
-  let k =
-    Arg.(
-      value & opt int 1
-      & info [ "k"; "kmax" ] ~docv:"K"
-          ~doc:"Maximum number of simultaneous link failures per scenario.")
-  in
   let rounds =
     Arg.(
       value & opt int 8
@@ -2200,11 +1959,6 @@ let harden_cmd =
             "Initial sample size past the frontier (default 64; doubles \
              every repair round).")
   in
-  let seed =
-    Arg.(
-      value & opt int 0
-      & info [ "seed" ] ~docv:"SEED" ~doc:"Sampling seed.")
-  in
   Cmd.v
     (cmd_info "harden"
        ~doc:
@@ -2215,8 +1969,8 @@ let harden_cmd =
           the identity abstraction (sound, no compression; exit 3 or 7, or \
           0 under $(b,--degrade)) rather than emitting an unsound result.")
     Term.(
-      const harden_cmd_run $ network_arg $ ec_arg $ k $ rounds $ frontier
-      $ samples $ seed $ format_arg $ budget_ms_arg $ budget_ticks_arg
+      const harden_cmd_run $ network_arg $ ec_arg $ k_arg $ rounds $ frontier
+      $ samples $ seed_arg $ format_arg $ budget_ms_arg $ budget_ticks_arg
       $ degrade_arg $ certify_flag $ audit_arg $ certificate_arg)
 
 let certify_cmd =

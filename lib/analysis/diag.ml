@@ -93,3 +93,5 @@ let to_json d =
     @ opt "clause" (fun i -> Json.Int (i + 1)) d.loc.clause
     @ opt "line" (fun n -> Json.Int n) d.loc.line
     @ [ ("message", str d.message) ])
+
+let list_to_json ds = Json.List (List.map to_json ds)

@@ -44,6 +44,7 @@ val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 (** One line: [severity: [check] location: message]. *)
 
-val to_json : t -> Json.t
-(** One JSON object (stable field order; absent location fields are
+val list_to_json : t list -> Json.t
+(** The findings array both front ends print, in list order: one object
+    per diagnostic (stable field order; absent location fields are
     omitted; [clause] is 1-based, as in {!pp}). *)

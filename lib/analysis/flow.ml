@@ -151,7 +151,6 @@ type t = {
   ec : Ecs.ec;
   cond : Cond_bdd.t;
   result : fact Dataflow.result;
-  kinds : (int * int, edge_kind) Hashtbl.t;  (** (src node, dst node) *)
   bgp_edges : (int * int) list;  (** (sender, receiver) router pairs *)
 }
 
@@ -364,7 +363,6 @@ let analyze ?budget ?cond (net : Device.network) (ec : Ecs.ec) =
     ec;
     cond;
     result;
-    kinds;
     bgp_edges =
       List.sort_uniq
         (fun (a, b) (c, d) ->
@@ -376,16 +374,9 @@ let network t = t.net
 let ec t = t.ec
 let cond t = t.cond
 let degraded t = t.result.Dataflow.degraded
-let relaxations t = t.result.Dataflow.relaxations
 let fact t r plane = t.result.Dataflow.facts.(node r plane)
 
 let bgp_edges t = t.bgp_edges
-
-let arriving t ~src ~dst =
-  match Hashtbl.find_opt t.kinds (node src Bgp, node dst Bgp) with
-  | None | Some (K_ospf | K_o2b | K_b2o) -> None
-  | Some (K_bgp _ as kind) ->
-    Option.bind (fact t src Bgp) (transfer_kind kind)
 
 let export_added t ~src ~dst =
   let dest = t.ec.Ecs.ec_prefix in

@@ -75,7 +75,6 @@ val cond : t -> Cond_bdd.t
     route-map reachability questions agree with edge construction). *)
 
 val degraded : t -> Budget.info option
-val relaxations : t -> int
 
 val fact : t -> int -> plane -> fact option
 (** [None]: no route for the class can reach this plane of the router. *)
@@ -83,12 +82,6 @@ val fact : t -> int -> plane -> fact option
 val bgp_edges : t -> (int * int) list
 (** The (sender, receiver) BGP session edges whose policies can deliver
     the class, sorted. Sessions filtered by ACL or route-maps are absent. *)
-
-val arriving : t -> src:int -> dst:int -> fact option
-(** The fact as it arrives at [dst] over the session edge [(src, dst)]
-    (the edge's transfer applied to [src]'s final fact): after the iBGP
-    re-advertisement filter, taint update and community additions. [None]
-    when the edge is not in {!bgp_edges} or nothing reaches [src]. *)
 
 val export_added : t -> src:int -> dst:int -> int list
 (** Communities the {e sender-side} export route-map of the session can

@@ -16,10 +16,6 @@ let checks =
       "the provenance analysis ran out of budget; flow facts are unknown" );
   ]
 
-let analyses ?budget (net : Device.network) =
-  let cond = Cond_bdd.of_network net in
-  List.map (Flow.analyze ?budget ~cond net) (Ecs.compute net)
-
 let router_loc ?locs g v =
   let router = Graph.name g v in
   Diag.at_router
@@ -419,7 +415,8 @@ let dedupe_sites (ds : Diag.t list) =
     kept
 
 let run ?locs ?budget (net : Device.network) =
-  let ts = analyses ?budget net in
+  let cond = Cond_bdd.of_network net in
+  let ts = List.map (Flow.analyze ?budget ~cond net) (Ecs.compute net) in
   dedupe_sites
     (List.concat_map
        (fun t -> leak_check ?locs t @ transit_check ?locs t)
@@ -427,3 +424,63 @@ let run ?locs ?budget (net : Device.network) =
   @ comm_check ?locs ts
   @ blocker_origin_check ?locs ts net
   @ degraded_diag ts
+
+type fact_row = {
+  fr_router : string;
+  fr_role : int option;
+  fr_bgp : string option;
+  fr_ospf : string option;
+}
+
+type report = {
+  findings : Diag.t list;
+  degraded : bool;
+  facts : (Ecs.ec * fact_row list) option;
+}
+
+let fact_rows ~budget (net : Device.network) ec =
+  let t = Flow.analyze ~budget net ec in
+  let names = Graph.name net.Device.graph in
+  let roles = Result.to_option (Bonsai_api.role_partition net ec) in
+  List.init (Graph.n_nodes net.Device.graph) (fun r ->
+      let plane p =
+        Option.map
+          (Format.asprintf "%a" (Flow.pp_fact ~names))
+          (Flow.fact t r p)
+      in
+      {
+        fr_router = names r;
+        fr_role = Option.map (fun g -> g.(r)) roles;
+        fr_bgp = plane Flow.Bgp;
+        fr_ospf = plane Flow.Ospf;
+      })
+
+let report ?locs ~budget ~facts net =
+  let findings = List.sort Diag.compare (run ?locs ~budget net) in
+  {
+    findings;
+    degraded =
+      List.exists (fun d -> String.equal d.Diag.check "flow-degraded") findings;
+    facts = Option.map (fun ec -> (ec, fact_rows ~budget net ec)) facts;
+  }
+
+let report_json_fields r =
+  let opt f = function Some x -> f x | None -> Json.Null in
+  let str s = Json.String s in
+  let row fr =
+    Json.Obj
+      [
+        ("router", str fr.fr_router);
+        ("role", opt (fun g -> Json.Int g) fr.fr_role);
+        ("bgp", opt str fr.fr_bgp);
+        ("ospf", opt str fr.fr_ospf);
+      ]
+  in
+  [
+    ("findings", Diag.list_to_json r.findings);
+    ("degraded", Json.Bool r.degraded);
+  ]
+  @
+  match r.facts with
+  | None -> []
+  | Some (_, rows) -> [ ("facts", Json.List (List.map row rows)) ]

@@ -17,7 +17,29 @@ val run :
   Diag.t list
 (** All flow checks over every destination equivalence class. *)
 
-val analyses :
-  ?budget:Budget.t -> Device.network -> Flow.t list
-(** The per-class provenance fixpoints the checks are computed from (for
-    the CLI's [--facts] dump); one per {!Ecs.compute} class, same order. *)
+type fact_row = {
+  fr_router : string;
+  fr_role : int option;  (** compressed role ({!Bonsai_api.role_partition}) *)
+  fr_bgp : string option;  (** the BGP-plane fact; [None]: unreachable *)
+  fr_ospf : string option;
+}
+
+type report = {
+  findings : Diag.t list;  (** in {!Diag.compare} order *)
+  degraded : bool;  (** a [flow-degraded] finding: the budget ran out *)
+  facts : (Ecs.ec * fact_row list) option;
+      (** the provenance fixpoint of one class, one row per router *)
+}
+
+val report :
+  ?locs:Config_text.loc_table ->
+  budget:Budget.t ->
+  facts:Ecs.ec option ->
+  Device.network ->
+  report
+(** The analysis behind both [bonsai flow] and the serve [flow] op:
+    {!run}, sorted, plus the fixpoint of the [facts] class if given. *)
+
+val report_json_fields : report -> (string * Json.t) list
+(** The [bonsai flow --format json] document's fields; the serve [flow]
+    op answers with them after its ["network"] field. *)

@@ -64,7 +64,7 @@ val identity_family :
 val is_identity : t -> bool
 (** Every group is a singleton (hence one copy each): the abstract
     network is the concrete network. Holds for {!identity} and for any
-    refinement that pinned every node (see {!Refine.find_partition}). *)
+    refinement that pinned every node (see {!Refine.partition}). *)
 
 val f : t -> int -> int
 (** The topology abstraction [f] on nodes (for split groups: the first

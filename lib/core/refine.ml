@@ -153,7 +153,7 @@ let partition ?(live_self = fun _ _ -> false) ?(pinned = []) ?seed
   let n = Graph.n_nodes g in
   let part = match seed with Some s -> s | None -> Union_split_find.create n in
   if Union_split_find.length part <> n then
-    invalid_arg "Refine.find_partition: seed size mismatch";
+    invalid_arg "Refine.partition: seed size mismatch";
   if n > 1 && not (Union_split_find.is_singleton part dest) then
     ignore (Union_split_find.split part [ dest ]);
   (* Pins seed the partition with forced singletons. Refinement only
@@ -190,7 +190,7 @@ let find_partition ?live_self ?pinned ?seed ?budget (net : Device.network)
   partition ?live_self ?pinned ?seed ?budget net ~dest
     ~edge_key:(edge_keys net.Device.graph ~signature) ~prefs
 
-(* Seeded refinement. [find_partition ~seed] only splits, so from
+(* Seeded refinement. [partition ~seed] only splits, so from
    the stale partition it reaches the coarsest STABLE refinement F of the
    seed under the new signatures — possibly finer than the true coarsest
    stable partition P' when the change allowed classes to re-merge. F

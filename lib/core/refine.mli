@@ -133,6 +133,6 @@ val quotient_merge :
     {!stabilise} and return the
     partition whose classes are the unions of classes sharing a quotient
     block. [Bonsai_api.compress_ec_exn ~seed] runs it after
-    [find_partition ~seed], which turns a stale (incremental) or
+    [partition ~seed], which turns a stale (incremental) or
     union-of-modules (modular) seed into the exact from-scratch
     partition. *)

@@ -74,3 +74,115 @@ let first_break ?concrete_cache ?abstract_cache t ~concrete ~abstract_
          with
          | Some m -> (minimal, m)
          | None -> assert false)
+
+type report = {
+  net : Device.network;
+  ec : Ecs.ec;
+  k : int;
+  abstraction : Abstraction.t;
+  survey : Bgp.attr Fault_engine.report;
+  disconnected : (Scenario.t * int list) list;
+  diverged : (Scenario.t * Bgp.attr Solver.diagnosis) list;
+  break_ : (Scenario.t * mismatch) option;
+  cache_hits : int;
+}
+
+let run ~budget ~samples ~seed ~k ~abstraction (net : Device.network) ec =
+  if k < 0 then
+    Bonsai_error.error (Bonsai_error.Compile_error "Soundness.run: negative k");
+  let srp =
+    Compile.bgp_srp net ~dest:(Ecs.single_origin ec)
+      ~dest_prefix:ec.Ecs.ec_prefix
+  in
+  let plan = Fault_engine.plan ?samples ~seed ~k net.Device.graph in
+  (* One concrete-side cache spans the survey and the soundness sweep:
+     the soundness check re-solves the same scenarios the survey just
+     solved (and shrinking probes sub-scenarios), so sharing avoids the
+     double work. *)
+  let cache = Fault_engine.cache () in
+  let survey = Fault_engine.survey ~budget ~cache srp plan in
+  let break_ =
+    first_break abstraction ~concrete:srp ~concrete_cache:cache
+      ~abstract_:(Abstraction.bgp_srp abstraction) plan.Fault_engine.scenarios
+  in
+  let outcomes = survey.Fault_engine.outcomes in
+  {
+    net;
+    ec;
+    k;
+    abstraction;
+    survey;
+    disconnected =
+      List.filter_map
+        (function
+          | sc, Fault_engine.Disconnected (_, stranded) -> Some (sc, stranded)
+          | _ -> None)
+        outcomes;
+    diverged =
+      List.filter_map
+        (function sc, Fault_engine.Diverged d -> Some (sc, d) | _ -> None)
+        outcomes;
+    break_;
+    cache_hits = Fault_engine.cache_hits cache;
+  }
+
+let report_json_fields r =
+  let g = r.net.Device.graph in
+  let name = Graph.name g in
+  let names us = Json.List (List.map (fun u -> Json.String (name u)) us) in
+  let scenario = Scenario.to_json ~names:name in
+  let s = r.survey and plan = r.survey.Fault_engine.plan in
+  let mode = if plan.Fault_engine.exhaustive then "exhaustive" else "sampled" in
+  let verdict (d : _ Solver.diagnosis) =
+    match d.Solver.diag_verdict with
+    | Solver.Oscillation { period; participants } ->
+      [
+        ("verdict", Json.String "oscillation");
+        ("period", Json.Int period);
+        ("participants", names participants);
+      ]
+    | Solver.Likely_convergent ->
+      [ ("verdict", Json.String "likely-convergent") ]
+    | Solver.Inconclusive rounds ->
+      [ ("verdict", Json.String "inconclusive"); ("rounds", Json.Int rounds) ]
+  in
+  let soundness =
+    match r.break_ with
+    | None -> [ ("sound", Json.Bool true) ]
+    | Some (sc, m) ->
+      let abs_name = Graph.name r.abstraction.Abstraction.abs_graph in
+      [
+        ("sound", Json.Bool false);
+        ("minimal_scenario", scenario sc);
+        ("node", Json.String (name m.mis_node));
+        ("abs_node", Json.String (abs_name m.mis_abs));
+        ("concrete_reaches", Json.Bool m.concrete_reaches);
+        ("abstract_reaches", Json.Bool m.abstract_reaches);
+      ]
+  in
+  let row sc fields = Json.Obj (("scenario", scenario sc) :: fields) in
+  [
+    ("destination", Json.String (Prefix.to_string r.ec.Ecs.ec_prefix));
+    ("nodes", Json.Int (Graph.n_nodes g));
+    ("links", Json.Int (Graph.n_links g));
+    ("k", Json.Int r.k);
+    ("mode", Json.String mode);
+    ("scenarios", Json.Int (List.length plan.Fault_engine.scenarios));
+    ("stable", Json.Int s.Fault_engine.n_stable);
+  ]
+  @ (if s.Fault_engine.n_skipped > 0 then
+       [ ("skipped", Json.Int s.Fault_engine.n_skipped) ]
+     else [])
+  @ [
+      ( "disconnected",
+        Json.List
+          (List.map
+             (fun (sc, us) -> row sc [ ("stranded", names us) ])
+             r.disconnected) );
+      ( "diverged",
+        Json.List (List.map (fun (sc, d) -> row sc (verdict d)) r.diverged) );
+      ( "abstraction",
+        Json.Obj
+          (("nodes", Json.Int (Abstraction.n_abstract r.abstraction))
+          :: soundness) );
+    ]

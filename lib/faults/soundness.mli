@@ -67,3 +67,40 @@ val first_break :
     greedily shrunk ({!Scenario.shrink}) to a 1-minimal failing failure
     set — the counterexample an operator can act on. The returned mismatch
     is re-computed on the shrunk scenario. *)
+
+(** {1 The fault-tolerance report}
+
+    The analysis behind both [bonsai faults] and the serve [faults] op. *)
+
+type report = {
+  net : Device.network;
+  ec : Ecs.ec;
+  k : int;  (** most simultaneous link failures per scenario *)
+  abstraction : Abstraction.t;  (** the abstraction checked *)
+  survey : Bgp.attr Fault_engine.report;  (** the concrete outcomes *)
+  disconnected : (Scenario.t * int list) list;
+      (** stable scenarios stranding nodes, with those nodes *)
+  diverged : (Scenario.t * Bgp.attr Solver.diagnosis) list;
+  break_ : (Scenario.t * mismatch) option;  (** {!first_break} of the plan *)
+  cache_hits : int;  (** concrete re-solves the soundness sweep reused *)
+}
+
+val run :
+  budget:Budget.t ->
+  samples:int option ->
+  seed:int ->
+  k:int ->
+  abstraction:Abstraction.t ->
+  Device.network ->
+  Ecs.ec ->
+  report
+(** Survey the class's eBGP SRP ({!Compile.bgp_srp}) under the scenarios
+    of [Fault_engine.plan ?samples ~seed ~k], then check [abstraction]
+    on each of them. [budget] bounds the survey ({!Fault_engine.survey});
+    one concrete-side cache serves both sweeps.
+    @raise Bonsai_error.Error [Compile_error] on a negative [k], as
+    [Repair.harden] reports it. *)
+
+val report_json_fields : report -> (string * Json.t) list
+(** The [bonsai faults --format json] document's fields; the serve
+    [faults] op answers with them after its ["network"] field. *)

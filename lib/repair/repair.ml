@@ -172,3 +172,56 @@ let harden ?k ?rounds ?frontier ?samples ?seed ?budget net ec =
         Bonsai_error.error (Bonsai_error.Compile_error m))
 
 let ratio (r : t) = Abstraction.compression_ratio r.result.Bonsai_api.abstraction
+
+let json_fields (net : Device.network) r =
+  let g = net.Device.graph in
+  let name = Graph.name g in
+  let names us = Json.List (List.map (fun u -> Json.String (name u)) us) in
+  let t = r.result.Bonsai_api.abstraction in
+  let rn, re = ratio r in
+  let round_json rl =
+    Json.Obj
+      ([
+         ("round", Json.Int rl.rl_round);
+         ("abs_nodes", Json.Int rl.rl_abs_nodes);
+         ("abs_links", Json.Int rl.rl_abs_links);
+         ("scenarios", Json.Int rl.rl_scenarios);
+       ]
+      @ (match rl.rl_counterexample with
+        | None -> []
+        | Some sc ->
+          [
+            ("counterexample", Scenario.to_json ~names:name sc);
+            ("mismatches", Json.Int (List.length rl.rl_mismatches));
+          ])
+      @ [
+          ("new_pins", names rl.rl_new_pins);
+          ("total_pins", Json.Int rl.rl_total_pins);
+        ])
+  in
+  (* the ratios keep the two decimals the text report shows *)
+  let hundredths x = Json.Float (Float.round (x *. 100.) /. 100.) in
+  [
+    ( "destination",
+      Json.String (Prefix.to_string r.result.Bonsai_api.ec.Ecs.ec_prefix) );
+    ("nodes", Json.Int (Graph.n_nodes g));
+    ("links", Json.Int (Graph.n_links g));
+    ("k", Json.Int r.k);
+    ( "mode",
+      Json.String (if r.plan_exhaustive then "exhaustive" else "sampled") );
+    ("rounds", Json.List (List.map round_json r.rounds));
+    ("pins", names r.pins);
+    ("counterexamples", Json.Int r.n_counterexamples);
+    ("scenario_checks", Json.Int r.n_scenarios);
+    ("cache_hits", Json.Int r.cache_hits);
+    ("sound", Json.Bool r.sound);
+    ("fallback", Json.String (Bonsai_api.fallback_to_string r.fallback));
+    ( "abstraction",
+      Json.Obj
+        [
+          ("nodes", Json.Int (Abstraction.n_abstract t));
+          ("links", Json.Int (Graph.n_links t.Abstraction.abs_graph));
+          ("ratio_nodes", hundredths rn);
+          ("ratio_links", hundredths re);
+        ] );
+  ]

@@ -9,7 +9,7 @@
 
     + {b compress} the destination class ({!Bonsai_api.compress_ec_exn}),
       seeding the partition with the current {e pin} set — nodes forced
-      into singleton classes ({!Refine.find_partition}'s [?pinned]);
+      into singleton classes ({!Refine.partition}'s [?pinned]);
     + {b sweep} failure scenarios up to [k] downed links through
       {!Soundness.check_all} — exhaustively when the scenario space is at
       most [frontier], otherwise an importance sample whose size doubles
@@ -105,3 +105,8 @@ val harden :
 val ratio : t -> float * float
 (** (node, link) compression ratio of the final abstraction — 1.0/1.0
     when repair degraded to identity. *)
+
+val json_fields : Device.network -> t -> (string * Json.t) list
+(** The [bonsai harden --format json] document's fields for a run on
+    the network; the serve [harden] op answers with them after its
+    ["network"] field. *)

@@ -20,11 +20,13 @@
 type 'a entry = {
   en_spec : string;
   en_state : 'a;
+  mutable en_locs : Config_text.loc_table option;
+      (* the source lines of a file: network, for lint and flow *)
   mutable en_stamp : int;  (* LRU clock for the registry *)
 }
 
 type t = {
-  resolve : string -> Device.network;
+  resolve : string -> Device.network * Config_text.loc_table option;
   cap_deadline_s : float option;
   cap_max_ticks : int option;
   cache_cap : int option;
@@ -55,17 +57,20 @@ type t = {
    file keeps its typed parse error. *)
 let resolve_spec spec =
   match Synthesis.of_spec spec with
-  | Ok (net, _) -> net
+  | Ok r -> r
   | Error (`Unknown m) -> failwith m
   | Error (`Parse ds) ->
     Bonsai_error.error (Bonsai_error.Parse_error { diagnostics = ds })
 
-let create ?(resolve = resolve_spec) ?budget_ms ?budget_ticks ?cache_cap
+let create ?resolve ?budget_ms ?budget_ticks ?cache_cap
     ?(max_networks = 8) () =
   if max_networks < 1 then
     invalid_arg "Serve_engine.create: max_networks < 1";
   {
-    resolve;
+    resolve =
+      (match resolve with
+      | Some f -> fun spec -> (f spec, None)
+      | None -> resolve_spec);
     cap_deadline_s =
       Option.map (fun ms -> float_of_int ms /. 1000.0) budget_ms;
     cap_max_ticks = budget_ticks;
@@ -113,9 +118,9 @@ let evict_lru t registry =
     Hashtbl.remove registry en.en_spec;
     t.n_net_evictions <- t.n_net_evictions + 1
 
-let admit t registry spec st =
+let admit t registry spec locs st =
   if Hashtbl.length registry >= t.max_networks then evict_lru t registry;
-  let en = { en_spec = spec; en_state = st; en_stamp = 0 } in
+  let en = { en_spec = spec; en_state = st; en_locs = locs; en_stamp = 0 } in
   touch t en;
   Hashtbl.replace registry spec en
 
@@ -130,25 +135,26 @@ let get_state t ~budget spec =
     touch t en;
     (en.en_state, Warm)
   | None -> (
-    let net = t.resolve spec in
+    let net, locs = t.resolve spec in
     match Incr.init ?cache_cap:t.cache_cap ~budget net with
     | Error e -> Bonsai_error.error e
     | Ok st ->
       if Option.is_some (Incr.summary st).Bonsai_api.degradation then
         (st, Cold_transient)
       else begin
-        admit t t.registry spec st;
+        admit t t.registry spec locs st;
         t.audit_dirty <- true;
         (st, Cold_cached)
       end)
 
-(* The warm network if the spec is in the registry, else resolved afresh
-   (nothing is cached): for ops that read only the configuration. *)
+(* The warm network and its source lines if the spec is in the registry,
+   else resolved afresh (nothing is cached): for ops that read only the
+   configuration. *)
 let warm_or_resolve t spec =
   match Hashtbl.find_opt t.registry spec with
   | Some en ->
     touch t en;
-    Incr.network en.en_state
+    (Incr.network en.en_state, en.en_locs)
   | None -> t.resolve spec
 
 (* --- parameter helpers ------------------------------------------------ *)
@@ -221,15 +227,15 @@ let compress_op t req =
 let lint_op t req =
   let budget = request_budget t req in
   let spec = network_param req in
-  let net = warm_or_resolve t spec in
+  let net, locs = warm_or_resolve t spec in
   let compression =
     Option.value ~default:true (Protocol.bool_param req "compression")
   in
   let flow = Option.value ~default:false (Protocol.bool_param req "flow") in
-  let ds = Lint.run ~compression ~flow ~budget net in
+  let ds = Lint.run ?locs ~compression ~flow ~budget net in
   [
     ("network", Json.String spec);
-    ("findings", Json.List (List.map Diag.to_json ds));
+    ("findings", Diag.list_to_json ds);
     ("count", Json.Int (List.length ds));
     ("errors", Json.Bool (Lint.has_errors ds));
   ]
@@ -237,28 +243,25 @@ let lint_op t req =
 let flow_op t req =
   let budget = request_budget t req in
   let spec = network_param req in
-  let net = warm_or_resolve t spec in
-  let ds = List.sort Diag.compare (Lint_flow.run ~budget net) in
-  let degraded =
-    List.exists (fun d -> String.equal d.Diag.check "flow-degraded") ds
-  in
-  [
-    ("network", Json.String spec);
-    ("findings", Json.List (List.map Diag.to_json ds));
-    ("count", Json.Int (List.length ds));
-    ("degraded", Json.Bool degraded);
-  ]
+  let net, locs = warm_or_resolve t spec in
+  ("network", Json.String spec)
+  :: Lint_flow.report_json_fields
+       (Lint_flow.report ?locs ~budget ~facts:None net)
 
 let diff_op t req =
   let budget = request_budget t req in
   let spec = network_param req in
   let to_spec = Protocol.require_string req "to" in
   let st, _ = get_state t ~budget spec in
-  let net' = t.resolve to_spec in
+  let net', locs = t.resolve to_spec in
   let recertify = audit_param req "recertify" in
   match Incr.recompress_net ~budget ?recertify st net' with
   | Error e -> Bonsai_error.error e
   | Ok (deltas, rep) ->
+    (* the warm network is now the [to] one, and so are its lines *)
+    Option.iter
+      (fun en -> en.en_locs <- locs)
+      (Hashtbl.find_opt t.registry spec);
     check_degradation req rep.Incr.r_degradation;
     (* the warm state just changed; the idle self-audit should revisit *)
     t.audit_dirty <- true;
@@ -284,7 +287,7 @@ let dataplane_diff_op t req =
   let to_spec = Protocol.require_string req "to" in
   let st, _ = get_state t ~budget spec in
   let old_net = Incr.network st in
-  let new_net = t.resolve to_spec in
+  let new_net, _ = t.resolve to_spec in
   let deltas = Delta.diff old_net new_net in
   match
     Dp_diff.run ~budget ~cache:(Incr.sig_cache st) ~old_net ~new_net deltas
@@ -311,46 +314,21 @@ let faults_op t req =
   let st, _ = get_state t ~budget spec in
   let net = Incr.network st in
   let ec = Ecs.find net (Protocol.string_param req "ec") in
-  let k = Option.value ~default:1 (Protocol.int_param req "k") in
-  let samples = Protocol.int_param req "samples" in
-  let seed = Option.value ~default:0 (Protocol.int_param req "seed") in
-  let dest = Ecs.single_origin ec in
-  let srp = Compile.bgp_srp net ~dest ~dest_prefix:ec.Ecs.ec_prefix in
-  let plan = Fault_engine.plan ?samples ~seed ~k net.Device.graph in
-  let cache = Fault_engine.cache () in
-  let report = Fault_engine.survey ~budget ~cache srp plan in
   (* the abstraction is the warm one the registry already holds *)
-  let r =
+  let abstraction =
     match
       Bonsai_api.find_result (Incr.summary st).Bonsai_api.results
         ec.Ecs.ec_prefix
     with
-    | Some r -> r
+    | Some r -> r.Bonsai_api.abstraction
     | None -> Format.kasprintf failwith "no result for class %a" Ecs.pp ec
   in
-  let abstraction = r.Bonsai_api.abstraction in
-  let break_ =
-    Soundness.first_break abstraction ~concrete:srp ~concrete_cache:cache
-      ~abstract_:(Abstraction.bgp_srp abstraction)
-      plan.Fault_engine.scenarios
-  in
-  [
-    ("network", Json.String spec);
-    ("destination", Json.String (Prefix.to_string ec.Ecs.ec_prefix));
-    ("scenarios", Json.Int (List.length plan.Fault_engine.scenarios));
-    ("exhaustive", Json.Bool plan.Fault_engine.exhaustive);
-    ("stable", Json.Int report.Fault_engine.n_stable);
-    ("disconnected", Json.Int report.Fault_engine.n_disconnected);
-    ("diverged", Json.Int report.Fault_engine.n_diverged);
-    ("skipped", Json.Int report.Fault_engine.n_skipped);
-    ("sound", Json.Bool (Option.is_none break_));
-    ( "break_scenario",
-      match break_ with
-      | None -> Json.Null
-      | Some (sc, _) ->
-        Json.String
-          (Format.asprintf "%a" (Scenario.pp ~names:(Graph.name net.Device.graph)) sc) );
-  ]
+  ("network", Json.String spec)
+  :: Soundness.report_json_fields
+       (Soundness.run ~budget ~samples:(Protocol.int_param req "samples")
+          ~seed:(Option.value ~default:0 (Protocol.int_param req "seed"))
+          ~k:(Option.value ~default:1 (Protocol.int_param req "k"))
+          ~abstraction net ec)
 
 let harden_op t req =
   let budget = request_budget t req in
@@ -358,28 +336,13 @@ let harden_op t req =
   let st, _ = get_state t ~budget spec in
   let net = Incr.network st in
   let ec = Ecs.find net (Protocol.string_param req "ec") in
-  let k = Protocol.int_param req "k" in
-  let rounds = Protocol.int_param req "rounds" in
-  let samples = Protocol.int_param req "samples" in
-  let seed = Protocol.int_param req "seed" in
-  match Repair.harden ?k ?rounds ?samples ?seed ~budget net ec with
+  let param = Protocol.int_param req in
+  match
+    Repair.harden ?k:(param "k") ?rounds:(param "rounds")
+      ?samples:(param "samples") ?seed:(param "seed") ~budget net ec
+  with
   | Error e -> Bonsai_error.error e
-  | Ok r ->
-    let abstraction = r.Repair.result.Bonsai_api.abstraction in
-    [
-      ("network", Json.String spec);
-      ("destination", Json.String (Prefix.to_string ec.Ecs.ec_prefix));
-      ("rounds", Json.Int (List.length r.Repair.rounds));
-      ("pins", Json.Int (List.length r.Repair.pins));
-      ("scenarios", Json.Int r.Repair.n_scenarios);
-      ("counterexamples", Json.Int r.Repair.n_counterexamples);
-      ("sound", Json.Bool r.Repair.sound);
-      ( "fallback",
-        Json.String (Bonsai_api.fallback_to_string r.Repair.fallback) );
-      ("abstract_nodes", Json.Int (Abstraction.n_abstract abstraction));
-      ( "abstract_links",
-        Json.Int (Graph.n_links abstraction.Abstraction.abs_graph) );
-    ]
+  | Ok r -> ("network", Json.String spec) :: Repair.json_fields net r
 
 (* --- self-audit -------------------------------------------------------- *)
 
@@ -480,35 +443,21 @@ let audit_op t req =
         match Hashtbl.find_opt t.registry spec with
         | None -> (rows, q)
         | Some en -> (
+          let row verdict extra =
+            Json.Obj
+              (("network", Json.String spec)
+              :: ("verdict", Json.String verdict)
+              :: extra)
+            :: rows
+          in
           match audit_entry ~budget ~audit en with
           | Certify.Certified { obligations; _ } ->
-            ( Json.Obj
-                [
-                  ("network", Json.String spec);
-                  ("verdict", Json.String "certified");
-                  ("obligations", Json.Int obligations);
-                ]
-              :: rows,
-              q )
-          | Certify.Audit_incomplete _ ->
-            ( Json.Obj
-                [
-                  ("network", Json.String spec);
-                  ("verdict", Json.String "incomplete");
-                ]
-              :: rows,
-              q )
+            (row "certified" [ ("obligations", Json.Int obligations) ], q)
+          | Certify.Audit_incomplete _ -> (row "incomplete" [], q)
           | Certify.Refuted fs ->
             let detail = Certify.failures_string fs in
             quarantine t spec detail;
-            ( Json.Obj
-                [
-                  ("network", Json.String spec);
-                  ("verdict", Json.String "refuted");
-                  ("detail", Json.String detail);
-                ]
-              :: rows,
-              spec :: q )))
+            (row "refuted" [ ("detail", Json.String detail) ], spec :: q)))
       ([], []) specs
   in
   [
@@ -526,7 +475,7 @@ let get_modular t ~budget ~mode ~count ~certify spec =
     touch t en;
     (en.en_state, true)
   | None -> (
-    let net = t.resolve spec in
+    let net, _ = t.resolve spec in
     match Modular.run ~mode ?count ~budget ~certify net with
     | Error e -> Bonsai_error.error e
     | Ok st ->
@@ -542,7 +491,7 @@ let get_modular t ~budget ~mode ~count ~certify spec =
             | Modular.Healthy | Modular.Retried -> false)
           rp.Modular.rp_modules
       in
-      if not all_faulted then admit t t.modular_registry spec st;
+      if not all_faulted then admit t t.modular_registry spec None st;
       (st, false))
 
 let modular_op t req =
@@ -769,16 +718,18 @@ let handle_line t ~queue_depth line =
 (* --- warm-state checkpointing ----------------------------------------- *)
 
 (* The payload is the registry contents, sorted by spec for a stable
-   byte image. [Incr.state] is plain data all the way down (the BDD
-   manager included), so one Marshal blob preserves the BDD sharing
-   between the signature cache and every class result. *)
-type payload = (string * Incr.state) list
+   byte image, each row with its source lines. [Incr.state] is plain
+   data all the way down (the BDD manager included), so one Marshal blob
+   preserves the BDD sharing between the signature cache and every
+   class result. *)
+type payload = (string * Incr.state * Config_text.loc_table option) list
 
 let checkpoint t ~path =
   let rows =
-    Hashtbl.fold (fun _ en acc -> (en.en_spec, en.en_state) :: acc)
+    Hashtbl.fold
+      (fun _ en acc -> (en.en_spec, en.en_state, en.en_locs) :: acc)
       t.registry []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
   in
   match Checkpoint.save ~path (rows : payload) with
   | Ok () ->
@@ -790,10 +741,10 @@ let restore t ~path =
   match (Checkpoint.load ~path : (payload, Checkpoint.load_error) result) with
   | Ok rows ->
     List.iter
-      (fun (spec, st) ->
+      (fun (spec, st, locs) ->
         (* marshaled copies lost Budget.infinite's physical identity *)
         Incr.rearm st;
-        admit t t.registry spec st)
+        admit t t.registry spec locs st)
       rows;
     t.restored <- true;
     t.checkpoint_status <- "restored";

@@ -8,15 +8,21 @@
     byte sequence in, exactly one typed NDJSON response line out;
     nothing a client sends can crash the engine.
 
-    Ops: [compress], [lint], [flow], [diff], [faults], [harden],
-    [load], [unload], [audit], [modular], [health], [stats],
-    [shutdown]. [modular] keeps its own warm registry of
-    {!Modular.state}s (per-module results with per-module fault
-    isolation); with ["audit": true] it self-audits every warm module
-    and quarantines refutations {e module-by-module} — the rest of the
-    network's modules stay warm. Responses
-    that acceptance tests diff byte-for-byte (compress in particular)
-    carry no wall-clock or cache counters; those live in [stats] only.
+    Ops: [compress], [lint], [flow], [diff], [dataplane-diff],
+    [faults], [harden], [load], [unload], [audit], [modular], [health],
+    [stats], [shutdown]. [faults], [harden] and [flow] answer with the
+    CLI's [--format json] document after the envelope ([id], [op], [ok],
+    [network]); [lint] with the CLI's findings plus [count] and
+    [errors]. A [file:] network keeps its source-line table on its
+    registry entry (replaced by a [diff]'s [to] file, saved in
+    checkpoints), so lint and flow findings carry the CLI's lines.
+    [modular] keeps its own warm registry of {!Modular.state}s
+    (per-module results with per-module fault isolation); with
+    ["audit": true] it self-audits every warm module and quarantines
+    refutations {e module-by-module} — the rest of the network's modules
+    stay warm. Responses that acceptance tests diff byte-for-byte
+    (compress in particular) carry no wall-clock or cache counters;
+    those live in [stats] only.
 
     Self-audit: warm answers come from cached state — an engine bug, a
     bad incremental-reuse decision or adopted checkpoint bytes could
@@ -45,7 +51,8 @@ val create :
     to a network; it may raise [Failure] (→ bad-request) or
     [Bonsai_error.Error] (→ the matching typed response). The default
     resolves through {!Synthesis.of_spec}: an unknown spec is a
-    [Failure], an unparsable file a [Parse_error].
+    [Failure], an unparsable file a [Parse_error], and a [file:] spec
+    also yields its source-line table. A custom [resolve] yields none.
     [budget_ms]/[budget_ticks] are server-wide caps: every request runs
     under [Budget.scoped] of its own ["budget_ms"]/["budget_ticks"]
     parameters clamped by these. [cache_cap] bounds each network's

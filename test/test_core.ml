@@ -734,6 +734,19 @@ let test_peel_order_canonical () =
   Alcotest.(check (array int)) "canonical classes" [| 0; 1; 2; 1; 3; 4 |]
     (Union_split_find.canonical part)
 
+(* A seed over a different node count is refused, naming the entry
+   point the caller reached. *)
+let test_seed_size_mismatch () =
+  let g = Graph.of_links ~n:3 [ (0, 1); (1, 2) ] in
+  Alcotest.check_raises "names Refine.partition"
+    (Invalid_argument "Refine.partition: seed size mismatch") (fun () ->
+      ignore
+        (Refine.partition (bare_net g) ~dest:0
+           ~seed:(Union_split_find.create 4)
+           ~edge_key:(fun _ _ -> 0)
+           ~prefs:(fun _ -> [])
+          : Union_split_find.t * Refine.stats))
+
 (* Work counter as a complexity trip-wire: member keys evaluated stay
    within c * E * ceil(log2 V) on the ring (one distance class peeled per
    round) and the mesh (the worst shape per edge) as they double. *)
@@ -949,6 +962,8 @@ let () =
             test_compress_classes_degrades;
           Alcotest.test_case "seeded = scratch" `Quick
             test_seeded_matches_scratch;
+          Alcotest.test_case "seed size mismatch" `Quick
+            test_seed_size_mismatch;
         ] );
       ( "fuzz",
         List.map QCheck_alcotest.to_alcotest [ prop_kernel_matches_oracle ] );

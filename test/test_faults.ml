@@ -396,6 +396,22 @@ let test_soundness_identity_ok () =
   Alcotest.(check int) "ring tolerates any single failure" 5
     report.Fault_engine.n_stable
 
+(* Both front ends reach Soundness.run; a negative failure bound is the
+   same typed error harden reports, not an exception from deep inside. *)
+let test_run_negative_k () =
+  let net = Synthesis.ring_bgp ~n:4 in
+  let ec = List.hd (Ecs.compute net) in
+  let abstraction =
+    (Bonsai_api.compress_ec_exn net ec).Bonsai_api.abstraction
+  in
+  match
+    Soundness.run ~budget:Budget.infinite ~samples:None ~seed:0 ~k:(-1)
+      ~abstraction net ec
+  with
+  | _ -> Alcotest.fail "negative k accepted"
+  | exception Bonsai_error.Error (Bonsai_error.Compile_error m) ->
+    Alcotest.(check string) "message" "Soundness.run: negative k" m
+
 let () =
   Alcotest.run "faults"
     [
@@ -440,5 +456,7 @@ let () =
           Alcotest.test_case "check_all collects every mismatch" `Quick
             test_check_all;
           Alcotest.test_case "ring survives" `Quick test_soundness_identity_ok;
+          Alcotest.test_case "run refuses negative k" `Quick
+            test_run_negative_k;
         ] );
     ]

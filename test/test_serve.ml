@@ -737,6 +737,60 @@ let test_lint_clause_agreement () =
       | _ -> Alcotest.failf "serve lint %s: no findings list" fixture)
     [ "shadow.conf"; "acl.conf" ]
 
+(* Serve lint on a file: network answers with the CLI's findings, source
+   lines, route-map names and order included: the line table rides on
+   the warm entry, follows a diff to another file, and survives a
+   checkpoint restored into a fresh engine. *)
+let test_lint_source_lines () =
+  with_tmp @@ fun path ->
+  let conf f = "file:" ^ build_path ("../examples/configs/" ^ f) in
+  let spec = conf "shadow.conf" in
+  let cli f =
+    Json.to_string
+      (parse_or_fail ("cli lint " ^ f)
+         (run_cli [ "lint"; conf f; "--format"; "json" ]))
+  in
+  let request eng op fields =
+    let line =
+      Json.to_string
+        (Json.Obj
+           ([ ("op", Json.String op); ("network", Json.String spec) ] @ fields))
+    in
+    let resp = parse_or_fail op (handle eng line) in
+    if not (response_ok (Json.to_string resp)) then
+      Alcotest.failf "%s failed: %s" op (Json.to_string resp);
+    resp
+  in
+  let lint eng =
+    match Json.member "findings" (request eng "lint" []) with
+    | Some f -> Json.to_string f
+    | None -> Alcotest.fail "serve lint: no findings"
+  in
+  let eng = Serve_engine.create () in
+  ignore (request eng "load" [] : Json.t);
+  let shadow = cli "shadow.conf" in
+  List.iter
+    (fun field ->
+      Alcotest.(check bool) ("cli reports " ^ field) true
+        (Astring_contains.contains shadow field))
+    [ "\"route_map\""; "\"line\"" ];
+  Alcotest.(check string) "warm lint = cli" shadow (lint eng);
+  ignore (request eng "diff" [ ("to", Json.String (conf "comms.conf")) ] : Json.t);
+  let comms = cli "comms.conf" in
+  Alcotest.(check bool) "diff target has lines" true
+    (Astring_contains.contains comms "\"line\"");
+  Alcotest.(check string) "lint after diff = cli on the new file" comms
+    (lint eng);
+  (match Serve_engine.checkpoint eng ~path with
+  | Ok n -> Alcotest.(check int) "one network saved" 1 n
+  | Error m -> Alcotest.failf "checkpoint: %s" m);
+  let eng' = Serve_engine.create () in
+  (match Serve_engine.restore eng' ~path with
+  | `Restored _ -> ()
+  | `Version_skew m | `Corrupt m -> Alcotest.failf "restore went cold: %s" m
+  | `Missing -> Alcotest.fail "restore found nothing");
+  Alcotest.(check string) "lint after restore = cli" comms (lint eng')
+
 (* Module-level quarantine: the modular op's self-audit refutes a
    silently corrupted module and quarantines it alone; every other
    module stays warm, and the refutation is one incident. *)
@@ -861,6 +915,7 @@ let () =
             test_cli_json_control_byte;
           Alcotest.test_case "lint clause agrees" `Quick
             test_lint_clause_agreement;
+          Alcotest.test_case "lint source lines" `Quick test_lint_source_lines;
         ] );
       qsuite "fuzz"
         [ prop_total; prop_json_roundtrip; prop_json_float_roundtrip ];
