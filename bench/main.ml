@@ -255,21 +255,15 @@ let ablation_bdd () =
 
 let ablation_uu () =
   hr "Ablation: BGP node splitting (prefs-driven) on vs off";
-  let check k prefer =
-    let ft = Generators.fattree ~k in
-    let net =
-      if prefer then Synthesis.fattree_prefer_bottom ft
-      else Synthesis.fattree_shortest_path ft
-    in
+  (* compress the first class with and without the preference-driven
+     splitting *)
+  let row label (net : Device.network) =
     let ec = List.hd (Ecs.compute net) in
     let dest = Ecs.single_origin ec in
-    let r = Bonsai_api.compress_ec_exn net ec in
-    let sound = r.Bonsai_api.abstraction in
-    (* disable the preference-driven splitting *)
-    let _, signature = Compile.edge_signatures net ~dest:ec.Ecs.ec_prefix in
-    let partition, _ =
-      Refine.find_partition net ~dest ~signature ~prefs:(fun _ -> [])
-    in
+    let sound = (Bonsai_api.compress_ec_exn net ec).Bonsai_api.abstraction in
+    let table = Compile.signature_table net ~dest:ec.Ecs.ec_prefix in
+    let edge_key = Compile.edge_key table net.Device.graph in
+    let partition, _ = Refine.partition net ~dest ~edge_key ~prefs:(fun _ -> []) in
     let naive =
       Abstraction.make net ~dest ~dest_prefix:ec.Ecs.ec_prefix
         ~universe:sound.Abstraction.universe ~partition ~copies:(fun _ -> 1)
@@ -284,16 +278,21 @@ let ablation_uu () =
         sols
     in
     Printf.printf
-      "fattree k=%d %-14s splitting on: %3d nodes (CP-equiv %b); off: %3d nodes (CP-equiv %b) [%d solutions]\n%!"
-      k
-      (if prefer then "prefer-bottom" else "shortest-path")
-      (Abstraction.n_abstract sound)
-      (all_ok sound) (Abstraction.n_abstract naive) (all_ok naive)
-      (List.length sols)
+      "%s splitting on: %3d nodes (CP-equiv %b); off: %3d nodes (CP-equiv %b) [%d solutions]\n%!"
+      label (Abstraction.n_abstract sound) (all_ok sound)
+      (Abstraction.n_abstract naive) (all_ok naive) (List.length sols)
   in
-  check 4 false;
-  check 4 true;
-  check 8 true;
+  let fattree k prefer =
+    let ft = Generators.fattree ~k in
+    row
+      (Printf.sprintf "fattree k=%d %-14s" k
+         (if prefer then "prefer-bottom" else "shortest-path"))
+      (if prefer then Synthesis.fattree_prefer_bottom ft
+       else Synthesis.fattree_shortest_path ft)
+  in
+  fattree 4 false;
+  fattree 4 true;
+  fattree 8 true;
   (* and the paper's own gadget (Figure 2), where a single abstract node
      for the three middle routers is provably unsound *)
   let gadget () =
@@ -325,30 +324,7 @@ let ablation_uu () =
     in
     { Device.graph = g; routers }
   in
-  let net = gadget () in
-  let ec = List.hd (Ecs.compute net) in
-  let sound = (Bonsai_api.compress_ec_exn net ec).Bonsai_api.abstraction in
-  let _, signature = Compile.edge_signatures net ~dest:ec.Ecs.ec_prefix in
-  let partition, _ =
-    Refine.find_partition net ~dest:0 ~signature ~prefs:(fun _ -> [])
-  in
-  let naive =
-    Abstraction.make net ~dest:0 ~dest_prefix:ec.Ecs.ec_prefix
-      ~universe:sound.Abstraction.universe ~partition ~copies:(fun _ -> 1)
-  in
-  let sols =
-    Solver.solutions_sample ~tries:12
-      (Compile.bgp_srp net ~dest:0 ~dest_prefix:ec.Ecs.ec_prefix)
-  in
-  let all_ok t =
-    List.for_all
-      (fun sol -> (fst (Equivalence.check_bgp t sol)).Equivalence.ok)
-      sols
-  in
-  Printf.printf
-    "Figure 2 gadget      splitting on: %3d nodes (CP-equiv %b); off: %3d nodes (CP-equiv %b) [%d solutions]\n%!"
-    (Abstraction.n_abstract sound) (all_ok sound)
-    (Abstraction.n_abstract naive) (all_ok naive) (List.length sols)
+  row "Figure 2 gadget     " (gadget ())
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection throughput                                          *)

@@ -118,27 +118,30 @@ let info_cmd_run spec =
 (* --- compress --------------------------------------------------------- *)
 
 (* Re-validate the effective-abstraction conditions (paper Figure 4) on a
-   finished abstraction. The signatures are re-derived in [universe], one
-   built for the re-check, so --check leaves the engine's BDD manager (and
-   the counters printed from it) untouched. *)
-let check_violations universe net (r : Bonsai_api.ec_result) =
-  let _, signature =
-    Compile.edge_signatures ~universe net ~dest:r.Bonsai_api.ec.Ecs.ec_prefix
+   finished abstraction with the certificate checker at full audit; the
+   failure count, each failure printed in text mode. The checker works in
+   [universe], one built for the re-check, so --check leaves the engine's
+   BDD manager (and the counters printed from it) untouched. No budget
+   is passed, so the audit is never incomplete. *)
+let check_failures ~format universe net (r : Bonsai_api.ec_result) =
+  let fs =
+    match Certify.check_result ~universe ~audit:Certify.Full net r with
+    | Certify.Certified _ | Certify.Audit_incomplete _ -> []
+    | Certify.Refuted fs -> fs
   in
-  Check.check r.Bonsai_api.abstraction ~signature
-
-(* Text renderer of the above; true iff clean. *)
-let check_result universe net (r : Bonsai_api.ec_result) =
-  match check_violations universe net r with
-  | [] ->
-    Format.printf "check %a: ok@." Prefix.pp r.Bonsai_api.ec.Ecs.ec_prefix;
-    true
-  | vs ->
-    Format.printf "check %a: %d violation%s@." Prefix.pp
-      r.Bonsai_api.ec.Ecs.ec_prefix (List.length vs)
-      (if List.length vs = 1 then "" else "s");
-    List.iter (Format.printf "  %a@." Check.pp_violation) vs;
-    false
+  let n = List.length fs in
+  if format = `Text then begin
+    let p = r.Bonsai_api.ec.Ecs.ec_prefix in
+    if n = 0 then Format.printf "check %a: ok@." Prefix.pp p
+    else
+      Format.printf "check %a: %d failure%s@." Prefix.pp p n
+        (if n = 1 then "" else "s");
+    List.iter
+      (fun (f : Certify.failure) ->
+        Format.printf "  %s: %s@." f.Certify.f_condition f.Certify.f_detail)
+      fs
+  end;
+  n
 
 (* --- certification ------------------------------------------------------ *)
 
@@ -226,6 +229,7 @@ let compress_cmd_run spec ec_prefix dot all check check_dataplane format
   let all = all || Option.is_some modular_summary in
   let degrade_exit code = if degrade then 0 else code in
   let check_universe = lazy (Policy_bdd.universe_of_network net) in
+  let failures r = check_failures ~format (Lazy.force check_universe) net r in
   let g = net.Device.graph in
   if all then begin
     let s =
@@ -243,22 +247,14 @@ let compress_cmd_run spec ec_prefix dot all check check_dataplane format
         || List.fold_left
              (* degraded classes are the identity abstraction — nothing to
                 re-check, and their report line already flags them *)
-             (fun ok r ->
-               (r.Bonsai_api.degraded
-               || check_result (Lazy.force check_universe) net r)
-               && ok)
+             (fun ok r -> (r.Bonsai_api.degraded || failures r = 0) && ok)
              true s.Bonsai_api.results
     | `Json ->
       let class_json (r : Bonsai_api.ec_result) =
         let check_field =
           if not check then []
           else begin
-            let vs =
-              if r.Bonsai_api.degraded then 0
-              else
-                List.length
-                  (check_violations (Lazy.force check_universe) net r)
-            in
+            let vs = if r.Bonsai_api.degraded then 0 else failures r in
             if vs > 0 then checked_ok := false;
             [ ("check_violations", Json.Int vs) ]
           end
@@ -314,14 +310,7 @@ let compress_cmd_run spec ec_prefix dot all check check_dataplane format
       | Error e -> Bonsai_error.error e
     in
     let r, why =
-      if check && why = None then begin
-        let ok =
-          match format with
-          | `Text -> check_result (Lazy.force check_universe) net r
-          | `Json -> check_violations (Lazy.force check_universe) net r = []
-        in
-        if ok then (r, why) else (fallback (), Some `Check)
-      end
+      if check && why = None && failures r > 0 then (fallback (), Some `Check)
       else (r, why)
     in
     let t = r.Bonsai_api.abstraction in
@@ -1443,7 +1432,8 @@ let exits =
                         $(b,--degrade))."
   :: Cmd.Exit.info 1
        ~doc:
-         "on findings: a failed $(b,--check), error-severity lint \
+         "on findings: a $(b,--check) the certificate checker (full \
+          audit) refutes, error-severity lint \
           diagnostics, a non-empty $(b,diff), or fault scenarios that \
           disconnect/diverge/break the abstraction."
   :: Cmd.Exit.info 3
@@ -1564,8 +1554,9 @@ let compress_cmd =
       value & flag
       & info [ "check" ]
           ~doc:
-            "Independently re-validate the effective-abstraction conditions \
-             (paper Figure 4) on the result; exit 1 on any violation.")
+            "Re-validate the effective-abstraction conditions (paper \
+             Figure 4) on the result with the certificate checker at full \
+             audit, in a BDD universe of its own; exit 1 on any failure.")
   in
   let check_dataplane =
     Arg.(
@@ -2096,14 +2087,14 @@ let serve_cmd =
   Cmd.v
     (cmd_info "serve"
        ~doc:
-         "Run the resident engine: NDJSON requests (compress, lint, flow, \
-          diff, dataplane-diff, faults, harden, load, unload, health, \
-          stats, shutdown) \
-          over a unix/TCP socket or stdio, against a registry of warm \
-          networks. Every request runs under its own budget clamped by the \
-          server-wide $(b,--budget-ms)/$(b,--budget-ticks); overload sheds \
-          with a typed response; SIGTERM/SIGINT drain in-flight work and \
-          checkpoint warm state.")
+         (Printf.sprintf
+            "Run the resident engine: NDJSON requests (%s) over a unix/TCP \
+             socket or stdio, against a registry of warm networks. Every \
+             request runs under its own budget clamped by the server-wide \
+             $(b,--budget-ms)/$(b,--budget-ticks); overload sheds with a \
+             typed response; SIGTERM/SIGINT drain in-flight work and \
+             checkpoint warm state."
+            (String.concat ", " Serve_engine.op_names)))
     Term.(
       const serve_cmd_run $ stdio $ socket_arg $ tcp_arg $ max_inflight
       $ budget_ms_arg $ budget_ticks_arg $ cache_cap $ max_networks
@@ -2115,8 +2106,9 @@ let request_cmd =
       value
       & pos 0 (some string) None
       & info [] ~docv:"OP"
-          ~doc:"Operation (compress|lint|flow|diff|faults|harden|load|\
-                unload|health|stats|shutdown).")
+          ~doc:
+            (Printf.sprintf "Operation (%s)."
+               (String.concat "|" Serve_engine.op_names)))
   in
   let network =
     Arg.(

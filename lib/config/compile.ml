@@ -497,6 +497,20 @@ let signature_table ?universe ?rm_bdd (net : Device.network) ~dest =
   in
   { universe = u; sid; signature = Array.get records; bound; no_edge }
 
+let edge_key (t : signature_table) g =
+  (* refinement multiplies a pair code (below [bound * bound]) by the
+     node count *)
+  if t.bound > max_int / t.bound / max (Graph.n_nodes g) 1 then
+    invalid_arg "Compile.edge_key: too many edge signatures";
+  let pair = Array.make (Graph.n_edges g) (-1) in
+  fun u i ->
+    let e = Graph.edge_base g u + i in
+    if pair.(e) < 0 then begin
+      let r = Graph.edge_index g (Graph.succ g u).(i) u in
+      pair.(e) <- (t.sid e * t.bound) + if r < 0 then t.no_edge else t.sid r
+    end;
+    pair.(e)
+
 let edge_signatures ?universe ?rm_bdd (net : Device.network) ~dest =
   let t = signature_table ?universe ?rm_bdd net ~dest in
   let g = net.graph in

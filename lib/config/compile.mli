@@ -131,6 +131,12 @@ val signature_table :
     count only reuse across calls: the signatures of untouched devices
     in later recompressions. *)
 
+val edge_key : signature_table -> Graph.t -> int -> int -> int
+(** [edge_key t g u i]: the refinement key ({!Refine.partition}) of [u]'s
+    [i]-th out-edge in [g], its own and its reverse edge's ids as one
+    pair code ([no_edge] for the reverse of a one-way edge), memoised per
+    edge. Raises [Invalid_argument] when [bound² · n] would overflow. *)
+
 val edge_signatures :
   ?universe:Policy_bdd.universe ->
   ?rm_bdd:(Route_map.t option -> Bdd.t) ->
@@ -141,4 +147,5 @@ val edge_signatures :
     of the edge [(u, v)], built lazily per kind, and a pair that is not an
     edge of [net.graph] gets the unconfigured interface's. Equal
     signatures are returned as one shared value. Returns the universe for
-    reuse across destinations. *)
+    reuse across destinations. No production path calls it: it stays as
+    the test oracles' reference and for perfbench's traced replay. *)

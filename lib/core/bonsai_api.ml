@@ -85,28 +85,16 @@ let compress_ec_exn ?universe ?rm_bdd ?(pinned = []) ?seed
   Fun.protect ~finally:(fun () ->
       Bdd.set_budget universe.Policy_bdd.man Budget.infinite)
   @@ fun () ->
-  let { Compile.sid; signature; bound; no_edge; _ } =
+  let table =
     Compile.signature_table ~universe ?rm_bdd net ~dest:ec.Ecs.ec_prefix
   in
   let g = net.Device.graph in
   let n = Graph.n_nodes g in
-  (* refinement multiplies a pair code (below [bound * bound]) by the
-     node count *)
-  if bound > max_int / bound / max n 1 then
-    invalid_arg "Bonsai_api.compress_ec: too many edge signatures";
-  (* each edge's (own, reverse) pair of signature ids as one int, filled
-     on first use: signatures, and the BDD encoding behind them, are
-     built inside refinement, so a budget that runs out while encoding
-     reports the partition size reached *)
-  let pair = Array.make (Graph.n_edges g) (-1) in
-  let edge_key u i =
-    let e = Graph.edge_base g u + i in
-    if pair.(e) < 0 then begin
-      let r = Graph.edge_index g (Graph.succ g u).(i) u in
-      pair.(e) <- (sid e * bound) + if r < 0 then no_edge else sid r
-    end;
-    pair.(e)
-  in
+  (* signatures, and the BDD encoding behind them, are built inside
+     refinement, so a budget that runs out while encoding reports the
+     partition size reached *)
+  let edge_key = Compile.edge_key table g in
+  let { Compile.sid; signature; _ } = table in
   let live_self u v =
     let e = Graph.edge_index g u v in
     e >= 0 && (signature (sid e)).Compile.sig_static
@@ -374,21 +362,25 @@ let explain (net : Device.network) (ec : Ecs.ec) u v =
   let t = r.abstraction in
   if t.Abstraction.group_of.(u) = t.Abstraction.group_of.(v) then []
   else begin
-    let _, signature =
-      Compile.edge_signatures ~universe:t.Abstraction.universe net
+    let { Compile.sid; signature; no_edge; _ } =
+      Compile.signature_table ~universe:t.Abstraction.universe net
         ~dest:ec.Ecs.ec_prefix
     in
     let g = net.Device.graph in
     let name = Graph.name g in
+    (* signature ids: within one table, equal ids are equal signatures *)
+    let sig_id x w =
+      let e = Graph.edge_index g x w in
+      if e < 0 then no_edge else sid e
+    in
     let entries x =
       Array.to_list (Graph.succ g x)
-      |> List.map (fun w ->
-             (t.Abstraction.group_of.(w), signature x w, signature w x))
-      |> List.sort compare
+      |> List.map (fun w -> (t.Abstraction.group_of.(w), sig_id x w, sig_id w x))
     in
     let eu = entries u and ev = entries v in
     let diff a b = List.filter (fun e -> not (List.mem e b)) a in
-    let describe who (grp, out_sig, in_sig) =
+    let describe who (grp, out_id, in_id) =
+      let out_sig = signature out_id and in_sig = signature in_id in
       let parts = ref [] in
       let add fmt = Printf.ksprintf (fun s -> parts := s :: !parts) fmt in
       (match out_sig.Compile.sig_ospf with

@@ -40,8 +40,8 @@ val partition :
     their [(signature u v, signature v u)] pairs are equal. The key
     includes {e both} directions because a node is also characterized by
     how its neighbors treat routes from it.
-    [Bonsai_api.compress_ec_exn] builds it from {!Compile.signature_table}
-    ids. Keys times the node count must stay below [max_int]. [prefs u]
+    {!Compile.edge_key} builds it from {!Compile.signature_table} ids.
+    Keys times the node count must stay below [max_int]. [prefs u]
     are the local-preference values assignable at [u] ({!Compile.prefs}).
     [live_self u v] (default: never) marks edges whose transfer does not
     depend on the neighbor's label — static routes; classes containing
@@ -80,12 +80,13 @@ val find_partition :
   signature:(int -> int -> 'k) ->
   prefs:(int -> int list) ->
   Union_split_find.t * stats
-(** {!partition} for any signature function, for generic callers (tests,
-    examples, benchmarks): [signature u v] is the directed-edge signature
-    ({!Compile.edge_signatures}, or any type compared and hashed
-    structurally). An adapter: each edge's [(signature u v, signature v
-    u)] pair is evaluated once, on first use, and interned to an int
-    [edge_key] through polymorphic hash tables. *)
+(** {!partition} for any signature function: [signature u v] is the
+    directed-edge signature ({!Compile.edge_signatures}, or any type
+    compared and hashed structurally). An adapter: each edge's
+    [(signature u v, signature v u)] pair is evaluated once, on first
+    use, and interned to an int [edge_key] through polymorphic hash
+    tables. No production path calls it: it stays as the test oracles'
+    reference and for perfbench's traced replay. *)
 
 val stabilise :
   ?budget:Budget.t ->

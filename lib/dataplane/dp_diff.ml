@@ -1,6 +1,6 @@
 (* Differential data-plane compilation: exactly which FIB entries does a
    config change touch? Composes the per-class compiler with lib/incr's
-   clean-class proof (Incr.solution_unchanged): a class whose SRP inputs
+   class-reuse decision (Incr.reuse): a class whose SRP inputs
    are provably unchanged across the delta — same origins, untouched
    destination, stable OSPF-liveness, equal edge signatures (which
    include the per-edge ACL verdict for the class) on every
@@ -35,44 +35,22 @@ let changed r = r.dp_changes <> []
 
 (* Diff one class's per-router entries (both sides sorted by router). *)
 let diff_class prefix old_entries new_entries =
+  let change u c_kind c_old c_new =
+    { c_router = u; c_prefix = prefix; c_kind; c_old; c_new }
+  in
   let rec go acc olds news =
     match (olds, news) with
     | [], [] -> List.rev acc
-    | (u, e) :: olds', [] ->
-      go
-        ({ c_router = u; c_prefix = prefix; c_kind = Removed;
-           c_old = Some e; c_new = None }
-        :: acc)
-        olds' []
-    | [], (u, e) :: news' ->
-      go
-        ({ c_router = u; c_prefix = prefix; c_kind = Added;
-           c_old = None; c_new = Some e }
-        :: acc)
-        [] news'
+    | (u, e) :: olds', [] -> go (change u Removed (Some e) None :: acc) olds' []
+    | [], (u, e) :: news' -> go (change u Added None (Some e) :: acc) [] news'
     | (u, e) :: olds', (u', e') :: news' ->
-      if u < u' then
-        go
-          ({ c_router = u; c_prefix = prefix; c_kind = Removed;
-             c_old = Some e; c_new = None }
-          :: acc)
-          olds' news
-      else if u' < u then
-        go
-          ({ c_router = u'; c_prefix = prefix; c_kind = Added;
-             c_old = None; c_new = Some e' }
-          :: acc)
-          olds news'
+      if u < u' then go (change u Removed (Some e) None :: acc) olds' news
+      else if u' < u then go (change u' Added None (Some e') :: acc) olds news'
       else if
         e.Dataplane.e_next_hops = e'.Dataplane.e_next_hops
         && e.Dataplane.e_acl_dropped = e'.Dataplane.e_acl_dropped
       then go acc olds' news'
-      else
-        go
-          ({ c_router = u; c_prefix = prefix; c_kind = Modified;
-             c_old = Some e; c_new = Some e' }
-          :: acc)
-          olds' news'
+      else go (change u Modified (Some e) (Some e') :: acc) olds' news'
   in
   go [] old_entries new_entries
 
@@ -102,27 +80,13 @@ let run ?budget ?cache ?protocol ~(old_net : Device.network)
         | `Bgp, `Bgp -> `Bgp
         | _ -> `Multi)
   in
-  let node_change = List.exists Delta.is_node_change deltas in
-  let has_topo = List.exists Delta.is_topology deltas in
   (* reuse needs one signature cache compatible with BOTH networks so
      BDD ids are directly comparable; failing that, every class is dirty
      (a full rebuild — correct, just not incremental) *)
   let cache =
-    match cache with
-    | Some c
-      when Sig_cache.compatible c old_net && Sig_cache.compatible c new_net
-      ->
-      Some c
-    | Some _ -> None
-    | None ->
-      let c = Sig_cache.create old_net in
-      if Sig_cache.compatible c new_net then Some c else None
+    match cache with Some c -> c | None -> Sig_cache.create old_net
   in
-  let full_rebuild = node_change || cache = None in
-  let touched =
-    List.concat_map (Delta.touched new_net) deltas
-    |> List.sort_uniq Int.compare
-  in
+  let decision = Incr.reuse ~cache ~old_net ~new_net deltas in
   let old_ecs = Ecs.compute old_net and new_ecs = Ecs.compute new_net in
   let old_by_prefix = Hashtbl.create 64 in
   List.iter
@@ -163,19 +127,9 @@ let run ?budget ?cache ?protocol ~(old_net : Device.network)
     (fun (ec : Ecs.ec) ->
       match ec.Ecs.ec_origins with
       | [ _ ] -> (
-        let old_ec = Hashtbl.find_opt old_by_prefix ec.Ecs.ec_prefix in
-        let same_origins =
-          match old_ec with
-          | Some o -> o.Ecs.ec_origins = ec.Ecs.ec_origins
-          | None -> false
-        in
-        match (cache, old_ec) with
-        | Some cache, Some _
-          when same_origins && (not full_rebuild) && (not has_topo)
-               && Incr.solution_unchanged ~old_net ~new_net ~cache ~touched
-                    ec ->
-          incr reused
-        | _ -> work ec.Ecs.ec_prefix old_ec (Some ec))
+        match Hashtbl.find_opt old_by_prefix ec.Ecs.ec_prefix with
+        | Some old when decision.Incr.unchanged ~old ec -> incr reused
+        | old_ec -> work ec.Ecs.ec_prefix old_ec (Some ec))
       | _ -> incr anycast)
     new_ecs;
   List.iter
@@ -219,7 +173,7 @@ let run ?budget ?cache ?protocol ~(old_net : Device.network)
     dp_reused = !reused;
     dp_recompiled = !recompiled;
     dp_anycast = !anycast;
-    dp_full_rebuild = full_rebuild;
+    dp_full_rebuild = decision.Incr.full_rebuild;
     dp_changes = changes;
     dp_unknown = unknown;
     dp_degradation = degradation;

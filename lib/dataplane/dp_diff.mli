@@ -2,8 +2,9 @@
     configuration change adds, removes or modifies — the pre-deployment
     change-review question, answered incrementally.
 
-    Composes {!Dataplane.compile_ec} with lib/incr's clean-class proof
-    ({!Incr.solution_unchanged}): destination classes whose SRP inputs
+    Composes {!Dataplane.compile_ec} with lib/incr's class-reuse decision
+    ({!Incr.reuse}, the one {!Incr.recompress} takes): destination
+    classes whose SRP inputs
     are provably unchanged across the delta are {e reused} without
     solving anything (the edge signature includes the per-edge ACL
     verdict, so the proof covers the data-plane fold too); only dirty

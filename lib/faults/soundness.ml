@@ -90,6 +90,9 @@ type report = {
 let run ~budget ~samples ~seed ~k ~abstraction (net : Device.network) ec =
   if k < 0 then
     Bonsai_error.error (Bonsai_error.Compile_error "Soundness.run: negative k");
+  if Option.fold ~none:false ~some:(fun s -> s < 1) samples then
+    Bonsai_error.error
+      (Bonsai_error.Compile_error "Soundness.run: samples must be positive");
   let srp =
     Compile.bgp_srp net ~dest:(Ecs.single_origin ec)
       ~dest_prefix:ec.Ecs.ec_prefix

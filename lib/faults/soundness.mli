@@ -98,8 +98,9 @@ val run :
     of [Fault_engine.plan ?samples ~seed ~k], then check [abstraction]
     on each of them. [budget] bounds the survey ({!Fault_engine.survey});
     one concrete-side cache serves both sweeps.
-    @raise Bonsai_error.Error [Compile_error] on a negative [k], as
-    [Repair.harden] reports it. *)
+    @raise Bonsai_error.Error [Compile_error] on a negative [k] or a
+    sample count below 1 (a sweep of no scenarios proves nothing), as
+    [Repair.harden] reports them. *)
 
 val report_json_fields : report -> (string * Json.t) list
 (** The [bonsai faults --format json] document's fields; the serve

@@ -82,44 +82,69 @@ let ec_seedable ~prefs_trivial (net : Device.network) (ec : Ecs.ec) =
      done;
      !ok)
 
-(* Clean-class check: every refinement input is unchanged. Signatures of
-   the old and the new network are compared through the SAME cache, so
-   BDD ids are directly comparable; only edges incident to touched
-   routers are queried (a signature depends only on its two endpoints'
-   configurations). *)
-let solution_unchanged ~old_net ~new_net ~cache ~touched (ec : Ecs.ec) =
-  let dest = Ecs.single_origin ec in
-  (not (List.mem dest touched))
-  (* signatures are local to their endpoints ONLY while the class's
-     OSPF-liveness (a whole-network property) is stable across the
-     delta; a flip changes signatures on OSPF edges anywhere *)
-  && Compile.ospf_live old_net ~dest:ec.Ecs.ec_prefix
-     = Compile.ospf_live new_net ~dest:ec.Ecs.ec_prefix
-  &&
-  let universe = Sig_cache.universe cache in
-  let rm_bdd = Sig_cache.rm_bdd cache ~dest:ec.Ecs.ec_prefix in
-  let _, sig_old =
-    Compile.edge_signatures ~universe ~rm_bdd old_net ~dest:ec.Ecs.ec_prefix
-  in
-  let _, sig_new =
-    Compile.edge_signatures ~universe ~rm_bdd new_net ~dest:ec.Ecs.ec_prefix
-  in
-  List.for_all
-    (fun u ->
-      List.equal Int.equal
-        (Bonsai_api.effective_prefs old_net ec u)
-        (Bonsai_api.effective_prefs new_net ec u)
-      && Array.for_all
-           (fun v ->
-             Compile.signature_equal (sig_old u v) (sig_new u v)
-             && Compile.signature_equal (sig_old v u) (sig_new v u))
-           (Graph.succ new_net.Device.graph u))
-    touched
+type reuse = {
+  compatible : bool;
+  full_rebuild : bool;
+  unchanged : old:Ecs.ec -> Ecs.ec -> bool;
+}
 
-let unchanged_ec ~old_net ~new_net ~cache ~touched (ec : Ecs.ec)
-    (old_r : Bonsai_api.ec_result) =
-  old_r.Bonsai_api.ec.Ecs.ec_origins = ec.Ecs.ec_origins
-  && solution_unchanged ~old_net ~new_net ~cache ~touched ec
+let reuse ~cache ~old_net ~new_net deltas =
+  let compatible =
+    Sig_cache.compatible cache old_net && Sig_cache.compatible cache new_net
+  in
+  let full_rebuild =
+    List.exists Delta.is_node_change deltas || not compatible
+  in
+  let unchanged =
+    if full_rebuild || List.exists Delta.is_topology deltas then
+      fun ~old:_ _ -> false
+    else
+      let touched =
+        List.concat_map (Delta.touched new_net) deltas
+        |> List.sort_uniq Int.compare
+      in
+      (* Clean-class check: every refinement input is unchanged.
+         Signatures of the old and the new network are read through the
+         SAME cache, so BDD ids are directly comparable; only edges
+         incident to touched routers are queried (a signature depends
+         only on its two endpoints' configurations). *)
+      fun ~old (ec : Ecs.ec) ->
+        let dest = ec.Ecs.ec_prefix in
+        List.equal Int.equal old.Ecs.ec_origins ec.Ecs.ec_origins
+        && (not (List.mem (Ecs.single_origin ec) touched))
+        (* signatures are local to their endpoints ONLY while the
+           class's OSPF-liveness (a whole-network property) is stable
+           across the delta; a flip changes signatures on OSPF edges
+           anywhere *)
+        && Bool.equal
+             (Compile.ospf_live old_net ~dest)
+             (Compile.ospf_live new_net ~dest)
+        &&
+        let rm_bdd = Sig_cache.rm_bdd cache ~dest in
+        let signature (net : Device.network) =
+          let t =
+            Compile.signature_table ~universe:(Sig_cache.universe cache)
+              ~rm_bdd net ~dest
+          in
+          fun u v ->
+            let e = Graph.edge_index net.Device.graph u v in
+            t.Compile.signature
+              (if e < 0 then t.Compile.no_edge else t.Compile.sid e)
+        in
+        let sig_old = signature old_net and sig_new = signature new_net in
+        List.for_all
+          (fun u ->
+            List.equal Int.equal
+              (Bonsai_api.effective_prefs old_net ec u)
+              (Bonsai_api.effective_prefs new_net ec u)
+            && Array.for_all
+                 (fun v ->
+                   Compile.signature_equal (sig_old u v) (sig_new u v)
+                   && Compile.signature_equal (sig_old v u) (sig_new v u))
+                 (Graph.succ new_net.Device.graph u))
+          touched
+  in
+  { compatible; full_rebuild; unchanged }
 
 (* ------------------------------------------------------------------ *)
 
@@ -169,17 +194,12 @@ let recompress ?(budget = Budget.infinite) ?recertify st deltas =
   (match Device.validate net' with
   | Ok () -> ()
   | Error m -> Bonsai_error.error (Bonsai_error.Compile_error m));
-  let node_change = List.exists Delta.is_node_change deltas in
-  let compatible = Sig_cache.compatible st.cache net' in
-  let full = node_change || not compatible in
+  let decision = reuse ~cache:st.cache ~old_net ~new_net:net' deltas in
+  let full = decision.full_rebuild in
   let cache, bdd_time_s =
-    if compatible then (st.cache, st.bdd_time_s)
+    if decision.compatible then (st.cache, st.bdd_time_s)
     else
-      let c, t =
-        Timing.time (fun () ->
-            Sig_cache.create ?max_entries:st.cache_cap net')
-      in
-      (c, t)
+      Timing.time (fun () -> Sig_cache.create ?max_entries:st.cache_cap net')
   in
   let hits0, misses0 = Sig_cache.stats cache in
   let pinned = resolve_pins net' st.pinned_names in
@@ -192,11 +212,6 @@ let recompress ?(budget = Budget.infinite) ?recertify st deltas =
       incr scratch;
       r
     else begin
-      let touched =
-        List.concat_map (Delta.touched net') deltas
-        |> List.sort_uniq Int.compare
-      in
-      let has_topo = List.exists Delta.is_topology deltas in
       let prefs_trivial = no_lp_no_redistribute net' in
       let old_by_prefix = Hashtbl.create 64 in
       List.iter
@@ -234,9 +249,7 @@ let recompress ?(budget = Budget.infinite) ?recertify st deltas =
         match Hashtbl.find_opt old_by_prefix ec.Ecs.ec_prefix with
         | Some old_r
           when (not old_r.Bonsai_api.degraded)
-               && (not has_topo)
-               && unchanged_ec ~old_net ~new_net:net' ~cache ~touched ec
-                    old_r ->
+               && decision.unchanged ~old:old_r.Bonsai_api.ec ec ->
           recert ec reused old_r
         | Some old_r
           when (not old_r.Bonsai_api.degraded)

@@ -121,21 +121,30 @@ val sig_cache : state -> Sig_cache.t
     data-plane differ ({!Dp_diff} in lib/dataplane) proves classes
     untouched through the same cache so BDD ids stay comparable. *)
 
-val solution_unchanged :
+type reuse = {
+  compatible : bool;
+      (** the cache is {!Sig_cache.compatible} with both networks *)
+  full_rebuild : bool;  (** a node-level delta or an incompatible cache *)
+  unchanged : old:Ecs.ec -> Ecs.ec -> bool;
+      (** [unchanged ~old ec]: the class [ec] keeps the stable solution
+          (and so the FIB: ACLs are part of the edge signature) of the
+          old network's class [old] of the same prefix. False under a
+          full rebuild or a topology delta; otherwise true iff the
+          origins are equal, the destination is untouched, the class's
+          OSPF-liveness is stable, and every edge at a router a delta
+          touches has equal preference levels and signatures, read
+          through the one cache. *)
+}
+
+val reuse :
+  cache:Sig_cache.t ->
   old_net:Device.network ->
   new_net:Device.network ->
-  cache:Sig_cache.t ->
-  touched:int list ->
-  Ecs.ec ->
-  bool
-(** The clean-class check at the heart of {!recompress}, exposed for
-    data-plane reuse: the class's stable solution (and hence its FIB,
-    since ACLs are part of the edge signature) is provably identical
-    across the delta. [touched] are the routers any delta touches
-    ([Delta.touched], deduplicated); both networks must share the same
-    topology (the caller gates topology/node deltas) and [cache] must be
-    {!Sig_cache.compatible} with both. The class's origins are the
-    caller's obligation to compare. *)
+  Delta.t list ->
+  reuse
+(** The class-reuse decision for [deltas] taking [old_net] to [new_net]:
+    the one {!recompress} and the data-plane differ ({!Dp_diff} in
+    lib/dataplane) both take. *)
 
 val summary : state -> Bonsai_api.summary
 (** The maintained per-class results, shaped like a fresh

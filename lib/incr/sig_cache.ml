@@ -8,6 +8,8 @@ type t = {
   mutable sc_hits : int;
   mutable sc_misses : int;
   mutable sc_evictions : int;
+  mutable sc_compatible : Device.network option;
+      (* the last network found compatible, by physical identity *)
 }
 
 let create ?(max_entries = max_int) ?universe net =
@@ -23,6 +25,7 @@ let create ?(max_entries = max_int) ?universe net =
     sc_hits = 0;
     sc_misses = 0;
     sc_evictions = 0;
+    sc_compatible = (if Option.is_none universe then Some net else None);
   }
 
 let universe t = t.sc_universe
@@ -30,12 +33,19 @@ let universe t = t.sc_universe
 (* The parameters determine the whole variable layout (bit widths
    included), so comparing them needs no fresh BDD manager. *)
 let compatible t net =
-  let p = Policy_bdd.params_of_universe t.sc_universe
-  and q = Policy_bdd.universe_params net in
-  let same a b = Array.length a = Array.length b && Array.for_all2 Int.equal a b in
-  same p.Policy_bdd.up_comms q.Policy_bdd.up_comms
-  && same p.Policy_bdd.up_lps q.Policy_bdd.up_lps
-  && same p.Policy_bdd.up_meds q.Policy_bdd.up_meds
+  match t.sc_compatible with
+  | Some n when n == net -> true
+  | _ ->
+    let p = Policy_bdd.params_of_universe t.sc_universe
+    and q = Policy_bdd.universe_params net in
+    let same a b = Array.length a = Array.length b && Array.for_all2 Int.equal a b in
+    let ok =
+      same p.Policy_bdd.up_comms q.Policy_bdd.up_comms
+      && same p.Policy_bdd.up_lps q.Policy_bdd.up_lps
+      && same p.Policy_bdd.up_meds q.Policy_bdd.up_meds
+    in
+    if ok then t.sc_compatible <- Some net;
+    ok
 
 let touch t e =
   t.sc_clock <- t.sc_clock + 1;

@@ -32,7 +32,8 @@ val compatible : t -> Device.network -> bool
 (** Would {!create} on this network produce the same universe (same
     communities, local-preference and MED values, same variable layout)?
     When false, cached BDDs are meaningless for the network and the cache
-    must be rebuilt. *)
+    must be rebuilt. The network the cache was built from, and the last
+    one found compatible, answer by physical identity without a scan. *)
 
 val rm_bdd : t -> dest:Prefix.t -> Route_map.t option -> Bdd.t
 (** The relation BDD of a route-map specialized to [dest] ([None] =

@@ -41,6 +41,7 @@ let harden_exn ?(k = 1) ?(rounds = 8) ?(frontier = 1024) ?(samples = 64)
     (ec : Ecs.ec) =
   if k < 0 then invalid_arg "Repair.harden: negative k";
   if rounds < 0 then invalid_arg "Repair.harden: negative rounds";
+  if samples < 1 then invalid_arg "Repair.harden: samples must be positive";
   let g = net.Device.graph in
   let n = Graph.n_nodes g in
   let dest = Ecs.single_origin ec in

@@ -85,8 +85,8 @@ val harden_exn :
     sweep checks it per scenario); exhaustion degrades to the identity
     abstraction instead of raising.
 
-    @raise Invalid_argument on negative [k]/[rounds] or an anycast
-    class. *)
+    @raise Invalid_argument on negative [k]/[rounds], [samples] below 1
+    or an anycast class. *)
 
 val harden :
   ?k:int ->

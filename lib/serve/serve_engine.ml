@@ -670,25 +670,39 @@ let stats_op t ~queue_depth =
 
 (* --- dispatch --------------------------------------------------------- *)
 
+(* Every public op, in the order --help lists them: dispatch looks ops up
+   here, so the list cannot drift from what the engine answers. The
+   test-corrupt hook is not listed. *)
+let ops =
+  let cont op t ~queue_depth:_ req = (op t req, `Continue) in
+  let counters op t ~queue_depth _ = (op t ~queue_depth, `Continue) in
+  [
+    ("compress", cont compress_op);
+    ("lint", cont lint_op);
+    ("flow", cont flow_op);
+    ("diff", cont diff_op);
+    ("dataplane-diff", cont dataplane_diff_op);
+    ("faults", cont faults_op);
+    ("harden", cont harden_op);
+    ("load", cont load_op);
+    ("unload", cont unload_op);
+    ("audit", cont audit_op);
+    ("modular", cont modular_op);
+    ("health", counters health_op);
+    ("stats", counters stats_op);
+    ( "shutdown",
+      fun _ ~queue_depth:_ _ -> ([ ("stopping", Json.Bool true) ], `Shutdown) );
+  ]
+
+let op_names = List.map fst ops
+
 let dispatch t ~queue_depth (req : Protocol.request) =
-  match req.Protocol.req_op with
-  | "compress" -> (compress_op t req, `Continue)
-  | "lint" -> (lint_op t req, `Continue)
-  | "flow" -> (flow_op t req, `Continue)
-  | "diff" -> (diff_op t req, `Continue)
-  | "dataplane-diff" -> (dataplane_diff_op t req, `Continue)
-  | "faults" -> (faults_op t req, `Continue)
-  | "harden" -> (harden_op t req, `Continue)
-  | "load" -> (load_op t req, `Continue)
-  | "unload" -> (unload_op t req, `Continue)
-  | "audit" -> (audit_op t req, `Continue)
-  | "modular" -> (modular_op t req, `Continue)
-  | "test-corrupt" when test_hooks_enabled () ->
+  let op = req.Protocol.req_op in
+  match List.assoc_opt op ops with
+  | Some run -> run t ~queue_depth req
+  | None when String.equal op "test-corrupt" && test_hooks_enabled () ->
     (test_corrupt_op t req, `Continue)
-  | "health" -> (health_op t ~queue_depth, `Continue)
-  | "stats" -> (stats_op t ~queue_depth, `Continue)
-  | "shutdown" -> ([ ("stopping", Json.Bool true) ], `Shutdown)
-  | op -> Format.kasprintf failwith "unknown op %S" op
+  | None -> Format.kasprintf failwith "unknown op %S" op
 
 (* Total: every line in, exactly one typed response line out. The
    catch-all is the isolation boundary — no request, however malformed

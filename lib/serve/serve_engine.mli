@@ -65,6 +65,11 @@ val handle_line :
     newline) and whether the server should keep running. Total.
     [queue_depth] is echoed into [health]/[stats] responses. *)
 
+val op_names : string list
+(** The ops {!handle_line} answers, in a fixed order: the list its
+    dispatch looks ops up in, and the one the CLI's [serve] and
+    [request] help text print. *)
+
 val note_shed : t -> unit
 (** Count a request shed by the admission queue (the scheduler lives in
     the server loop; the engine only keeps the statistic). *)

@@ -3,7 +3,7 @@
 # were swept to typed equality (lib/bdd, lib/routing, lib/faults,
 # lib/repair) or in the refinement kernel's hot loop (refine,
 # union-split-find, graph, abstraction), the edge signatures it refines on (compile), its Figure 4
-# re-checks (check, certify), the concrete solver (solver, solution), the
+# checker (certify), the concrete solver (solver, solution), the
 # destination classes (ecs), the data-plane diff (dp_diff), the
 # incremental engine with its signature cache and change model (incr,
 # sig_cache, delta) and the compression-blocker lint (lint_compress). In the
@@ -14,7 +14,7 @@ set -u
 
 spelled='Stdlib\.compare|Pervasives\.compare|let compare = compare\b|attr_equal = \( = \)'
 bare='(^|[^.[:alnum:]_])compare([^[:alnum:]_]|$)'
-kernel="lib/config/compile.ml lib/core/refine.ml lib/util/union_split_find.ml lib/topology/graph.ml lib/core/abstraction.ml lib/core/check.ml lib/simulate/solver.ml lib/simulate/solution.ml lib/config/ecs.ml lib/certify/certify.ml lib/dataplane/dp_diff.ml lib/incr/incr.ml lib/incr/sig_cache.ml lib/incr/delta.ml lib/analysis/lint_compress.ml"
+kernel="lib/config/compile.ml lib/core/refine.ml lib/util/union_split_find.ml lib/topology/graph.ml lib/core/abstraction.ml lib/simulate/solver.ml lib/simulate/solution.ml lib/config/ecs.ml lib/certify/certify.ml lib/dataplane/dp_diff.ml lib/incr/incr.ml lib/incr/sig_cache.ml lib/incr/delta.ml lib/analysis/lint_compress.ml"
 
 bad=0
 for f in lib/bdd/*.ml lib/routing/*.ml lib/faults/*.ml lib/repair/*.ml $kernel; do

@@ -86,16 +86,9 @@ let test_check_passes_on_refined () =
   let net = Synthesis.fattree_shortest_path g in
   let ec = List.hd (Ecs.compute net) in
   let r = Bonsai_api.compress_ec_exn net ec in
-  let _, signature =
-    Compile.edge_signatures
-      ~universe:r.Bonsai_api.abstraction.Abstraction.universe net
-      ~dest:ec.Ecs.ec_prefix
-  in
-  let violations = Check.check r.Bonsai_api.abstraction ~signature in
-  Alcotest.(check int)
-    (String.concat "; "
-       (List.map (Format.asprintf "%a" Check.pp_violation) violations))
-    0 (List.length violations)
+  match Certify.check_result ~audit:Certify.Full net r with
+  | Certify.Certified _ -> ()
+  | v -> Alcotest.failf "%a" Certify.pp_verdict v
 
 (* --- Table 1 shapes -------------------------------------------------- *)
 

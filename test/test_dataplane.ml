@@ -935,6 +935,216 @@ let test_solver_work_fattree () =
     (Synthesis.fattree_shortest_path (Generators.fattree ~k:8))
     ~classes:4
 
+(* --- Dp_diff's reuse decision against a compile-everything reference -- *)
+
+(* The FIB of the class announcing [prefix] in [net], by the differ's
+   rules: no class or an anycast class has no entries, a diverging class
+   ([None]) has no verdict. *)
+let reference_entries ~protocol net prefix =
+  match Ecs.of_prefix net prefix with
+  | None -> Some []
+  | Some ec -> (
+    match Dataplane.compile_ec ~protocol net ec with
+    | `Compiled cf -> Some cf.Dataplane.cf_entries
+    | `Anycast -> Some []
+    | `Unsolved -> None)
+
+let change_string prefix router kind (o : Dataplane.entry option)
+    (n : Dataplane.entry option) =
+  let hops = function
+    | None -> "-"
+    | Some (e : Dataplane.entry) ->
+      Printf.sprintf "%s/%s"
+        (String.concat "," (List.map string_of_int e.Dataplane.e_next_hops))
+        (String.concat "," (List.map string_of_int e.Dataplane.e_acl_dropped))
+  in
+  Printf.sprintf "%s@%d %s %s -> %s" (Prefix.to_string prefix) router kind
+    (hops o) (hops n)
+
+(* Compile every single-origin class of the new network, and every class
+   only the old one announces, on both sides; diff router by router. *)
+let reference_diff ~protocol old_net new_net =
+  let singles net =
+    List.filter_map
+      (fun (ec : Ecs.ec) ->
+        match ec.Ecs.ec_origins with [ _ ] -> Some ec.Ecs.ec_prefix | _ -> None)
+      (Ecs.compute net)
+  in
+  let gone p = Option.is_none (Ecs.of_prefix new_net p) in
+  let prefixes = singles new_net @ List.filter gone (singles old_net) in
+  List.fold_left
+    (fun (changes, unknown) p ->
+      match
+        ( reference_entries ~protocol old_net p,
+          reference_entries ~protocol new_net p )
+      with
+      | Some olds, Some news ->
+        let routers = List.sort_uniq Int.compare (List.map fst (olds @ news)) in
+        let row r =
+          match (List.assoc_opt r olds, List.assoc_opt r news) with
+          | Some o, None -> Some (change_string p r "removed" (Some o) None)
+          | None, Some n -> Some (change_string p r "added" None (Some n))
+          | Some o, Some n
+            when o.Dataplane.e_next_hops <> n.Dataplane.e_next_hops
+                 || o.Dataplane.e_acl_dropped <> n.Dataplane.e_acl_dropped ->
+            Some (change_string p r "modified" (Some o) (Some n))
+          | _ -> None
+        in
+        (List.filter_map row routers @ changes, unknown)
+      | _ -> (changes, Prefix.to_string p :: unknown))
+    ([], []) prefixes
+
+(* One random edit: ACL edits, import maps that set a local preference
+   (mostly a level the network already uses, so the signature cache stays
+   compatible and the reuse decision runs), cleared maps, OSPF costs,
+   statics, link churn and origination changes. *)
+let random_dp_delta rng (net : Device.network) =
+  let g = net.Device.graph in
+  let name = Graph.name g in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let edges = Graph.edges g in
+  let bgp_edges =
+    List.filter
+      (fun (u, v) -> Device.bgp_neighbor_config net.Device.routers.(u) v <> None)
+      edges
+  in
+  let ospf_edges =
+    List.filter
+      (fun (u, v) -> Device.ospf_link_config net.Device.routers.(u) v <> None)
+      edges
+  in
+  let class_prefixes = List.map (fun (ec : Ecs.ec) -> ec.Ecs.ec_prefix) (Ecs.compute net) in
+  let lps = Array.to_list (Policy_bdd.universe_params net).Policy_bdd.up_lps in
+  let set_lp lp : Route_map.t =
+    [ { Route_map.verdict = Route_map.Permit; conds = [];
+        actions = [ Route_map.Set_local_pref lp ] } ]
+  in
+  let on l f = if l = [] then [] else [ (fun () -> f (pick l)) ] in
+  let candidates =
+    on edges (fun (u, v) ->
+        Delta.Acl_set
+          {
+            node = name u;
+            nbr = name v;
+            acl =
+              pick
+                [
+                  None;
+                  Some
+                    [
+                      { Acl.permit = false; prefix = pick class_prefixes };
+                      { Acl.permit = true; prefix = Prefix.of_string "0.0.0.0/0" };
+                    ];
+                  Some [ { Acl.permit = false; prefix = Prefix.of_string "10.0.0.0/8" } ];
+                ];
+          })
+    @ on bgp_edges (fun (u, v) ->
+          Delta.Route_map_set
+            {
+              node = name u;
+              nbr = name v;
+              dir = Delta.Import;
+              rm =
+                (if Random.State.int rng 8 = 0 then Some (set_lp 300)
+                 else Some (set_lp (pick lps)));
+            })
+    @ on bgp_edges (fun (u, v) ->
+          Delta.Route_map_set
+            {
+              node = name u;
+              nbr = name v;
+              dir = pick [ Delta.Import; Delta.Export ];
+              rm = pick [ None; Some Route_map.permit_all ];
+            })
+    @ on ospf_edges (fun (u, v) ->
+          Delta.Ospf_cost
+            { node = name u; nbr = name v; cost = 1 + Random.State.int rng 4 })
+    @ on edges (fun (u, v) ->
+          Delta.Static_set
+            { node = name u; routes = [ (pick class_prefixes, name v) ] })
+    @ on edges (fun (u, v) -> Delta.Link_down (name u, name v))
+    @ [
+        (fun () ->
+          let u = Random.State.int rng (Graph.n_nodes g) in
+          Delta.Originate_set
+            { node = name u; prefixes = [ Synthesis.prefix_of_index (200 + u) ] });
+      ]
+  in
+  (pick candidates) ()
+
+let prop_diff_reference =
+  QCheck.Test.make ~count:fuzz_count
+    ~name:"dataplane-diff = compile-everything reference"
+    QCheck.(int_range 0 100000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let n = 5 + (seed mod 5) in
+      let base =
+        if seed mod 2 = 0 then Synthesis.random_network ~n ~seed
+        else Synthesis.random_multi_network ~n ~seed
+      in
+      (* a few more classes, so most of them sit away from the edit *)
+      let old_net =
+        Delta.apply base
+          (List.init 3 (fun i ->
+               let u = 1 + Random.State.int rng (n - 1) in
+               Delta.Originate_set
+                 {
+                   node = Graph.name base.Device.graph u;
+                   prefixes = [ Synthesis.prefix_of_index (100 + (10 * i) + u) ];
+                 }))
+      in
+      let deltas =
+        List.init (1 + Random.State.int rng 2) (fun _ ->
+            random_dp_delta rng old_net)
+      in
+      match Delta.apply old_net deltas with
+      | exception Invalid_argument _ -> QCheck.assume_fail ()
+      | new_net when Result.is_error (Device.validate new_net) ->
+        (* e.g. a static route along a link another edit took down *)
+        QCheck.assume_fail ()
+      | new_net ->
+        let protocol =
+          match
+            (Dataplane.detect_protocol old_net, Dataplane.detect_protocol new_net)
+          with
+          | `Bgp, `Bgp -> `Bgp
+          | _ -> `Multi
+        in
+        let rep =
+          match
+            Dp_diff.run ~protocol ~old_net ~new_net (Delta.diff old_net new_net)
+          with
+          | Ok rep -> rep
+          | Error e ->
+            QCheck.Test.fail_reportf "dp_diff failed: %a" Bonsai_error.pp e
+        in
+        let got =
+          List.map
+            (fun (c : Dp_diff.change) ->
+              change_string c.Dp_diff.c_prefix c.Dp_diff.c_router
+                (Dp_diff.kind_string c.Dp_diff.c_kind)
+                c.Dp_diff.c_old c.Dp_diff.c_new)
+            rep.Dp_diff.dp_changes
+          |> List.sort String.compare
+        and got_unknown =
+          List.map Prefix.to_string rep.Dp_diff.dp_unknown
+          |> List.sort String.compare
+        in
+        let want, want_unknown = reference_diff ~protocol old_net new_net in
+        let want = List.sort String.compare want
+        and want_unknown = List.sort String.compare want_unknown in
+        if got <> want || got_unknown <> want_unknown then
+          QCheck.Test.fail_reportf
+            "deltas [%s] (reused %d): changes [%s], reference [%s]; unknown \
+             [%s], reference [%s]"
+            (String.concat "; " (List.map Delta.to_string deltas))
+            rep.Dp_diff.dp_reused (String.concat "; " got)
+            (String.concat "; " want)
+            (String.concat ", " got_unknown)
+            (String.concat ", " want_unknown)
+        else true)
+
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
@@ -981,5 +1191,6 @@ let () =
           prop_compiled_transfers;
           prop_compiled_signatures;
           prop_signature_ids;
+          prop_diff_reference;
         ];
     ]

@@ -111,12 +111,9 @@ let prop_check_conditions_hold =
       let net = Synthesis.random_network ~n ~seed in
       let ec = List.hd (Ecs.compute net) in
       let r = Bonsai_api.compress_ec_exn net ec in
-      let _, signature =
-        Compile.edge_signatures
-          ~universe:r.Bonsai_api.abstraction.Abstraction.universe net
-          ~dest:ec.Ecs.ec_prefix
-      in
-      Check.check r.Bonsai_api.abstraction ~signature = [])
+      match Certify.check_result ~audit:Certify.Full net r with
+      | Certify.Certified _ -> true
+      | v -> QCheck.Test.fail_reportf "%a" Certify.pp_verdict v)
 
 (* --- configured BGP networks ------------------------------------------ *)
 

@@ -412,6 +412,25 @@ let test_run_negative_k () =
   | exception Bonsai_error.Error (Bonsai_error.Compile_error m) ->
     Alcotest.(check string) "message" "Soundness.run: negative k" m
 
+(* A sample count below 1 would sweep no scenario and report "sound". *)
+let test_run_nonpositive_samples () =
+  let net = Synthesis.ring_bgp ~n:4 in
+  let ec = List.hd (Ecs.compute net) in
+  let abstraction =
+    (Bonsai_api.compress_ec_exn net ec).Bonsai_api.abstraction
+  in
+  List.iter
+    (fun samples ->
+      match
+        Soundness.run ~budget:Budget.infinite ~samples:(Some samples) ~seed:0
+          ~k:1 ~abstraction net ec
+      with
+      | _ -> Alcotest.failf "samples=%d accepted" samples
+      | exception Bonsai_error.Error (Bonsai_error.Compile_error m) ->
+        Alcotest.(check string)
+          "message" "Soundness.run: samples must be positive" m)
+    [ 0; -3 ]
+
 let () =
   Alcotest.run "faults"
     [
@@ -458,5 +477,7 @@ let () =
           Alcotest.test_case "ring survives" `Quick test_soundness_identity_ok;
           Alcotest.test_case "run refuses negative k" `Quick
             test_run_negative_k;
+          Alcotest.test_case "run refuses samples below 1" `Quick
+            test_run_nonpositive_samples;
         ] );
     ]

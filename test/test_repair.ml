@@ -187,9 +187,20 @@ let test_invalid_args () =
   (match Repair.harden ~k:(-1) net ec with
   | Error (Bonsai_error.Compile_error _) -> ()
   | _ -> Alcotest.fail "negative k must be a Compile_error");
-  match Repair.harden ~rounds:(-1) net ec with
+  (match Repair.harden ~rounds:(-1) net ec with
   | Error (Bonsai_error.Compile_error _) -> ()
-  | _ -> Alcotest.fail "negative rounds must be a Compile_error"
+  | _ -> Alcotest.fail "negative rounds must be a Compile_error");
+  (* a sample count below 1 would sweep no scenario and report "sound",
+     whether or not the space is small enough to enumerate *)
+  List.iter
+    (fun (samples, frontier) ->
+      match Repair.harden ~samples ~frontier net ec with
+      | Error (Bonsai_error.Compile_error m) ->
+        Alcotest.(check string)
+          "message" "Repair.harden: samples must be positive" m
+      | _ ->
+        Alcotest.failf "samples=%d frontier=%d accepted" samples frontier)
+    [ (0, 0); (-3, 0); (0, 1024) ]
 
 (* --- properties --------------------------------------------------------- *)
 

@@ -660,6 +660,31 @@ let parse_or_fail what text =
   | Ok j -> j
   | Error m -> Alcotest.failf "%s: invalid JSON (%s): %S" what m text
 
+(* Every op the engine lists is answered (never "unknown op"), and the
+   CLI's serve and request help name each one. *)
+let test_op_names_in_help () =
+  let eng = engine () in
+  List.iter
+    (fun op ->
+      let resp = handle eng (Printf.sprintf "{\"id\":1,\"op\":%S}" op) in
+      if contains resp "unknown op" then Alcotest.failf "%s: %s" op resp)
+    Serve_engine.op_names;
+  let words text =
+    String.map
+      (fun c -> if String.contains "(),|.\n" c then ' ' else c)
+      text
+    |> String.split_on_char ' '
+  in
+  List.iter
+    (fun cmd ->
+      let help = words (run_cli [ cmd; "--help=plain" ]) in
+      List.iter
+        (fun op ->
+          if not (List.mem op help) then
+            Alcotest.failf "bonsai %s --help omits %s" cmd op)
+        Serve_engine.op_names)
+    [ "serve"; "request" ]
+
 (* A router name holding a control byte must come out escaped. *)
 let test_cli_json_control_byte () =
   let path = Filename.temp_file "bonsai_ctrl" ".conf" in
@@ -916,6 +941,7 @@ let () =
           Alcotest.test_case "lint clause agrees" `Quick
             test_lint_clause_agreement;
           Alcotest.test_case "lint source lines" `Quick test_lint_source_lines;
+          Alcotest.test_case "op list in help" `Quick test_op_names_in_help;
         ] );
       qsuite "fuzz"
         [ prop_total; prop_json_roundtrip; prop_json_float_roundtrip ];
