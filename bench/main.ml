@@ -944,13 +944,7 @@ let modular_bench ?(regions = 50) ?(region_size = 40) ~mono_budget_s
   in
   let mod_peak = peak_mb () in
   let faulted =
-    List.length
-      (List.filter
-         (fun m ->
-           match m.Modular.mr_health with
-           | Modular.Degraded | Modular.Refuted -> true
-           | Modular.Healthy | Modular.Retried -> false)
-         rep.Modular.rp_modules)
+    List.length (List.filter Modular.faulted rep.Modular.rp_modules)
   in
   let concrete =
     List.fold_left

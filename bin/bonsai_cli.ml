@@ -85,6 +85,9 @@ let report_budget budget =
     Printf.eprintf "budget: %d ticks consumed, %.3fs elapsed\n%!"
       (Budget.ticks budget) (Budget.elapsed_s budget)
 
+let print_degradation =
+  Option.iter (Format.printf "@[<v>%a@]@." Bonsai_api.pp_degradation)
+
 let size_json g =
   Json.Obj
     [
@@ -92,9 +95,6 @@ let size_json g =
     ]
 
 let names_json name us = Json.List (List.map (fun u -> Json.String (name u)) us)
-
-let deltas_to_json ds =
-  Json.List (List.map (fun d -> Json.String (Delta.to_string d)) ds)
 
 let cache_json hits misses =
   Json.Obj [ ("hits", Json.Int hits); ("misses", Json.Int misses) ]
@@ -238,47 +238,31 @@ let compress_cmd_run spec ec_prefix dot all check check_dataplane format
       | None -> Bonsai_api.compress_exn ~budget net
     in
     let checked_ok = ref true in
+    (* degraded classes are the identity abstraction — nothing to
+       re-check, and their report line already flags them *)
+    let violations (r : Bonsai_api.ec_result) =
+      let vs = if r.Bonsai_api.degraded then 0 else failures r in
+      if vs > 0 then checked_ok := false;
+      vs
+    in
     (match format with
     | `Text ->
       Format.printf "%a@." Bonsai_api.pp_summary s;
       report_budget budget;
-      checked_ok :=
-        (not check)
-        || List.fold_left
-             (* degraded classes are the identity abstraction — nothing to
-                re-check, and their report line already flags them *)
-             (fun ok r -> (r.Bonsai_api.degraded || failures r = 0) && ok)
-             true s.Bonsai_api.results
+      if check then
+        List.iter (fun r -> ignore (violations r : int)) s.Bonsai_api.results
     | `Json ->
-      let class_json (r : Bonsai_api.ec_result) =
-        let check_field =
-          if not check then []
-          else begin
-            let vs = if r.Bonsai_api.degraded then 0 else failures r in
-            if vs > 0 then checked_ok := false;
-            [ ("check_violations", Json.Int vs) ]
-          end
-        in
-        Json.Obj (Bonsai_api.ec_result_json_fields r @ check_field)
+      let bdd =
+        match s.Bonsai_api.results with
+        | r :: _ ->
+          Bdd.stats_to_json
+            (Bdd.stats
+               r.Bonsai_api.abstraction.Abstraction.universe.Policy_bdd.man)
+        | [] -> Json.Null
       in
-      let classes = List.map class_json s.Bonsai_api.results in
+      let check = if check then Some violations else None in
       print_json
-        (Json.Obj
-           [
-             ("network", size_json g);
-             ("skipped_anycast", Json.Int s.Bonsai_api.skipped_anycast);
-             ("classes", Json.List classes);
-             ( "degradation",
-               Bonsai_api.degradation_to_json s.Bonsai_api.degradation );
-             ( "bdd",
-               match s.Bonsai_api.results with
-               | r :: _ ->
-                 Bdd.stats_to_json
-                   (Bdd.stats
-                      r.Bonsai_api.abstraction.Abstraction.universe
-                        .Policy_bdd.man)
-               | [] -> Json.Null );
-           ]);
+        (Json.Obj (Bonsai_api.summary_json_fields ?check s @ [ ("bdd", bdd) ]));
       report_budget budget);
     let dp_status =
       if check_dataplane then
@@ -432,6 +416,10 @@ let modular_cmd_run spec mode count format budget_ms budget_ticks degrade
     (match format with
     | `Text -> Format.printf "%a%!" Modular.pp_report rp
     | `Json -> print_json (Json.Obj (Modular.report_json_fields rp)));
+    Printf.eprintf "modular: %d module%s compressed in %.3fs\n%!"
+      (List.length rp.Modular.rp_modules)
+      (if List.length rp.Modular.rp_modules = 1 then "" else "s")
+      rp.Modular.rp_time_s;
     report_budget budget;
     let refuted =
       List.exists
@@ -465,16 +453,13 @@ let modular_cmd_run spec mode count format budget_ms budget_ticks degrade
 
 (* --- diff / watch: incremental recompression --------------------------- *)
 
-(* Everything deterministic about an [Incr.report]; wall time is printed
-   separately (stderr for diff, inline for watch events, which are not
-   golden-tested). *)
-let report_fields ~recert (rep : Incr.report) =
-  (("classes", Json.Int rep.Incr.r_ecs) :: Incr.reuse_json_fields rep)
-  @ (if recert then Incr.recert_json_fields rep else [])
-  @ [
-      ("cache", cache_json rep.Incr.r_cache_hits rep.Incr.r_cache_misses);
-      ("degradation", Bonsai_api.degradation_to_json rep.Incr.r_degradation);
-    ]
+(* The recompression document plus the engine's own counters, which a
+   warm serve engine would report differently: signature-cache hits and
+   misses of this recompression, then [extra]. *)
+let report_fields ?recert ~deltas ~extra (rep : Incr.report) =
+  Incr.report_json_fields ?recert ~deltas rep
+  @ (("cache", cache_json rep.Incr.r_cache_hits rep.Incr.r_cache_misses)
+    :: extra)
 
 let report_text ?(recert = false) (rep : Incr.report) =
   Format.printf "classes: %d (%d reused, %d seeded, %d scratch)%s@."
@@ -485,9 +470,7 @@ let report_text ?(recert = false) (rep : Incr.report) =
       rep.Incr.r_recertified rep.Incr.r_recert_refuted;
   Format.printf "signature cache: %d hits, %d misses@." rep.Incr.r_cache_hits
     rep.Incr.r_cache_misses;
-  match rep.Incr.r_degradation with
-  | None -> ()
-  | Some d -> Format.printf "@[<v>%a@]@." Bonsai_api.pp_degradation d
+  print_degradation rep.Incr.r_degradation
 
 let diff_cmd_run old_spec new_spec format budget_ms budget_ticks degrade
     certify audit certificate =
@@ -495,53 +478,44 @@ let diff_cmd_run old_spec new_spec format budget_ms budget_ticks degrade
   let old_net = resolve_network old_spec in
   let new_net = resolve_network new_spec in
   let deltas = Delta.diff old_net new_net in
-  if deltas = [] then begin
-    (match format with
-    | `Text -> Format.printf "networks are identical@."
-    | `Json ->
-      print_json
-        (Json.Obj [ ("identical", Json.Bool true); ("deltas", Json.List []) ]));
-    0
-  end
-  else begin
-    let budget = make_budget budget_ms budget_ticks in
-    let st = ok_or_raise (Incr.init ~budget old_net) in
-    let rep =
-      ok_or_raise
-        (Incr.recompress ~budget
-           ?recertify:(if certify then Some audit else None)
-           st deltas)
-    in
-    let bdd = Incr.bdd_stats st in
-    (match format with
-    | `Text ->
-      Format.printf "deltas (%d):@." (List.length deltas);
-      List.iter (fun d -> Format.printf "  - %a@." Delta.pp d) deltas;
-      report_text ~recert:certify rep;
-      Format.printf "bdd: %a@." Bdd.pp_stats bdd
-    | `Json ->
-      print_json
-        (Json.Obj
-           ((("identical", Json.Bool false) :: ("deltas", deltas_to_json deltas)
-            :: report_fields ~recert:certify rep)
-           @ [ ("bdd", Bdd.stats_to_json bdd) ])));
-    Printf.eprintf "diff: %d deltas recompressed in %.3fs\n%!"
-      (List.length deltas) rep.Incr.r_time_s;
-    (* certify the maintained state the recompression actually produced —
-       the reuse ladder is part of what the certificate distrusts *)
-    let cert_status =
-      if certify then
-        run_certify ~budget ~audit ~certificate new_net
-          (Certify.of_summary ~network:new_spec new_net (Incr.summary st))
-      else `Skipped
-    in
-    match rep.Incr.r_degradation with
-    | Some _ when not degrade -> 3
-    | _ -> (
-      match cert_status with
-      | `Incomplete when not degrade -> 3
-      | _ -> 1)
-  end
+  let budget = make_budget budget_ms budget_ticks in
+  let st = ok_or_raise (Incr.init ~budget old_net) in
+  let rep =
+    ok_or_raise
+      (Incr.recompress ~budget
+         ?recertify:(if certify then Some audit else None)
+         st deltas)
+  in
+  let bdd = Incr.bdd_stats st in
+  (match format with
+  | `Text when List.is_empty deltas -> Format.printf "networks are identical@."
+  | `Text ->
+    Format.printf "deltas (%d):@." (List.length deltas);
+    List.iter (fun d -> Format.printf "  - %a@." Delta.pp d) deltas;
+    report_text ~recert:certify rep;
+    Format.printf "bdd: %a@." Bdd.pp_stats bdd
+  | `Json ->
+    print_json
+      (Json.Obj
+         (report_fields ~recert:certify ~deltas
+            ~extra:[ ("bdd", Bdd.stats_to_json bdd) ]
+            rep)));
+  Printf.eprintf "diff: %d deltas recompressed in %.3fs\n%!"
+    (List.length deltas) rep.Incr.r_time_s;
+  (* certify the maintained state the recompression actually produced —
+     the reuse ladder is part of what the certificate distrusts *)
+  let cert_status =
+    if certify then
+      run_certify ~budget ~audit ~certificate new_net
+        (Certify.of_summary ~network:new_spec new_net (Incr.summary st))
+    else `Skipped
+  in
+  match rep.Incr.r_degradation with
+  | Some _ when not degrade -> 3
+  | _ -> (
+    match cert_status with
+    | `Incomplete when not degrade -> 3
+    | _ -> if List.is_empty deltas then 0 else 1)
 
 (* --- dataplane-diff: differential FIB compilation --------------------- *)
 
@@ -558,15 +532,12 @@ let dataplane_diff_cmd_run old_spec new_spec format budget_ms budget_ticks
   let hops nm = function
     | None -> "-"
     | Some (e : Dataplane.entry) ->
-      let nhs = String.concat "," (List.map nm e.Dataplane.e_next_hops) in
-      let dropped =
-        match e.Dataplane.e_acl_dropped with
+      let names us = String.concat "," (List.map nm us) in
+      Printf.sprintf "[%s]%s"
+        (names e.Dataplane.e_next_hops)
+        (match e.Dataplane.e_acl_dropped with
         | [] -> ""
-        | ds ->
-          Printf.sprintf " (acl-dropped %s)"
-            (String.concat "," (List.map nm ds))
-      in
-      Printf.sprintf "[%s]%s" nhs dropped
+        | ds -> Printf.sprintf " (acl-dropped %s)" (names ds))
   in
   (match format with
   | `Text ->
@@ -580,16 +551,11 @@ let dataplane_diff_cmd_run old_spec new_spec format budget_ms budget_ticks
       removed modified;
     List.iter
       (fun (c : Dp_diff.change) ->
-        let router =
+        let sym, router =
           match c.Dp_diff.c_kind with
-          | Dp_diff.Removed -> old_name c.Dp_diff.c_router
-          | _ -> name c.Dp_diff.c_router
-        in
-        let sym =
-          match c.Dp_diff.c_kind with
-          | Dp_diff.Added -> "+"
-          | Dp_diff.Removed -> "-"
-          | Dp_diff.Modified -> "~"
+          | Dp_diff.Added -> ("+", name c.Dp_diff.c_router)
+          | Dp_diff.Removed -> ("-", old_name c.Dp_diff.c_router)
+          | Dp_diff.Modified -> ("~", name c.Dp_diff.c_router)
         in
         Format.printf "  %s %s %a: %s -> %s@." sym router Prefix.pp
           c.Dp_diff.c_prefix
@@ -599,28 +565,9 @@ let dataplane_diff_cmd_run old_spec new_spec format budget_ms budget_ticks
     List.iter
       (fun p -> Format.printf "  ? %a: unknown (not compiled)@." Prefix.pp p)
       rep.Dp_diff.dp_unknown;
-    (match rep.Dp_diff.dp_degradation with
-    | None -> ()
-    | Some d -> Format.printf "@[<v>%a@]@." Bonsai_api.pp_degradation d)
+    print_degradation rep.Dp_diff.dp_degradation
   | `Json ->
-    print_json
-      (Json.Obj
-         ([
-            ( "identical",
-              Json.Bool
-                ((not (Dp_diff.changed rep)) && rep.Dp_diff.dp_unknown = []) );
-            ("deltas", deltas_to_json deltas);
-            ("classes", Json.Int rep.Dp_diff.dp_classes);
-            ("reused", Json.Int rep.Dp_diff.dp_reused);
-            ("recompiled", Json.Int rep.Dp_diff.dp_recompiled);
-            ("anycast", Json.Int rep.Dp_diff.dp_anycast);
-            ("full_rebuild", Json.Bool rep.Dp_diff.dp_full_rebuild);
-          ]
-         @ Dp_diff.changes_json_fields ~old_net ~new_net rep
-         @ [
-             ( "degradation",
-               Bonsai_api.degradation_to_json rep.Dp_diff.dp_degradation );
-           ])));
+    print_json (Json.Obj (Dp_diff.report_json_fields ~old_net ~new_net rep)));
   Printf.eprintf "dataplane-diff: %d classes diffed in %.3fs\n%!"
     rep.Dp_diff.dp_classes rep.Dp_diff.dp_time_s;
   match rep.Dp_diff.dp_unknown with
@@ -634,12 +581,14 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
    split across files parses the same). *)
 let read_watch_path path =
   if Sys.file_exists path && Sys.is_directory path then
-    Sys.readdir path |> Array.to_list |> List.sort compare
+    Sys.readdir path |> Array.to_list |> List.sort String.compare
     |> List.filter (fun f ->
            Filename.check_suffix f ".cfg" || Filename.check_suffix f ".conf")
     |> List.map (fun f -> read_file (Filename.concat path f))
     |> String.concat "\n"
   else read_file path
+
+module Names = Set.Make (String)
 
 (* Router stanzas and topology nodes defined by a configuration text —
    a plain line scan, usable even when the text as a whole no longer
@@ -650,11 +599,11 @@ let defined_router_names text =
        (fun acc line ->
          match
            String.split_on_char ' ' (String.trim line)
-           |> List.filter (fun s -> s <> "")
+           |> List.filter (fun s -> not (String.equal s ""))
          with
-         | [ "node"; n ] | [ "router"; n ] -> n :: acc
+         | [ "node"; n ] | [ "router"; n ] -> Names.add n acc
          | _ -> acc)
-       []
+       Names.empty
 
 let watch_cmd_run path poll_ms once max_events format budget_ms budget_ticks
     degrade =
@@ -679,31 +628,23 @@ let watch_cmd_run path poll_ms once max_events format budget_ms budget_ticks
   in
   let s = Incr.summary st in
   let hits, misses = Incr.cache_stats st in
-  let g = net0.Device.graph in
-  let n_classes = List.length s.Bonsai_api.results in
   (match format with
   | `Text ->
+    let g = net0.Device.graph in
     Format.printf
       "watch: %d nodes, %d links; %d classes compressed (cache %d hits, %d \
        misses)@."
-      (Graph.n_nodes g) (Graph.n_links g) n_classes hits misses;
-    (match s.Bonsai_api.degradation with
-    | None -> ()
-    | Some d -> Format.printf "@[<v>%a@]@." Bonsai_api.pp_degradation d)
+      (Graph.n_nodes g) (Graph.n_links g)
+      (List.length s.Bonsai_api.results)
+      hits misses;
+    print_degradation s.Bonsai_api.degradation
   | `Json ->
-    (* watch emits one JSON document per line (NDJSON) so consumers can
-       stream events *)
+    (* one document per line (NDJSON): the initial network's compress
+       document, then one per recompression *)
     print_json
       (Json.Obj
-         [
-           ("event", Json.String "init");
-           ("nodes", Json.Int (Graph.n_nodes g));
-           ("links", Json.Int (Graph.n_links g));
-           ("classes", Json.Int n_classes);
-           ("cache", cache_json hits misses);
-           ( "degradation",
-             Bonsai_api.degradation_to_json s.Bonsai_api.degradation );
-         ]));
+         ((("event", Json.String "init") :: Bonsai_api.summary_json_fields s)
+         @ [ ("cache", cache_json hits misses) ])));
   if once then
     match s.Bonsai_api.degradation with
     | Some _ when not degrade -> 3
@@ -724,10 +665,10 @@ let watch_cmd_run path poll_ms once max_events format budget_ms budget_ticks
         let t = Float.round (rep.Incr.r_time_s *. 1000.) /. 1000. in
         print_json
           (Json.Obj
-             ((("event", Json.String "recompress")
-              :: ("deltas", deltas_to_json deltas)
-              :: report_fields ~recert:false rep)
-             @ [ ("time_s", Json.Float t) ])));
+             (("event", Json.String "recompress")
+             :: report_fields ~deltas
+                  ~extra:[ ("time_s", Json.Float t) ]
+                  rep)));
       incr events
     in
     (* Consecutive read/parse failures back off exponentially (capped):
@@ -776,8 +717,8 @@ let watch_cmd_run path poll_ms once max_events format budget_ms budget_ticks
           let removed =
             Graph.fold_nodes cur.Device.graph ~init:[] ~f:(fun acc v ->
                 let nm = Graph.name cur.Device.graph v in
-                if List.mem nm defined then acc else nm :: acc)
-            |> List.sort compare
+                if Names.mem nm defined then acc else nm :: acc)
+            |> List.sort String.compare
           in
           match removed with
           | [] ->

@@ -442,13 +442,30 @@ let degradation_to_json = function
         ("total", Json.Int d.deg_total);
       ]
 
-let ec_result_json_fields r =
+let summary_json_fields ?check s =
+  let g = s.net.Device.graph in
+  let class_json r =
+    Json.Obj
+      ([
+         ("destination", Json.String (Prefix.to_string r.ec.Ecs.ec_prefix));
+         ("abstract_nodes", Json.Int (Abstraction.n_abstract r.abstraction));
+         ( "abstract_links",
+           Json.Int (Graph.n_links r.abstraction.Abstraction.abs_graph) );
+         ("degraded", Json.Bool r.degraded);
+       ]
+      @
+      match check with
+      | None -> []
+      | Some violations -> [ ("check_violations", Json.Int (violations r)) ])
+  in
   [
-    ("destination", Json.String (Prefix.to_string r.ec.Ecs.ec_prefix));
-    ("abstract_nodes", Json.Int (Abstraction.n_abstract r.abstraction));
-    ( "abstract_links",
-      Json.Int (Graph.n_links r.abstraction.Abstraction.abs_graph) );
-    ("degraded", Json.Bool r.degraded);
+    ("nodes", Json.Int (Graph.n_nodes g));
+    ("links", Json.Int (Graph.n_links g));
+    ("ecs", Json.Int (List.length s.results));
+    ("skipped_anycast", Json.Int s.skipped_anycast);
+    ("degraded", Json.Bool (Option.is_some s.degradation));
+    ("degradation", degradation_to_json s.degradation);
+    ("classes", Json.List (List.map class_json s.results));
   ]
 
 let pp_summary ppf s =

@@ -206,10 +206,14 @@ val degradation_to_json : degradation option -> Json.t
 (** [null], or the [completed] and [total] class counts (the budget phase
     and ticks stay in {!pp_degradation}). *)
 
-val ec_result_json_fields : ec_result -> (string * Json.t) list
-(** One compressed class as a JSON row for the CLI and the resident
-    engine: [destination], [abstract_nodes], [abstract_links],
-    [degraded]. *)
+val summary_json_fields :
+  ?check:(ec_result -> int) -> summary -> (string * Json.t) list
+(** The document of [bonsai compress --all --format json] and of
+    serve's [compress] op: concrete [nodes] and [links], [ecs],
+    [skipped_anycast], [degraded], [degradation], and one [classes] row
+    per class ([destination], [abstract_nodes], [abstract_links],
+    [degraded], and [check_violations] when [check] counts them). No
+    wall-clock or BDD counters, so a warm answer equals a cold one. *)
 
 val pp_summary : Format.formatter -> summary -> unit
 (** Appends {!pp_degradation} when the summary is degraded. *)

@@ -31,28 +31,43 @@ type report = {
   dp_time_s : float;
 }
 
-let changed r = r.dp_changes <> []
+let changed r = not (List.is_empty r.dp_changes)
 
-(* Diff one class's per-router entries (both sides sorted by router). *)
-let diff_class prefix old_entries new_entries =
+(* Diff one class's per-router entries. Routers pair by name: [to_old]
+   maps the new network's ids to the old one's (-1: only in the new),
+   [None] when both number their routers alike. *)
+let diff_class ~to_old prefix old_entries new_entries =
   let change u c_kind c_old c_new =
     { c_router = u; c_prefix = prefix; c_kind; c_old; c_new }
   in
-  let rec go acc olds news =
-    match (olds, news) with
-    | [], [] -> List.rev acc
-    | (u, e) :: olds', [] -> go (change u Removed (Some e) None :: acc) olds' []
-    | [], (u, e) :: news' -> go (change u Added None (Some e) :: acc) [] news'
-    | (u, e) :: olds', (u', e') :: news' ->
-      if u < u' then go (change u Removed (Some e) None :: acc) olds' news
-      else if u' < u then go (change u' Added None (Some e') :: acc) olds news'
-      else if
-        e.Dataplane.e_next_hops = e'.Dataplane.e_next_hops
-        && e.Dataplane.e_acl_dropped = e'.Dataplane.e_acl_dropped
-      then go acc olds' news'
-      else go (change u Modified (Some e) (Some e') :: acc) olds' news'
+  let old_id = match to_old with None -> Fun.id | Some m -> Array.get m in
+  let sorted l = List.sort Int.compare l in
+  let same_hops olds news =
+    List.equal Int.equal (sorted olds) (sorted (List.map old_id news))
   in
-  go [] old_entries new_entries
+  let olds = Hashtbl.create 64 in
+  List.iter (fun (u, e) -> Hashtbl.replace olds u e) old_entries;
+  let changes =
+    List.filter_map
+      (fun (u', (e' : Dataplane.entry)) ->
+        let u = old_id u' in
+        match Hashtbl.find_opt olds u with
+        | None -> Some (change u' Added None (Some e'))
+        | Some (e : Dataplane.entry) ->
+          Hashtbl.remove olds u;
+          if
+            same_hops e.Dataplane.e_next_hops e'.Dataplane.e_next_hops
+            && same_hops e.Dataplane.e_acl_dropped e'.Dataplane.e_acl_dropped
+          then None
+          else Some (change u' Modified (Some e) (Some e')))
+      new_entries
+  in
+  List.filter_map
+    (fun (u, e) ->
+      if Hashtbl.mem olds u then Some (change u Removed (Some e) None)
+      else None)
+    old_entries
+  @ changes
 
 let entries_of ?protocol ?budget net = function
   | None -> `Entries []
@@ -87,6 +102,7 @@ let run ?budget ?cache ?protocol ~(old_net : Device.network)
     match cache with Some c -> c | None -> Sig_cache.create old_net
   in
   let decision = Incr.reuse ~cache ~old_net ~new_net deltas in
+  let to_old = Delta.id_map new_net old_net in
   let old_ecs = Ecs.compute old_net and new_ecs = Ecs.compute new_net in
   let old_by_prefix = Hashtbl.create 64 in
   List.iter
@@ -117,7 +133,8 @@ let run ?budget ?cache ?protocol ~(old_net : Device.network)
         with
         | `Entries olds, `Entries news ->
           incr recompiled;
-          changes := List.rev_append (diff_class ec_prefix olds news) !changes
+          changes :=
+            List.rev_append (diff_class ~to_old ec_prefix olds news) !changes
         | _ -> unknown := ec_prefix :: !unknown
       with Budget.Exhausted info ->
         deg_info := Some info;
@@ -194,7 +211,7 @@ let counts r =
       | Modified -> (a, rm, m + 1))
     (0, 0, 0) r.dp_changes
 
-let changes_json_fields ~old_net ~new_net r =
+let report_json_fields ~old_net ~new_net r =
   let names (net : Device.network) us =
     Json.List
       (List.map (fun u -> Json.String (Graph.name net.Device.graph u)) us)
@@ -221,6 +238,17 @@ let changes_json_fields ~old_net ~new_net r =
   in
   let added, removed, modified = counts r in
   [
+    ("identical", Json.Bool ((not (changed r)) && List.is_empty r.dp_unknown));
+    ("changed", Json.Bool (changed r));
+    ("deltas", Json.Int (List.length r.dp_deltas));
+    ( "delta_list",
+      Json.List
+        (List.map (fun d -> Json.String (Delta.to_string d)) r.dp_deltas) );
+    ("classes", Json.Int r.dp_classes);
+    ("reused", Json.Int r.dp_reused);
+    ("recompiled", Json.Int r.dp_recompiled);
+    ("anycast", Json.Int r.dp_anycast);
+    ("full_rebuild", Json.Bool r.dp_full_rebuild);
     ("added", Json.Int added);
     ("removed", Json.Int removed);
     ("modified", Json.Int modified);
@@ -228,4 +256,6 @@ let changes_json_fields ~old_net ~new_net r =
     ( "unknown",
       Json.List
         (List.map (fun p -> Json.String (Prefix.to_string p)) r.dp_unknown) );
+    ("degraded", Json.Bool (Option.is_some r.dp_degradation));
+    ("degradation", Bonsai_api.degradation_to_json r.dp_degradation);
   ]

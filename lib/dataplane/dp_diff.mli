@@ -15,6 +15,8 @@ type change_kind = Added | Removed | Modified
 
 type change = {
   c_router : int;
+      (** numbered in the new network, or in the old one for [Removed];
+          routers pair across the two networks by name *)
   c_prefix : Prefix.t;
   c_kind : change_kind;
   c_old : Dataplane.entry option;  (** [None] iff [Added] *)
@@ -65,12 +67,14 @@ val counts : report -> int * int * int
 
 val kind_string : change_kind -> string
 
-val changes_json_fields :
+val report_json_fields :
   old_net:Device.network ->
   new_net:Device.network ->
   report ->
   (string * Json.t) list
-(** The change review as JSON fields for the CLI and the resident engine:
-    the [added]/[removed]/[modified] counts, one [changes] row per FIB
-    change (router named in the network that holds the entry), and the
-    [unknown] class prefixes. *)
+(** The document of [bonsai dataplane-diff --format json] and of
+    serve's [dataplane-diff] op: [identical] (no change, no unknown
+    class), [changed], the [deltas] count and [delta_list], the class
+    counts, the [added]/[removed]/[modified] counts, one [changes] row
+    per FIB change (router named in the network holding the entry), the
+    [unknown] classes, [degraded] and [degradation]. No wall-clock. *)

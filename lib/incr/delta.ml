@@ -589,22 +589,34 @@ let surviving ta succ =
   if not !ordered then Array.sort Int.compare out;
   out
 
+let id_map (a : Device.network) (b : Device.network) =
+  let ga = a.Device.graph and gb = b.Device.graph in
+  if ga == gb then None
+  else begin
+    let na = Graph.n_nodes ga and nb = Graph.n_nodes gb in
+    let ta =
+      Array.init na (fun i ->
+          let x = Graph.name ga i in
+          if i < nb && String.equal x (Graph.name gb i) then i
+          else Option.value (Graph.find_by_name gb x) ~default:(-1))
+    in
+    let rec ident i = i >= na || (Int.equal ta.(i) i && ident (i + 1)) in
+    if Int.equal na nb && ident 0 then None else Some ta
+  end
+
 let diff (a : Device.network) (b : Device.network) =
   let w = Domain.DLS.get work_key in
   let ga = a.Device.graph and gb = b.Device.graph in
   let na = Graph.n_nodes ga and nb = Graph.n_nodes gb in
   let name_a = Graph.name ga and name_b = Graph.name gb in
   (* Routers match by name: a's ids in b and back, -1 on one side only. *)
-  let ta =
-    Array.init na (fun i ->
-        let x = name_a i in
-        if i < nb && String.equal x (name_b i) then i
-        else Option.value (Graph.find_by_name gb x) ~default:(-1))
+  let same_ids, ta =
+    match id_map a b with
+    | None -> (true, Array.init na Fun.id)
+    | Some ta -> (false, ta)
   in
   let tb = Array.make nb (-1) in
   Array.iteri (fun i j -> if j >= 0 then tb.(j) <- i) ta;
-  let rec ident i = i >= na || (Int.equal ta.(i) i && ident (i + 1)) in
-  let same_ids = Int.equal na nb && ident 0 in
   w := !w + na + nb;
   (* Links: one merge per surviving node of its out-neighbors on both
      sides. A directed edge on one side only changes the link unless the

@@ -64,6 +64,11 @@ val diff : Device.network -> Device.network -> t list
     compared entry by entry, and put in canonical name order only where
     they differ. *)
 
+val id_map : Device.network -> Device.network -> int array option
+(** [id_map a b] pairs the routers of [a] with those of [b] by name:
+    each node id of [a] maps to the id of the same-named router of [b],
+    or [-1]. [None] when both number the same routers alike. *)
+
 val apply : Device.network -> t list -> Device.network
 (** Apply deltas in order. Node ids of routers present in both networks
     are preserved whenever no node is added or removed; added routers get

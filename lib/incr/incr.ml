@@ -10,7 +10,6 @@ type state = {
 }
 
 type report = {
-  r_deltas : int;
   r_ecs : int;
   r_reused : int;
   r_seeded : int;
@@ -92,8 +91,12 @@ let reuse ~cache ~old_net ~new_net deltas =
   let compatible =
     Sig_cache.compatible cache old_net && Sig_cache.compatible cache new_net
   in
+  (* the solver breaks ties by node order: under a renumbering, equal
+     configurations may still forward differently *)
   let full_rebuild =
-    List.exists Delta.is_node_change deltas || not compatible
+    List.exists Delta.is_node_change deltas
+    || (not compatible)
+    || Option.is_some (Delta.id_map old_net new_net)
   in
   let unchanged =
     if full_rebuild || List.exists Delta.is_topology deltas then
@@ -275,7 +278,6 @@ let recompress ?(budget = Budget.infinite) ?recertify st deltas =
   st.bdd_time_s <- bdd_time_s;
   st.degradation <- degradation;
   {
-    r_deltas = List.length deltas;
     r_ecs = List.length singles;
     r_reused = !reused;
     r_seeded = !seeded;
@@ -326,16 +328,25 @@ let rearm st =
         Budget.infinite)
     st.results
 
-let reuse_json_fields r =
+let report_json_fields ?(recert = false) ~deltas r =
   [
+    ("identical", Json.Bool (List.is_empty deltas));
+    ("deltas", Json.Int (List.length deltas));
+    ( "delta_list",
+      Json.List (List.map (fun d -> Json.String (Delta.to_string d)) deltas) );
+    ("ecs", Json.Int r.r_ecs);
     ("reused", Json.Int r.r_reused);
     ("seeded", Json.Int r.r_seeded);
     ("scratch", Json.Int r.r_scratch);
     ("full_rebuild", Json.Bool r.r_full_rebuild);
   ]
-
-let recert_json_fields r =
-  [
-    ("recertified", Json.Int r.r_recertified);
-    ("recert_refuted", Json.Int r.r_recert_refuted);
-  ]
+  @ (if recert then
+       [
+         ("recertified", Json.Int r.r_recertified);
+         ("recert_refuted", Json.Int r.r_recert_refuted);
+       ]
+     else [])
+  @ [
+      ("degraded", Json.Bool (Option.is_some r.r_degradation));
+      ("degradation", Bonsai_api.degradation_to_json r.r_degradation);
+    ]

@@ -38,7 +38,6 @@
 type state
 
 type report = {
-  r_deltas : int;  (** deltas applied *)
   r_ecs : int;  (** single-origin destination classes after the change *)
   r_reused : int;  (** classes whose old result was reused verbatim *)
   r_seeded : int;  (** classes re-refined from the surviving partition *)
@@ -124,7 +123,11 @@ val sig_cache : state -> Sig_cache.t
 type reuse = {
   compatible : bool;
       (** the cache is {!Sig_cache.compatible} with both networks *)
-  full_rebuild : bool;  (** a node-level delta or an incompatible cache *)
+  full_rebuild : bool;
+      (** a node-level delta, an incompatible cache, or routers numbered
+          differently ({!Delta.id_map}): the solver breaks ties between
+          equally good routes by node order, so a renumbered network may
+          forward differently under equal configurations *)
   unchanged : old:Ecs.ec -> Ecs.ec -> bool;
       (** [unchanged ~old ec]: the class [ec] keeps the stable solution
           (and so the FIB: ACLs are part of the edge signature) of the
@@ -166,9 +169,11 @@ val rearm : state -> unit
 
 val bdd_stats : state -> Bdd.stats
 
-val reuse_json_fields : report -> (string * Json.t) list
-(** How each class was maintained, for the CLI and the resident engine:
-    [reused], [seeded], [scratch], [full_rebuild]. *)
-
-val recert_json_fields : report -> (string * Json.t) list
-(** [recertified] and [recert_refuted], for a run with re-certification. *)
+val report_json_fields :
+  ?recert:bool -> deltas:Delta.t list -> report -> (string * Json.t) list
+(** The document of [bonsai diff --format json], of [bonsai watch]'s
+    [recompress] events and of serve's [diff] op: [identical], the
+    [deltas] count and [delta_list], [ecs], [reused], [seeded],
+    [scratch], [full_rebuild], with [recert] the re-certification
+    counts, [degraded] and [degradation]. No wall-clock or cache
+    counters, which a warm engine reports differently. *)

@@ -103,7 +103,6 @@ type module_report = {
   mr_abstract : int;
   mr_health : health;
   mr_detail : string option;
-  mr_time_s : float;
 }
 
 type report = {
@@ -113,12 +112,12 @@ type report = {
   rp_time_s : float;
 }
 
-let any_fault rp =
-  List.exists
-    (fun mr -> match mr.mr_health with
-      | Degraded | Refuted -> true
-      | Healthy | Retried -> false)
-    rp.rp_modules
+let faulted mr =
+  match mr.mr_health with
+  | Degraded | Refuted -> true
+  | Healthy | Retried -> false
+
+let any_fault rp = List.exists faulted rp.rp_modules
 
 (* ------------------------------------------------------------------ *)
 (* Subnet construction: a module's members plus one pinned stub per
@@ -136,7 +135,6 @@ type module_state = {
       (* the warm per-class results; [None] while degraded or refuted *)
   mutable ms_health : health;
   mutable ms_detail : string option;
-  mutable ms_time_s : float;
 }
 
 let remap_router keep (r : Device.router) =
@@ -286,7 +284,6 @@ let subnet_of (net : Device.network) ~name ~members ~(ecs : Ecs.ec list) =
     ms_state = None;
     ms_health = Degraded;
     ms_detail = None;
-    ms_time_s = 0.0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -329,7 +326,6 @@ let certify_state ~budget ms (summary : Bonsai_api.summary) =
   go summary.Bonsai_api.results
 
 let supervise ~params ~budget ~certify ~injected ~retry_pause ~remaining ms =
-  let t0 = Timing.now () in
   let remaining = max 1 remaining in
   let slice frac =
     if injected then Budget.create ~max_ticks:1 ()
@@ -352,7 +348,7 @@ let supervise ~params ~budget ~certify ~injected ~retry_pause ~remaining ms =
           Some (if detail2 = "" then detail1 else detail2);
         None)
   in
-  (match outcome with
+  match outcome with
   | None -> ()
   | Some (st, h) -> (
     ms.ms_state <- Some st;
@@ -365,8 +361,7 @@ let supervise ~params ~budget ~certify ~injected ~retry_pause ~remaining ms =
         (* The checker refuted this module's witness: isolate it. *)
         ms.ms_state <- None;
         ms.ms_health <- Refuted;
-        ms.ms_detail <- Some detail));
-  ms.ms_time_s <- Timing.now () -. t0
+        ms.ms_detail <- Some detail)
 
 let module_report_of ms =
   let n_members = Array.length ms.ms_members in
@@ -404,7 +399,6 @@ let module_report_of ms =
     mr_abstract = abstract;
     mr_health = ms.ms_health;
     mr_detail = ms.ms_detail;
-    mr_time_s = ms.ms_time_s;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -495,7 +489,6 @@ let run_stream ?(budget = Budget.infinite) ?(certify = false)
           ms_state = None;
           ms_health = Degraded;
           ms_detail = None;
-          ms_time_s = 0.0;
         }
       in
       let params = Policy_bdd.universe_params net in
@@ -635,13 +628,7 @@ let pp_report ppf rp =
         | None -> ""))
     rp.rp_modules;
   let faulted =
-    List.length
-      (List.filter
-         (fun mr ->
-           match mr.mr_health with
-           | Degraded | Refuted -> true
-           | Healthy | Retried -> false)
-         rp.rp_modules)
+    List.length (List.filter faulted rp.rp_modules)
   in
   Format.fprintf ppf "total: %d module(s), %d router(s), %d faulted@."
     (List.length rp.rp_modules)
@@ -649,7 +636,7 @@ let pp_report ppf rp =
   if rp.rp_skipped_anycast > 0 then
     Format.fprintf ppf "skipped %d anycast class(es)@." rp.rp_skipped_anycast
 
-let module_to_json ~timed mr =
+let module_json mr =
   Json.Obj
     ([
        ("module", Json.String mr.mr_name);
@@ -659,7 +646,6 @@ let module_to_json ~timed mr =
        ("abstract", Json.Int mr.mr_abstract);
        ("health", Json.String (health_name mr.mr_health));
      ]
-    @ (if timed then [ ("time_s", Json.Float mr.mr_time_s) ] else [])
     @
     match mr.mr_detail with
     | Some d -> [ ("detail", Json.String d) ]
@@ -667,11 +653,8 @@ let module_to_json ~timed mr =
 
 let report_json_fields rp =
   [
-    ( "modules",
-      Json.List (List.map (module_to_json ~timed:true) rp.rp_modules) );
+    ("modules", Json.List (List.map module_json rp.rp_modules));
     ("routers", Json.Int rp.rp_routers);
     ("skipped_anycast", Json.Int rp.rp_skipped_anycast);
-    ("time_s", Json.Float rp.rp_time_s);
-    ( "faulted",
-      Json.Bool (any_fault rp) );
+    ("faulted", Json.Bool (any_fault rp));
   ]

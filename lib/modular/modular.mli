@@ -63,7 +63,6 @@ type module_report = {
           [mr_concrete] for a degraded module (identity abstraction) *)
   mr_health : health;
   mr_detail : string option;  (** budget info / refutation detail *)
-  mr_time_s : float;
 }
 
 type report = {
@@ -72,6 +71,9 @@ type report = {
   rp_skipped_anycast : int;
   rp_time_s : float;
 }
+
+val faulted : module_report -> bool
+(** The module is degraded or refuted. *)
 
 val any_fault : report -> bool
 (** Some module is degraded or refuted (the CLI's degrade-gate input). *)
@@ -148,12 +150,8 @@ val compose :
 val pp_report : Format.formatter -> report -> unit
 (** The health table, deterministic byte-for-byte (no wall-clock). *)
 
-val module_to_json : timed:bool -> module_report -> Json.t
-(** One module's health row for the CLI and the resident engine; with
-    [~timed:true] it carries the module's wall-clock [time_s], which
-    byte-stable output leaves out. *)
-
 val report_json_fields : report -> (string * Json.t) list
-(** JSON response fields for the CLI and the resident engine; includes
-    per-module times (callers needing byte-stable output normalize or
-    drop them). *)
+(** The document of [bonsai modular --format json] and of serve's
+    [modular] op: one [modules] row per module ([module], [routers],
+    [ecs], [concrete], [abstract], [health], [detail] if any), [routers],
+    [skipped_anycast] and [faulted]. No wall-clock: byte-stable. *)

@@ -33,8 +33,9 @@ type t = {
   max_networks : int;
   registry : (string, Incr.state entry) Hashtbl.t;
   modular_registry : (string, Modular.state entry) Hashtbl.t;
-      (* warm modular runs: a modular state holds per-module results,
-         quarantined module-by-module rather than evicted wholesale *)
+      (* warm modular runs, keyed by spec, mode, count and certify: a
+         modular state holds per-module results, quarantined
+         module-by-module rather than evicted wholesale *)
   mutable clock : int;
   mutable n_requests : int;
   mutable n_ok : int;
@@ -94,7 +95,7 @@ let create ?resolve ?budget_ms ?budget_ticks ?cache_cap
   }
 
 let note_shed t = t.n_shed <- t.n_shed + 1
-let networks t = Hashtbl.length t.registry
+let networks t = Hashtbl.length t.registry + Hashtbl.length t.modular_registry
 let requests t = t.n_requests
 
 (* --- registry --------------------------------------------------------- *)
@@ -106,23 +107,26 @@ let touch t en =
 let evict_lru t registry =
   let victim =
     Hashtbl.fold
-      (fun _ en acc ->
+      (fun key en acc ->
         match acc with
-        | Some best when best.en_stamp <= en.en_stamp -> acc
-        | _ -> Some en)
+        | Some (_, best) when best.en_stamp <= en.en_stamp -> acc
+        | _ -> Some (key, en))
       registry None
   in
   match victim with
   | None -> ()
-  | Some en ->
-    Hashtbl.remove registry en.en_spec;
+  | Some (key, _) ->
+    Hashtbl.remove registry key;
     t.n_net_evictions <- t.n_net_evictions + 1
 
-let admit t registry spec locs st =
+let admit t registry ?key spec locs st =
+  let key = Option.value key ~default:spec in
   if Hashtbl.length registry >= t.max_networks then evict_lru t registry;
-  let en = { en_spec = spec; en_state = st; en_locs = locs; en_stamp = 0 } in
+  let en =
+    { en_spec = spec; en_state = st; en_locs = locs; en_stamp = 0 }
+  in
   touch t en;
-  Hashtbl.replace registry spec en
+  Hashtbl.replace registry key en
 
 type warmth = Warm | Cold_cached | Cold_transient
 
@@ -192,37 +196,22 @@ let check_degradation req = function
 
 (* --- ops -------------------------------------------------------------- *)
 
-(* Deterministic by design: responses carry structure (class sizes,
-   counts, verdicts) but never wall-clock or cache counters — the
-   kill-and-restart acceptance test diffs a warm-restored compress
-   response byte-for-byte against a cold one. Timings live in `stats`. *)
-
 let compress_op t req =
   let budget = request_budget t req in
   let st, _ = get_state t ~budget (network_param req) in
   let summary = Incr.summary st in
   check_degradation req summary.Bonsai_api.degradation;
-  let results =
+  let summary =
     match Protocol.string_param req "ec" with
-    | None -> summary.Bonsai_api.results
+    | None -> summary
     | Some p -> (
       let p = Prefix.of_string p in
       match Bonsai_api.find_result summary.Bonsai_api.results p with
       | None -> Format.kasprintf failwith "no destination class %a" Prefix.pp p
-      | Some r -> [ r ])
+      | Some r -> { summary with Bonsai_api.results = [ r ] })
   in
-  [
-    ("network", Json.String (network_param req));
-    ("ecs", Json.Int (List.length results));
-    ("skipped_anycast", Json.Int summary.Bonsai_api.skipped_anycast);
-    ( "degraded",
-      Json.Bool (Option.is_some summary.Bonsai_api.degradation) );
-    ( "classes",
-      Json.List
-        (List.map
-           (fun r -> Json.Obj (Bonsai_api.ec_result_json_fields r))
-           results) );
-  ]
+  ("network", Json.String (network_param req))
+  :: Bonsai_api.summary_json_fields summary
 
 let lint_op t req =
   let budget = request_budget t req in
@@ -265,15 +254,9 @@ let diff_op t req =
     check_degradation req rep.Incr.r_degradation;
     (* the warm state just changed; the idle self-audit should revisit *)
     t.audit_dirty <- true;
-    [
-      ("network", Json.String spec);
-      ("to", Json.String to_spec);
-      ("deltas", Json.Int (List.length deltas));
-      ("ecs", Json.Int rep.Incr.r_ecs);
-    ]
-    @ Incr.reuse_json_fields rep
-    @ [ ("degraded", Json.Bool (Option.is_some rep.Incr.r_degradation)) ]
-    @ if Option.is_some recertify then Incr.recert_json_fields rep else []
+    ("network", Json.String spec)
+    :: ("to", Json.String to_spec)
+    :: Incr.report_json_fields ~recert:(Option.is_some recertify) ~deltas rep
 
 (* Pre-deployment change review at warm-cache latency: diff the data
    planes of the warm network and a proposed one. Read-only with respect
@@ -295,18 +278,9 @@ let dataplane_diff_op t req =
   | Error e -> Bonsai_error.error e
   | Ok rep ->
     check_degradation req rep.Dp_diff.dp_degradation;
-    [
-      ("network", Json.String spec);
-      ("to", Json.String to_spec);
-      ("deltas", Json.Int (List.length deltas));
-      ("changed", Json.Bool (Dp_diff.changed rep));
-      ("classes", Json.Int rep.Dp_diff.dp_classes);
-      ("reused", Json.Int rep.Dp_diff.dp_reused);
-      ("recompiled", Json.Int rep.Dp_diff.dp_recompiled);
-      ("full_rebuild", Json.Bool rep.Dp_diff.dp_full_rebuild);
-    ]
-    @ Dp_diff.changes_json_fields ~old_net ~new_net rep
-    @ [ ("degraded", Json.Bool (Option.is_some rep.Dp_diff.dp_degradation)) ]
+    ("network", Json.String spec)
+    :: ("to", Json.String to_spec)
+    :: Dp_diff.report_json_fields ~old_net ~new_net rep
 
 let faults_op t req =
   let budget = request_budget t req in
@@ -469,8 +443,18 @@ let audit_op t req =
 
 (* --- modular ---------------------------------------------------------- *)
 
+(* A warm modular state answers only the request that built it: the
+   partition depends on the mode and the module count, and the module
+   health on whether the run certified. *)
+let modular_key spec ~mode ~count ~certify =
+  Printf.sprintf "%s\x00%s\x00%s\x00%b" spec
+    (match mode with Modular.Annot -> "annot" | Modular.Auto -> "auto")
+    (Option.fold ~none:"" ~some:string_of_int count)
+    certify
+
 let get_modular t ~budget ~mode ~count ~certify spec =
-  match Hashtbl.find_opt t.modular_registry spec with
+  let key = modular_key spec ~mode ~count ~certify in
+  match Hashtbl.find_opt t.modular_registry key with
   | Some en ->
     touch t en;
     (en.en_state, true)
@@ -482,18 +466,15 @@ let get_modular t ~budget ~mode ~count ~certify spec =
       (* Same warm-state policy as compress: a run where *every* module
          faulted (e.g. an absurd request budget) is answered from but
          never cached; partial health is the normal warm shape. *)
-      let rp = Modular.report st in
       let all_faulted =
-        List.for_all
-          (fun (mr : Modular.module_report) ->
-            match mr.Modular.mr_health with
-            | Modular.Degraded | Modular.Refuted -> true
-            | Modular.Healthy | Modular.Retried -> false)
-          rp.Modular.rp_modules
+        List.for_all Modular.faulted (Modular.report st).Modular.rp_modules
       in
-      if not all_faulted then admit t t.modular_registry spec None st;
+      if not all_faulted then admit t t.modular_registry ~key spec None st;
       (st, false))
 
+(* The envelope carries how serve answered, [warm] and the modules this
+   request's self-audit [quarantined]; the document after it is the
+   CLI's. *)
 let modular_op t req =
   let budget = request_budget t req in
   let spec = network_param req in
@@ -524,21 +505,19 @@ let modular_op t req =
       List.map fst refuted
     end
   in
-  let rp = Modular.report st in
-  [
-    ("network", Json.String spec);
-    ("warm", Json.Bool warm);
-    (* no wall-clock: the chaos suite diffs these rows byte-for-byte *)
-    ( "modules",
-      Json.List
-        (List.map (Modular.module_to_json ~timed:false) rp.Modular.rp_modules)
-    );
-    ("routers", Json.Int rp.Modular.rp_routers);
-    ("skipped_anycast", Json.Int rp.Modular.rp_skipped_anycast);
-    ("faulted", Json.Bool (Modular.any_fault rp));
-    ( "quarantined",
-      Json.List (List.map (fun m -> Json.String m) quarantined) );
-  ]
+  ("network", Json.String spec)
+  :: ("warm", Json.Bool warm)
+  :: ("quarantined", Json.List (List.map (fun m -> Json.String m) quarantined))
+  :: Modular.report_json_fields (Modular.report st)
+
+(* The warm modular entries of a spec with their keys, most recently
+   used first. *)
+let modular_entries t spec =
+  Hashtbl.fold
+    (fun key en acc ->
+      if String.equal en.en_spec spec then (key, en) :: acc else acc)
+    t.modular_registry []
+  |> List.sort (fun (_, a) (_, b) -> Int.compare b.en_stamp a.en_stamp)
 
 (* Test-only fault injection, enabled by BONSAI_TEST_HOOKS=1: silently
    corrupt one warm abstraction in place — move the largest member of a
@@ -563,8 +542,9 @@ let test_corrupt_op t req =
       let groups = a.Abstraction.groups in
       let n_groups = Array.length groups in
       let move m ~from ~into =
-        groups.(from) <- List.filter (fun x -> x <> m) groups.(from);
-        groups.(into) <- List.sort compare (m :: groups.(into));
+        groups.(from) <-
+          List.filter (fun x -> not (Int.equal x m)) groups.(from);
+        groups.(into) <- List.sort Int.compare (m :: groups.(into));
         a.Abstraction.group_of.(m) <- into
       in
       let rec find g1 =
@@ -572,10 +552,11 @@ let test_corrupt_op t req =
         else
           match groups.(g1) with
           | _ :: _ :: _ -> (
-            let m = List.fold_left max (-1) groups.(g1) in
+            let m = List.fold_left Int.max (-1) groups.(g1) in
             let rec target g2 =
               if g2 >= n_groups then None
-              else if g2 <> g1 && List.hd groups.(g2) < m then Some g2
+              else if (not (Int.equal g2 g1)) && List.hd groups.(g2) < m then
+                Some g2
               else target (g2 + 1)
             in
             match target 0 with
@@ -592,9 +573,9 @@ let test_corrupt_op t req =
   let results =
     match Protocol.string_param req "module" with
     | Some m -> (
-      match Hashtbl.find_opt t.modular_registry spec with
-      | None -> failwith "network not warm (modular)"
-      | Some en -> (
+      match modular_entries t spec with
+      | [] -> failwith "network not warm (modular)"
+      | (_, en) :: _ -> (
         match Modular.module_summary en.en_state m with
         | None -> Format.kasprintf failwith "module %S not warm" m
         | Some s -> s.Bonsai_api.results))
@@ -622,16 +603,20 @@ let load_op t req =
       Json.Bool (match warmth with Cold_transient -> false | _ -> true) );
   ]
 
+(* Drops the spec from both registries: its compressed state and every
+   warm modular run of it. *)
 let unload_op t req =
   let spec = network_param req in
-  let present = Hashtbl.mem t.registry spec in
+  let modular = modular_entries t spec in
+  let present = Hashtbl.mem t.registry spec || not (List.is_empty modular) in
   Hashtbl.remove t.registry spec;
+  List.iter (fun (key, _) -> Hashtbl.remove t.modular_registry key) modular;
   [ ("network", Json.String spec); ("removed", Json.Bool present) ]
 
 let health_op t ~queue_depth =
   [
     ("status", Json.String "ok");
-    ("networks", Json.Int (Hashtbl.length t.registry));
+    ("networks", Json.Int (networks t));
     ("queue_depth", Json.Int queue_depth);
   ]
 
@@ -661,6 +646,7 @@ let stats_op t ~queue_depth =
     ("shed", Json.Int t.n_shed);
     ("queue_depth", Json.Int queue_depth);
     ("networks", Json.List rows);
+    ("modular_networks", Json.Int (Hashtbl.length t.modular_registry));
     ("network_evictions", Json.Int t.n_net_evictions);
     ("checkpoints_saved", Json.Int t.n_checkpoints);
     ("restored_from_checkpoint", Json.Bool t.restored);

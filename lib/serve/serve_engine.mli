@@ -10,19 +10,19 @@
 
     Ops: [compress], [lint], [flow], [diff], [dataplane-diff],
     [faults], [harden], [load], [unload], [audit], [modular], [health],
-    [stats], [shutdown]. [faults], [harden] and [flow] answer with the
-    CLI's [--format json] document after the envelope ([id], [op], [ok],
-    [network]); [lint] with the CLI's findings plus [count] and
-    [errors]. A [file:] network keeps its source-line table on its
-    registry entry (replaced by a [diff]'s [to] file, saved in
-    checkpoints), so lint and flow findings carry the CLI's lines.
-    [modular] keeps its own warm registry of {!Modular.state}s
-    (per-module results with per-module fault isolation); with
-    ["audit": true] it self-audits every warm module and quarantines
-    refutations {e module-by-module} — the rest of the network's modules
-    stay warm. Responses that acceptance tests diff byte-for-byte
-    (compress in particular) carry no wall-clock or cache counters;
-    those live in [stats] only.
+    [stats], [shutdown]. Every analysis op answers with the CLI's
+    [--format json] document, from the library encoder both front ends
+    print, after the envelope ([id], [op], [ok], [network], plus [to]
+    for the two diffs, [warm] and [quarantined] for [modular]); [lint]
+    with the CLI's findings plus [count] and [errors]. A [file:] network
+    keeps its source-line table on its registry entry (replaced by a
+    [diff]'s [to] file, saved in checkpoints), so findings carry the
+    CLI's lines. [modular] keeps its own warm registry of
+    {!Modular.state}s, one per network, mode, module count and certify
+    flag; with ["audit": true] it self-audits every warm module and
+    quarantines refutations {e module-by-module}. [unload] drops a
+    network from both registries. No document carries wall-clock or
+    cache counters, so a warm answer equals a cold one byte for byte.
 
     Self-audit: warm answers come from cached state — an engine bug, a
     bad incremental-reuse decision or adopted checkpoint bytes could
@@ -75,6 +75,9 @@ val note_shed : t -> unit
     the server loop; the engine only keeps the statistic). *)
 
 val networks : t -> int
+(** Warm entries in both registries: compressed networks and modular
+    runs. *)
+
 val requests : t -> int
 
 type audit_outcome =

@@ -6,7 +6,8 @@
 # checker (certify), the concrete solver (solver, solution), the
 # destination classes (ecs), the data-plane diff (dp_diff), the
 # incremental engine with its signature cache and change model (incr,
-# sig_cache, delta) and the compression-blocker lint (lint_compress). In the
+# sig_cache, delta), the compression-blocker lint (lint_compress) and
+# both front ends (the resident engine serve_engine and the CLI). In the
 # kernel files a bare [compare] is flagged too, so that
 # [List.sort compare] and the like cannot creep back in.
 # Attached to @runtest via the @forbid-polycompare alias in the root dune.
@@ -14,7 +15,7 @@ set -u
 
 spelled='Stdlib\.compare|Pervasives\.compare|let compare = compare\b|attr_equal = \( = \)'
 bare='(^|[^.[:alnum:]_])compare([^[:alnum:]_]|$)'
-kernel="lib/config/compile.ml lib/core/refine.ml lib/util/union_split_find.ml lib/topology/graph.ml lib/core/abstraction.ml lib/simulate/solver.ml lib/simulate/solution.ml lib/config/ecs.ml lib/certify/certify.ml lib/dataplane/dp_diff.ml lib/incr/incr.ml lib/incr/sig_cache.ml lib/incr/delta.ml lib/analysis/lint_compress.ml"
+kernel="lib/config/compile.ml lib/core/refine.ml lib/util/union_split_find.ml lib/topology/graph.ml lib/core/abstraction.ml lib/simulate/solver.ml lib/simulate/solution.ml lib/config/ecs.ml lib/certify/certify.ml lib/dataplane/dp_diff.ml lib/incr/incr.ml lib/incr/sig_cache.ml lib/incr/delta.ml lib/analysis/lint_compress.ml lib/serve/serve_engine.ml bin/bonsai_cli.ml"
 
 bad=0
 for f in lib/bdd/*.ml lib/routing/*.ml lib/faults/*.ml lib/repair/*.ml $kernel; do

@@ -949,20 +949,26 @@ let reference_entries ~protocol net prefix =
     | `Anycast -> Some []
     | `Unsolved -> None)
 
-let change_string prefix router kind (o : Dataplane.entry option)
-    (n : Dataplane.entry option) =
-  let hops = function
-    | None -> "-"
-    | Some (e : Dataplane.entry) ->
-      Printf.sprintf "%s/%s"
-        (String.concat "," (List.map string_of_int e.Dataplane.e_next_hops))
-        (String.concat "," (List.map string_of_int e.Dataplane.e_acl_dropped))
-  in
-  Printf.sprintf "%s@%d %s %s -> %s" (Prefix.to_string prefix) router kind
-    (hops o) (hops n)
+(* An entry and a change as text, routers and next hops by name: the two
+   networks may number their routers differently. *)
+let entry_string (net : Device.network) = function
+  | None -> "-"
+  | Some (e : Dataplane.entry) ->
+    let names us =
+      String.concat ","
+        (List.sort String.compare (List.map (Graph.name net.Device.graph) us))
+    in
+    Printf.sprintf "%s/%s"
+      (names e.Dataplane.e_next_hops)
+      (names e.Dataplane.e_acl_dropped)
+
+let change_string ~old_net ~new_net prefix router kind o n =
+  Printf.sprintf "%s@%s %s %s -> %s" (Prefix.to_string prefix) router kind
+    (entry_string old_net o) (entry_string new_net n)
 
 (* Compile every single-origin class of the new network, and every class
-   only the old one announces, on both sides; diff router by router. *)
+   only the old one announces, on both sides; diff router by router,
+   pairing routers by name. *)
 let reference_diff ~protocol old_net new_net =
   let singles net =
     List.filter_map
@@ -972,6 +978,10 @@ let reference_diff ~protocol old_net new_net =
   in
   let gone p = Option.is_none (Ecs.of_prefix new_net p) in
   let prefixes = singles new_net @ List.filter gone (singles old_net) in
+  let by_name (net : Device.network) =
+    List.map (fun (u, e) -> (Graph.name net.Device.graph u, e))
+  in
+  let change = change_string ~old_net ~new_net in
   List.fold_left
     (fun (changes, unknown) p ->
       match
@@ -979,15 +989,20 @@ let reference_diff ~protocol old_net new_net =
           reference_entries ~protocol new_net p )
       with
       | Some olds, Some news ->
-        let routers = List.sort_uniq Int.compare (List.map fst (olds @ news)) in
+        let olds = by_name old_net olds and news = by_name new_net news in
+        let routers =
+          List.sort_uniq String.compare (List.map fst (olds @ news))
+        in
         let row r =
           match (List.assoc_opt r olds, List.assoc_opt r news) with
-          | Some o, None -> Some (change_string p r "removed" (Some o) None)
-          | None, Some n -> Some (change_string p r "added" None (Some n))
+          | Some o, None -> Some (change p r "removed" (Some o) None)
+          | None, Some n -> Some (change p r "added" None (Some n))
           | Some o, Some n
-            when o.Dataplane.e_next_hops <> n.Dataplane.e_next_hops
-                 || o.Dataplane.e_acl_dropped <> n.Dataplane.e_acl_dropped ->
-            Some (change_string p r "modified" (Some o) (Some n))
+            when not
+                   (String.equal
+                      (entry_string old_net (Some o))
+                      (entry_string new_net (Some n))) ->
+            Some (change p r "modified" (Some o) (Some n))
           | _ -> None
         in
         (List.filter_map row routers @ changes, unknown)
@@ -1072,6 +1087,30 @@ let random_dp_delta rng (net : Device.network) =
   in
   (pick candidates) ()
 
+(* The same network with every router under another node id: the node
+   lines of its printed configuration rotated by [k] (0 < k < n). *)
+let permute k (net : Device.network) =
+  let lines = String.split_on_char '\n' (Config_text.print net) in
+  let is_node l = String.starts_with ~prefix:"  node " l in
+  let nodes = List.filter is_node lines in
+  let rotated =
+    List.filteri (fun i _ -> i >= k) nodes @ List.filteri (fun i _ -> i < k) nodes
+  in
+  let rest = ref rotated in
+  let next l =
+    match !rest with
+    | x :: xs when is_node l ->
+      rest := xs;
+      x
+    | _ -> l
+  in
+  match Config_text.parse (String.concat "\n" (List.map next lines)) with
+  | Ok net' -> net'
+  | Error m -> failwith ("permute: " ^ m)
+
+(* Three modes by seed: the edit alone; the edit with the new network's
+   routers renumbered; the edit plus the removal of one router. The
+   differ must pair routers by name in all three. *)
 let prop_diff_reference =
   QCheck.Test.make ~count:fuzz_count
     ~name:"dataplane-diff = compile-everything reference"
@@ -1098,12 +1137,30 @@ let prop_diff_reference =
         List.init (1 + Random.State.int rng 2) (fun _ ->
             random_dp_delta rng old_net)
       in
-      match Delta.apply old_net deltas with
-      | exception Invalid_argument _ -> QCheck.assume_fail ()
-      | new_net when Result.is_error (Device.validate new_net) ->
-        (* e.g. a static route along a link another edit took down *)
-        QCheck.assume_fail ()
-      | new_net ->
+      let mode = seed / 2 mod 3 in
+      let renumber net =
+        match mode with
+        | 1 -> permute (1 + Random.State.int rng (n - 1)) net
+        | 2 ->
+          let u = Random.State.int rng n in
+          Delta.apply net [ Delta.Node_remove (Graph.name net.Device.graph u) ]
+        | _ -> net
+      in
+      let valid net = Result.is_ok (Device.validate net) in
+      let new_net =
+        match Delta.apply old_net deltas with
+        | exception Invalid_argument _ -> None
+        | net when not (valid net) ->
+          (* e.g. a static route along a link another edit took down *)
+          None
+        | net -> (
+          match renumber net with
+          | exception Invalid_argument _ -> None
+          | net -> if valid net then Some net else None)
+      in
+      match new_net with
+      | None -> QCheck.assume_fail ()
+      | Some new_net ->
         let protocol =
           match
             (Dataplane.detect_protocol old_net, Dataplane.detect_protocol new_net)
@@ -1111,10 +1168,9 @@ let prop_diff_reference =
           | `Bgp, `Bgp -> `Bgp
           | _ -> `Multi
         in
+        let deltas = Delta.diff old_net new_net in
         let rep =
-          match
-            Dp_diff.run ~protocol ~old_net ~new_net (Delta.diff old_net new_net)
-          with
+          match Dp_diff.run ~protocol ~old_net ~new_net deltas with
           | Ok rep -> rep
           | Error e ->
             QCheck.Test.fail_reportf "dp_diff failed: %a" Bonsai_error.pp e
@@ -1122,7 +1178,13 @@ let prop_diff_reference =
         let got =
           List.map
             (fun (c : Dp_diff.change) ->
-              change_string c.Dp_diff.c_prefix c.Dp_diff.c_router
+              let net =
+                match c.Dp_diff.c_kind with
+                | Dp_diff.Removed -> old_net
+                | Dp_diff.Added | Dp_diff.Modified -> new_net
+              in
+              change_string ~old_net ~new_net c.Dp_diff.c_prefix
+                (Graph.name net.Device.graph c.Dp_diff.c_router)
                 (Dp_diff.kind_string c.Dp_diff.c_kind)
                 c.Dp_diff.c_old c.Dp_diff.c_new)
             rep.Dp_diff.dp_changes
@@ -1136,8 +1198,9 @@ let prop_diff_reference =
         and want_unknown = List.sort String.compare want_unknown in
         if got <> want || got_unknown <> want_unknown then
           QCheck.Test.fail_reportf
-            "deltas [%s] (reused %d): changes [%s], reference [%s]; unknown \
-             [%s], reference [%s]"
+            "mode %d, deltas [%s] (reused %d): changes [%s], reference [%s]; \
+             unknown [%s], reference [%s]"
+            mode
             (String.concat "; " (List.map Delta.to_string deltas))
             rep.Dp_diff.dp_reused (String.concat "; " got)
             (String.concat "; " want)

@@ -878,6 +878,87 @@ let test_engine_modular_quarantine () =
     (health audited);
   Alcotest.(check int) "one more incident" (before + 1) (incidents ())
 
+(* Requests and answers of the modular op on modular3.conf. *)
+let modular_requests eng =
+  let spec = "file:" ^ build_path "modular/modular3.conf" in
+  let request op fields =
+    parse_or_fail op
+      (handle eng
+         (Json.to_string
+            (Json.Obj
+               ([ ("op", Json.String op); ("network", Json.String spec) ]
+               @ fields))))
+  in
+  (spec, request)
+
+let member name j =
+  match Json.member name j with
+  | Some v -> v
+  | None -> Alcotest.failf "no %s in %s" name (Json.to_string j)
+
+(* A warm modular entry answers only the request that built it: the same
+   network under another mode or module count is another entry, and each
+   answer is the CLI's document after the envelope. *)
+let test_engine_modular_key () =
+  let eng = Serve_engine.create () in
+  let spec, request = modular_requests eng in
+  let envelope = [ "id"; "op"; "ok"; "network"; "warm"; "quarantined" ] in
+  let document = function
+    | Json.Obj fields ->
+      Json.Obj
+        (List.filter
+           (fun (k, _) -> not (List.exists (String.equal k) envelope))
+           fields)
+    | j -> Alcotest.failf "not an object: %s" (Json.to_string j)
+  in
+  let cli args =
+    parse_or_fail "bonsai modular"
+      (run_cli ([ "modular"; spec; "--format"; "json" ] @ args))
+  in
+  let same what a b =
+    if not (Json.equal a b) then
+      Alcotest.failf "%s: %s <> %s" what (Json.to_string a) (Json.to_string b)
+  in
+  let warm j = member "warm" j in
+  let annot = request "modular" [ ("modules", Json.String "annot") ] in
+  let auto1 =
+    request "modular"
+      [ ("modules", Json.String "auto"); ("count", Json.Int 1) ]
+  in
+  same "auto count 1 is built cold" (Json.Bool false) (warm auto1);
+  same "auto count 1 = cli"
+    (cli [ "--modules"; "auto"; "--count"; "1" ])
+    (document auto1);
+  same "annot = cli" (cli [ "--modules"; "annot" ]) (document annot);
+  let again = request "modular" [ ("modules", Json.String "annot") ] in
+  same "annot again is warm" (Json.Bool true) (warm again);
+  same "warm annot = cold annot" (document annot) (document again)
+
+(* unload drops a spec's modular entries too, and stats and health count
+   them. *)
+let test_engine_unload_modular () =
+  let eng = Serve_engine.create () in
+  let _, request = modular_requests eng in
+  let counters () =
+    let stats = parse_or_fail "stats" (handle eng "{\"op\":\"stats\"}") in
+    let health = parse_or_fail "health" (handle eng "{\"op\":\"health\"}") in
+    (member "modular_networks" stats, member "networks" health)
+  in
+  let annot () = request "modular" [ ("modules", Json.String "annot") ] in
+  let check what want got =
+    Alcotest.(check bool) what true (Json.equal want got)
+  in
+  ignore (annot () : Json.t);
+  let entries, networks = counters () in
+  check "stats counts the modular entry" (Json.Int 1) entries;
+  check "health counts it" (Json.Int 1) networks;
+  check "unload removed it" (Json.Bool true)
+    (member "removed" (request "unload" []));
+  let entries, networks = counters () in
+  check "stats: none left" (Json.Int 0) entries;
+  check "health: none left" (Json.Int 0) networks;
+  check "the next modular is cold" (Json.Bool false) (member "warm" (annot ()))
+
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
@@ -923,6 +1004,10 @@ let () =
             test_engine_self_audit_quarantines;
           Alcotest.test_case "modular self-audit quarantines" `Quick
             test_engine_modular_quarantine;
+          Alcotest.test_case "modular entry per request" `Quick
+            test_engine_modular_key;
+          Alcotest.test_case "unload drops modular entries" `Quick
+            test_engine_unload_modular;
         ] );
       ( "backoff",
         [
