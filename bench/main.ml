@@ -68,18 +68,26 @@ let t1_print r =
     (if r.sampled < r.num_ecs then Printf.sprintf "; %d ECs timed" r.sampled
      else "")
 
+(* Every [k]-th destination class, for sampling large networks. *)
+let every k ecs = List.filteri (fun i _ -> i mod k = 0) ecs
+
 let compress_row ?(sample = 64) name (net : Device.network) =
-  let total_ecs = Ecs.count net in
+  let ecs = Ecs.compute net in
+  let total_ecs = List.length ecs in
   let stride = max 1 (total_ecs / sample) in
-  let s = Bonsai_api.compress_exn ~stride net in
+  let s =
+    Bonsai_api.compress_exn
+      ~ecs:(List.filter Ecs.is_single_origin (every stride ecs))
+      net
+  in
   {
     row_name = name;
     nodes = Graph.n_nodes net.Device.graph;
     links = Graph.n_links net.Device.graph;
-    abs_nodes = Bonsai_api.mean_abs_nodes s;
-    abs_nodes_std = Bonsai_api.stddev_abs_nodes s;
-    abs_links = Bonsai_api.mean_abs_links s;
-    abs_links_std = Bonsai_api.stddev_abs_links s;
+    abs_nodes = fst (Bonsai_api.abs_nodes s);
+    abs_nodes_std = snd (Bonsai_api.abs_nodes s);
+    abs_links = fst (Bonsai_api.abs_links s);
+    abs_links_std = snd (Bonsai_api.abs_links s);
     num_ecs = total_ecs;
     sampled = List.length s.Bonsai_api.results;
     bdd_time = s.Bonsai_api.bdd_time_s;
@@ -245,10 +253,11 @@ let ablation_bdd () =
     semantic naive;
   let mean keep =
     let s =
-      Bonsai_api.compress_exn ?keep_unmatched_comms:keep ~stride:11
+      Bonsai_api.compress_exn ?keep_unmatched_comms:keep
+        ~ecs:(every 11 (Ecs.compute dc.Synthesis.net))
         dc.Synthesis.net
     in
-    Bonsai_api.mean_abs_nodes s
+    fst (Bonsai_api.abs_nodes s)
   in
   Printf.printf "mean abstract size: %.1f nodes (semantic) vs %.1f (naive)\n%!"
     (mean None) (mean (Some true))
@@ -851,39 +860,28 @@ let certify_bench ?(k = 6) ~json_path ~assert_overhead () =
   let rows =
     List.map
       (fun (name, net) ->
-        let summary = ref None in
-        let (), t_compress =
+        let s, t_compress =
           Timing.time (fun () ->
               match Bonsai_api.compress net with
-              | Ok s -> summary := Some s
+              | Ok s -> s
               | Error e ->
-                fail "certify bench: compress %s: %s" name
-                  (Format.asprintf "%a" Bonsai_error.pp e))
+                fail "certify bench: compress %s: %a" name Bonsai_error.pp e)
         in
-        let s = match !summary with Some s -> s | None -> assert false in
-        let obligations = ref 0 in
-        let (), t_certify =
+        let obligations, t_certify =
           Timing.time (fun () ->
-              let universe = Policy_bdd.universe_of_network net in
-              List.iter
-                (fun r ->
-                  match
-                    Certify.check_result ~universe ~audit:Certify.Sample net r
-                  with
-                  | Certify.Certified _ as v ->
-                    obligations := !obligations + Certify.obligation_count v
-                  | v ->
-                    fail "certify bench: %s did not certify: %s" name
-                      (Format.asprintf "%a" Certify.pp_verdict v))
-                s.Bonsai_api.results)
+              match Certify.check_summary ~audit:Certify.Sample net s with
+              | Certify.Certified { obligations; _ } -> obligations
+              | v ->
+                fail "certify bench: %s did not certify: %a" name
+                  Certify.pp_verdict v)
         in
         let overhead = t_certify /. max 1e-9 t_compress in
         Printf.printf
           "%-12s compress %8.3fs   certify %8.3fs (%5d obligations)   \
            overhead %.2fx\n\
            %!"
-          name t_compress t_certify !obligations overhead;
-        (name, List.length s.Bonsai_api.results, !obligations, t_compress,
+          name t_compress t_certify obligations overhead;
+        (name, List.length s.Bonsai_api.results, obligations, t_compress,
          t_certify, overhead))
       fixtures
   in

@@ -88,14 +88,6 @@ let report_budget budget =
 let print_degradation =
   Option.iter (Format.printf "@[<v>%a@]@." Bonsai_api.pp_degradation)
 
-let size_json g =
-  Json.Obj
-    [
-      ("nodes", Json.Int (Graph.n_nodes g)); ("links", Json.Int (Graph.n_links g));
-    ]
-
-let names_json name us = Json.List (List.map (fun u -> Json.String (name u)) us)
-
 let cache_json hits misses =
   Json.Obj [ ("hits", Json.Int hits); ("misses", Json.Int misses) ]
 
@@ -117,31 +109,34 @@ let info_cmd_run spec =
 
 (* --- compress --------------------------------------------------------- *)
 
-(* Re-validate the effective-abstraction conditions (paper Figure 4) on a
-   finished abstraction with the certificate checker at full audit; the
-   failure count, each failure printed in text mode. The checker works in
-   [universe], one built for the re-check, so --check leaves the engine's
-   BDD manager (and the counters printed from it) untouched. No budget
-   is passed, so the audit is never incomplete. *)
-let check_failures ~format universe net (r : Bonsai_api.ec_result) =
-  let fs =
-    match Certify.check_result ~universe ~audit:Certify.Full net r with
-    | Certify.Certified _ | Certify.Audit_incomplete _ -> []
-    | Certify.Refuted fs -> fs
-  in
-  let n = List.length fs in
-  if format = `Text then begin
-    let p = r.Bonsai_api.ec.Ecs.ec_prefix in
-    if n = 0 then Format.printf "check %a: ok@." Prefix.pp p
-    else
-      Format.printf "check %a: %d failure%s@." Prefix.pp p n
-        (if n = 1 then "" else "s");
-    List.iter
-      (fun (f : Certify.failure) ->
-        Format.printf "  %s: %s@." f.Certify.f_condition f.Certify.f_detail)
-      fs
-  end;
-  n
+(* --check: re-validate Figure 4 on a class with the certificate checker
+   at full audit and no budget, in a universe of its own (the engine's
+   BDD counters do not move), printing failures in text mode. A refuted
+   class falls back to the identity abstraction and keeps its count. *)
+let recheck ~format universe net (r : Bonsai_api.ec_result) =
+  if r.Bonsai_api.degraded then (r, 0)
+  else begin
+    let fs =
+      match
+        Certify.check_result ~universe:(Lazy.force universe)
+          ~audit:Certify.Full net r
+      with
+      | Certify.Certified _ | Certify.Audit_incomplete _ -> []
+      | Certify.Refuted fs -> fs
+    in
+    let n = List.length fs in
+    if format = `Text then begin
+      Format.printf "check %a: %s@." Prefix.pp r.Bonsai_api.ec.Ecs.ec_prefix
+        (if n = 0 then "ok"
+         else Printf.sprintf "%d failure%s" n (if n = 1 then "" else "s"));
+      List.iter
+        (fun (f : Certify.failure) ->
+          Format.printf "  %s: %s@." f.Certify.f_condition f.Certify.f_detail)
+        fs
+    end;
+    if n = 0 then (r, 0)
+    else (Bonsai_api.identity_result net r.Bonsai_api.ec, n)
+  end
 
 (* --- certification ------------------------------------------------------ *)
 
@@ -207,194 +202,113 @@ let run_check_dataplane ~budget ~format net
       (Bonsai_error.Soundness_break
          (Dp_bisim.refutation_string net r.Bonsai_api.abstraction rf))
 
+(* The text view of a one-class summary: size and roles (none for the
+   identity fallback, which has one role per node). *)
+let print_class net (r : Bonsai_api.ec_result) =
+  let t = r.Bonsai_api.abstraction in
+  Format.printf "%a@." Abstraction.pp_summary t;
+  if not r.Bonsai_api.degraded then
+    Array.iteri
+      (fun gid members ->
+        Format.printf "  role %d (%d node%s%s): %s@." gid (List.length members)
+          (if List.length members = 1 then "" else "s")
+          (if t.Abstraction.copies.(gid) > 1 then
+             Printf.sprintf ", %d copies" t.Abstraction.copies.(gid)
+           else "")
+          (String.concat ", "
+             (List.map (Graph.name net.Device.graph)
+                (List.filteri (fun i _ -> i < 6) members)
+             @ if List.length members > 6 then [ "..." ] else [])))
+      t.Abstraction.groups
+
+(* One path for one class or all: one summary, then one re-check,
+   rendering, certification and exit code. *)
 let compress_cmd_run spec ec_prefix dot all check check_dataplane format
     budget_ms budget_ticks degrade certify audit certificate modules =
   guarded @@ fun () ->
   let net = resolve_network spec in
   let budget = make_budget budget_ms budget_ticks in
-  (* --modules: compress module-by-module with fault isolation, then
-     compose the per-module partitions into the whole-network summary
-     (exact under the seeded-path guards — DESIGN.md §16). Implies
-     --all: composition covers every destination class anyway. The
-     per-module health table goes to stderr; stdout keeps the normal
-     compress shape. *)
-  let modular_summary =
+  (* --modules (implies --all): compress module by module with fault
+     isolation, then compose the partitions (exact under the seeded-path
+     guards, DESIGN.md §16); the health table goes to stderr. *)
+  let single = not all && Option.is_none modules in
+  let compressed =
     match modules with
-    | None -> None
     | Some mode ->
       let st = ok_or_raise (Modular.run ~mode ~budget net) in
       Format.eprintf "%a%!" Modular.pp_report (Modular.report st);
-      Some (ok_or_raise (Modular.compose ~budget st))
+      ok_or_raise (Modular.compose ~budget st)
+    | None ->
+      let ecs = if single then Some [ Ecs.find net ec_prefix ] else None in
+      ok_or_raise (Bonsai_api.compress ?ecs ~budget net)
   in
-  let all = all || Option.is_some modular_summary in
+  let checked =
+    let results = compressed.Bonsai_api.results in
+    if not check then List.map (fun r -> (r, 0)) results
+    else
+      let universe = lazy (Policy_bdd.universe_of_network net) in
+      List.map (recheck ~format universe net) results
+  in
+  let s = { compressed with Bonsai_api.results = List.map fst checked } in
+  let refuted = List.length (List.filter (fun (_, n) -> n > 0) checked) in
+  (* times and engine counters are the compression's, before --check
+     swaps in identity rows *)
+  (match (s.Bonsai_api.results, compressed.Bonsai_api.results) with
+  | [ r ], [ c ] when single ->
+    Option.iter
+      (fun path ->
+        Dot.write_file ~path r.Bonsai_api.abstraction.Abstraction.abs_graph)
+      dot;
+    Printf.eprintf "compression time: %.3fs (%d refinement iterations)\n%!"
+      c.Bonsai_api.time_s c.Bonsai_api.refine_stats.Refine.iterations;
+    if format = `Text then begin
+      print_class net r;
+      Option.iter (Format.printf "abstract topology written to %s@.") dot;
+      print_degradation s.Bonsai_api.degradation
+    end
+  | _ ->
+    Printf.eprintf "bdd time: %.2fs, %.3fs per EC\n%!" s.Bonsai_api.bdd_time_s
+      (Bonsai_api.mean_time_per_ec compressed);
+    if format = `Text then Format.printf "%a@." Bonsai_api.pp_summary s);
+  (match format with
+  | `Text ->
+    if refuted > 0 then
+      Format.printf
+        "DEGRADED: %d/%d destination classes failed --check and fall back \
+         to the@.identity abstraction (abstract network = concrete network)@."
+        refuted (List.length checked)
+  | `Json ->
+    let check = if check then Some (fun r -> List.assq r checked) else None in
+    let bdd =
+      match compressed.Bonsai_api.results with
+      | r :: _ ->
+        let t = r.Bonsai_api.abstraction in
+        Bdd.stats_to_json (Bdd.stats t.Abstraction.universe.Policy_bdd.man)
+      | [] -> Json.Null
+    in
+    print_json
+      (Json.Obj
+         (Bonsai_api.summary_json_fields ?check ~roles:single s
+         @ [ ("bdd", bdd) ])));
+  report_budget budget;
+  let dp_status =
+    if check_dataplane then
+      run_check_dataplane ~budget ~format net s.Bonsai_api.results
+    else `Ok
+  in
+  let cert_status =
+    if certify then
+      run_certify ~budget ~audit ~certificate net
+        (Certify.of_summary ~network:spec net s)
+    else `Skipped
+  in
   let degrade_exit code = if degrade then 0 else code in
-  let check_universe = lazy (Policy_bdd.universe_of_network net) in
-  let failures r = check_failures ~format (Lazy.force check_universe) net r in
-  let g = net.Device.graph in
-  if all then begin
-    let s =
-      match modular_summary with
-      | Some s -> s
-      | None -> Bonsai_api.compress_exn ~budget net
-    in
-    let checked_ok = ref true in
-    (* degraded classes are the identity abstraction — nothing to
-       re-check, and their report line already flags them *)
-    let violations (r : Bonsai_api.ec_result) =
-      let vs = if r.Bonsai_api.degraded then 0 else failures r in
-      if vs > 0 then checked_ok := false;
-      vs
-    in
-    (match format with
-    | `Text ->
-      Format.printf "%a@." Bonsai_api.pp_summary s;
-      report_budget budget;
-      if check then
-        List.iter (fun r -> ignore (violations r : int)) s.Bonsai_api.results
-    | `Json ->
-      let bdd =
-        match s.Bonsai_api.results with
-        | r :: _ ->
-          Bdd.stats_to_json
-            (Bdd.stats
-               r.Bonsai_api.abstraction.Abstraction.universe.Policy_bdd.man)
-        | [] -> Json.Null
-      in
-      let check = if check then Some violations else None in
-      print_json
-        (Json.Obj (Bonsai_api.summary_json_fields ?check s @ [ ("bdd", bdd) ]));
-      report_budget budget);
-    let dp_status =
-      if check_dataplane then
-        run_check_dataplane ~budget ~format net s.Bonsai_api.results
-      else `Ok
-    in
-    let cert_status =
-      if certify then
-        run_certify ~budget ~audit ~certificate net
-          (Certify.of_summary ~network:spec net s)
-      else `Skipped
-    in
-    match (s.Bonsai_api.degradation, !checked_ok) with
-    | Some _, _ -> degrade_exit 3
-    | None, false -> degrade_exit 1
-    | None, true -> (
-      match (dp_status, cert_status) with
-      | `Incomplete, _ | _, `Incomplete -> degrade_exit 3
-      | `Ok, (`Certified | `Skipped) -> 0)
-  end
-  else begin
-    let ec = Ecs.find net ec_prefix in
-    let fallback () = Bonsai_api.identity_result net ec in
-    let r, why =
-      match Bonsai_api.compress_ec ~budget net ec with
-      | Ok r -> (r, None)
-      | Error (Bonsai_error.Budget_exceeded info) ->
-        (fallback (), Some (`Budget info))
-      | Error e -> Bonsai_error.error e
-    in
-    let r, why =
-      if check && why = None && failures r > 0 then (fallback (), Some `Check)
-      else (r, why)
-    in
-    let t = r.Bonsai_api.abstraction in
-    (match dot with
-    | None -> ()
-    | Some path -> Dot.write_file ~path t.Abstraction.abs_graph);
-    (match format with
-    | `Text ->
-      Format.printf "%a@." Abstraction.pp_summary t;
-      Format.printf "compression time: %.3fs (%d refinement iterations)@."
-        r.Bonsai_api.time_s r.Bonsai_api.refine_stats.Refine.iterations;
-      (* the identity fallback has one role per node — listing it is noise *)
-      if not r.Bonsai_api.degraded then
-        Array.iteri
-          (fun gid members ->
-            Format.printf "  role %d (%d node%s%s): %s@." gid
-              (List.length members)
-              (if List.length members = 1 then "" else "s")
-              (if t.Abstraction.copies.(gid) > 1 then
-                 Printf.sprintf ", %d copies" t.Abstraction.copies.(gid)
-               else "")
-              (String.concat ", "
-                 (List.map (Graph.name net.Device.graph)
-                    (List.filteri (fun i _ -> i < 6) members)
-                 @ if List.length members > 6 then [ "..." ] else [])))
-          t.Abstraction.groups;
-      (match dot with
-      | None -> ()
-      | Some path -> Format.printf "abstract topology written to %s@." path);
-      (match why with
-      | None -> ()
-      | Some (`Budget info) ->
-        Format.printf "@[<v>%a@]@." Bonsai_api.pp_degradation
-          {
-            Bonsai_api.deg_info = info;
-            deg_completed = 0;
-            deg_total = 1;
-          }
-      | Some `Check ->
-        Format.printf
-          "DEGRADED: abstraction failed --check; fell back to the identity \
-           abstraction (abstract network = concrete network)@.")
-    | `Json ->
-      (* Wall time is nondeterministic; it goes to stderr so the JSON
-         document stays golden-testable. *)
-      let roles =
-        if r.Bonsai_api.degraded then []
-        else
-          Array.to_list
-            (Array.mapi
-               (fun gid members ->
-                 Json.Obj
-                   [
-                     ("id", Json.Int gid);
-                     ("copies", Json.Int t.Abstraction.copies.(gid));
-                     ("members", names_json (Graph.name g) members);
-                   ])
-               t.Abstraction.groups)
-      in
-      print_json
-        (Json.Obj
-           [
-             ("network", size_json g);
-             ( "destination",
-               Json.String (Prefix.to_string r.Bonsai_api.ec.Ecs.ec_prefix) );
-             ("abstraction", size_json t.Abstraction.abs_graph);
-             ( "refine_iterations",
-               Json.Int r.Bonsai_api.refine_stats.Refine.iterations );
-             ("roles", Json.List roles);
-             ("degraded", Json.Bool r.Bonsai_api.degraded);
-             ( "fallback",
-               Json.String
-                 (match why with
-                 | None -> "none"
-                 | Some (`Budget _) -> "budget"
-                 | Some `Check -> "check") );
-             ( "bdd",
-               Bdd.stats_to_json
-                 (Bdd.stats t.Abstraction.universe.Policy_bdd.man) );
-           ]);
-      Printf.eprintf "compression time: %.3fs\n%!" r.Bonsai_api.time_s);
-    report_budget budget;
-    let dp_status =
-      if check_dataplane then run_check_dataplane ~budget ~format net [ r ]
-      else `Ok
-    in
-    let cert_status =
-      if certify then
-        run_certify ~budget ~audit ~certificate net
-          { Certify.network = spec; certs = [ Certify.of_ec_result net r ] }
-      else `Skipped
-    in
-    match why with
-    | None -> (
-      match (dp_status, cert_status) with
-      | `Incomplete, _ | _, `Incomplete -> degrade_exit 3
-      | `Ok, (`Certified | `Skipped) -> 0)
-    | Some (`Budget _) -> degrade_exit 3
-    | Some `Check -> degrade_exit 1
-  end
+  if Option.is_some s.Bonsai_api.degradation then degrade_exit 3
+  else if refuted > 0 then degrade_exit 1
+  else
+    match (dp_status, cert_status) with
+    | `Incomplete, _ | _, `Incomplete -> degrade_exit 3
+    | `Ok, (`Certified | `Skipped) -> 0
 
 (* --- modular: per-module compression with fault isolation --------------- *)
 
@@ -477,14 +391,13 @@ let diff_cmd_run old_spec new_spec format budget_ms budget_ticks degrade
   guarded @@ fun () ->
   let old_net = resolve_network old_spec in
   let new_net = resolve_network new_spec in
-  let deltas = Delta.diff old_net new_net in
   let budget = make_budget budget_ms budget_ticks in
   let st = ok_or_raise (Incr.init ~budget old_net) in
-  let rep =
+  let deltas, rep =
     ok_or_raise
-      (Incr.recompress ~budget
+      (Incr.recompress_net ~budget
          ?recertify:(if certify then Some audit else None)
-         st deltas)
+         st new_net)
   in
   let bdd = Incr.bdd_stats st in
   (match format with
@@ -1223,8 +1136,9 @@ let serve_cmd_run stdio socket tcp max_inflight budget_ms budget_ticks
 (* --- request ----------------------------------------------------------- *)
 
 (* One-shot client for a running serve instance: build the request line
-   (or take it raw), send it, print the one response line, exit with the
-   code the equivalent one-shot command would have used. *)
+   (or take it raw), send it, print the one response line. An ok response
+   exits 0 whatever it reports; an error response exits with its class's
+   CLI code. *)
 let request_cmd_run socket tcp op network ec to_spec k rounds samples seed
     budget_ms budget_ticks raw no_retry =
   guarded @@ fun () ->
@@ -1436,10 +1350,11 @@ let degrade_arg =
     value & flag
     & info [ "degrade" ]
         ~doc:
-          "On budget exhaustion or a failed $(b,--check), exit 0 with the \
-           identity abstraction (every router its own role — always sound, \
-           no compression) and a degradation report, instead of a nonzero \
-           exit.")
+          "On budget exhaustion (exit 3) or, for $(b,compress), a failed \
+           $(b,--check) (exit 1), exit 0 instead. Either way the classes \
+           concerned have fallen back to the identity abstraction (every \
+           router its own role — always sound, no compression), flagged \
+           degraded and reported.")
 
 let info_cmd =
   Cmd.v
@@ -1488,7 +1403,11 @@ let compress_cmd =
   let all =
     Arg.(
       value & flag
-      & info [ "all" ] ~doc:"Compress every destination class and summarize.")
+      & info [ "all" ]
+          ~doc:
+            "Compress every destination class, not just the $(b,--ec) one \
+             (whose JSON row also lists its roles). Both print the \
+             document serve's $(i,compress) answers.")
   in
   let check =
     Arg.(
@@ -1496,8 +1415,12 @@ let compress_cmd =
       & info [ "check" ]
           ~doc:
             "Re-validate the effective-abstraction conditions (paper \
-             Figure 4) on the result with the certificate checker at full \
-             audit, in a BDD universe of its own; exit 1 on any failure.")
+             Figure 4) on every compressed class with the certificate \
+             checker at full audit, in a BDD universe of its own. A class \
+             with failures falls back to the identity abstraction, flagged \
+             degraded and keeping its failure count ($(i,check_violations) \
+             in JSON), for one class or all alike; any failure exits 1 \
+             unless $(b,--degrade).")
   in
   let check_dataplane =
     Arg.(
@@ -1524,7 +1447,10 @@ let compress_cmd =
              by BFS regions. The per-module health table goes to stderr.")
   in
   Cmd.v
-    (cmd_info "compress" ~doc:"Compress a network for one destination class")
+    (cmd_info "compress"
+       ~doc:
+         "Compress one destination class ($(b,--ec), default the first) or \
+          every class ($(b,--all)) into one summary")
     Term.(
       const compress_cmd_run $ network_arg $ ec_arg $ dot $ all $ check
       $ check_dataplane $ format_arg $ budget_ms_arg $ budget_ticks_arg
@@ -2111,9 +2037,11 @@ let request_cmd =
          "Send one request to a running $(b,bonsai serve) and print the \
           response line. An $(i,overloaded) response is retried a bounded \
           number of times, honoring the server's retry_after_ms hint \
-          (floored by exponential backoff) unless $(b,--no-retry); exits \
-          with the same code the equivalent one-shot command would have \
-          used (plus 11 when the server shed the request as overloaded).")
+          (floored by exponential backoff) unless $(b,--no-retry). An \
+          $(i,ok) response exits 0 whatever it reports (lint errors and \
+          broken fault scenarios included); an error response exits with \
+          its class's code (budget 3, parse 4, compile 5, and so on, 11 \
+          when the server shed the request as overloaded).")
     Term.(
       const request_cmd_run $ socket_arg $ tcp_arg $ op $ network $ ec
       $ to_spec $ k $ rounds $ samples $ seed $ budget_ms_arg

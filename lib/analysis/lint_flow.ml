@@ -441,7 +441,12 @@ type report = {
 let fact_rows ~budget (net : Device.network) ec =
   let t = Flow.analyze ~budget net ec in
   let names = Graph.name net.Device.graph in
-  let roles = Result.to_option (Bonsai_api.role_partition net ec) in
+  (* each router's compressed role: its abstract node *)
+  let roles =
+    Result.to_option (Bonsai_api.compress_ec net ec)
+    |> Option.map (fun (c : Bonsai_api.ec_result) ->
+           c.Bonsai_api.abstraction.Abstraction.group_of)
+  in
   List.init (Graph.n_nodes net.Device.graph) (fun r ->
       let plane p =
         Option.map

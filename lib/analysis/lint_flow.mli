@@ -19,7 +19,7 @@ val run :
 
 type fact_row = {
   fr_router : string;
-  fr_role : int option;  (** compressed role ({!Bonsai_api.role_partition}) *)
+  fr_role : int option;  (** compressed role: the router's abstract node *)
   fr_bgp : string option;  (** the BGP-plane fact; [None]: unreachable *)
   fr_ospf : string option;
 }

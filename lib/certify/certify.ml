@@ -877,9 +877,19 @@ let check_result ?budget ?universe ~audit net (r : Bonsai_api.ec_result) =
         };
       ]
 
-let obligation_count = function
-  | Certified { obligations; _ } -> obligations
-  | Refuted _ | Audit_incomplete _ -> 0
+let check_summary ?budget ~audit net (s : Bonsai_api.summary) =
+  try
+    let universe = Policy_bdd.universe_of_network net in
+    let rec go obligations = function
+      | [] ->
+        Certified { ecs = List.length s.Bonsai_api.results; obligations }
+      | r :: rest -> (
+        match check_result ?budget ~universe ~audit net r with
+        | Certified { obligations = o; _ } -> go (obligations + o) rest
+        | (Refuted _ | Audit_incomplete _) as v -> v)
+    in
+    go 0 s.Bonsai_api.results
+  with Budget.Exhausted info -> Audit_incomplete info
 
 let failures_string fs =
   String.concat "; "

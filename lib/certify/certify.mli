@@ -105,11 +105,18 @@ val check_result :
   Bonsai_api.ec_result ->
   verdict
 (** [check (of_ec_result ...)] in one step — the re-certification path
-    used by the incremental engine's reuse ladder and the resident
-    engine's self-audit. *)
+    used by the incremental engine's reuse ladder and [compress --check]. *)
 
-val obligation_count : verdict -> int
-(** 0 unless [Certified]. *)
+val check_summary :
+  ?budget:Budget.t ->
+  audit:audit ->
+  Device.network ->
+  Bonsai_api.summary ->
+  verdict
+(** {!check_result} over every class of the summary in one fresh
+    universe, independent of the engine under audit: the first refutation or
+    {!Audit_incomplete}, else [Certified] with the obligations summed.
+    The audit of a resident engine's warm state and of a module. *)
 
 val failures_string : failure list -> string
 val pp_verdict : Format.formatter -> verdict -> unit

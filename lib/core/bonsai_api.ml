@@ -138,17 +138,11 @@ let compress_ec_exn ?universe ?rm_bdd ?(pinned = []) ?seed
   { ec; abstraction; refine_stats; time_s = Timing.now () -. t0;
     degraded = false }
 
-let compress_ec ?universe ?rm_bdd ?pinned ?budget (net : Device.network)
-    (ec : Ecs.ec) =
+let compress_ec ?budget (net : Device.network) (ec : Ecs.ec) =
   Bonsai_error.protect (fun () ->
-      try compress_ec_exn ?universe ?rm_bdd ?pinned ?budget net ec
+      try compress_ec_exn ?budget net ec
       with Invalid_argument m ->
         Bonsai_error.error (Bonsai_error.Compile_error m))
-
-let role_partition ?budget (net : Device.network) (ec : Ecs.ec) =
-  match compress_ec ?budget net ec with
-  | Error _ as e -> e
-  | Ok r -> Ok (Array.copy r.abstraction.Abstraction.group_of)
 
 (* Identity fallbacks use a fresh, un-budgeted universe — the budgeted
    manager may be the very thing that ran out — and one skeleton shared
@@ -188,57 +182,45 @@ let compress_classes ?keep_unmatched_comms net ecs worker =
 let find_result results p =
   List.find_opt (fun r -> Prefix.equal r.ec.Ecs.ec_prefix p) results
 
-let compress_exn ?keep_unmatched_comms ?(stride = 1) ?(domains = 1)
-    ?(budget = Budget.infinite) (net : Device.network) =
+let compress_exn ?keep_unmatched_comms ?ecs ?(budget = Budget.infinite)
+    (net : Device.network) =
   let universe, bdd_time_s =
     Timing.time (fun () ->
         Policy_bdd.universe_of_network ?keep_unmatched_comms net)
   in
-  let ecs = Ecs.compute net in
-  let ecs =
-    if stride <= 1 then ecs
-    else List.filteri (fun i _ -> i mod stride = 0) ecs
+  let singles, anycast =
+    match ecs with
+    | Some ecs ->
+      (* a given anycast class is a compile error, not an internal one *)
+      List.iter
+        (fun ec ->
+          try ignore (Ecs.single_origin ec)
+          with Invalid_argument m ->
+            Bonsai_error.error (Bonsai_error.Compile_error m))
+        ecs;
+      (ecs, [])
+    | None -> List.partition Ecs.is_single_origin (Ecs.compute net)
   in
-  let singles, anycast = List.partition Ecs.is_single_origin ecs in
   let results, degradation =
-    if domains > 1 && Budget.is_infinite budget then begin
-      (* BDD managers are not shared across domains: each worker builds
-         its own universe (cheap — it only scans the configurations). *)
-      let run_chunk chunk =
-        let universe =
-          Policy_bdd.universe_of_network ?keep_unmatched_comms net
-        in
-        List.map (fun ec -> compress_ec_exn ~universe net ec) chunk
-      in
-      let chunks = Array.make domains [] in
-      List.iteri
-        (fun i ec -> chunks.(i mod domains) <- ec :: chunks.(i mod domains))
-        singles;
-      let workers =
-        Array.map
-          (fun chunk ->
-            let chunk = List.rev chunk in
-            Domain.spawn (fun () -> run_chunk chunk))
-          chunks
-      in
-      ( Array.to_list workers |> List.concat_map Domain.join
-        |> List.sort (fun a b ->
-               Prefix.compare a.ec.Ecs.ec_prefix b.ec.Ecs.ec_prefix),
-        None )
-    end
-    else
-      (* Budgeted runs are sequential too: degradation needs a
-         well-defined "first class that ran out", and the budget is a
-         single mutable token not meant to be shared across domains. *)
-      compress_classes ?keep_unmatched_comms net singles (fun ec ->
-          compress_ec_exn ~universe ~budget net ec)
+    compress_classes ?keep_unmatched_comms net singles (fun ec ->
+        compress_ec_exn ~universe ~budget net ec)
   in
   { net; bdd_time_s; results; skipped_anycast = List.length anycast;
     degradation }
 
-let compress ?keep_unmatched_comms ?stride ?domains ?budget net =
+let compress ?keep_unmatched_comms ?ecs ?budget net =
   Bonsai_error.protect (fun () ->
-      compress_exn ?keep_unmatched_comms ?stride ?domains ?budget net)
+      compress_exn ?keep_unmatched_comms ?ecs ?budget net)
+
+let class_summary s p =
+  Option.map
+    (fun r ->
+      let one d = { d with deg_completed = 0; deg_total = 1 } in
+      let degradation =
+        if r.degraded then Option.map one s.degradation else None
+      in
+      { s with results = [ r ]; skipped_anycast = 0; degradation })
+    (find_result s.results p)
 
 (* Which fallback [Repair.harden] (lib/repair) took, if any. *)
 type fallback = No_fallback | Budget_fallback of Budget.info | Rounds_fallback
@@ -255,23 +237,12 @@ let float_stats f s =
     in
     (mean, sqrt var)
 
-let mean_abs_nodes s =
-  fst (float_stats (fun r -> float_of_int (Abstraction.n_abstract r.abstraction)) s)
+let abs_nodes =
+  float_stats (fun r -> float_of_int (Abstraction.n_abstract r.abstraction))
 
-let stddev_abs_nodes s =
-  snd (float_stats (fun r -> float_of_int (Abstraction.n_abstract r.abstraction)) s)
-
-let mean_abs_links s =
-  fst
-    (float_stats
-       (fun r -> float_of_int (Graph.n_links r.abstraction.Abstraction.abs_graph))
-       s)
-
-let stddev_abs_links s =
-  snd
-    (float_stats
-       (fun r -> float_of_int (Graph.n_links r.abstraction.Abstraction.abs_graph))
-       s)
+let abs_links =
+  float_stats (fun r ->
+      float_of_int (Graph.n_links r.abstraction.Abstraction.abs_graph))
 
 let mean_time_per_ec s = fst (float_stats (fun r -> r.time_s) s)
 
@@ -442,7 +413,7 @@ let degradation_to_json = function
         ("total", Json.Int d.deg_total);
       ]
 
-let summary_json_fields ?check s =
+let summary_json_fields ?check ?(roles = false) s =
   let g = s.net.Device.graph in
   let class_json r =
     Json.Obj
@@ -453,35 +424,53 @@ let summary_json_fields ?check s =
            Json.Int (Graph.n_links r.abstraction.Abstraction.abs_graph) );
          ("degraded", Json.Bool r.degraded);
        ]
+      @ (match check with
+        | None -> []
+        | Some violations -> [ ("check_violations", Json.Int (violations r)) ])
       @
-      match check with
-      | None -> []
-      | Some violations -> [ ("check_violations", Json.Int (violations r)) ])
+      if not roles then []
+      else
+        let t = r.abstraction in
+        let role gid members =
+          Json.Obj
+            [
+              ("id", Json.Int gid);
+              ("copies", Json.Int t.Abstraction.copies.(gid));
+              ( "members",
+                Json.List
+                  (List.map (fun u -> Json.String (Graph.name g u)) members) );
+            ]
+        in
+        (* the identity fallback has one role per router: listing it is
+           noise *)
+        let groups = if r.degraded then [||] else t.Abstraction.groups in
+        [ ("roles", Json.List (Array.to_list (Array.mapi role groups))) ])
   in
   [
     ("nodes", Json.Int (Graph.n_nodes g));
     ("links", Json.Int (Graph.n_links g));
     ("ecs", Json.Int (List.length s.results));
     ("skipped_anycast", Json.Int s.skipped_anycast);
-    ("degraded", Json.Bool (Option.is_some s.degradation));
+    ( "degraded",
+      Json.Bool
+        (Option.is_some s.degradation
+        || List.exists (fun r -> r.degraded) s.results) );
     ("degradation", degradation_to_json s.degradation);
     ("classes", Json.List (List.map class_json s.results));
   ]
 
 let pp_summary ppf s =
   let g = s.net.Device.graph in
+  let (nodes, nodes_sd), (links, links_sd) = (abs_nodes s, abs_links s) in
   Format.fprintf ppf
     "@[<v>nodes=%d links=%d ecs=%d (skipped %d anycast)@,\
      abstract nodes: %.1f ± %.1f, links: %.1f ± %.1f@,\
-     compression: %.1fx nodes, %.1fx links@,\
-     bdd time: %.2fs, %.3fs per EC@]"
+     compression: %.1fx nodes, %.1fx links@]"
     (Graph.n_nodes g) (Graph.n_links g)
     (List.length s.results)
-    s.skipped_anycast (mean_abs_nodes s) (stddev_abs_nodes s)
-    (mean_abs_links s) (stddev_abs_links s)
-    (float_of_int (Graph.n_nodes g) /. max 1.0 (mean_abs_nodes s))
-    (float_of_int (Graph.n_links g) /. max 1.0 (mean_abs_links s))
-    s.bdd_time_s (mean_time_per_ec s);
+    s.skipped_anycast nodes nodes_sd links links_sd
+    (float_of_int (Graph.n_nodes g) /. max 1.0 nodes)
+    (float_of_int (Graph.n_links g) /. max 1.0 links);
   match s.degradation with
   | None -> ()
   | Some d -> Format.fprintf ppf "@,%a" pp_degradation d

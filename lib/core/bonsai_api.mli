@@ -11,8 +11,9 @@ type ec_result = {
   refine_stats : Refine.stats;
   time_s : float;  (** wall-clock compression time for this class *)
   degraded : bool;
-      (** [true] when compression ran out of budget and this class fell
-          back to the identity abstraction (see {!Abstraction.identity}) *)
+      (** [true] when this class fell back to the identity abstraction
+          (see {!Abstraction.identity}): compression ran out of budget,
+          or [compress --check] refuted the class *)
 }
 
 type degradation = {
@@ -29,7 +30,8 @@ type summary = {
   results : ec_result list;
   skipped_anycast : int;  (** multi-origin classes (not supported) *)
   degradation : degradation option;
-      (** [Some _] iff any class fell back to the identity abstraction *)
+      (** [Some _] iff the budget ran out, and classes fell back to the
+          identity abstraction *)
 }
 
 val effective_prefs : Device.network -> Ecs.ec -> int -> int list
@@ -41,27 +43,14 @@ val effective_prefs : Device.network -> Ecs.ec -> int -> int list
     engine (lib/incr) computes the exact same levels as [compress_ec]. *)
 
 val compress_ec :
-  ?universe:Policy_bdd.universe ->
-  ?rm_bdd:(Route_map.t option -> Bdd.t) ->
-  ?pinned:int list ->
   ?budget:Budget.t ->
   Device.network ->
   Ecs.ec ->
   (ec_result, Bonsai_error.t) result
-(** Compress one destination class. Never raises: an exhausted [budget]
-    (default infinite; also installed on the universe's BDD manager for
-    the duration of the call) is [Error (Budget_exceeded _)], an anycast
-    class is [Error (Compile_error _)].
-
-    [pinned] forces the listed concrete nodes into singleton partition
-    classes before refinement (see {!Refine.partition}); the CEGAR
-    repair loop uses it to carve fault-suspect nodes out of merged
-    groups.
-
-    [rm_bdd] is threaded to {!Compile.signature_table}: the incremental
-    engine's policy-signature cache ([Sig_cache] in lib/incr) supplies
-    it so route-maps of untouched devices are never re-encoded. It must
-    encode against [universe]. *)
+(** Compress one destination class in a universe of its own. Never
+    raises: an exhausted [budget] (default infinite) is
+    [Error (Budget_exceeded _)], an anycast class is
+    [Error (Compile_error _)]. *)
 
 val compress_ec_exn :
   ?universe:Policy_bdd.universe ->
@@ -72,11 +61,21 @@ val compress_ec_exn :
   Device.network ->
   Ecs.ec ->
   ec_result
-(** Like {!compress_ec} but raising: [Budget.Exhausted] on exhaustion,
-    [Invalid_argument] on an anycast class. This is the one per-class
-    kernel: every pipeline (scratch, incremental, modular) compresses a
-    class through it. It refines on int keys, each edge's pair of
-    {!Compile.signature_table} ids, filled lazily during refinement.
+(** Like {!compress_ec} but raising: [Budget.Exhausted] on exhaustion
+    (the [budget] is also installed on the universe's BDD manager for the
+    duration of the call), [Invalid_argument] on an anycast class. This
+    is the one per-class kernel: every pipeline (scratch, incremental,
+    modular) compresses a class through it. It refines on int keys, each
+    edge's pair of {!Compile.signature_table} ids, filled lazily during
+    refinement.
+
+    [pinned] forces the listed concrete nodes into singleton partition
+    classes before refinement (see {!Refine.partition}); the CEGAR
+    repair loop uses it to carve fault-suspect nodes out of merged
+    groups. [rm_bdd] is threaded to {!Compile.signature_table}: the
+    incremental engine's policy-signature cache ([Sig_cache] in
+    lib/incr) supplies it so route-maps of untouched devices are never
+    re-encoded. It must encode against [universe].
 
     [seed] starts refinement from an existing partition (refined in
     place) instead of the coarsest one, then coarsens the stable
@@ -88,17 +87,6 @@ val compress_ec_exn :
     per abstract node. The incremental engine seeds with the previous
     partition, modular composition with the union of per-module
     partitions. *)
-
-val role_partition :
-  ?budget:Budget.t ->
-  Device.network ->
-  Ecs.ec ->
-  (int array, Bonsai_error.t) result
-(** The compressed role partition for one destination class: index [r]
-    is router [r]'s group id (routers sharing an id share one abstract
-    node). A thin wrapper over {!compress_ec} for consumers that only
-    need the grouping — [bonsai flow --facts] prints provenance facts per
-    role instead of per router through this. *)
 
 val identity_result : Device.network -> Ecs.ec -> ec_result
 (** The identity fallback for one class: the discrete partition (see
@@ -125,38 +113,34 @@ val find_result : ec_result list -> Prefix.t -> ec_result option
 
 val compress :
   ?keep_unmatched_comms:bool ->
-  ?stride:int ->
-  ?domains:int ->
+  ?ecs:Ecs.ec list ->
   ?budget:Budget.t ->
   Device.network ->
   (summary, Bonsai_error.t) result
-(** Compress every destination class. For sampling large networks,
-    [stride] keeps every k-th class. [keep_unmatched_comms] selects the
-    naive attribute abstraction (see {!Policy_bdd.universe_of_network}).
-    Without [domains] > 1, classes run through {!compress_classes}.
-    [domains] > 1
-    processes classes in parallel on that many OCaml domains (destination
-    classes are disjoint, exactly the parallelism the paper exploits, §7);
-    each domain owns a private BDD manager.
-
-    With a finite [budget], classes are processed {e sequentially}
-    (ignoring [domains], which would share the single budget token) and
-    exhaustion degrades gracefully instead of failing: the class that ran
-    out and every remaining class fall back to the identity abstraction
-    (marked [degraded]; always sound — the abstract network is the
-    concrete network, just without any compression benefit), and
-    [summary.degradation] records where the budget went. [Error] is
-    reserved for non-budget failures. *)
+(** Compress the classes [ecs] (default: every class, multi-origin ones
+    skipped and counted) in order through {!compress_classes}, in one BDD
+    universe; [compress --ec] is the one-class case of [compress --all].
+    [keep_unmatched_comms] selects the naive attribute abstraction (see
+    {!Policy_bdd.universe_of_network}). Budget exhaustion degrades: the
+    class that ran out and every later one fall back to the identity
+    abstraction (always sound), and [summary.degradation] records where
+    the budget went. [Error] is for other failures; a given anycast
+    class is a [Compile_error]. *)
 
 val compress_exn :
   ?keep_unmatched_comms:bool ->
-  ?stride:int ->
-  ?domains:int ->
+  ?ecs:Ecs.ec list ->
   ?budget:Budget.t ->
   Device.network ->
   summary
 (** Like {!compress} but unwrapped (budget exhaustion still degrades
-    rather than raising). *)
+    rather than raising; a given anycast class raises
+    [Bonsai_error.Error]). *)
+
+val class_summary : summary -> Prefix.t -> summary option
+(** The one-row summary of the class with this prefix, as [compress
+    ~ecs:[ec]] reports it (no anycast count, a [0/1] degradation iff the
+    row fell back on budget); [None] when no row has the prefix. *)
 
 (** {1 Fault-sound compression (counterexample-guided repair)} *)
 
@@ -170,10 +154,11 @@ type fallback =
 
 (** {1 Reporting} *)
 
-val mean_abs_nodes : summary -> float
-val mean_abs_links : summary -> float
-val stddev_abs_nodes : summary -> float
-val stddev_abs_links : summary -> float
+val abs_nodes : summary -> float * float
+(** Mean and standard deviation of the abstract node count per class;
+    {!abs_links} likewise for links. *)
+
+val abs_links : summary -> float * float
 val mean_time_per_ec : summary -> float
 
 val roles :
@@ -207,13 +192,19 @@ val degradation_to_json : degradation option -> Json.t
     and ticks stay in {!pp_degradation}). *)
 
 val summary_json_fields :
-  ?check:(ec_result -> int) -> summary -> (string * Json.t) list
-(** The document of [bonsai compress --all --format json] and of
-    serve's [compress] op: concrete [nodes] and [links], [ecs],
-    [skipped_anycast], [degraded], [degradation], and one [classes] row
-    per class ([destination], [abstract_nodes], [abstract_links],
-    [degraded], and [check_violations] when [check] counts them). No
+  ?check:(ec_result -> int) ->
+  ?roles:bool ->
+  summary ->
+  (string * Json.t) list
+(** The document of [bonsai compress --format json] and of serve's
+    [compress] op: concrete [nodes] and [links], [ecs],
+    [skipped_anycast], [degraded] (some row fell back to the identity),
+    [degradation], and one [classes] row per class ([destination],
+    [abstract_nodes], [abstract_links], [degraded], [check_violations]
+    when [check] counts them, and with [roles] (one named class) its
+    [roles]: [id], [copies], [members], none for a degraded row). No
     wall-clock or BDD counters, so a warm answer equals a cold one. *)
 
 val pp_summary : Format.formatter -> summary -> unit
-(** Appends {!pp_degradation} when the summary is degraded. *)
+(** Sizes and compression ratios, no wall clock; appends
+    {!pp_degradation} when the summary is degraded. *)

@@ -185,15 +185,10 @@ let init ?(pinned = []) ?cache_cap ?universe ?(budget = Budget.infinite)
     cache_cap;
   }
 
-let recompress ?(budget = Budget.infinite) ?recertify st deltas =
-  Bonsai_error.protect @@ fun () ->
+(* Moves [st] to [net'], the network [deltas] lead to from [st.net]. *)
+let recompress_onto ~budget ?recertify st deltas net' =
   let t0 = Timing.now () in
   let old_net = st.net in
-  let net' =
-    try Delta.apply old_net deltas
-    with Invalid_argument m ->
-      Bonsai_error.error (Bonsai_error.Compile_error m)
-  in
   (match Device.validate net' with
   | Ok () -> ()
   | Error m -> Bonsai_error.error (Bonsai_error.Compile_error m));
@@ -291,11 +286,22 @@ let recompress ?(budget = Budget.infinite) ?recertify st deltas =
     r_degradation = degradation;
   }
 
-let recompress_net ?budget ?recertify st net' =
+let recompress ?(budget = Budget.infinite) ?recertify st deltas =
+  Bonsai_error.protect @@ fun () ->
+  let net' =
+    try Delta.apply st.net deltas
+    with Invalid_argument m ->
+      Bonsai_error.error (Bonsai_error.Compile_error m)
+  in
+  recompress_onto ~budget ?recertify st deltas net'
+
+(* The parsed network itself, not the deltas replayed onto the old one:
+   the replay keeps the old router numbering, and the concrete solver
+   breaks ties by node id. *)
+let recompress_net ?(budget = Budget.infinite) ?recertify st net' =
+  Bonsai_error.protect @@ fun () ->
   let deltas = Delta.diff st.net net' in
-  match recompress ?budget ?recertify st deltas with
-  | Ok r -> Ok (deltas, r)
-  | Error e -> Error e
+  (deltas, recompress_onto ~budget ?recertify st deltas net')
 
 let network st = st.net
 let sig_cache st = st.cache

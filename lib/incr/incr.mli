@@ -100,8 +100,9 @@ val recompress_net :
   Device.network ->
   (Delta.t list * report, Bonsai_error.t) result
 (** [recompress_net st net'] diffs the current network against [net'] and
-    recompresses; returns the deltas it derived. The engine of
-    [bonsai watch], where only the new configuration text is known. *)
+    recompresses; returns the deltas it derived. The state then holds
+    [net'] itself, router numbering included (the solver breaks ties by
+    node id). The engine of [diff] and [watch], in the CLI and serve. *)
 
 val no_lp_no_redistribute : Device.network -> bool
 (** No import route-map sets a local preference and no router

@@ -309,21 +309,20 @@ let attempt ~params ~budget ms =
   | Error (Bonsai_error.Budget_exceeded i) -> Error (budget_detail i)
   | Error e -> Error (Bonsai_error.to_string e)
 
+(* Independent audit in a fresh universe derived from the subnet itself —
+   nothing shared with the engine under audit. A refuted witness isolates
+   the module; the refutation is returned. *)
 let certify_state ~budget ms (summary : Bonsai_api.summary) =
-  (* Independent audit in a fresh universe derived from the subnet
-     itself — nothing shared with the engine under audit. *)
-  let universe = Policy_bdd.universe_of_network ms.ms_subnet in
-  let rec go = function
-    | [] -> None
-    | (r : Bonsai_api.ec_result) :: rest -> (
-      match
-        Certify.check_result ~budget ~universe ~audit:Certify.Sample
-          ms.ms_subnet r
-      with
-      | Certify.Refuted fs -> Some (Certify.failures_string fs)
-      | Certify.Certified _ | Certify.Audit_incomplete _ -> go rest)
-  in
-  go summary.Bonsai_api.results
+  match
+    Certify.check_summary ~budget ~audit:Certify.Sample ms.ms_subnet summary
+  with
+  | Certify.Refuted fs ->
+    let detail = Certify.failures_string fs in
+    ms.ms_state <- None;
+    ms.ms_health <- Refuted;
+    ms.ms_detail <- Some detail;
+    Some detail
+  | Certify.Certified _ | Certify.Audit_incomplete _ -> None
 
 let supervise ~params ~budget ~certify ~injected ~retry_pause ~remaining ms =
   let remaining = max 1 remaining in
@@ -354,14 +353,7 @@ let supervise ~params ~budget ~certify ~injected ~retry_pause ~remaining ms =
     ms.ms_state <- Some st;
     ms.ms_health <- h;
     ms.ms_detail <- None;
-    if certify then
-      match certify_state ~budget ms st with
-      | None -> ()
-      | Some detail ->
-        (* The checker refuted this module's witness: isolate it. *)
-        ms.ms_state <- None;
-        ms.ms_health <- Refuted;
-        ms.ms_detail <- Some detail)
+    if certify then ignore (certify_state ~budget ms st : string option))
 
 let module_report_of ms =
   let n_members = Array.length ms.ms_members in
@@ -519,14 +511,10 @@ let self_audit ?(budget = Budget.infinite) st =
     (fun ms ->
       match ms.ms_state with
       | None -> None
-      | Some summary -> (
-        match certify_state ~budget ms summary with
-        | None -> None
-        | Some detail ->
-          ms.ms_state <- None;
-          ms.ms_health <- Refuted;
-          ms.ms_detail <- Some detail;
-          Some (ms.ms_name, detail)))
+      | Some summary ->
+        Option.map
+          (fun detail -> (ms.ms_name, detail))
+          (certify_state ~budget ms summary))
     st.st_modules
 
 (* ------------------------------------------------------------------ *)

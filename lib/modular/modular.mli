@@ -94,7 +94,7 @@ val run :
   (state, Bonsai_error.t) result
 (** Partition, summarize boundaries, compress every module under its own
     budget slice. [certify] self-audits each module's results with
-    {!Certify.check_result} (fresh universe) and treats a refutation as
+    {!Certify.check_summary} (fresh universe) and treats a refutation as
     a module fault. [inject_fault] forces the named modules to run under
     a 1-tick budget (both attempts) — the deterministic fault used by
     tests and the fault-isolation golden. [retry_pause m] is called

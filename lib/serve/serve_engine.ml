@@ -201,17 +201,17 @@ let compress_op t req =
   let st, _ = get_state t ~budget (network_param req) in
   let summary = Incr.summary st in
   check_degradation req summary.Bonsai_api.degradation;
-  let summary =
+  let summary, roles =
     match Protocol.string_param req "ec" with
-    | None -> summary
+    | None -> (summary, false)
     | Some p -> (
       let p = Prefix.of_string p in
-      match Bonsai_api.find_result summary.Bonsai_api.results p with
+      match Bonsai_api.class_summary summary p with
       | None -> Format.kasprintf failwith "no destination class %a" Prefix.pp p
-      | Some r -> { summary with Bonsai_api.results = [ r ] })
+      | Some s -> (s, true))
   in
   ("network", Json.String (network_param req))
-  :: Bonsai_api.summary_json_fields summary
+  :: Bonsai_api.summary_json_fields ~roles summary
 
 let lint_op t req =
   let budget = request_budget t req in
@@ -320,41 +320,29 @@ let harden_op t req =
 
 (* --- self-audit -------------------------------------------------------- *)
 
-(* The warm state an entry answers from is exactly what the self-audit
-   must distrust: a cache poisoned by an engine bug, a bad reuse
-   decision, or checkpoint bytes. Re-export each class's certificate
-   from the registry's own [Incr.state] and check it independently in a
-   fresh BDD universe ([Certify.check_result] — the emission itself is
-   exception-proof, a state too broken to export a witness is refuted). *)
-let audit_entry ~budget ~audit (en : Incr.state entry) =
-  try
-    let net = Incr.network en.en_state in
-    let summary = Incr.summary en.en_state in
-    let universe = Policy_bdd.universe_of_network net in
-    let rec go obligations = function
-      | [] ->
-        Certify.Certified
-          { ecs = List.length summary.Bonsai_api.results; obligations }
-      | r :: rest -> (
-        match Certify.check_result ~budget ~universe ~audit net r with
-        | Certify.Certified { obligations = o; _ } ->
-          go (obligations + o) rest
-        | (Certify.Refuted _ | Certify.Audit_incomplete _) as v -> v)
-    in
-    go 0 summary.Bonsai_api.results
-  with Budget.Exhausted info -> Certify.Audit_incomplete info
-
 let push_incident t spec detail =
   t.n_incidents <- t.n_incidents + 1;
   t.pending_incidents <- (spec, detail) :: t.pending_incidents
 
-(* A refuted warm entry never answers again: out of the registry (the
-   caller also rewrites the checkpoint so the corruption cannot be
-   resurrected), incident queued for the server loop's structured log.
-   The next request for that spec rebuilds cold from the configs. *)
-let quarantine t spec detail =
-  Hashtbl.remove t.registry spec;
-  push_incident t spec detail
+(* The warm state an entry answers from is exactly what the self-audit
+   must distrust: a cache poisoned by an engine bug, a bad reuse
+   decision, or checkpoint bytes. [Certify.check_summary] re-exports each
+   class's certificate and checks it in a fresh BDD universe (a state too
+   broken to export a witness is refuted). A refuted entry never answers
+   again: it leaves the registry (the caller also rewrites the
+   checkpoint) and an incident is queued for the server loop's log; the
+   next request for that spec rebuilds cold from the configs. *)
+let audit_entry t ~budget ~audit spec (en : Incr.state entry) =
+  let v =
+    Certify.check_summary ~budget ~audit (Incr.network en.en_state)
+      (Incr.summary en.en_state)
+  in
+  (match v with
+  | Certify.Refuted fs ->
+    Hashtbl.remove t.registry spec;
+    push_incident t spec (Certify.failures_string fs)
+  | Certify.Certified _ | Certify.Audit_incomplete _ -> ());
+  v
 
 let drain_incidents t =
   let xs = List.rev t.pending_incidents in
@@ -390,16 +378,14 @@ let audit_step ?(budget = Budget.infinite) t =
     match Hashtbl.find_opt t.registry spec with
     | None -> Audit_idle
     | Some en -> (
-      match audit_entry ~budget ~audit:Certify.Sample en with
+      match audit_entry t ~budget ~audit:Certify.Sample spec en with
       | Certify.Certified _ -> Audit_clean spec
       | Certify.Audit_incomplete _ ->
         (* ran out mid-cycle: stay dirty so the next idle moment retries *)
         t.audit_dirty <- true;
         Audit_unfinished spec
       | Certify.Refuted fs ->
-        let detail = Certify.failures_string fs in
-        quarantine t spec detail;
-        Audit_quarantined (spec, detail)))
+        Audit_quarantined (spec, Certify.failures_string fs)))
 
 let audit_op t req =
   let budget = request_budget t req in
@@ -424,14 +410,13 @@ let audit_op t req =
               :: extra)
             :: rows
           in
-          match audit_entry ~budget ~audit en with
+          match audit_entry t ~budget ~audit spec en with
           | Certify.Certified { obligations; _ } ->
             (row "certified" [ ("obligations", Json.Int obligations) ], q)
           | Certify.Audit_incomplete _ -> (row "incomplete" [], q)
           | Certify.Refuted fs ->
-            let detail = Certify.failures_string fs in
-            quarantine t spec detail;
-            (row "refuted" [ ("detail", Json.String detail) ], spec :: q)))
+            let detail = Json.String (Certify.failures_string fs) in
+            (row "refuted" [ ("detail", detail) ], spec :: q)))
       ([], []) specs
   in
   [

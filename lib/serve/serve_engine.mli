@@ -29,7 +29,7 @@
     make every later answer for that network wrong. The [audit] op (and
     the background {!audit_step} the server loop runs while idle)
     re-exports each warm class's certificate and re-checks it with
-    {!Certify.check_result} in a fresh BDD universe; a refuted network
+    {!Certify.check_summary} in a fresh BDD universe; a refuted network
     is {e quarantined} — evicted from the registry, an incident queued
     for {!drain_incidents}, the next request rebuilds cold from the
     configs. A failed audit can therefore cost latency, never a wrong

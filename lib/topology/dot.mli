@@ -2,7 +2,6 @@
 
 val to_string :
   ?name:string ->
-  ?node_label:(int -> string) ->
   ?node_group:(int -> int) ->
   Graph.t ->
   string
@@ -11,10 +10,5 @@ val to_string :
     directed). [node_group] colors nodes by group id (e.g. by abstract
     node). *)
 
-val write_file :
-  path:string ->
-  ?name:string ->
-  ?node_label:(int -> string) ->
-  ?node_group:(int -> int) ->
-  Graph.t ->
-  unit
+val write_file : path:string -> Graph.t -> unit
+(** [to_string g] into the file at [path]. *)

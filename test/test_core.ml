@@ -406,25 +406,6 @@ let test_h_attr_erasure () =
   Alcotest.(check (list int)) "unused comm erased" [] h.Bgp.comms;
   Alcotest.(check (list int)) "path mapped" [ 30; 10 ] h.Bgp.path
 
-(* --- parallel compression (paper section 7) ---------------------------- *)
-
-let test_parallel_compression_deterministic () =
-  let net = Synthesis.fattree_shortest_path (Generators.fattree ~k:8) in
-  let sizes s =
-    List.map
-      (fun r ->
-        ( Format.asprintf "%a" Prefix.pp r.Bonsai_api.ec.Ecs.ec_prefix,
-          Abstraction.n_abstract r.Bonsai_api.abstraction ))
-      s.Bonsai_api.results
-    |> List.sort compare
-  in
-  let seq = Bonsai_api.compress_exn ~stride:3 net in
-  let par = Bonsai_api.compress_exn ~stride:3 ~domains:3 net in
-  Alcotest.(check (list (pair string int))) "same abstractions" (sizes seq)
-    (sizes par);
-  Alcotest.(check int) "same anycast count" seq.Bonsai_api.skipped_anycast
-    par.Bonsai_api.skipped_anycast
-
 (* --- roles (paper section 8) ----------------------------------------- *)
 
 let test_datacenter_roles () =
@@ -931,11 +912,6 @@ let () =
         [
           Alcotest.test_case "accessors" `Quick test_abstraction_accessors;
           Alcotest.test_case "h erasure" `Quick test_h_attr_erasure;
-        ] );
-      ( "parallel",
-        [
-          Alcotest.test_case "deterministic" `Quick
-            test_parallel_compression_deterministic;
         ] );
       ( "explain",
         [ Alcotest.test_case "role differences" `Quick test_explain ] );

@@ -1208,6 +1208,67 @@ let prop_diff_reference =
             (String.concat ", " want_unknown)
         else true)
 
+(* A warm network follows a serve [diff] to a renumbered configuration
+   (node lines rotated, plus an edit): afterwards its [dataplane-diff]
+   and [compress] answers, one class's roles included, are byte-equal to
+   a cold engine's that loaded the renumbered network directly. The
+   concrete solver breaks ties by node id, so the warm state has to take
+   the new numbering, not replay the deltas onto the old one. *)
+let prop_warm_renumbered =
+  QCheck.Test.make ~count:fuzz_count
+    ~name:"warm diff to a renumbering = cold load"
+    QCheck.(int_range 0 100000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let n = 5 + (seed mod 5) in
+      let base =
+        if seed mod 2 = 0 then Synthesis.random_network ~n ~seed
+        else Synthesis.random_multi_network ~n ~seed
+      in
+      let edited net =
+        match Delta.apply net [ random_dp_delta rng net ] with
+        | exception Invalid_argument _ -> None
+        | net -> if Result.is_ok (Device.validate net) then Some net else None
+      in
+      match edited base with
+      | None -> QCheck.assume_fail ()
+      | Some next -> (
+        let renumbered = permute (1 + Random.State.int rng (n - 1)) next in
+        match edited renumbered with
+        | None -> QCheck.assume_fail ()
+        | Some probe ->
+          let engine first =
+            let resolve = function
+              | "net" -> first
+              | "to" -> renumbered
+              | _ -> probe
+            in
+            Serve_engine.create ~resolve ()
+          in
+          let ask eng line =
+            fst (Serve_engine.handle_line eng ~queue_depth:0 line)
+          in
+          let warm = engine base and cold = engine renumbered in
+          ignore (ask warm {|{"op":"diff","network":"net","to":"to"}|});
+          let ec =
+            match Ecs.compute renumbered with
+            | ec :: _ -> Prefix.to_string ec.Ecs.ec_prefix
+            | [] -> "0.0.0.0/0"
+          in
+          let questions =
+            [
+              {|{"op":"dataplane-diff","network":"net","to":"probe"}|};
+              {|{"op":"compress","network":"net"}|};
+              Printf.sprintf {|{"op":"compress","network":"net","ec":"%s"}|} ec;
+            ]
+          in
+          List.for_all
+            (fun q ->
+              let w = ask warm q and c = ask cold q in
+              String.equal w c
+              || QCheck.Test.fail_reportf "%s@.warm: %s@.cold: %s" q w c)
+            questions))
+
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
@@ -1255,5 +1316,6 @@ let () =
           prop_compiled_signatures;
           prop_signature_ids;
           prop_diff_reference;
+          prop_warm_renumbered;
         ];
     ]

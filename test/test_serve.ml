@@ -697,14 +697,17 @@ let test_cli_json_control_byte () =
   Sys.remove path;
   let j = parse_or_fail "compress --format json" out in
   let members =
-    match Json.member "roles" j with
-    | Some (Json.List roles) ->
-      List.concat_map
-        (fun r ->
-          match Json.member "members" r with
-          | Some (Json.List ms) -> List.filter_map Json.to_string_opt ms
-          | _ -> [])
-        roles
+    match Json.member "classes" j with
+    | Some (Json.List [ row ]) -> (
+      match Json.member "roles" row with
+      | Some (Json.List roles) ->
+        List.concat_map
+          (fun r ->
+            match Json.member "members" r with
+            | Some (Json.List ms) -> List.filter_map Json.to_string_opt ms
+            | _ -> [])
+          roles
+      | _ -> [])
     | _ -> []
   in
   Alcotest.(check bool) "router name read back" true (List.mem "a\001x" members)
