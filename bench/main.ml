@@ -277,13 +277,14 @@ let ablation_uu () =
       Abstraction.make net ~dest ~dest_prefix:ec.Ecs.ec_prefix
         ~universe:sound.Abstraction.universe ~partition ~copies:(fun _ -> 1)
     in
-    let srp = Compile.bgp_srp net ~dest ~dest_prefix:ec.Ecs.ec_prefix in
+    let (Compile.Model m) = Compile.model net in
+    let srp = Compile.srp m net ~dest ~dest_prefix:ec.Ecs.ec_prefix in
     (* the gadget effect is solution-dependent: sample several stable
        solutions and require every one to map *)
     let sols = Solver.solutions_sample ~tries:12 srp in
     let all_ok t =
       List.for_all
-        (fun sol -> (fst (Equivalence.check_bgp t sol)).Equivalence.ok)
+        (fun sol -> (fst (Equivalence.check m t sol)).Equivalence.ok)
         sols
     in
     Printf.printf
@@ -347,7 +348,8 @@ let faults ?samples () =
   let row name (net : Device.network) =
     let ec = List.hd (Ecs.compute net) in
     let dest = Ecs.single_origin ec in
-    let srp = Compile.bgp_srp net ~dest ~dest_prefix:ec.Ecs.ec_prefix in
+    let (Compile.Model m) = Compile.model net in
+    let srp = Compile.srp m net ~dest ~dest_prefix:ec.Ecs.ec_prefix in
     let plan = Fault_engine.plan ?samples ~k:2 net.Device.graph in
     let r = Fault_engine.survey srp plan in
     let n = List.length plan.Fault_engine.scenarios in
@@ -653,12 +655,9 @@ let dataplane_bench ?(k = 8) ~json_path ~assert_speedup () =
           { node = Graph.name g u; nbr = Graph.name g v; cost = 7 }
       in
       let new_net = Delta.apply old_net [ d ] in
-      let protocol = Dataplane.detect_protocol new_net in
       (* the honest baseline: compile the changed network's entire data
          plane from scratch, as a non-incremental pipeline would *)
-      let full, t_full =
-        Timing.time (fun () -> Dataplane.of_network ~protocol new_net)
-      in
+      let full, t_full = Timing.time (fun () -> Dataplane.of_network new_net) in
       (* warm-state scenario (the serve op): the signature cache already
          exists; the differ proves classes untouched through it *)
       let cache = Sig_cache.create old_net in
@@ -1049,6 +1048,7 @@ let micro () =
   let mini_universe =
     Policy_bdd.universe_of_network ~keep_unmatched_comms:true mini
   in
+  let (Compile.Model m) = Compile.model net in
   let tests =
     Test.make_grouped ~name:"bonsai"
       [
@@ -1061,7 +1061,7 @@ let micro () =
         Test.make ~name:"solve-fattree-180"
           (Staged.stage (fun () ->
                Solver.solve
-                 (Compile.bgp_srp net ~dest ~dest_prefix:ec.Ecs.ec_prefix)));
+                 (Compile.srp m net ~dest ~dest_prefix:ec.Ecs.ec_prefix)));
       ]
   in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 2.0) () in

@@ -232,6 +232,8 @@ let compress_cmd_run spec ec_prefix dot all check check_dataplane format
      isolation, then compose the partitions (exact under the seeded-path
      guards, DESIGN.md §16); the health table goes to stderr. *)
   let single = not all && Option.is_none modules in
+  if Option.is_some dot && not single then
+    raise (Usage "--dot draws one class's abstract topology: use it with --ec");
   let compressed =
     match modules with
     | Some mode ->
@@ -783,6 +785,10 @@ let trace_cmd_run spec src_name addr all =
   let dp = Dataplane.of_network net in
   Format.printf "data plane: %d classes solved, %d FIB entries@."
     (Dataplane.ecs_solved dp) (Dataplane.n_entries dp);
+  let diverged = List.map Prefix.to_string (Dataplane.unknown_classes dp) in
+  if diverged <> [] then
+    Format.printf "control plane diverged, no FIB entries: %s@."
+      (String.concat ", " diverged);
   let show = function
     | Dataplane.Delivered path ->
       Format.printf "delivered: %s@."
@@ -823,9 +829,11 @@ let faults_cmd_run spec ec_prefix k samples seed format budget_ms
     Soundness.run ~budget:(make_budget budget_ms budget_ticks) ~samples ~seed
       ~k ~abstraction net ec
   in
-  let s = r.Soundness.survey in
+  let plan = r.Soundness.plan in
+  let n_disc = List.length r.Soundness.disconnected
+  and n_div = List.length r.Soundness.diverged in
   let name = Graph.name net.Device.graph in
-  let n_scenarios = List.length s.Fault_engine.plan.Fault_engine.scenarios in
+  let n_scenarios = List.length plan.Fault_engine.scenarios in
   let pp_sc = Scenario.pp ~names:name in
   let side reaches stable =
     if not stable then "diverged"
@@ -836,15 +844,14 @@ let faults_cmd_run spec ec_prefix k samples seed format budget_ms
   | `Text ->
     print_class_header net ec;
     Format.printf "scenarios: %d (%s, up to %d failed link%s)@." n_scenarios
-      (if s.Fault_engine.plan.Fault_engine.exhaustive then "exhaustive"
-       else "sampled")
+      (if plan.Fault_engine.exhaustive then "exhaustive" else "sampled")
       k
       (if k = 1 then "" else "s");
-    Format.printf "  stable & reachable: %d@." s.Fault_engine.n_stable;
-    Format.printf "  disconnected:       %d@." s.Fault_engine.n_disconnected;
-    Format.printf "  diverged:           %d@." s.Fault_engine.n_diverged;
-    if s.Fault_engine.n_skipped > 0 then
-      Format.printf "  skipped (budget):   %d@." s.Fault_engine.n_skipped;
+    Format.printf "  stable & reachable: %d@." r.Soundness.n_stable;
+    Format.printf "  disconnected:       %d@." n_disc;
+    Format.printf "  diverged:           %d@." n_div;
+    if r.Soundness.n_skipped > 0 then
+      Format.printf "  skipped (budget):   %d@." r.Soundness.n_skipped;
     let listing what xs pp_row =
       let cap = 12 in
       if xs <> [] then begin
@@ -861,11 +868,10 @@ let faults_cmd_run spec ec_prefix k samples seed format budget_ms
           (String.concat ", "
              (List.map name (List.filteri (fun i _ -> i < 6) stranded)))
           (if List.length stranded > 6 then ", ..." else ""));
-    listing "diverged" r.Soundness.diverged
-      (fun (sc, (d : _ Solver.diagnosis)) ->
+    listing "diverged" r.Soundness.diverged (fun (sc, verdict) ->
         Format.printf "  %a: %a@." pp_sc sc
-          (Solver.pp_verdict ~graph:d.Solver.diag_sol.Solution.srp.Srp.graph)
-          d.Solver.diag_verdict);
+          (Solver.pp_verdict ~graph:net.Device.graph)
+          verdict);
     Format.printf "abstraction: %d nodes, %d links@."
       (Abstraction.n_abstract abstraction)
       (Graph.n_links abstraction.Abstraction.abs_graph);
@@ -884,14 +890,11 @@ let faults_cmd_run spec ec_prefix k samples seed format budget_ms
         (side m.Soundness.abstract_reaches m.Soundness.abstract_stable))
   | `Json -> print_json (Json.Obj (Soundness.report_json_fields r)));
   Printf.eprintf "%d scenarios in %.3fs (%.0f scenarios/sec), %d cache hits\n"
-    n_scenarios s.Fault_engine.time_s
-    (float_of_int n_scenarios /. max 1e-9 s.Fault_engine.time_s)
+    n_scenarios r.Soundness.time_s
+    (float_of_int n_scenarios /. max 1e-9 r.Soundness.time_s)
     r.Soundness.cache_hits;
-  if
-    s.Fault_engine.n_disconnected + s.Fault_engine.n_diverged > 0
-    || Option.is_some r.Soundness.break_
-  then 1
-  else if s.Fault_engine.n_skipped > 0 then 3
+  if n_disc + n_div > 0 || Option.is_some r.Soundness.break_ then 1
+  else if r.Soundness.n_skipped > 0 then 3
   else 0
 
 (* --- harden ------------------------------------------------------------ *)
@@ -1398,7 +1401,10 @@ let compress_cmd =
     Arg.(
       value
       & opt (some string) None
-      & info [ "dot" ] ~docv:"PATH" ~doc:"Write the abstract topology as DOT.")
+      & info [ "dot" ] ~docv:"PATH"
+          ~doc:
+            "Write the class's abstract topology as DOT (one class only: \
+             not with $(b,--all) or $(b,--modules)).")
   in
   let all =
     Arg.(
@@ -1762,8 +1768,8 @@ let k_arg =
     value & opt int 1
     & info [ "k"; "kmax" ] ~docv:"K"
         ~doc:
-          "Maximum number of simultaneous link failures per scenario (also \
-           reachable as the prefix $(b,--k)).")
+          "Maximum number of simultaneous link failures per scenario; at \
+           least 1, since a bound of 0 leaves no scenario to check.")
 
 let seed_arg =
   Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"Sampling seed.")
@@ -1998,7 +2004,8 @@ let request_cmd =
   let k =
     Arg.(
       value & opt (some int) None
-      & info [ "k" ] ~docv:"K" ~doc:"Failure bound for faults/harden.")
+      & info [ "k" ] ~docv:"K"
+          ~doc:"Failure bound for faults/harden (at least 1).")
   in
   let rounds =
     Arg.(

@@ -36,7 +36,7 @@ let report name net =
   let sol =
     Solver.solve_exn (Compile.bgp_srp net ~dest ~dest_prefix:ec.Ecs.ec_prefix)
   in
-  let outcome, _ = Equivalence.check_bgp t sol in
+  let outcome, _ = Equivalence.check Compile.Bgp t sol in
   Format.printf "  CP-equivalent: %b@.@." outcome.Equivalence.ok
 
 let () =

@@ -68,7 +68,7 @@ let () =
         List.filter (fun b -> List.exists (fun (_, v) -> v = 0) (Solution.fwd sol b))
           [ 1; 2; 3 ]
       in
-      let outcome, _ = Equivalence.check_bgp t sol in
+      let outcome, _ = Equivalence.check Compile.Bgp t sol in
       Format.printf "  down-routers {%s}: CP-equivalent = %b@."
         (String.concat ", " (List.map (fun v -> names.(v)) direct))
         outcome.Equivalence.ok)
@@ -85,7 +85,7 @@ let () =
       ~universe:t.Abstraction.universe ~partition ~copies:(fun _ -> 1)
   in
   let sol = List.hd sols in
-  let outcome, _ = Equivalence.check_bgp naive sol in
+  let outcome, _ = Equivalence.check Compile.Bgp naive sol in
   Format.printf
     "@.naive abstraction (no splitting, Figure 2b): CP-equivalent = %b@."
     outcome.Equivalence.ok;

@@ -68,5 +68,5 @@ let () =
     (Properties.reachable sol src);
   Format.printf "  traffic crosses the backbone (waypointing): %b@."
     (Properties.waypointed sol ~src ~waypoints:backbone);
-  let outcome, _ = Equivalence.check_multi t sol in
+  let outcome, _ = Equivalence.check Compile.Multi t sol in
   Format.printf "  CP-equivalence verified: %b@." outcome.Equivalence.ok

@@ -323,6 +323,30 @@ let multi_srp (net : Device.network) ~dest ~dest_prefix =
     { f.multi with static_on; bgp_policy = edge_policy cf }
     ~dest
 
+type 'a model = Bgp : Bgp.attr model | Multi : Multi.attr model
+type any_model = Model : 'a model -> any_model
+
+(* A network without OSPF, statics or redistribution runs BGP alone;
+   there the two SRPs forward alike and the BGP one is cheaper. *)
+let model (net : Device.network) =
+  if
+    Array.exists
+      (fun (r : Device.router) ->
+        r.Device.ospf_links <> []
+        || r.Device.static_routes <> []
+        || r.Device.redistribute <> [])
+      net.Device.routers
+  then Model Multi
+  else Model Bgp
+
+let srp : type a.
+    a model -> Device.network -> dest:int -> dest_prefix:Prefix.t -> a Srp.t
+    =
+ fun m net ~dest ~dest_prefix ->
+  match m with
+  | Bgp -> bgp_srp net ~dest ~dest_prefix
+  | Multi -> multi_srp net ~dest ~dest_prefix
+
 let prefs (net : Device.network) ~dest v =
   let lps =
     List.concat_map

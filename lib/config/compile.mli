@@ -47,6 +47,20 @@ val multi_srp :
     @raise Invalid_argument on a static route to a non-adjacent next
     hop. *)
 
+type 'a model = Bgp : Bgp.attr model | Multi : Multi.attr model
+type any_model = Model : 'a model -> any_model
+
+val model : Device.network -> any_model
+(** The network's routing model, chosen by its configuration alone and
+    only here, so every client solves the same SRP: [Multi] iff some
+    router configures OSPF interfaces, static routes or redistribution;
+    [Bgp] otherwise, where both SRPs compile every class to the same
+    forwarding (a fuzz property of the test suite). *)
+
+val srp :
+  'a model -> Device.network -> dest:int -> dest_prefix:Prefix.t -> 'a Srp.t
+(** The class's SRP under the model: {!bgp_srp} or {!multi_srp}. *)
+
 val prefs : Device.network -> dest:Prefix.t -> int -> int list
 (** [prefs net ~dest v] — the paper's [prefs(v)] (§4.3): the set of BGP
     local-preference values that may be assigned to an announcement at

@@ -210,10 +210,10 @@ let abstract_policy t =
     let p = concrete u v in
     fun a -> Option.map (erase_comms t) (p a)
 
-let bgp_srp ?loop_prevention t =
+let bgp_srp t =
   let policy = abstract_policy t in
-  Bgp.make ?loop_prevention ~tie_filter:(Compile.matched_comms t.net) ~policy
-    t.abs_graph ~dest:t.abs_dest
+  Bgp.make ~tie_filter:(Compile.matched_comms t.net) ~policy t.abs_graph
+    ~dest:t.abs_dest
 
 let multi_srp t =
   let repr = edge_repr_fun t in
@@ -239,14 +239,6 @@ let multi_srp t =
       let u, v = repr a1 a2 in
       if List.mem v (Device.static_next_hops r.(u) ~dest:t.dest_prefix) then
         statics := (a1, a2) :: !statics);
-  let dest_r = r.(t.dest) in
-  let origin_protocols =
-    (if dest_r.Device.bgp_neighbors <> [] then [ Multi.P_ebgp ] else [])
-    @ (if dest_r.Device.ospf_links <> [] then [ Multi.P_ospf ] else [])
-  in
-  let origin_protocols =
-    if origin_protocols = [] then [ Multi.P_ebgp ] else origin_protocols
-  in
   Multi.make
     ~ospf_cost:(fun a1 a2 ->
       match ospf_link a1 a2 with Some l -> l.Device.cost | None -> 1)
@@ -259,7 +251,11 @@ let multi_srp t =
     ~static_routes:!statics
     ~redistribute:(fun a -> r.(repr_of_abs t a).Device.redistribute)
     ~bgp_tie_filter:(Compile.matched_comms t.net)
-    ~origin_protocols t.abs_graph ~dest:t.abs_dest
+    ~origin_protocols:(Compile.origin_protocols t.net t.dest)
+    t.abs_graph ~dest:t.abs_dest
+
+let srp : type a. a Compile.model -> t -> a Srp.t =
+ fun m t -> match m with Compile.Bgp -> bgp_srp t | Compile.Multi -> multi_srp t
 
 let compression_ratio t =
   let n = float_of_int (Graph.n_nodes t.net.Device.graph) in

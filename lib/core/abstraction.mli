@@ -106,13 +106,17 @@ val h_attr : t -> fr:(int -> int) -> Bgp.attr -> Bgp.attr
     through the given node mapping (usually {!f}, or a solution-specific
     refinement). *)
 
-val bgp_srp : ?loop_prevention:bool -> t -> Bgp.attr Srp.t
+val bgp_srp : t -> Bgp.attr Srp.t
 (** The abstract BGP SRP: policies are taken from representative concrete
     edges (sound by transfer-equivalence of the refined partition). *)
 
 val multi_srp : t -> Multi.attr Srp.t
 (** The abstract multi-protocol SRP, mapping each protocol's per-edge
     configuration through representative edges. *)
+
+val srp : 'a Compile.model -> t -> 'a Srp.t
+(** The abstract SRP under the concrete network's model
+    ({!Compile.model}): {!bgp_srp} or {!multi_srp}. *)
 
 val compression_ratio : t -> float * float
 (** (node ratio, edge ratio): concrete size over abstract size, counting

@@ -245,36 +245,40 @@ let bgp_behavior_equal (a : Bgp.attr) (b : Bgp.attr) =
   a.Bgp.lp = b.Bgp.lp && a.Bgp.med = b.Bgp.med && a.Bgp.comms = b.Bgp.comms
   && List.length a.Bgp.path = List.length b.Bgp.path
 
-let check_bgp ?loop_prevention t (sol : Bgp.attr Solution.t) =
-  let abs_srp = Abstraction.bgp_srp ?loop_prevention t in
-  generic ~abs_srp t ~concrete:sol
-    ~map_attr:(fun ~fr a -> Abstraction.h_attr t ~fr a)
-    ~behavior_equal:bgp_behavior_equal ()
+(* Multi-protocol labels are the same behavior when their static and
+   OSPF parts agree and their BGP routes are the same BGP behavior. *)
+let multi_behavior_equal (a : Multi.attr) (b : Multi.attr) =
+  a.Multi.static_ = b.Multi.static_
+  && a.Multi.ospf = b.Multi.ospf
+  &&
+  match (a.Multi.bgp, b.Multi.bgp) with
+  | None, None -> true
+  | Some x, Some y ->
+    x.Multi.via_ibgp = y.Multi.via_ibgp
+    && bgp_behavior_equal x.Multi.battr y.Multi.battr
+  | _ -> false
 
-let check_multi t (sol : Multi.attr Solution.t) =
-  let abs_srp = Abstraction.multi_srp t in
-  let map_attr ~fr (a : Multi.attr) =
-    {
-      a with
-      Multi.bgp =
-        Option.map
-          (fun (b : Multi.bgp_route) ->
-            { b with Multi.battr = Abstraction.h_attr t ~fr b.Multi.battr })
-          a.Multi.bgp;
-    }
-  in
-  let behavior_equal (a : Multi.attr) (b : Multi.attr) =
-    a.Multi.static_ = b.Multi.static_
-    && a.Multi.ospf = b.Multi.ospf
-    &&
-    match (a.Multi.bgp, b.Multi.bgp) with
-    | None, None -> true
-    | Some x, Some y ->
-      x.Multi.via_ibgp = y.Multi.via_ibgp
-      && bgp_behavior_equal x.Multi.battr y.Multi.battr
-    | _ -> false
-  in
-  generic ~abs_srp t ~concrete:sol ~map_attr ~behavior_equal ()
+let check : type a.
+    a Compile.model ->
+    Abstraction.t ->
+    a Solution.t ->
+    outcome * a Solution.t option =
+ fun m t sol ->
+  let abs_srp = Abstraction.srp m t in
+  let h ~fr a = Abstraction.h_attr t ~fr a in
+  match m with
+  | Compile.Bgp ->
+    generic ~abs_srp t ~concrete:sol ~map_attr:h
+      ~behavior_equal:bgp_behavior_equal ()
+  | Compile.Multi ->
+    let map_attr ~fr (a : Multi.attr) =
+      let route (b : Multi.bgp_route) =
+        { b with Multi.battr = h ~fr b.Multi.battr }
+      in
+      { a with Multi.bgp = Option.map route a.Multi.bgp }
+    in
+    generic ~abs_srp t ~concrete:sol ~map_attr
+      ~behavior_equal:multi_behavior_equal ()
 
 let check_plain ~abs_srp t sol =
   generic ~abs_srp t ~concrete:sol ~map_attr:(fun ~fr:_ a -> a) ()

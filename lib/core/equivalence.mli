@@ -24,22 +24,17 @@ type outcome = {
   abs_labels_opaque : unit;  (** see [check_*] returns for typed labels *)
 }
 
-val check_bgp :
-  ?loop_prevention:bool ->
+val check :
+  'a Compile.model ->
   Abstraction.t ->
-  Bgp.attr Solution.t ->
-  outcome * Bgp.attr Solution.t option
-(** Check a BGP solution; returns the constructed abstract solution when
-    the behavior assignment succeeded (even if later checks failed). *)
-
-val check_multi :
-  Abstraction.t ->
-  Multi.attr Solution.t ->
-  outcome * Multi.attr Solution.t option
-(** Multi-protocol variant; requires the concrete forwarding relation to
-    be acyclic (static-route loops make the inductive construction
-    impossible — fwd-equivalence for pure static routing is checked
-    separately by the test suite). *)
+  'a Solution.t ->
+  outcome * 'a Solution.t option
+(** Check a solution of the concrete SRP under the model; returns the
+    constructed abstract solution when the behavior assignment succeeded
+    (even if later checks failed). Under [Multi] the concrete forwarding
+    relation must be acyclic (static-route loops make the inductive
+    construction impossible — fwd-equivalence for pure static routing is
+    checked separately by the test suite). *)
 
 val check_plain :
   abs_srp:'a Srp.t ->

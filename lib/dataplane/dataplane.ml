@@ -24,16 +24,10 @@ type hop_result =
   | Dropped of int list
   | Looped of int list
 
-let detect_protocol (net : Device.network) =
-  if
-    Array.exists
-      (fun (r : Device.router) ->
-        r.Device.ospf_links <> []
-        || r.Device.static_routes <> []
-        || r.Device.redistribute <> [])
-      net.Device.routers
-  then `Multi
-  else `Bgp
+let detect_protocol net =
+  match Compile.model net with
+  | Compile.Model Compile.Bgp -> `Bgp
+  | Compile.Model Compile.Multi -> `Multi
 
 (* The data-plane ACL fold: a packet towards [prefix] leaving [u] for
    next hop [v] is dropped by [u]'s outbound ACL on that interface. The
@@ -71,25 +65,19 @@ let class_fib (net : Device.network) (ec : Ecs.ec) (sol : 'a Solution.t) =
     cf_entries = !entries;
   }
 
-let compile_ec ?(protocol = `Bgp) ?budget (net : Device.network)
-    (ec : Ecs.ec) =
+let compile_ec ?budget model (net : Device.network) (ec : Ecs.ec) =
   match ec.Ecs.ec_origins with
   | [ dest ] -> (
     Option.iter (fun b -> Budget.tick b ~phase:"dataplane") budget;
-    let solved = function
-      | Ok (sol, _) -> `Compiled (class_fib net ec sol)
-      | Error (`Budget ((info : Budget.info), _)) ->
-        raise (Budget.Exhausted info)
-      | Error (`Diverged _) -> `Unsolved
-    in
-    let dest_prefix = ec.Ecs.ec_prefix in
-    match protocol with
-    | `Bgp -> solved (Solver.solve ?budget (Compile.bgp_srp net ~dest ~dest_prefix))
-    | `Multi ->
-      solved (Solver.solve ?budget (Compile.multi_srp net ~dest ~dest_prefix)))
+    let srp = Compile.srp model net ~dest ~dest_prefix:ec.Ecs.ec_prefix in
+    match Solver.solve ?budget srp with
+    | Ok (sol, _) -> `Compiled (class_fib net ec sol)
+    | Error (`Budget ((info : Budget.info), _)) -> raise (Budget.Exhausted info)
+    | Error (`Diverged _) -> `Unsolved)
   | _ -> `Anycast
 
-let of_network ?(protocol = `Bgp) ?budget (net : Device.network) =
+let of_network ?budget (net : Device.network) =
+  let (Compile.Model model) = Compile.model net in
   let n = Graph.n_nodes net.Device.graph in
   let t =
     {
@@ -104,7 +92,7 @@ let of_network ?(protocol = `Bgp) ?budget (net : Device.network) =
   let origins = ref [] in
   List.iter
     (fun ec ->
-      match compile_ec ~protocol ?budget net ec with
+      match compile_ec ?budget model net ec with
       | `Compiled cf ->
         t.ecs <- t.ecs + 1;
         origins := (cf.cf_prefix, cf.cf_origin) :: !origins;
@@ -114,9 +102,7 @@ let of_network ?(protocol = `Bgp) ?budget (net : Device.network) =
             t.entries <- t.entries + 1)
           cf.cf_entries
       | `Unsolved ->
-        (match ec.Ecs.ec_origins with
-        | [ dest ] -> origins := (ec.Ecs.ec_prefix, dest) :: !origins
-        | _ -> ());
+        origins := (ec.Ecs.ec_prefix, Ecs.single_origin ec) :: !origins;
         t.unknown <- ec.Ecs.ec_prefix :: t.unknown
       | `Anycast -> ())
     (Ecs.compute net);

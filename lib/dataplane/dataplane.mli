@@ -42,17 +42,16 @@ type hop_result =
   | Looped of int list  (** the path revisits a node *)
 
 val detect_protocol : Device.network -> [ `Bgp | `Multi ]
-(** [`Multi] iff any router configures OSPF interfaces, static routes or
-    redistribution — the protocol family under which the FIBs should be
-    compiled to reflect every route source. *)
+(** {!Compile.model} as a tag, for callers that name the model. *)
 
 val compile_ec :
-  ?protocol:[ `Bgp | `Multi ] ->
   ?budget:Budget.t ->
+  'a Compile.model ->
   Device.network ->
   Ecs.ec ->
   [ `Compiled of class_fib | `Anycast | `Unsolved ]
-(** Solve one destination class's SRP and fold the ACLs into its
+(** Solve one destination class's SRP under the model (normally the
+    network's own, {!Compile.model}) and fold the ACLs into its
     forwarding entries. [`Anycast] for multi-origin classes (no FIB),
     [`Unsolved] when the control plane diverges. Consumes one budget tick
     per call and raises [Budget.Exhausted] (for the caller to convert)
@@ -64,14 +63,11 @@ val class_fib : Device.network -> Ecs.ec -> 'a Solution.t -> class_fib
     solution carries its forwarding table, as {!Solver.solve}'s do.
     {!compile_ec} is [Solver.solve] followed by this. *)
 
-val of_network :
-  ?protocol:[ `Bgp | `Multi ] ->
-  ?budget:Budget.t ->
-  Device.network ->
-  t
-(** Solve every (single-origin) destination class and build the FIBs.
-    Classes whose control plane diverges contribute no entries and are
-    listed in {!unknown_classes}. *)
+val of_network : ?budget:Budget.t -> Device.network -> t
+(** Solve every (single-origin) destination class under the network's
+    model ({!Compile.model}) and build the FIBs. Classes whose control
+    plane diverges contribute no entries and are listed in
+    {!unknown_classes}. *)
 
 val fib : t -> int -> (Prefix.t * int list) list
 (** A router's forwarding table: prefix, permitted next hops; sorted by

@@ -79,7 +79,7 @@ let lookup_of_class ~n (cf : Dataplane.class_fib) =
    representative concrete edges into the abstract next hops (sound
    because transfer-equivalence of the refined partition makes every
    member edge's ACL verdict for this destination equal). *)
-let abstract_lookup ~protocol ?budget (t : Abstraction.t) =
+let abstract_lookup ?budget model (t : Abstraction.t) =
   let net = t.Abstraction.net in
   let repr_edge = Abstraction.edge_repr_fun t in
   let permits u_hat v_hat =
@@ -90,25 +90,18 @@ let abstract_lookup ~protocol ?budget (t : Abstraction.t) =
         t.Abstraction.dest_prefix
     | exception Not_found -> true
   in
-  let of_sol (type a) (sol : a Solution.t) u_hat =
-    List.filter (permits u_hat) (List.map snd (Solution.fwd sol u_hat))
-  in
-  match protocol with
-  | `Bgp -> (
-    match Solver.solve ?budget (Abstraction.bgp_srp t) with
-    | Ok (sol, _) -> `Solved (of_sol sol)
-    | Error (`Budget (info, _)) -> raise (Budget.Exhausted info)
-    | Error (`Diverged _) -> `Diverged)
-  | `Multi -> (
-    match Solver.solve ?budget (Abstraction.multi_srp t) with
-    | Ok (sol, _) -> `Solved (of_sol sol)
-    | Error (`Budget (info, _)) -> raise (Budget.Exhausted info)
-    | Error (`Diverged _) -> `Diverged)
+  match Solver.solve ?budget (Abstraction.srp model t) with
+  | Ok (sol, _) ->
+    `Solved
+      (fun u_hat ->
+        List.filter (permits u_hat) (List.map snd (Solution.fwd sol u_hat)))
+  | Error (`Budget (info, _)) -> raise (Budget.Exhausted info)
+  | Error (`Diverged _) -> `Diverged
 
 (* One class: trace from every role representative through both FIBs.
    [`Ok traces] | [`Mismatch refutation] | [`Unknown] (concrete control
    plane diverged — nothing to compare against). *)
-let check_class ~protocol ?budget (net : Device.network)
+let check_class ?budget model (net : Device.network)
     (r : Bonsai_api.ec_result) =
   let t = r.Bonsai_api.abstraction in
   let ec = r.Bonsai_api.ec in
@@ -117,7 +110,7 @@ let check_class ~protocol ?budget (net : Device.network)
        is the concrete data plane by construction *)
     `Ok 0
   else
-    match Dataplane.compile_ec ~protocol ?budget net ec with
+    match Dataplane.compile_ec ?budget model net ec with
     | `Anycast -> `Ok 0
     | `Unsolved -> `Unknown
     | `Compiled cf -> (
@@ -125,7 +118,7 @@ let check_class ~protocol ?budget (net : Device.network)
         lookup_of_class ~n:(Graph.n_nodes net.Device.graph) cf
       in
       let abs_lookup =
-        match abstract_lookup ~protocol ?budget t with
+        match abstract_lookup ?budget model t with
         | `Solved l -> l
         | `Diverged ->
           (* the abstract control plane has no stable solution where the
@@ -178,10 +171,11 @@ let check_class ~protocol ?budget (net : Device.network)
 
 let check ?protocol ?budget (net : Device.network)
     (results : Bonsai_api.ec_result list) =
-  let protocol =
+  let (Compile.Model model) =
     match protocol with
-    | Some p -> p
-    | None -> Dataplane.detect_protocol net
+    | None -> Compile.model net
+    | Some `Bgp -> Compile.Model Compile.Bgp
+    | Some `Multi -> Compile.Model Compile.Multi
   in
   let classes = ref 0 and traces = ref 0 in
   let unknown = ref [] in
@@ -189,7 +183,7 @@ let check ?protocol ?budget (net : Device.network)
   (try
      List.iter
        (fun (r : Bonsai_api.ec_result) ->
-         match check_class ~protocol ?budget net r with
+         match check_class ?budget model net r with
          | `Ok n ->
            incr classes;
            traces := !traces + n

@@ -44,7 +44,8 @@ val check :
 (** Check every compression result against the concrete network it
     abstracts. Identity abstractions are trivially equivalent (the
     abstract network {e is} the concrete network) and counted without
-    re-solving. [protocol] defaults to {!Dataplane.detect_protocol}. *)
+    re-solving. Both sides are solved under [protocol] when given, else
+    under the network's model ({!Compile.model}). *)
 
 val refutation_string : Device.network -> Abstraction.t -> refutation -> string
 (** Render a witness with router names (abstract nodes as

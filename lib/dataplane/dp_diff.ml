@@ -69,31 +69,25 @@ let diff_class ~to_old prefix old_entries new_entries =
     old_entries
   @ changes
 
-let entries_of ?protocol ?budget net = function
+let entries_of ?budget model net = function
   | None -> `Entries []
   | Some ec -> (
-    match Dataplane.compile_ec ?protocol ?budget net ec with
+    match Dataplane.compile_ec ?budget model net ec with
     | `Compiled cf -> `Entries cf.Dataplane.cf_entries
     | `Unsolved -> `Unsolved
     | `Anycast -> `Entries [])
 
-let run ?budget ?cache ?protocol ~(old_net : Device.network)
+let run ?budget ?cache ~(old_net : Device.network)
     ~(new_net : Device.network) (deltas : Delta.t list) =
   Bonsai_error.protect @@ fun () ->
   let t0 = Timing.now () in
-  let protocol =
-    match protocol with
-    | Some p -> Some p
-    | None ->
-      (* either side multi-protocol ⇒ compile both under `Multi so the
-         two FIBs are comparable *)
-      Some
-        (match
-           ( Dataplane.detect_protocol old_net,
-             Dataplane.detect_protocol new_net )
-         with
-        | `Bgp, `Bgp -> `Bgp
-        | _ -> `Multi)
+  (* either side multi-protocol ⇒ compile both under [Multi] so the two
+     FIBs are comparable *)
+  let (Compile.Model model) =
+    match (Compile.model old_net, Compile.model new_net) with
+    | Compile.Model Compile.Bgp, Compile.Model Compile.Bgp ->
+      Compile.Model Compile.Bgp
+    | _ -> Compile.Model Compile.Multi
   in
   (* reuse needs one signature cache compatible with BOTH networks so
      BDD ids are directly comparable; failing that, every class is dirty
@@ -128,8 +122,8 @@ let run ?budget ?cache ?protocol ~(old_net : Device.network)
       unknown := ec_prefix :: !unknown
     | None -> (
       try
-        match (entries_of ?protocol ?budget old_net old_ec,
-               entries_of ?protocol ?budget new_net new_ec)
+        match (entries_of ?budget model old_net old_ec,
+               entries_of ?budget model new_net new_ec)
         with
         | `Entries olds, `Entries news ->
           incr recompiled;

@@ -44,13 +44,14 @@ type report = {
 val run :
   ?budget:Budget.t ->
   ?cache:Sig_cache.t ->
-  ?protocol:[ `Bgp | `Multi ] ->
   old_net:Device.network ->
   new_net:Device.network ->
   Delta.t list ->
   (report, Bonsai_error.t) result
 (** Diff the data planes of two networks related by [deltas]
-    (typically [Delta.diff old_net new_net]). [cache] — e.g. a warm
+    (typically [Delta.diff old_net new_net]), both compiled under one
+    model: [Multi] when either network's {!Compile.model} is, else
+    [Bgp]. [cache] — e.g. a warm
     {!Incr.sig_cache} — enables class reuse when it is
     {!Sig_cache.compatible} with both networks; without one, a cache is
     built from [old_net]. Reuse is disabled (but recompilation still

@@ -80,21 +80,26 @@ type report = {
   ec : Ecs.ec;
   k : int;
   abstraction : Abstraction.t;
-  survey : Bgp.attr Fault_engine.report;
+  plan : Fault_engine.plan;
+  n_stable : int;
+  n_skipped : int;
+  time_s : float;
   disconnected : (Scenario.t * int list) list;
-  diverged : (Scenario.t * Bgp.attr Solver.diagnosis) list;
+  diverged : (Scenario.t * Solver.verdict) list;
   break_ : (Scenario.t * mismatch) option;
   cache_hits : int;
 }
 
 let run ~budget ~samples ~seed ~k ~abstraction (net : Device.network) ec =
-  if k < 0 then
-    Bonsai_error.error (Bonsai_error.Compile_error "Soundness.run: negative k");
+  if k < 1 then
+    Bonsai_error.error
+      (Bonsai_error.Compile_error "Soundness.run: k must be positive");
   if Option.fold ~none:false ~some:(fun s -> s < 1) samples then
     Bonsai_error.error
       (Bonsai_error.Compile_error "Soundness.run: samples must be positive");
+  let (Compile.Model m) = Compile.model net in
   let srp =
-    Compile.bgp_srp net ~dest:(Ecs.single_origin ec)
+    Compile.srp m net ~dest:(Ecs.single_origin ec)
       ~dest_prefix:ec.Ecs.ec_prefix
   in
   let plan = Fault_engine.plan ?samples ~seed ~k net.Device.graph in
@@ -106,7 +111,7 @@ let run ~budget ~samples ~seed ~k ~abstraction (net : Device.network) ec =
   let survey = Fault_engine.survey ~budget ~cache srp plan in
   let break_ =
     first_break abstraction ~concrete:srp ~concrete_cache:cache
-      ~abstract_:(Abstraction.bgp_srp abstraction) plan.Fault_engine.scenarios
+      ~abstract_:(Abstraction.srp m abstraction) plan.Fault_engine.scenarios
   in
   let outcomes = survey.Fault_engine.outcomes in
   {
@@ -114,7 +119,10 @@ let run ~budget ~samples ~seed ~k ~abstraction (net : Device.network) ec =
     ec;
     k;
     abstraction;
-    survey;
+    plan;
+    n_stable = survey.Fault_engine.n_stable;
+    n_skipped = survey.Fault_engine.n_skipped;
+    time_s = survey.Fault_engine.time_s;
     disconnected =
       List.filter_map
         (function
@@ -123,7 +131,9 @@ let run ~budget ~samples ~seed ~k ~abstraction (net : Device.network) ec =
         outcomes;
     diverged =
       List.filter_map
-        (function sc, Fault_engine.Diverged d -> Some (sc, d) | _ -> None)
+        (function
+          | sc, Fault_engine.Diverged d -> Some (sc, d.Solver.diag_verdict)
+          | _ -> None)
         outcomes;
     break_;
     cache_hits = Fault_engine.cache_hits cache;
@@ -134,10 +144,9 @@ let report_json_fields r =
   let name = Graph.name g in
   let names us = Json.List (List.map (fun u -> Json.String (name u)) us) in
   let scenario = Scenario.to_json ~names:name in
-  let s = r.survey and plan = r.survey.Fault_engine.plan in
+  let plan = r.plan in
   let mode = if plan.Fault_engine.exhaustive then "exhaustive" else "sampled" in
-  let verdict (d : _ Solver.diagnosis) =
-    match d.Solver.diag_verdict with
+  let verdict = function
     | Solver.Oscillation { period; participants } ->
       [
         ("verdict", Json.String "oscillation");
@@ -171,10 +180,9 @@ let report_json_fields r =
     ("k", Json.Int r.k);
     ("mode", Json.String mode);
     ("scenarios", Json.Int (List.length plan.Fault_engine.scenarios));
-    ("stable", Json.Int s.Fault_engine.n_stable);
+    ("stable", Json.Int r.n_stable);
   ]
-  @ (if s.Fault_engine.n_skipped > 0 then
-       [ ("skipped", Json.Int s.Fault_engine.n_skipped) ]
+  @ (if r.n_skipped > 0 then [ ("skipped", Json.Int r.n_skipped) ]
      else [])
   @ [
       ( "disconnected",

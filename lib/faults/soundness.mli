@@ -77,10 +77,13 @@ type report = {
   ec : Ecs.ec;
   k : int;  (** most simultaneous link failures per scenario *)
   abstraction : Abstraction.t;  (** the abstraction checked *)
-  survey : Bgp.attr Fault_engine.report;  (** the concrete outcomes *)
+  plan : Fault_engine.plan;  (** the scenarios surveyed *)
+  n_stable : int;  (** scenarios where every surviving node reaches *)
+  n_skipped : int;  (** planned scenarios the budget left unrun *)
+  time_s : float;  (** wall clock of the concrete survey *)
   disconnected : (Scenario.t * int list) list;
       (** stable scenarios stranding nodes, with those nodes *)
-  diverged : (Scenario.t * Bgp.attr Solver.diagnosis) list;
+  diverged : (Scenario.t * Solver.verdict) list;
   break_ : (Scenario.t * mismatch) option;  (** {!first_break} of the plan *)
   cache_hits : int;  (** concrete re-solves the soundness sweep reused *)
 }
@@ -94,13 +97,14 @@ val run :
   Device.network ->
   Ecs.ec ->
   report
-(** Survey the class's eBGP SRP ({!Compile.bgp_srp}) under the scenarios
-    of [Fault_engine.plan ?samples ~seed ~k], then check [abstraction]
-    on each of them. [budget] bounds the survey ({!Fault_engine.survey});
-    one concrete-side cache serves both sweeps.
-    @raise Bonsai_error.Error [Compile_error] on a negative [k] or a
-    sample count below 1 (a sweep of no scenarios proves nothing), as
-    [Repair.harden] reports them. *)
+(** Survey the class's SRP under the network's model ({!Compile.model})
+    in the scenarios of [Fault_engine.plan ?samples ~seed ~k], then check
+    [abstraction], solved under the same model, on each of them. [budget]
+    bounds the survey ({!Fault_engine.survey}); one concrete-side cache
+    serves both sweeps.
+    @raise Bonsai_error.Error [Compile_error] on a [k] or a sample count
+    below 1 (a sweep of no scenarios proves nothing), as [Repair.harden]
+    reports them. *)
 
 val report_json_fields : report -> (string * Json.t) list
 (** The [bonsai faults --format json] document's fields; the serve

@@ -39,13 +39,14 @@ let scenario_plan ~k ~frontier ~samples ~seed ~round g =
 let harden_exn ?(k = 1) ?(rounds = 8) ?(frontier = 1024) ?(samples = 64)
     ?(seed = 0) ?(budget = Budget.infinite) (net : Device.network)
     (ec : Ecs.ec) =
-  if k < 0 then invalid_arg "Repair.harden: negative k";
+  if k < 1 then invalid_arg "Repair.harden: k must be positive";
   if rounds < 0 then invalid_arg "Repair.harden: negative rounds";
   if samples < 1 then invalid_arg "Repair.harden: samples must be positive";
   let g = net.Device.graph in
   let n = Graph.n_nodes g in
   let dest = Ecs.single_origin ec in
-  let concrete = Compile.bgp_srp net ~dest ~dest_prefix:ec.Ecs.ec_prefix in
+  let (Compile.Model m) = Compile.model net in
+  let concrete = Compile.srp m net ~dest ~dest_prefix:ec.Ecs.ec_prefix in
   let concrete_cache = Fault_engine.cache () in
   let plan_exhaustive = Scenario.count ~k g <= frontier in
   let pins = ref [] in
@@ -71,7 +72,7 @@ let harden_exn ?(k = 1) ?(rounds = 8) ?(frontier = 1024) ?(samples = 64)
   let fallback why = finish (Bonsai_api.identity_result net ec) why true in
   let rec round_loop round (r : Bonsai_api.ec_result) =
     let t = r.Bonsai_api.abstraction in
-    let abstract_ = Abstraction.bgp_srp t in
+    let abstract_ = Abstraction.srp m t in
     (* the abstract network changes with every repair, so its cache
        lives for one round only *)
     let abstract_cache = Fault_engine.cache () in

@@ -71,7 +71,9 @@ val harden_exn :
   t
 (** Run the repair loop for one destination class.
 
-    [k] (default 1) bounds simultaneous link failures per scenario.
+    Both networks are solved under the concrete network's model
+    ({!Compile.model}). [k] (default 1) bounds simultaneous link
+    failures per scenario.
     [rounds] (default 8) bounds {e repair} attempts, i.e. recompressions
     with a grown pin set; [rounds = 0] disables repair — the sweep then
     only diagnoses, and a counterexample yields [sound = false] with the
@@ -85,8 +87,8 @@ val harden_exn :
     sweep checks it per scenario); exhaustion degrades to the identity
     abstraction instead of raising.
 
-    @raise Invalid_argument on negative [k]/[rounds], [samples] below 1
-    or an anycast class. *)
+    @raise Invalid_argument on [k] or [samples] below 1 (a sweep of no
+    scenarios proves nothing), negative [rounds] or an anycast class. *)
 
 val harden :
   ?k:int ->

@@ -1,5 +1,3 @@
-type protocol = [ `Bgp | `Multi ]
-
 type result = {
   pairs : int;
   unreachable : int;
@@ -60,67 +58,43 @@ let run_ecs ?timeout_s (net : Device.network) per_ec =
     timed_out = !timed_out;
   }
 
-let concrete_solution ?(protocol = `Bgp) (net : Device.network) ec =
-  let dest = Ecs.single_origin ec in
-  match protocol with
-  | `Bgp ->
-    let srp = Compile.bgp_srp net ~dest ~dest_prefix:ec.Ecs.ec_prefix in
-    let sol = solve_or_fail srp in
-    `Bgp_sol sol
-  | `Multi ->
-    let srp = Compile.multi_srp net ~dest ~dest_prefix:ec.Ecs.ec_prefix in
-    let sol = solve_or_fail srp in
-    `Multi_sol sol
+let concrete_solution model (net : Device.network) ec =
+  solve_or_fail
+    (Compile.srp model net ~dest:(Ecs.single_origin ec)
+       ~dest_prefix:ec.Ecs.ec_prefix)
 
-let concrete_all_pairs ?timeout_s ?protocol net =
+let concrete_all_pairs ?timeout_s net =
+  let (Compile.Model m) = Compile.model net in
   run_ecs ?timeout_s net (fun ec ->
-      let p, u =
-        match concrete_solution ?protocol net ec with
-        | `Bgp_sol sol -> check_pairs sol
-        | `Multi_sol sol -> check_pairs sol
-      in
+      let p, u = check_pairs (concrete_solution m net ec) in
       (p, u, 0.0))
 
-let abstract_solution ?(protocol = `Bgp) ~universe (net : Device.network) ec =
+let abstract_solution model ~universe (net : Device.network) ec =
   let r = Bonsai_api.compress_ec_exn ~universe net ec in
-  let t = r.Bonsai_api.abstraction in
-  match protocol with
-  | `Bgp -> (r, `Bgp_sol (solve_or_fail (Abstraction.bgp_srp t)))
-  | `Multi -> (r, `Multi_sol (solve_or_fail (Abstraction.multi_srp t)))
+  (r, solve_or_fail (Abstraction.srp model r.Bonsai_api.abstraction))
 
-let abstract_all_pairs ?timeout_s ?protocol (net : Device.network) =
+let abstract_all_pairs ?timeout_s (net : Device.network) =
+  let (Compile.Model m) = Compile.model net in
   let universe, u_time =
     Timing.time (fun () -> Policy_bdd.universe_of_network net)
   in
   let first = ref true in
   run_ecs ?timeout_s net (fun ec ->
-      let (r, sol), t =
-        Timing.time (fun () -> abstract_solution ?protocol ~universe net ec)
-      in
-      let p, u =
-        match sol with
-        | `Bgp_sol sol -> check_pairs sol
-        | `Multi_sol sol -> check_pairs sol
-      in
-      let ct =
-        r.Bonsai_api.time_s +. (if !first then u_time else 0.0)
-      in
+      let r, sol = abstract_solution m ~universe net ec in
+      let p, u = check_pairs sol in
+      let ct = r.Bonsai_api.time_s +. if !first then u_time else 0.0 in
       first := false;
-      ignore t;
       (p, u, ct))
 
-let concrete_query ?protocol net ~src ~ec =
-  match concrete_solution ?protocol net ec with
-  | `Bgp_sol sol -> Properties.reachable sol src
-  | `Multi_sol sol -> Properties.reachable sol src
+let concrete_query net ~src ~ec =
+  let (Compile.Model m) = Compile.model net in
+  Properties.reachable (concrete_solution m net ec) src
 
-let abstract_query ?protocol net ~src ~ec =
+let abstract_query net ~src ~ec =
+  let (Compile.Model m) = Compile.model net in
   let universe = Policy_bdd.universe_of_network net in
-  let r, sol = abstract_solution ?protocol ~universe net ec in
-  let asrc = Abstraction.f r.Bonsai_api.abstraction src in
-  match sol with
-  | `Bgp_sol sol -> Properties.reachable sol asrc
-  | `Multi_sol sol -> Properties.reachable sol asrc
+  let r, sol = abstract_solution m ~universe net ec in
+  Properties.reachable sol (Abstraction.f r.Bonsai_api.abstraction src)
 
 type flows = {
   sources_reaching : int;
@@ -146,16 +120,13 @@ let flows_of_solution (type a) (sol : a Solution.t) t0 =
     flow_time_s = Timing.now () -. t0;
   }
 
-let concrete_flows ?protocol net ~ec =
+let concrete_flows net ~ec =
   let t0 = Timing.now () in
-  match concrete_solution ?protocol net ec with
-  | `Bgp_sol sol -> flows_of_solution sol t0
-  | `Multi_sol sol -> flows_of_solution sol t0
+  let (Compile.Model m) = Compile.model net in
+  flows_of_solution (concrete_solution m net ec) t0
 
-let abstract_flows ?protocol net ~ec =
+let abstract_flows net ~ec =
   let t0 = Timing.now () in
+  let (Compile.Model m) = Compile.model net in
   let universe = Policy_bdd.universe_of_network net in
-  let _, sol = abstract_solution ?protocol ~universe net ec in
-  match sol with
-  | `Bgp_sol sol -> flows_of_solution sol t0
-  | `Multi_sol sol -> flows_of_solution sol t0
+  flows_of_solution (snd (abstract_solution m ~universe net ec)) t0

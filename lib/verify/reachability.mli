@@ -7,9 +7,8 @@
     network, its cost grows with network size; run on Bonsai's compressed
     networks (one per class, compression time included), it answers the
     same queries — CP-equivalence guarantees the per-pair verdicts
-    coincide. *)
-
-type protocol = [ `Bgp | `Multi ]
+    coincide. Every class is solved under the network's own routing model
+    ({!Compile.model}), on both sides. *)
 
 type result = {
   pairs : int;  (** (source, class) pairs checked *)
@@ -20,21 +19,17 @@ type result = {
   timed_out : bool;
 }
 
-val concrete_all_pairs :
-  ?timeout_s:float -> ?protocol:protocol -> Device.network -> result
+val concrete_all_pairs : ?timeout_s:float -> Device.network -> result
 
-val abstract_all_pairs :
-  ?timeout_s:float -> ?protocol:protocol -> Device.network -> result
+val abstract_all_pairs : ?timeout_s:float -> Device.network -> result
 (** Compress each class first (time included), then verify on the abstract
     network. The [pairs] counted are abstract pairs — one per abstract
     node, i.e. one per role, which is exactly the saving. *)
 
-val concrete_query :
-  ?protocol:protocol -> Device.network -> src:int -> ec:Ecs.ec -> bool
+val concrete_query : Device.network -> src:int -> ec:Ecs.ec -> bool
 (** Single reachability query (the paper's Batfish experiment). *)
 
-val abstract_query :
-  ?protocol:protocol -> Device.network -> src:int -> ec:Ecs.ec -> bool
+val abstract_query : Device.network -> src:int -> ec:Ecs.ec -> bool
 (** The same query answered by compressing the class and asking about
     [f src] in the abstract network. *)
 
@@ -44,11 +39,11 @@ type flows = {
   flow_time_s : float;
 }
 
-val concrete_flows : ?protocol:protocol -> Device.network -> ec:Ecs.ec -> flows
+val concrete_flows : Device.network -> ec:Ecs.ec -> flows
 (** The paper's Batfish/NoD experiment: compute {e all} forwarding paths
     from every source towards the destination class (multipath fattrees
     make this blow up combinatorially on the concrete network). *)
 
-val abstract_flows : ?protocol:protocol -> Device.network -> ec:Ecs.ec -> flows
+val abstract_flows : Device.network -> ec:Ecs.ec -> flows
 (** Same analysis after compressing the class (compression time included);
     [sources_reaching] counts abstract sources. *)

@@ -174,7 +174,7 @@ let test_gadget_equivalence () =
   Alcotest.(check bool) "found solutions" true (List.length sols >= 1);
   List.iter
     (fun sol ->
-      let outcome, _ = Equivalence.check_bgp t sol in
+      let outcome, _ = Equivalence.check Compile.Bgp t sol in
       Alcotest.(check bool)
         (String.concat "; " outcome.Equivalence.errors)
         true outcome.Equivalence.ok)
@@ -208,7 +208,7 @@ let test_gadget_exhaustive_bisimulation () =
   let constructed =
     List.filter_map
       (fun sol ->
-        let outcome, abs = Equivalence.check_bgp t sol in
+        let outcome, abs = Equivalence.check Compile.Bgp t sol in
         if outcome.Equivalence.ok then Option.map project abs else None)
       concrete_sols
   in
@@ -236,7 +236,7 @@ let test_gadget_naive_abstraction_unsound () =
   in
   let srp = Compile.bgp_srp net ~dest:0 ~dest_prefix:ec.Ecs.ec_prefix in
   let sol = Solver.solve_exn srp in
-  let outcome, _ = Equivalence.check_bgp t sol in
+  let outcome, _ = Equivalence.check Compile.Bgp t sol in
   Alcotest.(check bool) "naive abstraction rejected" false
     outcome.Equivalence.ok
 
@@ -292,7 +292,7 @@ let test_three_level_split_and_bound () =
   Alcotest.(check bool) "solutions found" true (sols <> []);
   List.iter
     (fun sol ->
-      let outcome, _ = Equivalence.check_bgp t sol in
+      let outcome, _ = Equivalence.check Compile.Bgp t sol in
       Alcotest.(check bool)
         (String.concat "; " outcome.Equivalence.errors)
         true outcome.Equivalence.ok)
@@ -338,7 +338,7 @@ let test_ibgp_pair_merges () =
   (* and the multi-protocol solution maps *)
   let srp = Compile.multi_srp net ~dest:0 ~dest_prefix:ec.Ecs.ec_prefix in
   let sol = Solver.solve_exn srp in
-  let outcome, _ = Equivalence.check_multi t sol in
+  let outcome, _ = Equivalence.check Compile.Multi t sol in
   Alcotest.(check bool)
     (String.concat "; " outcome.Equivalence.errors)
     true outcome.Equivalence.ok

@@ -37,7 +37,7 @@ let overlap_net () =
   { Device.graph = g; routers }
 
 let test_lpm_overlap () =
-  let dp = Dataplane.of_network ~protocol:`Multi (overlap_net ()) in
+  let dp = Dataplane.of_network (overlap_net ()) in
   Alcotest.(check (list int)) "/24 wins at m" [ 2 ]
     (Dataplane.lookup dp 1 (a_of "10.0.0.5"));
   Alcotest.(check (list int)) "/16 covers the rest" [ 0 ]
@@ -64,7 +64,7 @@ let test_static_ecmp () =
       { (Device.default_router "d") with Device.originated = [ p ] };
     |]
   in
-  let dp = Dataplane.of_network ~protocol:`Multi { Device.graph = g; routers } in
+  let dp = Dataplane.of_network { Device.graph = g; routers } in
   Alcotest.(check (list int)) "both next hops" [ 1; 2 ]
     (List.sort compare (Dataplane.lookup dp 0 (a_of "10.0.0.1")));
   let paths = Dataplane.trace_all dp ~src:0 (a_of "10.0.0.1") in
@@ -112,7 +112,7 @@ let acl_net ~with_acl () =
   { Device.graph = g; routers }
 
 let test_acl_first_match () =
-  let dp = Dataplane.of_network ~protocol:`Multi (acl_net ~with_acl:true ()) in
+  let dp = Dataplane.of_network (acl_net ~with_acl:true ()) in
   let entry p =
     match
       List.find_opt
@@ -143,7 +143,7 @@ let test_acl_first_match () =
 
 (* ACL-free network: the fold must be invisible (Acl.permits None = true). *)
 let test_aclfree_untouched () =
-  let dp = Dataplane.of_network ~protocol:`Multi (acl_net ~with_acl:false ()) in
+  let dp = Dataplane.of_network (acl_net ~with_acl:false ()) in
   List.iter
     (fun (e : Dataplane.entry) ->
       Alcotest.(check (list int)) "nothing dropped" [] e.Dataplane.e_acl_dropped)
@@ -164,7 +164,7 @@ let test_dangling_next_hop () =
       { (Device.default_router "r2") with Device.static_routes = [ (p, 1) ] };
     |]
   in
-  let dp = Dataplane.of_network ~protocol:`Multi { Device.graph = g; routers } in
+  let dp = Dataplane.of_network { Device.graph = g; routers } in
   match Dataplane.trace dp ~src:2 (a_of "10.0.0.1") with
   | Dataplane.Dropped [ 2; 1 ] -> ()
   | _ -> Alcotest.fail "expected a drop at the dangling hop"
@@ -378,6 +378,66 @@ let prop_bisim_multi =
   prop_bisim
     (fun seed -> Synthesis.random_multi_network ~n:8 ~seed)
     "concrete ≡ abstract data plane (random multi-protocol)"
+
+(* fuzz: on a network that runs BGP alone, the BGP SRP forwards exactly
+   as the multi-protocol one — what lets Compile.model pick the cheaper
+   BGP SRP for such networks. *)
+let prop_bgp_only_model =
+  QCheck.Test.make ~count:fuzz_count
+    ~name:"bgp-only networks: bgp and multi SRPs give equal class FIBs"
+    QCheck.(int_range 0 100000)
+    (fun seed ->
+      let net = Synthesis.random_network ~n:(4 + (seed mod 7)) ~seed in
+      (match Compile.model net with
+      | Compile.Model Compile.Bgp -> ()
+      | Compile.Model Compile.Multi ->
+        QCheck.Test.fail_reportf "random_network is not BGP-only");
+      List.for_all
+        (fun ec ->
+          Dataplane.compile_ec Compile.Bgp net ec
+          = Dataplane.compile_ec Compile.Multi net ec
+          || QCheck.Test.fail_reportf "%a: class FIBs differ" Ecs.pp ec)
+        (Ecs.compute net))
+
+(* fuzz: verify answers what the data plane forwards. On ACL-free
+   multi-protocol networks (random_multi_network configures no ACL), a
+   source reaches a converged class iff every walk through that class's
+   FIB delivers. *)
+let prop_reachability_fib =
+  QCheck.Test.make ~count:fuzz_count
+    ~name:"reachability query = walking the class FIB (random multi)"
+    QCheck.(int_range 0 100000)
+    (fun seed ->
+      let net = Synthesis.random_multi_network ~n:(4 + (seed mod 7)) ~seed in
+      let (Compile.Model m) = Compile.model net in
+      let n = Graph.n_nodes net.Device.graph in
+      List.for_all
+        (fun (ec : Ecs.ec) ->
+          match Dataplane.compile_ec m net ec with
+          | `Anycast | `Unsolved -> true
+          | `Compiled cf ->
+            let hops = Array.make n [] in
+            List.iter
+              (fun (u, (e : Dataplane.entry)) ->
+                hops.(u) <- e.Dataplane.e_next_hops)
+              cf.Dataplane.cf_entries;
+            let lookup u = hops.(u) in
+            List.for_all
+              (fun src ->
+                let walks =
+                  Dataplane.walk ~all:true ~lookup
+                    ~dest:(Some cf.Dataplane.cf_origin) src
+                in
+                let delivered =
+                  List.for_all
+                    (function Dataplane.Delivered _ -> true | _ -> false)
+                    walks
+                in
+                Reachability.concrete_query net ~src ~ec = delivered
+                || QCheck.Test.fail_reportf "%a from %d: query %b, FIB %b"
+                     Ecs.pp ec src (not delivered) delivered)
+              (List.init n Fun.id))
+        (Ecs.compute net))
 
 (* fuzz: a corrupted abstraction is refuted on random rings *)
 let prop_corruption_refuted =
@@ -864,7 +924,7 @@ let rec split_at k l =
       let a, b = split_at (k - 1) rest in
       (x :: a, b)
 
-let check_solver_work net (ec : Ecs.ec) ~protocol (srp : 'a Srp.t) =
+let check_solver_work net (ec : Ecs.ec) model (srp : 'a Srp.t) =
   let g = srp.Srp.graph in
   let log = ref [] and count = ref 0 in
   let logged =
@@ -905,24 +965,18 @@ let check_solver_work net (ec : Ecs.ec) ~protocol (srp : 'a Srp.t) =
     let cf = Dataplane.class_fib net ec sol in
     Alcotest.(check int) (name ^ ": the class FIB transfers nothing") before
       !count;
-    (match Dataplane.compile_ec ~protocol net ec with
+    (match Dataplane.compile_ec model net ec with
     | `Compiled cf' ->
       Alcotest.(check bool) (name ^ ": compile_ec builds that FIB") true
         (cf = cf')
     | `Anycast | `Unsolved -> Alcotest.failf "%s must compile" name)
 
 let solver_work_on net ~classes =
-  let protocol = Dataplane.detect_protocol net in
+  let (Compile.Model m) = Compile.model net in
   List.iter
     (fun (ec : Ecs.ec) ->
       let dest = Ecs.single_origin ec and dest_prefix = ec.Ecs.ec_prefix in
-      match protocol with
-      | `Bgp ->
-        check_solver_work net ec ~protocol
-          (Compile.bgp_srp net ~dest ~dest_prefix)
-      | `Multi ->
-        check_solver_work net ec ~protocol
-          (Compile.multi_srp net ~dest ~dest_prefix))
+      check_solver_work net ec m (Compile.srp m net ~dest ~dest_prefix))
     (List.filteri
        (fun i _ -> i < classes)
        (List.filter Ecs.is_single_origin (Ecs.compute net)))
@@ -940,11 +994,11 @@ let test_solver_work_fattree () =
 (* The FIB of the class announcing [prefix] in [net], by the differ's
    rules: no class or an anycast class has no entries, a diverging class
    ([None]) has no verdict. *)
-let reference_entries ~protocol net prefix =
+let reference_entries model net prefix =
   match Ecs.of_prefix net prefix with
   | None -> Some []
   | Some ec -> (
-    match Dataplane.compile_ec ~protocol net ec with
+    match Dataplane.compile_ec model net ec with
     | `Compiled cf -> Some cf.Dataplane.cf_entries
     | `Anycast -> Some []
     | `Unsolved -> None)
@@ -969,7 +1023,7 @@ let change_string ~old_net ~new_net prefix router kind o n =
 (* Compile every single-origin class of the new network, and every class
    only the old one announces, on both sides; diff router by router,
    pairing routers by name. *)
-let reference_diff ~protocol old_net new_net =
+let reference_diff model old_net new_net =
   let singles net =
     List.filter_map
       (fun (ec : Ecs.ec) ->
@@ -985,8 +1039,8 @@ let reference_diff ~protocol old_net new_net =
   List.fold_left
     (fun (changes, unknown) p ->
       match
-        ( reference_entries ~protocol old_net p,
-          reference_entries ~protocol new_net p )
+        ( reference_entries model old_net p,
+          reference_entries model new_net p )
       with
       | Some olds, Some news ->
         let olds = by_name old_net olds and news = by_name new_net news in
@@ -1161,16 +1215,17 @@ let prop_diff_reference =
       match new_net with
       | None -> QCheck.assume_fail ()
       | Some new_net ->
-        let protocol =
-          match
-            (Dataplane.detect_protocol old_net, Dataplane.detect_protocol new_net)
-          with
-          | `Bgp, `Bgp -> `Bgp
-          | _ -> `Multi
+        (* the reference compiles both sides under one model, [Multi]
+           unless both networks run BGP alone *)
+        let (Compile.Model model) =
+          match (Compile.model old_net, Compile.model new_net) with
+          | Compile.Model Compile.Bgp, Compile.Model Compile.Bgp ->
+            Compile.Model Compile.Bgp
+          | _ -> Compile.Model Compile.Multi
         in
         let deltas = Delta.diff old_net new_net in
         let rep =
-          match Dp_diff.run ~protocol ~old_net ~new_net deltas with
+          match Dp_diff.run ~old_net ~new_net deltas with
           | Ok rep -> rep
           | Error e ->
             QCheck.Test.fail_reportf "dp_diff failed: %a" Bonsai_error.pp e
@@ -1193,7 +1248,7 @@ let prop_diff_reference =
           List.map Prefix.to_string rep.Dp_diff.dp_unknown
           |> List.sort String.compare
         in
-        let want, want_unknown = reference_diff ~protocol old_net new_net in
+        let want, want_unknown = reference_diff model old_net new_net in
         let want = List.sort String.compare want
         and want_unknown = List.sort String.compare want_unknown in
         if got <> want || got_unknown <> want_unknown then
@@ -1317,5 +1372,7 @@ let () =
           prop_signature_ids;
           prop_diff_reference;
           prop_warm_renumbered;
+          prop_bgp_only_model;
+          prop_reachability_fib;
         ];
     ]

@@ -129,7 +129,7 @@ let prop_bgp_equivalence_random_configs =
       match Solver.solve ~seed:solver_seed srp with
       | Error _ -> QCheck.assume_fail ()
       | Ok (sol, _) ->
-        let outcome, _ = Equivalence.check_bgp t sol in
+        let outcome, _ = Equivalence.check Compile.Bgp t sol in
         outcome.Equivalence.ok)
 
 let prop_bgp_equivalence_fattree =
@@ -146,7 +146,7 @@ let prop_bgp_equivalence_fattree =
       let dest = Ecs.single_origin ec in
       let srp = Compile.bgp_srp net ~dest ~dest_prefix:ec.Ecs.ec_prefix in
       let sol = Solver.solve_exn srp in
-      let outcome, _ = Equivalence.check_bgp t sol in
+      let outcome, _ = Equivalence.check Compile.Bgp t sol in
       outcome.Equivalence.ok)
 
 (* --- property preservation (§4.4) -------------------------------------- *)
@@ -162,7 +162,7 @@ let prop_reachability_preserved =
       match Solver.solve srp with
       | Error _ -> QCheck.assume_fail ()
       | Ok (sol, _) ->
-        let outcome, abs_sol = Equivalence.check_bgp t sol in
+        let outcome, abs_sol = Equivalence.check Compile.Bgp t sol in
         (match (outcome.Equivalence.ok, abs_sol) with
         | true, Some abs_sol ->
           (* u reaches d iff fr(u) reaches the abstract dest *)
@@ -187,7 +187,7 @@ let test_lp_stays_behind_ebgp () =
   match Solver.solve ~seed:solver_seed srp with
   | Error _ -> Alcotest.fail "the concrete network must converge"
   | Ok (sol, _) -> (
-    let outcome, abs_sol = Equivalence.check_bgp t sol in
+    let outcome, abs_sol = Equivalence.check Compile.Bgp t sol in
     Alcotest.(check (list string))
       "CP-equivalence" [] outcome.Equivalence.errors;
     match abs_sol with
@@ -213,7 +213,7 @@ let prop_path_lengths_preserved =
       match Solver.solve srp with
       | Error _ -> QCheck.assume_fail ()
       | Ok (sol, _) ->
-        let outcome, abs_sol = Equivalence.check_bgp t sol in
+        let outcome, abs_sol = Equivalence.check Compile.Bgp t sol in
         (match (outcome.Equivalence.ok, abs_sol) with
         | true, Some abs_sol ->
           List.for_all
@@ -236,7 +236,7 @@ let prop_loops_preserved =
       match Solver.solve srp with
       | Error _ -> QCheck.assume_fail ()
       | Ok (sol, _) ->
-        let outcome, abs_sol = Equivalence.check_bgp t sol in
+        let outcome, abs_sol = Equivalence.check Compile.Bgp t sol in
         (match (outcome.Equivalence.ok, abs_sol) with
         | true, Some abs_sol ->
           Properties.has_routing_loop sol = Properties.has_routing_loop abs_sol
@@ -269,7 +269,7 @@ let prop_blackholes_preserved_under_acls =
       with
       | Error _ -> QCheck.assume_fail ()
       | Ok (sol, _) ->
-        let outcome, abs_sol = Equivalence.check_bgp t sol in
+        let outcome, abs_sol = Equivalence.check Compile.Bgp t sol in
         (match (outcome.Equivalence.ok, abs_sol) with
         | true, Some abs_sol ->
           (* the victim lost its route on both sides *)
@@ -357,7 +357,7 @@ let prop_multi_equivalence_random =
       match Solver.solve srp with
       | Error _ -> QCheck.assume_fail ()
       | Ok (sol, _) ->
-        let outcome, _ = Equivalence.check_multi t sol in
+        let outcome, _ = Equivalence.check Compile.Multi t sol in
         (* random static routes can create forwarding cycles, which the
            inductive construction cannot order; skip those instances *)
         if
@@ -386,7 +386,7 @@ let test_multi_wan_sample_equivalence () =
         (match Solver.solve srp with
         | Error _ -> Alcotest.fail "wan sample diverged"
         | Ok (sol, _) ->
-          let outcome, _ = Equivalence.check_multi t sol in
+          let outcome, _ = Equivalence.check Compile.Multi t sol in
           Alcotest.(check bool)
             (Format.asprintf "%a: %s" Ecs.pp ec
                (String.concat "; " outcome.Equivalence.errors))
@@ -408,7 +408,7 @@ let test_datacenter_sample_equivalence () =
         (match Solver.solve srp with
         | Error _ -> Alcotest.fail "dc sample diverged"
         | Ok (sol, _) ->
-          let outcome, _ = Equivalence.check_multi t sol in
+          let outcome, _ = Equivalence.check Compile.Multi t sol in
           Alcotest.(check bool)
             (Format.asprintf "%a: %s" Ecs.pp ec
                (String.concat "; " outcome.Equivalence.errors))

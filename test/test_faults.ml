@@ -396,21 +396,26 @@ let test_soundness_identity_ok () =
   Alcotest.(check int) "ring tolerates any single failure" 5
     report.Fault_engine.n_stable
 
-(* Both front ends reach Soundness.run; a negative failure bound is the
-   same typed error harden reports, not an exception from deep inside. *)
+(* Both front ends reach Soundness.run; a failure bound below 1 is the
+   same typed error harden reports, not an exception from deep inside.
+   k = 0 plans no scenario, so it would report "sound" having checked
+   nothing. *)
 let test_run_negative_k () =
   let net = Synthesis.ring_bgp ~n:4 in
   let ec = List.hd (Ecs.compute net) in
   let abstraction =
     (Bonsai_api.compress_ec_exn net ec).Bonsai_api.abstraction
   in
-  match
-    Soundness.run ~budget:Budget.infinite ~samples:None ~seed:0 ~k:(-1)
-      ~abstraction net ec
-  with
-  | _ -> Alcotest.fail "negative k accepted"
-  | exception Bonsai_error.Error (Bonsai_error.Compile_error m) ->
-    Alcotest.(check string) "message" "Soundness.run: negative k" m
+  List.iter
+    (fun k ->
+      match
+        Soundness.run ~budget:Budget.infinite ~samples:None ~seed:0 ~k
+          ~abstraction net ec
+      with
+      | _ -> Alcotest.failf "k=%d accepted" k
+      | exception Bonsai_error.Error (Bonsai_error.Compile_error m) ->
+        Alcotest.(check string) "message" "Soundness.run: k must be positive" m)
+    [ -1; 0 ]
 
 (* A sample count below 1 would sweep no scenario and report "sound". *)
 let test_run_nonpositive_samples () =

@@ -237,7 +237,7 @@ let test_degraded_abstraction_is_sound () =
       (Compile.bgp_srp net ~dest:(Ecs.single_origin ec)
          ~dest_prefix:ec.Ecs.ec_prefix)
   in
-  let outcome, _ = Equivalence.check_bgp r.Bonsai_api.abstraction sol in
+  let outcome, _ = Equivalence.check Compile.Bgp r.Bonsai_api.abstraction sol in
   Alcotest.(check bool) "identity fallback is CP-equivalent" true
     outcome.Equivalence.ok
 
@@ -351,7 +351,7 @@ let pipeline_case (n, seed) =
   | `No_ecs | `Unstable -> true
   | `Solved (r, sol) ->
     r.Bonsai_api.degraded
-    || (fst (Equivalence.check_bgp r.Bonsai_api.abstraction sol))
+    || (fst (Equivalence.check Compile.Bgp r.Bonsai_api.abstraction sol))
          .Equivalence.ok
   | exception Bonsai_error.Error _ -> true
   | exception Budget.Exhausted _ -> true

@@ -167,26 +167,21 @@ let test_rounds_zero_diagnoses () =
   | Some sc -> Alcotest.(check int) "minimal" 1 (Scenario.size sc)
   | None -> ())
 
-let test_k_zero_trivially_sound () =
-  (* k=0 sweeps only the intact topology, where the abstraction is sound
-     by construction: one clean round, no pins *)
+let check_k_refused net ec k =
+  match Repair.harden ~k net ec with
+  | Error (Bonsai_error.Compile_error m) ->
+    Alcotest.(check string) "message" "Repair.harden: k must be positive" m
+  | _ -> Alcotest.failf "k=%d accepted" k
+
+let test_k_zero_refused () =
+  (* k = 0 plans no scenario: a sweep of nothing would report "sound" *)
   let net = fattree4 () in
-  let ec = first_ec net in
-  let r = Repair.harden_exn ~k:0 net ec in
-  Alcotest.(check bool) "sound" true r.Repair.sound;
-  Alcotest.(check int) "single round" 1 (List.length r.Repair.rounds);
-  Alcotest.(check bool) "no pins" true (r.Repair.pins = []);
-  Alcotest.(check bool)
-    "compression kept" true
-    (Abstraction.n_abstract r.Repair.result.Bonsai_api.abstraction
-    < Graph.n_nodes net.Device.graph)
+  check_k_refused net (first_ec net) 0
 
 let test_invalid_args () =
   let net = fattree4 () in
   let ec = first_ec net in
-  (match Repair.harden ~k:(-1) net ec with
-  | Error (Bonsai_error.Compile_error _) -> ()
-  | _ -> Alcotest.fail "negative k must be a Compile_error");
+  check_k_refused net ec (-1);
   (match Repair.harden ~rounds:(-1) net ec with
   | Error (Bonsai_error.Compile_error _) -> ()
   | _ -> Alcotest.fail "negative rounds must be a Compile_error");
@@ -260,8 +255,7 @@ let () =
             test_budget_fallback_is_identity;
           Alcotest.test_case "rounds=0 diagnoses" `Quick
             test_rounds_zero_diagnoses;
-          Alcotest.test_case "k=0 is trivially sound" `Quick
-            test_k_zero_trivially_sound;
+          Alcotest.test_case "k=0 is refused" `Quick test_k_zero_refused;
           Alcotest.test_case "invalid arguments" `Quick test_invalid_args;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest qcheck_hardened_is_sound ]);

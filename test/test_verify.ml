@@ -97,7 +97,7 @@ let test_dataplane_static_loop_detected () =
     |]
   in
   let net = { Device.graph = g; routers } in
-  let dp = Dataplane.of_network ~protocol:`Multi net in
+  let dp = Dataplane.of_network net in
   match Dataplane.trace dp ~src:1 (Ipv4.of_string "10.0.0.1") with
   | Dataplane.Looped path ->
     Alcotest.(check bool) "loop path revisits" true (List.length path >= 3)
@@ -358,7 +358,7 @@ let prop_all_pairs_agree_on_random_networks =
       match Solver.solve (Compile.bgp_srp net ~dest:0 ~dest_prefix:ec.Ecs.ec_prefix) with
       | Error _ -> QCheck.assume_fail ()
       | Ok (sol, _) ->
-        let outcome, abs_sol = Equivalence.check_bgp t sol in
+        let outcome, abs_sol = Equivalence.check Compile.Bgp t sol in
         (match (outcome.Equivalence.ok, abs_sol) with
         | true, Some abs_sol ->
           List.for_all
