@@ -657,7 +657,10 @@ let dataplane_bench ?(k = 8) ~json_path ~assert_speedup () =
       let new_net = Delta.apply old_net [ d ] in
       (* the honest baseline: compile the changed network's entire data
          plane from scratch, as a non-incremental pipeline would *)
-      let full, t_full = Timing.time (fun () -> Dataplane.of_network new_net) in
+      let full, t_full =
+        Timing.time (fun () ->
+            Dataplane.of_network new_net (Ecs.compute new_net))
+      in
       (* warm-state scenario (the serve op): the signature cache already
          exists; the differ proves classes untouched through it *)
       let cache = Sig_cache.create old_net in

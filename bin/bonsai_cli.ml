@@ -241,7 +241,9 @@ let compress_cmd_run spec ec_prefix dot all check check_dataplane format
       Format.eprintf "%a%!" Modular.pp_report (Modular.report st);
       ok_or_raise (Modular.compose ~budget st)
     | None ->
-      let ecs = if single then Some [ Ecs.find net ec_prefix ] else None in
+      let ecs =
+        if single then Some [ Bonsai_api.find_class net ec_prefix ] else None
+      in
       ok_or_raise (Bonsai_api.compress ?ecs ~budget net)
   in
   let checked =
@@ -758,7 +760,7 @@ let flow_cmd_run spec ec_prefix format facts budget_ms budget_ticks =
 let verify_cmd_run spec src ec_prefix =
   guarded @@ fun () ->
   let net = resolve_network spec in
-  let ec = Ecs.find net ec_prefix in
+  let ec = Bonsai_api.find_class net ec_prefix in
   let src_id = router net src in
   let cv, ct =
     Timing.time (fun () -> Reachability.concrete_query net ~src:src_id ~ec)
@@ -782,7 +784,14 @@ let trace_cmd_run spec src_name addr all =
   let net = resolve_network spec in
   let src = router net src_name in
   let addr = Ipv4.of_string addr in
-  let dp = Dataplane.of_network net in
+  (* longest-prefix match picks only an entry whose prefix contains the
+     address, so the other classes cannot change the trace *)
+  let dp =
+    Dataplane.of_network net
+      (List.filter
+         (fun ec -> Prefix.mem addr ec.Ecs.ec_prefix)
+         (Ecs.compute net))
+  in
   Format.printf "data plane: %d classes solved, %d FIB entries@."
     (Dataplane.ecs_solved dp) (Dataplane.n_entries dp);
   let diverged = List.map Prefix.to_string (Dataplane.unknown_classes dp) in
@@ -790,15 +799,15 @@ let trace_cmd_run spec src_name addr all =
     Format.printf "control plane diverged, no FIB entries: %s@."
       (String.concat ", " diverged);
   let show = function
-    | Dataplane.Delivered path ->
+    | Forwarding.Delivered path ->
       Format.printf "delivered: %s@."
         (String.concat " -> "
            (List.map (Graph.name net.Device.graph) path))
-    | Dataplane.Dropped path ->
+    | Forwarding.Dropped path ->
       Format.printf "DROPPED at %s: %s@."
         (Graph.name net.Device.graph (List.nth path (List.length path - 1)))
         (String.concat " -> " (List.map (Graph.name net.Device.graph) path))
-    | Dataplane.Looped path ->
+    | Forwarding.Looped path ->
       Format.printf "LOOP: %s@."
         (String.concat " -> " (List.map (Graph.name net.Device.graph) path))
   in
@@ -821,7 +830,7 @@ let faults_cmd_run spec ec_prefix k samples seed format budget_ms
     budget_ticks =
   guarded @@ fun () ->
   let net = resolve_network spec in
-  let ec = Ecs.find net ec_prefix in
+  let ec = Bonsai_api.find_class net ec_prefix in
   let abstraction =
     (Bonsai_api.compress_ec_exn net ec).Bonsai_api.abstraction
   in
@@ -904,7 +913,7 @@ let harden_cmd_run spec ec_prefix k rounds frontier samples seed format
   guarded @@ fun () ->
   let net = resolve_network spec in
   let budget = make_budget budget_ms budget_ticks in
-  let ec = Ecs.find net ec_prefix in
+  let ec = Bonsai_api.find_class net ec_prefix in
   let g = net.Device.graph in
   let name = Graph.name g in
   let r =
@@ -1050,7 +1059,7 @@ let certify_cmd_run spec cert_path audit budget_ms budget_ticks =
 let explain_cmd_run spec a_name b_name ec_prefix =
   guarded @@ fun () ->
   let net = resolve_network spec in
-  let ec = Ecs.find net ec_prefix in
+  let ec = Bonsai_api.find_class net ec_prefix in
   let node = router net in
   (match Bonsai_api.explain net ec (node a_name) (node b_name) with
   | [] ->

@@ -182,6 +182,19 @@ let compress_classes ?keep_unmatched_comms net ecs worker =
 let find_result results p =
   List.find_opt (fun r -> Prefix.equal r.ec.Ecs.ec_prefix p) results
 
+let refuse_anycast (ec : Ecs.ec) =
+  Bonsai_error.error
+    (Bonsai_error.Compile_error
+       (Format.asprintf
+          "destination class %a has %d origins; per-class commands need \
+           a single origin"
+          Prefix.pp ec.Ecs.ec_prefix
+          (List.length ec.Ecs.ec_origins)))
+
+let find_class net p =
+  let ec = Ecs.find net p in
+  if Ecs.is_single_origin ec then ec else refuse_anycast ec
+
 let compress_exn ?keep_unmatched_comms ?ecs ?(budget = Budget.infinite)
     (net : Device.network) =
   let universe, bdd_time_s =
@@ -191,12 +204,8 @@ let compress_exn ?keep_unmatched_comms ?ecs ?(budget = Budget.infinite)
   let singles, anycast =
     match ecs with
     | Some ecs ->
-      (* a given anycast class is a compile error, not an internal one *)
       List.iter
-        (fun ec ->
-          try ignore (Ecs.single_origin ec)
-          with Invalid_argument m ->
-            Bonsai_error.error (Bonsai_error.Compile_error m))
+        (fun ec -> if not (Ecs.is_single_origin ec) then refuse_anycast ec)
         ecs;
       (ecs, [])
     | None -> List.partition Ecs.is_single_origin (Ecs.compute net)

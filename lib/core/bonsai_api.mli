@@ -111,6 +111,14 @@ val compress_classes :
 val find_result : ec_result list -> Prefix.t -> ec_result option
 (** The result for the class with this prefix. *)
 
+val refuse_anycast : Ecs.ec -> 'a
+(** The one refusal of a multi-origin class by a per-class command:
+    raises [Bonsai_error.Error] with a [Compile_error] (exit 5). *)
+
+val find_class : Device.network -> string option -> Ecs.ec
+(** {!Ecs.find}, refusing an anycast class ({!refuse_anycast}): the
+    class lookup of every per-class command, CLI and serve. *)
+
 val compress :
   ?keep_unmatched_comms:bool ->
   ?ecs:Ecs.ec list ->

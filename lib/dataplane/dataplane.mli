@@ -2,20 +2,18 @@
 
     Batfish "first simulates the control plane to produce the data plane"
     (paper §8) and then answers packet-level queries on it. This module is
-    that step: it solves the SRP of every destination class and assembles,
-    for each router, a longest-prefix-match FIB mapping destination
-    prefixes to ECMP next-hop sets — with each interface's outbound ACL
-    folded in, so the emitted table is what the device would actually
-    forward on. Packets are then traced hop by hop.
+    that step, and the one place that turns a destination class into
+    forwarding verdicts: it solves the class's SRP and assembles, for each
+    router, a longest-prefix-match FIB entry with ECMP next hops — with
+    each interface's outbound ACL folded in, so the table is what the
+    device would actually forward on ({!compile_ec}). The abstract side
+    gets the same fold through representative edges
+    ({!compile_abstract}). Packets are traced hop by hop
+    ({!Forwarding.walk}); {!Forwarding.outcomes} over {!class_lookup}
+    gives the linear-time verdict that [Reachability] (verify) and {!Dp_bisim} answer from.
 
-    Built either from a concrete network or from a compressed one (one
-    abstract data plane per destination class is meaningless — instead,
     {!of_network} accepts any configured network, so the emitted abstract
-    configurations of {!Abstract_config} work directly).
-
-    The per-class compiler {!compile_ec} is the unit the differ
-    ({!Dp_diff}) and the bisimulation checker ({!Dp_bisim}) recompile
-    selectively. *)
+    configurations of {!Abstract_config} work directly. *)
 
 type entry = {
   e_prefix : Prefix.t;  (** the destination class the entry matches *)
@@ -35,11 +33,6 @@ type class_fib = {
     FIB entry per router. *)
 
 type t
-
-type hop_result =
-  | Delivered of int list  (** the path taken, source first *)
-  | Dropped of int list  (** no FIB entry at the last node of the path *)
-  | Looped of int list  (** the path revisits a node *)
 
 val detect_protocol : Device.network -> [ `Bgp | `Multi ]
 (** {!Compile.model} as a tag, for callers that name the model. *)
@@ -63,39 +56,42 @@ val class_fib : Device.network -> Ecs.ec -> 'a Solution.t -> class_fib
     solution carries its forwarding table, as {!Solver.solve}'s do.
     {!compile_ec} is [Solver.solve] followed by this. *)
 
-val of_network : ?budget:Budget.t -> Device.network -> t
-(** Solve every (single-origin) destination class under the network's
-    model ({!Compile.model}) and build the FIBs. Classes whose control
-    plane diverges contribute no entries and are listed in
-    {!unknown_classes}. *)
+val compile_abstract :
+  ?budget:Budget.t ->
+  'a Compile.model ->
+  Abstraction.t ->
+  [ `Compiled of class_fib | `Unsolved ]
+(** The abstract class FIB: solve the abstraction's SRP under the model
+    and fold into each abstract next hop the ACL of a representative
+    concrete edge (routers are abstract node ids, the origin is
+    [abs_dest]). [`Unsolved] when the abstract control plane diverges.
+    Raises [Budget.Exhausted] like {!compile_ec}, without its tick. *)
 
-val fib : t -> int -> (Prefix.t * int list) list
-(** A router's forwarding table: prefix, permitted next hops; sorted by
-    prefix. *)
+val class_lookup : n:int -> class_fib -> int -> int list
+(** The class FIB indexed by router ([0 .. n-1]) once: each lookup is
+    O(1), [[]] for a router without an entry. *)
+
+val of_network : ?budget:Budget.t -> Device.network -> Ecs.ec list -> t
+(** Solve the given (single-origin) classes under the network's model
+    ({!Compile.model}) and build the FIBs; [Ecs.compute net] for the whole
+    table. Classes whose control plane diverges contribute no entries and
+    are listed in {!unknown_classes}; anycast classes are skipped. *)
 
 val fib_entries : t -> int -> entry list
-(** Like {!fib} but with the ACL-drop detail per entry. *)
+(** A router's forwarding table, with the ACL-drop detail per entry;
+    sorted by prefix. *)
 
 val lookup : t -> int -> Ipv4.t -> int list
 (** Longest-prefix-match next hops for an address at a router ([[]] if
     none). *)
 
-val trace : t -> src:int -> Ipv4.t -> hop_result
+val trace : t -> src:int -> Ipv4.t -> Forwarding.path
 (** Follow the FIBs from [src] (first next-hop at each router) until the
     address's destination router, a drop, or a loop. *)
 
-val trace_all : t -> src:int -> Ipv4.t -> hop_result list
+val trace_all : t -> src:int -> Ipv4.t -> Forwarding.path list
 (** Like {!trace} but following {e every} next hop (ECMP); one result per
     distinct path, depth-first order. *)
-
-val walk :
-  all:bool ->
-  lookup:(int -> int list) ->
-  dest:int option ->
-  int ->
-  hop_result list
-(** The underlying FIB walk over an arbitrary lookup function (used by
-    {!Dp_bisim} to trace single-class and abstract FIBs). *)
 
 val n_entries : t -> int
 (** Total number of FIB entries across all routers. *)
@@ -105,16 +101,3 @@ val ecs_solved : t -> int
 val unknown_classes : t -> Prefix.t list
 (** Classes with no forwarding state because their control plane
     diverged — reported, never silently omitted. *)
-
-(** {1 Address-set queries (the NoD-style analysis)} *)
-
-val addresses_via : t -> int -> int -> Addr_set.t
-(** The set of destination addresses router [u] forwards to neighbor
-    [v] — the union of the governing ranges of every class whose FIB entry
-    at [u] lists [v] as a next hop. *)
-
-val addresses_delivered : t -> src:int -> dst:int -> Addr_set.t
-(** "All packets that can traverse between source and destination" (the
-    paper's Batfish query): destination addresses originated at [dst] that
-    traffic entering at [src] actually reaches (along at least one ECMP
-    path). *)

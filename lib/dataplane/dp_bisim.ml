@@ -12,11 +12,9 @@
 type refutation = {
   rf_router : int;  (** the role representative whose traces diverge *)
   rf_prefix : Prefix.t;
-  rf_concrete : Dataplane.hop_result;
-  rf_abstract : Dataplane.hop_result;
+  rf_concrete : Forwarding.path;
+  rf_abstract : Forwarding.path;
 }
-
-exception Found of refutation
 
 type verdict =
   | Equivalent of { classes : int; traces : int }
@@ -28,79 +26,14 @@ type verdict =
       info : Budget.info;
     }
 
-(* Outcome summary of the ECMP path set from one router: does any path
-   deliver / drop / loop? Comparing summaries (not raw paths) is what
-   makes the check robust to the legitimate differences bisimilar FIBs
-   may show — ECMP enumeration order, intra-group hops that vanish
-   under f. Computed as a colored DFS over the forwarding relation in
-   O(nodes + edges) per class: enumerating ECMP paths (à la trace_all)
-   is exponential in path diversity and melts down on the WAN. The
-   three flags are exact graph properties — a path delivers iff it
-   reaches [dest], drops iff it reaches a router with no next hop, and
-   loops iff it enters a cycle (a gray-node hit during the DFS
-   witnesses a real cycle through that node). *)
-let outcome_flags ~lookup ~dest ~n =
-  let memo = Array.make n None in
-  let on_stack = Array.make n false in
-  let rec go u =
-    if u = dest then (true, false, false)
-    else
-      match memo.(u) with
-      | Some f -> f
-      | None ->
-        if on_stack.(u) then (false, false, true)
-        else (
-          on_stack.(u) <- true;
-          let f =
-            match lookup u with
-            | [] -> (false, true, false)
-            | nhs ->
-              List.fold_left
-                (fun (d, r, l) v ->
-                  let d', r', l' = go v in
-                  (d || d', r || r', l || l'))
-                (false, false, false) nhs
-          in
-          on_stack.(u) <- false;
-          memo.(u) <- Some f;
-          f)
-  in
-  go
-
-(* The class FIB indexed by router once, so each lookup is O(1). *)
-let lookup_of_class ~n (cf : Dataplane.class_fib) =
-  let hops = Array.make n [] in
-  List.iter
-    (fun (u, (e : Dataplane.entry)) -> hops.(u) <- e.Dataplane.e_next_hops)
-    cf.Dataplane.cf_entries;
-  fun u -> hops.(u)
-
-(* The abstract class FIB: solve the abstract SRP and fold the ACLs of
-   representative concrete edges into the abstract next hops (sound
-   because transfer-equivalence of the refined partition makes every
-   member edge's ACL verdict for this destination equal). *)
-let abstract_lookup ?budget model (t : Abstraction.t) =
-  let net = t.Abstraction.net in
-  let repr_edge = Abstraction.edge_repr_fun t in
-  let permits u_hat v_hat =
-    match repr_edge u_hat v_hat with
-    | u, v ->
-      Acl.permits
-        (Device.acl_for net.Device.routers.(u) v)
-        t.Abstraction.dest_prefix
-    | exception Not_found -> true
-  in
-  match Solver.solve ?budget (Abstraction.srp model t) with
-  | Ok (sol, _) ->
-    `Solved
-      (fun u_hat ->
-        List.filter (permits u_hat) (List.map snd (Solution.fwd sol u_hat)))
-  | Error (`Budget (info, _)) -> raise (Budget.Exhausted info)
-  | Error (`Diverged _) -> `Diverged
-
-(* One class: trace from every role representative through both FIBs.
-   [`Ok traces] | [`Mismatch refutation] | [`Unknown] (concrete control
-   plane diverged — nothing to compare against). *)
+(* One class: trace from every role representative through both FIBs,
+   comparing the outcome summaries of Forwarding.outcomes (does any path
+   deliver / drop / loop?) rather than raw paths — robust to the
+   legitimate differences bisimilar FIBs may show, such as ECMP
+   enumeration order, and linear where enumerating ECMP paths is
+   exponential in path diversity. [`Ok traces] | [`Mismatch refutation]
+   | [`Unknown] (concrete control plane diverged — nothing to compare
+   against). *)
 let check_class ?budget model (net : Device.network)
     (r : Bonsai_api.ec_result) =
   let t = r.Bonsai_api.abstraction in
@@ -114,60 +47,50 @@ let check_class ?budget model (net : Device.network)
     | `Anycast -> `Ok 0
     | `Unsolved -> `Unknown
     | `Compiled cf -> (
-      let concrete_lookup =
-        lookup_of_class ~n:(Graph.n_nodes net.Device.graph) cf
-      in
+      let n = Graph.n_nodes net.Device.graph in
+      let n_abs = Abstraction.n_abstract t in
+      let concrete_lookup = Dataplane.class_lookup ~n cf in
       let abs_lookup =
-        match abstract_lookup ?budget model t with
-        | `Solved l -> l
-        | `Diverged ->
+        match Dataplane.compile_abstract ?budget model t with
+        | `Compiled acf -> Dataplane.class_lookup ~n:n_abs acf
+        | `Unsolved ->
           (* the abstract control plane has no stable solution where the
              concrete one does: every abstract trace drops immediately,
              so the per-representative comparison below refutes with the
              concrete delivery as witness *)
           fun _ -> []
       in
-      let concrete_flags =
-        outcome_flags ~lookup:concrete_lookup
-          ~dest:cf.Dataplane.cf_origin
-          ~n:(Graph.n_nodes net.Device.graph)
+      let concrete_dest = cf.Dataplane.cf_origin
+      and abs_dest = t.Abstraction.abs_dest in
+      let concrete_outcome =
+        Forwarding.outcomes ~n ~lookup:concrete_lookup ~dest:concrete_dest
       in
-      let abs_flags =
-        outcome_flags ~lookup:abs_lookup ~dest:t.Abstraction.abs_dest
-          ~n:(Abstraction.n_abstract t)
+      let abs_outcome =
+        Forwarding.outcomes ~n:n_abs ~lookup:abs_lookup ~dest:abs_dest
       in
-      let refutation = ref None in
-      let traces = ref 0 in
-      let n_abs = Abstraction.n_abstract t in
-      let u_hat = ref 0 in
-      while !refutation = None && !u_hat < n_abs do
-        let rep = Abstraction.repr_of_abs t !u_hat in
-        traces := !traces + 2;
-        if concrete_flags rep <> abs_flags (Abstraction.f t rep) then (
-          (* the summaries diverge; materialize one witness path per
-             side (first ECMP branch — enumeration is only safe now
-             that we know the walk is worth showing) *)
-          let first ~lookup ~dest src =
-            List.hd (Dataplane.walk ~all:false ~lookup ~dest src)
-          in
-          refutation :=
-            Some
+      (* one witness path per side (first ECMP branch — enumeration is
+         only safe once the summaries show the walk is worth showing) *)
+      let first ~lookup ~dest src =
+        List.hd (Forwarding.walk ~all:false ~lookup ~dest:(Some dest) src)
+      in
+      let rec go u_hat traces =
+        if u_hat = n_abs then `Ok traces
+        else
+          let rep = Abstraction.repr_of_abs t u_hat in
+          let rep_hat = Abstraction.f t rep in
+          if concrete_outcome rep = abs_outcome rep_hat then
+            go (u_hat + 1) (traces + 2)
+          else
+            `Mismatch
               {
                 rf_router = rep;
                 rf_prefix = ec.Ecs.ec_prefix;
                 rf_concrete =
-                  first ~lookup:concrete_lookup
-                    ~dest:(Some cf.Dataplane.cf_origin) rep;
-                rf_abstract =
-                  first ~lookup:abs_lookup
-                    ~dest:(Some t.Abstraction.abs_dest)
-                    (Abstraction.f t rep);
-              });
-        incr u_hat
-      done;
-      match !refutation with
-      | Some rf -> `Mismatch rf
-      | None -> `Ok !traces)
+                  first ~lookup:concrete_lookup ~dest:concrete_dest rep;
+                rf_abstract = first ~lookup:abs_lookup ~dest:abs_dest rep_hat;
+              }
+      in
+      go 0 0)
 
 let check ?protocol ?budget (net : Device.network)
     (results : Bonsai_api.ec_result list) =
@@ -177,61 +100,33 @@ let check ?protocol ?budget (net : Device.network)
     | Some `Bgp -> Compile.Model Compile.Bgp
     | Some `Multi -> Compile.Model Compile.Multi
   in
-  let classes = ref 0 and traces = ref 0 in
-  let unknown = ref [] in
-  let stop = ref None in
-  (try
-     List.iter
-       (fun (r : Bonsai_api.ec_result) ->
-         match check_class ?budget model net r with
-         | `Ok n ->
-           incr classes;
-           traces := !traces + n
-         | `Unknown ->
-           incr classes;
-           unknown := r.Bonsai_api.ec.Ecs.ec_prefix :: !unknown
-         | `Mismatch rf -> raise (Found rf))
-       results
-   with
-  | Found rf -> stop := Some (`Refuted rf)
-  | Budget.Exhausted info -> stop := Some (`Budget info));
-  match !stop with
-  | Some (`Refuted rf) -> Refuted rf
-  | Some (`Budget info) ->
-    (* the class that ran out and every class not yet reached are
-       unknown — reported, never silently omitted *)
-    let seen = !classes + List.length !unknown in
-    let rest =
-      List.filteri (fun i _ -> i >= seen) results
-      |> List.map (fun (r : Bonsai_api.ec_result) ->
-             r.Bonsai_api.ec.Ecs.ec_prefix)
-    in
-    Incomplete
-      {
-        classes = !classes;
-        traces = !traces;
-        unknown = List.rev_append !unknown rest;
-        info;
-      }
-  | None ->
-    if !unknown = [] then Equivalent { classes = !classes; traces = !traces }
-    else
-      Incomplete
-        {
-          classes = !classes;
-          traces = !traces;
-          unknown = List.rev !unknown;
-          info = Budget.info Budget.infinite ~phase:"dataplane-bisim" ();
-        }
+  let prefix (r : Bonsai_api.ec_result) = r.Bonsai_api.ec.Ecs.ec_prefix in
+  let rec go classes traces unknown = function
+    | [] when unknown = [] -> Equivalent { classes; traces }
+    | [] ->
+      let info = Budget.info Budget.infinite ~phase:"dataplane-bisim" () in
+      Incomplete { classes; traces; unknown = List.rev unknown; info }
+    | r :: rest as todo -> (
+      match check_class ?budget model net r with
+      | `Ok n -> go (classes + 1) (traces + n) unknown rest
+      | `Unknown -> go (classes + 1) traces (prefix r :: unknown) rest
+      | `Mismatch rf -> Refuted rf
+      | exception Budget.Exhausted info ->
+        (* the class that ran out and every class not yet reached are
+           unknown — reported, never silently omitted *)
+        let unknown = List.rev_append unknown (List.map prefix todo) in
+        Incomplete { classes; traces; unknown; info })
+  in
+  go 0 0 [] results
 
 let pp_path names ppf path =
   Format.pp_print_string ppf (String.concat " -> " (List.map names path))
 
 let pp_outcome names ppf = function
-  | Dataplane.Delivered p ->
+  | Forwarding.Delivered p ->
     Format.fprintf ppf "delivered via %a" (pp_path names) p
-  | Dataplane.Dropped p -> Format.fprintf ppf "dropped at %a" (pp_path names) p
-  | Dataplane.Looped p -> Format.fprintf ppf "loops %a" (pp_path names) p
+  | Forwarding.Dropped p -> Format.fprintf ppf "dropped at %a" (pp_path names) p
+  | Forwarding.Looped p -> Format.fprintf ppf "loops %a" (pp_path names) p
 
 let refutation_string (net : Device.network) (t : Abstraction.t) rf =
   let names u = Graph.name net.Device.graph u in

@@ -7,18 +7,18 @@
     transfer-equivalence), the {e forwarding} behavior must agree too, up
     to the topology abstraction [f]. [check] spot-checks that
     consequence end to end: per class it compiles the concrete class FIB
-    ({!Dataplane.compile_ec}) and the abstract class FIB (abstract SRP +
-    ACLs of representative edges), then traces the class's address from
-    every role representative through both, comparing
-    delivery/drop/loop behavior. The first divergence is a typed
+    ({!Dataplane.compile_ec}) and the abstract class FIB
+    ({!Dataplane.compile_abstract}), then compares, from every role
+    representative, the delivery/drop/loop outcomes of both
+    ({!Forwarding.outcomes}). The first divergence is a typed
     (router, prefix, path) refutation — the same shape `certify` uses
     for control-plane witnesses. *)
 
 type refutation = {
   rf_router : int;  (** the role representative whose traces diverge *)
   rf_prefix : Prefix.t;  (** the destination class *)
-  rf_concrete : Dataplane.hop_result;  (** witness trace, concrete FIB *)
-  rf_abstract : Dataplane.hop_result;
+  rf_concrete : Forwarding.path;  (** witness trace, concrete FIB *)
+  rf_abstract : Forwarding.path;
       (** witness trace through the abstract FIB (abstract node ids) *)
 }
 

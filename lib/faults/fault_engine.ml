@@ -27,10 +27,11 @@ let solve_scenario ~budget (srp : 'a Srp.t) sc =
   | Error (`Diverged d) -> Diverged d
   | Ok (sol, _) ->
     let n = Graph.n_nodes srp'.Srp.graph in
+    let reaches = Solution.reaches sol in
     let stranded = ref [] in
     for u = n - 1 downto 0 do
       if u <> srp'.Srp.dest && (not (Scenario.mem_node sc u))
-         && not (Solution.reaches sol u)
+         && not (reaches u)
       then stranded := u :: !stranded
     done;
     if !stranded = [] then Stable sol else Disconnected (sol, !stranded)

@@ -15,9 +15,8 @@ let abstract_scenario (t : Abstraction.t) sc =
 (* reachability vector of a re-solved SRP; divergence reaches nothing *)
 let solve_reaches ?cache (srp : 'a Srp.t) sc =
   match Fault_engine.run ?cache srp sc with
-  | Fault_engine.Stable sol -> (true, fun u -> u = srp.Srp.dest || Solution.reaches sol u)
-  | Fault_engine.Disconnected (sol, _) ->
-    (true, fun u -> u = srp.Srp.dest || Solution.reaches sol u)
+  | Fault_engine.Stable sol | Fault_engine.Disconnected (sol, _) ->
+    (true, Solution.reaches sol)
   | Fault_engine.Diverged _ -> (false, fun u -> u = srp.Srp.dest)
 
 let check_all ?concrete_cache ?abstract_cache (t : Abstraction.t)

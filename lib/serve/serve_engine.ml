@@ -287,7 +287,7 @@ let faults_op t req =
   let spec = network_param req in
   let st, _ = get_state t ~budget spec in
   let net = Incr.network st in
-  let ec = Ecs.find net (Protocol.string_param req "ec") in
+  let ec = Bonsai_api.find_class net (Protocol.string_param req "ec") in
   (* the abstraction is the warm one the registry already holds *)
   let abstraction =
     match
@@ -309,7 +309,7 @@ let harden_op t req =
   let spec = network_param req in
   let st, _ = get_state t ~budget spec in
   let net = Incr.network st in
-  let ec = Ecs.find net (Protocol.string_param req "ec") in
+  let ec = Bonsai_api.find_class net (Protocol.string_param req "ec") in
   let param = Protocol.int_param req in
   match
     Repair.harden ?k:(param "k") ?rounds:(param "rounds")

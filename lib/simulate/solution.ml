@@ -72,42 +72,15 @@ let fwd s u =
       |> List.filter_map (fun (e, c) ->
              if s.srp.Srp.compare c a = 0 then Some e else None))
 
-let forwarding_paths s ~src ~max_len =
-  let dest = s.srp.Srp.dest in
-  let rec go u path_rev seen len =
-    if u = dest then [ List.rev (u :: path_rev) ]
-    else if List.mem u seen then [ List.rev (u :: path_rev) ]
-    else if len >= max_len then [ List.rev (u :: path_rev) ]
-    else
-      match fwd s u with
-      | [] -> [ List.rev (u :: path_rev) ]
-      | nexts ->
-        List.concat_map
-          (fun (_, v) -> go v (u :: path_rev) (u :: seen) (len + 1))
-          nexts
-  in
-  go src [] [] 0
+let outcomes s =
+  Forwarding.outcomes
+    ~n:(Graph.n_nodes s.srp.Srp.graph)
+    ~lookup:(fun u -> List.map snd (fwd s u))
+    ~dest:s.srp.Srp.dest
 
-let reaches s u =
-  let dest = s.srp.Srp.dest in
-  let n = Graph.n_nodes s.srp.Srp.graph in
-  (* 0 = unvisited, 1 = on stack, 2 = good, 3 = bad *)
-  let state = Array.make n 0 in
-  let rec good u =
-    if u = dest then true
-    else
-      match state.(u) with
-      | 1 -> false (* cycle *)
-      | 2 -> true
-      | 3 -> false
-      | _ ->
-        state.(u) <- 1;
-        let nexts = fwd s u in
-        let ok = nexts <> [] && List.for_all (fun (_, v) -> good v) nexts in
-        state.(u) <- (if ok then 2 else 3);
-        ok
-  in
-  good u
+let reaches s =
+  let outcome = outcomes s in
+  fun u -> Forwarding.reaches (outcome u)
 
 let pp ppf s =
   Format.fprintf ppf "@[<v>";

@@ -47,14 +47,13 @@ val fwd : 'a t -> int -> (int * int) list
     unreachable nodes. Read from the forwarding table when the solution
     carries one, with no transfer evaluated. *)
 
-val forwarding_paths : 'a t -> src:int -> max_len:int -> int list list
-(** All forwarding paths from [src] following [fwd] edges until the
-    destination, a node with no forwarding edge (black hole), a repeated
-    node (loop — the path ends with the repeated node appearing twice), or
-    [max_len] hops. *)
+val outcomes : 'a t -> int -> Forwarding.outcome
+(** {!Forwarding.outcomes} over {!fwd}: does some forwarding path from
+    the node deliver, drop or loop? Apply [outcomes s] once to query many
+    nodes in O(nodes + edges) total. *)
 
 val reaches : 'a t -> int -> bool
 (** [reaches s u]: every forwarding path from [u] ends at the destination
-    (and there is at least one). *)
+    (and there is at least one) — {!Forwarding.reaches} of {!outcomes}. *)
 
 val pp : Format.formatter -> 'a t -> unit

@@ -1,58 +1,29 @@
 let reachable = Solution.reaches
 
-let max_path_len sol = Graph.n_nodes sol.Solution.srp.Srp.graph + 1
-
-let paths sol ~src = Solution.forwarding_paths sol ~src ~max_len:(max_path_len sol)
-
-let ends_at_dest sol p =
-  match List.rev p with
-  | last :: _ -> last = sol.Solution.srp.Srp.dest
-  | [] -> false
+(* every forwarding path from [src] that reaches the destination *)
+let delivered sol ~src =
+  Forwarding.walk ~all:true
+    ~lookup:(fun u -> List.map snd (Solution.fwd sol u))
+    ~dest:(Some sol.Solution.srp.Srp.dest) src
+  |> List.filter_map (function Forwarding.Delivered p -> Some p | _ -> None)
 
 let path_lengths sol ~src =
-  paths sol ~src
-  |> List.filter (ends_at_dest sol)
-  |> List.map (fun p -> List.length p - 1)
-  |> List.sort compare
+  List.sort compare
+    (List.map (fun p -> List.length p - 1) (delivered sol ~src))
 
-let black_hole sol u =
-  paths sol ~src:u
-  |> List.exists (fun p ->
-         match List.rev p with
-         | last :: _ ->
-           last <> sol.Solution.srp.Srp.dest
-           && Solution.fwd sol last = [] (* dead end, not a truncated loop *)
-         | [] -> false)
+let black_hole sol u = (Solution.outcomes sol u).Forwarding.drops
 
 let has_routing_loop sol =
-  let g = sol.Solution.srp.Srp.graph in
-  let n = Graph.n_nodes g in
-  let color = Array.make n 0 in
-  let found = ref false in
-  let rec visit u =
-    if color.(u) = 1 then found := true
-    else if color.(u) = 0 then begin
-      color.(u) <- 1;
-      List.iter (fun (_, v) -> visit v) (Solution.fwd sol u);
-      color.(u) <- 2
-    end
-  in
-  for u = 0 to n - 1 do
-    if not !found then visit u
-  done;
-  !found
+  let outcome = Solution.outcomes sol in
+  List.exists
+    (fun u -> (outcome u).Forwarding.loops)
+    (List.init (Graph.n_nodes sol.Solution.srp.Srp.graph) Fun.id)
 
 let waypointed sol ~src ~waypoints =
-  paths sol ~src
-  |> List.filter (ends_at_dest sol)
-  |> List.for_all (fun p -> List.exists (fun w -> List.mem w p) waypoints)
+  List.for_all
+    (fun p -> List.exists (fun w -> List.mem w p) waypoints)
+    (delivered sol ~src)
 
 let multipath_consistent sol ~src =
-  let ps = paths sol ~src in
-  match ps with
-  | [] -> true
-  | _ ->
-    let good, bad =
-      List.partition (ends_at_dest sol) ps
-    in
-    good = [] || bad = []
+  let o = Solution.outcomes sol src in
+  not (o.Forwarding.delivers && (o.Forwarding.drops || o.Forwarding.loops))

@@ -1,8 +1,11 @@
 (** Path properties preserved by CP-equivalence (paper §4.4).
 
-    All properties are judged on a stable solution's forwarding relation;
-    by Theorems 4.2/4.5 each holds on the concrete network iff it holds
-    (modulo the abstraction functions) on the compressed network. *)
+    All properties are judged on a stable solution's forwarding relation,
+    by {!Forwarding.outcomes} (reachability, black holes, loops, multipath
+    consistency) or by enumerating its paths with {!Forwarding.walk}
+    (lengths, waypoints); by Theorems 4.2/4.5 each holds on the concrete
+    network iff it holds (modulo the abstraction functions) on the
+    compressed network. *)
 
 val reachable : 'a Solution.t -> int -> bool
 (** Every forwarding path from the node reaches the destination, and there

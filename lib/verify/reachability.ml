@@ -7,26 +7,6 @@ type result = {
   timed_out : bool;
 }
 
-let solve_or_fail (type a) (srp : a Srp.t) : a Solution.t =
-  match Solver.solve srp with
-  | Ok (s, _) -> s
-  | Error (`Diverged d) ->
-    d.Solver.diag_sol (* judged unstable: all pairs unreachable *)
-  | Error (`Budget (_, partial)) ->
-    partial (* unstable partial labeling: counts as unreachable *)
-
-let check_pairs (type a) (sol : a Solution.t) =
-  let n = Graph.n_nodes sol.Solution.srp.Srp.graph in
-  let dest = sol.Solution.srp.Srp.dest in
-  let pairs = ref 0 and unreachable = ref 0 in
-  for u = 0 to n - 1 do
-    if u <> dest then begin
-      incr pairs;
-      if not (Properties.reachable sol u) then incr unreachable
-    end
-  done;
-  (!pairs, !unreachable)
-
 let run_ecs ?timeout_s (net : Device.network) per_ec =
   let t0 = Timing.now () in
   let deadline = Option.map (fun s -> t0 +. s) timeout_s in
@@ -39,15 +19,13 @@ let run_ecs ?timeout_s (net : Device.network) per_ec =
         match deadline with Some d -> Timing.now () > d | None -> false
       in
       if expired then timed_out := true
-      else
-        match ec.Ecs.ec_origins with
-        | [ _ ] ->
-          let p, u, ct = per_ec ec in
-          pairs := !pairs + p;
-          unreachable := !unreachable + u;
-          compress_time := !compress_time +. ct;
-          incr ecs_done
-        | _ -> ())
+      else if Ecs.is_single_origin ec then begin
+        let p, u, ct = per_ec ec in
+        pairs := !pairs + p;
+        unreachable := !unreachable + u;
+        compress_time := !compress_time +. ct;
+        incr ecs_done
+      end)
     (Ecs.compute net);
   {
     pairs = !pairs;
@@ -58,43 +36,72 @@ let run_ecs ?timeout_s (net : Device.network) per_ec =
     timed_out = !timed_out;
   }
 
-let concrete_solution model (net : Device.network) ec =
-  solve_or_fail
-    (Compile.srp model net ~dest:(Ecs.single_origin ec)
-       ~dest_prefix:ec.Ecs.ec_prefix)
+(* A class FIB as a forwarding relation over routers [0 .. n-1]. A
+   class whose control plane diverges has no FIB: every walk drops at
+   its source, so no source reaches. *)
+let relation ~n = function
+  | `Compiled cf -> Dataplane.class_lookup ~n cf
+  | `Unsolved -> fun _ -> []
 
-let concrete_all_pairs ?timeout_s net =
+let verdicts ~n ~dest fib =
+  let outcome = Forwarding.outcomes ~n ~lookup:(relation ~n fib) ~dest in
+  fun u -> Forwarding.reaches (outcome u)
+
+let concrete_fib (net : Device.network) ec =
   let (Compile.Model m) = Compile.model net in
+  match Dataplane.compile_ec m net ec with
+  | (`Compiled _ | `Unsolved) as fib -> fib
+  | `Anycast -> Bonsai_api.refuse_anycast ec
+
+let abstract_fib ?universe (net : Device.network) ec =
+  let (Compile.Model m) = Compile.model net in
+  let r = Bonsai_api.compress_ec_exn ?universe net ec in
+  (r, Dataplane.compile_abstract m r.Bonsai_api.abstraction)
+
+(* (pairs, unreachable) over every source but the destination *)
+let count_pairs ~n ~dest fib =
+  let reaches = verdicts ~n ~dest fib in
+  let unreachable = ref 0 in
+  for u = 0 to n - 1 do
+    if u <> dest && not (reaches u) then incr unreachable
+  done;
+  (n - 1, !unreachable)
+
+let concrete_all_pairs ?timeout_s (net : Device.network) =
+  let n = Graph.n_nodes net.Device.graph in
   run_ecs ?timeout_s net (fun ec ->
-      let p, u = check_pairs (concrete_solution m net ec) in
+      let p, u =
+        count_pairs ~n ~dest:(Ecs.single_origin ec) (concrete_fib net ec)
+      in
       (p, u, 0.0))
 
-let abstract_solution model ~universe (net : Device.network) ec =
-  let r = Bonsai_api.compress_ec_exn ~universe net ec in
-  (r, solve_or_fail (Abstraction.srp model r.Bonsai_api.abstraction))
-
 let abstract_all_pairs ?timeout_s (net : Device.network) =
-  let (Compile.Model m) = Compile.model net in
   let universe, u_time =
     Timing.time (fun () -> Policy_bdd.universe_of_network net)
   in
   let first = ref true in
   run_ecs ?timeout_s net (fun ec ->
-      let r, sol = abstract_solution m ~universe net ec in
-      let p, u = check_pairs sol in
+      let r, fib = abstract_fib ~universe net ec in
+      let t = r.Bonsai_api.abstraction in
+      let p, u =
+        count_pairs ~n:(Abstraction.n_abstract t)
+          ~dest:t.Abstraction.abs_dest fib
+      in
       let ct = r.Bonsai_api.time_s +. if !first then u_time else 0.0 in
       first := false;
       (p, u, ct))
 
-let concrete_query net ~src ~ec =
-  let (Compile.Model m) = Compile.model net in
-  Properties.reachable (concrete_solution m net ec) src
+let concrete_query (net : Device.network) ~src ~ec =
+  let fib = concrete_fib net ec in
+  verdicts
+    ~n:(Graph.n_nodes net.Device.graph)
+    ~dest:(Ecs.single_origin ec) fib src
 
 let abstract_query net ~src ~ec =
-  let (Compile.Model m) = Compile.model net in
-  let universe = Policy_bdd.universe_of_network net in
-  let r, sol = abstract_solution m ~universe net ec in
-  Properties.reachable sol (Abstraction.f r.Bonsai_api.abstraction src)
+  let r, fib = abstract_fib net ec in
+  let t = r.Bonsai_api.abstraction in
+  verdicts ~n:(Abstraction.n_abstract t) ~dest:t.Abstraction.abs_dest fib
+    (Abstraction.f t src)
 
 type flows = {
   sources_reaching : int;
@@ -102,16 +109,15 @@ type flows = {
   flow_time_s : float;
 }
 
-let flows_of_solution (type a) (sol : a Solution.t) t0 =
-  let n = Graph.n_nodes sol.Solution.srp.Srp.graph in
-  let dest = sol.Solution.srp.Srp.dest in
+let flows ~n ~dest fib t0 =
+  let reaches = verdicts ~n ~dest fib and lookup = relation ~n fib in
   let sources = ref 0 and paths = ref 0 in
   for u = 0 to n - 1 do
     if u <> dest then begin
-      if Properties.reachable sol u then incr sources;
+      if reaches u then incr sources;
       paths :=
         !paths
-        + List.length (Solution.forwarding_paths sol ~src:u ~max_len:(n + 1))
+        + List.length (Forwarding.walk ~all:true ~lookup ~dest:(Some dest) u)
     end
   done;
   {
@@ -120,13 +126,15 @@ let flows_of_solution (type a) (sol : a Solution.t) t0 =
     flow_time_s = Timing.now () -. t0;
   }
 
-let concrete_flows net ~ec =
+let concrete_flows (net : Device.network) ~ec =
   let t0 = Timing.now () in
-  let (Compile.Model m) = Compile.model net in
-  flows_of_solution (concrete_solution m net ec) t0
+  let fib = concrete_fib net ec in
+  flows
+    ~n:(Graph.n_nodes net.Device.graph)
+    ~dest:(Ecs.single_origin ec) fib t0
 
 let abstract_flows net ~ec =
   let t0 = Timing.now () in
-  let (Compile.Model m) = Compile.model net in
-  let universe = Policy_bdd.universe_of_network net in
-  flows_of_solution (snd (abstract_solution m ~universe net ec)) t0
+  let r, fib = abstract_fib net ec in
+  let t = r.Bonsai_api.abstraction in
+  flows ~n:(Abstraction.n_abstract t) ~dest:t.Abstraction.abs_dest fib t0

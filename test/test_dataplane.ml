@@ -15,6 +15,7 @@ let fuzz_count =
 
 let p_of = Prefix.of_string
 let a_of = Ipv4.of_string
+let full_dataplane net = Dataplane.of_network net (Ecs.compute net)
 
 (* --- FIB corner cases -------------------------------------------------- *)
 
@@ -37,16 +38,16 @@ let overlap_net () =
   { Device.graph = g; routers }
 
 let test_lpm_overlap () =
-  let dp = Dataplane.of_network (overlap_net ()) in
+  let dp = full_dataplane (overlap_net ()) in
   Alcotest.(check (list int)) "/24 wins at m" [ 2 ]
     (Dataplane.lookup dp 1 (a_of "10.0.0.5"));
   Alcotest.(check (list int)) "/16 covers the rest" [ 0 ]
     (Dataplane.lookup dp 1 (a_of "10.0.77.5"));
   (match Dataplane.trace dp ~src:1 (a_of "10.0.0.5") with
-  | Dataplane.Delivered [ 1; 2 ] -> ()
+  | Forwarding.Delivered [ 1; 2 ] -> ()
   | _ -> Alcotest.fail "nested /24 not delivered to d2");
   match Dataplane.trace dp ~src:1 (a_of "10.0.77.5") with
-  | Dataplane.Delivered [ 1; 0 ] -> ()
+  | Forwarding.Delivered [ 1; 0 ] -> ()
   | _ -> Alcotest.fail "/16 remainder not delivered to d1"
 
 (* diamond m(0) -- {a(1), b(2)} -- d(3): two equal static routes at m. *)
@@ -64,14 +65,14 @@ let test_static_ecmp () =
       { (Device.default_router "d") with Device.originated = [ p ] };
     |]
   in
-  let dp = Dataplane.of_network { Device.graph = g; routers } in
+  let dp = full_dataplane { Device.graph = g; routers } in
   Alcotest.(check (list int)) "both next hops" [ 1; 2 ]
     (List.sort compare (Dataplane.lookup dp 0 (a_of "10.0.0.1")));
   let paths = Dataplane.trace_all dp ~src:0 (a_of "10.0.0.1") in
   Alcotest.(check int) "two ecmp paths" 2 (List.length paths);
   List.iter
     (function
-      | Dataplane.Delivered _ -> ()
+      | Forwarding.Delivered _ -> ()
       | _ -> Alcotest.fail "ecmp path not delivered")
     paths
 
@@ -112,7 +113,7 @@ let acl_net ~with_acl () =
   { Device.graph = g; routers }
 
 let test_acl_first_match () =
-  let dp = Dataplane.of_network (acl_net ~with_acl:true ()) in
+  let dp = full_dataplane (acl_net ~with_acl:true ()) in
   let entry p =
     match
       List.find_opt
@@ -135,21 +136,21 @@ let test_acl_first_match () =
   let e3 = entry (p_of "172.16.0.0/24") in
   Alcotest.(check (list int)) "p3 implicit deny" [] e3.Dataplane.e_next_hops;
   (match Dataplane.trace dp ~src:2 (a_of "10.0.0.1") with
-  | Dataplane.Dropped [ 2; 1 ] -> ()
+  | Forwarding.Dropped [ 2; 1 ] -> ()
   | _ -> Alcotest.fail "p1 should drop at m");
   match Dataplane.trace dp ~src:2 (a_of "10.0.1.1") with
-  | Dataplane.Delivered [ 2; 1; 0 ] -> ()
+  | Forwarding.Delivered [ 2; 1; 0 ] -> ()
   | _ -> Alcotest.fail "p2 should deliver"
 
 (* ACL-free network: the fold must be invisible (Acl.permits None = true). *)
 let test_aclfree_untouched () =
-  let dp = Dataplane.of_network (acl_net ~with_acl:false ()) in
+  let dp = full_dataplane (acl_net ~with_acl:false ()) in
   List.iter
     (fun (e : Dataplane.entry) ->
       Alcotest.(check (list int)) "nothing dropped" [] e.Dataplane.e_acl_dropped)
     (Dataplane.fib_entries dp 1);
   match Dataplane.trace dp ~src:2 (a_of "10.0.0.1") with
-  | Dataplane.Delivered [ 2; 1; 0 ] -> ()
+  | Forwarding.Delivered [ 2; 1; 0 ] -> ()
   | _ -> Alcotest.fail "p1 should deliver without the ACL"
 
 (* d(0) -- r1(1) -- r2(2): r2 points at r1, which has no route at all —
@@ -164,9 +165,9 @@ let test_dangling_next_hop () =
       { (Device.default_router "r2") with Device.static_routes = [ (p, 1) ] };
     |]
   in
-  let dp = Dataplane.of_network { Device.graph = g; routers } in
+  let dp = full_dataplane { Device.graph = g; routers } in
   match Dataplane.trace dp ~src:2 (a_of "10.0.0.1") with
-  | Dataplane.Dropped [ 2; 1 ] -> ()
+  | Forwarding.Dropped [ 2; 1 ] -> ()
   | _ -> Alcotest.fail "expected a drop at the dangling hop"
 
 (* --- Dp_diff ----------------------------------------------------------- *)
@@ -322,7 +323,7 @@ let test_bisim_refutes_corruption () =
     Alcotest.(check bool) "witness names the class" true
       (Prefix.equal rf.Dp_bisim.rf_prefix r.Bonsai_api.ec.Ecs.ec_prefix);
     (match rf.Dp_bisim.rf_concrete with
-    | Dataplane.Delivered (hd :: _) ->
+    | Forwarding.Delivered (hd :: _) ->
       Alcotest.(check int) "concrete witness starts at the router" hd
         rf.Dp_bisim.rf_router
     | _ -> Alcotest.fail "concrete witness should deliver");
@@ -397,46 +398,6 @@ let prop_bgp_only_model =
           Dataplane.compile_ec Compile.Bgp net ec
           = Dataplane.compile_ec Compile.Multi net ec
           || QCheck.Test.fail_reportf "%a: class FIBs differ" Ecs.pp ec)
-        (Ecs.compute net))
-
-(* fuzz: verify answers what the data plane forwards. On ACL-free
-   multi-protocol networks (random_multi_network configures no ACL), a
-   source reaches a converged class iff every walk through that class's
-   FIB delivers. *)
-let prop_reachability_fib =
-  QCheck.Test.make ~count:fuzz_count
-    ~name:"reachability query = walking the class FIB (random multi)"
-    QCheck.(int_range 0 100000)
-    (fun seed ->
-      let net = Synthesis.random_multi_network ~n:(4 + (seed mod 7)) ~seed in
-      let (Compile.Model m) = Compile.model net in
-      let n = Graph.n_nodes net.Device.graph in
-      List.for_all
-        (fun (ec : Ecs.ec) ->
-          match Dataplane.compile_ec m net ec with
-          | `Anycast | `Unsolved -> true
-          | `Compiled cf ->
-            let hops = Array.make n [] in
-            List.iter
-              (fun (u, (e : Dataplane.entry)) ->
-                hops.(u) <- e.Dataplane.e_next_hops)
-              cf.Dataplane.cf_entries;
-            let lookup u = hops.(u) in
-            List.for_all
-              (fun src ->
-                let walks =
-                  Dataplane.walk ~all:true ~lookup
-                    ~dest:(Some cf.Dataplane.cf_origin) src
-                in
-                let delivered =
-                  List.for_all
-                    (function Dataplane.Delivered _ -> true | _ -> false)
-                    walks
-                in
-                Reachability.concrete_query net ~src ~ec = delivered
-                || QCheck.Test.fail_reportf "%a from %d: query %b, FIB %b"
-                     Ecs.pp ec src (not delivered) delivered)
-              (List.init n Fun.id))
         (Ecs.compute net))
 
 (* fuzz: a corrupted abstraction is refuted on random rings *)
@@ -583,6 +544,67 @@ let decorated_network ~n ~seed =
       base.Device.routers
   in
   { base with Device.routers }
+
+(* fuzz: verify answers what the data plane forwards. On random
+   multi-protocol networks, and on the decorated ones whose outbound ACLs
+   drop what the control plane still routes, the linear outcome at every
+   source equals the summary of enumerating every walk through the class
+   FIB; the reachability query is "every walk delivers"; and the abstract
+   query, answered from the abstract class FIB, agrees with it. *)
+let prop_reachability_fib =
+  QCheck.Test.make ~count:fuzz_count
+    ~name:"reachability query = walking the class FIB (random multi, ACLs)"
+    QCheck.(pair bool (int_range 0 100000))
+    (fun (decorated, seed) ->
+      let n = 4 + (seed mod 7) in
+      let net =
+        if decorated then decorated_network ~n ~seed
+        else Synthesis.random_multi_network ~n ~seed
+      in
+      let (Compile.Model m) = Compile.model net in
+      List.for_all
+        (fun (ec : Ecs.ec) ->
+          match Dataplane.compile_ec m net ec with
+          | `Anycast | `Unsolved -> true
+          | `Compiled cf ->
+            let lookup = Dataplane.class_lookup ~n cf in
+            let dest = cf.Dataplane.cf_origin in
+            let outcome = Forwarding.outcomes ~n ~lookup ~dest in
+            List.for_all
+              (fun src ->
+                let walks =
+                  Forwarding.walk ~all:true ~lookup ~dest:(Some dest) src
+                in
+                let some p = List.exists p walks in
+                let enumerated =
+                  {
+                    Forwarding.delivers =
+                      some (function Forwarding.Delivered _ -> true | _ -> false);
+                    drops =
+                      some (function Forwarding.Dropped _ -> true | _ -> false);
+                    loops =
+                      some (function Forwarding.Looped _ -> true | _ -> false);
+                  }
+                in
+                let delivered =
+                  List.for_all
+                    (function Forwarding.Delivered _ -> true | _ -> false)
+                    walks
+                in
+                let concrete = Reachability.concrete_query net ~src ~ec in
+                let abstract = Reachability.abstract_query net ~src ~ec in
+                (outcome src = enumerated
+                || QCheck.Test.fail_reportf "%a from %d: outcome differs from walks"
+                     Ecs.pp ec src)
+                && (concrete = delivered
+                   || QCheck.Test.fail_reportf "%a from %d: query %b, FIB %b"
+                        Ecs.pp ec src concrete delivered)
+                && (abstract = concrete
+                   || QCheck.Test.fail_reportf
+                        "%a from %d: abstract %b, concrete %b" Ecs.pp ec src
+                        abstract concrete))
+              (List.init n Fun.id))
+        (Ecs.compute net))
 
 let random_bgp_attr rng ~n =
   let comms = List.filter (fun _ -> Random.State.bool rng) [ 1; 2; 3 ] in

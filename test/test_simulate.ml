@@ -75,16 +75,22 @@ let test_stability_violations_detected () =
   Alcotest.(check bool) "violation names node 2" true
     (List.mem_assoc 2 (Solution.stability_violations bad))
 
-let test_forwarding_paths_enumeration () =
+let test_path_enumeration () =
   let g = Graph.of_links ~n:4 [ (0, 1); (0, 2); (1, 3); (2, 3) ] in
   let sol = Solver.solve_exn (Rip.make g ~dest:0) in
-  let paths = Solution.forwarding_paths sol ~src:3 ~max_len:10 in
+  let paths =
+    Forwarding.walk ~all:true
+      ~lookup:(fun u -> List.map snd (Solution.fwd sol u))
+      ~dest:(Some 0) 3
+  in
   Alcotest.(check int) "two paths" 2 (List.length paths);
   List.iter
-    (fun p ->
-      Alcotest.(check int) "length 3" 3 (List.length p);
-      Alcotest.(check (option int)) "ends at dest" (Some 0)
-        (List.nth_opt p (List.length p - 1)))
+    (function
+      | Forwarding.Delivered p ->
+        Alcotest.(check int) "length 3" 3 (List.length p);
+        Alcotest.(check (option int)) "ends at dest" (Some 0)
+          (List.nth_opt p (List.length p - 1))
+      | _ -> Alcotest.fail "every path delivers")
     paths
 
 let test_reaches () =
@@ -93,6 +99,27 @@ let test_reaches () =
   let sol = Solver.solve_exn (Rip.make g ~dest:0) in
   Alcotest.(check bool) "2 reaches" true (Solution.reaches sol 2);
   Alcotest.(check bool) "3 does not" false (Solution.reaches sol 3)
+
+(* y(0) -> {x(1), z(2)}, x -> y, z -> nothing; the destination (3) is
+   unreachable. Walked from y first, x is reached while y is still open,
+   yet x -> y -> z drops: every router of the cycle must get the whole
+   component's outcome, not the partial one seen on the way in. *)
+let test_outcomes_on_loop () =
+  let hops = [| [ 1; 2 ]; [ 0 ]; []; [] |] in
+  let outcome = Forwarding.outcomes ~n:4 ~lookup:(Array.get hops) ~dest:3 in
+  let show (o : Forwarding.outcome) =
+    (o.Forwarding.delivers, o.Forwarding.drops, o.Forwarding.loops)
+  in
+  let flags = Alcotest.(triple bool bool bool) in
+  Alcotest.check flags "y drops and loops" (false, true, true)
+    (show (outcome 0));
+  Alcotest.check flags "x drops and loops" (false, true, true)
+    (show (outcome 1));
+  Alcotest.check flags "z only drops" (false, true, false) (show (outcome 2));
+  Alcotest.check flags "the destination delivers" (true, false, false)
+    (show (outcome 3));
+  Alcotest.(check bool) "no router of the loop reaches" false
+    (Forwarding.reaches (outcome 1))
 
 let test_solver_stats () =
   let g = Generators.ring ~n:8 in
@@ -295,8 +322,9 @@ let () =
           Alcotest.test_case "violations detected" `Quick
             test_stability_violations_detected;
           Alcotest.test_case "path enumeration" `Quick
-            test_forwarding_paths_enumeration;
+            test_path_enumeration;
           Alcotest.test_case "reaches" `Quick test_reaches;
+          Alcotest.test_case "outcomes on a loop" `Quick test_outcomes_on_loop;
           Alcotest.test_case "stats" `Quick test_solver_stats;
           Alcotest.test_case "budget exhaustion" `Quick
             test_solver_budget_exhaustion;

@@ -58,22 +58,26 @@ let test_multipath_inconsistency () =
 
 (* --- data plane --------------------------------------------------------- *)
 
+let full_dataplane net = Dataplane.of_network net (Ecs.compute net)
+
 let test_dataplane_fattree () =
   let ft = Generators.fattree ~k:4 in
   let net = Synthesis.fattree_shortest_path ft in
-  let dp = Dataplane.of_network net in
+  let dp = full_dataplane net in
   Alcotest.(check int) "all classes solved" 8 (Dataplane.ecs_solved dp);
   (* every router holds an entry for every remote class: 8 ECs, the
      origin itself holds 7 *)
   let e0 = ft.Generators.ft_edge.(0) in
-  Alcotest.(check int) "origin fib" 7 (List.length (Dataplane.fib dp e0));
+  Alcotest.(check int) "origin fib" 7
+    (List.length (Dataplane.fib_entries dp e0));
   let agg = ft.Generators.ft_agg.(0) in
-  Alcotest.(check int) "agg fib" 8 (List.length (Dataplane.fib dp agg));
+  Alcotest.(check int) "agg fib" 8
+    (List.length (Dataplane.fib_entries dp agg));
   (* trace a packet across pods *)
   let dst_addr = Ipv4.of_string "10.0.0.1" in
   let src = ft.Generators.ft_edge.(7) in
   (match Dataplane.trace dp ~src dst_addr with
-  | Dataplane.Delivered path ->
+  | Forwarding.Delivered path ->
     Alcotest.(check int) "5-hop fattree path" 5 (List.length path);
     Alcotest.(check (option int)) "ends at origin" (Some e0)
       (List.nth_opt path (List.length path - 1))
@@ -83,7 +87,7 @@ let test_dataplane_fattree () =
   Alcotest.(check int) "ecmp paths" 4 (List.length paths);
   (* an address outside every announced prefix is dropped at the source *)
   match Dataplane.trace dp ~src (Ipv4.of_string "192.168.1.1") with
-  | Dataplane.Dropped [ s ] -> Alcotest.(check int) "dropped at src" src s
+  | Forwarding.Dropped [ s ] -> Alcotest.(check int) "dropped at src" src s
   | _ -> Alcotest.fail "expected an immediate drop"
 
 let test_dataplane_static_loop_detected () =
@@ -97,9 +101,9 @@ let test_dataplane_static_loop_detected () =
     |]
   in
   let net = { Device.graph = g; routers } in
-  let dp = Dataplane.of_network net in
+  let dp = full_dataplane net in
   match Dataplane.trace dp ~src:1 (Ipv4.of_string "10.0.0.1") with
-  | Dataplane.Looped path ->
+  | Forwarding.Looped path ->
     Alcotest.(check bool) "loop path revisits" true (List.length path >= 3)
   | _ -> Alcotest.fail "expected a loop"
 
@@ -110,12 +114,12 @@ let test_dataplane_on_emitted_abstract_configs () =
   let ec = List.hd (Ecs.compute net) in
   let t = (Bonsai_api.compress_ec_exn net ec).Bonsai_api.abstraction in
   let emitted = Abstract_config.emit t in
-  let dp = Dataplane.of_network emitted in
+  let dp = full_dataplane emitted in
   let addr = Ipv4.of_string "10.0.0.1" in
   for a = 0 to Abstraction.n_abstract t - 1 do
     if a <> t.Abstraction.abs_dest then
       match Dataplane.trace dp ~src:a addr with
-      | Dataplane.Delivered _ -> ()
+      | Forwarding.Delivered _ -> ()
       | _ -> Alcotest.failf "abstract node %d cannot deliver" a
   done
 
@@ -132,85 +136,6 @@ let test_flows_fields () =
   Alcotest.(check int) "5 abstract roles reach" 5 a.Reachability.sources_reaching;
   Alcotest.(check bool) "abstract path count tiny" true
     (a.Reachability.total_paths <= 5)
-
-(* --- address sets ------------------------------------------------------- *)
-
-let test_addr_set_basics () =
-  let p8 = Addr_set.of_prefix (Prefix.of_string "10.0.0.0/8") in
-  let p24 = Addr_set.of_prefix (Prefix.of_string "10.1.2.0/24") in
-  Alcotest.(check bool) "mem" true (Addr_set.mem (Ipv4.of_string "10.1.2.3") p24);
-  Alcotest.(check bool) "not mem" false
-    (Addr_set.mem (Ipv4.of_string "10.1.3.0") p24);
-  Alcotest.(check bool) "subset union" true
-    (Addr_set.equal p8 (Addr_set.union p8 p24));
-  Alcotest.(check bool) "inter" true
-    (Addr_set.equal p24 (Addr_set.inter p8 p24));
-  Alcotest.(check (float 0.001)) "count /24" 256.0 (Addr_set.count p24);
-  Alcotest.(check (float 1.0)) "count /8" (float_of_int (1 lsl 24))
-    (Addr_set.count p8);
-  let holed = Addr_set.diff p8 p24 in
-  Alcotest.(check (float 1.0)) "count diff"
-    (float_of_int ((1 lsl 24) - 256))
-    (Addr_set.count holed);
-  Alcotest.(check bool) "hole excluded" false
-    (Addr_set.mem (Ipv4.of_string "10.1.2.3") holed);
-  Alcotest.(check bool) "empty" true
-    (Addr_set.is_empty (Addr_set.inter p24 (Addr_set.complement p24)));
-  match Addr_set.choose p24 with
-  | Some a -> Alcotest.(check bool) "choose in set" true (Addr_set.mem a p24)
-  | None -> Alcotest.fail "choose"
-
-let test_addr_set_to_prefixes_roundtrip () =
-  let ps =
-    [ "10.0.0.0/9"; "10.128.0.0/10"; "192.168.1.0/24" ]
-    |> List.map Prefix.of_string
-  in
-  let s = Addr_set.of_prefixes ps in
-  let cover = Addr_set.to_prefixes s in
-  Alcotest.(check bool) "cover equals set" true
-    (Addr_set.equal s (Addr_set.of_prefixes cover));
-  (* the cover is minimal here: 10/9 + 10.128/10 do not merge *)
-  Alcotest.(check int) "cover size" 3 (List.length cover)
-
-let prop_addr_set_boolean_algebra =
-  let gen_prefix =
-    QCheck.Gen.(
-      let* len = int_range 0 16 in
-      let* hi = int_range 0 255 in
-      let* mid = int_range 0 255 in
-      return (Prefix.make (Ipv4.of_octets hi mid 0 0) len))
-  in
-  QCheck.Test.make ~name:"address sets agree with prefix semantics" ~count:200
-    (QCheck.make
-       QCheck.Gen.(triple gen_prefix gen_prefix (int_range 0 0xFFFFFF)))
-    (fun (p, q, bits) ->
-      let a = Ipv4.of_int32_bits (bits * 256) in
-      let sp = Addr_set.of_prefix p and sq = Addr_set.of_prefix q in
-      Addr_set.mem a (Addr_set.union sp sq)
-      = (Prefix.mem a p || Prefix.mem a q)
-      && Addr_set.mem a (Addr_set.inter sp sq)
-         = (Prefix.mem a p && Prefix.mem a q)
-      && Addr_set.mem a (Addr_set.diff sp sq)
-         = (Prefix.mem a p && not (Prefix.mem a q)))
-
-let test_dataplane_address_queries () =
-  let ft = Generators.fattree ~k:4 in
-  let net = Synthesis.fattree_shortest_path ft in
-  let dp = Dataplane.of_network net in
-  let e0 = ft.Generators.ft_edge.(0) in
-  let agg = ft.Generators.ft_agg.(0) in
-  (* everything agg0_0 sends down to edge0_0 is edge0_0's own class *)
-  let down = Dataplane.addresses_via dp agg e0 in
-  Alcotest.(check (float 0.001)) "one /24 downstream" 256.0
-    (Addr_set.count down);
-  Alcotest.(check bool) "it is 10.0.0.0/24" true
-    (Addr_set.equal down (Addr_set.of_prefix (Prefix.of_string "10.0.0.0/24")));
-  (* the full Batfish query: what can edge3_1 send that edge0_0 receives *)
-  let src = ft.Generators.ft_edge.(7) in
-  let delivered = Dataplane.addresses_delivered dp ~src ~dst:e0 in
-  Alcotest.(check bool) "delivers exactly the origin class" true
-    (Addr_set.equal delivered
-       (Addr_set.of_prefix (Prefix.of_string "10.0.0.0/24")))
 
 (* --- robust (all-solutions) verification ------------------------------ *)
 
@@ -406,14 +331,6 @@ let () =
         ] );
       ( "flows",
         [ Alcotest.test_case "fields" `Quick test_flows_fields ] );
-      ( "addr-set",
-        [
-          Alcotest.test_case "boolean ops" `Quick test_addr_set_basics;
-          Alcotest.test_case "prefix cover" `Quick
-            test_addr_set_to_prefixes_roundtrip;
-          Alcotest.test_case "dataplane queries" `Quick
-            test_dataplane_address_queries;
-        ] );
       ( "robust",
         [
           Alcotest.test_case "reachability all solutions" `Quick
@@ -427,8 +344,5 @@ let () =
         ] );
       ( "agreement",
         List.map QCheck_alcotest.to_alcotest
-          [
-            prop_all_pairs_agree_on_random_networks;
-            prop_addr_set_boolean_algebra;
-          ] );
+          [ prop_all_pairs_agree_on_random_networks ] );
     ]
