@@ -350,7 +350,8 @@ let faults ?samples () =
     let dest = Ecs.single_origin ec in
     let (Compile.Model m) = Compile.model net in
     let srp = Compile.srp m net ~dest ~dest_prefix:ec.Ecs.ec_prefix in
-    let plan = Fault_engine.plan ?samples ~k:2 net.Device.graph in
+    let sampling = Option.map (fun n -> Fault_engine.Sample n) samples in
+    let plan = Fault_engine.plan ?sampling ~k:2 net.Device.graph in
     let r = Fault_engine.survey srp plan in
     let n = List.length plan.Fault_engine.scenarios in
     Printf.printf "%-20s %8d %10d %10s %8d %8d %14.0f\n%!" name

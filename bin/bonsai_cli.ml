@@ -464,6 +464,9 @@ let dataplane_diff_cmd_run old_spec new_spec format budget_ms budget_ticks
     Format.printf "classes: %d (%d reused, %d recompiled)%s@."
       rep.Dp_diff.dp_classes rep.Dp_diff.dp_reused rep.Dp_diff.dp_recompiled
       (if rep.Dp_diff.dp_full_rebuild then " [full rebuild]" else "");
+    if rep.Dp_diff.dp_anycast > 0 then
+      Format.printf "anycast classes skipped (no FIB): %d@."
+        rep.Dp_diff.dp_anycast;
     Format.printf "fib changes: %d added, %d removed, %d modified@." added
       removed modified;
     List.iter
@@ -785,13 +788,13 @@ let trace_cmd_run spec src_name addr all =
   let src = router net src_name in
   let addr = Ipv4.of_string addr in
   (* longest-prefix match picks only an entry whose prefix contains the
-     address, so the other classes cannot change the trace *)
-  let dp =
-    Dataplane.of_network net
-      (List.filter
-         (fun ec -> Prefix.mem addr ec.Ecs.ec_prefix)
-         (Ecs.compute net))
+     address, so the other classes cannot change the trace; an anycast
+     one has no FIB to walk *)
+  let ecs =
+    List.filter (fun ec -> Prefix.mem addr ec.Ecs.ec_prefix) (Ecs.compute net)
   in
+  Bonsai_api.refuse_anycasts ecs;
+  let dp = Dataplane.of_network net ecs in
   Format.printf "data plane: %d classes solved, %d FIB entries@."
     (Dataplane.ecs_solved dp) (Dataplane.n_entries dp);
   let diverged = List.map Prefix.to_string (Dataplane.unknown_classes dp) in
@@ -884,13 +887,21 @@ let faults_cmd_run spec ec_prefix k samples seed format budget_ms
     Format.printf "abstraction: %d nodes, %d links@."
       (Abstraction.n_abstract abstraction)
       (Graph.n_links abstraction.Abstraction.abs_graph);
-    (match r.Soundness.break_ with
-    | None ->
+    (match r.Soundness.sweep with
+    | { Fault_engine.failure = None; cut = Some _; checked } ->
+      Format.printf
+        "  fault soundness: unknown (budget ran out after %d of %d \
+         scenarios)@."
+        checked n_scenarios
+    | { Fault_engine.failure = None; cut = None; _ } ->
       Format.printf
         "  fault soundness: ok (verdicts agree on every scenario)@."
-    | Some (sc, m) ->
+    | { Fault_engine.failure = Some (sc, (m, _)); cut; _ } ->
       Format.printf "  fault soundness: BROKEN@.";
-      Format.printf "  minimal failing scenario: %a@." pp_sc sc;
+      if Option.is_some cut then
+        Format.printf "  failing scenario (budget ran out shrinking it): %a@."
+          pp_sc sc
+      else Format.printf "  minimal failing scenario: %a@." pp_sc sc;
       Format.printf
         "  first diverging pair: %s vs %s (concrete %s, abstract %s)@."
         (name m.Soundness.mis_node)
@@ -902,13 +913,14 @@ let faults_cmd_run spec ec_prefix k samples seed format budget_ms
     n_scenarios r.Soundness.time_s
     (float_of_int n_scenarios /. max 1e-9 r.Soundness.time_s)
     r.Soundness.cache_hits;
-  if n_disc + n_div > 0 || Option.is_some r.Soundness.break_ then 1
-  else if r.Soundness.n_skipped > 0 then 3
+  let { Fault_engine.failure; cut; _ } = r.Soundness.sweep in
+  if n_disc + n_div > 0 || Option.is_some failure then 1
+  else if r.Soundness.n_skipped > 0 || Option.is_some cut then 3
   else 0
 
 (* --- harden ------------------------------------------------------------ *)
 
-let harden_cmd_run spec ec_prefix k rounds frontier samples seed format
+let harden_cmd_run spec ec_prefix k rounds samples seed format
     budget_ms budget_ticks degrade certify audit certificate =
   guarded @@ fun () ->
   let net = resolve_network spec in
@@ -918,7 +930,7 @@ let harden_cmd_run spec ec_prefix k rounds frontier samples seed format
   let name = Graph.name g in
   let r =
     ok_or_raise
-      (Repair.harden ~k ~rounds ~frontier ?samples ~seed ~budget net ec)
+      (Repair.harden ~k ~rounds ?samples ~seed ~budget net ec)
   in
   let t = r.Repair.result.Bonsai_api.abstraction in
   let rn, re = Repair.ratio r in
@@ -1798,9 +1810,10 @@ let faults_cmd =
        ~doc:
          "Re-solve the network under link-failure scenarios and check the \
           abstraction stays sound under each (exit 1 iff any scenario \
-          disconnects a router, diverges, or breaks the abstraction; a \
-          budget bounds the survey — scenarios it cannot afford are \
-          reported as skipped, exit 3)")
+          disconnects a router, diverges, or breaks the abstraction; one \
+          budget bounds both the survey and the soundness sweep — \
+          scenarios it cannot afford are reported as skipped, a sweep it \
+          cuts short as unknown soundness, exit 3)")
     Term.(
       const faults_cmd_run $ network_arg $ ec_arg $ k_arg $ samples $ seed_arg
       $ format_arg $ budget_ms_arg $ budget_ticks_arg)
@@ -1815,22 +1828,15 @@ let harden_cmd =
              0 disables repair: the sweep only diagnoses, and a \
              counterexample exits 7 with the unrepaired abstraction.")
   in
-  let frontier =
-    Arg.(
-      value & opt int 1024
-      & info [ "frontier" ] ~docv:"N"
-          ~doc:
-            "Exhaustive-enumeration cap: a scenario space at most this \
-             large is swept completely, a larger one is importance-sampled.")
-  in
   let samples =
     Arg.(
       value
       & opt (some int) None
       & info [ "samples" ] ~docv:"N"
           ~doc:
-            "Initial sample size past the frontier (default 64; doubles \
-             every repair round).")
+            "Initial sample size when the scenario space exceeds the \
+             exhaustive cap of 1024 scenarios (default 64; doubles every \
+             repair round).")
   in
   Cmd.v
     (cmd_info "harden"
@@ -1842,9 +1848,9 @@ let harden_cmd =
           the identity abstraction (sound, no compression; exit 3 or 7, or \
           0 under $(b,--degrade)) rather than emitting an unsound result.")
     Term.(
-      const harden_cmd_run $ network_arg $ ec_arg $ k_arg $ rounds $ frontier
-      $ samples $ seed_arg $ format_arg $ budget_ms_arg $ budget_ticks_arg
-      $ degrade_arg $ certify_flag $ audit_arg $ certificate_arg)
+      const harden_cmd_run $ network_arg $ ec_arg $ k_arg $ rounds $ samples
+      $ seed_arg $ format_arg $ budget_ms_arg $ budget_ticks_arg $ degrade_arg
+      $ certify_flag $ audit_arg $ certificate_arg)
 
 let certify_cmd =
   let cert_path_arg =

@@ -54,11 +54,11 @@ let () =
   (* 3. Ask where the abstraction itself stops telling the truth: map
      each scenario through f, re-solve both sides, compare verdicts. *)
   (match
-     Soundness.first_break t ~concrete:srp
-       ~abstract_:(Abstraction.bgp_srp t) plan.Fault_engine.scenarios
+     (Soundness.sweep t ~concrete:srp ~abstract_:(Abstraction.bgp_srp t) plan)
+       .Fault_engine.failure
    with
   | None -> Format.printf "abstraction agrees on every scenario@."
-  | Some (sc, m) ->
+  | Some (sc, (m, _)) ->
     Format.printf "abstraction breaks under the single failure %a:@."
       (Scenario.pp ~names:(Graph.name g))
       sc;

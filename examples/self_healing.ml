@@ -16,6 +16,11 @@ let () =
   let g = ft.Generators.ft_graph in
   let net = Synthesis.fattree_shortest_path ft in
   let ec = List.hd (Ecs.compute net) in
+  let concrete =
+    Compile.bgp_srp net ~dest:(Ecs.single_origin ec)
+      ~dest_prefix:ec.Ecs.ec_prefix
+  in
+  let plan = Fault_engine.plan ~k:1 g in
 
   (* Plain compression first: 20 nodes become 6, and the very first
      single-link failure shows the abstraction lying. *)
@@ -23,12 +28,8 @@ let () =
   Format.printf "plain compression: %d nodes -> %d abstract nodes@."
     (Graph.n_nodes g) (Abstraction.n_abstract t);
   (match
-     Soundness.first_break t
-       ~concrete:
-         (Compile.bgp_srp net ~dest:(Ecs.single_origin ec)
-            ~dest_prefix:ec.Ecs.ec_prefix)
-       ~abstract_:(Abstraction.bgp_srp t)
-       (Scenario.enumerate ~k:1 g)
+     (Soundness.sweep t ~concrete ~abstract_:(Abstraction.bgp_srp t) plan)
+       .Fault_engine.failure
    with
   | None -> Format.printf "  (unexpectedly sound under k=1)@."
   | Some (sc, _) ->
@@ -69,12 +70,8 @@ let () =
   (* The result carries a proof obligation we can re-discharge from
      scratch: no scenario up to k=1 distinguishes the two networks. *)
   (match
-     Soundness.first_break t'
-       ~concrete:
-         (Compile.bgp_srp net ~dest:(Ecs.single_origin ec)
-            ~dest_prefix:ec.Ecs.ec_prefix)
-       ~abstract_:(Abstraction.bgp_srp t')
-       (Scenario.enumerate ~k:1 g)
+     (Soundness.sweep t' ~concrete ~abstract_:(Abstraction.bgp_srp t') plan)
+       .Fault_engine.failure
    with
   | None -> Format.printf "  re-checked: agrees on every k=1 scenario@."
   | Some _ -> failwith "hardened abstraction still breaks — this is a bug");

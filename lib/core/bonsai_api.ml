@@ -191,9 +191,15 @@ let refuse_anycast (ec : Ecs.ec) =
           Prefix.pp ec.Ecs.ec_prefix
           (List.length ec.Ecs.ec_origins)))
 
+let refuse_anycasts ecs =
+  List.iter
+    (fun ec -> if not (Ecs.is_single_origin ec) then refuse_anycast ec)
+    ecs
+
 let find_class net p =
   let ec = Ecs.find net p in
-  if Ecs.is_single_origin ec then ec else refuse_anycast ec
+  refuse_anycasts [ ec ];
+  ec
 
 let compress_exn ?keep_unmatched_comms ?ecs ?(budget = Budget.infinite)
     (net : Device.network) =
@@ -204,9 +210,7 @@ let compress_exn ?keep_unmatched_comms ?ecs ?(budget = Budget.infinite)
   let singles, anycast =
     match ecs with
     | Some ecs ->
-      List.iter
-        (fun ec -> if not (Ecs.is_single_origin ec) then refuse_anycast ec)
-        ecs;
+      refuse_anycasts ecs;
       (ecs, [])
     | None -> List.partition Ecs.is_single_origin (Ecs.compute net)
   in

@@ -115,8 +115,11 @@ val refuse_anycast : Ecs.ec -> 'a
 (** The one refusal of a multi-origin class by a per-class command:
     raises [Bonsai_error.Error] with a [Compile_error] (exit 5). *)
 
+val refuse_anycasts : Ecs.ec list -> unit
+(** {!refuse_anycast} the first multi-origin class of the list, if any. *)
+
 val find_class : Device.network -> string option -> Ecs.ec
-(** {!Ecs.find}, refusing an anycast class ({!refuse_anycast}): the
+(** {!Ecs.find}, refusing an anycast class ({!refuse_anycasts}): the
     class lookup of every per-class command, CLI and serve. *)
 
 val compress :

@@ -51,18 +51,14 @@ let run ?(budget = Budget.infinite) ?cache (srp : 'a Srp.t) sc =
 
 type plan = { scenarios : Scenario.t list; exhaustive : bool }
 
-let plan ?(budget = 1024) ?samples ?(seed = 0) ~k g =
-  match samples with
-  | Some samples ->
+type sampling = Sample of int | Past_cap of int
+
+let plan ?(sampling = Past_cap 256) ?(seed = 0) ~k g =
+  match sampling with
+  | Past_cap _ when Scenario.count ~k g <= 1024 ->
+    { scenarios = Scenario.enumerate ~k g; exhaustive = true }
+  | Sample samples | Past_cap samples ->
     { scenarios = Scenario.sample ~k ~samples ~seed g; exhaustive = false }
-  | None ->
-    if Scenario.count ~k g <= budget then
-      { scenarios = Scenario.enumerate ~k g; exhaustive = true }
-    else
-      {
-        scenarios = Scenario.sample ~k ~samples:256 ~seed g;
-        exhaustive = false;
-      }
 
 type 'a report = {
   plan : plan;
@@ -99,3 +95,33 @@ let survey ?(budget = Budget.infinite) ?cache (srp : 'a Srp.t) plan =
     n_cache_hits = (match cache with Some c -> c.hits - hits0 | None -> 0);
     time_s = Timing.now () -. t0;
   }
+
+type 'f search = {
+  checked : int;
+  failure : (Scenario.t * 'f) option;
+  cut : Budget.info option;
+}
+
+let search ?(budget = Budget.infinite) ?(phase = "faults") check plan =
+  let budgeted sc =
+    Budget.check budget ~phase;
+    check sc
+  in
+  let checked = ref 0 in
+  let found sc =
+    let f = budgeted sc in
+    incr checked;
+    Option.map (fun f -> (sc, f)) f
+  in
+  let result failure cut = { checked = !checked; failure; cut } in
+  match List.find_map found plan.scenarios with
+  | exception Budget.Exhausted info -> result None (Some info)
+  | None -> result None None
+  | Some ((sc, _) as first) -> (
+    (* a budget that runs out while shrinking keeps the failure found *)
+    match
+      let minimal = Scenario.shrink (fun s -> Option.is_some (budgeted s)) sc in
+      (minimal, Option.get (check minimal))
+    with
+    | shrunk -> result (Some shrunk) None
+    | exception Budget.Exhausted info -> result (Some first) (Some info))

@@ -19,10 +19,6 @@ val survives : Scenario.t -> dest:int -> bool
 (** The destination itself is not downed (otherwise every verdict is
     trivially [Disconnected]). *)
 
-val derive : 'a Srp.t -> Scenario.t -> 'a Srp.t
-(** The surviving SRP: {!Scenario.apply} on the topology, everything else
-    unchanged. *)
-
 type 'a cache
 (** Memo table for {!run}, keyed by the scenario's normalized downed set
     (scenarios are canonical: sorted, deduplicated). A cache is only
@@ -48,12 +44,17 @@ val run :
 
 type plan = { scenarios : Scenario.t list; exhaustive : bool }
 
-val plan :
-  ?budget:int -> ?samples:int -> ?seed:int -> k:int -> Graph.t -> plan
-(** Scenario selection: enumerate all link scenarios up to [k] failures
-    when there are at most [budget] (default 1024) of them and [samples]
-    was not forced; otherwise importance-sample [samples] (default 256)
-    scenarios, cut links first ({!Scenario.sample}). *)
+type sampling =
+  | Sample of int  (** sample this many scenarios, whatever the space *)
+  | Past_cap of int
+      (** enumerate a space of up to 1024 scenarios, else sample this
+          many *)
+
+val plan : ?sampling:sampling -> ?seed:int -> k:int -> Graph.t -> plan
+(** The one scenario planner: link scenarios up to [k] failures, by
+    [sampling] (default [Past_cap 256]). Samples are drawn cut links first
+    and deterministically in [seed] (default 0), so a larger sample
+    extends a smaller one ({!Scenario.sample}). *)
 
 type 'a report = {
   plan : plan;
@@ -74,3 +75,28 @@ val survey :
     time_s] is the bench metric). Exhaustion of [budget] truncates the
     scan: outcomes computed so far are kept and the remainder counted in
     [n_skipped] — [survey] itself never raises on exhaustion. *)
+
+type 'f search = {
+  checked : int;  (** scenarios whose check completed *)
+  failure : (Scenario.t * 'f) option;
+      (** the first failing scenario, shrunk to a 1-minimal one
+          ({!Scenario.shrink}), with its failure recomputed there; when
+          the budget runs out during the shrink, the scenario as found,
+          with the failure its check returned *)
+  cut : Budget.info option;
+      (** the budget ran out first: before any failing check when
+          [failure] is [None], while shrinking it otherwise *)
+}
+
+val search :
+  ?budget:Budget.t ->
+  ?phase:string ->
+  (Scenario.t -> 'f option) ->
+  plan ->
+  'f search
+(** The one counterexample search over failure scenarios: check the
+    plan's scenarios in order until one fails ([Some]), then shrink it
+    with the same check. Each check, shrinking probes included, follows a
+    {!Budget.check} under [phase] (default ["faults"]), and [check] should
+    solve under the same [budget]. Exhaustion is reported in [cut], never
+    raised. *)

@@ -14,7 +14,6 @@ type element = Link of int * int | Node of int
 
 val make : ?nodes:int list -> (int * int) list -> t
 val size : t -> int
-val is_empty : t -> bool
 val compare : t -> t -> int
 val equal : t -> t -> bool
 

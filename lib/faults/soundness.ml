@@ -13,66 +13,49 @@ let abstract_scenario (t : Abstraction.t) sc =
     (List.concat_map (Abstraction.link_image t) sc.Scenario.down_links)
 
 (* reachability vector of a re-solved SRP; divergence reaches nothing *)
-let solve_reaches ?cache (srp : 'a Srp.t) sc =
-  match Fault_engine.run ?cache srp sc with
+let solve_reaches ~budget ?cache (srp : 'a Srp.t) sc =
+  match Fault_engine.run ~budget ?cache srp sc with
   | Fault_engine.Stable sol | Fault_engine.Disconnected (sol, _) ->
     (true, Solution.reaches sol)
   | Fault_engine.Diverged _ -> (false, fun u -> u = srp.Srp.dest)
 
-let check_all ?concrete_cache ?abstract_cache (t : Abstraction.t)
-    ~(concrete : 'a Srp.t) ~(abstract_ : 'b Srp.t) sc =
-  let abs_sc = abstract_scenario t sc in
-  let concrete_stable, c_reaches =
-    solve_reaches ?cache:concrete_cache concrete sc
+let sweep ?(budget = Budget.infinite) ?concrete_cache ?abstract_cache ?phase
+    (t : Abstraction.t) ~(concrete : 'a Srp.t) ~(abstract_ : 'b Srp.t) plan =
+  let mismatches sc =
+    let concrete_stable, c_reaches =
+      solve_reaches ~budget ?cache:concrete_cache concrete sc
+    in
+    let abstract_stable, a_reaches =
+      solve_reaches ~budget ?cache:abstract_cache abstract_
+        (abstract_scenario t sc)
+    in
+    let mismatch u =
+      if Scenario.mem_node sc u then None
+      else
+        let rc = c_reaches u in
+        (* any copy agreeing keeps the abstraction defensible: the
+           per-solution refinement f_r is free to pick that copy *)
+        if List.exists (fun a -> a_reaches a = rc) (Abstraction.node_image t u)
+        then None
+        else
+          Some
+            {
+              mis_node = u;
+              mis_abs = Abstraction.f t u;
+              concrete_reaches = rc;
+              abstract_reaches = a_reaches (Abstraction.f t u);
+              concrete_stable;
+              abstract_stable;
+            }
+    in
+    match
+      List.filter_map mismatch
+        (List.init (Graph.n_nodes concrete.Srp.graph) Fun.id)
+    with
+    | [] -> None
+    | m :: ms -> Some (m, ms)
   in
-  let abstract_stable, a_reaches =
-    solve_reaches ?cache:abstract_cache abstract_ abs_sc
-  in
-  let n = Graph.n_nodes concrete.Srp.graph in
-  let out = ref [] in
-  for u = n - 1 downto 0 do
-    if not (Scenario.mem_node sc u) then begin
-      let rc = c_reaches u in
-      let copies = Abstraction.node_image t u in
-      (* any copy agreeing keeps the abstraction defensible: the
-         per-solution refinement f_r is free to pick that copy *)
-      if not (List.exists (fun a -> a_reaches a = rc) copies) then
-        out :=
-          {
-            mis_node = u;
-            mis_abs = Abstraction.f t u;
-            concrete_reaches = rc;
-            abstract_reaches = a_reaches (Abstraction.f t u);
-            concrete_stable;
-            abstract_stable;
-          }
-          :: !out
-    end
-  done;
-  !out
-
-let check ?concrete_cache ?abstract_cache t ~concrete ~abstract_ sc =
-  match
-    check_all ?concrete_cache ?abstract_cache t ~concrete ~abstract_ sc
-  with
-  | [] -> None
-  | m :: _ -> Some m
-
-let first_break ?concrete_cache ?abstract_cache t ~concrete ~abstract_
-    scenarios =
-  let fails sc =
-    Option.is_some
-      (check ?concrete_cache ?abstract_cache t ~concrete ~abstract_ sc)
-  in
-  List.find_opt fails scenarios
-  |> Option.map (fun sc ->
-         let minimal = Scenario.shrink fails sc in
-         match
-           check ?concrete_cache ?abstract_cache t ~concrete ~abstract_
-             minimal
-         with
-         | Some m -> (minimal, m)
-         | None -> assert false)
+  Fault_engine.search ~budget ?phase mismatches plan
 
 type report = {
   net : Device.network;
@@ -85,7 +68,7 @@ type report = {
   time_s : float;
   disconnected : (Scenario.t * int list) list;
   diverged : (Scenario.t * Solver.verdict) list;
-  break_ : (Scenario.t * mismatch) option;
+  sweep : (mismatch * mismatch list) Fault_engine.search;
   cache_hits : int;
 }
 
@@ -101,16 +84,17 @@ let run ~budget ~samples ~seed ~k ~abstraction (net : Device.network) ec =
     Compile.srp m net ~dest:(Ecs.single_origin ec)
       ~dest_prefix:ec.Ecs.ec_prefix
   in
-  let plan = Fault_engine.plan ?samples ~seed ~k net.Device.graph in
+  let sampling = Option.map (fun n -> Fault_engine.Sample n) samples in
+  let plan = Fault_engine.plan ?sampling ~seed ~k net.Device.graph in
   (* One concrete-side cache spans the survey and the soundness sweep:
      the soundness check re-solves the same scenarios the survey just
      solved (and shrinking probes sub-scenarios), so sharing avoids the
      double work. *)
   let cache = Fault_engine.cache () in
   let survey = Fault_engine.survey ~budget ~cache srp plan in
-  let break_ =
-    first_break abstraction ~concrete:srp ~concrete_cache:cache
-      ~abstract_:(Abstraction.srp m abstraction) plan.Fault_engine.scenarios
+  let sweep =
+    sweep ~budget ~concrete_cache:cache abstraction ~concrete:srp
+      ~abstract_:(Abstraction.srp m abstraction) plan
   in
   let outcomes = survey.Fault_engine.outcomes in
   {
@@ -134,7 +118,7 @@ let run ~budget ~samples ~seed ~k ~abstraction (net : Device.network) ec =
           | sc, Fault_engine.Diverged d -> Some (sc, d.Solver.diag_verdict)
           | _ -> None)
         outcomes;
-    break_;
+    sweep;
     cache_hits = Fault_engine.cache_hits cache;
   }
 
@@ -158,13 +142,18 @@ let report_json_fields r =
       [ ("verdict", Json.String "inconclusive"); ("rounds", Json.Int rounds) ]
   in
   let soundness =
-    match r.break_ with
-    | None -> [ ("sound", Json.Bool true) ]
-    | Some (sc, m) ->
+    match r.sweep with
+    | { Fault_engine.failure = None; cut = Some _; checked } ->
+      [ ("checked", Json.Int checked); ("sound", Json.Null) ]
+    | { Fault_engine.failure = None; cut = None; _ } ->
+      [ ("sound", Json.Bool true) ]
+    | { Fault_engine.failure = Some (sc, (m, _)); cut; _ } ->
       let abs_name = Graph.name r.abstraction.Abstraction.abs_graph in
+      (* a shrink the budget cut short leaves the scenario as found *)
+      let key = if Option.is_none cut then "minimal_scenario" else "scenario" in
       [
         ("sound", Json.Bool false);
-        ("minimal_scenario", scenario sc);
+        (key, scenario sc);
         ("node", Json.String (name m.mis_node));
         ("abs_node", Json.String (abs_name m.mis_abs));
         ("concrete_reaches", Json.Bool m.concrete_reaches);

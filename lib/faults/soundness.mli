@@ -18,55 +18,26 @@ type mismatch = {
   abstract_stable : bool;
 }
 
-val abstract_scenario : Abstraction.t -> Scenario.t -> Scenario.t
-(** The failure set mapped through [f]: downed links through
-    {!Abstraction.link_image} (intra-group links vanish), downed nodes
-    through {!Abstraction.node_image}. *)
-
-val check_all :
+val sweep :
+  ?budget:Budget.t ->
   ?concrete_cache:'a Fault_engine.cache ->
   ?abstract_cache:'b Fault_engine.cache ->
+  ?phase:string ->
   Abstraction.t ->
   concrete:'a Srp.t ->
   abstract_:'b Srp.t ->
-  Scenario.t ->
-  mismatch list
-(** Re-solve both networks under the scenario (a diverged side counts as
-    reaching nothing, as in {!Reachability}) and return {e every} concrete
-    node — in increasing id order, skipping downed nodes — whose
-    reachability disagrees with every abstract copy of its group (the
-    per-solution refinement may map a node to any copy, so disagreement
-    with all of them is what rules out a refinement that saves the
-    abstraction). The full set is what the CEGAR repair loop (lib/repair)
-    pins in one round; [[]] means the abstraction answered this scenario's
-    reachability queries correctly.
-
-    [concrete_cache]/[abstract_cache] memoize the two per-side re-solves
-    ({!Fault_engine.run}); each cache must be dedicated to its side's SRP
-    (the abstract one only for the lifetime of one abstraction). *)
-
-val check :
-  ?concrete_cache:'a Fault_engine.cache ->
-  ?abstract_cache:'b Fault_engine.cache ->
-  Abstraction.t ->
-  concrete:'a Srp.t ->
-  abstract_:'b Srp.t ->
-  Scenario.t ->
-  mismatch option
-(** The lowest-id mismatch of {!check_all} ([None] iff none). *)
-
-val first_break :
-  ?concrete_cache:'a Fault_engine.cache ->
-  ?abstract_cache:'b Fault_engine.cache ->
-  Abstraction.t ->
-  concrete:'a Srp.t ->
-  abstract_:'b Srp.t ->
-  Scenario.t list ->
-  (Scenario.t * mismatch) option
-(** The first scenario (in list order) where {!check} reports a mismatch,
-    greedily shrunk ({!Scenario.shrink}) to a 1-minimal failing failure
-    set — the counterexample an operator can act on. The returned mismatch
-    is re-computed on the shrunk scenario. *)
+  Fault_engine.plan ->
+  (mismatch * mismatch list) Fault_engine.search
+(** {!Fault_engine.search} of the plan, re-solving both networks under
+    each scenario (the abstract one under its image through [f]; a
+    diverged side reaches nothing). A mismatch is a surviving concrete
+    node whose reachability disagrees with {e every} abstract copy of its
+    group (the per-solution refinement may map it to any copy). The
+    failure is the first scenario with one, shrunk to 1-minimal, with all
+    its mismatches in node order (the first, then the rest): what the
+    repair loop (lib/repair) pins in one round. The caches memoize each
+    side's re-solves ({!Fault_engine.run}, under [budget]) and must each
+    be dedicated to one side's SRP, the abstract one to one abstraction. *)
 
 (** {1 The fault-tolerance report}
 
@@ -84,7 +55,9 @@ type report = {
   disconnected : (Scenario.t * int list) list;
       (** stable scenarios stranding nodes, with those nodes *)
   diverged : (Scenario.t * Solver.verdict) list;
-  break_ : (Scenario.t * mismatch) option;  (** {!first_break} of the plan *)
+  sweep : (mismatch * mismatch list) Fault_engine.search;
+      (** the soundness {!sweep} of the plan; a [cut] one leaves soundness
+          unknown unless it had already found a failure *)
   cache_hits : int;  (** concrete re-solves the soundness sweep reused *)
 }
 
@@ -99,9 +72,10 @@ val run :
   report
 (** Survey the class's SRP under the network's model ({!Compile.model})
     in the scenarios of [Fault_engine.plan ?samples ~seed ~k], then check
-    [abstraction], solved under the same model, on each of them. [budget]
-    bounds the survey ({!Fault_engine.survey}); one concrete-side cache
-    serves both sweeps.
+    [abstraction], solved under the same model, on each of them with
+    {!sweep}. One [budget] bounds both: the survey counts what it could
+    not afford in [n_skipped], and a sweep it ends early says so instead
+    of claiming soundness. One concrete-side cache serves both.
     @raise Bonsai_error.Error [Compile_error] on a [k] or a sample count
     below 1 (a sweep of no scenarios proves nothing), as [Repair.harden]
     reports them. *)

@@ -84,7 +84,8 @@ val elapsed_s : t -> float
 val tick : t -> phase:string -> unit
 (** Consume one work tick. Raises {!Exhausted} when the tick limit is
     reached, the budget was cancelled, or (checked every few ticks) the
-    deadline has passed. *)
+    deadline has passed. The tick that crosses the limit is counted, so
+    work that stops at the first {!Exhausted} ends within one tick of it. *)
 
 val check : t -> phase:string -> unit
 (** Like {!tick} but consumes nothing and always consults the clock; for

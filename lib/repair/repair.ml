@@ -22,23 +22,8 @@ type t = {
   k : int;
 }
 
-(* Exhaustive up to the frontier; past it an importance sample that
-   doubles each round. A widened sample with the same seed extends the
-   previous one (Scenario.sample draws deterministically), so scenarios
-   cleared in round r stay covered in round r+1. *)
-let scenario_plan ~k ~frontier ~samples ~seed ~round g =
-  if Scenario.count ~k g <= frontier then
-    { Fault_engine.scenarios = Scenario.enumerate ~k g; exhaustive = true }
-  else
-    let widened = samples * (1 lsl min 20 (round - 1)) in
-    {
-      Fault_engine.scenarios = Scenario.sample ~k ~samples:widened ~seed g;
-      exhaustive = false;
-    }
-
-let harden_exn ?(k = 1) ?(rounds = 8) ?(frontier = 1024) ?(samples = 64)
-    ?(seed = 0) ?(budget = Budget.infinite) (net : Device.network)
-    (ec : Ecs.ec) =
+let harden_exn ?(k = 1) ?(rounds = 8) ?(samples = 64) ?(seed = 0)
+    ?(budget = Budget.infinite) (net : Device.network) (ec : Ecs.ec) =
   if k < 1 then invalid_arg "Repair.harden: k must be positive";
   if rounds < 0 then invalid_arg "Repair.harden: negative rounds";
   if samples < 1 then invalid_arg "Repair.harden: samples must be positive";
@@ -48,7 +33,14 @@ let harden_exn ?(k = 1) ?(rounds = 8) ?(frontier = 1024) ?(samples = 64)
   let (Compile.Model m) = Compile.model net in
   let concrete = Compile.srp m net ~dest ~dest_prefix:ec.Ecs.ec_prefix in
   let concrete_cache = Fault_engine.cache () in
-  let plan_exhaustive = Scenario.count ~k g <= frontier in
+  (* Past the planner's exhaustive cap an importance sample that doubles
+     each round. A widened sample with the same seed extends the previous
+     one, so scenarios cleared in round r stay covered in round r+1. *)
+  let plan round =
+    Fault_engine.plan ~seed ~k g
+      ~sampling:(Past_cap (samples * (1 lsl min 20 (round - 1))))
+  in
+  let plan_exhaustive = (plan 1).Fault_engine.exhaustive in
   let pins = ref [] in
   let logs = ref [] in
   let n_scen = ref 0 in
@@ -76,21 +68,12 @@ let harden_exn ?(k = 1) ?(rounds = 8) ?(frontier = 1024) ?(samples = 64)
     (* the abstract network changes with every repair, so its cache
        lives for one round only *)
     let abstract_cache = Fault_engine.cache () in
-    let plan = scenario_plan ~k ~frontier ~samples ~seed ~round g in
-    let fails sc =
-      Budget.check budget ~phase:"harden";
-      Soundness.check_all ~concrete_cache ~abstract_cache t ~concrete
-        ~abstract_ sc
-      <> []
+    let plan = plan round in
+    let sweep =
+      Soundness.sweep ~budget ~concrete_cache ~abstract_cache ~phase:"harden"
+        t ~concrete ~abstract_ plan
     in
-    let scen0 = !n_scen in
-    let counterexample =
-      List.find_opt
-        (fun sc ->
-          incr n_scen;
-          fails sc)
-        plan.Fault_engine.scenarios
-    in
+    n_scen := !n_scen + sweep.Fault_engine.checked;
     let log cex mismatches new_pins =
       abs_hits := !abs_hits + Fault_engine.cache_hits abstract_cache;
       logs :=
@@ -98,7 +81,7 @@ let harden_exn ?(k = 1) ?(rounds = 8) ?(frontier = 1024) ?(samples = 64)
           rl_round = round;
           rl_abs_nodes = Abstraction.n_abstract t;
           rl_abs_links = Graph.n_links t.Abstraction.abs_graph;
-          rl_scenarios = !n_scen - scen0;
+          rl_scenarios = sweep.Fault_engine.checked;
           rl_counterexample = cex;
           rl_mismatches = mismatches;
           rl_new_pins = new_pins;
@@ -106,17 +89,15 @@ let harden_exn ?(k = 1) ?(rounds = 8) ?(frontier = 1024) ?(samples = 64)
         }
         :: !logs
     in
-    match counterexample with
-    | None ->
+    match sweep with
+    | { Fault_engine.cut = Some info; _ } ->
+      fallback (Bonsai_api.Budget_fallback info)
+    | { Fault_engine.failure = None; _ } ->
       log None [] [];
       finish r Bonsai_api.No_fallback true
-    | Some sc ->
+    | { Fault_engine.failure = Some (minimal, (m, ms)); _ } ->
+      let mismatches = m :: ms in
       incr n_cex;
-      let minimal = Scenario.shrink fails sc in
-      let mismatches =
-        Soundness.check_all ~concrete_cache ~abstract_cache t ~concrete
-          ~abstract_ minimal
-      in
       if round > rounds then begin
         (* No repair attempts left. [rounds = 0] means repair was never
            enabled: report the counterexample and the (unsound)
@@ -167,9 +148,9 @@ let harden_exn ?(k = 1) ?(rounds = 8) ?(frontier = 1024) ?(samples = 64)
   with Budget.Exhausted info ->
     fallback (Bonsai_api.Budget_fallback info)
 
-let harden ?k ?rounds ?frontier ?samples ?seed ?budget net ec =
+let harden ?k ?rounds ?samples ?seed ?budget net ec =
   Bonsai_error.protect (fun () ->
-      try harden_exn ?k ?rounds ?frontier ?samples ?seed ?budget net ec
+      try harden_exn ?k ?rounds ?samples ?seed ?budget net ec
       with Invalid_argument m ->
         Bonsai_error.error (Bonsai_error.Compile_error m))
 

@@ -10,13 +10,13 @@
     + {b compress} the destination class ({!Bonsai_api.compress_ec_exn}),
       seeding the partition with the current {e pin} set — nodes forced
       into singleton classes ({!Refine.partition}'s [?pinned]);
-    + {b sweep} failure scenarios up to [k] downed links through
-      {!Soundness.check_all} — exhaustively when the scenario space is at
-      most [frontier], otherwise an importance sample whose size doubles
-      every round;
-    + on a mismatch, {b shrink} the scenario to 1-minimal
-      ({!Scenario.shrink}), collect {e every} node whose verdict
-      disagrees, add them to the pin set, and go to 1.
+    + {b sweep} failure scenarios up to [k] downed links with
+      {!Soundness.sweep} — exhaustively when {!Fault_engine.plan}
+      enumerates the scenario space (at most 1024 scenarios), otherwise an
+      importance sample whose size doubles every round;
+    + on a mismatch, take the sweep's 1-minimal counterexample, collect
+      {e every} node whose verdict disagrees, add them to the pin set, and
+      go to 1.
 
     Every round is monotone — pins only grow, so the partition only
     refines — which bounds the loop by the node count: in the worst case
@@ -62,7 +62,6 @@ type t = {
 val harden_exn :
   ?k:int ->
   ?rounds:int ->
-  ?frontier:int ->
   ?samples:int ->
   ?seed:int ->
   ?budget:Budget.t ->
@@ -78,14 +77,13 @@ val harden_exn :
     with a grown pin set; [rounds = 0] disables repair — the sweep then
     only diagnoses, and a counterexample yields [sound = false] with the
     unrepaired abstraction (callers map this to the soundness-break exit
-    code). [frontier] (default 1024) caps exhaustive enumeration: a
-    scenario space at most this large is swept completely, a larger one
-    is importance-sampled starting at [samples] (default 64) scenarios,
-    doubling every round ([seed] fixes the sample; a widened sample
-    extends the previous one, keeping rounds comparable). [budget]
-    bounds the whole loop (compression phases tick it as usual, the
-    sweep checks it per scenario); exhaustion degrades to the identity
-    abstraction instead of raising.
+    code). A scenario space {!Fault_engine.plan} enumerates is swept
+    completely, a larger one is importance-sampled starting at [samples]
+    (default 64) scenarios, doubling every round ([seed] fixes the sample;
+    a widened sample extends the previous one, keeping rounds
+    comparable). [budget] bounds the whole loop (compression phases and
+    the sweep's re-solves tick it, the sweep checks it per scenario);
+    exhaustion degrades to the identity abstraction instead of raising.
 
     @raise Invalid_argument on [k] or [samples] below 1 (a sweep of no
     scenarios proves nothing), negative [rounds] or an anycast class. *)
@@ -93,7 +91,6 @@ val harden_exn :
 val harden :
   ?k:int ->
   ?rounds:int ->
-  ?frontier:int ->
   ?samples:int ->
   ?seed:int ->
   ?budget:Budget.t ->

@@ -34,19 +34,14 @@ let scenario_violates srp prop sc =
     if prop sol then None else Some (`Fails sol)
   | Fault_engine.Diverged d -> Some (`Diverged d)
 
-let for_all_failures ?(k = 1) ?budget ?samples ?seed (srp : 'a Srp.t) prop =
-  let plan = Fault_engine.plan ?budget ?samples ?seed ~k srp.Srp.graph in
-  let fails sc = scenario_violates srp prop sc <> None in
-  match List.find_opt fails plan.Fault_engine.scenarios with
+let for_all_failures ?(k = 1) (srp : 'a Srp.t) prop =
+  let plan = Fault_engine.plan ~k srp.Srp.graph in
+  match (Fault_engine.search (scenario_violates srp prop) plan).failure with
   | None ->
     Fault_holds
       {
         scenarios = List.length plan.Fault_engine.scenarios;
         exhaustive = plan.Fault_engine.exhaustive;
       }
-  | Some sc -> (
-    let minimal = Scenario.shrink fails sc in
-    match scenario_violates srp prop minimal with
-    | Some (`Fails sol) -> Fault_fails (minimal, sol)
-    | Some (`Diverged d) -> Fault_diverges (minimal, d)
-    | None -> assert false)
+  | Some (sc, `Fails sol) -> Fault_fails (sc, sol)
+  | Some (sc, `Diverged d) -> Fault_diverges (sc, d)

@@ -53,14 +53,11 @@ type 'a fault_result =
 
 val for_all_failures :
   ?k:int ->
-  ?budget:int ->
-  ?samples:int ->
-  ?seed:int ->
   'a Srp.t ->
   ('a Solution.t -> bool) ->
   'a fault_result
 (** Does the property hold in the solved solution of every surviving
-    network with at most [k] (default 1) downed links? Scenario selection
-    as in {!Fault_engine.plan}; failing scenarios are shrunk with
-    {!Scenario.shrink} before reporting. Divergence counts as a violation
-    (the network has no stable routing to judge). *)
+    network with at most [k] (default 1) downed links? The scenarios are
+    {!Fault_engine.plan}'s, the counterexample {!Fault_engine.search}'s,
+    shrunk before reporting. Divergence counts as a violation (the network
+    has no stable routing to judge). *)

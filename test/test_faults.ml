@@ -121,10 +121,67 @@ let test_plan () =
     p.Fault_engine.exhaustive;
   Alcotest.(check int) "all 21 scenarios" 21
     (List.length p.Fault_engine.scenarios);
-  let p = Fault_engine.plan ~budget:10 ~k:2 g in
+  (* a 50-ring at k=2 has C(50,1)+C(50,2) = 1,275 scenarios, past the
+     exhaustive cap *)
+  let big = ring 50 in
+  Alcotest.(check int) "space past the cap" 1275 (Scenario.count ~k:2 big);
+  let p = Fault_engine.plan ~k:2 big in
   Alcotest.(check bool) "over budget samples" false p.Fault_engine.exhaustive;
-  let p = Fault_engine.plan ~samples:4 ~k:2 g in
+  Alcotest.(check int) "default sample size" 256
+    (List.length p.Fault_engine.scenarios);
+  let p = Fault_engine.plan ~sampling:(Fault_engine.Sample 4) ~k:2 g in
   Alcotest.(check int) "forced samples" 4 (List.length p.Fault_engine.scenarios)
+
+let test_search () =
+  (* the search stops at the first failing scenario of the plan, counts
+     the checks it made, and shrinks the failure *)
+  let plan = Fault_engine.plan ~k:2 (ring 6) in
+  let check sc =
+    if List.mem (2, 3) sc.Scenario.down_links then Some (Scenario.size sc)
+    else None
+  in
+  let r = Fault_engine.search check plan in
+  (* links (0,1) (0,5) (1,2) pass, the single (2,3) is the fourth *)
+  Alcotest.(check int) "checked up to the failure" 4 r.Fault_engine.checked;
+  (match r.Fault_engine.failure with
+  | Some (sc, size) ->
+    Alcotest.(check bool) "the failing link" true
+      (Scenario.equal sc (Scenario.make [ (2, 3) ]));
+    Alcotest.(check int) "failure recomputed on it" 1 size
+  | None -> Alcotest.fail "expected a failure");
+  Alcotest.(check bool) "not cut" true (Option.is_none r.Fault_engine.cut);
+  (* a cancelled budget ends the search before its first check *)
+  let b = Budget.create () in
+  Budget.cancel b;
+  let r = Fault_engine.search ~budget:b check plan in
+  Alcotest.(check int) "nothing checked" 0 r.Fault_engine.checked;
+  Alcotest.(check bool) "cut, no failure" true
+    (Option.is_some r.Fault_engine.cut
+    && Option.is_none r.Fault_engine.failure);
+  (* a budget that runs out while shrinking keeps the failure it found,
+     unshrunk: the first failing scenario of a 6-ring at k=2 that downs
+     both (0,1) and (1,2) is that pair *)
+  let b = Budget.create () in
+  let check sc =
+    let l = sc.Scenario.down_links in
+    if List.mem (0, 1) l && List.mem (1, 2) l then begin
+      Budget.cancel b;
+      Some (Scenario.size sc)
+    end
+    else None
+  in
+  let r = Fault_engine.search ~budget:b check plan in
+  Alcotest.(check bool) "cut while shrinking" true
+    (Option.is_some r.Fault_engine.cut);
+  match r.Fault_engine.failure with
+  | Some (sc, size) ->
+    Alcotest.(check bool) "the failure as found" true
+      (Scenario.equal sc (Scenario.make [ (0, 1); (1, 2) ]));
+    Alcotest.(check int) "its check's payload" 2 size;
+    Alcotest.(check bool) "checked through it" true
+      (Scenario.equal sc
+         (List.nth plan.Fault_engine.scenarios (r.Fault_engine.checked - 1)))
+  | None -> Alcotest.fail "expected the failure found before the cut"
 
 let test_survey () =
   let srp = Rip.make (ring 4) ~dest:0 in
@@ -340,10 +397,10 @@ let test_soundness_fattree () =
   let t = (Bonsai_api.compress_ec_exn net ec).Bonsai_api.abstraction in
   let concrete = Compile.bgp_srp net ~dest ~dest_prefix:ec.Ecs.ec_prefix in
   let abstract_ = Abstraction.bgp_srp t in
-  let scenarios = Scenario.enumerate ~k:1 net.Device.graph in
-  match Soundness.first_break t ~concrete ~abstract_ scenarios with
+  let plan = Fault_engine.plan ~k:1 net.Device.graph in
+  match (Soundness.sweep t ~concrete ~abstract_ plan).Fault_engine.failure with
   | None -> Alcotest.fail "expected the fattree abstraction to break"
-  | Some (sc, m) ->
+  | Some (sc, (m, _)) ->
     Alcotest.(check int) "minimal set is a single link" 1 (Scenario.size sc);
     Alcotest.(check bool) "concrete side still routes" true
       m.Soundness.concrete_reaches;
@@ -352,9 +409,9 @@ let test_soundness_fattree () =
     Alcotest.(check bool) "both sides converged" true
       (m.Soundness.concrete_stable && m.Soundness.abstract_stable)
 
-let test_check_all () =
-  (* on the fattree's breaking scenario, check_all returns every
-     disagreeing node (ascending), and check is its head *)
+let test_sweep_mismatches () =
+  (* on the fattree's breaking scenario, the sweep reports every
+     disagreeing node, ascending *)
   let ft = Generators.fattree ~k:4 in
   let net = Synthesis.fattree_shortest_path ft in
   let ec = List.hd (Ecs.compute net) in
@@ -362,28 +419,35 @@ let test_check_all () =
   let t = (Bonsai_api.compress_ec_exn net ec).Bonsai_api.abstraction in
   let concrete = Compile.bgp_srp net ~dest ~dest_prefix:ec.Ecs.ec_prefix in
   let abstract_ = Abstraction.bgp_srp t in
-  let sc, _ =
+  let sweep scenarios =
+    Soundness.sweep t ~concrete ~abstract_
+      { Fault_engine.scenarios; exhaustive = false }
+  in
+  let sc, all =
     match
-      Soundness.first_break t ~concrete ~abstract_
-        (Scenario.enumerate ~k:1 net.Device.graph)
+      (sweep (Fault_engine.plan ~k:1 net.Device.graph).Fault_engine.scenarios)
+        .Fault_engine.failure
     with
-    | Some b -> b
+    | Some (sc, (m, ms)) -> (sc, m :: ms)
     | None -> Alcotest.fail "expected the fattree abstraction to break"
   in
-  let all = Soundness.check_all t ~concrete ~abstract_ sc in
   Alcotest.(check bool) "several nodes disagree" true (List.length all > 1);
   let ids = List.map (fun m -> m.Soundness.mis_node) all in
   Alcotest.(check (list int)) "ascending, distinct"
     (List.sort_uniq Int.compare ids)
     ids;
-  (match Soundness.check t ~concrete ~abstract_ sc with
-  | Some m ->
-    Alcotest.(check int) "check is the head of check_all"
-      (List.hd ids) m.Soundness.mis_node
-  | None -> Alcotest.fail "check must agree with check_all");
+  (match (sweep [ sc ]).Fault_engine.failure with
+  | Some (sc', (m, ms)) ->
+    Alcotest.(check bool) "the minimal scenario stays minimal" true
+      (Scenario.equal sc sc');
+    Alcotest.(check (list int)) "the same mismatches on a re-check" ids
+      (List.map (fun m -> m.Soundness.mis_node) (m :: ms))
+  | None -> Alcotest.fail "the minimal scenario must still fail");
   (* an intact-topology scenario yields no mismatch *)
-  Alcotest.(check int) "intact topology agrees" 0
-    (List.length (Soundness.check_all t ~concrete ~abstract_ (Scenario.make [])))
+  let intact = sweep [ Scenario.make [] ] in
+  Alcotest.(check bool) "intact topology agrees" true
+    (Option.is_none intact.Fault_engine.failure);
+  Alcotest.(check int) "one scenario checked" 1 intact.Fault_engine.checked
 
 let test_soundness_identity_ok () =
   (* sanity: comparing a network against itself (identity abstraction via
@@ -452,6 +516,7 @@ let () =
           Alcotest.test_case "survives" `Quick test_survives;
           Alcotest.test_case "outcomes" `Quick test_engine_outcomes;
           Alcotest.test_case "plan" `Quick test_plan;
+          Alcotest.test_case "search" `Quick test_search;
           Alcotest.test_case "survey" `Quick test_survey;
           Alcotest.test_case "cache" `Quick test_cache;
           Alcotest.test_case "survey cache hits" `Quick test_survey_cache_hits;
@@ -478,7 +543,7 @@ let () =
           Alcotest.test_case "fattree breaks under one failure" `Quick
             test_soundness_fattree;
           Alcotest.test_case "check_all collects every mismatch" `Quick
-            test_check_all;
+            test_sweep_mismatches;
           Alcotest.test_case "ring survives" `Quick test_soundness_identity_ok;
           Alcotest.test_case "run refuses negative k" `Quick
             test_run_negative_k;

@@ -391,6 +391,62 @@ let prop_pipeline_starved =
         QCheck.Test.fail_reportf "unexpected typed error %s"
           (Format.asprintf "%a" Bonsai_error.pp e))
 
+(* One budget bounds the whole fault-soundness run. A run it does not cut
+   short answers exactly as the unbudgeted run, counters included; a cut
+   one checks no more scenarios than its survey reached, stops within the
+   one-tick overshoot {!Budget.tick} allows, and keeps a failure only when
+   the cut came while shrinking it: the last scenario it checked, one the
+   unbudgeted run finds broken too. *)
+let prop_faults_budget =
+  QCheck.Test.make ~name:"faults: a budget cuts the sweep, never the answer"
+    ~count:fuzz_count
+    QCheck.(
+      quad (int_range 3 8) (int_range 0 100_000) (int_range 1 2)
+        (int_range 0 800))
+    (fun (n, seed, k, max_ticks) ->
+      let net = Synthesis.random_network ~n ~seed in
+      match Ecs.compute net with
+      | ec :: _ when Ecs.is_single_origin ec ->
+        let abstraction =
+          (Bonsai_api.compress_ec_exn net ec).Bonsai_api.abstraction
+        in
+        let run budget =
+          Soundness.run ~budget ~samples:None ~seed:0 ~k ~abstraction net ec
+        in
+        let budget = Budget.create ~max_ticks () in
+        let r = run budget in
+        let sweep = r.Soundness.sweep in
+        if r.Soundness.n_skipped = 0 && Option.is_none sweep.Fault_engine.cut
+        then begin
+          let full = run Budget.infinite in
+          Json.equal
+            (Json.Obj (Soundness.report_json_fields r))
+            (Json.Obj (Soundness.report_json_fields full))
+          && sweep.Fault_engine.checked
+             = full.Soundness.sweep.Fault_engine.checked
+          && r.Soundness.cache_hits = full.Soundness.cache_hits
+        end
+        else
+          let surveyed =
+            List.length r.Soundness.plan.Fault_engine.scenarios
+            - r.Soundness.n_skipped
+          in
+          let kept_failure_is_real =
+            match sweep.Fault_engine.failure with
+            | None -> true
+            | Some (sc, _) ->
+              Option.is_some sweep.Fault_engine.cut
+              && Scenario.equal sc
+                   (List.nth r.Soundness.plan.Fault_engine.scenarios
+                      (sweep.Fault_engine.checked - 1))
+              && Option.is_some
+                   (run Budget.infinite).Soundness.sweep.Fault_engine.failure
+          in
+          kept_failure_is_real
+          && sweep.Fault_engine.checked <= surveyed
+          && Budget.ticks budget <= max_ticks + 1
+      | _ -> true)
+
 let () =
   Alcotest.run "guard"
     [
@@ -441,5 +497,6 @@ let () =
             prop_parse_never_crashes;
             prop_pipeline_never_crashes;
             prop_pipeline_starved;
+            prop_faults_budget;
           ] );
     ]

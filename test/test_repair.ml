@@ -10,12 +10,13 @@ let first_ec net = List.hd (Ecs.compute net)
 (* Re-discharge the guarantee from scratch: no swept scenario
    distinguishes the hardened abstraction from the concrete network. *)
 let recheck (net : Device.network) (ec : Ecs.ec) (t : Abstraction.t) ~k =
-  Soundness.first_break t
-    ~concrete:
-      (Compile.bgp_srp net ~dest:(Ecs.single_origin ec)
-         ~dest_prefix:ec.Ecs.ec_prefix)
-    ~abstract_:(Abstraction.bgp_srp t)
-    (Scenario.enumerate ~k net.Device.graph)
+  (Soundness.sweep t
+     ~concrete:
+       (Compile.bgp_srp net ~dest:(Ecs.single_origin ec)
+          ~dest_prefix:ec.Ecs.ec_prefix)
+     ~abstract_:(Abstraction.bgp_srp t)
+     (Fault_engine.plan ~k net.Device.graph))
+    .Fault_engine.failure
 
 (* --- the acceptance case: fattree:4 under single failures ------------- *)
 
@@ -45,7 +46,7 @@ let test_fattree_repaired () =
   (* the final sweep of the loop used the same enumeration, but trust
      nothing: re-build both SRPs and sweep again *)
   Alcotest.(check bool)
-    "first_break = None on the hardened abstraction" true
+    "no counterexample on the hardened abstraction" true
     (recheck net ec r.Repair.result.Bonsai_api.abstraction ~k:1 = None)
 
 let test_round_log_shape () =
@@ -186,16 +187,18 @@ let test_invalid_args () =
   | Error (Bonsai_error.Compile_error _) -> ()
   | _ -> Alcotest.fail "negative rounds must be a Compile_error");
   (* a sample count below 1 would sweep no scenario and report "sound",
-     whether or not the space is small enough to enumerate *)
+     whether the space is enumerated (fattree:4 at k=1, 32 scenarios) or
+     sampled (a 50-ring at k=2, 1,275 scenarios, past the exhaustive
+     cap) *)
+  let ring50 = Synthesis.ring_bgp ~n:50 in
   List.iter
-    (fun (samples, frontier) ->
-      match Repair.harden ~samples ~frontier net ec with
+    (fun (net, k, samples) ->
+      match Repair.harden ~k ~samples net (first_ec net) with
       | Error (Bonsai_error.Compile_error m) ->
         Alcotest.(check string)
           "message" "Repair.harden: samples must be positive" m
-      | _ ->
-        Alcotest.failf "samples=%d frontier=%d accepted" samples frontier)
-    [ (0, 0); (-3, 0); (0, 1024) ]
+      | _ -> Alcotest.failf "k=%d samples=%d accepted" k samples)
+    [ (net, 1, 0); (net, 1, -3); (ring50, 2, 0); (ring50, 2, -3) ]
 
 (* --- properties --------------------------------------------------------- *)
 
