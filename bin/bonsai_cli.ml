@@ -273,6 +273,9 @@ let compress_cmd_run spec ec_prefix dot all check check_dataplane format
   | _ ->
     Printf.eprintf "bdd time: %.2fs, %.3fs per EC\n%!" s.Bonsai_api.bdd_time_s
       (Bonsai_api.mean_time_per_ec compressed);
+    Printf.eprintf "behaviours: %d distinct among %d classes\n%!"
+      (Bonsai_api.behaviours compressed)
+      (List.length compressed.Bonsai_api.results);
     if format = `Text then Format.printf "%a@." Bonsai_api.pp_summary s);
   (match format with
   | `Text ->

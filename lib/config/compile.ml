@@ -35,6 +35,33 @@ let scan_matched_comms (net : Device.network) =
 
 (* --- compiled transfers ----------------------------------------------- *)
 
+module Kind_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b =
+    Array.length a = Array.length b && Array.for_all2 Int.equal a b
+
+  let hash (a : t) = Array.fold_left (fun h x -> (h * 31) + x) 17 a
+end)
+
+(* The class keys of one network (see [class_key]). *)
+type shared = ..
+type key_entry = { mutable classes : int; mutable kept : shared list }
+
+module Class_tbl = Hashtbl.Make (struct
+  type t = int * Prefix.t
+
+  let equal (d, p) (d', p') = Int.equal d d' && Prefix.equal p p'
+  let hash = Hashtbl.hash
+end)
+
+type class_index = {
+  clause_ids : int Rm_memo.t;  (* relevant clause lists *)
+  key_ids : int Kind_tbl.t;  (* key vectors *)
+  mutable entries : key_entry array;  (* by key id *)
+  of_class : int Class_tbl.t;  (* (origin, prefix) -> key id *)
+}
+
 (* The destination-independent facts of every directed edge (receiver
    [u], sender [v]), indexed by edge id: what the transfer of any class
    reads from configuration, resolved once per network. Route maps and
@@ -58,8 +85,11 @@ type edge_facts = {
       (* by kind, one edge of the kind with its receiver and sender *)
   static_routers : int list;  (* the routers with static routes *)
   maps : Route_map.t array;
+      (* every route map of the network: the edges' first, then the maps
+         of one-sided sessions, which [prefs] reads too *)
   acls : Acl.t array;
   tie_filter : int -> bool;  (* [matched_comms] *)
+  classes : class_index;
 }
 
 (* Ids count up from 0 in first-seen order; [None] is -1. The second
@@ -78,13 +108,6 @@ let interner (type a) (module H : Hashtbl.S with type key = a) =
         i)
   in
   (id, fun () -> Array.of_list (List.rev !seen))
-
-module Kind_tbl = Hashtbl.Make (struct
-  type t = int array
-
-  let equal (a : t) b = Array.for_all2 Int.equal a b
-  let hash (a : t) = Array.fold_left (fun h x -> (h * 31) + x) 17 a
-end)
 
 (* Edge kinds: edges are interned by every fact a signature reads from
    the per-network tables (sessions, the two maps, the ACL, the OSPF link
@@ -149,6 +172,14 @@ let build_facts (net : Device.network) =
         | _ -> ())
       (Graph.succ g u)
   done;
+  Array.iter
+    (fun (ru : Device.router) ->
+      List.iter
+        (fun (_, (nb : Device.bgp_neighbor)) ->
+          ignore (map_id nb.Device.import_rm : int);
+          ignore (map_id nb.Device.export_rm : int))
+        ru.Device.bgp_neighbors)
+    r;
   let redistributes k =
     Array.map
       (fun (ru : Device.router) ->
@@ -189,6 +220,13 @@ let build_facts (net : Device.network) =
     maps = maps ();
     acls = acls ();
     tie_filter = scan_matched_comms net;
+    classes =
+      {
+        clause_ids = Rm_memo.create 16;
+        key_ids = Kind_tbl.create 64;
+        entries = [||];
+        of_class = Class_tbl.create 64;
+      };
   }
 
 (* Networks are never mutated after construction, so the facts are keyed
@@ -383,6 +421,107 @@ let ospf_live (net : Device.network) ~dest =
          r.Device.ospf_links <> []
          && List.exists (fun p -> Prefix.equal p dest) r.Device.originated)
        net.routers
+
+(* --- class keys ------------------------------------------------------- *)
+
+(* A route map's code in a class key: 0 and 1 for a map that acts as
+   the identity or drops everything for this destination, else the
+   interned id (from 2) of its relevant clauses. [prefs] also reads the
+   local preferences of clauses an unconditional first clause shadows,
+   so an identity or drop map that has any keeps its full clause list. *)
+let map_code ix rm ~dest =
+  let intern rel =
+    match Rm_memo.find_opt ix.clause_ids rel with
+    | Some i -> i
+    | None ->
+      let i = 2 + Rm_memo.length ix.clause_ids in
+      Rm_memo.add ix.clause_ids rel i;
+      i
+  in
+  match Route_map.compile rm ~dest with
+  | Route_map.Clauses rel -> intern rel
+  | Route_map.Identity | Route_map.Drop
+    when not (List.is_empty (Route_map.local_prefs rm ~dest)) ->
+    intern (Route_map.relevant rm ~dest)
+  | Route_map.Identity -> 0
+  | Route_map.Drop -> 1
+
+(* Everything one class's SRP, class FIB and abstraction read that
+   depends on its destination: the origin, the OSPF-live bit, each
+   route map's code, each ACL's verdict, then every static router with
+   static next hops as (router, count, sorted hops). *)
+let key_vector f (net : Device.network) ~dest ~dest_prefix =
+  let ix = f.classes in
+  let n_maps = Array.length f.maps and n_acls = Array.length f.acls in
+  let statics =
+    List.filter_map
+      (fun u ->
+        match Device.static_next_hops net.routers.(u) ~dest:dest_prefix with
+        | [] -> None
+        | hops -> Some (u, List.sort_uniq Int.compare hops))
+      f.static_routers
+  in
+  let len =
+    List.fold_left
+      (fun acc (_, hops) -> acc + 2 + List.length hops)
+      (2 + n_maps + n_acls) statics
+  in
+  let v = Array.make len 0 in
+  v.(0) <- dest;
+  v.(1) <- Bool.to_int (ospf_live net ~dest:dest_prefix);
+  Array.iteri (fun i rm -> v.(2 + i) <- map_code ix rm ~dest:dest_prefix) f.maps;
+  Array.iteri
+    (fun i acl ->
+      v.(2 + n_maps + i) <- Bool.to_int (Acl.permits (Some acl) dest_prefix))
+    f.acls;
+  let _ : int =
+    List.fold_left
+      (fun at (u, hops) ->
+        v.(at) <- u;
+        v.(at + 1) <- List.length hops;
+        List.iteri (fun i h -> v.(at + 2 + i) <- h) hops;
+        at + 2 + List.length hops)
+      (2 + n_maps + n_acls) statics
+  in
+  v
+
+let class_key (net : Device.network) ~dest ~dest_prefix =
+  match net.routers.(dest).Device.originated with
+  | [ p ] when Prefix.equal p dest_prefix ->
+    (* the origin announces no other prefix, so no other class has this
+       origin: a key of its own, with no vector *)
+    -1 - dest
+  | _ -> (
+    let f = edge_facts net in
+    let ix = f.classes in
+    match Class_tbl.find_opt ix.of_class (dest, dest_prefix) with
+    | Some k -> k
+    | None ->
+      let v = key_vector f net ~dest ~dest_prefix in
+      let k =
+        match Kind_tbl.find_opt ix.key_ids v with
+        | Some k -> k
+        | None ->
+          let k = Kind_tbl.length ix.key_ids in
+          Kind_tbl.add ix.key_ids v k;
+          if k = Array.length ix.entries then
+            ix.entries <-
+              Array.init (max 16 (2 * k)) (fun i ->
+                  if i < k then ix.entries.(i) else { classes = 0; kept = [] });
+          k
+      in
+      Class_tbl.add ix.of_class (dest, dest_prefix) k;
+      let e = ix.entries.(k) in
+      e.classes <- e.classes + 1;
+      k)
+
+let kept net k = if k < 0 then [] else (edge_facts net).classes.entries.(k).kept
+
+let keep net k xs =
+  if k >= 0 then begin
+    let e = (edge_facts net).classes.entries.(k) in
+    if e.classes > 1 then e.kept <- xs
+  end
 
 let signature_equal a b =
   a.sig_import = b.sig_import

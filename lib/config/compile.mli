@@ -99,6 +99,36 @@ val ospf_live : Device.network -> dest:Prefix.t -> bool
     the incremental engine must see it unchanged across a delta before it
     trusts signature locality and reuses untouched classes. *)
 
+(** {1 Class keys} *)
+
+val class_key : Device.network -> dest:int -> dest_prefix:Prefix.t -> int
+(** [class_key net ~dest ~dest_prefix]: the class's behaviour, as an id
+    interned per network (kept beside the per-network tables of
+    {!bgp_policy}, memoised per class). It is built only from what the
+    class's SRP ({!srp}), its class FIB and its abstraction read for one
+    destination: the origin [dest], the {!ospf_live} bit, each route
+    map's {!Route_map.compile}d form (identity, drop, or its
+    {!Route_map.relevant} clauses, kept whole when they assign a local
+    preference, which {!prefs} reads), each ACL's verdict on
+    [dest_prefix], and each router's non-empty static next hops. So two
+    classes with equal keys have the same concrete SRP, the same
+    abstraction up to [dest_prefix] and the same class FIB up to its
+    prefix, and the pipelines compute each of them once per key. A class
+    whose origin announces no other prefix can share its key with no
+    other class; it gets the negative key [-1 - dest] without building
+    or storing a vector. *)
+
+type shared = ..
+(** What a client keeps per key (the data plane keeps class FIBs). *)
+
+val kept : Device.network -> int -> shared list
+(** What {!keep} last stored for this key, [[]] at first. *)
+
+val keep : Device.network -> int -> shared list -> unit
+(** Store per key, beside the network's tables (dropped with them). A
+    no-op while at most one class keyed so far has this key: a key no
+    other class shares keeps nothing. *)
+
 type signature_table = {
   universe : Policy_bdd.universe;  (** the universe the BDD ids live in *)
   sid : int -> int;

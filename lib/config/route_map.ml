@@ -71,15 +71,16 @@ let rec apply_actions a = function
   | [] -> a
   | act :: rest -> apply_actions (apply_action a act) rest
 
+let decide cl a =
+  match cl.verdict with
+  | Deny -> None
+  | Permit -> Some (apply_actions a cl.actions)
+
 let rec eval rm ~dest a =
   match rm with
   | [] -> None
   | cl :: rest ->
-    if all_hold ~dest a cl.conds then
-      match cl.verdict with
-      | Deny -> None
-      | Permit -> Some (apply_actions a cl.actions)
-    else eval rest ~dest a
+    if all_hold ~dest a cl.conds then decide cl a else eval rest ~dest a
 
 (* A prefix condition is static once the destination is fixed. *)
 let static_cond ~dest = function
@@ -104,22 +105,35 @@ let relevant rm ~dest =
       if !keep then Some { cl with conds } else None)
     rm
 
-type compiled =
-  | Identity
-  | Drop
-  | Clauses of { rm : t; dest : Prefix.t }
+type compiled = Identity | Drop | Clauses of t
 
 let compile rm ~dest =
   match relevant rm ~dest with
   | [] | { verdict = Deny; conds = []; _ } :: _ -> Drop
   | { verdict = Permit; conds = []; actions = [] } :: _ -> Identity
-  | rm -> Clauses { rm; dest }
+  | rm -> Clauses rm
+
+(* [relevant] resolved every prefix condition, so only community tests
+   remain. *)
+let comm_holds a = function
+  | Match_community cs -> has_any_comm a cs
+  | Match_prefix _ -> invalid_arg "Route_map.apply: unresolved prefix condition"
+
+let rec comms_hold a = function
+  | [] -> true
+  | c :: cs -> comm_holds a c && comms_hold a cs
+
+let rec apply_clauses rm a =
+  match rm with
+  | [] -> None
+  | cl :: rest ->
+    if comms_hold a cl.conds then decide cl a else apply_clauses rest a
 
 let apply c a =
   match c with
   | Identity -> Some a
   | Drop -> None
-  | Clauses { rm; dest } -> eval rm ~dest a
+  | Clauses rm -> apply_clauses rm a
 
 let sort_uniq = List.sort_uniq Int.compare
 

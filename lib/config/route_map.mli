@@ -41,8 +41,9 @@ val eval : t -> dest:Prefix.t -> Bgp.attr -> Bgp.attr option
 type compiled =
   | Identity  (** every route passes unchanged *)
   | Drop  (** every route is filtered *)
-  | Clauses of { rm : t; dest : Prefix.t }
-      (** the {!relevant} clauses, evaluated by {!eval} *)
+  | Clauses of t
+      (** the {!relevant} clauses: no prefix condition is left, so
+          {!apply} tests communities only *)
 (** A route-map specialized to one destination, so that the transfer
     functions of a destination's SRP never re-resolve prefix conditions
     and skip maps that cannot act. *)

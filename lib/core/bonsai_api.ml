@@ -214,9 +214,24 @@ let compress_exn ?keep_unmatched_comms ?ecs ?(budget = Budget.infinite)
       (ecs, [])
     | None -> List.partition Ecs.is_single_origin (Ecs.compute net)
   in
+  (* one compression per class key; the other classes of a key take its
+     row under their own prefix *)
+  let by_key = Hashtbl.create 64 in
   let results, degradation =
     compress_classes ?keep_unmatched_comms net singles (fun ec ->
-        compress_ec_exn ~universe ~budget net ec)
+        let t0 = Timing.now () in
+        let prefix = ec.Ecs.ec_prefix in
+        let key =
+          Compile.class_key net ~dest:(Ecs.single_origin ec) ~dest_prefix:prefix
+        in
+        match Hashtbl.find_opt by_key key with
+        | Some r ->
+          { r with ec; time_s = Timing.now () -. t0;
+            abstraction = { r.abstraction with Abstraction.dest_prefix = prefix } }
+        | None ->
+          let r = compress_ec_exn ~universe ~budget net ec in
+          Hashtbl.add by_key key r;
+          r)
   in
   { net; bdd_time_s; results; skipped_anycast = List.length anycast;
     degradation }
@@ -224,6 +239,18 @@ let compress_exn ?keep_unmatched_comms ?ecs ?(budget = Budget.infinite)
 let compress ?keep_unmatched_comms ?ecs ?budget net =
   Bonsai_error.protect (fun () ->
       compress_exn ?keep_unmatched_comms ?ecs ?budget net)
+
+let behaviours s =
+  let keys = Hashtbl.create 64 in
+  List.iter
+    (fun r ->
+      let ec = r.ec in
+      Hashtbl.replace keys
+        (Compile.class_key s.net ~dest:(Ecs.single_origin ec)
+           ~dest_prefix:ec.Ecs.ec_prefix)
+        ())
+    s.results;
+  Hashtbl.length keys
 
 let class_summary s p =
   Option.map

@@ -131,6 +131,10 @@ val compress :
 (** Compress the classes [ecs] (default: every class, multi-origin ones
     skipped and counted) in order through {!compress_classes}, in one BDD
     universe; [compress --ec] is the one-class case of [compress --all].
+    Classes with one {!Compile.class_key} are compressed once: the first
+    runs {!compress_ec_exn}, each later one takes that row with its own
+    [ec], its own prefix stamped on the abstraction and its own [time_s]
+    (the keying), and spends no refinement ticks of [budget].
     [keep_unmatched_comms] selects the naive attribute abstraction (see
     {!Policy_bdd.universe_of_network}). Budget exhaustion degrades: the
     class that ran out and every later one fall back to the identity
@@ -147,6 +151,10 @@ val compress_exn :
 (** Like {!compress} but unwrapped (budget exhaustion still degrades
     rather than raising; a given anycast class raises
     [Bonsai_error.Error]). *)
+
+val behaviours : summary -> int
+(** The number of distinct {!Compile.class_key}s among the rows: how many
+    classes {!compress} actually compressed when nothing degraded. *)
 
 val class_summary : summary -> Prefix.t -> summary option
 (** The one-row summary of the class with this prefix, as [compress

@@ -61,33 +61,132 @@ let class_fib (net : Device.network) (ec : Ecs.ec) sol =
       Acl.permits (Device.acl_for net.Device.routers.(u) v) prefix)
     sol
 
+(* Class FIBs kept per class key (Compile.keep), for keys several
+   classes share: equal keys solve the same SRP and fold the same ACL
+   verdicts, so one FIB serves each of them under its own prefix. An
+   abstract FIB is kept with the identity of the abstraction it was
+   compiled from and serves only that one. *)
+type fib = [ `Compiled of class_fib | `Unsolved ]
+
+(* What tells one abstraction from another up to [dest_prefix]: its
+   arrays, compared physically, as a shared compression row carries
+   them (Bonsai_api.compress). A hand-built or corrupted copy differs in
+   some array and is compiled on its own. Kept without the universe, so
+   a kept FIB does not hold on to a finished compression's BDDs. *)
+type abs_id = {
+  a_dest : int;
+  a_group_of : int array;
+  a_groups : int list array;
+  a_copies : int array;
+  a_graph : Graph.t;
+  a_abs_dest : int;
+}
+
+let abs_id (t : Abstraction.t) =
+  {
+    a_dest = t.Abstraction.dest;
+    a_group_of = t.Abstraction.group_of;
+    a_groups = t.Abstraction.groups;
+    a_copies = t.Abstraction.copies;
+    a_graph = t.Abstraction.abs_graph;
+    a_abs_dest = t.Abstraction.abs_dest;
+  }
+
+let same_abstraction a b =
+  a.a_dest = b.a_dest
+  && a.a_group_of == b.a_group_of
+  && a.a_groups == b.a_groups
+  && a.a_copies == b.a_copies
+  && a.a_graph == b.a_graph
+  && a.a_abs_dest = b.a_abs_dest
+
+type Compile.shared +=
+  | Concrete of { multi : bool; fib : fib }
+  | Abstract of { multi : bool; abs : abs_id; abs_fib : fib }
+
+let is_multi : type a. a Compile.model -> bool = function
+  | Compile.Bgp -> false
+  | Compile.Multi -> true
+
+let restamp prefix : fib -> fib = function
+  | `Compiled cf when not (Prefix.equal cf.cf_prefix prefix) ->
+    `Compiled
+      {
+        cf with
+        cf_prefix = prefix;
+        cf_entries =
+          List.map (fun (u, e) -> (u, { e with e_prefix = prefix })) cf.cf_entries;
+      }
+  | fib -> fib
+
+(* One FIB per slot (concrete or abstract, per model) of a key. *)
+let same_slot a b =
+  match (a, b) with
+  | Concrete x, Concrete y -> Bool.equal x.multi y.multi
+  | Abstract x, Abstract y -> Bool.equal x.multi y.multi
+  | _ -> false
+
+(* [find] the kept FIB of the key, else [compile] one and keep it in its
+   slot. *)
+let shared_fib net key ~prefix ~find ~entry compile =
+  let kept = Compile.kept net key in
+  match List.find_map find kept with
+  | Some fib -> restamp prefix fib
+  | None ->
+    let fib = compile () in
+    let e = entry fib in
+    Compile.keep net key (e :: List.filter (fun s -> not (same_slot s e)) kept);
+    fib
+
 let compile_ec ?budget model (net : Device.network) (ec : Ecs.ec) =
   match ec.Ecs.ec_origins with
-  | [ dest ] -> (
+  | [ dest ] ->
     Option.iter (fun b -> Budget.tick b ~phase:"dataplane") budget;
-    let srp = Compile.srp model net ~dest ~dest_prefix:ec.Ecs.ec_prefix in
-    match Solver.solve ?budget srp with
-    | Ok (sol, _) -> `Compiled (class_fib net ec sol)
-    | Error (`Budget ((info : Budget.info), _)) -> raise (Budget.Exhausted info)
-    | Error (`Diverged _) -> `Unsolved)
+    let prefix = ec.Ecs.ec_prefix and multi = is_multi model in
+    let solve () =
+      match
+        Solver.solve ?budget (Compile.srp model net ~dest ~dest_prefix:prefix)
+      with
+      | Ok (sol, _) -> `Compiled (class_fib net ec sol)
+      | Error (`Budget ((info : Budget.info), _)) ->
+        raise (Budget.Exhausted info)
+      | Error (`Diverged _) -> `Unsolved
+    in
+    (shared_fib net
+       (Compile.class_key net ~dest ~dest_prefix:prefix)
+       ~prefix
+       ~find:(function
+         | Concrete c when Bool.equal c.multi multi -> Some c.fib
+         | _ -> None)
+       ~entry:(fun fib -> Concrete { multi; fib })
+       solve
+      :> [ fib | `Anycast ])
   | _ -> `Anycast
 
 (* Each abstract edge folds the ACL of a representative concrete edge:
    sound because transfer-equivalence of the refined partition makes
    every member edge's ACL verdict for this destination equal. *)
 let compile_abstract ?budget model (t : Abstraction.t) =
+  let net = t.Abstraction.net and prefix = t.Abstraction.dest_prefix in
+  let multi = is_multi model and id = abs_id t in
+  shared_fib net
+    (Compile.class_key net ~dest:t.Abstraction.dest ~dest_prefix:prefix)
+    ~prefix
+    ~find:(function
+      | Abstract a when Bool.equal a.multi multi && same_abstraction a.abs id ->
+        Some a.abs_fib
+      | _ -> None)
+    ~entry:(fun abs_fib -> Abstract { multi; abs = id; abs_fib })
+  @@ fun () ->
   match Solver.solve ?budget (Abstraction.srp model t) with
   | Ok (sol, _) ->
     let repr_edge = Abstraction.edge_repr_fun t in
-    let routers = t.Abstraction.net.Device.routers in
+    let routers = net.Device.routers in
     `Compiled
-      (fold_acls ~prefix:t.Abstraction.dest_prefix
+      (fold_acls ~prefix
          ~permits:(fun u_hat v_hat ->
            match repr_edge u_hat v_hat with
-           | u, v ->
-             Acl.permits
-               (Device.acl_for routers.(u) v)
-               t.Abstraction.dest_prefix
+           | u, v -> Acl.permits (Device.acl_for routers.(u) v) prefix
            | exception Not_found -> true)
          sol)
   | Error (`Budget (info, _)) -> raise (Budget.Exhausted info)

@@ -48,7 +48,12 @@ val compile_ec :
     forwarding entries. [`Anycast] for multi-origin classes (no FIB),
     [`Unsolved] when the control plane diverges. Consumes one budget tick
     per call and raises [Budget.Exhausted] (for the caller to convert)
-    when the allowance runs out mid-solve. *)
+    when the allowance runs out mid-solve.
+
+    Classes with one {!Compile.class_key} solve the same SRP and fold the
+    same ACL verdicts, so the result is kept per key and model
+    ({!Compile.keep}: only for a key more than one class keyed so far
+    has) and re-stamped with each later class's prefix, unsolved. *)
 
 val class_fib : Device.network -> Ecs.ec -> 'a Solution.t -> class_fib
 (** The class FIB of a solved class: each router's {!Solution.fwd} with
@@ -65,7 +70,13 @@ val compile_abstract :
     and fold into each abstract next hop the ACL of a representative
     concrete edge (routers are abstract node ids, the origin is
     [abs_dest]). [`Unsolved] when the abstract control plane diverges.
-    Raises [Budget.Exhausted] like {!compile_ec}, without its tick. *)
+    Raises [Budget.Exhausted] like {!compile_ec}, without its tick.
+
+    The rows [Bonsai_api.compress] gives the classes of one key carry
+    one abstraction up to [dest_prefix]; its result is kept per key and
+    model, with the abstraction's arrays, and serves a later call only
+    when the abstraction's arrays are physically the same. A copied,
+    hand-built or corrupted abstraction is compiled on its own. *)
 
 val class_lookup : n:int -> class_fib -> int -> int list
 (** The class FIB indexed by router ([0 .. n-1]) once: each lookup is

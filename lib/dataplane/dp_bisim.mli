@@ -45,7 +45,10 @@ val check :
     abstracts. Identity abstractions are trivially equivalent (the
     abstract network {e is} the concrete network) and counted without
     re-solving. Both sides are solved under [protocol] when given, else
-    under the network's model ({!Compile.model}). *)
+    under the network's model ({!Compile.model}). Rows of classes that
+    share a {!Compile.class_key} share both class FIBs (kept by
+    {!Dataplane.compile_ec} and {!Dataplane.compile_abstract}), so each
+    such pair is solved once and compared per class. *)
 
 val refutation_string : Device.network -> Abstraction.t -> refutation -> string
 (** Render a witness with router names (abstract nodes as

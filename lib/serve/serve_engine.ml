@@ -611,13 +611,12 @@ let stats_op t ~queue_depth =
     |> List.sort (fun a b -> String.compare a.en_spec b.en_spec)
     |> List.map (fun en ->
            let hits, misses = Incr.cache_stats en.en_state in
+           let summary = Incr.summary en.en_state in
            Json.Obj
              [
                ("network", Json.String en.en_spec);
-               ( "ecs",
-                 Json.Int
-                   (List.length
-                      (Incr.summary en.en_state).Bonsai_api.results) );
+               ("ecs", Json.Int (List.length summary.Bonsai_api.results));
+               ("behaviours", Json.Int (Bonsai_api.behaviours summary));
                ("cache_hits", Json.Int hits);
                ("cache_misses", Json.Int misses);
                ( "cache_evictions",

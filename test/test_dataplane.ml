@@ -606,6 +606,229 @@ let prop_reachability_fib =
               (List.init n Fun.id))
         (Ecs.compute net))
 
+(* --- classes that share a key ------------------------------------------ *)
+
+(* [decorated_network] where the origin of [p1] also announces [p2] and
+   [p3], and one router may single one of them out: a static route or an
+   outbound ACL for [p3], or an import map whose prefix list names [p2]
+   (one such map only shadows a local preference, which [Compile.prefs]
+   still reads). So some classes of one origin share a key and some do
+   not. *)
+let shared_origin_network ~n ~seed =
+  let net = decorated_network ~n ~seed in
+  let rng = Random.State.make [| seed; 0x5a4e |] in
+  let p1 = Synthesis.prefix_of_index 1 in
+  let p2 = Synthesis.prefix_of_index 2 and p3 = Synthesis.prefix_of_index 3 in
+  let space = p_of "10.0.0.0/8" in
+  let w = Random.State.int rng n in
+  let succ = Graph.succ net.Device.graph w in
+  let nb = succ.(Random.State.int rng (Array.length succ)) in
+  let open Route_map in
+  let import rm (r : Device.router) =
+    {
+      r with
+      Device.bgp_neighbors =
+        List.map
+          (fun (u, (c : Device.bgp_neighbor)) ->
+            if u = nb then (u, { c with Device.import_rm = Some rm }) else (u, c))
+          r.Device.bgp_neighbors;
+    }
+  in
+  let single_out =
+    match Random.State.int rng 6 with
+    | 0 -> fun r -> { r with Device.static_routes = (p3, nb) :: r.Device.static_routes }
+    | 1 ->
+      let acl =
+        [ { Acl.permit = false; prefix = p3 }; { Acl.permit = true; prefix = space } ]
+      in
+      fun r -> { r with Device.acl_out = (nb, acl) :: r.Device.acl_out }
+    | 2 ->
+      import
+        [
+          { verdict = Deny; conds = [ Match_prefix [ p2 ] ]; actions = [] };
+          { verdict = Permit; conds = []; actions = [] };
+        ]
+    | 3 ->
+      import
+        [
+          { verdict = Permit; conds = [ Match_prefix [ space ] ]; actions = [] };
+          { verdict = Permit; conds = [ Match_prefix [ p2 ] ];
+            actions = [ Set_local_pref 120 ] };
+        ]
+    | _ -> Fun.id
+  in
+  let routers =
+    Array.mapi
+      (fun v (r : Device.router) ->
+        let r = if v = w then single_out r else r in
+        if List.exists (Prefix.equal p1) r.Device.originated then
+          { r with Device.originated = r.Device.originated @ [ p2; p3 ] }
+        else r)
+      net.Device.routers
+  in
+  { net with Device.routers }
+
+(* An abstraction up to group numbering: each node's group renumbered by
+   first member, the copies of each group, and the abstract edges over
+   (group, copy) labels. *)
+let canonical (a : Abstraction.t) =
+  let canon = Array.make (Array.length a.Abstraction.groups) (-1) in
+  let next = ref 0 in
+  Array.iter
+    (fun g ->
+      if canon.(g) < 0 then begin
+        canon.(g) <- !next;
+        incr next
+      end)
+    a.Abstraction.group_of;
+  let copies = Array.make !next 0 in
+  Array.iteri (fun g c -> copies.(c) <- a.Abstraction.copies.(g)) canon;
+  let label x =
+    let g = a.Abstraction.group_of_abs.(x) in
+    (canon.(g), x - a.Abstraction.abs_of_group.(g))
+  in
+  ( Array.map (fun g -> canon.(g)) a.Abstraction.group_of,
+    copies,
+    List.sort compare
+      (List.map (fun (x, y) -> (label x, label y))
+         (Graph.edges a.Abstraction.abs_graph)) )
+
+(* An import map whose first clause permits every route for these
+   prefixes is the identity for all three, but for [p2] it also keeps a
+   shadowed clause setting a local preference, which [Compile.prefs]
+   reads: [p2] gets 16 abstract nodes where [p3] and [p4] get 6. So
+   [p3] and [p4] share a key and a row, and [p2] has its own. *)
+let test_shadowed_local_pref () =
+  let ft = Generators.fattree ~k:4 in
+  let net = Synthesis.fattree_shortest_path ft in
+  let p2 = p_of "10.9.2.0/24" and p3 = p_of "10.9.3.0/24"
+  and p4 = p_of "10.9.4.0/24" in
+  let origin = ft.Generators.ft_edge.(0) in
+  let shadow =
+    Route_map.
+      [
+        { verdict = Permit; conds = [ Match_prefix [ p_of "10.0.0.0/8" ] ];
+          actions = [] };
+        { verdict = Permit; conds = [ Match_prefix [ p2 ] ];
+          actions = [ Set_local_pref 120 ] };
+      ]
+  in
+  let routers =
+    Array.mapi
+      (fun v (r : Device.router) ->
+        if v = origin then
+          { r with Device.originated = r.Device.originated @ [ p2; p3; p4 ] }
+        else if v = 0 then
+          {
+            r with
+            Device.bgp_neighbors =
+              List.map
+                (fun (u, c) -> (u, { c with Device.import_rm = Some shadow }))
+                r.Device.bgp_neighbors;
+          }
+        else r)
+      net.Device.routers
+  in
+  let net = { net with Device.routers } in
+  let key p = Compile.class_key net ~dest:origin ~dest_prefix:p in
+  Alcotest.(check bool) "p2 has a key of its own" false (key p2 = key p3);
+  Alcotest.(check bool) "p3 and p4 share a key" true (key p3 = key p4);
+  let s = Bonsai_api.compress_exn net in
+  let row p = Option.get (Bonsai_api.find_result s.Bonsai_api.results p) in
+  List.iter
+    (fun (p, nodes) ->
+      let r = row p in
+      let own = Bonsai_api.compress_ec_exn net r.Bonsai_api.ec in
+      Alcotest.(check int) (Prefix.to_string p ^ " abstract nodes") nodes
+        (Abstraction.n_abstract r.Bonsai_api.abstraction);
+      Alcotest.(check bool) (Prefix.to_string p ^ " = its own compression")
+        true
+        (canonical r.Bonsai_api.abstraction
+        = canonical own.Bonsai_api.abstraction))
+    [ (p2, 16); (p3, 6); (p4, 6) ];
+  Alcotest.(check bool) "p4 reuses p3's abstraction" true
+    ((row p3).Bonsai_api.abstraction.Abstraction.groups
+    == (row p4).Bonsai_api.abstraction.Abstraction.groups);
+  (* DP-bisim solves the shared pair once and keeps it; a corrupted copy
+     of the kept abstraction (the origin cut off) is still solved on its
+     own and refuted *)
+  Alcotest.(check bool) "shared rows bisimulate" true
+    (match Dp_bisim.check net [ row p3; row p4 ] with
+    | Dp_bisim.Equivalent _ -> true
+    | _ -> false);
+  let r = row p4 in
+  let t = r.Bonsai_api.abstraction in
+  let cut =
+    Graph.of_links ~n:(Graph.n_nodes t.Abstraction.abs_graph)
+      (List.filter
+         (fun (u, v) -> u <> t.Abstraction.abs_dest && v <> t.Abstraction.abs_dest)
+         (Graph.edges t.Abstraction.abs_graph))
+  in
+  let corrupted =
+    { r with Bonsai_api.abstraction = { t with Abstraction.abs_graph = cut } }
+  in
+  Alcotest.(check bool) "a corrupted copy is refuted" true
+    (match Dp_bisim.check net [ corrupted ] with
+    | Dp_bisim.Refuted _ -> true
+    | _ -> false)
+
+(* fuzz: computing once per class key changes no answer. Each row of
+   [compress] (shared or not) equals [compress_ec_exn] of its own class
+   in a universe of its own, and carries its own prefix; the class FIBs
+   [compile_ec] keeps per key equal a fresh solve of the class; and the
+   abstract FIB kept for a shared abstraction equals one compiled from a
+   copy of it. *)
+let prop_shared_classes =
+  QCheck.Test.make ~count:fuzz_count
+    ~name:"classes sharing a key: shared rows and FIBs = per-class ones"
+    QCheck.(int_range 0 100000)
+    (fun seed ->
+      let n = 4 + (seed mod 7) in
+      let net = shared_origin_network ~n ~seed in
+      let (Compile.Model m) = Compile.model net in
+      let s = Bonsai_api.compress_exn net in
+      let row_ok (r : Bonsai_api.ec_result) =
+        let ec = r.Bonsai_api.ec in
+        let own = Bonsai_api.compress_ec_exn net ec in
+        let a = r.Bonsai_api.abstraction in
+        (Prefix.equal a.Abstraction.dest_prefix ec.Ecs.ec_prefix
+        || QCheck.Test.fail_reportf "%a: row carries %a" Ecs.pp ec Prefix.pp
+             a.Abstraction.dest_prefix)
+        && (canonical a = canonical own.Bonsai_api.abstraction
+           || QCheck.Test.fail_reportf "%a: shared row differs" Ecs.pp ec)
+      in
+      let fresh (ec : Ecs.ec) =
+        match
+          Solver.solve
+            (Compile.srp m net ~dest:(Ecs.single_origin ec)
+               ~dest_prefix:ec.Ecs.ec_prefix)
+        with
+        | Ok (sol, _) -> `Compiled (Dataplane.class_fib net ec sol)
+        | Error _ -> `Unsolved
+      in
+      let rows = s.Bonsai_api.results in
+      (* each abstract FIB from a copy first (a copy is never served
+         what another abstraction kept); then the rows themselves, whose
+         later classes of a key read the kept one *)
+      let copied =
+        List.map
+          (fun (r : Bonsai_api.ec_result) ->
+            let a = r.Bonsai_api.abstraction in
+            Dataplane.compile_abstract m
+              { a with Abstraction.groups = Array.copy a.Abstraction.groups })
+          rows
+      in
+      let fib_ok (r : Bonsai_api.ec_result) from_copy =
+        let ec = r.Bonsai_api.ec in
+        (Dataplane.compile_ec m net ec = fresh ec
+        || QCheck.Test.fail_reportf "%a: kept FIB differs from a fresh solve"
+             Ecs.pp ec)
+        && (Dataplane.compile_abstract m r.Bonsai_api.abstraction = from_copy
+           || QCheck.Test.fail_reportf "%a: kept abstract FIB differs" Ecs.pp
+                ec)
+      in
+      List.for_all row_ok rows && List.for_all2 fib_ok rows copied)
+
 let random_bgp_attr rng ~n =
   let comms = List.filter (fun _ -> Random.State.bool rng) [ 1; 2; 3 ] in
   {
@@ -1378,6 +1601,11 @@ let () =
           Alcotest.test_case "budget incomplete" `Quick
             test_bisim_budget_incomplete;
         ] );
+      ( "keys",
+        [
+          Alcotest.test_case "shadowed local preference" `Quick
+            test_shadowed_local_pref;
+        ] );
       ( "work",
         [
           Alcotest.test_case "datacenter" `Quick test_solver_work_datacenter;
@@ -1396,5 +1624,6 @@ let () =
           prop_warm_renumbered;
           prop_bgp_only_model;
           prop_reachability_fib;
+          prop_shared_classes;
         ];
     ]

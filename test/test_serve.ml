@@ -260,8 +260,24 @@ let test_checkpoint_guards () =
 
 (* --- Serve_engine ------------------------------------------------------- *)
 
+(* ring:4 where router 0 also announces two more prefixes under the same
+   policy: six classes, four behaviours *)
+let ring4_shared () =
+  let net = Synthesis.ring_bgp ~n:4 in
+  let more = [ Synthesis.prefix_of_index 8; Synthesis.prefix_of_index 9 ] in
+  {
+    net with
+    Device.routers =
+      Array.mapi
+        (fun v (r : Device.router) ->
+          if v = 0 then { r with Device.originated = r.Device.originated @ more }
+          else r)
+        net.Device.routers;
+  }
+
 let resolve = function
   | "ring:4" -> Synthesis.ring_bgp ~n:4
+  | "ring:4+shared" -> ring4_shared ()
   | "ring:6" -> Synthesis.ring_bgp ~n:6
   | "mesh:4" -> Synthesis.mesh_bgp ~n:4
   | s -> failwith ("unknown network " ^ s)
@@ -962,6 +978,23 @@ let test_engine_unload_modular () =
   check "health: none left" (Json.Int 0) networks;
   check "the next modular is cold" (Json.Bool false) (member "warm" (annot ()))
 
+(* stats counts each warm network's classes and the distinct behaviours
+   (class keys) among them *)
+let test_engine_stats_behaviours () =
+  let eng = engine () in
+  ignore
+    (handle eng "{\"op\":\"compress\",\"network\":\"ring:4+shared\"}"
+      : string);
+  let stats = parse_or_fail "stats" (handle eng "{\"op\":\"stats\"}") in
+  match member "networks" stats with
+  | Json.List [ row ] ->
+    let check what want =
+      Alcotest.(check bool) what true (Json.equal (Json.Int want) (member what row))
+    in
+    check "ecs" 6;
+    check "behaviours" 4
+  | j -> Alcotest.failf "one network row expected: %s" (Json.to_string j)
+
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
@@ -1009,6 +1042,8 @@ let () =
             test_engine_modular_quarantine;
           Alcotest.test_case "modular entry per request" `Quick
             test_engine_modular_key;
+          Alcotest.test_case "stats counts behaviours" `Quick
+            test_engine_stats_behaviours;
           Alcotest.test_case "unload drops modular entries" `Quick
             test_engine_unload_modular;
         ] );
