@@ -821,6 +821,7 @@ let serve_bench ?(k = 6) ?(n_requests = 200) ~json_path () =
     t_stream rps;
   let ft = serve_latency ~fixture in
   let wan = serve_latency ~fixture:"wan" in
+  let dc = serve_latency ~fixture:"datacenter" in
   let latency fixture (cold, warm, restored) =
     Json.Obj
       [
@@ -838,7 +839,10 @@ let serve_bench ?(k = 6) ?(n_requests = 200) ~json_path () =
                ("requests", Json.Int n_requests); ("total_s", fixed 6 t_stream);
                ("requests_per_s", fixed 1 rps); ("cold_load_s", fixed 6 t_load);
              ] );
-         ("latency", Json.List [ latency fixture ft; latency "wan" wan ]);
+         ( "latency",
+           Json.List
+             [ latency fixture ft; latency "wan" wan; latency "datacenter" dc ]
+         );
        ])
 
 (* ------------------------------------------------------------------ *)

@@ -70,6 +70,50 @@ let effective_prefs (net : Device.network) (ec : Ecs.ec) u =
   if redistributes && same_region && import_could_accept () then -1 :: p
   else p
 
+(* Seedability: the seeded path replays refinement with the trivial
+   preference function and one abstract copy per class, which is only
+   the from-scratch behavior when (a) every router's effective
+   preference set is exactly {default} and (b) no router has a static
+   route covering the destination (so live-self-edge peeling is a
+   no-op). *)
+let no_lp_no_redistribute (net : Device.network) =
+  let clause_sets_lp (cl : Route_map.clause) =
+    List.exists
+      (function Route_map.Set_local_pref _ -> true | _ -> false)
+      cl.Route_map.actions
+  in
+  let rm_sets_lp = function
+    | None -> false
+    | Some rm -> List.exists clause_sets_lp rm
+  in
+  Array.for_all
+    (fun (r : Device.router) ->
+      r.Device.redistribute = []
+      && List.for_all
+           (fun (_, (nb : Device.bgp_neighbor)) ->
+             not (rm_sets_lp nb.Device.import_rm))
+           r.Device.bgp_neighbors)
+    net.Device.routers
+
+let ec_seedable ~prefs_trivial (net : Device.network) (ec : Ecs.ec) =
+  let statics_clear =
+    Array.for_all
+      (fun (r : Device.router) ->
+        r.Device.static_routes = []
+        || Device.static_next_hops r ~dest:ec.Ecs.ec_prefix = [])
+      net.Device.routers
+  in
+  statics_clear
+  && (prefs_trivial
+     ||
+     let n = Array.length net.Device.routers in
+     let ok = ref true in
+     for u = 0 to n - 1 do
+       if !ok && effective_prefs net ec u <> [ Bgp.default_lp ]
+       then ok := false
+     done;
+     !ok)
+
 let compress_ec_exn ?universe ?rm_bdd ?(pinned = []) ?seed
     ?(budget = Budget.infinite) (net : Device.network) (ec : Ecs.ec) =
   let dest = Ecs.single_origin ec in
@@ -163,12 +207,30 @@ let identity_of family (ec : Ecs.ec) =
 
 let identity_result net ec = identity_of (identity_family net) ec
 
+(* One compression per class key: the first class of a key runs [worker],
+   each later one takes that row under its own prefix. *)
 let compress_classes ?keep_unmatched_comms net ecs worker =
   let family = lazy (identity_family ?keep_unmatched_comms net) in
+  let by_key = Hashtbl.create 64 in
+  let row (ec : Ecs.ec) =
+    let t0 = Timing.now () in
+    let prefix = ec.Ecs.ec_prefix in
+    let key =
+      Compile.class_key net ~dest:(Ecs.single_origin ec) ~dest_prefix:prefix
+    in
+    match Hashtbl.find_opt by_key key with
+    | Some r ->
+      { r with ec; time_s = Timing.now () -. t0;
+        abstraction = { r.abstraction with Abstraction.dest_prefix = prefix } }
+    | None ->
+      let r = worker ec in
+      Hashtbl.add by_key key r;
+      r
+  in
   let rec go acc = function
     | [] -> (List.rev acc, None)
     | ec :: rest as todo -> (
-      match worker ec with
+      match row ec with
       | r -> go (r :: acc) rest
       | exception Budget.Exhausted info ->
         ( List.rev_append acc
@@ -214,24 +276,9 @@ let compress_exn ?keep_unmatched_comms ?ecs ?(budget = Budget.infinite)
       (ecs, [])
     | None -> List.partition Ecs.is_single_origin (Ecs.compute net)
   in
-  (* one compression per class key; the other classes of a key take its
-     row under their own prefix *)
-  let by_key = Hashtbl.create 64 in
   let results, degradation =
-    compress_classes ?keep_unmatched_comms net singles (fun ec ->
-        let t0 = Timing.now () in
-        let prefix = ec.Ecs.ec_prefix in
-        let key =
-          Compile.class_key net ~dest:(Ecs.single_origin ec) ~dest_prefix:prefix
-        in
-        match Hashtbl.find_opt by_key key with
-        | Some r ->
-          { r with ec; time_s = Timing.now () -. t0;
-            abstraction = { r.abstraction with Abstraction.dest_prefix = prefix } }
-        | None ->
-          let r = compress_ec_exn ~universe ~budget net ec in
-          Hashtbl.add by_key key r;
-          r)
+    compress_classes ?keep_unmatched_comms net singles
+      (compress_ec_exn ~universe ~budget net)
   in
   { net; bdd_time_s; results; skipped_anycast = List.length anycast;
     degradation }

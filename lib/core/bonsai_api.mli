@@ -42,6 +42,17 @@ val effective_prefs : Device.network -> Ecs.ec -> int -> int list
     treatment as local preference, §4.3). Exposed so the incremental
     engine (lib/incr) computes the exact same levels as [compress_ec]. *)
 
+val no_lp_no_redistribute : Device.network -> bool
+(** No import route-map sets a local preference and no router
+    redistributes: together with {!ec_seedable} this is the guard under
+    which the seeded split-then-merge path of {!compress_ec_exn} is
+    provably exact. *)
+
+val ec_seedable : prefs_trivial:bool -> Device.network -> Ecs.ec -> bool
+(** No static route covers the class and (unless [prefs_trivial] already
+    established it network-wide, by {!no_lp_no_redistribute}) every
+    router's effective preference set is exactly [{default}]. *)
+
 val compress_ec :
   ?budget:Budget.t ->
   Device.network ->
@@ -65,7 +76,7 @@ val compress_ec_exn :
     (the [budget] is also installed on the universe's BDD manager for the
     duration of the call), [Invalid_argument] on an anycast class. This
     is the one per-class kernel: every pipeline (scratch, incremental,
-    modular) compresses a class through it. It refines on int keys, each
+    modular) hands it, as the worker, to {!compress_classes}. It refines on int keys, each
     edge's pair of {!Compile.signature_table} ids, filled lazily during
     refinement.
 
@@ -81,7 +92,7 @@ val compress_ec_exn :
     place) instead of the coarsest one, then coarsens the stable
     over-refinement back with {!Refine.quotient_merge} under the same
     pins: the result is the from-scratch partition. It is only exact
-    for a {e seedable} class ([Incr.ec_seedable]: every node at the
+    for a {e seedable} class ({!ec_seedable}: every node at the
     default preference, no static route for the class), so the seeded
     call uses the constant preference [[Bgp.default_lp]] and one copy
     per abstract node. The incremental engine seeds with the previous
@@ -100,13 +111,16 @@ val compress_classes :
   Ecs.ec list ->
   (Ecs.ec -> ec_result) ->
   ec_result list * degradation option
-(** The degradation loop shared by every pipeline: run [worker] on each
-    class in order. When it raises [Budget.Exhausted] at class [i], class
-    [i] and every later class fall back to the identity abstraction
-    (as {!identity_result}, one skeleton shared across them), and the
-    degradation records [i] completed classes out of all of them.
-    Results keep the order of the classes. [keep_unmatched_comms]
-    selects the fallback's universe, as in {!compress}. *)
+(** The one loop that compresses a network's (single-origin) classes,
+    for every pipeline, in order and once per {!Compile.class_key}: the
+    first class of a key runs [worker], each later one takes that row
+    with its own [ec], prefix and [time_s]. Shared rows alias the
+    abstraction's arrays, which nothing may mutate. When [worker] raises
+    [Budget.Exhausted] at class [i], class [i] and every later class fall
+    back to the identity abstraction (as {!identity_result}, one skeleton
+    shared across them), and the degradation records [i] completed
+    classes, shared ones included. [keep_unmatched_comms] selects the
+    fallback's universe, as in {!compress}. *)
 
 val find_result : ec_result list -> Prefix.t -> ec_result option
 (** The result for the class with this prefix. *)
@@ -131,10 +145,9 @@ val compress :
 (** Compress the classes [ecs] (default: every class, multi-origin ones
     skipped and counted) in order through {!compress_classes}, in one BDD
     universe; [compress --ec] is the one-class case of [compress --all].
-    Classes with one {!Compile.class_key} are compressed once: the first
-    runs {!compress_ec_exn}, each later one takes that row with its own
-    [ec], its own prefix stamped on the abstraction and its own [time_s]
-    (the keying), and spends no refinement ticks of [budget].
+    Classes with one {!Compile.class_key} are compressed once, by
+    {!compress_ec_exn} (the loop's keying), so a shared class spends no
+    refinement ticks of [budget].
     [keep_unmatched_comms] selects the naive attribute abstraction (see
     {!Policy_bdd.universe_of_network}). Budget exhaustion degrades: the
     class that ran out and every later one fall back to the identity

@@ -5,7 +5,6 @@ type state = {
   mutable skipped_anycast : int;
   mutable bdd_time_s : float;
   mutable degradation : Bonsai_api.degradation option;
-  pinned_names : string list;
   cache_cap : int option;
 }
 
@@ -22,64 +21,6 @@ type report = {
   r_time_s : float;
   r_degradation : Bonsai_api.degradation option;
 }
-
-let resolve_pins (net : Device.network) names =
-  List.filter_map (Graph.find_by_name net.Device.graph) names
-  |> List.sort_uniq Int.compare
-
-(* Every class, scratch or seeded, compresses against the shared
-   signature cache. *)
-let compress_class ?seed ~cache ~pinned ~budget net (ec : Ecs.ec) =
-  Bonsai_api.compress_ec_exn
-    ~universe:(Sig_cache.universe cache)
-    ~rm_bdd:(Sig_cache.rm_bdd cache ~dest:ec.Ecs.ec_prefix)
-    ~pinned ?seed ~budget net ec
-
-(* ------------------------------------------------------------------ *)
-(* Seedability: the seeded path replays refinement with the trivial
-   preference function and one abstract copy per class, which is only
-   the from-scratch behavior when (a) every router's effective
-   preference set is exactly {default} and (b) no router has a static
-   route covering the destination (so live-self-edge peeling is a
-   no-op). *)
-
-let no_lp_no_redistribute (net : Device.network) =
-  let clause_sets_lp (cl : Route_map.clause) =
-    List.exists
-      (function Route_map.Set_local_pref _ -> true | _ -> false)
-      cl.Route_map.actions
-  in
-  let rm_sets_lp = function
-    | None -> false
-    | Some rm -> List.exists clause_sets_lp rm
-  in
-  Array.for_all
-    (fun (r : Device.router) ->
-      r.Device.redistribute = []
-      && List.for_all
-           (fun (_, (nb : Device.bgp_neighbor)) ->
-             not (rm_sets_lp nb.Device.import_rm))
-           r.Device.bgp_neighbors)
-    net.Device.routers
-
-let ec_seedable ~prefs_trivial (net : Device.network) (ec : Ecs.ec) =
-  let statics_clear =
-    Array.for_all
-      (fun (r : Device.router) ->
-        r.Device.static_routes = []
-        || Device.static_next_hops r ~dest:ec.Ecs.ec_prefix = [])
-      net.Device.routers
-  in
-  statics_clear
-  && (prefs_trivial
-     ||
-     let n = Array.length net.Device.routers in
-     let ok = ref true in
-     for u = 0 to n - 1 do
-       if !ok && Bonsai_api.effective_prefs net ec u <> [ Bgp.default_lp ]
-       then ok := false
-     done;
-     !ok)
 
 type reuse = {
   compatible : bool;
@@ -149,50 +90,19 @@ let reuse ~cache ~old_net ~new_net deltas =
   in
   { compatible; full_rebuild; unchanged }
 
-(* ------------------------------------------------------------------ *)
-
-let init ?(pinned = []) ?cache_cap ?universe ?(budget = Budget.infinite)
-    (net : Device.network) =
-  Bonsai_error.protect @@ fun () ->
-  (match Device.validate net with
+let validate net =
+  match Device.validate net with
   | Ok () -> ()
-  | Error m -> Bonsai_error.error (Bonsai_error.Compile_error m));
-  let cache, bdd_time_s =
-    Timing.time (fun () -> Sig_cache.create ?max_entries:cache_cap ?universe net)
-  in
-  let n = Graph.n_nodes net.Device.graph in
-  let pinned_names =
-    List.filter_map
-      (fun i ->
-        if i >= 0 && i < n then Some (Graph.name net.Device.graph i) else None)
-      pinned
-    |> List.sort_uniq String.compare
-  in
-  let pins = resolve_pins net pinned_names in
-  let singles, anycast = List.partition Ecs.is_single_origin (Ecs.compute net) in
-  let results, degradation =
-    Bonsai_api.compress_classes net singles
-      (compress_class ~cache ~pinned:pins ~budget net)
-  in
-  {
-    net;
-    cache;
-    results;
-    skipped_anycast = List.length anycast;
-    bdd_time_s;
-    degradation;
-    pinned_names;
-    cache_cap;
-  }
+  | Error m -> Bonsai_error.error (Bonsai_error.Compile_error m)
 
-(* Moves [st] to [net'], the network [deltas] lead to from [st.net]. *)
+(* Moves [st] to [net'], the network [deltas] lead to from [st.net],
+   through the one loop ([Bonsai_api.compress_classes]): the worker
+   reuses, seeds or recomputes the first class of each key against the
+   signature cache, and the loop hands its row to the others. *)
 let recompress_onto ~budget ?recertify st deltas net' =
   let t0 = Timing.now () in
-  let old_net = st.net in
-  (match Device.validate net' with
-  | Ok () -> ()
-  | Error m -> Bonsai_error.error (Bonsai_error.Compile_error m));
-  let decision = reuse ~cache:st.cache ~old_net ~new_net:net' deltas in
+  validate net';
+  let decision = reuse ~cache:st.cache ~old_net:st.net ~new_net:net' deltas in
   let full = decision.full_rebuild in
   let cache, bdd_time_s =
     if decision.compatible then (st.cache, st.bdd_time_s)
@@ -200,17 +110,23 @@ let recompress_onto ~budget ?recertify st deltas net' =
       Timing.time (fun () -> Sig_cache.create ?max_entries:st.cache_cap net')
   in
   let hits0, misses0 = Sig_cache.stats cache in
-  let pinned = resolve_pins net' st.pinned_names in
   let singles, anycast = List.partition Ecs.is_single_origin (Ecs.compute net') in
-  let reused = ref 0 and seeded = ref 0 and scratch = ref 0 in
+  let seeded = ref 0 and scratch = ref 0 in
   let recertified = ref 0 and recert_refuted = ref 0 in
+  let kernel ?seed (ec : Ecs.ec) =
+    Bonsai_api.compress_ec_exn ~universe:(Sig_cache.universe cache)
+      ~rm_bdd:(Sig_cache.rm_bdd cache ~dest:ec.Ecs.ec_prefix)
+      ?seed ~budget net' ec
+  in
+  let from_scratch ec =
+    let r = kernel ec in
+    incr scratch;
+    r
+  in
   let worker =
-    if full then fun ec ->
-      let r = compress_class ~cache ~pinned ~budget net' ec in
-      incr scratch;
-      r
+    if full then from_scratch
     else begin
-      let prefs_trivial = no_lp_no_redistribute net' in
+      let prefs_trivial = Bonsai_api.no_lp_no_redistribute net' in
       let old_by_prefix = Hashtbl.create 64 in
       List.iter
         (fun (r : Bonsai_api.ec_result) ->
@@ -220,51 +136,50 @@ let recompress_onto ~budget ?recertify st deltas net' =
          one fresh universe per recompression, built only if a reused or
          seeded candidate actually reaches the checker *)
       let audit_universe = lazy (Policy_bdd.universe_of_network net') in
-      let recert ec counter (r : Bonsai_api.ec_result) =
-        match recertify with
-        | None ->
-          incr counter;
+      let trust ~seed ec (r : Bonsai_api.ec_result) =
+        let accept () =
+          if seed then incr seeded;
           r
+        in
+        match recertify with
+        | None -> accept ()
         | Some audit -> (
           match
             Certify.check_result ~budget
               ~universe:(Lazy.force audit_universe) ~audit net' r
           with
           | Certify.Certified _ ->
-            incr counter;
             incr recertified;
-            r
-          | Certify.Audit_incomplete _ ->
-            incr counter;
-            r
+            accept ()
+          | Certify.Audit_incomplete _ -> accept ()
           | Certify.Refuted _ ->
             incr recert_refuted;
-            let r = compress_class ~cache ~pinned ~budget net' ec in
-            incr scratch;
-            r)
+            from_scratch ec)
       in
       fun ec ->
         match Hashtbl.find_opt old_by_prefix ec.Ecs.ec_prefix with
         | Some old_r
           when (not old_r.Bonsai_api.degraded)
                && decision.unchanged ~old:old_r.Bonsai_api.ec ec ->
-          recert ec reused old_r
+          trust ~seed:false ec old_r
         | Some old_r
           when (not old_r.Bonsai_api.degraded)
                && old_r.Bonsai_api.ec.Ecs.ec_origins = ec.Ecs.ec_origins
-               && ec_seedable ~prefs_trivial net' ec ->
+               && Bonsai_api.ec_seedable ~prefs_trivial net' ec ->
           let seed =
             Union_split_find.of_class_array
               old_r.Bonsai_api.abstraction.Abstraction.group_of
           in
-          recert ec seeded (compress_class ~seed ~cache ~pinned ~budget net' ec)
-        | _ ->
-          let r = compress_class ~cache ~pinned ~budget net' ec in
-          incr scratch;
-          r
+          trust ~seed:true ec (kernel ~seed ec)
+        | _ -> from_scratch ec
     end
   in
   let results, degradation = Bonsai_api.compress_classes net' singles worker in
+  let completed =
+    match degradation with
+    | None -> List.length singles
+    | Some d -> d.Bonsai_api.deg_completed
+  in
   let hits1, misses1 = Sig_cache.stats cache in
   st.net <- net';
   st.cache <- cache;
@@ -274,7 +189,7 @@ let recompress_onto ~budget ?recertify st deltas net' =
   st.degradation <- degradation;
   {
     r_ecs = List.length singles;
-    r_reused = !reused;
+    r_reused = completed - !seeded - !scratch;
     r_seeded = !seeded;
     r_scratch = !scratch;
     r_full_rebuild = full;
@@ -285,6 +200,21 @@ let recompress_onto ~budget ?recertify st deltas net' =
     r_time_s = Timing.now () -. t0;
     r_degradation = degradation;
   }
+
+(* A compression from nothing: the state starts with no rows, so the
+   loop computes every class from scratch. *)
+let init ?cache_cap ?(budget = Budget.infinite) (net : Device.network) =
+  Bonsai_error.protect @@ fun () ->
+  validate net;
+  let cache, bdd_time_s =
+    Timing.time (fun () -> Sig_cache.create ?max_entries:cache_cap net)
+  in
+  let st =
+    { net; cache; results = []; skipped_anycast = 0; bdd_time_s;
+      degradation = None; cache_cap }
+  in
+  let _ : report = recompress_onto ~budget st [] net in
+  st
 
 let recompress ?(budget = Budget.infinite) ?recertify st deltas =
   Bonsai_error.protect @@ fun () ->

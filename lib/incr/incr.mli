@@ -24,30 +24,32 @@
       attribute-universe changes invalidate cached BDDs — all classes
       recompute against a fresh cache.
 
-    Repair pins survive: they are stored by router name, re-resolved
-    against the updated network, and both the seeded and the scratch path
-    force them into singleton classes. Budget exhaustion degrades through
-    the same loop as [Bonsai_api.compress] ([Bonsai_api.compress_classes]):
-    the class that ran out and every remaining class fall back to the
-    identity abstraction.
-
-    This module is the library surface ISSUE.md calls
-    [Bonsai_api.recompress]; it lives here because lib/incr depends on
-    lib/core (see the pointer in [bonsai_api.mli]). *)
+    Every path is a worker of the one loop that compresses a network's
+    classes ([Bonsai_api.compress_classes]): it runs once per
+    {!Compile.class_key}, on the first class of the key, and every later
+    class of the key takes that row under its own prefix. Budget
+    exhaustion degrades through the same loop: the class that ran out
+    and every remaining class fall back to the identity abstraction. *)
 
 type state
 
 type report = {
   r_ecs : int;  (** single-origin destination classes after the change *)
-  r_reused : int;  (** classes whose old result was reused verbatim *)
+  r_reused : int;
+      (** classes that got a row without a kernel run: their old result
+          reused verbatim, or an earlier class's row of the same
+          {!Compile.class_key}. [r_reused + r_seeded + r_scratch] is
+          [r_ecs] (after a budget cut, the classes completed before it),
+          and [r_seeded + r_scratch] counts the kernel runs *)
   r_seeded : int;  (** classes re-refined from the surviving partition *)
   r_scratch : int;  (** classes recomputed from scratch (cache-backed) *)
   r_full_rebuild : bool;
       (** node set or attribute universe changed: cache rebuilt, every
           class recomputed *)
   r_recertified : int;
-      (** reused/seeded results independently re-certified
-          ({!Certify.check_result} in a fresh universe) *)
+      (** old results reused and seeded results, of the first class of
+          each key, independently re-certified ({!Certify.check_result}
+          in a fresh universe) *)
   r_recert_refuted : int;
       (** reused/seeded candidates whose certificate was refuted — each
           was discarded and recomputed from scratch (counted there) *)
@@ -58,21 +60,14 @@ type report = {
 }
 
 val init :
-  ?pinned:int list ->
   ?cache_cap:int ->
-  ?universe:Policy_bdd.universe ->
   ?budget:Budget.t ->
   Device.network ->
   (state, Bonsai_error.t) result
-(** Compress from scratch and set up the cache. [pinned] node ids (of this
-    network) are remembered by name and enforced on every later
-    recompression. [cache_cap] bounds the signature cache
-    ({!Sig_cache.create}'s [max_entries]), including after full rebuilds;
-    a resident engine passes it so the shared BDD root set stays bounded
-    across thousands of recompressions. [universe] seeds the signature
-    cache with a caller-built universe (modular compression: a fresh
-    manager per module over the global value layout) instead of one
-    derived from [net]. *)
+(** Compress from scratch and set up the cache. [cache_cap] bounds the
+    signature cache ({!Sig_cache.create}'s [max_entries]), including
+    after full rebuilds; a resident engine passes it so the shared BDD
+    root set stays bounded across thousands of recompressions. *)
 
 val recompress :
   ?budget:Budget.t ->
@@ -85,13 +80,16 @@ val recompress :
     network. An invalid delta (unknown router, duplicate link, ...) or a
     post-change network failing [Device.validate] is a [Compile_error].
 
-    [recertify] audits every reused and seeded result with
-    {!Certify.check_result} against a fresh BDD universe before trusting
-    it: a refuted candidate is thrown away and that class recomputes from
-    scratch (the reuse ladder can be wrong only through engine bugs or a
-    corrupted cache — never silently). [Audit_incomplete] (budget ran
-    out mid-audit) keeps the candidate but does not count it as
-    re-certified. *)
+    [recertify] audits every old result the engine reuses and every
+    seeded result with {!Certify.check_result} against a fresh BDD
+    universe before trusting it: a refuted candidate is thrown away and
+    that class recomputes from scratch (the reuse ladder can be wrong
+    only through engine bugs or a corrupted cache — never silently).
+    [Audit_incomplete] (budget ran out mid-audit) keeps the candidate but
+    does not count it as re-certified. A class that takes an earlier
+    class's row is not audited here; certifying the final state
+    ([bonsai diff --certify], serve's self-audit) checks every class
+    under its own prefix. *)
 
 val recompress_net :
   ?budget:Budget.t ->
@@ -103,16 +101,6 @@ val recompress_net :
     recompresses; returns the deltas it derived. The state then holds
     [net'] itself, router numbering included (the solver breaks ties by
     node id). The engine of [diff] and [watch], in the CLI and serve. *)
-
-val no_lp_no_redistribute : Device.network -> bool
-(** No import route-map sets a local preference and no router
-    redistributes: together with {!ec_seedable} this is the guard under
-    which the seeded split-then-merge path is provably exact. *)
-
-val ec_seedable : prefs_trivial:bool -> Device.network -> Ecs.ec -> bool
-(** No static route covers the class and (unless [prefs_trivial] already
-    established it network-wide) every router's effective preference set
-    is exactly [{default}]. *)
 
 val network : state -> Device.network
 

@@ -8,24 +8,21 @@ type t = {
   mutable sc_hits : int;
   mutable sc_misses : int;
   mutable sc_evictions : int;
-  mutable sc_compatible : Device.network option;
+  mutable sc_compatible : Device.network;
       (* the last network found compatible, by physical identity *)
 }
 
-let create ?(max_entries = max_int) ?universe net =
+let create ?(max_entries = max_int) net =
   if max_entries < 1 then invalid_arg "Sig_cache.create: max_entries < 1";
   {
-    sc_universe =
-      (match universe with
-      | Some u -> u
-      | None -> Policy_bdd.universe_of_network net);
+    sc_universe = Policy_bdd.universe_of_network net;
     sc_table = Hashtbl.create 256;
     sc_max_entries = max_entries;
     sc_clock = 0;
     sc_hits = 0;
     sc_misses = 0;
     sc_evictions = 0;
-    sc_compatible = (if Option.is_none universe then Some net else None);
+    sc_compatible = net;
   }
 
 let universe t = t.sc_universe
@@ -33,19 +30,18 @@ let universe t = t.sc_universe
 (* The parameters determine the whole variable layout (bit widths
    included), so comparing them needs no fresh BDD manager. *)
 let compatible t net =
-  match t.sc_compatible with
-  | Some n when n == net -> true
-  | _ ->
-    let p = Policy_bdd.params_of_universe t.sc_universe
-    and q = Policy_bdd.universe_params net in
-    let same a b = Array.length a = Array.length b && Array.for_all2 Int.equal a b in
-    let ok =
-      same p.Policy_bdd.up_comms q.Policy_bdd.up_comms
-      && same p.Policy_bdd.up_lps q.Policy_bdd.up_lps
-      && same p.Policy_bdd.up_meds q.Policy_bdd.up_meds
-    in
-    if ok then t.sc_compatible <- Some net;
-    ok
+  t.sc_compatible == net
+  ||
+  let p = Policy_bdd.params_of_universe t.sc_universe
+  and q = Policy_bdd.universe_params net in
+  let same a b = Array.length a = Array.length b && Array.for_all2 Int.equal a b in
+  let ok =
+    same p.Policy_bdd.up_comms q.Policy_bdd.up_comms
+    && same p.Policy_bdd.up_lps q.Policy_bdd.up_lps
+    && same p.Policy_bdd.up_meds q.Policy_bdd.up_meds
+  in
+  if ok then t.sc_compatible <- net;
+  ok
 
 let touch t e =
   t.sc_clock <- t.sc_clock + 1;

@@ -13,12 +13,10 @@
 
 type t
 
-val create : ?max_entries:int -> ?universe:Policy_bdd.universe -> Device.network -> t
+val create : ?max_entries:int -> Device.network -> t
 (** Fresh cache with a universe built from the network
     (matched-communities attribute abstraction, as [Bonsai_api.compress]
-    defaults to). [universe] overrides that construction — modular
-    compression passes a fresh-manager universe built from the {e global}
-    network's layout so each module's cache is isolated yet layout-equal. [max_entries] caps the number of cached route-map BDDs
+    defaults to). [max_entries] caps the number of cached route-map BDDs
     (default: unbounded): once full, inserting a new entry evicts the
     least-recently-used one, so a resident engine serving thousands of
     recompressions cannot grow the root set without bound. An evicted

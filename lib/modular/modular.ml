@@ -299,14 +299,27 @@ let attempt ~params ~budget ms =
   (* Fresh BDD manager per attempt over the global value layout: a
      faulting module cannot poison another module's node table, yet
      policy equality means the same thing everywhere. *)
-  let universe = Policy_bdd.universe_of_params params in
-  match Incr.init ~pinned:ms.ms_pinned ~universe ~budget ms.ms_subnet with
-  | Ok st -> (
-    let summary = Incr.summary st in
-    match summary.Bonsai_api.degradation with
-    | None -> Ok summary
-    | Some d -> Error (budget_detail d.Bonsai_api.deg_info))
-  | Error (Bonsai_error.Budget_exceeded i) -> Error (budget_detail i)
+  let net = ms.ms_subnet in
+  let universe, bdd_time_s =
+    Timing.time (fun () -> Policy_bdd.universe_of_params params)
+  in
+  let singles, anycast = List.partition Ecs.is_single_origin (Ecs.compute net) in
+  match
+    Bonsai_error.protect (fun () ->
+        Bonsai_api.compress_classes net singles
+          (Bonsai_api.compress_ec_exn ~universe ~pinned:ms.ms_pinned ~budget
+             net))
+  with
+  | Ok (results, None) ->
+    Ok
+      {
+        Bonsai_api.net;
+        bdd_time_s;
+        results;
+        skipped_anycast = List.length anycast;
+        degradation = None;
+      }
+  | Ok (_, Some d) -> Error (budget_detail d.Bonsai_api.deg_info)
   | Error e -> Error (Bonsai_error.to_string e)
 
 (* Independent audit in a fresh universe derived from the subnet itself —
@@ -531,7 +544,7 @@ let compose ?(budget = Budget.infinite) st =
   let ecs = Ecs.compute net in
   let singles = List.filter Ecs.is_single_origin ecs in
   let anycast = List.length ecs - List.length singles in
-  let prefs_trivial = Incr.no_lp_no_redistribute net in
+  let prefs_trivial = Bonsai_api.no_lp_no_redistribute net in
   (* Per-module group labels for a class, looked up by prefix. *)
   let module_groups ms (ec : Ecs.ec) =
     Option.bind ms.ms_state (fun (s : Bonsai_api.summary) ->
@@ -574,19 +587,18 @@ let compose ?(budget = Budget.infinite) st =
       st.st_modules;
     Union_split_find.of_class_array cls
   in
-  let results =
-    List.map
-      (fun ec ->
+  let results, degradation =
+    Bonsai_api.compress_classes net singles (fun ec ->
         let seed =
-          if prefs_trivial && Incr.ec_seedable ~prefs_trivial:true net ec then
-            Some (union_seed ec)
+          if prefs_trivial && Bonsai_api.ec_seedable ~prefs_trivial:true net ec
+          then Some (union_seed ec)
           else None
         in
-        try Bonsai_api.compress_ec_exn ~universe ?seed ~budget net ec
-        with Invalid_argument m ->
-          Bonsai_error.error (Bonsai_error.Compile_error m))
-      singles
+        Bonsai_api.compress_ec_exn ~universe ?seed ~budget net ec)
   in
+  Option.iter
+    (fun d -> raise (Budget.Exhausted d.Bonsai_api.deg_info))
+    degradation;
   {
     Bonsai_api.net;
     bdd_time_s;

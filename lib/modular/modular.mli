@@ -139,13 +139,16 @@ val compose :
   ?budget:Budget.t -> state -> (Bonsai_api.summary, Bonsai_error.t) result
 (** Compose the per-module partitions into whole-network abstractions,
     one per destination class, shaped like a [Bonsai_api.compress]
-    summary. Under the seeded-path guards ({!Incr.no_lp_no_redistribute}
-    + {!Incr.ec_seedable}) this seeds a global refinement with the union
-    of module partitions and recovers the {e exact} from-scratch
-    partition via {!Refine.quotient_merge}
-    ([Bonsai_api.compress_ec_exn ~seed]); otherwise it falls back to
-    from-scratch compression of the class (sound, just not reusing
-    module work). Degraded modules enter as identity partitions. *)
+    summary, through the one loop ([Bonsai_api.compress_classes], once
+    per class key). Under the seeded-path guards
+    ([Bonsai_api.no_lp_no_redistribute] + [Bonsai_api.ec_seedable]) this
+    seeds a global refinement with the union of module partitions and
+    recovers the {e exact} from-scratch partition via
+    {!Refine.quotient_merge} ([Bonsai_api.compress_ec_exn ~seed]);
+    otherwise it falls back to from-scratch compression of the class
+    (sound, just not reusing module work). Degraded modules enter as
+    identity partitions. A budget that runs out is
+    [Error (Budget_exceeded _)]. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** The health table, deterministic byte-for-byte (no wall-clock). *)

@@ -38,7 +38,7 @@ type t = {
          module-by-module rather than evicted wholesale *)
   mutable clock : int;
   mutable n_requests : int;
-  mutable n_ok : int;
+  mutable n_succeeded : int;
   mutable n_errors : int;
   mutable n_shed : int;
   mutable n_net_evictions : int;
@@ -81,7 +81,7 @@ let create ?resolve ?budget_ms ?budget_ticks ?cache_cap
     modular_registry = Hashtbl.create 7;
     clock = 0;
     n_requests = 0;
-    n_ok = 0;
+    n_succeeded = 0;
     n_errors = 0;
     n_shed = 0;
     n_net_evictions = 0;
@@ -625,7 +625,7 @@ let stats_op t ~queue_depth =
   in
   [
     ("requests", Json.Int t.n_requests);
-    ("ok", Json.Int t.n_ok);
+    ("succeeded", Json.Int t.n_succeeded);
     ("errors", Json.Int t.n_errors);
     ("shed", Json.Int t.n_shed);
     ("queue_depth", Json.Int queue_depth);
@@ -687,7 +687,7 @@ let handle_line t ~queue_depth line =
     let id = req.Protocol.req_id and op = req.Protocol.req_op in
     match dispatch t ~queue_depth req with
     | fields, continue ->
-      t.n_ok <- t.n_ok + 1;
+      t.n_succeeded <- t.n_succeeded + 1;
       (Protocol.ok_response ~id ~op fields, continue)
     | exception e ->
       t.n_errors <- t.n_errors + 1;

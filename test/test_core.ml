@@ -790,46 +790,93 @@ let test_delta_linear () =
 
 let prefix_of (ec : Ecs.ec) = Prefix.to_string ec.Ecs.ec_prefix
 
-(* The shared degradation loop: a worker that runs out at class [i] keeps
-   classes before [i] compressed, in order, and turns [i] and every later
-   class into an untimed identity fallback. *)
+(* ring:6 where router 0 also announces the prefixes of routers 1 and
+   2: the first three classes share one key, the last three have one
+   each. *)
+let ring6_shared () =
+  let net = Synthesis.ring_bgp ~n:6 in
+  let moved = [ Synthesis.prefix_of_index 1; Synthesis.prefix_of_index 2 ] in
+  {
+    net with
+    Device.routers =
+      Array.mapi
+        (fun v (r : Device.router) ->
+          if v = 0 then { r with Device.originated = r.Device.originated @ moved }
+          else if v <= 2 then { r with Device.originated = [] }
+          else r)
+        net.Device.routers;
+  }
+
+(* The one loop: the worker runs on the first class of each key, and a
+   budget cut at its [i]-th run keeps the classes before the cut, shared
+   ones included, compressed in order and counted as completed, and
+   turns that class and every later one into an untimed identity
+   fallback. *)
 let test_compress_classes_degrades () =
-  let net = Synthesis.fattree_shortest_path (Generators.fattree ~k:4) in
-  let ecs = List.filter Ecs.is_single_origin (Ecs.compute net) in
-  let n = List.length ecs in
   let info =
     { Budget.phase = "test"; ticks = 7; elapsed_s = 0.0; note = None }
   in
-  for i = 0 to n do
-    let calls = ref 0 in
-    let worker ec =
-      if !calls = i then raise (Budget.Exhausted info);
-      incr calls;
-      Bonsai_api.compress_ec_exn net ec
-    in
-    let results, deg = Bonsai_api.compress_classes net ecs worker in
-    Alcotest.(check (list string))
-      "class order" (List.map prefix_of ecs)
-      (List.map
-         (fun (r : Bonsai_api.ec_result) -> prefix_of r.Bonsai_api.ec)
-         results);
-    List.iteri
-      (fun j (r : Bonsai_api.ec_result) ->
-        Alcotest.(check bool) "degraded from i on" (j >= i)
-          r.Bonsai_api.degraded;
-        if j >= i then begin
-          Alcotest.(check (float 0.0)) "untimed" 0.0 r.Bonsai_api.time_s;
-          Alcotest.(check bool) "identity" true
-            (Abstraction.is_identity r.Bonsai_api.abstraction)
-        end)
-      results;
-    match deg with
-    | None -> Alcotest.(check int) "no raise, no degradation" n i
-    | Some d ->
-      Alcotest.(check int) "completed" i d.Bonsai_api.deg_completed;
-      Alcotest.(check int) "total" n d.Bonsai_api.deg_total;
-      Alcotest.(check int) "info kept" 7 d.Bonsai_api.deg_info.Budget.ticks
-  done
+  List.iter
+    (fun (net, want_keys) ->
+      let ecs = List.filter Ecs.is_single_origin (Ecs.compute net) in
+      let n = List.length ecs in
+      let firsts =
+        let seen = Hashtbl.create 16 in
+        List.concat
+          (List.mapi
+             (fun j (ec : Ecs.ec) ->
+               let k =
+                 Compile.class_key net ~dest:(Ecs.single_origin ec)
+                   ~dest_prefix:ec.Ecs.ec_prefix
+               in
+               if Hashtbl.mem seen k then []
+               else begin
+                 Hashtbl.add seen k ();
+                 [ j ]
+               end)
+             ecs)
+      in
+      let keys = List.length firsts in
+      Alcotest.(check int) "keys" want_keys keys;
+      for i = 0 to keys do
+        let cut = if i < keys then List.nth firsts i else n in
+        let calls = ref 0 in
+        let worker ec =
+          if !calls = i then raise (Budget.Exhausted info);
+          incr calls;
+          Bonsai_api.compress_ec_exn net ec
+        in
+        let results, deg = Bonsai_api.compress_classes net ecs worker in
+        Alcotest.(check int) "one worker run per key before the cut" i !calls;
+        Alcotest.(check (list string))
+          "class order" (List.map prefix_of ecs)
+          (List.map
+             (fun (r : Bonsai_api.ec_result) -> prefix_of r.Bonsai_api.ec)
+             results);
+        List.iteri
+          (fun j (r : Bonsai_api.ec_result) ->
+            Alcotest.(check bool) "degraded from the cut on" (j >= cut)
+              r.Bonsai_api.degraded;
+            Alcotest.(check string) "own prefix" (prefix_of r.Bonsai_api.ec)
+              (Prefix.to_string
+                 r.Bonsai_api.abstraction.Abstraction.dest_prefix);
+            if j >= cut then begin
+              Alcotest.(check (float 0.0)) "untimed" 0.0 r.Bonsai_api.time_s;
+              Alcotest.(check bool) "identity" true
+                (Abstraction.is_identity r.Bonsai_api.abstraction)
+            end)
+          results;
+        match deg with
+        | None -> Alcotest.(check int) "no raise, no degradation" keys i
+        | Some d ->
+          Alcotest.(check int) "completed" cut d.Bonsai_api.deg_completed;
+          Alcotest.(check int) "total" n d.Bonsai_api.deg_total;
+          Alcotest.(check int) "info kept" 7 d.Bonsai_api.deg_info.Budget.ticks
+      done)
+    [
+      (Synthesis.fattree_shortest_path (Generators.fattree ~k:4), 8);
+      (ring6_shared (), 4);
+    ]
 
 (* Seeding with the discrete partition (a stable over-refinement of
    anything) and merging back gives the scratch abstraction on seedable
@@ -850,7 +897,7 @@ let test_seeded_matches_scratch () =
         (fun ec ->
           let what = name ^ " " ^ prefix_of ec in
           Alcotest.(check bool) (what ^ " seedable") true
-            (Incr.ec_seedable ~prefs_trivial:false net ec);
+            (Bonsai_api.ec_seedable ~prefs_trivial:false net ec);
           let scratch = Bonsai_api.compress_ec_exn net ec in
           let seeded =
             Bonsai_api.compress_ec_exn ~seed:(Union_split_find.discrete n) net

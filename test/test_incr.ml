@@ -151,26 +151,33 @@ let results_equal (got : Bonsai_api.ec_result list)
                  (Array.init (Array.length w.abstraction.Abstraction.group_of) Fun.id)))
        got want
 
+(* The reference compresses every class on its own, so a class that
+   takes an earlier class's row is checked against its own compression. *)
 let check_against_scratch st =
   let net = Incr.network st in
-  match Bonsai_api.compress net with
-  | Error e ->
-    QCheck.Test.fail_reportf "scratch compress failed: %s"
-      (Format.asprintf "%a" Bonsai_error.pp e)
-  | Ok scratch ->
-    let got = (Incr.summary st).Bonsai_api.results in
-    if not (results_equal got scratch.Bonsai_api.results) then
-      QCheck.Test.fail_reportf
-        "incremental result differs from scratch (%d vs %d classes)"
-        (List.length got)
-        (List.length scratch.Bonsai_api.results)
-    else true
+  let universe = Policy_bdd.universe_of_network net in
+  let scratch =
+    List.filter Ecs.is_single_origin (Ecs.compute net)
+    |> List.map (Bonsai_api.compress_ec_exn ~universe net)
+  in
+  let got = (Incr.summary st).Bonsai_api.results in
+  if not (results_equal got scratch) then
+    QCheck.Test.fail_reportf
+      "incremental result differs from scratch (%d vs %d classes)"
+      (List.length got) (List.length scratch)
+  else true
+
+(* Every class is reused (no kernel run), seeded or scratch. *)
+let check_counts (r : Incr.report) =
+  r.Incr.r_reused + r.Incr.r_seeded + r.Incr.r_scratch = r.Incr.r_ecs
+  || QCheck.Test.fail_reportf "%d reused + %d seeded + %d scratch <> %d classes"
+       r.Incr.r_reused r.Incr.r_seeded r.Incr.r_scratch r.Incr.r_ecs
 
 (* A random valid delta for the current network. Covers the engine's
    paths: link churn (seeded), route-map edits that change the attribute
    universe (full rebuild), statics and redistributions (non-seedable →
-   scratch), origination changes (added/dropped classes), node addition
-   (full rebuild). *)
+   scratch), origination changes (added/dropped classes, and classes
+   that share a key), node addition (full rebuild). *)
 let lp_bump : Route_map.t =
   [ { Route_map.verdict = Route_map.Permit; conds = []; actions = [ Route_map.Set_local_pref 200 ] } ]
 
@@ -275,6 +282,18 @@ let random_delta rng (net : Device.network) =
               prefixes = [ Synthesis.prefix_of_index (200 + u) ];
             });
         (fun () ->
+          (* several prefixes of one origin: their classes share a key
+             unless a policy singles one out *)
+          let u = random_node () in
+          Delta.Originate_set
+            {
+              node = name u;
+              prefixes =
+                List.init
+                  (2 + Random.State.int rng 2)
+                  (fun i -> Synthesis.prefix_of_index (300 + (4 * u) + i));
+            });
+        (fun () ->
           Delta.Node_add (Printf.sprintf "new%d" (Random.State.int rng 10000)));
         (fun () ->
           let u = random_node () in
@@ -301,7 +320,7 @@ let exercise_net mk_net =
           if !ok then begin
             let d = random_delta rng (Incr.network st) in
             match Incr.recompress st [ d ] with
-            | Ok _ -> ok := check_against_scratch st
+            | Ok r -> ok := check_counts r && check_against_scratch st
             | Error (Bonsai_error.Compile_error _) ->
               (* a delta can invalidate the network (e.g. node add leaves
                  it disconnected from configs' perspective); skipping it
@@ -322,6 +341,10 @@ let prop_random =
 
 let prop_multi =
   exercise_net (fun seed -> Synthesis.random_multi_network ~n:8 ~seed)
+
+let prop_shared =
+  exercise_net (fun seed ->
+      Networks.shared_origin_network ~n:(4 + (seed mod 7)) ~seed)
 
 (* --- Delta against the list-based reference ------------------------- *)
 
@@ -548,31 +571,36 @@ let test_node_add_full_rebuild () =
       Alcotest.(check bool) "full rebuild" true r.Incr.r_full_rebuild;
       Alcotest.(check bool) "consistent" true (check_against_scratch st))
 
-let test_pins_preserved () =
-  let net = Synthesis.ring_bgp ~n:8 in
-  match Incr.init ~pinned:[ 3 ] net with
+(* The cold load runs the kernel once per class key: its signature-cache
+   misses are those of a fresh cache that compressed only the first
+   class of each key, in class order (the datacenter's 1304 classes are
+   152 keys). *)
+let test_cold_load_once_per_key () =
+  let net = (Synthesis.datacenter ()).Synthesis.net in
+  match Incr.init net with
   | Error e -> Alcotest.failf "init: %a" Bonsai_error.pp e
-  | Ok st -> (
-    let g = (Incr.network st).Device.graph in
-    let d =
-      Delta.Acl_set
-        {
-          node = Graph.name g 0;
-          nbr = Graph.name g 1;
-          acl = Some [ { Acl.permit = true; prefix = Prefix.of_string "10.0.0.0/8" } ];
-        }
-    in
-    match Incr.recompress st [ d ] with
-    | Error e -> Alcotest.failf "recompress: %a" Bonsai_error.pp e
-    | Ok _ ->
-      List.iter
-        (fun (r : Bonsai_api.ec_result) ->
-          let a = r.Bonsai_api.abstraction in
-          let grp = a.Abstraction.group_of.(3) in
-          Alcotest.(check (list int))
-            "pinned node stays a singleton group" [ 3 ]
-            a.Abstraction.groups.(grp))
-        (Incr.summary st).Bonsai_api.results)
+  | Ok st ->
+    let cache = Sig_cache.create net in
+    let seen = Hashtbl.create 256 in
+    List.iter
+      (fun (ec : Ecs.ec) ->
+        let key =
+          Compile.class_key net ~dest:(Ecs.single_origin ec)
+            ~dest_prefix:ec.Ecs.ec_prefix
+        in
+        if not (Hashtbl.mem seen key) then begin
+          Hashtbl.add seen key ();
+          ignore
+            (Bonsai_api.compress_ec_exn ~universe:(Sig_cache.universe cache)
+               ~rm_bdd:(Sig_cache.rm_bdd cache ~dest:ec.Ecs.ec_prefix)
+               net ec
+              : Bonsai_api.ec_result)
+        end)
+      (List.filter Ecs.is_single_origin (Ecs.compute net));
+    Alcotest.(check int) "keys" 152 (Hashtbl.length seen);
+    Alcotest.(check int) "signature-cache misses"
+      (snd (Sig_cache.stats cache))
+      (snd (Incr.cache_stats st))
 
 let test_budget_degrades () =
   let net = fattree4 () in
@@ -650,11 +678,19 @@ let () =
             test_reuse_on_remote_change;
           Alcotest.test_case "node add rebuilds" `Quick
             test_node_add_full_rebuild;
-          Alcotest.test_case "pins preserved" `Quick test_pins_preserved;
+          Alcotest.test_case "cold load once per key" `Quick
+            test_cold_load_once_per_key;
           Alcotest.test_case "budget degrades" `Quick test_budget_degrades;
           Alcotest.test_case "recertify covers reuse" `Quick
             test_recertify_reused;
         ] );
       qsuite "fuzz"
-        [ prop_ring; prop_fattree; prop_random; prop_multi; prop_delta_reference ];
+        [
+          prop_ring;
+          prop_fattree;
+          prop_random;
+          prop_multi;
+          prop_shared;
+          prop_delta_reference;
+        ];
     ]

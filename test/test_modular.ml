@@ -132,14 +132,37 @@ let check_compose_exact ?(what = "compose") st =
     true
     (results_equal composed.Bonsai_api.results scratch.Bonsai_api.results)
 
+(* Every boundary stub (a subnet router past the module's members) is
+   pinned: a singleton group in each of its module's classes. *)
+let check_stubs_pinned st =
+  List.iter
+    (fun (mr : Modular.module_report) ->
+      match Modular.module_summary st mr.Modular.mr_name with
+      | None -> Alcotest.failf "%s: no results" mr.Modular.mr_name
+      | Some s ->
+        let n = Graph.n_nodes s.Bonsai_api.net.Device.graph in
+        List.iter
+          (fun (r : Bonsai_api.ec_result) ->
+            let a = r.Bonsai_api.abstraction in
+            for v = mr.Modular.mr_routers to n - 1 do
+              Alcotest.(check (list int))
+                (Printf.sprintf "%s: stub %d alone" mr.Modular.mr_name v)
+                [ v ]
+                a.Abstraction.groups.(a.Abstraction.group_of.(v))
+            done)
+          s.Bonsai_api.results)
+    (Modular.report st).Modular.rp_modules
+
 let test_compose_ring () =
   let st =
     ok_exn "run" (Modular.run ~mode:Modular.Auto ~count:3 (Synthesis.ring_bgp ~n:9))
   in
+  check_stubs_pinned st;
   check_compose_exact st
 
 let test_compose_fattree () =
   let st = ok_exn "run" (Modular.run ~mode:Modular.Auto ~count:4 (fattree4 ())) in
+  check_stubs_pinned st;
   check_compose_exact st
 
 let test_compose_multiwan_annot () =

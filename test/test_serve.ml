@@ -676,6 +676,43 @@ let parse_or_fail what text =
   | Ok j -> j
   | Error m -> Alcotest.failf "%s: invalid JSON (%s): %S" what m text
 
+(* The first key an object repeats, at any depth: a last-wins reader
+   (jq, Python's json) would keep only the last value. *)
+let rec repeated_key = function
+  | Json.Obj fields -> (
+    let rec dup = function
+      | [] -> None
+      | (k, _) :: rest -> if List.mem_assoc k rest then Some k else dup rest
+    in
+    match dup fields with
+    | Some k -> Some k
+    | None -> List.find_map (fun (_, v) -> repeated_key v) fields)
+  | Json.List xs -> List.find_map repeated_key xs
+  | _ -> None
+
+(* No response to the serve goldens' request files repeats a key. They
+   run from test/serve, where their relative paths resolve. *)
+let test_responses_unique_keys () =
+  List.iter
+    (fun file ->
+      let ic =
+        Unix.open_process_in
+          (Printf.sprintf "cd %s && ../../bin/bonsai_cli.exe serve --stdio < %s 2>%s"
+             (Filename.quote (build_path "serve"))
+             file Filename.null)
+      in
+      let out = In_channel.input_all ic in
+      ignore (Unix.close_process_in ic : Unix.process_status);
+      let lines = List.filter (( <> ) "") (String.split_on_char '\n' out) in
+      if lines = [] then Alcotest.failf "%s: no responses" file;
+      List.iter
+        (fun line ->
+          match repeated_key (parse_or_fail file line) with
+          | Some k -> Alcotest.failf "%s: key %S repeats in %s" file k line
+          | None -> ())
+        lines)
+    [ "basic.ndjson"; "parity.ndjson" ]
+
 (* Every op the engine lists is answered (never "unknown op"), and the
    CLI's serve and request help name each one. *)
 let test_op_names_in_help () =
@@ -1065,6 +1102,8 @@ let () =
             test_lint_clause_agreement;
           Alcotest.test_case "lint source lines" `Quick test_lint_source_lines;
           Alcotest.test_case "op list in help" `Quick test_op_names_in_help;
+          Alcotest.test_case "no repeated keys" `Quick
+            test_responses_unique_keys;
         ] );
       qsuite "fuzz"
         [ prop_total; prop_json_roundtrip; prop_json_float_roundtrip ];
