@@ -7,7 +7,8 @@
      bonsai roles datacenter
 
    Network specifications: fattree:K, fattree-prefer:K, ring:N, mesh:N,
-   random:N[:SEED], datacenter, wan. *)
+   random:N[:SEED], multiwan:R:S, datacenter, wan, file:PATH, and for
+   [modular] only multiwan-stream:R:S. *)
 
 (* A bad network spec / router name on the command line: reported as a
    usage error, not as one of the typed pipeline failures. *)
@@ -224,27 +225,18 @@ let print_class net (r : Bonsai_api.ec_result) =
 (* One path for one class or all: one summary, then one re-check,
    rendering, certification and exit code. *)
 let compress_cmd_run spec ec_prefix dot all check check_dataplane format
-    budget_ms budget_ticks degrade certify audit certificate modules =
+    budget_ms budget_ticks degrade certify audit certificate =
   guarded @@ fun () ->
   let net = resolve_network spec in
   let budget = make_budget budget_ms budget_ticks in
-  (* --modules (implies --all): compress module by module with fault
-     isolation, then compose the partitions (exact under the seeded-path
-     guards, DESIGN.md §16); the health table goes to stderr. *)
-  let single = not all && Option.is_none modules in
+  let single = not all in
   if Option.is_some dot && not single then
     raise (Usage "--dot draws one class's abstract topology: use it with --ec");
   let compressed =
-    match modules with
-    | Some mode ->
-      let st = ok_or_raise (Modular.run ~mode ~budget net) in
-      Format.eprintf "%a%!" Modular.pp_report (Modular.report st);
-      ok_or_raise (Modular.compose ~budget st)
-    | None ->
-      let ecs =
-        if single then Some [ Bonsai_api.find_class net ec_prefix ] else None
-      in
-      ok_or_raise (Bonsai_api.compress ?ecs ~budget net)
+    let ecs =
+      if single then Some [ Bonsai_api.find_class net ec_prefix ] else None
+    in
+    ok_or_raise (Bonsai_api.compress ?ecs ~budget net)
   in
   let checked =
     let results = compressed.Bonsai_api.results in
@@ -1428,7 +1420,7 @@ let compress_cmd =
       & info [ "dot" ] ~docv:"PATH"
           ~doc:
             "Write the class's abstract topology as DOT (one class only: \
-             not with $(b,--all) or $(b,--modules)).")
+             not with $(b,--all)).")
   in
   let all =
     Arg.(
@@ -1464,18 +1456,6 @@ let compress_cmd =
              soundness break (exit 7, never masked by $(b,--degrade)); \
              classes the budget leaves unchecked exit 3.")
   in
-  let modules =
-    Arg.(
-      value
-      & opt (some (enum [ ("auto", Modular.Auto); ("annot", Modular.Annot) ]))
-          None
-      & info [ "modules" ] ~docv:"MODE"
-          ~doc:
-            "Compress module-by-module with per-module fault isolation and \
-             compose the result (implies $(b,--all)): $(b,annot) uses the \
-             operators' $(i,module NAME) annotations, $(b,auto) partitions \
-             by BFS regions. The per-module health table goes to stderr.")
-  in
   Cmd.v
     (cmd_info "compress"
        ~doc:
@@ -1484,7 +1464,7 @@ let compress_cmd =
     Term.(
       const compress_cmd_run $ network_arg $ ec_arg $ dot $ all $ check
       $ check_dataplane $ format_arg $ budget_ms_arg $ budget_ticks_arg
-      $ degrade_arg $ certify_flag $ audit_arg $ certificate_arg $ modules)
+      $ degrade_arg $ certify_flag $ audit_arg $ certificate_arg)
 
 let modular_cmd =
   let mode =
@@ -1533,20 +1513,21 @@ let modular_cmd =
       $ budget_ms_arg $ budget_ticks_arg $ degrade_arg $ certify_flag
       $ inject)
 
+(* The two positional specs of [diff] and [dataplane-diff]. *)
+let old_arg =
+  Arg.(
+    required
+    & pos 0 (some string) None
+    & info [] ~docv:"OLD"
+        ~doc:"Old network specification (e.g. file:PATH or fattree:4).")
+
+let new_arg =
+  Arg.(
+    required
+    & pos 1 (some string) None
+    & info [] ~docv:"NEW" ~doc:"New network specification.")
+
 let diff_cmd =
-  let old_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"OLD"
-          ~doc:"Old network specification (e.g. file:PATH or fattree:4).")
-  in
-  let new_arg =
-    Arg.(
-      required
-      & pos 1 (some string) None
-      & info [] ~docv:"NEW" ~doc:"New network specification.")
-  in
   Cmd.v
     (cmd_info "diff"
        ~doc:
@@ -1562,19 +1543,6 @@ let diff_cmd =
       $ certificate_arg)
 
 let dataplane_diff_cmd =
-  let old_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"OLD"
-          ~doc:"Old network specification (e.g. file:PATH or fattree:4).")
-  in
-  let new_arg =
-    Arg.(
-      required
-      & pos 1 (some string) None
-      & info [] ~docv:"NEW" ~doc:"New network specification.")
-  in
   Cmd.v
     (cmd_info "dataplane-diff"
        ~doc:

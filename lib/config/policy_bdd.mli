@@ -46,7 +46,7 @@ type universe_params = {
     fresh-manager universe per module from the {e same} params: a
     community matched only in module B still gets a variable in module
     A's universe, so policy-BDD equality means the same thing in every
-    module (and in the composition pass). *)
+    module. *)
 
 val universe_params :
   ?keep_unmatched_comms:bool -> Device.network -> universe_params

@@ -95,9 +95,8 @@ val compress_ec_exn :
     for a {e seedable} class ({!ec_seedable}: every node at the
     default preference, no static route for the class), so the seeded
     call uses the constant preference [[Bgp.default_lp]] and one copy
-    per abstract node. The incremental engine seeds with the previous
-    partition, modular composition with the union of per-module
-    partitions. *)
+    per abstract node. The incremental engine (lib/incr) is its one
+    client: it seeds with the previous partition. *)
 
 val identity_result : Device.network -> Ecs.ec -> ec_result
 (** The identity fallback for one class: the discrete partition (see
@@ -107,6 +106,7 @@ val identity_result : Device.network -> Ecs.ec -> ec_result
 
 val compress_classes :
   ?keep_unmatched_comms:bool ->
+  ?shared:(Ecs.ec -> ec_result -> ec_result) ->
   Device.network ->
   Ecs.ec list ->
   (Ecs.ec -> ec_result) ->
@@ -114,12 +114,13 @@ val compress_classes :
 (** The one loop that compresses a network's (single-origin) classes,
     for every pipeline, in order and once per {!Compile.class_key}: the
     first class of a key runs [worker], each later one takes that row
-    with its own [ec], prefix and [time_s]. Shared rows alias the
-    abstraction's arrays, which nothing may mutate. When [worker] raises
-    [Budget.Exhausted] at class [i], class [i] and every later class fall
-    back to the identity abstraction (as {!identity_result}, one skeleton
-    shared across them), and the degradation records [i] completed
-    classes, shared ones included. [keep_unmatched_comms] selects the
+    with its own [ec], prefix and [time_s], as [shared ec row] if given
+    (the incremental engine audits it there). Shared rows alias the
+    abstraction's arrays, which nothing may mutate. When [worker] or
+    [shared] raises [Budget.Exhausted] at class [i], class [i] and
+    every later class fall back to the identity abstraction (as
+    {!identity_result}, one skeleton shared across them), and the
+    degradation records [i] completed classes, shared ones included. [keep_unmatched_comms] selects the
     fallback's universe, as in {!compress}. *)
 
 val find_result : ec_result list -> Prefix.t -> ec_result option

@@ -134,6 +134,5 @@ val quotient_merge :
     {!stabilise} and return the
     partition whose classes are the unions of classes sharing a quotient
     block. [Bonsai_api.compress_ec_exn ~seed] runs it after
-    [partition ~seed], which turns a stale (incremental) or
-    union-of-modules (modular) seed into the exact from-scratch
-    partition. *)
+    [partition ~seed], which turns the stale partition the incremental
+    engine seeds with into the exact from-scratch partition. *)

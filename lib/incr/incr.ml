@@ -98,7 +98,8 @@ let validate net =
 (* Moves [st] to [net'], the network [deltas] lead to from [st.net],
    through the one loop ([Bonsai_api.compress_classes]): the worker
    reuses, seeds or recomputes the first class of each key against the
-   signature cache, and the loop hands its row to the others. *)
+   signature cache, and the loop hands its row to the others, through
+   the audit when [recertify] is given. *)
 let recompress_onto ~budget ?recertify st deltas net' =
   let t0 = Timing.now () in
   validate net';
@@ -123,6 +124,32 @@ let recompress_onto ~budget ?recertify st deltas net' =
     incr scratch;
     r
   in
+  (* the audit must not share BDD state with the engine under audit:
+     one fresh universe per recompression, built only if a trusted row
+     actually reaches the checker *)
+  let audit_universe = lazy (Policy_bdd.universe_of_network net') in
+  (* A row [ec] takes without a kernel run of its own: reused, seeded,
+     or an earlier class's row of its key. *)
+  let trust ~seed ec (r : Bonsai_api.ec_result) =
+    let accept () =
+      if seed then incr seeded;
+      r
+    in
+    match recertify with
+    | None -> accept ()
+    | Some audit -> (
+      match
+        Certify.check_result ~budget ~universe:(Lazy.force audit_universe)
+          ~audit net' r
+      with
+      | Certify.Certified _ ->
+        incr recertified;
+        accept ()
+      | Certify.Audit_incomplete _ -> accept ()
+      | Certify.Refuted _ ->
+        incr recert_refuted;
+        from_scratch ec)
+  in
   let worker =
     if full then from_scratch
     else begin
@@ -132,30 +159,6 @@ let recompress_onto ~budget ?recertify st deltas net' =
         (fun (r : Bonsai_api.ec_result) ->
           Hashtbl.replace old_by_prefix r.Bonsai_api.ec.Ecs.ec_prefix r)
         st.results;
-      (* the audit must not share BDD state with the engine under audit:
-         one fresh universe per recompression, built only if a reused or
-         seeded candidate actually reaches the checker *)
-      let audit_universe = lazy (Policy_bdd.universe_of_network net') in
-      let trust ~seed ec (r : Bonsai_api.ec_result) =
-        let accept () =
-          if seed then incr seeded;
-          r
-        in
-        match recertify with
-        | None -> accept ()
-        | Some audit -> (
-          match
-            Certify.check_result ~budget
-              ~universe:(Lazy.force audit_universe) ~audit net' r
-          with
-          | Certify.Certified _ ->
-            incr recertified;
-            accept ()
-          | Certify.Audit_incomplete _ -> accept ()
-          | Certify.Refuted _ ->
-            incr recert_refuted;
-            from_scratch ec)
-      in
       fun ec ->
         match Hashtbl.find_opt old_by_prefix ec.Ecs.ec_prefix with
         | Some old_r
@@ -174,7 +177,10 @@ let recompress_onto ~budget ?recertify st deltas net' =
         | _ -> from_scratch ec
     end
   in
-  let results, degradation = Bonsai_api.compress_classes net' singles worker in
+  let shared = Option.map (fun _ -> trust ~seed:false) recertify in
+  let results, degradation =
+    Bonsai_api.compress_classes ?shared net' singles worker
+  in
   let completed =
     match degradation with
     | None -> List.length singles

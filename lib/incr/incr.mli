@@ -47,12 +47,13 @@ type report = {
       (** node set or attribute universe changed: cache rebuilt, every
           class recomputed *)
   r_recertified : int;
-      (** old results reused and seeded results, of the first class of
-          each key, independently re-certified ({!Certify.check_result}
-          in a fresh universe) *)
+      (** reused and seeded classes independently re-certified, each
+          under its own prefix ({!Certify.check_result} in a fresh
+          universe); [r_reused + r_seeded] when every audit certifies *)
   r_recert_refuted : int;
       (** reused/seeded candidates whose certificate was refuted — each
-          was discarded and recomputed from scratch (counted there) *)
+          was discarded and its class recomputed from scratch (counted
+          there) *)
   r_cache_hits : int;  (** {!Sig_cache} hits during this recompression *)
   r_cache_misses : int;
   r_time_s : float;  (** wall-clock for the whole recompression *)
@@ -80,16 +81,15 @@ val recompress :
     network. An invalid delta (unknown router, duplicate link, ...) or a
     post-change network failing [Device.validate] is a [Compile_error].
 
-    [recertify] audits every old result the engine reuses and every
-    seeded result with {!Certify.check_result} against a fresh BDD
-    universe before trusting it: a refuted candidate is thrown away and
-    that class recomputes from scratch (the reuse ladder can be wrong
-    only through engine bugs or a corrupted cache — never silently).
-    [Audit_incomplete] (budget ran out mid-audit) keeps the candidate but
-    does not count it as re-certified. A class that takes an earlier
-    class's row is not audited here; certifying the final state
-    ([bonsai diff --certify], serve's self-audit) checks every class
-    under its own prefix. *)
+    [recertify] audits, with {!Certify.check_result} against a fresh BDD
+    universe, every row a class takes without a kernel run of its own
+    before trusting it: an old result reused, a seeded result, and an
+    earlier class's row of the same key. A refuted candidate is thrown
+    away and that class recomputes from scratch (the reuse ladder can be
+    wrong only through engine bugs or a corrupted cache — never
+    silently). [Audit_incomplete] (budget ran out mid-audit) keeps the
+    candidate but does not count it as re-certified. Without
+    [recertify] the loop audits nothing. *)
 
 val recompress_net :
   ?budget:Budget.t ->

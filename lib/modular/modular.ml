@@ -1,5 +1,5 @@
 (* Modular compression with per-module fault isolation. See modular.mli
-   for the contract and DESIGN.md §16 for the soundness argument. *)
+   for the contract and DESIGN.md §16 for the design. *)
 
 type mode = Annot | Auto
 
@@ -410,7 +410,6 @@ let module_report_of ms =
 (* Whole-network state *)
 
 type state = {
-  st_net : Device.network;
   st_skipped_anycast : int;
   st_modules : module_state list;  (* sorted by name *)
   st_time_s : float;
@@ -444,7 +443,6 @@ let run ?(mode = Auto) ?count ?(budget = Budget.infinite) ?(certify = false)
         ~remaining:(total - i) ms)
     modules;
   {
-    st_net = net;
     st_skipped_anycast = anycast;
     st_modules = modules;
     st_time_s = Timing.now () -. t0;
@@ -458,8 +456,6 @@ let report st =
     rp_skipped_anycast = st.st_skipped_anycast;
     rp_time_s = st.st_time_s;
   }
-
-let network st = st.st_net
 
 let module_summary st name =
   Option.bind
@@ -529,83 +525,6 @@ let self_audit ?(budget = Budget.infinite) st =
           (fun detail -> (ms.ms_name, detail))
           (certify_state ~budget ms summary))
     st.st_modules
-
-(* ------------------------------------------------------------------ *)
-(* Composition: per-module partitions -> whole-network abstractions *)
-
-let compose ?(budget = Budget.infinite) st =
-  Bonsai_error.protect @@ fun () ->
-  let net = st.st_net in
-  let g = net.Device.graph in
-  let n = Graph.n_nodes g in
-  let universe, bdd_time_s =
-    Timing.time (fun () -> Policy_bdd.universe_of_network net)
-  in
-  let ecs = Ecs.compute net in
-  let singles = List.filter Ecs.is_single_origin ecs in
-  let anycast = List.length ecs - List.length singles in
-  let prefs_trivial = Bonsai_api.no_lp_no_redistribute net in
-  (* Per-module group labels for a class, looked up by prefix. *)
-  let module_groups ms (ec : Ecs.ec) =
-    Option.bind ms.ms_state (fun (s : Bonsai_api.summary) ->
-        Bonsai_api.find_result s.Bonsai_api.results ec.Ecs.ec_prefix)
-    |> Option.map (fun (r : Bonsai_api.ec_result) ->
-           r.Bonsai_api.abstraction.Abstraction.group_of)
-  in
-  (* Seed: union of per-module partitions, class ids disjoint across
-     modules; a degraded module contributes singletons (the identity
-     partition), which only refines the union — still exact after the
-     merge pass (DESIGN.md §16). *)
-  let union_seed (ec : Ecs.ec) =
-    let cls = Array.make n 0 in
-    let offset = ref 0 in
-    List.iter
-      (fun ms ->
-        let m = Array.length ms.ms_members in
-        (match module_groups ms ec with
-        | Some group_of ->
-          let dense = Hashtbl.create 16 in
-          let k = ref 0 in
-          Array.iteri
-            (fun i v ->
-              let gl = group_of.(i) in
-              let id =
-                match Hashtbl.find_opt dense gl with
-                | Some id -> id
-                | None ->
-                  let id = !k in
-                  incr k;
-                  Hashtbl.replace dense gl id;
-                  id
-              in
-              cls.(v) <- !offset + id)
-            ms.ms_members;
-          offset := !offset + !k
-        | None ->
-          Array.iteri (fun i v -> cls.(v) <- !offset + i) ms.ms_members;
-          offset := !offset + m))
-      st.st_modules;
-    Union_split_find.of_class_array cls
-  in
-  let results, degradation =
-    Bonsai_api.compress_classes net singles (fun ec ->
-        let seed =
-          if prefs_trivial && Bonsai_api.ec_seedable ~prefs_trivial:true net ec
-          then Some (union_seed ec)
-          else None
-        in
-        Bonsai_api.compress_ec_exn ~universe ?seed ~budget net ec)
-  in
-  Option.iter
-    (fun d -> raise (Budget.Exhausted d.Bonsai_api.deg_info))
-    degradation;
-  {
-    Bonsai_api.net;
-    bdd_time_s;
-    results;
-    skipped_anycast = anycast;
-    degradation = None;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Rendering *)

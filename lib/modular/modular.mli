@@ -20,18 +20,10 @@
     health table (ok / retried / degraded / refuted) in deterministic
     (name) order.
 
-    Soundness of the composition is argued in DESIGN.md §16: a module's
-    refinement partition depends only on the destination class, the edge
-    signatures incident to the module, and its members' preference
-    levels — all preserved verbatim by the subnet construction (boundary
-    neighbors are replicated as pinned singleton stubs) — so the union
-    of per-module partitions is a {e stable} refinement of the global
-    partition, and the seeded path's quotient-merge pass
-    ({!Refine.quotient_merge}, run by [Bonsai_api.compress_ec_exn ~seed])
-    coarsens it back to exactly the from-scratch result under the
-    seeded-path guards. Degraded modules
-    contribute the identity (discrete) partition, which only refines the
-    union further — degradation composes. *)
+    The engine answers per module only: the whole network's abstraction
+    is [Bonsai_api.compress] ([bonsai compress --all]). DESIGN.md §16
+    says why the pinned boundary stubs and the shared universe layout
+    stay. *)
 
 type mode = Annot | Auto
 
@@ -79,9 +71,8 @@ val any_fault : report -> bool
 (** Some module is degraded or refuted (the CLI's degrade-gate input). *)
 
 type state
-(** A composed run kept warm: the global network, the partition, and the
-    per-class results of every healthy module, which {!compose} seeds
-    from and {!self_audit} re-checks. *)
+(** A modular run kept warm: the per-class results of every healthy
+    module, which {!report} tabulates and {!self_audit} re-checks. *)
 
 val run :
   ?mode:mode ->
@@ -118,7 +109,6 @@ val run_stream :
     expected module count (it paces the budget slices). *)
 
 val report : state -> report
-val network : state -> Device.network
 
 val module_summary : state -> string -> Bonsai_api.summary option
 (** The named module's warm per-class results over its subnet (boundary
@@ -131,24 +121,9 @@ val self_audit : ?budget:Budget.t -> state -> (string * string) list
     certificate checker (fresh universe per module). A refuted module is
     quarantined: its results are dropped and its health becomes
     [Refuted] with the refutation as detail, so its rows report the
-    identity abstraction and {!compose} treats it as degraded, while
-    every other module stays warm. Returns the refuted
-    [(module, detail)] pairs, for the caller to record as incidents. *)
-
-val compose :
-  ?budget:Budget.t -> state -> (Bonsai_api.summary, Bonsai_error.t) result
-(** Compose the per-module partitions into whole-network abstractions,
-    one per destination class, shaped like a [Bonsai_api.compress]
-    summary, through the one loop ([Bonsai_api.compress_classes], once
-    per class key). Under the seeded-path guards
-    ([Bonsai_api.no_lp_no_redistribute] + [Bonsai_api.ec_seedable]) this
-    seeds a global refinement with the union of module partitions and
-    recovers the {e exact} from-scratch partition via
-    {!Refine.quotient_merge} ([Bonsai_api.compress_ec_exn ~seed]);
-    otherwise it falls back to from-scratch compression of the class
-    (sound, just not reusing module work). Degraded modules enter as
-    identity partitions. A budget that runs out is
-    [Error (Budget_exceeded _)]. *)
+    identity abstraction, while every other module stays warm. Returns
+    the refuted [(module, detail)] pairs, for the caller to record as
+    incidents. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** The health table, deterministic byte-for-byte (no wall-clock). *)

@@ -1,4 +1,4 @@
-(* Random networks shared by the test suites. *)
+(* Networks shared by the test suites. *)
 
 (* [Synthesis.random_network] dressed with everything the compiled
    transfer resolves per edge: prefix-matching and community-rewriting
@@ -168,3 +168,20 @@ let shared_origin_network ~n ~seed =
       net.Device.routers
   in
   { net with Device.routers }
+
+(* ring:6 where router 0 also announces the prefixes of routers 1 and
+   2: the first three classes share one key, the last three have one
+   each. *)
+let ring6_shared () =
+  let net = Synthesis.ring_bgp ~n:6 in
+  let moved = [ Synthesis.prefix_of_index 1; Synthesis.prefix_of_index 2 ] in
+  {
+    net with
+    Device.routers =
+      Array.mapi
+        (fun v (r : Device.router) ->
+          if v = 0 then { r with Device.originated = r.Device.originated @ moved }
+          else if v <= 2 then { r with Device.originated = [] }
+          else r)
+        net.Device.routers;
+  }

@@ -790,23 +790,6 @@ let test_delta_linear () =
 
 let prefix_of (ec : Ecs.ec) = Prefix.to_string ec.Ecs.ec_prefix
 
-(* ring:6 where router 0 also announces the prefixes of routers 1 and
-   2: the first three classes share one key, the last three have one
-   each. *)
-let ring6_shared () =
-  let net = Synthesis.ring_bgp ~n:6 in
-  let moved = [ Synthesis.prefix_of_index 1; Synthesis.prefix_of_index 2 ] in
-  {
-    net with
-    Device.routers =
-      Array.mapi
-        (fun v (r : Device.router) ->
-          if v = 0 then { r with Device.originated = r.Device.originated @ moved }
-          else if v <= 2 then { r with Device.originated = [] }
-          else r)
-        net.Device.routers;
-  }
-
 (* The one loop: the worker runs on the first class of each key, and a
    budget cut at its [i]-th run keeps the classes before the cut, shared
    ones included, compressed in order and counted as completed, and
@@ -875,15 +858,30 @@ let test_compress_classes_degrades () =
       done)
     [
       (Synthesis.fattree_shortest_path (Generators.fattree ~k:4), 8);
-      (ring6_shared (), 4);
+      (Networks.ring6_shared (), 4);
     ]
 
-(* Seeding with the discrete partition (a stable over-refinement of
-   anything) and merging back gives the scratch abstraction on seedable
-   classes. *)
-let test_seeded_matches_scratch () =
-  List.iter
-    (fun (name, net) ->
+(* Seeding with a finer partition than the scratch one — the discrete
+   partition (a stable over-refinement of anything) or a random
+   refinement of the scratch partition — and merging back
+   ({!Refine.quotient_merge}) gives the scratch abstraction on every
+   seedable class. The families are the modular shapes: rings,
+   fattree k=4, and the annotated multi-region WAN. *)
+let prop_seeded_matches_scratch =
+  QCheck.Test.make ~count:fuzz_count
+    ~name:"seeded = scratch"
+    QCheck.(int_range 0 100000)
+    (fun seed ->
+      let net =
+        match seed mod 3 with
+        | 0 -> Synthesis.ring_bgp ~n:(5 + (seed mod 5))
+        | 1 -> Synthesis.fattree_shortest_path (Generators.fattree ~k:4)
+        | _ ->
+          (Synthesis.multiwan ~regions:(2 + (seed mod 2))
+             ~region_size:(3 + (seed mod 2)))
+            .Synthesis.net
+      in
+      let rng = Random.State.make [| seed |] in
       let n = Graph.n_nodes net.Device.graph in
       let canon (r : Bonsai_api.ec_result) =
         Union_split_find.canonical
@@ -893,24 +891,37 @@ let test_seeded_matches_scratch () =
       let links (r : Bonsai_api.ec_result) =
         Graph.n_links r.Bonsai_api.abstraction.Abstraction.abs_graph
       in
-      List.iter
+      let prefs_trivial = Bonsai_api.no_lp_no_redistribute net in
+      let seedable =
+        List.filter
+          (fun ec ->
+            Ecs.is_single_origin ec
+            && Bonsai_api.ec_seedable ~prefs_trivial net ec)
+          (Ecs.compute net)
+      in
+      if seedable = [] then QCheck.Test.fail_report "no seedable class";
+      List.for_all
         (fun ec ->
-          let what = name ^ " " ^ prefix_of ec in
-          Alcotest.(check bool) (what ^ " seedable") true
-            (Bonsai_api.ec_seedable ~prefs_trivial:false net ec);
           let scratch = Bonsai_api.compress_ec_exn net ec in
-          let seeded =
-            Bonsai_api.compress_ec_exn ~seed:(Union_split_find.discrete n) net
-              ec
+          (* each scratch group split in two at random *)
+          let refined =
+            Array.map
+              (fun g -> (2 * g) + Random.State.int rng 2)
+              scratch.Bonsai_api.abstraction.Abstraction.group_of
           in
-          Alcotest.(check (array int)) (what ^ " partition") (canon scratch)
-            (canon seeded);
-          Alcotest.(check int) (what ^ " links") (links scratch) (links seeded))
-        (List.filter Ecs.is_single_origin (Ecs.compute net)))
-    [
-      ("fattree:4", Synthesis.fattree_shortest_path (Generators.fattree ~k:4));
-      ("ring:12", Synthesis.ring_bgp ~n:12);
-    ]
+          List.for_all
+            (fun (what, part) ->
+              let seeded = Bonsai_api.compress_ec_exn ~seed:part net ec in
+              canon seeded = canon scratch
+              && links seeded = links scratch
+              || QCheck.Test.fail_reportf "%s seed, class %s: partition or \
+                                           links differ"
+                   what (prefix_of ec))
+            [
+              ("discrete", Union_split_find.discrete n);
+              ("refined", Union_split_find.of_class_array refined);
+            ])
+        seedable)
 
 let () =
   Alcotest.run "bonsai-core"
@@ -976,11 +987,10 @@ let () =
         [
           Alcotest.test_case "compress_classes degrades in order" `Quick
             test_compress_classes_degrades;
-          Alcotest.test_case "seeded = scratch" `Quick
-            test_seeded_matches_scratch;
           Alcotest.test_case "seed size mismatch" `Quick
             test_seed_size_mismatch;
         ] );
       ( "fuzz",
-        List.map QCheck_alcotest.to_alcotest [ prop_kernel_matches_oracle ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_kernel_matches_oracle; prop_seeded_matches_scratch ] );
     ]

@@ -647,6 +647,22 @@ let test_recertify_reused () =
       Alcotest.(check bool) "consistent with scratch" true
         (check_against_scratch st))
 
+(* Classes of one key share a row; with --certify each of them is
+   audited under its own prefix, not only the first of the key
+   (6 classes, 4 keys). *)
+let test_recertify_shared () =
+  let net = Networks.ring6_shared () in
+  match Incr.init net with
+  | Error e -> Alcotest.failf "init: %a" Bonsai_error.pp e
+  | Ok st -> (
+    Alcotest.(check int) "keys" 4 (Bonsai_api.behaviours (Incr.summary st));
+    match Incr.recompress ~recertify:Certify.Sample st [] with
+    | Error e -> Alcotest.failf "recompress: %a" Bonsai_error.pp e
+    | Ok r ->
+      Alcotest.(check int) "all reused" 6 r.Incr.r_reused;
+      Alcotest.(check int) "every class certified" 6 r.Incr.r_recertified;
+      Alcotest.(check int) "none refuted" 0 r.Incr.r_recert_refuted)
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let () =
@@ -683,6 +699,8 @@ let () =
           Alcotest.test_case "budget degrades" `Quick test_budget_degrades;
           Alcotest.test_case "recertify covers reuse" `Quick
             test_recertify_reused;
+          Alcotest.test_case "recertify covers shared rows" `Quick
+            test_recertify_shared;
         ] );
       qsuite "fuzz"
         [
