@@ -369,18 +369,15 @@ let modular_cmd_run spec mode count format budget_ms budget_ticks degrade
 (* The recompression document plus the engine's own counters, which a
    warm serve engine would report differently: signature-cache hits and
    misses of this recompression, then [extra]. *)
-let report_fields ?recert ~deltas ~extra (rep : Incr.report) =
-  Incr.report_json_fields ?recert ~deltas rep
+let report_fields ~deltas ~extra (rep : Incr.report) =
+  Incr.report_json_fields ~deltas rep
   @ (("cache", cache_json rep.Incr.r_cache_hits rep.Incr.r_cache_misses)
     :: extra)
 
-let report_text ?(recert = false) (rep : Incr.report) =
+let report_text (rep : Incr.report) =
   Format.printf "classes: %d (%d reused, %d seeded, %d scratch)%s@."
     rep.Incr.r_ecs rep.Incr.r_reused rep.Incr.r_seeded rep.Incr.r_scratch
     (if rep.Incr.r_full_rebuild then " [full rebuild]" else "");
-  if recert then
-    Format.printf "re-certified: %d (%d refuted, recomputed from scratch)@."
-      rep.Incr.r_recertified rep.Incr.r_recert_refuted;
   Format.printf "signature cache: %d hits, %d misses@." rep.Incr.r_cache_hits
     rep.Incr.r_cache_misses;
   print_degradation rep.Incr.r_degradation
@@ -392,30 +389,25 @@ let diff_cmd_run old_spec new_spec format budget_ms budget_ticks degrade
   let new_net = resolve_network new_spec in
   let budget = make_budget budget_ms budget_ticks in
   let st = ok_or_raise (Incr.init ~budget old_net) in
-  let deltas, rep =
-    ok_or_raise
-      (Incr.recompress_net ~budget
-         ?recertify:(if certify then Some audit else None)
-         st new_net)
-  in
+  let deltas, rep = ok_or_raise (Incr.recompress_net ~budget st new_net) in
   let bdd = Incr.bdd_stats st in
   (match format with
   | `Text when List.is_empty deltas -> Format.printf "networks are identical@."
   | `Text ->
     Format.printf "deltas (%d):@." (List.length deltas);
     List.iter (fun d -> Format.printf "  - %a@." Delta.pp d) deltas;
-    report_text ~recert:certify rep;
+    report_text rep;
     Format.printf "bdd: %a@." Bdd.pp_stats bdd
   | `Json ->
     print_json
       (Json.Obj
-         (report_fields ~recert:certify ~deltas
+         (report_fields ~deltas
             ~extra:[ ("bdd", Bdd.stats_to_json bdd) ]
             rep)));
   Printf.eprintf "diff: %d deltas recompressed in %.3fs\n%!"
     (List.length deltas) rep.Incr.r_time_s;
-  (* certify the maintained state the recompression actually produced —
-     the reuse ladder is part of what the certificate distrusts *)
+  (* the one audit of the recompressed state: every class the engine
+     produced, reused or shared, is checked here and only here *)
   let cert_status =
     if certify then
       run_certify ~budget ~audit ~certificate new_net

@@ -104,8 +104,8 @@ val check_result :
   Device.network ->
   Bonsai_api.ec_result ->
   verdict
-(** [check (of_ec_result ...)] in one step — the re-certification path
-    used by the incremental engine's reuse ladder and [compress --check]. *)
+(** [check (of_ec_result ...)] in one step, for one class: the step of
+    {!check_summary} and of [compress --check]. *)
 
 val check_summary :
   ?budget:Budget.t ->

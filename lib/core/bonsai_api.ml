@@ -209,7 +209,7 @@ let identity_result net ec = identity_of (identity_family net) ec
 
 (* One compression per class key: the first class of a key runs [worker],
    each later one takes that row under its own prefix. *)
-let compress_classes ?keep_unmatched_comms ?shared net ecs worker =
+let compress_classes ?keep_unmatched_comms net ecs worker =
   let family = lazy (identity_family ?keep_unmatched_comms net) in
   let by_key = Hashtbl.create 64 in
   let row (ec : Ecs.ec) =
@@ -219,12 +219,9 @@ let compress_classes ?keep_unmatched_comms ?shared net ecs worker =
       Compile.class_key net ~dest:(Ecs.single_origin ec) ~dest_prefix:prefix
     in
     match Hashtbl.find_opt by_key key with
-    | Some r -> (
-      let r =
-        { r with ec; time_s = Timing.now () -. t0;
-          abstraction = { r.abstraction with Abstraction.dest_prefix = prefix } }
-      in
-      match shared with None -> r | Some f -> f ec r)
+    | Some r ->
+      { r with ec; time_s = Timing.now () -. t0;
+        abstraction = { r.abstraction with Abstraction.dest_prefix = prefix } }
     | None ->
       let r = worker ec in
       Hashtbl.add by_key key r;

@@ -106,7 +106,6 @@ val identity_result : Device.network -> Ecs.ec -> ec_result
 
 val compress_classes :
   ?keep_unmatched_comms:bool ->
-  ?shared:(Ecs.ec -> ec_result -> ec_result) ->
   Device.network ->
   Ecs.ec list ->
   (Ecs.ec -> ec_result) ->
@@ -114,14 +113,16 @@ val compress_classes :
 (** The one loop that compresses a network's (single-origin) classes,
     for every pipeline, in order and once per {!Compile.class_key}: the
     first class of a key runs [worker], each later one takes that row
-    with its own [ec], prefix and [time_s], as [shared ec row] if given
-    (the incremental engine audits it there). Shared rows alias the
-    abstraction's arrays, which nothing may mutate. When [worker] or
-    [shared] raises [Budget.Exhausted] at class [i], class [i] and
-    every later class fall back to the identity abstraction (as
+    with its own [ec], prefix and [time_s]. Shared rows alias the
+    abstraction's arrays, which nothing may mutate. The loop checks
+    nothing: a caller that wants the rows audited certifies the
+    resulting summary ([Certify.check_summary] in lib/certify). When
+    [worker] raises [Budget.Exhausted] at class [i], class [i] and every
+    later class fall back to the identity abstraction (as
     {!identity_result}, one skeleton shared across them), and the
-    degradation records [i] completed classes, shared ones included. [keep_unmatched_comms] selects the
-    fallback's universe, as in {!compress}. *)
+    degradation records [i] completed classes, shared ones included.
+    [keep_unmatched_comms] selects the fallback's universe, as in
+    {!compress}. *)
 
 val find_result : ec_result list -> Prefix.t -> ec_result option
 (** The result for the class with this prefix. *)

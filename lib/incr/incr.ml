@@ -14,8 +14,6 @@ type report = {
   r_seeded : int;
   r_scratch : int;
   r_full_rebuild : bool;
-  r_recertified : int;
-  r_recert_refuted : int;
   r_cache_hits : int;
   r_cache_misses : int;
   r_time_s : float;
@@ -98,9 +96,8 @@ let validate net =
 (* Moves [st] to [net'], the network [deltas] lead to from [st.net],
    through the one loop ([Bonsai_api.compress_classes]): the worker
    reuses, seeds or recomputes the first class of each key against the
-   signature cache, and the loop hands its row to the others, through
-   the audit when [recertify] is given. *)
-let recompress_onto ~budget ?recertify st deltas net' =
+   signature cache, and the loop hands its row to the others. *)
+let recompress_onto ~budget st deltas net' =
   let t0 = Timing.now () in
   validate net';
   let decision = reuse ~cache:st.cache ~old_net:st.net ~new_net:net' deltas in
@@ -113,43 +110,17 @@ let recompress_onto ~budget ?recertify st deltas net' =
   let hits0, misses0 = Sig_cache.stats cache in
   let singles, anycast = List.partition Ecs.is_single_origin (Ecs.compute net') in
   let seeded = ref 0 and scratch = ref 0 in
-  let recertified = ref 0 and recert_refuted = ref 0 in
-  let kernel ?seed (ec : Ecs.ec) =
-    Bonsai_api.compress_ec_exn ~universe:(Sig_cache.universe cache)
-      ~rm_bdd:(Sig_cache.rm_bdd cache ~dest:ec.Ecs.ec_prefix)
-      ?seed ~budget net' ec
-  in
-  let from_scratch ec =
-    let r = kernel ec in
-    incr scratch;
+  (* a kernel run, counted as seeded or scratch once it completes *)
+  let kernel count ?seed (ec : Ecs.ec) =
+    let r =
+      Bonsai_api.compress_ec_exn ~universe:(Sig_cache.universe cache)
+        ~rm_bdd:(Sig_cache.rm_bdd cache ~dest:ec.Ecs.ec_prefix)
+        ?seed ~budget net' ec
+    in
+    incr count;
     r
   in
-  (* the audit must not share BDD state with the engine under audit:
-     one fresh universe per recompression, built only if a trusted row
-     actually reaches the checker *)
-  let audit_universe = lazy (Policy_bdd.universe_of_network net') in
-  (* A row [ec] takes without a kernel run of its own: reused, seeded,
-     or an earlier class's row of its key. *)
-  let trust ~seed ec (r : Bonsai_api.ec_result) =
-    let accept () =
-      if seed then incr seeded;
-      r
-    in
-    match recertify with
-    | None -> accept ()
-    | Some audit -> (
-      match
-        Certify.check_result ~budget ~universe:(Lazy.force audit_universe)
-          ~audit net' r
-      with
-      | Certify.Certified _ ->
-        incr recertified;
-        accept ()
-      | Certify.Audit_incomplete _ -> accept ()
-      | Certify.Refuted _ ->
-        incr recert_refuted;
-        from_scratch ec)
-  in
+  let from_scratch ec = kernel scratch ec in
   let worker =
     if full then from_scratch
     else begin
@@ -164,7 +135,7 @@ let recompress_onto ~budget ?recertify st deltas net' =
         | Some old_r
           when (not old_r.Bonsai_api.degraded)
                && decision.unchanged ~old:old_r.Bonsai_api.ec ec ->
-          trust ~seed:false ec old_r
+          old_r
         | Some old_r
           when (not old_r.Bonsai_api.degraded)
                && old_r.Bonsai_api.ec.Ecs.ec_origins = ec.Ecs.ec_origins
@@ -173,14 +144,11 @@ let recompress_onto ~budget ?recertify st deltas net' =
             Union_split_find.of_class_array
               old_r.Bonsai_api.abstraction.Abstraction.group_of
           in
-          trust ~seed:true ec (kernel ~seed ec)
+          kernel seeded ~seed ec
         | _ -> from_scratch ec
     end
   in
-  let shared = Option.map (fun _ -> trust ~seed:false) recertify in
-  let results, degradation =
-    Bonsai_api.compress_classes ?shared net' singles worker
-  in
+  let results, degradation = Bonsai_api.compress_classes net' singles worker in
   let completed =
     match degradation with
     | None -> List.length singles
@@ -199,8 +167,6 @@ let recompress_onto ~budget ?recertify st deltas net' =
     r_seeded = !seeded;
     r_scratch = !scratch;
     r_full_rebuild = full;
-    r_recertified = !recertified;
-    r_recert_refuted = !recert_refuted;
     r_cache_hits = hits1 - hits0;
     r_cache_misses = misses1 - misses0;
     r_time_s = Timing.now () -. t0;
@@ -222,22 +188,22 @@ let init ?cache_cap ?(budget = Budget.infinite) (net : Device.network) =
   let _ : report = recompress_onto ~budget st [] net in
   st
 
-let recompress ?(budget = Budget.infinite) ?recertify st deltas =
+let recompress ?(budget = Budget.infinite) st deltas =
   Bonsai_error.protect @@ fun () ->
   let net' =
     try Delta.apply st.net deltas
     with Invalid_argument m ->
       Bonsai_error.error (Bonsai_error.Compile_error m)
   in
-  recompress_onto ~budget ?recertify st deltas net'
+  recompress_onto ~budget st deltas net'
 
 (* The parsed network itself, not the deltas replayed onto the old one:
    the replay keeps the old router numbering, and the concrete solver
    breaks ties by node id. *)
-let recompress_net ?(budget = Budget.infinite) ?recertify st net' =
+let recompress_net ?(budget = Budget.infinite) st net' =
   Bonsai_error.protect @@ fun () ->
   let deltas = Delta.diff st.net net' in
-  (deltas, recompress_onto ~budget ?recertify st deltas net')
+  (deltas, recompress_onto ~budget st deltas net')
 
 let network st = st.net
 let sig_cache st = st.cache
@@ -270,7 +236,7 @@ let rearm st =
         Budget.infinite)
     st.results
 
-let report_json_fields ?(recert = false) ~deltas r =
+let report_json_fields ~deltas r =
   [
     ("identical", Json.Bool (List.is_empty deltas));
     ("deltas", Json.Int (List.length deltas));
@@ -281,14 +247,6 @@ let report_json_fields ?(recert = false) ~deltas r =
     ("seeded", Json.Int r.r_seeded);
     ("scratch", Json.Int r.r_scratch);
     ("full_rebuild", Json.Bool r.r_full_rebuild);
+    ("degraded", Json.Bool (Option.is_some r.r_degradation));
+    ("degradation", Bonsai_api.degradation_to_json r.r_degradation);
   ]
-  @ (if recert then
-       [
-         ("recertified", Json.Int r.r_recertified);
-         ("recert_refuted", Json.Int r.r_recert_refuted);
-       ]
-     else [])
-  @ [
-      ("degraded", Json.Bool (Option.is_some r.r_degradation));
-      ("degradation", Bonsai_api.degradation_to_json r.r_degradation);
-    ]

@@ -46,14 +46,6 @@ type report = {
   r_full_rebuild : bool;
       (** node set or attribute universe changed: cache rebuilt, every
           class recomputed *)
-  r_recertified : int;
-      (** reused and seeded classes independently re-certified, each
-          under its own prefix ({!Certify.check_result} in a fresh
-          universe); [r_reused + r_seeded] when every audit certifies *)
-  r_recert_refuted : int;
-      (** reused/seeded candidates whose certificate was refuted — each
-          was discarded and its class recomputed from scratch (counted
-          there) *)
   r_cache_hits : int;  (** {!Sig_cache} hits during this recompression *)
   r_cache_misses : int;
   r_time_s : float;  (** wall-clock for the whole recompression *)
@@ -72,7 +64,6 @@ val init :
 
 val recompress :
   ?budget:Budget.t ->
-  ?recertify:Certify.audit ->
   state ->
   Delta.t list ->
   (report, Bonsai_error.t) result
@@ -81,19 +72,12 @@ val recompress :
     network. An invalid delta (unknown router, duplicate link, ...) or a
     post-change network failing [Device.validate] is a [Compile_error].
 
-    [recertify] audits, with {!Certify.check_result} against a fresh BDD
-    universe, every row a class takes without a kernel run of its own
-    before trusting it: an old result reused, a seeded result, and an
-    earlier class's row of the same key. A refuted candidate is thrown
-    away and that class recomputes from scratch (the reuse ladder can be
-    wrong only through engine bugs or a corrupted cache — never
-    silently). [Audit_incomplete] (budget ran out mid-audit) keeps the
-    candidate but does not count it as re-certified. Without
-    [recertify] the loop audits nothing. *)
+    The engine audits nothing itself: the independent checker
+    (lib/certify) certifies the whole {!summary} it leaves, once per
+    class, under [diff --certify] and serve's [audit]. *)
 
 val recompress_net :
   ?budget:Budget.t ->
-  ?recertify:Certify.audit ->
   state ->
   Device.network ->
   (Delta.t list * report, Bonsai_error.t) result
@@ -159,10 +143,9 @@ val rearm : state -> unit
 val bdd_stats : state -> Bdd.stats
 
 val report_json_fields :
-  ?recert:bool -> deltas:Delta.t list -> report -> (string * Json.t) list
+  deltas:Delta.t list -> report -> (string * Json.t) list
 (** The document of [bonsai diff --format json], of [bonsai watch]'s
     [recompress] events and of serve's [diff] op: [identical], the
     [deltas] count and [delta_list], [ecs], [reused], [seeded],
-    [scratch], [full_rebuild], with [recert] the re-certification
-    counts, [degraded] and [degradation]. No wall-clock or cache
+    [scratch], [full_rebuild], [degraded] and [degradation]. No wall-clock or cache
     counters, which a warm engine reports differently. *)

@@ -174,13 +174,14 @@ let request_budget t req =
 
 let network_param req = Protocol.require_string req "network"
 
-let audit_param req key =
-  Option.map
-    (fun s ->
-      match Certify.audit_of_string s with
-      | Some a -> a
-      | None -> Format.kasprintf failwith "bad %s level %S" key s)
-    (Protocol.string_param req key)
+(* The [audit] op's level: sample unless the request says otherwise. *)
+let audit_param req =
+  match Protocol.string_param req "audit" with
+  | None -> Certify.Sample
+  | Some s -> (
+    match Certify.audit_of_string s with
+    | Some a -> a
+    | None -> Format.kasprintf failwith "bad audit level %S" s)
 
 (* Mirror of the one-shot CLI's --degrade contract: a degraded result is
    a typed budget-exceeded response unless the request opted into
@@ -243,20 +244,20 @@ let diff_op t req =
   let to_spec = Protocol.require_string req "to" in
   let st, _ = get_state t ~budget spec in
   let net', locs = t.resolve to_spec in
-  let recertify = audit_param req "recertify" in
-  match Incr.recompress_net ~budget ?recertify st net' with
+  match Incr.recompress_net ~budget st net' with
   | Error e -> Bonsai_error.error e
   | Ok (deltas, rep) ->
+    (* the warm state just changed, degraded or not: the idle self-audit
+       (or an [audit] request) is its one check *)
+    t.audit_dirty <- true;
     (* the warm network is now the [to] one, and so are its lines *)
     Option.iter
       (fun en -> en.en_locs <- locs)
       (Hashtbl.find_opt t.registry spec);
     check_degradation req rep.Incr.r_degradation;
-    (* the warm state just changed; the idle self-audit should revisit *)
-    t.audit_dirty <- true;
     ("network", Json.String spec)
     :: ("to", Json.String to_spec)
-    :: Incr.report_json_fields ~recert:(Option.is_some recertify) ~deltas rep
+    :: Incr.report_json_fields ~deltas rep
 
 (* Pre-deployment change review at warm-cache latency: diff the data
    planes of the warm network and a proposed one. Read-only with respect
@@ -389,9 +390,7 @@ let audit_step ?(budget = Budget.infinite) t =
 
 let audit_op t req =
   let budget = request_budget t req in
-  let audit =
-    Option.value ~default:Certify.Sample (audit_param req "audit")
-  in
+  let audit = audit_param req in
   let specs =
     match Protocol.string_param req "network" with
     | Some spec -> if Hashtbl.mem t.registry spec then [ spec ] else []

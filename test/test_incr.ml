@@ -617,10 +617,20 @@ let test_budget_degrades () =
       Alcotest.(check bool) "summary carries degradation" true
         (s.Bonsai_api.degradation <> None))
 
-let test_recertify_reused () =
-  (* with --certify, every reused/seeded class must pass the independent
-     checker before being trusted; none should be refuted on an honest
-     engine, and the count must cover everything that skipped scratch *)
+(* The engine audits nothing itself: the one audit of a recompressed
+   state certifies its whole summary, so every class (reused, seeded,
+   shared or recomputed) is checked once, under its own prefix. *)
+let audit_state st =
+  Certify.check_summary ~audit:Certify.Sample (Incr.network st)
+    (Incr.summary st)
+
+let check_certified ~ecs st =
+  match audit_state st with
+  | Certify.Certified { ecs = n; _ } ->
+    Alcotest.(check int) "every class certified" ecs n
+  | v -> Alcotest.failf "audit: %a" Certify.pp_verdict v
+
+let test_audit_reused () =
   let net = fattree4 () in
   match Incr.init net with
   | Error e -> Alcotest.failf "init: %a" Bonsai_error.pp e
@@ -636,32 +646,28 @@ let test_recertify_reused () =
           acl = Some [ { Acl.permit = true; prefix = Prefix.of_string "10.0.0.0/8" } ];
         }
     in
-    match Incr.recompress ~recertify:Certify.Sample st [ d ] with
+    match Incr.recompress st [ d ] with
     | Error e -> Alcotest.failf "recompress: %a" Bonsai_error.pp e
     | Ok r ->
       Alcotest.(check bool) "some classes reused" true (r.Incr.r_reused > 0);
-      Alcotest.(check int) "reused + seeded all certified"
-        (r.Incr.r_reused + r.Incr.r_seeded)
-        r.Incr.r_recertified;
-      Alcotest.(check int) "none refuted" 0 r.Incr.r_recert_refuted;
+      check_certified ~ecs:r.Incr.r_ecs st;
       Alcotest.(check bool) "consistent with scratch" true
         (check_against_scratch st))
 
-(* Classes of one key share a row; with --certify each of them is
-   audited under its own prefix, not only the first of the key
-   (6 classes, 4 keys). *)
-let test_recertify_shared () =
+(* Classes of one key share a row; the audit checks each of them under
+   its own prefix, not only the first of the key (6 classes, 4 keys). *)
+let test_audit_shared () =
   let net = Networks.ring6_shared () in
   match Incr.init net with
   | Error e -> Alcotest.failf "init: %a" Bonsai_error.pp e
   | Ok st -> (
     Alcotest.(check int) "keys" 4 (Bonsai_api.behaviours (Incr.summary st));
-    match Incr.recompress ~recertify:Certify.Sample st [] with
+    match Incr.recompress st [] with
     | Error e -> Alcotest.failf "recompress: %a" Bonsai_error.pp e
     | Ok r ->
       Alcotest.(check int) "all reused" 6 r.Incr.r_reused;
-      Alcotest.(check int) "every class certified" 6 r.Incr.r_recertified;
-      Alcotest.(check int) "none refuted" 0 r.Incr.r_recert_refuted)
+      Alcotest.(check int) "six classes" 6 r.Incr.r_ecs;
+      check_certified ~ecs:r.Incr.r_ecs st)
 
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
@@ -697,10 +703,9 @@ let () =
           Alcotest.test_case "cold load once per key" `Quick
             test_cold_load_once_per_key;
           Alcotest.test_case "budget degrades" `Quick test_budget_degrades;
-          Alcotest.test_case "recertify covers reuse" `Quick
-            test_recertify_reused;
-          Alcotest.test_case "recertify covers shared rows" `Quick
-            test_recertify_shared;
+          Alcotest.test_case "audit covers reuse" `Quick test_audit_reused;
+          Alcotest.test_case "audit covers shared rows" `Quick
+            test_audit_shared;
         ] );
       qsuite "fuzz"
         [

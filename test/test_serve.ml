@@ -465,6 +465,33 @@ let test_engine_self_audit_quarantines () =
   Alcotest.(check bool) "incident counted in stats" true
     (contains (handle eng "{\"op\":\"stats\"}") "\"incidents\":1")
 
+(* A diff that degrades without "degrade": true answers budget-exceeded,
+   but the warm entry has already moved to the [to] network: the idle
+   self-audit must still revisit it. *)
+let test_engine_degraded_diff_dirty () =
+  let eng = engine () in
+  Alcotest.(check bool) "warm" true
+    (response_ok (handle eng "{\"op\":\"compress\",\"network\":\"ring:4\"}"));
+  let rec drain n =
+    if Serve_engine.audit_pending eng then begin
+      if n = 0 then Alcotest.fail "self-audit never settles";
+      (match Serve_engine.audit_step eng with
+      | Serve_engine.Audit_clean _ | Serve_engine.Audit_idle -> ()
+      | _ -> Alcotest.fail "healthy warm state must audit clean");
+      drain (n - 1)
+    end
+  in
+  drain 10;
+  let r =
+    handle eng
+      "{\"op\":\"diff\",\"network\":\"ring:4\",\"to\":\"ring:6\",\
+       \"budget_ticks\":1}"
+  in
+  Alcotest.(check bool) "degraded diff fails" false (response_ok r);
+  Alcotest.(check string) "typed class" "budget-exceeded" (error_class r);
+  Alcotest.(check bool) "changed entry awaits the audit" true
+    (Serve_engine.audit_pending eng)
+
 (* --- Backoff (the bonsai-watch retry policy) ---------------------------- *)
 
 let test_backoff_cap_and_reset () =
@@ -1073,6 +1100,8 @@ let () =
           Alcotest.test_case "registry lru" `Quick test_engine_lru_registry;
           Alcotest.test_case "version skew distinct" `Quick
             test_engine_version_skew_distinct;
+          Alcotest.test_case "degraded diff awaits the audit" `Quick
+            test_engine_degraded_diff_dirty;
           Alcotest.test_case "self-audit quarantines" `Quick
             test_engine_self_audit_quarantines;
           Alcotest.test_case "modular self-audit quarantines" `Quick
