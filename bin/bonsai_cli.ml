@@ -1122,7 +1122,7 @@ let parse_host_port s =
     | None -> raise (Usage (Printf.sprintf "invalid port in %S" s)))
 
 let serve_cmd_run stdio socket tcp max_inflight budget_ms budget_ticks
-    cache_cap max_networks checkpoint_path checkpoint_every drain_ms preload =
+    max_networks checkpoint_path checkpoint_every drain_ms preload =
   guarded @@ fun () ->
   let listen =
     match (stdio, socket, tcp) with
@@ -1137,10 +1137,7 @@ let serve_cmd_run stdio socket tcp max_inflight budget_ms budget_ticks
   in
   (* the engine's default resolver answers an unknown spec as a
      bad-request instead of killing the server *)
-  let engine =
-    Serve_engine.create ?budget_ms ?budget_ticks ?cache_cap
-      ~max_networks ()
-  in
+  let engine = Serve_engine.create ?budget_ms ?budget_ticks ~max_networks () in
   Serve_loop.run ~engine ~listen ~max_inflight ~drain_ms ?checkpoint_path
     ~checkpoint_every ~preload ()
 
@@ -1886,20 +1883,13 @@ let serve_cmd =
              typed $(i,overloaded) response with a retry hint instead of \
              queueing without bound.")
   in
-  let cache_cap =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "cache-cap" ] ~docv:"N"
-          ~doc:
-            "Bound each network's policy-signature cache to N entries \
-             (LRU; default unbounded).")
-  in
   let max_networks =
     Arg.(
       value & opt int 8
       & info [ "max-networks" ] ~docv:"N"
-          ~doc:"Bound the warm-network registry (LRU; default 8).")
+          ~doc:
+            "Bound the warm registry to N entries, compressed networks and \
+             modular runs counted together (LRU; default 8).")
   in
   let checkpoint =
     Arg.(
@@ -1948,7 +1938,7 @@ let serve_cmd =
             (String.concat ", " Serve_engine.op_names)))
     Term.(
       const serve_cmd_run $ stdio $ socket_arg $ tcp_arg $ max_inflight
-      $ budget_ms_arg $ budget_ticks_arg $ cache_cap $ max_networks
+      $ budget_ms_arg $ budget_ticks_arg $ max_networks
       $ checkpoint $ checkpoint_every $ drain_ms $ preload)
 
 let request_cmd =

@@ -55,7 +55,8 @@ type man = {
   mutable ite_misses : int;
 }
 
-let man ?(cache_size = 4096) ?(node_cap = max_int) () =
+let man () =
+  let cache_size = 4096 in
   {
     unique = Unique.create cache_size;
     next_id = 2;
@@ -70,7 +71,7 @@ let man ?(cache_size = 4096) ?(node_cap = max_int) () =
     quant_gen = 0;
     quant_vars = Hashtbl.create 8;
     budget = Budget.infinite;
-    node_cap;
+    node_cap = max_int;
     apply_hits = 0;
     apply_misses = 0;
     ite_hits = 0;

@@ -17,9 +17,8 @@ type t
 (** A BDD node, owned by some manager. Mixing nodes across managers is a
     programming error and is not detected. *)
 
-val man : ?cache_size:int -> ?node_cap:int -> unit -> man
-(** Fresh manager. [cache_size] seeds the internal hash tables;
-    [node_cap] bounds the unique table (see {!set_node_cap}). *)
+val man : unit -> man
+(** Fresh manager, with no budget and no node cap. *)
 
 (** {1 Resource governance}
 

@@ -5,7 +5,6 @@ type state = {
   mutable skipped_anycast : int;
   mutable bdd_time_s : float;
   mutable degradation : Bonsai_api.degradation option;
-  cache_cap : int option;
 }
 
 type report = {
@@ -104,8 +103,7 @@ let recompress_onto ~budget st deltas net' =
   let full = decision.full_rebuild in
   let cache, bdd_time_s =
     if decision.compatible then (st.cache, st.bdd_time_s)
-    else
-      Timing.time (fun () -> Sig_cache.create ?max_entries:st.cache_cap net')
+    else Timing.time (fun () -> Sig_cache.create net')
   in
   let hits0, misses0 = Sig_cache.stats cache in
   let singles, anycast = List.partition Ecs.is_single_origin (Ecs.compute net') in
@@ -175,15 +173,13 @@ let recompress_onto ~budget st deltas net' =
 
 (* A compression from nothing: the state starts with no rows, so the
    loop computes every class from scratch. *)
-let init ?cache_cap ?(budget = Budget.infinite) (net : Device.network) =
+let init ?(budget = Budget.infinite) (net : Device.network) =
   Bonsai_error.protect @@ fun () ->
   validate net;
-  let cache, bdd_time_s =
-    Timing.time (fun () -> Sig_cache.create ?max_entries:cache_cap net)
-  in
+  let cache, bdd_time_s = Timing.time (fun () -> Sig_cache.create net) in
   let st =
     { net; cache; results = []; skipped_anycast = 0; bdd_time_s;
-      degradation = None; cache_cap }
+      degradation = None }
   in
   let _ : report = recompress_onto ~budget st [] net in
   st
@@ -205,6 +201,7 @@ let recompress_net ?(budget = Budget.infinite) st net' =
   let deltas = Delta.diff st.net net' in
   (deltas, recompress_onto ~budget st deltas net')
 
+let copy st = { st with net = st.net }
 let network st = st.net
 let sig_cache st = st.cache
 
@@ -218,7 +215,6 @@ let summary st =
   }
 
 let cache_stats st = Sig_cache.stats st.cache
-let cache_evictions st = Sig_cache.evictions st.cache
 let bdd_stats st = Sig_cache.bdd_stats st.cache
 
 (* A state read back from a checkpoint (Marshal) carries copies of

@@ -53,14 +53,8 @@ type report = {
 }
 
 val init :
-  ?cache_cap:int ->
-  ?budget:Budget.t ->
-  Device.network ->
-  (state, Bonsai_error.t) result
-(** Compress from scratch and set up the cache. [cache_cap] bounds the
-    signature cache ({!Sig_cache.create}'s [max_entries]), including
-    after full rebuilds; a resident engine passes it so the shared BDD
-    root set stays bounded across thousands of recompressions. *)
+  ?budget:Budget.t -> Device.network -> (state, Bonsai_error.t) result
+(** Compress from scratch and set up the cache. *)
 
 val recompress :
   ?budget:Budget.t ->
@@ -85,6 +79,12 @@ val recompress_net :
     recompresses; returns the deltas it derived. The state then holds
     [net'] itself, router numbering included (the solver breaks ties by
     node id). The engine of [diff] and [watch], in the CLI and serve. *)
+
+val copy : state -> state
+(** A shallow copy that recompresses independently: {!recompress} on it
+    leaves the original describing its own network, so a caller can
+    keep the original when the recompressed copy degraded. The two share
+    the signature cache, whose entries stay valid for either. *)
 
 val network : state -> Device.network
 
@@ -129,9 +129,6 @@ val summary : state -> Bonsai_api.summary
 
 val cache_stats : state -> int * int
 (** Cumulative (hits, misses) of the policy-signature cache. *)
-
-val cache_evictions : state -> int
-(** Entries evicted by the [cache_cap] so far. *)
 
 val rearm : state -> unit
 (** Reset every transient resource handle after the state was read back

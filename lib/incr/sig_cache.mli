@@ -13,16 +13,13 @@
 
 type t
 
-val create : ?max_entries:int -> Device.network -> t
+val create : Device.network -> t
 (** Fresh cache with a universe built from the network
     (matched-communities attribute abstraction, as [Bonsai_api.compress]
-    defaults to). [max_entries] caps the number of cached route-map BDDs
-    (default: unbounded): once full, inserting a new entry evicts the
-    least-recently-used one, so a resident engine serving thousands of
-    recompressions cannot grow the root set without bound. An evicted
-    entry re-encodes on its next use — into the same hash-consed manager,
-    so re-encoding reproduces the identical BDD. Raises
-    [Invalid_argument] if [max_entries < 1]. *)
+    defaults to). The table keeps every entry: it holds roots into the
+    one manager, whose node table grows with them either way, so a
+    resident engine's memory bound must act on the manager (rebuild it,
+    re-encoding the live roots), not on this table's keys. *)
 
 val universe : t -> Policy_bdd.universe
 
@@ -41,15 +38,6 @@ val rm_bdd : t -> dest:Prefix.t -> Route_map.t option -> Bdd.t
 
 val stats : t -> int * int
 (** Cumulative (hits, misses) of {!rm_bdd} lookups. *)
-
-val evictions : t -> int
-(** Entries evicted by the {!create} size cap so far. *)
-
-val length : t -> int
-(** Entries currently cached. *)
-
-val max_entries : t -> int
-(** The size cap ([max_int] when unbounded). *)
 
 val bdd_stats : t -> Bdd.stats
 (** Node-table and memo statistics of the shared manager. *)

@@ -1,26 +1,39 @@
 (* The resident engine behind `bonsai serve`.
 
-   One engine holds a registry of warm networks (each an [Incr.state]:
-   the compressed per-class results plus the policy-signature cache) and
-   answers protocol requests against them. The engine is deliberately
-   sequential — the BDD manager is shared mutable state — so request
-   isolation comes from budgets, not threads: every request runs under
-   its own [Budget.t], the request's own --budget-ms/--budget-ticks
-   clamped by the server-wide caps ([Budget.scoped]), and a request that
-   exhausts it gets a typed budget-exceeded response while the engine
-   (and every other queued request) is untouched. [handle_line] is
-   total: arbitrary bytes in, exactly one typed response line out.
+   One engine holds one registry of warm states under one LRU bound —
+   compressed networks (each an [Incr.state]: the per-class results plus
+   the policy-signature cache) and modular runs (each a [Modular.state])
+   — and answers protocol requests against them. The engine is
+   deliberately sequential — the BDD manager is shared mutable state —
+   so request isolation comes from budgets, not threads: every request
+   runs under its own [Budget.t], the request's own
+   --budget-ms/--budget-ticks clamped by the server-wide caps
+   ([Budget.scoped]), and a request that exhausts it gets a typed
+   budget-exceeded response while the engine (and every other queued
+   request) is untouched. [handle_line] is total: arbitrary bytes in,
+   exactly one typed response line out.
 
-   Warm-state policy: a cold [Incr.init] that *degraded* (its budget ran
-   out mid-compression, remaining classes fell back to identity) is
-   answered from but never cached — otherwise one under-budgeted request
-   would poison every later answer for that network with permanently
-   degraded results. Only fully-compressed states enter the registry. *)
+   Warm-state policy, wherever a state enters or changes (cold load,
+   [diff], [modular]): a state its kind marks degraded — a compression
+   whose budget ran out so that classes fell back to identity, a modular
+   run where every module faulted — is answered from but never kept.
+   Otherwise one under-budgeted request would poison every later answer
+   for that network. A degraded [diff] leaves the entry at its pre-diff
+   network. *)
 
-type 'a entry = {
+type warm = Compressed of Incr.state | Modular of Modular.state
+
+(* A compressed network by its spec; a modular run by its spec and what
+   its partition and module health depend on: mode, module count and
+   whether the run certified. *)
+type key =
+  | Network of string
+  | Run of string * Modular.mode * int option * bool
+
+type entry = {
   en_spec : string;
-  en_state : 'a;
-  mutable en_locs : Config_text.loc_table option;
+  en_state : warm;
+  en_locs : Config_text.loc_table option;
       (* the source lines of a file: network, for lint and flow *)
   mutable en_stamp : int;  (* LRU clock for the registry *)
 }
@@ -29,13 +42,8 @@ type t = {
   resolve : string -> Device.network * Config_text.loc_table option;
   cap_deadline_s : float option;
   cap_max_ticks : int option;
-  cache_cap : int option;
   max_networks : int;
-  registry : (string, Incr.state entry) Hashtbl.t;
-  modular_registry : (string, Modular.state entry) Hashtbl.t;
-      (* warm modular runs, keyed by spec, mode, count and certify: a
-         modular state holds per-module results, quarantined
-         module-by-module rather than evicted wholesale *)
+  registry : (key, entry) Hashtbl.t;
   mutable clock : int;
   mutable n_requests : int;
   mutable n_succeeded : int;
@@ -63,8 +71,7 @@ let resolve_spec spec =
   | Error (`Parse ds) ->
     Bonsai_error.error (Bonsai_error.Parse_error { diagnostics = ds })
 
-let create ?resolve ?budget_ms ?budget_ticks ?cache_cap
-    ?(max_networks = 8) () =
+let create ?resolve ?budget_ms ?budget_ticks ?(max_networks = 8) () =
   if max_networks < 1 then
     invalid_arg "Serve_engine.create: max_networks < 1";
   {
@@ -75,10 +82,8 @@ let create ?resolve ?budget_ms ?budget_ticks ?cache_cap
     cap_deadline_s =
       Option.map (fun ms -> float_of_int ms /. 1000.0) budget_ms;
     cap_max_ticks = budget_ticks;
-    cache_cap;
     max_networks;
     registry = Hashtbl.create 7;
-    modular_registry = Hashtbl.create 7;
     clock = 0;
     n_requests = 0;
     n_succeeded = 0;
@@ -95,7 +100,7 @@ let create ?resolve ?budget_ms ?budget_ticks ?cache_cap
   }
 
 let note_shed t = t.n_shed <- t.n_shed + 1
-let networks t = Hashtbl.length t.registry + Hashtbl.length t.modular_registry
+let networks t = Hashtbl.length t.registry
 let requests t = t.n_requests
 
 (* --- registry --------------------------------------------------------- *)
@@ -104,29 +109,64 @@ let touch t en =
   t.clock <- t.clock + 1;
   en.en_stamp <- t.clock
 
-let evict_lru t registry =
+let evict_lru t =
   let victim =
     Hashtbl.fold
       (fun key en acc ->
         match acc with
         | Some (_, best) when best.en_stamp <= en.en_stamp -> acc
         | _ -> Some (key, en))
-      registry None
+      t.registry None
   in
   match victim with
   | None -> ()
   | Some (key, _) ->
-    Hashtbl.remove registry key;
+    Hashtbl.remove t.registry key;
     t.n_net_evictions <- t.n_net_evictions + 1
 
-let admit t registry ?key spec locs st =
-  let key = Option.value key ~default:spec in
-  if Hashtbl.length registry >= t.max_networks then evict_lru t registry;
-  let en =
-    { en_spec = spec; en_state = st; en_locs = locs; en_stamp = 0 }
-  in
-  touch t en;
-  Hashtbl.replace registry key en
+(* Partial module health is a modular run's normal warm shape: only a run
+   with every module faulted is degraded. *)
+let degraded = function
+  | Compressed st -> Option.is_some (Incr.summary st).Bonsai_api.degradation
+  | Modular st ->
+    List.for_all Modular.faulted (Modular.report st).Modular.rp_modules
+
+(* The one admission rule: a degraded state is answered from but never
+   kept, and leaves the registry as it was. Returns whether [st] is now
+   the entry under [key]. A new compressed state awaits the self-audit. *)
+let admit t key spec locs st =
+  let kept = not (degraded st) in
+  if kept then begin
+    if
+      (not (Hashtbl.mem t.registry key))
+      && Hashtbl.length t.registry >= t.max_networks
+    then evict_lru t;
+    let en =
+      { en_spec = spec; en_state = st; en_locs = locs; en_stamp = 0 }
+    in
+    touch t en;
+    Hashtbl.replace t.registry key en;
+    match st with
+    | Compressed _ -> t.audit_dirty <- true
+    | Modular _ -> ()
+  end;
+  kept
+
+(* The warm compressed network of a spec, with its entry. *)
+let warm_network t spec =
+  match Hashtbl.find_opt t.registry (Network spec) with
+  | Some ({ en_state = Compressed st; _ } as en) -> Some (en, st)
+  | Some { en_state = Modular _; _ } | None -> None
+
+(* Every warm compressed network, sorted by spec. *)
+let warm_networks t =
+  Hashtbl.fold
+    (fun _ en acc ->
+      match en.en_state with
+      | Compressed st -> (en, st) :: acc
+      | Modular _ -> acc)
+    t.registry []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a.en_spec b.en_spec)
 
 type warmth = Warm | Cold_cached | Cold_transient
 
@@ -134,31 +174,27 @@ type warmth = Warm | Cold_cached | Cold_transient
    the *request's* budget: a pathological network costs only its own
    requester, never the server. *)
 let get_state t ~budget spec =
-  match Hashtbl.find_opt t.registry spec with
-  | Some en ->
+  match warm_network t spec with
+  | Some (en, st) ->
     touch t en;
-    (en.en_state, Warm)
+    (st, Warm)
   | None -> (
     let net, locs = t.resolve spec in
-    match Incr.init ?cache_cap:t.cache_cap ~budget net with
+    match Incr.init ~budget net with
     | Error e -> Bonsai_error.error e
     | Ok st ->
-      if Option.is_some (Incr.summary st).Bonsai_api.degradation then
-        (st, Cold_transient)
-      else begin
-        admit t t.registry spec locs st;
-        t.audit_dirty <- true;
+      if admit t (Network spec) spec locs (Compressed st) then
         (st, Cold_cached)
-      end)
+      else (st, Cold_transient))
 
 (* The warm network and its source lines if the spec is in the registry,
    else resolved afresh (nothing is cached): for ops that read only the
    configuration. *)
 let warm_or_resolve t spec =
-  match Hashtbl.find_opt t.registry spec with
-  | Some en ->
+  match warm_network t spec with
+  | Some (en, st) ->
     touch t en;
-    (Incr.network en.en_state, en.en_locs)
+    (Incr.network st, en.en_locs)
   | None -> t.resolve spec
 
 (* --- parameter helpers ------------------------------------------------ *)
@@ -244,16 +280,14 @@ let diff_op t req =
   let to_spec = Protocol.require_string req "to" in
   let st, _ = get_state t ~budget spec in
   let net', locs = t.resolve to_spec in
+  (* Recompress a copy, so that a degraded result, which [admit] refuses,
+     leaves the entry at its pre-diff network. A kept one is the [to]
+     network with the [to] lines, and awaits the self-audit. *)
+  let st = Incr.copy st in
   match Incr.recompress_net ~budget st net' with
   | Error e -> Bonsai_error.error e
   | Ok (deltas, rep) ->
-    (* the warm state just changed, degraded or not: the idle self-audit
-       (or an [audit] request) is its one check *)
-    t.audit_dirty <- true;
-    (* the warm network is now the [to] one, and so are its lines *)
-    Option.iter
-      (fun en -> en.en_locs <- locs)
-      (Hashtbl.find_opt t.registry spec);
+    ignore (admit t (Network spec) spec locs (Compressed st) : bool);
     check_degradation req rep.Incr.r_degradation;
     ("network", Json.String spec)
     :: ("to", Json.String to_spec)
@@ -333,14 +367,13 @@ let push_incident t spec detail =
    again: it leaves the registry (the caller also rewrites the
    checkpoint) and an incident is queued for the server loop's log; the
    next request for that spec rebuilds cold from the configs. *)
-let audit_entry t ~budget ~audit spec (en : Incr.state entry) =
+let audit_entry t ~budget ~audit spec st =
   let v =
-    Certify.check_summary ~budget ~audit (Incr.network en.en_state)
-      (Incr.summary en.en_state)
+    Certify.check_summary ~budget ~audit (Incr.network st) (Incr.summary st)
   in
   (match v with
   | Certify.Refuted fs ->
-    Hashtbl.remove t.registry spec;
+    Hashtbl.remove t.registry (Network spec);
     push_incident t spec (Certify.failures_string fs)
   | Certify.Certified _ | Certify.Audit_incomplete _ -> ());
   v
@@ -350,7 +383,7 @@ let drain_incidents t =
   t.pending_incidents <- [];
   xs
 
-let audit_pending t = t.audit_dirty && Hashtbl.length t.registry > 0
+let audit_pending t = t.audit_dirty && not (List.is_empty (warm_networks t))
 
 type audit_outcome =
   | Audit_idle
@@ -358,9 +391,7 @@ type audit_outcome =
   | Audit_unfinished of string
   | Audit_quarantined of string * string
 
-let sorted_specs t =
-  Hashtbl.fold (fun spec _ acc -> spec :: acc) t.registry []
-  |> List.sort String.compare
+let sorted_specs t = List.map (fun (en, _) -> en.en_spec) (warm_networks t)
 
 let audit_step ?(budget = Budget.infinite) t =
   match sorted_specs t with
@@ -376,10 +407,10 @@ let audit_step ?(budget = Budget.infinite) t =
       t.audit_dirty <- false
     end
     else t.audit_cursor <- i + 1;
-    match Hashtbl.find_opt t.registry spec with
+    match warm_network t spec with
     | None -> Audit_idle
-    | Some en -> (
-      match audit_entry t ~budget ~audit:Certify.Sample spec en with
+    | Some (_, st) -> (
+      match audit_entry t ~budget ~audit:Certify.Sample spec st with
       | Certify.Certified _ -> Audit_clean spec
       | Certify.Audit_incomplete _ ->
         (* ran out mid-cycle: stay dirty so the next idle moment retries *)
@@ -393,15 +424,16 @@ let audit_op t req =
   let audit = audit_param req in
   let specs =
     match Protocol.string_param req "network" with
-    | Some spec -> if Hashtbl.mem t.registry spec then [ spec ] else []
+    | Some spec ->
+      if Option.is_some (warm_network t spec) then [ spec ] else []
     | None -> sorted_specs t
   in
   let rows, quarantined =
     List.fold_left
       (fun (rows, q) spec ->
-        match Hashtbl.find_opt t.registry spec with
+        match warm_network t spec with
         | None -> (rows, q)
-        | Some en -> (
+        | Some (_, st) -> (
           let row verdict extra =
             Json.Obj
               (("network", Json.String spec)
@@ -409,7 +441,7 @@ let audit_op t req =
               :: extra)
             :: rows
           in
-          match audit_entry t ~budget ~audit spec en with
+          match audit_entry t ~budget ~audit spec st with
           | Certify.Certified { obligations; _ } ->
             (row "certified" [ ("obligations", Json.Int obligations) ], q)
           | Certify.Audit_incomplete _ -> (row "incomplete" [], q)
@@ -427,33 +459,20 @@ let audit_op t req =
 
 (* --- modular ---------------------------------------------------------- *)
 
-(* A warm modular state answers only the request that built it: the
-   partition depends on the mode and the module count, and the module
-   health on whether the run certified. *)
-let modular_key spec ~mode ~count ~certify =
-  Printf.sprintf "%s\x00%s\x00%s\x00%b" spec
-    (match mode with Modular.Annot -> "annot" | Modular.Auto -> "auto")
-    (Option.fold ~none:"" ~some:string_of_int count)
-    certify
-
+(* A warm modular state answers only the request that built it (see
+   [key]). *)
 let get_modular t ~budget ~mode ~count ~certify spec =
-  let key = modular_key spec ~mode ~count ~certify in
-  match Hashtbl.find_opt t.modular_registry key with
-  | Some en ->
+  let key = Run (spec, mode, count, certify) in
+  match Hashtbl.find_opt t.registry key with
+  | Some ({ en_state = Modular st; _ } as en) ->
     touch t en;
-    (en.en_state, true)
-  | None -> (
+    (st, true)
+  | Some { en_state = Compressed _; _ } | None -> (
     let net, _ = t.resolve spec in
     match Modular.run ~mode ?count ~budget ~certify net with
     | Error e -> Bonsai_error.error e
     | Ok st ->
-      (* Same warm-state policy as compress: a run where *every* module
-         faulted (e.g. an absurd request budget) is answered from but
-         never cached; partial health is the normal warm shape. *)
-      let all_faulted =
-        List.for_all Modular.faulted (Modular.report st).Modular.rp_modules
-      in
-      if not all_faulted then admit t t.modular_registry ~key spec None st;
+      ignore (admit t key spec None (Modular st) : bool);
       (st, false))
 
 (* The envelope carries how serve answered, [warm] and the modules this
@@ -494,14 +513,16 @@ let modular_op t req =
   :: ("quarantined", Json.List (List.map (fun m -> Json.String m) quarantined))
   :: Modular.report_json_fields (Modular.report st)
 
-(* The warm modular entries of a spec with their keys, most recently
-   used first. *)
+(* The warm modular runs of a spec with their keys, most recently used
+   first. *)
 let modular_entries t spec =
   Hashtbl.fold
     (fun key en acc ->
-      if String.equal en.en_spec spec then (key, en) :: acc else acc)
-    t.modular_registry []
-  |> List.sort (fun (_, a) (_, b) -> Int.compare b.en_stamp a.en_stamp)
+      match en.en_state with
+      | Modular st when String.equal en.en_spec spec -> (key, en, st) :: acc
+      | Modular _ | Compressed _ -> acc)
+    t.registry []
+  |> List.sort (fun (_, a, _) (_, b, _) -> Int.compare b.en_stamp a.en_stamp)
 
 (* Test-only fault injection, enabled by BONSAI_TEST_HOOKS=1: silently
    corrupt one warm abstraction in place — move the largest member of a
@@ -559,14 +580,14 @@ let test_corrupt_op t req =
     | Some m -> (
       match modular_entries t spec with
       | [] -> failwith "network not warm (modular)"
-      | (_, en) :: _ -> (
-        match Modular.module_summary en.en_state m with
+      | (_, _, st) :: _ -> (
+        match Modular.module_summary st m with
         | None -> Format.kasprintf failwith "module %S not warm" m
         | Some s -> s.Bonsai_api.results))
     | None -> (
-      match Hashtbl.find_opt t.registry spec with
+      match warm_network t spec with
       | None -> failwith "network not warm"
-      | Some en -> (Incr.summary en.en_state).Bonsai_api.results)
+      | Some (_, st) -> (Incr.summary st).Bonsai_api.results)
   in
   if not (corrupt_results results) then
     failwith "no multi-member group to corrupt";
@@ -587,14 +608,15 @@ let load_op t req =
       Json.Bool (match warmth with Cold_transient -> false | _ -> true) );
   ]
 
-(* Drops the spec from both registries: its compressed state and every
-   warm modular run of it. *)
+(* Drops the spec's compressed state and every warm modular run of it. *)
 let unload_op t req =
   let spec = network_param req in
   let modular = modular_entries t spec in
-  let present = Hashtbl.mem t.registry spec || not (List.is_empty modular) in
-  Hashtbl.remove t.registry spec;
-  List.iter (fun (key, _) -> Hashtbl.remove t.modular_registry key) modular;
+  let present =
+    Hashtbl.mem t.registry (Network spec) || not (List.is_empty modular)
+  in
+  Hashtbl.remove t.registry (Network spec);
+  List.iter (fun (key, _, _) -> Hashtbl.remove t.registry key) modular;
   [ ("network", Json.String spec); ("removed", Json.Bool present) ]
 
 let health_op t ~queue_depth =
@@ -605,22 +627,21 @@ let health_op t ~queue_depth =
   ]
 
 let stats_op t ~queue_depth =
+  let networks = warm_networks t in
   let rows =
-    Hashtbl.fold (fun _ en acc -> en :: acc) t.registry []
-    |> List.sort (fun a b -> String.compare a.en_spec b.en_spec)
-    |> List.map (fun en ->
-           let hits, misses = Incr.cache_stats en.en_state in
-           let summary = Incr.summary en.en_state in
-           Json.Obj
-             [
-               ("network", Json.String en.en_spec);
-               ("ecs", Json.Int (List.length summary.Bonsai_api.results));
-               ("behaviours", Json.Int (Bonsai_api.behaviours summary));
-               ("cache_hits", Json.Int hits);
-               ("cache_misses", Json.Int misses);
-               ( "cache_evictions",
-                 Json.Int (Incr.cache_evictions en.en_state) );
-             ])
+    List.map
+      (fun (en, st) ->
+        let hits, misses = Incr.cache_stats st in
+        let summary = Incr.summary st in
+        Json.Obj
+          [
+            ("network", Json.String en.en_spec);
+            ("ecs", Json.Int (List.length summary.Bonsai_api.results));
+            ("behaviours", Json.Int (Bonsai_api.behaviours summary));
+            ("cache_hits", Json.Int hits);
+            ("cache_misses", Json.Int misses);
+          ])
+      networks
   in
   [
     ("requests", Json.Int t.n_requests);
@@ -629,7 +650,8 @@ let stats_op t ~queue_depth =
     ("shed", Json.Int t.n_shed);
     ("queue_depth", Json.Int queue_depth);
     ("networks", Json.List rows);
-    ("modular_networks", Json.Int (Hashtbl.length t.modular_registry));
+    ( "modular_networks",
+      Json.Int (Hashtbl.length t.registry - List.length networks) );
     ("network_evictions", Json.Int t.n_net_evictions);
     ("checkpoints_saved", Json.Int t.n_checkpoints);
     ("restored_from_checkpoint", Json.Bool t.restored);
@@ -709,10 +731,7 @@ type payload = (string * Incr.state * Config_text.loc_table option) list
 
 let checkpoint t ~path =
   let rows =
-    Hashtbl.fold
-      (fun _ en acc -> (en.en_spec, en.en_state, en.en_locs) :: acc)
-      t.registry []
-    |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
+    List.map (fun (en, st) -> (en.en_spec, st, en.en_locs)) (warm_networks t)
   in
   match Checkpoint.save ~path (rows : payload) with
   | Ok () ->
@@ -727,7 +746,7 @@ let restore t ~path =
       (fun (spec, st, locs) ->
         (* marshaled copies lost Budget.infinite's physical identity *)
         Incr.rearm st;
-        admit t t.registry spec locs st)
+        ignore (admit t (Network spec) spec locs (Compressed st) : bool))
       rows;
     t.restored <- true;
     t.checkpoint_status <- "restored";

@@ -1,8 +1,9 @@
 (** The resident engine behind [bonsai serve].
 
-    Holds a registry of warm networks — each an [Incr.state]: the
-    compressed per-class results plus the policy-signature cache — and
-    answers protocol requests against them. Sequential by design (the
+    Holds one registry of warm states under one LRU bound — compressed
+    networks (each an [Incr.state]: the per-class results plus the
+    policy-signature cache) and modular runs (each a {!Modular.state})
+    — and answers protocol requests against them. Sequential by design (the
     BDD manager is shared mutable state): request isolation comes from
     per-request budgets, not threads. {!handle_line} is total — any
     byte sequence in, exactly one typed NDJSON response line out;
@@ -17,12 +18,18 @@
     with the CLI's findings plus [count] and [errors]. A [file:] network
     keeps its source-line table on its registry entry (replaced by a
     [diff]'s [to] file, saved in checkpoints), so findings carry the
-    CLI's lines. [modular] keeps its own warm registry of
-    {!Modular.state}s, one per network, mode, module count and certify
-    flag; with ["audit": true] it self-audits every warm module and
-    quarantines refutations {e module-by-module}. [unload] drops a
-    network from both registries. No document carries wall-clock or
-    cache counters, so a warm answer equals a cold one byte for byte.
+    CLI's lines. [modular] keeps one warm entry per network, mode,
+    module count and certify flag; with ["audit": true] it self-audits
+    every warm module and quarantines refutations {e module-by-module}.
+    [unload] drops a network's compressed entry and its modular runs.
+    No document carries wall-clock or cache counters, so a warm answer
+    equals a cold one byte for byte.
+
+    Admission: wherever a state enters or changes (cold load, [diff],
+    [modular]), a state its kind marks degraded — a compression that fell
+    back to identity, a modular run with every module faulted — is
+    answered from but never kept, so warm answers are always exact. A
+    degraded [diff] leaves the entry at its pre-diff network.
 
     Self-audit: warm answers come from cached state — an engine bug, a
     bad incremental-reuse decision or adopted checkpoint bytes could
@@ -43,7 +50,6 @@ val create :
   ?resolve:(string -> Device.network) ->
   ?budget_ms:int ->
   ?budget_ticks:int ->
-  ?cache_cap:int ->
   ?max_networks:int ->
   unit ->
   t
@@ -55,8 +61,8 @@ val create :
     also yields its source-line table. A custom [resolve] yields none.
     [budget_ms]/[budget_ticks] are server-wide caps: every request runs
     under [Budget.scoped] of its own ["budget_ms"]/["budget_ticks"]
-    parameters clamped by these. [cache_cap] bounds each network's
-    signature cache; [max_networks] (default 8) bounds the registry,
+    parameters clamped by these. [max_networks] (default 8) bounds the
+    registry, compressed and modular entries counted together,
     LRU-evicting beyond it. *)
 
 val handle_line :
@@ -75,8 +81,7 @@ val note_shed : t -> unit
     the server loop; the engine only keeps the statistic). *)
 
 val networks : t -> int
-(** Warm entries in both registries: compressed networks and modular
-    runs. *)
+(** Warm entries in the registry: compressed networks and modular runs. *)
 
 val requests : t -> int
 

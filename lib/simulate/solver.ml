@@ -142,8 +142,7 @@ let sweep (srp : 'a Srp.t) (labels : 'a option array) =
   done;
   (!stable, table)
 
-let solve ?(seed = 0) ?max_steps ?(budget = Budget.infinite)
-    ?(diag_rounds = 64) (srp : 'a Srp.t) =
+let solve ?(seed = 0) ?max_steps ?(budget = Budget.infinite) (srp : 'a Srp.t) =
   let g = srp.Srp.graph in
   let n = Graph.n_nodes g in
   let max_steps =
@@ -240,7 +239,7 @@ let solve ?(seed = 0) ?max_steps ?(budget = Budget.infinite)
       let diag_trace = List.of_seq (Queue.to_seq trace) in
       (* diagnosis mutates a copy; [diag_sol] is the post-sweep labeling *)
       let labels' = Array.copy labels in
-      let diag_verdict = diagnose srp labels' ~rounds:diag_rounds in
+      let diag_verdict = diagnose srp labels' ~rounds:64 in
       Error
         (`Diverged
           {
@@ -267,8 +266,8 @@ let pp_diagnosis ppf d =
     (pp_verdict ~graph:d.diag_sol.Solution.srp.Srp.graph)
     d.diag_verdict
 
-let solve_exn ?seed ?max_steps ?budget ?diag_rounds srp =
-  match solve ?seed ?max_steps ?budget ?diag_rounds srp with
+let solve_exn ?seed ?max_steps ?budget srp =
+  match solve ?seed ?max_steps ?budget srp with
   | Ok (s, _) -> s
   | Error (`Diverged d) ->
     Bonsai_error.error

@@ -53,7 +53,6 @@ val solve :
   ?seed:int ->
   ?max_steps:int ->
   ?budget:Budget.t ->
-  ?diag_rounds:int ->
   'a Srp.t ->
   ( 'a Solution.t * stats,
     [ `Diverged of 'a diagnosis | `Budget of Budget.info * 'a Solution.t ] )
@@ -62,8 +61,8 @@ val solve :
     order and neighbor tie-breaking (default 0: deterministic first-best).
     [max_steps] bounds node activations (default [64 * n * (n + 1)]);
     internally it is one more {!Budget} (ticks only) whose exhaustion
-    means "possibly divergent" and triggers the post-mortem bounded by
-    [diag_rounds] (default 64). The caller-supplied [budget] (wall clock /
+    means "possibly divergent" and triggers a post-mortem of at most 64
+    rounds. The caller-supplied [budget] (wall clock /
     ticks / cancellation, shared across a whole pipeline run) is consumed
     one tick per activation; its exhaustion instead returns [`Budget] with
     the exhaustion info and the partial (unstable) labeling reached so
@@ -81,8 +80,7 @@ val sweep : 'a Srp.t -> 'a option array -> bool * (int * int) list array
     {!Solution.fwd}. *)
 
 val solve_exn :
-  ?seed:int -> ?max_steps:int -> ?budget:Budget.t -> ?diag_rounds:int ->
-  'a Srp.t -> 'a Solution.t
+  ?seed:int -> ?max_steps:int -> ?budget:Budget.t -> 'a Srp.t -> 'a Solution.t
 (** @raise Bonsai_error.Error with [Divergence] on divergence (the
     diagnosis in the message), and [Budget.Exhausted] on budget
     exhaustion. *)

@@ -4,7 +4,8 @@
 #
 #   1. mixed request stream (including dataplane-diff against the warm
 #      incremental state); typed errors (budget-exceeded, bad request)
-#      must stay typed and map to the documented exit codes
+#      must stay typed and map to the documented exit codes, and a
+#      starved write must leave the warm network as it was
 #   2. SIGTERM mid-stream: drain, checkpoint, exit 0
 #   3. restart: warm restore; compress response byte-identical to cold
 #   4. kill -9: the periodic checkpoint (--checkpoint-every 1) survives
@@ -94,6 +95,11 @@ req 0 "$DIR/dpd2.json" dataplane-diff --network ring:6 --to ring:8
 grep -q '"changed":true' "$DIR/dpd2.json" ||
   fail "grown-ring dataplane-diff saw no changes: $(cat "$DIR/dpd2.json")"
 req 3 "$DIR/r.json" dataplane-diff --network mesh:4 --to ring:6 --budget-ticks 1
+# a starved write is answered, never kept: ring:6 stays warm as it was
+req 3 "$DIR/r.json" diff --network ring:6 --to ring:8 --budget-ticks 1
+req 0 "$DIR/kept.json" compress --network ring:6
+cmp -s "$DIR/cold.json" "$DIR/kept.json" ||
+  fail "compress after a starved diff differs from the cold response"
 req 0 "$DIR/r.json" stats
 # request isolation: a starved request fails typed, the server lives on
 req 3 "$DIR/r.json" compress --network mesh:4 --budget-ticks 1

@@ -1,9 +1,9 @@
 (* Tests for the resident engine (lib/serve): the JSON codec, protocol
    framing, the bounded admission queue, the checkpoint format's three
    corruption guards, the engine's crash-proof request boundary (budget
-   isolation, typed errors, warm-state restore), the Sig_cache LRU
-   eviction the engine relies on to stay bounded, and the agreement of
-   the CLI's --format json output with the engine's responses.
+   isolation, typed errors, warm-state restore), its one bounded
+   registry, and the agreement of the CLI's --format json output with
+   the engine's responses.
 
    The QCheck iteration count defaults to a small CI-friendly number and
    scales with FUZZ_COUNT (e.g. `FUZZ_COUNT=500 dune exec
@@ -133,35 +133,6 @@ let test_scheduler_fifo_and_shed () =
   Alcotest.check_raises "max_inflight < 1 rejected"
     (Invalid_argument "Scheduler.create: max_inflight < 1") (fun () ->
       ignore (Scheduler.create ~max_inflight:0))
-
-(* --- Sig_cache LRU eviction -------------------------------------------- *)
-
-let test_sig_cache_eviction () =
-  let net = Synthesis.ring_bgp ~n:4 in
-  let cache = Sig_cache.create ~max_entries:2 net in
-  let p n = Prefix.of_string (Printf.sprintf "10.0.%d.0/24" n) in
-  let b0 = Sig_cache.rm_bdd cache ~dest:(p 0) None in
-  ignore (Sig_cache.rm_bdd cache ~dest:(p 1) None);
-  Alcotest.(check int) "full" 2 (Sig_cache.length cache);
-  Alcotest.(check int) "no evictions yet" 0 (Sig_cache.evictions cache);
-  (* touch p0 so p1 is the LRU victim *)
-  ignore (Sig_cache.rm_bdd cache ~dest:(p 0) None);
-  ignore (Sig_cache.rm_bdd cache ~dest:(p 2) None);
-  Alcotest.(check int) "capped" 2 (Sig_cache.length cache);
-  Alcotest.(check int) "one eviction" 1 (Sig_cache.evictions cache);
-  let hits_before, misses_before = Sig_cache.stats cache in
-  (* p0 survived (touched): a hit. p1 was evicted: re-encodes as a miss,
-     but into the same hash-consed manager — the identical BDD node. *)
-  let b0' = Sig_cache.rm_bdd cache ~dest:(p 0) None in
-  Alcotest.(check bool) "touched entry survived" true (b0 == b0');
-  ignore (Sig_cache.rm_bdd cache ~dest:(p 1) None);
-  let hits_after, misses_after = Sig_cache.stats cache in
-  Alcotest.(check int) "survivor hit" (hits_before + 1) hits_after;
-  Alcotest.(check int) "evictee re-encoded" (misses_before + 1) misses_after;
-  Alcotest.(check int) "cap accessor" 2 (Sig_cache.max_entries cache);
-  Alcotest.check_raises "max_entries < 1 rejected"
-    (Invalid_argument "Sig_cache.create: max_entries < 1") (fun () ->
-      ignore (Sig_cache.create ~max_entries:0 net))
 
 (* --- Checkpoint --------------------------------------------------------- *)
 
@@ -390,6 +361,7 @@ let test_engine_corrupt_checkpoint_cold () =
   Alcotest.(check bool) "serves cold" true
     (response_ok (handle eng "{\"op\":\"compress\",\"network\":\"ring:4\"}"))
 
+(* One bound covers compressed networks and modular runs together. *)
 let test_engine_lru_registry () =
   let eng =
     Serve_engine.create ~resolve ~max_networks:1 ()
@@ -397,7 +369,11 @@ let test_engine_lru_registry () =
   ignore (handle eng "{\"op\":\"load\",\"network\":\"ring:4\"}");
   Alcotest.(check int) "one network" 1 (Serve_engine.networks eng);
   ignore (handle eng "{\"op\":\"load\",\"network\":\"ring:6\"}");
-  Alcotest.(check int) "still one network" 1 (Serve_engine.networks eng)
+  Alcotest.(check int) "still one network" 1 (Serve_engine.networks eng);
+  Alcotest.(check bool) "modular ok" true
+    (response_ok (handle eng "{\"op\":\"modular\",\"network\":\"ring:6\"}"));
+  Alcotest.(check int) "a modular run counts against the same bound" 1
+    (Serve_engine.networks eng)
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -464,33 +440,6 @@ let test_engine_self_audit_quarantines () =
     (handle eng line);
   Alcotest.(check bool) "incident counted in stats" true
     (contains (handle eng "{\"op\":\"stats\"}") "\"incidents\":1")
-
-(* A diff that degrades without "degrade": true answers budget-exceeded,
-   but the warm entry has already moved to the [to] network: the idle
-   self-audit must still revisit it. *)
-let test_engine_degraded_diff_dirty () =
-  let eng = engine () in
-  Alcotest.(check bool) "warm" true
-    (response_ok (handle eng "{\"op\":\"compress\",\"network\":\"ring:4\"}"));
-  let rec drain n =
-    if Serve_engine.audit_pending eng then begin
-      if n = 0 then Alcotest.fail "self-audit never settles";
-      (match Serve_engine.audit_step eng with
-      | Serve_engine.Audit_clean _ | Serve_engine.Audit_idle -> ()
-      | _ -> Alcotest.fail "healthy warm state must audit clean");
-      drain (n - 1)
-    end
-  in
-  drain 10;
-  let r =
-    handle eng
-      "{\"op\":\"diff\",\"network\":\"ring:4\",\"to\":\"ring:6\",\
-       \"budget_ticks\":1}"
-  in
-  Alcotest.(check bool) "degraded diff fails" false (response_ok r);
-  Alcotest.(check string) "typed class" "budget-exceeded" (error_class r);
-  Alcotest.(check bool) "changed entry awaits the audit" true
-    (Serve_engine.audit_pending eng)
 
 (* --- Backoff (the bonsai-watch retry policy) ---------------------------- *)
 
@@ -1042,6 +991,39 @@ let test_engine_unload_modular () =
   check "health: none left" (Json.Int 0) networks;
   check "the next modular is cold" (Json.Bool false) (member "warm" (annot ()))
 
+(* A degraded diff is answered from but never kept: whether it answers
+   budget-exceeded or, under "degrade": true, ok and degraded, the warm
+   entry stays at its pre-diff network. *)
+let test_engine_starved_diff_keeps_network () =
+  let eng = engine () in
+  let compress = "{\"op\":\"compress\",\"network\":\"ring:4\"}" in
+  let before = handle eng compress in
+  Alcotest.(check bool) "warm" true (response_ok before);
+  let diff extra =
+    handle eng
+      ("{\"op\":\"diff\",\"network\":\"ring:4\",\"to\":\"ring:6\",\
+        \"budget_ticks\":1" ^ extra ^ "}")
+  in
+  let unchanged what =
+    let after = handle eng compress in
+    Alcotest.(check bool) (what ^ ": compress ok") true (response_ok after);
+    Alcotest.(check bool) (what ^ ": undegraded") true
+      (Json.equal (Json.Bool false)
+         (member "degraded" (parse_or_fail "compress" after)));
+    Alcotest.(check string) (what ^ ": byte-identical to before") before after
+  in
+  let starved = diff "" in
+  Alcotest.(check string) "starved diff typed" "budget-exceeded"
+    (error_class starved);
+  unchanged "after a starved diff";
+  let degraded = parse_or_fail "degraded diff" (diff ",\"degrade\":true") in
+  Alcotest.(check bool) "degrade opt-in ok" true
+    (Json.equal (Json.Bool true) (member "ok" degraded));
+  Alcotest.(check bool) "answer says degraded" true
+    (Json.equal (Json.Bool true) (member "degraded" degraded));
+  unchanged "after a degraded diff";
+  Alcotest.(check int) "one warm entry" 1 (Serve_engine.networks eng)
+
 (* stats counts each warm network's classes and the distinct behaviours
    (class keys) among them *)
 let test_engine_stats_behaviours () =
@@ -1078,8 +1060,6 @@ let () =
         ] );
       ( "scheduler",
         [ Alcotest.test_case "fifo and shed" `Quick test_scheduler_fifo_and_shed ] );
-      ( "sig-cache",
-        [ Alcotest.test_case "lru eviction" `Quick test_sig_cache_eviction ] );
       ( "checkpoint",
         [
           Alcotest.test_case "roundtrip" `Quick test_checkpoint_roundtrip;
@@ -1100,8 +1080,8 @@ let () =
           Alcotest.test_case "registry lru" `Quick test_engine_lru_registry;
           Alcotest.test_case "version skew distinct" `Quick
             test_engine_version_skew_distinct;
-          Alcotest.test_case "degraded diff awaits the audit" `Quick
-            test_engine_degraded_diff_dirty;
+          Alcotest.test_case "starved diff keeps the pre-diff network" `Quick
+            test_engine_starved_diff_keeps_network;
           Alcotest.test_case "self-audit quarantines" `Quick
             test_engine_self_audit_quarantines;
           Alcotest.test_case "modular self-audit quarantines" `Quick
