@@ -6,7 +6,7 @@
      dune exec bench/main.exe -- --help
 
    Subcommands: table1a table1b figure11 figure12 batfish-query
-   ablation-bdd ablation-uu faults harden incr serve certify modular micro all.
+   ablation-bdd ablation-uu faults harden incr serve certify micro all.
 
    Absolute numbers differ from the paper (different hardware, an
    explicit-state analysis client instead of SMT); EXPERIMENTS.md records
@@ -920,101 +920,6 @@ let certify_bench ?(k = 6) ~json_path ~assert_overhead () =
       rows
 
 (* ------------------------------------------------------------------ *)
-(* Modular compression (bonsai modular)                                *)
-(* ------------------------------------------------------------------ *)
-
-(* The ISSUE acceptance contrast: the streaming modular engine compresses
-   the multiwan WAN one region at a time (the whole network never
-   materialized), while monolithic compression of the same network under
-   a wall-clock budget exhausts and degrades. Modular runs first, so the
-   monotone [Gc.stat].top_heap_words read after each phase is an honest
-   per-phase peak. *)
-let modular_bench ?(regions = 50) ?(region_size = 40) ~mono_budget_s
-    ~json_path () =
-  hr "Modular compression (bonsai modular) vs monolithic";
-  let peak_mb () =
-    float_of_int (Gc.stat ()).Gc.top_heap_words
-    *. float_of_int (Sys.word_size / 8)
-    /. 1e6
-  in
-  Gc.compact ();
-  let rep, t_mod =
-    Timing.time (fun () ->
-        match
-          Modular.run_stream ~count:regions
-            (Synthesis.multiwan_stream ~regions ~region_size)
-        with
-        | Ok rep -> rep
-        | Error e -> fail "modular bench: %a" Bonsai_error.pp e)
-  in
-  let mod_peak = peak_mb () in
-  let faulted =
-    List.length (List.filter Modular.faulted rep.Modular.rp_modules)
-  in
-  let concrete =
-    List.fold_left
-      (fun a m -> a + m.Modular.mr_concrete)
-      0 rep.Modular.rp_modules
-  and abstract =
-    List.fold_left
-      (fun a m -> a + m.Modular.mr_abstract)
-      0 rep.Modular.rp_modules
-  in
-  Printf.printf
-    "modular stream: %d modules, %d routers in %.3fs (peak %.0f MB); %d \
-     faulted; %d concrete -> %d abstract\n%!"
-    (List.length rep.Modular.rp_modules)
-    rep.Modular.rp_routers t_mod mod_peak faulted concrete abstract;
-  let net = (Synthesis.multiwan ~regions ~region_size).Synthesis.net in
-  let budget = Budget.create ~deadline_s:mono_budget_s () in
-  let s, t_mono =
-    Timing.time (fun () ->
-        match Bonsai_api.compress ~budget net with
-        | Ok s -> s
-        | Error e -> fail "modular bench (monolithic): %a" Bonsai_error.pp e)
-  in
-  let mono_peak = peak_mb () in
-  let completed, total =
-    match s.Bonsai_api.degradation with
-    | Some d -> (d.Bonsai_api.deg_completed, d.Bonsai_api.deg_total)
-    | None -> (List.length s.Bonsai_api.results, List.length s.Bonsai_api.results)
-  in
-  Printf.printf
-    "monolithic (%.0fs budget): %d/%d classes compressed in %.3fs (peak %.0f \
-     MB)%s\n%!"
-    mono_budget_s completed total t_mono mono_peak
-    (if completed < total then " -- budget exhausted, rest degraded to identity"
-     else "");
-  write_json json_path
-    (Json.Obj
-       [
-         ("regions", Json.Int regions); ("region_size", Json.Int region_size);
-         ("routers", Json.Int rep.Modular.rp_routers);
-         ( "modular",
-           Json.Obj
-             [
-               ("time_s", fixed 6 t_mod); ("peak_mb", fixed 1 mod_peak);
-               ("modules", Json.Int (List.length rep.Modular.rp_modules));
-               ("faulted", Json.Int faulted); ("concrete", Json.Int concrete);
-               ("abstract", Json.Int abstract);
-             ] );
-         ( "monolithic",
-           Json.Obj
-             [
-               ("time_s", fixed 6 t_mono); ("peak_mb", fixed 1 mono_peak);
-               ("budget_s", fixed 1 mono_budget_s);
-               ("classes_total", Json.Int total);
-               ("classes_compressed", Json.Int completed);
-               ("degraded", Json.Bool (completed < total));
-             ] );
-       ]);
-  if faulted > 0 then begin
-    Printf.eprintf "FAIL: %d module(s) faulted on the healthy workload\n"
-      faulted;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks of the core kernels                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -1101,9 +1006,9 @@ let () =
   let usage () =
     prerr_endline
       "usage: bench/main.exe \
-       [table1a|table1b|figure11|figure12|batfish-query|ablation-bdd|ablation-uu|faults|harden|incr|dataplane|serve|certify|modular|micro|all] \
+       [table1a|table1b|figure11|figure12|batfish-query|ablation-bdd|ablation-uu|faults|harden|incr|dataplane|serve|certify|micro|all] \
        [--timeout SECONDS] [--samples N] [--k K] [--deltas N] \
-       [--regions N] [--region-size N] [--json FILE] \
+       [--json FILE] \
        [--assert-speedup MIN] [--assert-overhead MAX]";
     exit 2
   in
@@ -1112,8 +1017,6 @@ let () =
   let samples = ref None in
   let k = ref 8 in
   let n_deltas = ref 10 in
-  let regions = ref 50 in
-  let region_size = ref 40 in
   let json_path = ref "BENCH_incr.json" in
   let assert_speedup = ref None in
   let assert_overhead = ref None in
@@ -1135,16 +1038,6 @@ let () =
     | "--deltas" :: v :: rest ->
       (match int_of_string_opt v with
       | Some n -> n_deltas := n
-      | None -> usage ());
-      parse cmds rest
-    | "--regions" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some n -> regions := n
-      | None -> usage ());
-      parse cmds rest
-    | "--region-size" :: v :: rest ->
-      (match int_of_string_opt v with
-      | Some n -> region_size := n
       | None -> usage ());
       parse cmds rest
     | "--json" :: v :: rest ->
@@ -1204,14 +1097,6 @@ let () =
         certify_bench
           ~k:(if !k = 8 then 6 else !k)
           ~json_path ~assert_overhead:!assert_overhead ()
-      | "modular" ->
-        let json_path =
-          if String.equal !json_path "BENCH_incr.json" then
-            "BENCH_modular.json"
-          else !json_path
-        in
-        modular_bench ~regions:!regions ~region_size:!region_size
-          ~mono_budget_s:!timeout_s ~json_path ()
       | "micro" -> micro ()
       | "all" -> all ~timeout_s:!timeout_s ()
       | _ -> usage ())

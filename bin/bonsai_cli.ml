@@ -7,8 +7,7 @@
      bonsai roles datacenter
 
    Network specifications: fattree:K, fattree-prefer:K, ring:N, mesh:N,
-   random:N[:SEED], multiwan:R:S, datacenter, wan, file:PATH, and for
-   [modular] only multiwan-stream:R:S. *)
+   random:N[:SEED], multiwan:R:S, datacenter, wan, file:PATH. *)
 
 (* A bad network spec / router name on the command line: reported as a
    usage error, not as one of the typed pipeline failures. *)
@@ -308,61 +307,6 @@ let compress_cmd_run spec ec_prefix dot all check check_dataplane format
     match (dp_status, cert_status) with
     | `Incomplete, _ | _, `Incomplete -> degrade_exit 3
     | `Ok, (`Certified | `Skipped) -> 0
-
-(* --- modular: per-module compression with fault isolation --------------- *)
-
-let modular_cmd_run spec mode count format budget_ms budget_ticks degrade
-    certify inject_fault =
-  guarded @@ fun () ->
-  let budget = make_budget budget_ms budget_ticks in
-  (* Escalated-retry pacing: a faulting module waits (briefly, growing
-     per fault) before its second attempt — the same Backoff policy the
-     watcher and `bonsai request` use. *)
-  let bo = Backoff.create ~base_ms:10 ~cap_ms:2000 () in
-  let retry_pause name =
-    let ms = Backoff.note_failure bo in
-    Printf.eprintf "modular: module %s faulted; retrying after %dms with an \
-                    escalated slice\n%!" name ms;
-    Unix.sleepf (float_of_int ms /. 1000.0)
-  in
-  let finish (rp : Modular.report) =
-    (match format with
-    | `Text -> Format.printf "%a%!" Modular.pp_report rp
-    | `Json -> print_json (Json.Obj (Modular.report_json_fields rp)));
-    Printf.eprintf "modular: %d module%s compressed in %.3fs\n%!"
-      (List.length rp.Modular.rp_modules)
-      (if List.length rp.Modular.rp_modules = 1 then "" else "s")
-      rp.Modular.rp_time_s;
-    report_budget budget;
-    let refuted =
-      List.exists
-        (fun (mr : Modular.module_report) ->
-          mr.Modular.mr_health = Modular.Refuted)
-        rp.Modular.rp_modules
-    in
-    if refuted then
-      (* a refuted certificate is never masked by --degrade *)
-      Bonsai_error.exit_code (Bonsai_error.Certificate_failure "")
-    else if Modular.any_fault rp && not degrade then 3
-    else 0
-  in
-  match String.split_on_char ':' spec with
-  | [ "multiwan-stream"; r; s ] -> (
-    (* The 10k-router path: modules are synthesized, compressed, and
-       dropped one at a time — the whole network never materializes. *)
-    match (int_of_string_opt r, int_of_string_opt s) with
-    | Some regions, Some region_size -> (
-      let seq = Synthesis.multiwan_stream ~regions ~region_size in
-      finish
-        (ok_or_raise
-           (Modular.run_stream ~budget ~certify ~inject_fault ~retry_pause
-              ~count:regions seq)))
-    | _ ->
-      raise (Usage "multiwan-stream spec is multiwan-stream:REGIONS:SIZE"))
-  | _ ->
-    let net = resolve_network spec in
-    Modular.run ~mode ?count ~budget ~certify ~inject_fault ~retry_pause net
-    |> ok_or_raise |> Modular.report |> finish
 
 (* --- diff / watch: incremental recompression --------------------------- *)
 
@@ -1455,53 +1399,6 @@ let compress_cmd =
       $ check_dataplane $ format_arg $ budget_ms_arg $ budget_ticks_arg
       $ degrade_arg $ certify_flag $ audit_arg $ certificate_arg)
 
-let modular_cmd =
-  let mode =
-    Arg.(
-      value
-      & opt (enum [ ("auto", Modular.Auto); ("annot", Modular.Annot) ])
-          Modular.Auto
-      & info [ "modules" ] ~docv:"MODE"
-          ~doc:
-            "Partitioning mode: $(b,annot) requires a $(i,module NAME) \
-             annotation on every router; $(b,auto) (default) grows BFS \
-             regions of roughly equal size.")
-  in
-  let count =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "count" ] ~docv:"N"
-          ~doc:"Target module count for $(b,--modules auto).")
-  in
-  let inject =
-    Arg.(
-      value & opt_all string []
-      & info [ "inject-fault" ] ~docv:"MODULE"
-          ~doc:
-            "Force the named module to run under a 1-tick budget (both \
-             attempts) — a deterministic fault for testing isolation; \
-             repeatable.")
-  in
-  Cmd.v
-    (cmd_info "modular"
-       ~doc:
-         "Compress a network module-by-module, each module under its own \
-          budget slice and BDD manager, with per-module fault isolation: a \
-          module that diverges, exhausts its slice, or fails \
-          $(b,--certify) is retried once with an escalated slice, then \
-          degraded to the identity abstraction for that module only. \
-          Prints the per-module health table (ok/retried/degraded/\
-          refuted). The spec $(b,multiwan-stream:R:S) synthesizes and \
-          compresses an R-region WAN one module at a time without \
-          materializing the whole network. Exit 0 when every module is \
-          healthy (or $(b,--degrade) is set), 3 when any module degraded, \
-          8 when a certificate was refuted.")
-    Term.(
-      const modular_cmd_run $ network_arg $ mode $ count $ format_arg
-      $ budget_ms_arg $ budget_ticks_arg $ degrade_arg $ certify_flag
-      $ inject)
-
 (* The two positional specs of [diff] and [dataplane-diff]. *)
 let old_arg =
   Arg.(
@@ -1888,8 +1785,8 @@ let serve_cmd =
       value & opt int 8
       & info [ "max-networks" ] ~docv:"N"
           ~doc:
-            "Bound the warm registry to N entries, compressed networks and \
-             modular runs counted together (LRU; default 8).")
+            "Bound the warm registry to N compressed networks (LRU; \
+             default 8).")
   in
   let checkpoint =
     Arg.(
@@ -2028,4 +1925,4 @@ let () =
     (Cmd.eval'
        (Cmd.group
           (Cmd.info "bonsai" ~version:"1.0.0" ~doc ~exits)
-          [ info_cmd; compress_cmd; modular_cmd; certify_cmd; diff_cmd; dataplane_diff_cmd; watch_cmd; lint_cmd; flow_cmd; verify_cmd; roles_cmd; export_cmd; policy_cmd; explain_cmd; trace_cmd; faults_cmd; harden_cmd; serve_cmd; request_cmd ]))
+          [ info_cmd; compress_cmd; certify_cmd; diff_cmd; dataplane_diff_cmd; watch_cmd; lint_cmd; flow_cmd; verify_cmd; roles_cmd; export_cmd; policy_cmd; explain_cmd; trace_cmd; faults_cmd; harden_cmd; serve_cmd; request_cmd ]))

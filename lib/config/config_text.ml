@@ -83,7 +83,6 @@ let print (net : Device.network) =
   Array.iteri
     (fun v (r : Device.router) ->
       pr "\nrouter %s\n" (Graph.name g v);
-      Option.iter (fun m -> pr "  module %s\n" m) r.module_name;
       if r.ospf_area <> 0 then pr "  ospf area %d\n" r.ospf_area;
       List.iter
         (fun (u, (l : Device.ospf_link)) ->
@@ -500,9 +499,6 @@ let parse_full text =
               | _ -> error lineno "bad redistribute target %s" what
             in
             r := { !r with Device.redistribute = !r.Device.redistribute @ [ rd ] })
-          | [ "module"; m ] ->
-            acl_target := None;
-            r := { !r with Device.module_name = Some m }
           | _ ->
             error lineno "bad router line: %s" (String.concat " " toks)
           with Parse_error (l, m) -> add_diag l m)

@@ -41,9 +41,6 @@ type router = {
   acl_out : (int * Acl.t) list;
   originated : Prefix.t list;
   redistribute : Multi.redistribution list;
-  module_name : string option;
-      (* operator-assigned fault-isolation module, from a [module NAME]
-         stanza line; [None] = unassigned (auto-partitioned) *)
 }
 
 type network = { graph : Graph.t; routers : router array }
@@ -58,7 +55,6 @@ let default_router name =
     acl_out = [];
     originated = [];
     redistribute = [];
-    module_name = None;
   }
 
 let ebgp_full ?import_rm ?export_rm graph v r =

@@ -37,9 +37,6 @@ type router = {
   acl_out : (int * Acl.t) list;  (** outbound ACL per neighbor interface *)
   originated : Prefix.t list;  (** prefixes this router announces *)
   redistribute : Multi.redistribution list;
-  module_name : string option;
-      (** operator-assigned fault-isolation module ([module NAME] in the
-          config text); [None] = unassigned, auto-partitioned *)
 }
 
 type network = { graph : Graph.t; routers : router array }

@@ -22,19 +22,6 @@ type universe_params = {
   up_meds : int array;
 }
 
-let universe_of_params { up_comms; up_lps; up_meds } =
-  let lp_bits = Bvec.bits_needed (max 1 (Array.length up_lps - 1)) in
-  let med_bits = Bvec.bits_needed (max 1 (Array.length up_meds - 1)) in
-  {
-    man = Bdd.man ();
-    comms = up_comms;
-    lps = up_lps;
-    meds = up_meds;
-    lp_bits;
-    med_bits;
-    width = Array.length up_comms + lp_bits + med_bits + 1;
-  }
-
 let params_of_universe u = { up_comms = u.comms; up_lps = u.lps; up_meds = u.meds }
 
 let universe_params ?(keep_unmatched_comms = false) (net : Device.network) =
@@ -71,7 +58,20 @@ let universe_params ?(keep_unmatched_comms = false) (net : Device.network) =
   }
 
 let universe_of_network ?keep_unmatched_comms net =
-  universe_of_params (universe_params ?keep_unmatched_comms net)
+  let { up_comms; up_lps; up_meds } =
+    universe_params ?keep_unmatched_comms net
+  in
+  let lp_bits = Bvec.bits_needed (max 1 (Array.length up_lps - 1)) in
+  let med_bits = Bvec.bits_needed (max 1 (Array.length up_meds - 1)) in
+  {
+    man = Bdd.man ();
+    comms = up_comms;
+    lps = up_lps;
+    meds = up_meds;
+    lp_bits;
+    med_bits;
+    width = Array.length up_comms + lp_bits + med_bits + 1;
+  }
 
 (* Variable layout: the input, output and scratch variables of one field
    are adjacent ([3*field + b] with b = 0 input, 1 output, 2 scratch).

@@ -41,19 +41,15 @@ type universe_params = {
   up_lps : int array;
   up_meds : int array;
 }
-(** A universe's value layout, detached from any BDD manager. Modular
-    compression scans the whole network once for these, then builds one
-    fresh-manager universe per module from the {e same} params: a
-    community matched only in module B still gets a variable in module
-    A's universe, so policy-BDD equality means the same thing in every
-    module. *)
+(** A universe's value layout, detached from any BDD manager: the
+    communities, local-preference and MED values that get variables.
+    Two networks with equal params encode every policy over the same
+    variables, which is what [Sig_cache.compatible] compares before it
+    reuses cached BDDs for a changed network. *)
 
 val universe_params :
   ?keep_unmatched_comms:bool -> Device.network -> universe_params
 (** The scan half of {!universe_of_network} — no manager allocated. *)
-
-val universe_of_params : universe_params -> universe
-(** Build a universe with a fresh manager over a fixed layout. *)
 
 val params_of_universe : universe -> universe_params
 

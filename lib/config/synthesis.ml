@@ -514,14 +514,12 @@ let random_multi_network ~n ~seed =
   { Device.graph = g; routers }
 
 (* ------------------------------------------------------------------ *)
-(* Multi-region WAN with module annotations, streamable region by      *)
-(* region so the 10k-router modular benchmark never materializes the   *)
-(* whole network.                                                      *)
+(* Multi-region WAN: the 10k-router scale fixture.                     *)
 (* ------------------------------------------------------------------ *)
 
+(* The aggregate standing in for every destination outside a region. *)
 let multiwan_external = Prefix.make (Ipv4.of_octets 10 254 0 0) 16
 let multiwan_region_prefix k = Prefix.make (Ipv4.of_octets 10 (k mod 250) 0 0) 16
-let multiwan_region_name k = Printf.sprintf "region%d" k
 
 (* Access-router import variants: the filter classes below behave
    differently on the region's own prefix and on the external aggregate,
@@ -544,17 +542,9 @@ let multiwan_import k j : Route_map.t =
       { verdict = Permit; conds = [ Match_prefix [ space ] ]; actions = [] };
     ]
 
-let multiwan_check ~regions ~region_size =
-  if regions < 1 || regions > 250 then
-    invalid_arg "Synthesis.multiwan: regions must be in 1..250";
-  if region_size < 3 then
-    invalid_arg "Synthesis.multiwan: region_size must be >= 3"
-
-(* One region's routers: nodes 0 and 1 are the gateways (the module
-   boundary), 2.. are access routers hanging off both gateways in a
-   chain. [succ] lists every topology neighbor inside the region; extra
-   neighbors appended by the caller (core links, env stubs) are wired by
-   the caller itself. *)
+(* One region's routers: nodes 0 and 1 are the gateways (the region's
+   boundary to the core), 2.. are access routers hanging off both
+   gateways. *)
 (* Dual-homed hub-and-spoke: every access router peers with both
    gateways and nothing else, so access routers sharing an import
    variant are exchangeable — the shape compression exploits (a chain
@@ -568,7 +558,6 @@ let multiwan_region_links ~base ~region_size =
   List.rev !links
 
 let multiwan_region_router ~k g v ~idx =
-  let name = multiwan_region_name k in
   let r = Device.default_router (Graph.name g v) in
   let import_rm =
     if idx < 2 then Some space_filter else Some (multiwan_import k (idx mod 3))
@@ -586,16 +575,17 @@ let multiwan_region_router ~k g v ~idx =
                    ibgp = false;
                    rel = Device.Rel_unknown;
                  } ));
-      module_name = Some name;
     }
   in
   if idx = 0 then { r with Device.originated = [ multiwan_region_prefix k ] }
   else r
 
-(* The fully materialized network: [regions] annotated regions plus a
-   core ring (module "core") carrying the external aggregate. *)
+(* [regions] regions plus a core ring carrying the external aggregate. *)
 let multiwan ~regions ~region_size =
-  multiwan_check ~regions ~region_size;
+  if regions < 1 || regions > 250 then
+    invalid_arg "Synthesis.multiwan: regions must be in 1..250";
+  if region_size < 3 then
+    invalid_arg "Synthesis.multiwan: region_size must be >= 3";
   let b = Graph.Builder.create () in
   for k = 0 to regions - 1 do
     for i = 0 to region_size - 1 do
@@ -636,7 +626,6 @@ let multiwan ~regions ~region_size =
                            ibgp = false;
                            rel = Device.Rel_unknown;
                          } ));
-              module_name = Some "core";
             }
           in
           if k = 0 then { r with Device.originated = [ multiwan_external ] }
@@ -647,54 +636,10 @@ let multiwan ~regions ~region_size =
     net = { Device.graph = g; routers };
     description =
       Printf.sprintf
-        "multi-region WAN: %d annotated regions x %d routers + %d-router core \
+        "multi-region WAN: %d regions x %d routers + %d-router core \
          (eBGP, neighbor-specific filters, external aggregate)"
         regions region_size regions;
   }
-
-(* The streaming form: one self-contained subnet per region, produced
-   lazily. The core never materializes; its boundary is summarized as an
-   [env] stub attached to both gateways that originates the external
-   aggregate — the best route the region's boundary sessions would carry
-   for every destination class outside the region. *)
-let multiwan_stream ~regions ~region_size =
-  multiwan_check ~regions ~region_size;
-  let region k =
-    let b = Graph.Builder.create () in
-    for i = 0 to region_size - 1 do
-      ignore (Graph.Builder.add_node b (Printf.sprintf "r%dn%d" k i))
-    done;
-    let env = Graph.Builder.add_node b (Printf.sprintf "r%denv" k) in
-    List.iter
-      (fun (u, v) -> Graph.Builder.add_link b u v)
-      (multiwan_region_links ~base:0 ~region_size);
-    Graph.Builder.add_link b env 0;
-    Graph.Builder.add_link b env 1;
-    let g = Graph.Builder.build b in
-    let routers =
-      Array.init (Graph.n_nodes g) (fun v ->
-          if v < region_size then
-            multiwan_region_router ~k g v ~idx:v
-          else
-            let r = Device.default_router (Graph.name g v) in
-            {
-              r with
-              Device.bgp_neighbors =
-                Array.to_list (Graph.succ g v)
-                |> List.map (fun u ->
-                       ( u,
-                         {
-                           Device.import_rm = Some space_filter;
-                           export_rm = None;
-                           ibgp = false;
-                           rel = Device.Rel_unknown;
-                         } ));
-              originated = [ multiwan_external ];
-            })
-    in
-    (multiwan_region_name k, { Device.graph = g; routers })
-  in
-  Seq.init regions region
 
 let of_spec spec =
   let unknown =

@@ -58,30 +58,12 @@ val random_multi_network : n:int -> seed:int -> Device.network
     occasional static routes — exercising the §6 multi-protocol model in
     the property-based tests. Node 0 originates one prefix. *)
 
-val multiwan_external : Prefix.t
-(** The aggregate prefix standing in for every destination outside a
-    region: the core originates it in {!multiwan}, each region's [env]
-    stub originates it in {!multiwan_stream}. *)
-
-val multiwan_region_prefix : int -> Prefix.t
-(** The /16 owned (and originated) by region [k]. *)
-
 val multiwan : regions:int -> region_size:int -> real_network
-(** Fully materialized multi-region WAN with [module] annotations:
-    [regions] regions of [region_size] eBGP routers (two gateways + an
-    access chain with neighbor-specific import filters, module
-    ["region<k>"]) stitched by a core ring (module ["core"]) that
-    originates the external aggregate. Raises [Invalid_argument] unless
+(** Multi-region WAN: [regions] regions of [region_size] eBGP routers
+    (two gateways plus access routers with neighbor-specific import
+    filters, region [k] originating 10.k.0.0/16) stitched by a core ring
+    that originates the external aggregate 10.254.0.0/16. Raises [Invalid_argument] unless
     [1 <= regions <= 250] and [region_size >= 3]. *)
-
-val multiwan_stream :
-  regions:int -> region_size:int -> (string * Device.network) Seq.t
-(** The streaming form of {!multiwan} for 10k-router scale: lazily
-    yields [(module name, self-contained subnet)] per region, never
-    materializing the whole network. The core is pre-summarized into an
-    [env] stub router attached to both gateways that originates
-    {!multiwan_external} — the interface route every boundary session
-    of the region would carry for destinations outside it. *)
 
 val of_spec :
   string ->

@@ -63,7 +63,6 @@ let emit (t : Abstraction.t) =
             (if a = t.Abstraction.abs_dest then [ t.Abstraction.dest_prefix ]
              else []);
           redistribute = r.Device.redistribute;
-          module_name = r.Device.module_name;
         })
   in
   { Device.graph = ag; routers = abs_routers }

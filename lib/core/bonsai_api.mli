@@ -75,10 +75,10 @@ val compress_ec_exn :
 (** Like {!compress_ec} but raising: [Budget.Exhausted] on exhaustion
     (the [budget] is also installed on the universe's BDD manager for the
     duration of the call), [Invalid_argument] on an anycast class. This
-    is the one per-class kernel: every pipeline (scratch, incremental,
-    modular) hands it, as the worker, to {!compress_classes}. It refines on int keys, each
-    edge's pair of {!Compile.signature_table} ids, filled lazily during
-    refinement.
+    is the one per-class kernel: both pipelines (scratch and
+    incremental) hand it, as the worker, to {!compress_classes}. It
+    refines on int keys, each edge's pair of {!Compile.signature_table}
+    ids, filled lazily during refinement.
 
     [pinned] forces the listed concrete nodes into singleton partition
     classes before refinement (see {!Refine.partition}); the CEGAR

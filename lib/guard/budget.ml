@@ -13,7 +13,6 @@ type t = {
   start : float;
   deadline : float; (* absolute; infinity when unbounded *)
   mutable cancelled : bool;
-  parent : t option; (* set by [split]; never [infinite] *)
 }
 
 (* How often the (comparatively expensive) clock is consulted from [tick]:
@@ -27,7 +26,7 @@ let now = Timing.monotonic_now
 
 let infinite =
   { ticks = 0; max_ticks = max_int; start = 0.0; deadline = infinity;
-    cancelled = false; parent = None }
+    cancelled = false }
 
 let create ?deadline_s ?max_ticks () =
   let start = now () in
@@ -38,14 +37,12 @@ let create ?deadline_s ?max_ticks () =
     deadline =
       (match deadline_s with Some s -> start +. s | None -> infinity);
     cancelled = false;
-    parent = None;
   }
 
 let is_infinite b = b == infinite
 let cancel b = if not (is_infinite b) then b.cancelled <- true
 
-let rec cancelled b =
-  b.cancelled || (match b.parent with Some p -> cancelled p | None -> false)
+let cancelled b = b.cancelled
 let ticks b = b.ticks
 (* [max 0.0]: a restored-from-checkpoint or hand-built budget may carry a
    start in the future of the clamped clock; elapsed degrades to zero,
@@ -68,18 +65,14 @@ let check b ~phase =
     if cancelled b || b.ticks > b.max_ticks || over_deadline b then
       fail b phase
 
-(* A child slice charges its ancestors too, so a parent's tick quota
-   bounds the sum of the work done under every slice carved from it. The
-   exception raised names whichever budget in the chain ran out first. *)
-let rec tick b ~phase =
+let tick b ~phase =
   if not (is_infinite b) then begin
     b.ticks <- b.ticks + 1;
     if
       b.cancelled
       || b.ticks > b.max_ticks
       || (b.ticks land clock_stride_mask = 0 && over_deadline b)
-    then fail b phase;
-    match b.parent with Some p -> tick p ~phase | None -> ()
+    then fail b phase
   end
 
 let scoped ?deadline_s ?max_ticks ?cap_deadline_s ?cap_max_ticks () =
@@ -97,28 +90,3 @@ let scoped ?deadline_s ?max_ticks ?cap_deadline_s ?cap_max_ticks () =
 let exhausted b =
   (not (is_infinite b))
   && (cancelled b || b.ticks > b.max_ticks || over_deadline b)
-
-let split b ~frac =
-  if is_infinite b then infinite
-  else begin
-    if not (frac > 0.0) || frac > 1.0 then
-      invalid_arg "Budget.split: frac must be in (0, 1]";
-    let start = now () in
-    let deadline =
-      if b.deadline = infinity then infinity
-      else begin
-        (* Carve [frac] of the parent's remaining seconds, measured now;
-           the child's deadline can never outlive the parent's. *)
-        let remaining = max 0.0 (b.deadline -. start) in
-        min b.deadline (start +. (frac *. remaining))
-      end
-    in
-    let max_ticks =
-      if b.max_ticks = max_int then max_int
-      else
-        let remaining = max 0 (b.max_ticks - b.ticks) in
-        int_of_float (frac *. float_of_int remaining)
-    in
-    { ticks = 0; max_ticks; start; deadline; cancelled = false;
-      parent = Some b }
-  end

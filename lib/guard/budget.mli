@@ -57,21 +57,6 @@ val scoped :
     request unclamped. With no limit from either side this is
     {!infinite}. *)
 
-val split : t -> frac:float -> t
-(** [split b ~frac] carves a child slice holding [frac] of [b]'s
-    {e remaining} allowance, measured at the call: the child's deadline
-    is [frac] of the seconds [b] has left (clamped to [b]'s own
-    deadline) and its tick quota is [frac] of the ticks [b] has left.
-    Child ticks also charge [b] (and its ancestors), so the parent's
-    limits bound the sum of work across every slice carved from it, and
-    cancelling [b] cancels every slice transitively. [split infinite]
-    is {!infinite}. Raises [Invalid_argument] unless [0 < frac <= 1].
-
-    This is the modular supervisor's isolation primitive: each module
-    compresses under its own slice, so one module exhausting its quota
-    raises inside that module only, leaving the parent (and the other
-    modules' slices) alive. *)
-
 val is_infinite : t -> bool
 
 val cancel : t -> unit

@@ -1,12 +1,11 @@
 (* The resident engine behind `bonsai serve`.
 
-   One engine holds one registry of warm states under one LRU bound —
-   compressed networks (each an [Incr.state]: the per-class results plus
-   the policy-signature cache) and modular runs (each a [Modular.state])
-   — and answers protocol requests against them. The engine is
-   deliberately sequential — the BDD manager is shared mutable state —
-   so request isolation comes from budgets, not threads: every request
-   runs under its own [Budget.t], the request's own
+   One engine holds one registry of warm compressed networks under one
+   LRU bound — each an [Incr.state]: the per-class results plus the
+   policy-signature cache — and answers protocol requests against them.
+   The engine is deliberately sequential — the BDD manager is shared
+   mutable state — so request isolation comes from budgets, not threads:
+   every request runs under its own [Budget.t], the request's own
    --budget-ms/--budget-ticks clamped by the server-wide caps
    ([Budget.scoped]), and a request that exhausts it gets a typed
    budget-exceeded response while the engine (and every other queued
@@ -14,25 +13,14 @@
    exactly one typed response line out.
 
    Warm-state policy, wherever a state enters or changes (cold load,
-   [diff], [modular]): a state its kind marks degraded — a compression
-   whose budget ran out so that classes fell back to identity, a modular
-   run where every module faulted — is answered from but never kept.
+   [diff]): a degraded state — a compression whose budget ran out so
+   that classes fell back to identity — is answered from but never kept.
    Otherwise one under-budgeted request would poison every later answer
    for that network. A degraded [diff] leaves the entry at its pre-diff
    network. *)
 
-type warm = Compressed of Incr.state | Modular of Modular.state
-
-(* A compressed network by its spec; a modular run by its spec and what
-   its partition and module health depend on: mode, module count and
-   whether the run certified. *)
-type key =
-  | Network of string
-  | Run of string * Modular.mode * int option * bool
-
 type entry = {
-  en_spec : string;
-  en_state : warm;
+  en_state : Incr.state;
   en_locs : Config_text.loc_table option;
       (* the source lines of a file: network, for lint and flow *)
   mutable en_stamp : int;  (* LRU clock for the registry *)
@@ -43,7 +31,7 @@ type t = {
   cap_deadline_s : float option;
   cap_max_ticks : int option;
   max_networks : int;
-  registry : (key, entry) Hashtbl.t;
+  registry : (string, entry) Hashtbl.t;  (* by network spec *)
   mutable clock : int;
   mutable n_requests : int;
   mutable n_succeeded : int;
@@ -124,49 +112,27 @@ let evict_lru t =
     Hashtbl.remove t.registry key;
     t.n_net_evictions <- t.n_net_evictions + 1
 
-(* Partial module health is a modular run's normal warm shape: only a run
-   with every module faulted is degraded. *)
-let degraded = function
-  | Compressed st -> Option.is_some (Incr.summary st).Bonsai_api.degradation
-  | Modular st ->
-    List.for_all Modular.faulted (Modular.report st).Modular.rp_modules
-
 (* The one admission rule: a degraded state is answered from but never
    kept, and leaves the registry as it was. Returns whether [st] is now
-   the entry under [key]. A new compressed state awaits the self-audit. *)
-let admit t key spec locs st =
-  let kept = not (degraded st) in
+   the entry under [spec]. A new state awaits the self-audit. *)
+let admit t spec locs st =
+  let kept = Option.is_none (Incr.summary st).Bonsai_api.degradation in
   if kept then begin
     if
-      (not (Hashtbl.mem t.registry key))
+      (not (Hashtbl.mem t.registry spec))
       && Hashtbl.length t.registry >= t.max_networks
     then evict_lru t;
-    let en =
-      { en_spec = spec; en_state = st; en_locs = locs; en_stamp = 0 }
-    in
+    let en = { en_state = st; en_locs = locs; en_stamp = 0 } in
     touch t en;
-    Hashtbl.replace t.registry key en;
-    match st with
-    | Compressed _ -> t.audit_dirty <- true
-    | Modular _ -> ()
+    Hashtbl.replace t.registry spec en;
+    t.audit_dirty <- true
   end;
   kept
 
-(* The warm compressed network of a spec, with its entry. *)
-let warm_network t spec =
-  match Hashtbl.find_opt t.registry (Network spec) with
-  | Some ({ en_state = Compressed st; _ } as en) -> Some (en, st)
-  | Some { en_state = Modular _; _ } | None -> None
-
-(* Every warm compressed network, sorted by spec. *)
+(* Every warm network with its spec, sorted by spec. *)
 let warm_networks t =
-  Hashtbl.fold
-    (fun _ en acc ->
-      match en.en_state with
-      | Compressed st -> (en, st) :: acc
-      | Modular _ -> acc)
-    t.registry []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a.en_spec b.en_spec)
+  Hashtbl.fold (fun spec en acc -> (spec, en) :: acc) t.registry []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 type warmth = Warm | Cold_cached | Cold_transient
 
@@ -174,27 +140,26 @@ type warmth = Warm | Cold_cached | Cold_transient
    the *request's* budget: a pathological network costs only its own
    requester, never the server. *)
 let get_state t ~budget spec =
-  match warm_network t spec with
-  | Some (en, st) ->
+  match Hashtbl.find_opt t.registry spec with
+  | Some en ->
     touch t en;
-    (st, Warm)
+    (en.en_state, Warm)
   | None -> (
     let net, locs = t.resolve spec in
     match Incr.init ~budget net with
     | Error e -> Bonsai_error.error e
     | Ok st ->
-      if admit t (Network spec) spec locs (Compressed st) then
-        (st, Cold_cached)
+      if admit t spec locs st then (st, Cold_cached)
       else (st, Cold_transient))
 
 (* The warm network and its source lines if the spec is in the registry,
    else resolved afresh (nothing is cached): for ops that read only the
    configuration. *)
 let warm_or_resolve t spec =
-  match warm_network t spec with
-  | Some (en, st) ->
+  match Hashtbl.find_opt t.registry spec with
+  | Some en ->
     touch t en;
-    (Incr.network st, en.en_locs)
+    (Incr.network en.en_state, en.en_locs)
   | None -> t.resolve spec
 
 (* --- parameter helpers ------------------------------------------------ *)
@@ -287,7 +252,7 @@ let diff_op t req =
   match Incr.recompress_net ~budget st net' with
   | Error e -> Bonsai_error.error e
   | Ok (deltas, rep) ->
-    ignore (admit t (Network spec) spec locs (Compressed st) : bool);
+    ignore (admit t spec locs st : bool);
     check_degradation req rep.Incr.r_degradation;
     ("network", Json.String spec)
     :: ("to", Json.String to_spec)
@@ -373,7 +338,7 @@ let audit_entry t ~budget ~audit spec st =
   in
   (match v with
   | Certify.Refuted fs ->
-    Hashtbl.remove t.registry (Network spec);
+    Hashtbl.remove t.registry spec;
     push_incident t spec (Certify.failures_string fs)
   | Certify.Certified _ | Certify.Audit_incomplete _ -> ());
   v
@@ -391,7 +356,7 @@ type audit_outcome =
   | Audit_unfinished of string
   | Audit_quarantined of string * string
 
-let sorted_specs t = List.map (fun (en, _) -> en.en_spec) (warm_networks t)
+let sorted_specs t = List.map fst (warm_networks t)
 
 let audit_step ?(budget = Budget.infinite) t =
   match sorted_specs t with
@@ -407,10 +372,10 @@ let audit_step ?(budget = Budget.infinite) t =
       t.audit_dirty <- false
     end
     else t.audit_cursor <- i + 1;
-    match warm_network t spec with
+    match Hashtbl.find_opt t.registry spec with
     | None -> Audit_idle
-    | Some (_, st) -> (
-      match audit_entry t ~budget ~audit:Certify.Sample spec st with
+    | Some en -> (
+      match audit_entry t ~budget ~audit:Certify.Sample spec en.en_state with
       | Certify.Certified _ -> Audit_clean spec
       | Certify.Audit_incomplete _ ->
         (* ran out mid-cycle: stay dirty so the next idle moment retries *)
@@ -425,15 +390,15 @@ let audit_op t req =
   let specs =
     match Protocol.string_param req "network" with
     | Some spec ->
-      if Option.is_some (warm_network t spec) then [ spec ] else []
+      if Hashtbl.mem t.registry spec then [ spec ] else []
     | None -> sorted_specs t
   in
   let rows, quarantined =
     List.fold_left
       (fun (rows, q) spec ->
-        match warm_network t spec with
+        match Hashtbl.find_opt t.registry spec with
         | None -> (rows, q)
-        | Some (_, st) -> (
+        | Some en -> (
           let row verdict extra =
             Json.Obj
               (("network", Json.String spec)
@@ -441,7 +406,7 @@ let audit_op t req =
               :: extra)
             :: rows
           in
-          match audit_entry t ~budget ~audit spec st with
+          match audit_entry t ~budget ~audit spec en.en_state with
           | Certify.Certified { obligations; _ } ->
             (row "certified" [ ("obligations", Json.Int obligations) ], q)
           | Certify.Audit_incomplete _ -> (row "incomplete" [], q)
@@ -457,73 +422,6 @@ let audit_op t req =
     ("incidents", Json.Int t.n_incidents);
   ]
 
-(* --- modular ---------------------------------------------------------- *)
-
-(* A warm modular state answers only the request that built it (see
-   [key]). *)
-let get_modular t ~budget ~mode ~count ~certify spec =
-  let key = Run (spec, mode, count, certify) in
-  match Hashtbl.find_opt t.registry key with
-  | Some ({ en_state = Modular st; _ } as en) ->
-    touch t en;
-    (st, true)
-  | Some { en_state = Compressed _; _ } | None -> (
-    let net, _ = t.resolve spec in
-    match Modular.run ~mode ?count ~budget ~certify net with
-    | Error e -> Bonsai_error.error e
-    | Ok st ->
-      ignore (admit t key spec None (Modular st) : bool);
-      (st, false))
-
-(* The envelope carries how serve answered, [warm] and the modules this
-   request's self-audit [quarantined]; the document after it is the
-   CLI's. *)
-let modular_op t req =
-  let budget = request_budget t req in
-  let spec = network_param req in
-  let mode =
-    match Protocol.string_param req "modules" with
-    | None -> Modular.Auto
-    | Some s -> (
-      match Modular.mode_of_string s with
-      | Some m -> m
-      | None -> Format.kasprintf failwith "bad modules mode %S" s)
-  in
-  let count = Protocol.int_param req "count" in
-  let certify =
-    Option.value ~default:false (Protocol.bool_param req "certify")
-  in
-  let audit = Option.value ~default:false (Protocol.bool_param req "audit") in
-  let st, warm = get_modular t ~budget ~mode ~count ~certify spec in
-  let quarantined =
-    if not audit then []
-    else begin
-      (* Module-level quarantine: a refuted module's engine state is
-         dropped (its rows degrade) while every other module stays warm;
-         each refutation is an incident for the server loop to log. *)
-      let refuted = Modular.self_audit ~budget st in
-      List.iter
-        (fun (m, detail) -> push_incident t (spec ^ "/" ^ m) detail)
-        refuted;
-      List.map fst refuted
-    end
-  in
-  ("network", Json.String spec)
-  :: ("warm", Json.Bool warm)
-  :: ("quarantined", Json.List (List.map (fun m -> Json.String m) quarantined))
-  :: Modular.report_json_fields (Modular.report st)
-
-(* The warm modular runs of a spec with their keys, most recently used
-   first. *)
-let modular_entries t spec =
-  Hashtbl.fold
-    (fun key en acc ->
-      match en.en_state with
-      | Modular st when String.equal en.en_spec spec -> (key, en, st) :: acc
-      | Modular _ | Compressed _ -> acc)
-    t.registry []
-  |> List.sort (fun (_, a, _) (_, b, _) -> Int.compare b.en_stamp a.en_stamp)
-
 (* Test-only fault injection, enabled by BONSAI_TEST_HOOKS=1: silently
    corrupt one warm abstraction in place — move the largest member of a
    multi-member group into an earlier group (whose least member is
@@ -531,9 +429,7 @@ let modular_entries t spec =
    the corruption is invisible to shape checks). The abstract graph is
    left stale, which is precisely the wrong-answer state the self-audit
    exists to catch; the chaos suite drives this op and asserts the
-   quarantine-and-rebuild path. With a "module" parameter it targets a
-   warm *modular* module's state instead, so the suite can prove
-   module-level quarantine isolates the refuted module only. *)
+   quarantine-and-rebuild path. *)
 let test_hooks_enabled () =
   match Sys.getenv_opt "BONSAI_TEST_HOOKS" with
   | Some "1" -> true
@@ -576,18 +472,9 @@ let test_corrupt_op t req =
     List.exists corrupt_result results
   in
   let results =
-    match Protocol.string_param req "module" with
-    | Some m -> (
-      match modular_entries t spec with
-      | [] -> failwith "network not warm (modular)"
-      | (_, _, st) :: _ -> (
-        match Modular.module_summary st m with
-        | None -> Format.kasprintf failwith "module %S not warm" m
-        | Some s -> s.Bonsai_api.results))
-    | None -> (
-      match warm_network t spec with
-      | None -> failwith "network not warm"
-      | Some (_, st) -> (Incr.summary st).Bonsai_api.results)
+    match Hashtbl.find_opt t.registry spec with
+    | None -> failwith "network not warm"
+    | Some en -> (Incr.summary en.en_state).Bonsai_api.results
   in
   if not (corrupt_results results) then
     failwith "no multi-member group to corrupt";
@@ -608,15 +495,10 @@ let load_op t req =
       Json.Bool (match warmth with Cold_transient -> false | _ -> true) );
   ]
 
-(* Drops the spec's compressed state and every warm modular run of it. *)
 let unload_op t req =
   let spec = network_param req in
-  let modular = modular_entries t spec in
-  let present =
-    Hashtbl.mem t.registry (Network spec) || not (List.is_empty modular)
-  in
-  Hashtbl.remove t.registry (Network spec);
-  List.iter (fun (key, _, _) -> Hashtbl.remove t.registry key) modular;
+  let present = Hashtbl.mem t.registry spec in
+  Hashtbl.remove t.registry spec;
   [ ("network", Json.String spec); ("removed", Json.Bool present) ]
 
 let health_op t ~queue_depth =
@@ -627,21 +509,21 @@ let health_op t ~queue_depth =
   ]
 
 let stats_op t ~queue_depth =
-  let networks = warm_networks t in
   let rows =
     List.map
-      (fun (en, st) ->
+      (fun (spec, en) ->
+        let st = en.en_state in
         let hits, misses = Incr.cache_stats st in
         let summary = Incr.summary st in
         Json.Obj
           [
-            ("network", Json.String en.en_spec);
+            ("network", Json.String spec);
             ("ecs", Json.Int (List.length summary.Bonsai_api.results));
             ("behaviours", Json.Int (Bonsai_api.behaviours summary));
             ("cache_hits", Json.Int hits);
             ("cache_misses", Json.Int misses);
           ])
-      networks
+      (warm_networks t)
   in
   [
     ("requests", Json.Int t.n_requests);
@@ -650,8 +532,6 @@ let stats_op t ~queue_depth =
     ("shed", Json.Int t.n_shed);
     ("queue_depth", Json.Int queue_depth);
     ("networks", Json.List rows);
-    ( "modular_networks",
-      Json.Int (Hashtbl.length t.registry - List.length networks) );
     ("network_evictions", Json.Int t.n_net_evictions);
     ("checkpoints_saved", Json.Int t.n_checkpoints);
     ("restored_from_checkpoint", Json.Bool t.restored);
@@ -678,7 +558,6 @@ let ops =
     ("load", cont load_op);
     ("unload", cont unload_op);
     ("audit", cont audit_op);
-    ("modular", cont modular_op);
     ("health", counters health_op);
     ("stats", counters stats_op);
     ( "shutdown",
@@ -731,7 +610,9 @@ type payload = (string * Incr.state * Config_text.loc_table option) list
 
 let checkpoint t ~path =
   let rows =
-    List.map (fun (en, st) -> (en.en_spec, st, en.en_locs)) (warm_networks t)
+    List.map
+      (fun (spec, en) -> (spec, en.en_state, en.en_locs))
+      (warm_networks t)
   in
   match Checkpoint.save ~path (rows : payload) with
   | Ok () ->
@@ -746,7 +627,7 @@ let restore t ~path =
       (fun (spec, st, locs) ->
         (* marshaled copies lost Budget.infinite's physical identity *)
         Incr.rearm st;
-        ignore (admit t (Network spec) spec locs (Compressed st) : bool))
+        ignore (admit t spec locs st : bool))
       rows;
     t.restored <- true;
     t.checkpoint_status <- "restored";

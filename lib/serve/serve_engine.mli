@@ -1,33 +1,27 @@
 (** The resident engine behind [bonsai serve].
 
-    Holds one registry of warm states under one LRU bound — compressed
-    networks (each an [Incr.state]: the per-class results plus the
-    policy-signature cache) and modular runs (each a {!Modular.state})
-    — and answers protocol requests against them. Sequential by design (the
-    BDD manager is shared mutable state): request isolation comes from
-    per-request budgets, not threads. {!handle_line} is total — any
-    byte sequence in, exactly one typed NDJSON response line out;
-    nothing a client sends can crash the engine.
+    Holds one registry of warm compressed networks under one LRU bound —
+    each an [Incr.state]: the per-class results plus the
+    policy-signature cache — and answers protocol requests against them.
+    Sequential by design (the BDD manager is shared mutable state):
+    request isolation comes from per-request budgets, not threads.
+    {!handle_line} is total — any byte sequence in, exactly one typed
+    NDJSON response line out; nothing a client sends can crash the
+    engine.
 
     Ops: [compress], [lint], [flow], [diff], [dataplane-diff],
-    [faults], [harden], [load], [unload], [audit], [modular], [health],
-    [stats], [shutdown]. Every analysis op answers with the CLI's
-    [--format json] document, from the library encoder both front ends
-    print, after the envelope ([id], [op], [ok], [network], plus [to]
-    for the two diffs, [warm] and [quarantined] for [modular]); [lint]
-    with the CLI's findings plus [count] and [errors]. A [file:] network
-    keeps its source-line table on its registry entry (replaced by a
-    [diff]'s [to] file, saved in checkpoints), so findings carry the
-    CLI's lines. [modular] keeps one warm entry per network, mode,
-    module count and certify flag; with ["audit": true] it self-audits
-    every warm module and quarantines refutations {e module-by-module}.
-    [unload] drops a network's compressed entry and its modular runs.
-    No document carries wall-clock or cache counters, so a warm answer
+    [faults], [harden], [load], [unload], [audit], [health], [stats],
+    [shutdown]. Every analysis op answers with the CLI's [--format json]
+    document, from the library encoder both front ends print, after the
+    envelope ([id], [op], [ok], [network], plus [to] for the two diffs);
+    [lint] with the CLI's findings plus [count] and [errors]. A [file:]
+    network keeps its source-line table on its registry entry (replaced
+    by a [diff]'s [to] file, saved in checkpoints), so findings carry the
+    CLI's lines. [unload] drops a network's entry. No document carries wall-clock or cache counters, so a warm answer
     equals a cold one byte for byte.
 
-    Admission: wherever a state enters or changes (cold load, [diff],
-    [modular]), a state its kind marks degraded — a compression that fell
-    back to identity, a modular run with every module faulted — is
+    Admission: wherever a state enters or changes (cold load, [diff]), a
+    degraded state — a compression that fell back to identity — is
     answered from but never kept, so warm answers are always exact. A
     degraded [diff] leaves the entry at its pre-diff network.
 
@@ -62,8 +56,7 @@ val create :
     [budget_ms]/[budget_ticks] are server-wide caps: every request runs
     under [Budget.scoped] of its own ["budget_ms"]/["budget_ticks"]
     parameters clamped by these. [max_networks] (default 8) bounds the
-    registry, compressed and modular entries counted together,
-    LRU-evicting beyond it. *)
+    registry, LRU-evicting beyond it. *)
 
 val handle_line :
   t -> queue_depth:int -> string -> string * [ `Continue | `Shutdown ]
@@ -81,7 +74,7 @@ val note_shed : t -> unit
     the server loop; the engine only keeps the statistic). *)
 
 val networks : t -> int
-(** Warm entries in the registry: compressed networks and modular runs. *)
+(** Warm networks in the registry. *)
 
 val requests : t -> int
 

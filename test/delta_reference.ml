@@ -18,10 +18,6 @@ type nrouter = {
   nacl : (string * Acl.t) list;
   norig : Prefix.t list;
   nredist : Multi.redistribution list;
-  nmodule : string option;
-      (* fault-isolation module annotation: carried through apply so
-         annotations survive delta application, but diff never emits a
-         delta for it — it is partitioning metadata, not routing state *)
 }
 
 type named = {
@@ -53,7 +49,6 @@ let nrouter_of_router ~name (r : Device.router) =
     nacl = sort_by_name (List.map (fun (v, a) -> (name v, a)) r.Device.acl_out);
     norig = sort_prefixes r.Device.originated;
     nredist = sort_redist r.Device.redistribute;
-    nmodule = r.Device.module_name;
   }
 
 let empty_nrouter name =
@@ -66,7 +61,6 @@ let empty_nrouter name =
     nacl = [];
     norig = [];
     nredist = [];
-    nmodule = d.Device.module_name;
   }
 
 let to_named (net : Device.network) =
@@ -112,7 +106,6 @@ let of_named nm =
       acl_out;
       originated = nr.norig;
       redistribute = nr.nredist;
-      module_name = nr.nmodule;
     }
   in
   let routers =

@@ -125,6 +125,21 @@ let test_parse_errors () =
       | Error _ -> ())
     cases
 
+(* A [module NAME] line is an unknown router line like any other: one
+   typed diagnostic on its own line, not a silently dropped annotation. *)
+let test_module_line_rejected () =
+  let text =
+    "topology\n  node a\n  node b\n  link a b\nrouter a\n  module west\n\
+     \  originate 10.0.0.0/24\n"
+  in
+  match Config_text.parse_full text with
+  | Ok _ -> Alcotest.fail "module line accepted"
+  | Error ds ->
+    Alcotest.(check (list (pair int string)))
+      "one diagnostic, on the module line"
+      [ (6, "bad router line: module west") ]
+      ds
+
 let test_community_syntax () =
   Alcotest.(check (option int)) "plain" (Some 7)
     (Config_text.community_of_string "7");
@@ -222,6 +237,8 @@ let () =
         [
           Alcotest.test_case "small example" `Quick test_parse_small;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "module line rejected" `Quick
+            test_module_line_rejected;
           Alcotest.test_case "community syntax" `Quick test_community_syntax;
           Alcotest.test_case "compresses" `Quick test_parsed_network_compresses;
           Alcotest.test_case "save/load file" `Quick test_save_load_file;

@@ -865,8 +865,8 @@ let test_compress_classes_degrades () =
    partition (a stable over-refinement of anything) or a random
    refinement of the scratch partition — and merging back
    ({!Refine.quotient_merge}) gives the scratch abstraction on every
-   seedable class. The families are the modular shapes: rings,
-   fattree k=4, and the annotated multi-region WAN. *)
+   seedable class. The families are rings, fattree k=4, and the
+   multi-region WAN. *)
 let prop_seeded_matches_scratch =
   QCheck.Test.make ~count:fuzz_count
     ~name:"seeded = scratch"

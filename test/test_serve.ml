@@ -361,7 +361,16 @@ let test_engine_corrupt_checkpoint_cold () =
   Alcotest.(check bool) "serves cold" true
     (response_ok (handle eng "{\"op\":\"compress\",\"network\":\"ring:4\"}"))
 
-(* One bound covers compressed networks and modular runs together. *)
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i =
+    i + nn <= nh && (String.equal (String.sub haystack i nn) needle || go (i + 1))
+  in
+  go 0
+
+(* The registry holds compressed networks only, under one LRU bound;
+   [modular] is not an op, so it neither answers nor touches the
+   registry. *)
 let test_engine_lru_registry () =
   let eng =
     Serve_engine.create ~resolve ~max_networks:1 ()
@@ -370,17 +379,11 @@ let test_engine_lru_registry () =
   Alcotest.(check int) "one network" 1 (Serve_engine.networks eng);
   ignore (handle eng "{\"op\":\"load\",\"network\":\"ring:6\"}");
   Alcotest.(check int) "still one network" 1 (Serve_engine.networks eng);
-  Alcotest.(check bool) "modular ok" true
-    (response_ok (handle eng "{\"op\":\"modular\",\"network\":\"ring:6\"}"));
-  Alcotest.(check int) "a modular run counts against the same bound" 1
-    (Serve_engine.networks eng)
-
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i =
-    i + nn <= nh && (String.equal (String.sub haystack i nn) needle || go (i + 1))
-  in
-  go 0
+  let r = handle eng "{\"op\":\"modular\",\"network\":\"ring:6\"}" in
+  Alcotest.(check bool) "modular fails" false (response_ok r);
+  Alcotest.(check string) "typed class" "bad-request" (error_class r);
+  Alcotest.(check bool) "unknown op" true (contains r "unknown op");
+  Alcotest.(check int) "registry unchanged" 1 (Serve_engine.networks eng)
 
 (* The three cold-start causes are distinguishable: a checkpoint written
    by a different build must read as version skew (not generic
@@ -848,148 +851,10 @@ let test_lint_source_lines () =
   | `Missing -> Alcotest.fail "restore found nothing");
   Alcotest.(check string) "lint after restore = cli" comms (lint eng')
 
-(* Module-level quarantine: the modular op's self-audit refutes a
-   silently corrupted module and quarantines it alone; every other
-   module stays warm, and the refutation is one incident. *)
-let test_engine_modular_quarantine () =
-  let eng = Serve_engine.create () in
-  let spec = "file:" ^ build_path "modular/modular3.conf" in
-  let request op fields =
-    let line =
-      Json.to_string
-        (Json.Obj
-           ([ ("op", Json.String op); ("network", Json.String spec) ] @ fields))
-    in
-    parse_or_fail op (handle eng line)
-  in
-  let modular fields =
-    request "modular" (("modules", Json.String "annot") :: fields)
-  in
-  let field name j =
-    match Json.member name j with
-    | Some v -> v
-    | None -> Alcotest.failf "no %s in %s" name (Json.to_string j)
-  in
-  let health j =
-    match field "modules" j with
-    | Json.List rows ->
-      List.map
-        (fun row ->
-          match (field "module" row, field "health" row) with
-          | Json.String m, Json.String h -> (m, h)
-          | _ -> Alcotest.fail "malformed module row")
-        rows
-    | _ -> Alcotest.fail "modules: expected a list"
-  in
-  let incidents () =
-    let stats = parse_or_fail "stats" (handle eng "{\"op\":\"stats\"}") in
-    match field "incidents" stats with
-    | Json.Int n -> n
-    | _ -> Alcotest.fail "incidents: expected an int"
-  in
-  let warm = modular [] in
-  Alcotest.(check (list (pair string string)))
-    "all modules healthy"
-    [ ("core", "ok"); ("east", "ok"); ("west", "ok") ]
-    (health warm);
-  let before = incidents () in
-  Unix.putenv "BONSAI_TEST_HOOKS" "1";
-  let corrupted = request "test-corrupt" [ ("module", Json.String "west") ] in
-  Unix.putenv "BONSAI_TEST_HOOKS" "0";
-  Alcotest.(check bool) "corrupted" true
-    (Json.equal (field "ok" corrupted) (Json.Bool true));
-  let audited = modular [ ("audit", Json.Bool true) ] in
-  Alcotest.(check bool) "answered warm" true
-    (Json.equal (field "warm" audited) (Json.Bool true));
-  Alcotest.(check bool) "quarantined exactly west" true
-    (Json.equal (field "quarantined" audited)
-       (Json.List [ Json.String "west" ]));
-  Alcotest.(check (list (pair string string)))
-    "only west refuted"
-    [ ("core", "ok"); ("east", "ok"); ("west", "refuted") ]
-    (health audited);
-  Alcotest.(check int) "one more incident" (before + 1) (incidents ())
-
-(* Requests and answers of the modular op on modular3.conf. *)
-let modular_requests eng =
-  let spec = "file:" ^ build_path "modular/modular3.conf" in
-  let request op fields =
-    parse_or_fail op
-      (handle eng
-         (Json.to_string
-            (Json.Obj
-               ([ ("op", Json.String op); ("network", Json.String spec) ]
-               @ fields))))
-  in
-  (spec, request)
-
 let member name j =
   match Json.member name j with
   | Some v -> v
   | None -> Alcotest.failf "no %s in %s" name (Json.to_string j)
-
-(* A warm modular entry answers only the request that built it: the same
-   network under another mode or module count is another entry, and each
-   answer is the CLI's document after the envelope. *)
-let test_engine_modular_key () =
-  let eng = Serve_engine.create () in
-  let spec, request = modular_requests eng in
-  let envelope = [ "id"; "op"; "ok"; "network"; "warm"; "quarantined" ] in
-  let document = function
-    | Json.Obj fields ->
-      Json.Obj
-        (List.filter
-           (fun (k, _) -> not (List.exists (String.equal k) envelope))
-           fields)
-    | j -> Alcotest.failf "not an object: %s" (Json.to_string j)
-  in
-  let cli args =
-    parse_or_fail "bonsai modular"
-      (run_cli ([ "modular"; spec; "--format"; "json" ] @ args))
-  in
-  let same what a b =
-    if not (Json.equal a b) then
-      Alcotest.failf "%s: %s <> %s" what (Json.to_string a) (Json.to_string b)
-  in
-  let warm j = member "warm" j in
-  let annot = request "modular" [ ("modules", Json.String "annot") ] in
-  let auto1 =
-    request "modular"
-      [ ("modules", Json.String "auto"); ("count", Json.Int 1) ]
-  in
-  same "auto count 1 is built cold" (Json.Bool false) (warm auto1);
-  same "auto count 1 = cli"
-    (cli [ "--modules"; "auto"; "--count"; "1" ])
-    (document auto1);
-  same "annot = cli" (cli [ "--modules"; "annot" ]) (document annot);
-  let again = request "modular" [ ("modules", Json.String "annot") ] in
-  same "annot again is warm" (Json.Bool true) (warm again);
-  same "warm annot = cold annot" (document annot) (document again)
-
-(* unload drops a spec's modular entries too, and stats and health count
-   them. *)
-let test_engine_unload_modular () =
-  let eng = Serve_engine.create () in
-  let _, request = modular_requests eng in
-  let counters () =
-    let stats = parse_or_fail "stats" (handle eng "{\"op\":\"stats\"}") in
-    let health = parse_or_fail "health" (handle eng "{\"op\":\"health\"}") in
-    (member "modular_networks" stats, member "networks" health)
-  in
-  let annot () = request "modular" [ ("modules", Json.String "annot") ] in
-  let check what want got =
-    Alcotest.(check bool) what true (Json.equal want got)
-  in
-  ignore (annot () : Json.t);
-  let entries, networks = counters () in
-  check "stats counts the modular entry" (Json.Int 1) entries;
-  check "health counts it" (Json.Int 1) networks;
-  check "unload removed it" (Json.Bool true)
-    (member "removed" (request "unload" []));
-  let entries, networks = counters () in
-  check "stats: none left" (Json.Int 0) entries;
-  check "health: none left" (Json.Int 0) networks;
-  check "the next modular is cold" (Json.Bool false) (member "warm" (annot ()))
 
 (* A degraded diff is answered from but never kept: whether it answers
    budget-exceeded or, under "degrade": true, ok and degraded, the warm
@@ -1084,14 +949,8 @@ let () =
             test_engine_starved_diff_keeps_network;
           Alcotest.test_case "self-audit quarantines" `Quick
             test_engine_self_audit_quarantines;
-          Alcotest.test_case "modular self-audit quarantines" `Quick
-            test_engine_modular_quarantine;
-          Alcotest.test_case "modular entry per request" `Quick
-            test_engine_modular_key;
           Alcotest.test_case "stats counts behaviours" `Quick
             test_engine_stats_behaviours;
-          Alcotest.test_case "unload drops modular entries" `Quick
-            test_engine_unload_modular;
         ] );
       ( "backoff",
         [
