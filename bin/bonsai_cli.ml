@@ -109,35 +109,6 @@ let info_cmd_run spec =
 
 (* --- compress --------------------------------------------------------- *)
 
-(* --check: re-validate Figure 4 on a class with the certificate checker
-   at full audit and no budget, in a universe of its own (the engine's
-   BDD counters do not move), printing failures in text mode. A refuted
-   class falls back to the identity abstraction and keeps its count. *)
-let recheck ~format universe net (r : Bonsai_api.ec_result) =
-  if r.Bonsai_api.degraded then (r, 0)
-  else begin
-    let fs =
-      match
-        Certify.check_result ~universe:(Lazy.force universe)
-          ~audit:Certify.Full net r
-      with
-      | Certify.Certified _ | Certify.Audit_incomplete _ -> []
-      | Certify.Refuted fs -> fs
-    in
-    let n = List.length fs in
-    if format = `Text then begin
-      Format.printf "check %a: %s@." Prefix.pp r.Bonsai_api.ec.Ecs.ec_prefix
-        (if n = 0 then "ok"
-         else Printf.sprintf "%d failure%s" n (if n = 1 then "" else "s"));
-      List.iter
-        (fun (f : Certify.failure) ->
-          Format.printf "  %s: %s@." f.Certify.f_condition f.Certify.f_detail)
-        fs
-    end;
-    if n = 0 then (r, 0)
-    else (Bonsai_api.identity_result net r.Bonsai_api.ec, n)
-  end
-
 (* --- certification ------------------------------------------------------ *)
 
 (* --certify: export the result as a certificate and re-check it with the
@@ -221,41 +192,30 @@ let print_class net (r : Bonsai_api.ec_result) =
              @ if List.length members > 6 then [ "..." ] else [])))
       t.Abstraction.groups
 
-(* One path for one class or all: one summary, then one re-check,
-   rendering, certification and exit code. *)
-let compress_cmd_run spec ec_prefix dot all check check_dataplane format
-    budget_ms budget_ticks degrade certify audit certificate =
+(* One path for one class or all: one summary, then one rendering,
+   certification and exit code. *)
+let compress_cmd_run spec ec_prefix dot all check_dataplane format budget_ms
+    budget_ticks degrade certify audit certificate =
   guarded @@ fun () ->
   let net = resolve_network spec in
   let budget = make_budget budget_ms budget_ticks in
   let single = not all in
   if Option.is_some dot && not single then
     raise (Usage "--dot draws one class's abstract topology: use it with --ec");
-  let compressed =
+  let s =
     let ecs =
       if single then Some [ Bonsai_api.find_class net ec_prefix ] else None
     in
     ok_or_raise (Bonsai_api.compress ?ecs ~budget net)
   in
-  let checked =
-    let results = compressed.Bonsai_api.results in
-    if not check then List.map (fun r -> (r, 0)) results
-    else
-      let universe = lazy (Policy_bdd.universe_of_network net) in
-      List.map (recheck ~format universe net) results
-  in
-  let s = { compressed with Bonsai_api.results = List.map fst checked } in
-  let refuted = List.length (List.filter (fun (_, n) -> n > 0) checked) in
-  (* times and engine counters are the compression's, before --check
-     swaps in identity rows *)
-  (match (s.Bonsai_api.results, compressed.Bonsai_api.results) with
-  | [ r ], [ c ] when single ->
+  (match s.Bonsai_api.results with
+  | [ r ] when single ->
     Option.iter
       (fun path ->
         Dot.write_file ~path r.Bonsai_api.abstraction.Abstraction.abs_graph)
       dot;
     Printf.eprintf "compression time: %.3fs (%d refinement iterations)\n%!"
-      c.Bonsai_api.time_s c.Bonsai_api.refine_stats.Refine.iterations;
+      r.Bonsai_api.time_s r.Bonsai_api.refine_stats.Refine.iterations;
     if format = `Text then begin
       print_class net r;
       Option.iter (Format.printf "abstract topology written to %s@.") dot;
@@ -263,22 +223,14 @@ let compress_cmd_run spec ec_prefix dot all check check_dataplane format
     end
   | _ ->
     Printf.eprintf "bdd time: %.2fs, %.3fs per EC\n%!" s.Bonsai_api.bdd_time_s
-      (Bonsai_api.mean_time_per_ec compressed);
+      (Bonsai_api.mean_time_per_ec s);
     Printf.eprintf "behaviours: %d distinct among %d classes\n%!"
-      (Bonsai_api.behaviours compressed)
-      (List.length compressed.Bonsai_api.results);
+      (Bonsai_api.behaviours s)
+      (List.length s.Bonsai_api.results);
     if format = `Text then Format.printf "%a@." Bonsai_api.pp_summary s);
-  (match format with
-  | `Text ->
-    if refuted > 0 then
-      Format.printf
-        "DEGRADED: %d/%d destination classes failed --check and fall back \
-         to the@.identity abstraction (abstract network = concrete network)@."
-        refuted (List.length checked)
-  | `Json ->
-    let check = if check then Some (fun r -> List.assq r checked) else None in
+  if format = `Json then begin
     let bdd =
-      match compressed.Bonsai_api.results with
+      match s.Bonsai_api.results with
       | r :: _ ->
         let t = r.Bonsai_api.abstraction in
         Bdd.stats_to_json (Bdd.stats t.Abstraction.universe.Policy_bdd.man)
@@ -286,8 +238,8 @@ let compress_cmd_run spec ec_prefix dot all check check_dataplane format
     in
     print_json
       (Json.Obj
-         (Bonsai_api.summary_json_fields ?check ~roles:single s
-         @ [ ("bdd", bdd) ])));
+         (Bonsai_api.summary_json_fields ~roles:single s @ [ ("bdd", bdd) ]))
+  end;
   report_budget budget;
   let dp_status =
     if check_dataplane then
@@ -302,7 +254,6 @@ let compress_cmd_run spec ec_prefix dot all check check_dataplane format
   in
   let degrade_exit code = if degrade then 0 else code in
   if Option.is_some s.Bonsai_api.degradation then degrade_exit 3
-  else if refuted > 0 then degrade_exit 1
   else
     match (dp_status, cert_status) with
     | `Incomplete, _ | _, `Incomplete -> degrade_exit 3
@@ -1239,9 +1190,8 @@ let exits =
                         $(b,--degrade))."
   :: Cmd.Exit.info 1
        ~doc:
-         "on findings: a $(b,--check) the certificate checker (full \
-          audit) refutes, error-severity lint \
-          diagnostics, a non-empty $(b,diff), or fault scenarios that \
+         "on findings: error-severity lint diagnostics, a non-empty \
+          $(b,diff) or $(b,dataplane-diff), or fault scenarios that \
           disconnect/diverge/break the abstraction."
   :: Cmd.Exit.info 3
        ~doc:
@@ -1255,8 +1205,8 @@ let exits =
   :: Cmd.Exit.info 8
        ~doc:
          "on a certificate failure: the independent checker refuted a \
-          $(b,--certify) result or a stored certificate (never masked by \
-          $(b,--degrade))."
+          $(b,--certify) result or a stored certificate. This is the one \
+          answer to a refuted result, never masked by $(b,--degrade)."
   :: Cmd.Exit.info 9 ~doc:"on internal errors."
   :: List.filter
        (fun i -> Cmd.Exit.info_code i <> Cmd.Exit.ok)
@@ -1302,11 +1252,11 @@ let degrade_arg =
     value & flag
     & info [ "degrade" ]
         ~doc:
-          "On budget exhaustion (exit 3) or, for $(b,compress), a failed \
-           $(b,--check) (exit 1), exit 0 instead. Either way the classes \
-           concerned have fallen back to the identity abstraction (every \
-           router its own role — always sound, no compression), flagged \
-           degraded and reported.")
+          "On budget exhaustion (exit 3), exit 0 instead. The classes the \
+           budget did not reach have fallen back to the identity \
+           abstraction (every router its own role — always sound, no \
+           compression), flagged degraded and reported. A refuted \
+           certificate (exit 8) is never masked.")
 
 let info_cmd =
   Cmd.v
@@ -1364,19 +1314,6 @@ let compress_cmd =
              (whose JSON row also lists its roles). Both print the \
              document serve's $(i,compress) answers.")
   in
-  let check =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Re-validate the effective-abstraction conditions (paper \
-             Figure 4) on every compressed class with the certificate \
-             checker at full audit, in a BDD universe of its own. A class \
-             with failures falls back to the identity abstraction, flagged \
-             degraded and keeping its failure count ($(i,check_violations) \
-             in JSON), for one class or all alike; any failure exits 1 \
-             unless $(b,--degrade).")
-  in
   let check_dataplane =
     Arg.(
       value & flag
@@ -1395,7 +1332,7 @@ let compress_cmd =
          "Compress one destination class ($(b,--ec), default the first) or \
           every class ($(b,--all)) into one summary")
     Term.(
-      const compress_cmd_run $ network_arg $ ec_arg $ dot $ all $ check
+      const compress_cmd_run $ network_arg $ ec_arg $ dot $ all
       $ check_dataplane $ format_arg $ budget_ms_arg $ budget_ticks_arg
       $ degrade_arg $ certify_flag $ audit_arg $ certificate_arg)
 

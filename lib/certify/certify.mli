@@ -105,7 +105,7 @@ val check_result :
   Bonsai_api.ec_result ->
   verdict
 (** [check (of_ec_result ...)] in one step, for one class: the step of
-    {!check_summary} and of [compress --check]. *)
+    {!check_summary}. *)
 
 val check_summary :
   ?budget:Budget.t ->
@@ -116,7 +116,7 @@ val check_summary :
 (** {!check_result} over every class of the summary in one fresh
     universe, independent of the engine under audit: the first refutation or
     {!Audit_incomplete}, else [Certified] with the obligations summed.
-    The audit of a resident engine's warm state and of a module. *)
+    The audit of a resident engine's warm state. *)
 
 val failures_string : failure list -> string
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -500,7 +500,7 @@ let degradation_to_json = function
         ("total", Json.Int d.deg_total);
       ]
 
-let summary_json_fields ?check ?(roles = false) s =
+let summary_json_fields ?(roles = false) s =
   let g = s.net.Device.graph in
   let class_json r =
     Json.Obj
@@ -511,9 +511,6 @@ let summary_json_fields ?check ?(roles = false) s =
            Json.Int (Graph.n_links r.abstraction.Abstraction.abs_graph) );
          ("degraded", Json.Bool r.degraded);
        ]
-      @ (match check with
-        | None -> []
-        | Some violations -> [ ("check_violations", Json.Int (violations r)) ])
       @
       if not roles then []
       else

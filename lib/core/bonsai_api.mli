@@ -12,8 +12,8 @@ type ec_result = {
   time_s : float;  (** wall-clock compression time for this class *)
   degraded : bool;
       (** [true] when this class fell back to the identity abstraction
-          (see {!Abstraction.identity}): compression ran out of budget,
-          or [compress --check] refuted the class *)
+          (see {!Abstraction.identity}) because a budget ran out:
+          compression's, or [Repair.harden]'s budget or round cap *)
 }
 
 type degradation = {
@@ -226,7 +226,6 @@ val degradation_to_json : degradation option -> Json.t
     and ticks stay in {!pp_degradation}). *)
 
 val summary_json_fields :
-  ?check:(ec_result -> int) ->
   ?roles:bool ->
   summary ->
   (string * Json.t) list
@@ -234,10 +233,10 @@ val summary_json_fields :
     [compress] op: concrete [nodes] and [links], [ecs],
     [skipped_anycast], [degraded] (some row fell back to the identity),
     [degradation], and one [classes] row per class ([destination],
-    [abstract_nodes], [abstract_links], [degraded], [check_violations]
-    when [check] counts them, and with [roles] (one named class) its
-    [roles]: [id], [copies], [members], none for a degraded row). No
-    wall-clock or BDD counters, so a warm answer equals a cold one. *)
+    [abstract_nodes], [abstract_links], [degraded], and with [roles]
+    (one named class) its [roles]: [id], [copies], [members], none for a
+    degraded row). No wall-clock or BDD counters, so a warm answer equals
+    a cold one. *)
 
 val pp_summary : Format.formatter -> summary -> unit
 (** Sizes and compression ratios, no wall clock; appends
