@@ -852,8 +852,10 @@ let serve_bench ?(k = 6) ?(n_requests = 200) ~json_path () =
 (* What --certify costs on top of compress: full compression of every
    class, then the independent sample-audit check over a fresh BDD
    universe — the exact work the CLI flag adds. The gate (CI passes
-   --assert-overhead 2.0) keeps certification cheap enough to leave on
-   by default. *)
+   --assert-overhead 2.0) covers these two fixtures only, a k-ary
+   fattree and the WAN; it says nothing of the datacenter, where the
+   checked run costs about 8x the unchecked one (EXPERIMENTS.md "Audit
+   level cost"). *)
 
 let certify_bench ?(k = 6) ~json_path ~assert_overhead () =
   hr "Certification overhead (--audit sample)";

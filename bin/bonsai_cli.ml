@@ -112,12 +112,10 @@ let info_cmd_run spec =
 (* --- certification ------------------------------------------------------ *)
 
 (* --certify: export the result as a certificate and re-check it with the
-   independent checker (lib/certify). Refuted is the one outcome
-   --degrade must never mask — a wrong answer escaping as exit 0 is
-   exactly what certification exists to prevent — so it raises the typed
-   Certificate_failure (exit 8) through [guarded]. Budget exhaustion
-   mid-audit is `Incomplete: a truthful "not certified", never a false
-   "certified". *)
+   independent checker (lib/certify). A refuted certificate raises the
+   typed Certificate_failure (exit 8) through [guarded]. Budget
+   exhaustion mid-audit is `Incomplete: a truthful "not certified", never
+   a false "certified". *)
 let write_certificate path cert =
   Out_channel.with_open_bin path (fun oc ->
       output_string oc (Json.to_string (Certify.to_json cert));
@@ -146,8 +144,7 @@ let run_certify ~budget ~audit ~certificate net cert =
 (* --check-dataplane: compile the concrete and abstract FIBs per class
    and trace every destination from every role representative through
    both (lib/dataplane's bisimulation check). A diverging witness is a
-   soundness break (exit 7) — like a refuted certificate, it must never
-   be masked by --degrade. Text goes to stdout; under --format json it
+   soundness break (exit 7). Text goes to stdout; under --format json it
    goes to stderr so the JSON document stays golden-testable. *)
 let run_check_dataplane ~budget ~format net
     (results : Bonsai_api.ec_result list) =
@@ -195,7 +192,7 @@ let print_class net (r : Bonsai_api.ec_result) =
 (* One path for one class or all: one summary, then one rendering,
    certification and exit code. *)
 let compress_cmd_run spec ec_prefix dot all check_dataplane format budget_ms
-    budget_ticks degrade certify audit certificate =
+    budget_ticks certify audit certificate =
   guarded @@ fun () ->
   let net = resolve_network spec in
   let budget = make_budget budget_ms budget_ticks in
@@ -252,11 +249,10 @@ let compress_cmd_run spec ec_prefix dot all check_dataplane format budget_ms
         (Certify.of_summary ~network:spec net s)
     else `Skipped
   in
-  let degrade_exit code = if degrade then 0 else code in
-  if Option.is_some s.Bonsai_api.degradation then degrade_exit 3
+  if Option.is_some s.Bonsai_api.degradation then 3
   else
     match (dp_status, cert_status) with
-    | `Incomplete, _ | _, `Incomplete -> degrade_exit 3
+    | `Incomplete, _ | _, `Incomplete -> 3
     | `Ok, (`Certified | `Skipped) -> 0
 
 (* --- diff / watch: incremental recompression --------------------------- *)
@@ -277,8 +273,8 @@ let report_text (rep : Incr.report) =
     rep.Incr.r_cache_misses;
   print_degradation rep.Incr.r_degradation
 
-let diff_cmd_run old_spec new_spec format budget_ms budget_ticks degrade
-    certify audit certificate =
+let diff_cmd_run old_spec new_spec format budget_ms budget_ticks certify
+    audit certificate =
   guarded @@ fun () ->
   let old_net = resolve_network old_spec in
   let new_net = resolve_network new_spec in
@@ -309,17 +305,13 @@ let diff_cmd_run old_spec new_spec format budget_ms budget_ticks degrade
         (Certify.of_summary ~network:new_spec new_net (Incr.summary st))
     else `Skipped
   in
-  match rep.Incr.r_degradation with
-  | Some _ when not degrade -> 3
-  | _ -> (
-    match cert_status with
-    | `Incomplete when not degrade -> 3
-    | _ -> if List.is_empty deltas then 0 else 1)
+  match (rep.Incr.r_degradation, cert_status) with
+  | Some _, _ | _, `Incomplete -> 3
+  | None, (`Certified | `Skipped) -> if List.is_empty deltas then 0 else 1
 
 (* --- dataplane-diff: differential FIB compilation --------------------- *)
 
-let dataplane_diff_cmd_run old_spec new_spec format budget_ms budget_ticks
-    degrade =
+let dataplane_diff_cmd_run old_spec new_spec format budget_ms budget_ticks =
   guarded @@ fun () ->
   let old_net = resolve_network old_spec in
   let new_net = resolve_network new_spec in
@@ -373,8 +365,8 @@ let dataplane_diff_cmd_run old_spec new_spec format budget_ms budget_ticks
   Printf.eprintf "dataplane-diff: %d classes diffed in %.3fs\n%!"
     rep.Dp_diff.dp_classes rep.Dp_diff.dp_time_s;
   match rep.Dp_diff.dp_unknown with
-  | _ :: _ when not degrade -> 3
-  | _ -> if Dp_diff.changed rep then 1 else 0
+  | _ :: _ -> 3
+  | [] -> if Dp_diff.changed rep then 1 else 0
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -407,8 +399,7 @@ let defined_router_names text =
          | _ -> acc)
        Names.empty
 
-let watch_cmd_run path poll_ms once max_events format budget_ms budget_ticks
-    degrade =
+let watch_cmd_run path poll_ms once max_events format budget_ms budget_ticks =
   guarded @@ fun () ->
   let read () =
     try Ok (read_watch_path path) with Sys_error m -> Error [ (0, m) ]
@@ -447,10 +438,7 @@ let watch_cmd_run path poll_ms once max_events format budget_ms budget_ticks
       (Json.Obj
          ((("event", Json.String "init") :: Bonsai_api.summary_json_fields s)
          @ [ ("cache", cache_json hits misses) ])));
-  if once then
-    match s.Bonsai_api.degradation with
-    | Some _ when not degrade -> 3
-    | _ -> 0
+  if once then if Option.is_some s.Bonsai_api.degradation then 3 else 0
   else begin
     let last = ref text0 in
     let events = ref 0 in
@@ -569,8 +557,7 @@ let watch_cmd_run path poll_ms once max_events format budget_ms budget_ticks
 
 (* --- lint -------------------------------------------------------------- *)
 
-let lint_cmd_run spec format min_severity no_compression flow budget_ms
-    budget_ticks list_checks =
+let lint_cmd_run spec format min_severity list_checks =
   guarded @@ fun () ->
   if list_checks then begin
     List.iter
@@ -580,8 +567,7 @@ let lint_cmd_run spec format min_severity no_compression flow budget_ms
   end
   else begin
     let net, locs = resolve_network_full spec in
-    let budget = make_budget budget_ms budget_ticks in
-    let ds = Lint.run ?locs ~compression:(not no_compression) ~flow ~budget net in
+    let ds = Lint.run ?locs net in
     let shown = Lint.filter ~min_severity ds in
     (match format with
     | `Text -> Format.printf "%a" Lint.pp_text shown
@@ -803,7 +789,7 @@ let faults_cmd_run spec ec_prefix k samples seed format budget_ms
 (* --- harden ------------------------------------------------------------ *)
 
 let harden_cmd_run spec ec_prefix k rounds samples seed format
-    budget_ms budget_ticks degrade certify audit certificate =
+    budget_ms budget_ticks certify audit certificate =
   guarded @@ fun () ->
   let net = resolve_network spec in
   let budget = make_budget budget_ms budget_ticks in
@@ -878,7 +864,6 @@ let harden_cmd_run spec ec_prefix k rounds samples seed format
          abstraction (sound, no compression)@."
         rounds)
   | `Json -> print_json (Json.Obj (Repair.json_fields net r)));
-  let degrade_exit code = if degrade then 0 else code in
   (* certify the hardened abstraction itself — pins and repair rounds
      change the partition, so the witness must come from the result *)
   let cert_status =
@@ -891,13 +876,13 @@ let harden_cmd_run spec ec_prefix k rounds samples seed format
     else `Skipped
   in
   match r.Repair.fallback with
-  | Bonsai_api.Budget_fallback _ -> degrade_exit 3
+  | Bonsai_api.Budget_fallback _ -> 3
   | Bonsai_api.Rounds_fallback ->
-    degrade_exit (Bonsai_error.exit_code (Bonsai_error.Soundness_break ""))
+    Bonsai_error.exit_code (Bonsai_error.Soundness_break "")
   | Bonsai_api.No_fallback ->
     if r.Repair.sound then
       match cert_status with
-      | `Incomplete -> degrade_exit 3
+      | `Incomplete -> 3
       | `Certified | `Skipped -> 0
     else Bonsai_error.exit_code (Bonsai_error.Soundness_break "")
 
@@ -1043,7 +1028,7 @@ let serve_cmd_run stdio socket tcp max_inflight budget_ms budget_ticks
    exits 0 whatever it reports; an error response exits with its class's
    CLI code. *)
 let request_cmd_run socket tcp op network ec to_spec k rounds samples seed
-    budget_ms budget_ticks raw no_retry =
+    budget_ms budget_ticks raw =
   guarded @@ fun () ->
   let line =
     match raw with
@@ -1122,10 +1107,9 @@ let request_cmd_run socket tcp op network ec to_spec k rounds samples seed
   in
   (* Overload is transient by definition — the server said so with its
      retry_after_ms hint. Honor it (floored by exponential backoff) for
-     a bounded number of attempts instead of exiting 11 immediately;
-     --no-retry restores the old single-shot behavior. Only the final
-     response line reaches stdout. *)
-  let max_attempts = if no_retry then 1 else 5 in
+     a bounded number of attempts instead of exiting 11 immediately.
+     Only the final response line reaches stdout. *)
+  let max_attempts = 5 in
   let bo = Backoff.create ~base_ms:100 ~cap_ms:5000 () in
   let overloaded_hint r =
     match Option.bind (Json.member "error" r) (Json.member "class") with
@@ -1186,8 +1170,7 @@ open Cmdliner
 
 (* Exit codes of the typed error taxonomy, shown in every --help. *)
 let exits =
-  Cmd.Exit.info 0 ~doc:"on success (including degraded results under \
-                        $(b,--degrade))."
+  Cmd.Exit.info 0 ~doc:"on success."
   :: Cmd.Exit.info 1
        ~doc:
          "on findings: error-severity lint diagnostics, a non-empty \
@@ -1195,18 +1178,21 @@ let exits =
           disconnect/diverge/break the abstraction."
   :: Cmd.Exit.info 3
        ~doc:
-         "on budget exhaustion ($(b,--budget-ms)/$(b,--budget-ticks)) \
-          without $(b,--degrade)."
+         "on budget exhaustion ($(b,--budget-ms)/$(b,--budget-ticks)); \
+          the report names what fell back to the identity abstraction or \
+          was left unchecked."
   :: Cmd.Exit.info 4 ~doc:"on configuration parse errors."
   :: Cmd.Exit.info 5 ~doc:"on compilation errors."
   :: Cmd.Exit.info 6 ~doc:"on solver divergence."
   :: Cmd.Exit.info 7
-       ~doc:"on a soundness break (abstract and concrete disagree)."
+       ~doc:
+         "on a soundness break (abstract and concrete disagree), or when \
+          $(b,harden) runs out of repair rounds."
   :: Cmd.Exit.info 8
        ~doc:
          "on a certificate failure: the independent checker refuted a \
           $(b,--certify) result or a stored certificate. This is the one \
-          answer to a refuted result, never masked by $(b,--degrade)."
+          answer to a refuted result."
   :: Cmd.Exit.info 9 ~doc:"on internal errors."
   :: List.filter
        (fun i -> Cmd.Exit.info_code i <> Cmd.Exit.ok)
@@ -1234,8 +1220,10 @@ let budget_ms_arg =
     & info [ "budget-ms" ] ~docv:"MS"
         ~doc:
           "Wall-clock budget in milliseconds. When it runs out the tool \
-           stops the expensive phases and exits 3 — or degrades gracefully \
-           under $(b,--degrade).")
+           stops the expensive phases and exits 3. Classes the budget did \
+           not reach fall back to the identity abstraction (every router \
+           its own role: always sound, no compression), flagged degraded \
+           and reported.")
 
 let budget_ticks_arg =
   Arg.(
@@ -1246,17 +1234,6 @@ let budget_ticks_arg =
           "Deterministic work budget: one tick per solver activation, \
            refinement iteration, or uncached BDD operation. Exhaustion \
            behaves like $(b,--budget-ms); useful for reproducible tests.")
-
-let degrade_arg =
-  Arg.(
-    value & flag
-    & info [ "degrade" ]
-        ~doc:
-          "On budget exhaustion (exit 3), exit 0 instead. The classes the \
-           budget did not reach have fallen back to the identity \
-           abstraction (every router its own role — always sound, no \
-           compression), flagged degraded and reported. A refuted \
-           certificate (exit 8) is never masked.")
 
 let info_cmd =
   Cmd.v
@@ -1270,9 +1247,9 @@ let certify_flag =
         ~doc:
           "Export the result as a certificate and re-validate it with the \
            independent checker (fresh BDD universe, executable route-map \
-           semantics). A refuted certificate exits 8 — never masked by \
-           $(b,--degrade); an audit that runs out of budget is reported \
-           incomplete, never falsely certified.")
+           semantics). A refuted certificate exits 8; an audit that runs \
+           out of budget is reported incomplete (exit 3), never falsely \
+           certified.")
 
 let audit_arg =
   Arg.(
@@ -1323,8 +1300,8 @@ let compress_cmd =
              (LPM FIBs with ACLs folded in) and check they bisimulate: \
              trace every destination class from every role representative \
              through both. A diverging (router, prefix, path) witness is a \
-             soundness break (exit 7, never masked by $(b,--degrade)); \
-             classes the budget leaves unchecked exit 3.")
+             soundness break (exit 7); classes the budget leaves unchecked \
+             exit 3.")
   in
   Cmd.v
     (cmd_info "compress"
@@ -1334,7 +1311,7 @@ let compress_cmd =
     Term.(
       const compress_cmd_run $ network_arg $ ec_arg $ dot $ all
       $ check_dataplane $ format_arg $ budget_ms_arg $ budget_ticks_arg
-      $ degrade_arg $ certify_flag $ audit_arg $ certificate_arg)
+      $ certify_flag $ audit_arg $ certificate_arg)
 
 (* The two positional specs of [diff] and [dataplane-diff]. *)
 let old_arg =
@@ -1362,8 +1339,7 @@ let diff_cmd =
           cache.")
     Term.(
       const diff_cmd_run $ old_arg $ new_arg $ format_arg $ budget_ms_arg
-      $ budget_ticks_arg $ degrade_arg $ certify_flag $ audit_arg
-      $ certificate_arg)
+      $ budget_ticks_arg $ certify_flag $ audit_arg $ certificate_arg)
 
 let dataplane_diff_cmd =
   Cmd.v
@@ -1377,12 +1353,11 @@ let dataplane_diff_cmd =
           touched-incident edge, stable OSPF liveness) are reused without \
           recompilation — only dirty classes are recompiled on both \
           networks. Exit 0 when the data planes are identical, 1 when any \
-          entry changed, 3 when the budget left classes unknown (without \
-          $(b,--degrade); unknown classes are always listed, never \
-          silently omitted).")
+          entry changed, 3 when the budget left classes unknown (they are \
+          always listed, never silently omitted).")
     Term.(
       const dataplane_diff_cmd_run $ old_arg $ new_arg $ format_arg
-      $ budget_ms_arg $ budget_ticks_arg $ degrade_arg)
+      $ budget_ms_arg $ budget_ticks_arg)
 
 let watch_cmd =
   let path_arg =
@@ -1425,7 +1400,7 @@ let watch_cmd =
           same degradation rules as compress.")
     Term.(
       const watch_cmd_run $ path_arg $ poll_ms $ once $ max_events
-      $ format_arg $ budget_ms_arg $ budget_ticks_arg $ degrade_arg)
+      $ format_arg $ budget_ms_arg $ budget_ticks_arg)
 
 let lint_cmd =
   let min_severity =
@@ -1442,27 +1417,10 @@ let lint_cmd =
       & info [ "min-severity" ] ~docv:"SEV"
           ~doc:"Hide diagnostics below this severity (error|warning|info).")
   in
-  let no_compression =
-    Arg.(
-      value & flag
-      & info [ "no-compression-check" ]
-          ~doc:
-            "Skip the compression-blocker report (it encodes every interface \
-             policy as a BDD, the slow part on big networks).")
-  in
   let list_checks =
     Arg.(
       value & flag
       & info [ "list-checks" ] ~doc:"List every check and exit.")
-  in
-  let flow =
-    Arg.(
-      value & flag
-      & info [ "flow" ]
-          ~doc:
-            "Additionally run the whole-network route-provenance checks \
-             (see $(b,bonsai flow)): cross-protocol leaks, unintended \
-             transit, community provenance, blocker localization.")
   in
   Cmd.v
     (cmd_info "lint"
@@ -1472,7 +1430,6 @@ let lint_cmd =
           positions)")
     Term.(
       const lint_cmd_run $ network_arg $ format_arg $ min_severity
-      $ no_compression $ flow $ budget_ms_arg $ budget_ticks_arg
       $ list_checks)
 
 let flow_cmd =
@@ -1638,12 +1595,13 @@ let harden_cmd =
          "Compress with counterexample-guided repair until the abstraction \
           is sound under every swept failure scenario: on a soundness break \
           the disagreeing routers are pinned into singleton roles and the \
-          network is recompressed. Budget or round exhaustion degrades to \
-          the identity abstraction (sound, no compression; exit 3 or 7, or \
-          0 under $(b,--degrade)) rather than emitting an unsound result.")
+          network is recompressed. Budget or round exhaustion falls back to \
+          the identity abstraction (sound, no compression) rather than \
+          emitting an unsound result: exit 3 when the budget ran out, 7 \
+          when the repair rounds did.")
     Term.(
       const harden_cmd_run $ network_arg $ ec_arg $ k_arg $ rounds $ samples
-      $ seed_arg $ format_arg $ budget_ms_arg $ budget_ticks_arg $ degrade_arg
+      $ seed_arg $ format_arg $ budget_ms_arg $ budget_ticks_arg
       $ certify_flag $ audit_arg $ certificate_arg)
 
 let certify_cmd =
@@ -1831,22 +1789,13 @@ let request_cmd =
       & info [ "raw" ] ~docv:"JSON"
           ~doc:"Send this exact JSON line instead of building one.")
   in
-  let no_retry =
-    Arg.(
-      value & flag
-      & info [ "no-retry" ]
-          ~doc:
-            "Exit 11 immediately on an $(i,overloaded) response instead of \
-             honoring its retry_after_ms hint with bounded backed-off \
-             retries.")
-  in
   Cmd.v
     (cmd_info "request"
        ~doc:
          "Send one request to a running $(b,bonsai serve) and print the \
-          response line. An $(i,overloaded) response is retried a bounded \
-          number of times, honoring the server's retry_after_ms hint \
-          (floored by exponential backoff) unless $(b,--no-retry). An \
+          response line. An $(i,overloaded) response is sent again up to \
+          four times, honoring the server's retry_after_ms hint (floored \
+          by exponential backoff). An \
           $(i,ok) response exits 0 whatever it reports (lint errors and \
           broken fault scenarios included); an error response exits with \
           its class's code (budget 3, parse 4, compile 5, and so on, 11 \
@@ -1854,7 +1803,8 @@ let request_cmd =
     Term.(
       const request_cmd_run $ socket_arg $ tcp_arg $ op $ network $ ec
       $ to_spec $ k $ rounds $ samples $ seed $ budget_ms_arg
-      $ budget_ticks_arg $ raw $ no_retry)
+      $ budget_ticks_arg $ raw)
+
 
 let () =
   let doc = "Bonsai: control plane compression (SIGCOMM 2018 reproduction)" in

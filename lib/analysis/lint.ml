@@ -1,10 +1,8 @@
 let checks =
   Lint_route_map.checks @ Lint_acl.checks @ Lint_comms.checks
   @ Lint_session.checks @ Lint_routing.checks @ Lint_compress.checks
-  @ Lint_flow.checks
 
-let run ?locs ?(compression = true) ?(flow = false) ?budget
-    (net : Device.network) =
+let run ?locs (net : Device.network) =
   let u = Cond_bdd.of_network net in
   let ds =
     Lint_route_map.run ?locs u net
@@ -12,8 +10,7 @@ let run ?locs ?(compression = true) ?(flow = false) ?budget
     @ Lint_comms.run ?locs net
     @ Lint_session.run ?locs net
     @ Lint_routing.run ?locs u net
-    @ (if compression then Lint_compress.run ?locs net else [])
-    @ (if flow then Lint_flow.run ?locs ?budget net else [])
+    @ Lint_compress.run ?locs net
   in
   List.sort Diag.compare ds
 

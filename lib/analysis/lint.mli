@@ -9,21 +9,13 @@
 val checks : (string * string) list
 (** Every check's (name, one-line description), in report order. *)
 
-val run :
-  ?locs:Config_text.loc_table ->
-  ?compression:bool ->
-  ?flow:bool ->
-  ?budget:Budget.t ->
-  Device.network ->
-  Diag.t list
+val run : ?locs:Config_text.loc_table -> Device.network -> Diag.t list
 (** Run every check; diagnostics in the deterministic report order of
     {!Diag.compare} — source line first, then check id — so output is
     stable across runs and machines. [locs] (from
-    {!Config_text.parse_with_locs}) adds source line numbers.
-    [~compression:false] skips the compression-blocker report (it builds
-    a full policy-BDD universe, noticeably slower on big networks).
-    [~flow:true] additionally runs the whole-network provenance checks
-    ({!Lint_flow}), metered by [budget]. *)
+    {!Config_text.parse_with_locs}) adds source line numbers. The
+    whole-network provenance checks are {!Lint_flow}'s, run by
+    [bonsai flow]. *)
 
 val filter : min_severity:Diag.severity -> Diag.t list -> Diag.t list
 val has_errors : Diag.t list -> bool

@@ -1,21 +1,3 @@
-let checks =
-  [
-    ( "cross-protocol-leak",
-      "a route can leave OSPF into BGP, traverse sessions, and be \
-       re-injected into OSPF at another router" );
-    ( "unintended-transit",
-      "a route learned from a provider or peer can be re-exported to \
-       another provider or peer (Gao–Rexford violation)" );
-    ( "community-provenance",
-      "a community matched by a session's route-map that no route able to \
-       reach the session can carry" );
-    ( "compression-blocker-origin",
-      "the upstream policy divergence that causes two near-equal roles to \
-       split" );
-    ( "flow-degraded",
-      "the provenance analysis ran out of budget; flow facts are unknown" );
-  ]
-
 let router_loc ?locs g v =
   let router = Graph.name g v in
   Diag.at_router

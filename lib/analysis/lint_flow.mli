@@ -6,9 +6,14 @@
     "no reachable origin can do X" conclusions are sound. Facts degraded
     to [Unknown] (budget exhaustion) suppress the checks that would read
     them and add a single [flow-degraded] warning instead — the analysis
-    never reports from partial state. *)
+    never reports from partial state.
 
-val checks : (string * string) list
+    The checks: [cross-protocol-leak] (a route can leave OSPF into BGP
+    and be re-injected into OSPF elsewhere), [unintended-transit] (a
+    Gao–Rexford violation), [community-provenance] (a community matched
+    where no reachable route can carry it) and
+    [compression-blocker-origin] (the upstream policy divergence that
+    splits two near-equal roles). *)
 
 val run :
   ?locs:Config_text.loc_table ->

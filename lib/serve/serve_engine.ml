@@ -14,9 +14,10 @@
 
    Warm-state policy, wherever a state enters or changes (cold load,
    [diff]): a degraded state — a compression whose budget ran out so
-   that classes fell back to identity — is answered from but never kept.
-   Otherwise one under-budgeted request would poison every later answer
-   for that network. A degraded [diff] leaves the entry at its pre-diff
+   that classes fell back to identity — is never kept, and compress,
+   load and diff answer it budget-exceeded. Otherwise one
+   under-budgeted request would poison every later answer for that
+   network. A degraded [diff] leaves the entry at its pre-diff
    network. *)
 
 type entry = {
@@ -112,12 +113,10 @@ let evict_lru t =
     Hashtbl.remove t.registry key;
     t.n_net_evictions <- t.n_net_evictions + 1
 
-(* The one admission rule: a degraded state is answered from but never
-   kept, and leaves the registry as it was. Returns whether [st] is now
-   the entry under [spec]. A new state awaits the self-audit. *)
+(* The one admission rule: a degraded state is never kept, and leaves
+   the registry as it was. A new state awaits the self-audit. *)
 let admit t spec locs st =
-  let kept = Option.is_none (Incr.summary st).Bonsai_api.degradation in
-  if kept then begin
+  if Option.is_none (Incr.summary st).Bonsai_api.degradation then begin
     if
       (not (Hashtbl.mem t.registry spec))
       && Hashtbl.length t.registry >= t.max_networks
@@ -126,15 +125,12 @@ let admit t spec locs st =
     touch t en;
     Hashtbl.replace t.registry spec en;
     t.audit_dirty <- true
-  end;
-  kept
+  end
 
 (* Every warm network with its spec, sorted by spec. *)
 let warm_networks t =
   Hashtbl.fold (fun spec en acc -> (spec, en) :: acc) t.registry []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-type warmth = Warm | Cold_cached | Cold_transient
 
 (* Look up or cold-build the state for a spec. The cold build runs under
    the *request's* budget: a pathological network costs only its own
@@ -143,14 +139,14 @@ let get_state t ~budget spec =
   match Hashtbl.find_opt t.registry spec with
   | Some en ->
     touch t en;
-    (en.en_state, Warm)
+    en.en_state
   | None -> (
     let net, locs = t.resolve spec in
     match Incr.init ~budget net with
     | Error e -> Bonsai_error.error e
     | Ok st ->
-      if admit t spec locs st then (st, Cold_cached)
-      else (st, Cold_transient))
+      admit t spec locs st;
+      st)
 
 (* The warm network and its source lines if the spec is in the registry,
    else resolved afresh (nothing is cached): for ops that read only the
@@ -184,25 +180,20 @@ let audit_param req =
     | Some a -> a
     | None -> Format.kasprintf failwith "bad audit level %S" s)
 
-(* Mirror of the one-shot CLI's --degrade contract: a degraded result is
-   a typed budget-exceeded response unless the request opted into
-   degradation with "degrade": true — then it is an ok response whose
-   "degraded" fields say what fell back to identity. *)
-let wants_degrade req =
-  Option.value ~default:false (Protocol.bool_param req "degrade")
-
-let check_degradation req = function
-  | Some (d : Bonsai_api.degradation) when not (wants_degrade req) ->
+(* A degraded result is a typed budget-exceeded response, never an
+   answer from identity rows (the one-shot CLI prints them and exits 3). *)
+let check_degradation = function
+  | Some (d : Bonsai_api.degradation) ->
     Bonsai_error.error (Bonsai_error.Budget_exceeded d.Bonsai_api.deg_info)
-  | _ -> ()
+  | None -> ()
 
 (* --- ops -------------------------------------------------------------- *)
 
 let compress_op t req =
   let budget = request_budget t req in
-  let st, _ = get_state t ~budget (network_param req) in
+  let st = get_state t ~budget (network_param req) in
   let summary = Incr.summary st in
-  check_degradation req summary.Bonsai_api.degradation;
+  check_degradation summary.Bonsai_api.degradation;
   let summary, roles =
     match Protocol.string_param req "ec" with
     | None -> (summary, false)
@@ -216,14 +207,9 @@ let compress_op t req =
   :: Bonsai_api.summary_json_fields ~roles summary
 
 let lint_op t req =
-  let budget = request_budget t req in
   let spec = network_param req in
   let net, locs = warm_or_resolve t spec in
-  let compression =
-    Option.value ~default:true (Protocol.bool_param req "compression")
-  in
-  let flow = Option.value ~default:false (Protocol.bool_param req "flow") in
-  let ds = Lint.run ?locs ~compression ~flow ~budget net in
+  let ds = Lint.run ?locs net in
   [
     ("network", Json.String spec);
     ("findings", Diag.list_to_json ds);
@@ -243,7 +229,7 @@ let diff_op t req =
   let budget = request_budget t req in
   let spec = network_param req in
   let to_spec = Protocol.require_string req "to" in
-  let st, _ = get_state t ~budget spec in
+  let st = get_state t ~budget spec in
   let net', locs = t.resolve to_spec in
   (* Recompress a copy, so that a degraded result, which [admit] refuses,
      leaves the entry at its pre-diff network. A kept one is the [to]
@@ -252,8 +238,8 @@ let diff_op t req =
   match Incr.recompress_net ~budget st net' with
   | Error e -> Bonsai_error.error e
   | Ok (deltas, rep) ->
-    ignore (admit t spec locs st : bool);
-    check_degradation req rep.Incr.r_degradation;
+    admit t spec locs st;
+    check_degradation rep.Incr.r_degradation;
     ("network", Json.String spec)
     :: ("to", Json.String to_spec)
     :: Incr.report_json_fields ~deltas rep
@@ -268,7 +254,7 @@ let dataplane_diff_op t req =
   let budget = request_budget t req in
   let spec = network_param req in
   let to_spec = Protocol.require_string req "to" in
-  let st, _ = get_state t ~budget spec in
+  let st = get_state t ~budget spec in
   let old_net = Incr.network st in
   let new_net, _ = t.resolve to_spec in
   let deltas = Delta.diff old_net new_net in
@@ -277,7 +263,7 @@ let dataplane_diff_op t req =
   with
   | Error e -> Bonsai_error.error e
   | Ok rep ->
-    check_degradation req rep.Dp_diff.dp_degradation;
+    check_degradation rep.Dp_diff.dp_degradation;
     ("network", Json.String spec)
     :: ("to", Json.String to_spec)
     :: Dp_diff.report_json_fields ~old_net ~new_net rep
@@ -285,7 +271,7 @@ let dataplane_diff_op t req =
 let faults_op t req =
   let budget = request_budget t req in
   let spec = network_param req in
-  let st, _ = get_state t ~budget spec in
+  let st = get_state t ~budget spec in
   let net = Incr.network st in
   let ec = Bonsai_api.find_class net (Protocol.string_param req "ec") in
   (* the abstraction is the warm one the registry already holds *)
@@ -307,7 +293,7 @@ let faults_op t req =
 let harden_op t req =
   let budget = request_budget t req in
   let spec = network_param req in
-  let st, _ = get_state t ~budget spec in
+  let st = get_state t ~budget spec in
   let net = Incr.network st in
   let ec = Bonsai_api.find_class net (Protocol.string_param req "ec") in
   let param = Protocol.int_param req in
@@ -483,16 +469,11 @@ let test_corrupt_op t req =
 let load_op t req =
   let budget = request_budget t req in
   let spec = network_param req in
-  let st, warmth = get_state t ~budget spec in
-  let summary = Incr.summary st in
-  check_degradation req summary.Bonsai_api.degradation;
+  let summary = Incr.summary (get_state t ~budget spec) in
+  check_degradation summary.Bonsai_api.degradation;
   [
     ("network", Json.String spec);
     ("ecs", Json.Int (List.length summary.Bonsai_api.results));
-    ( "degraded",
-      Json.Bool (Option.is_some summary.Bonsai_api.degradation) );
-    ( "cached",
-      Json.Bool (match warmth with Cold_transient -> false | _ -> true) );
   ]
 
 let unload_op t req =
@@ -627,7 +608,7 @@ let restore t ~path =
       (fun (spec, st, locs) ->
         (* marshaled copies lost Budget.infinite's physical identity *)
         Incr.rearm st;
-        ignore (admit t spec locs st : bool))
+        admit t spec locs st)
       rows;
     t.restored <- true;
     t.checkpoint_status <- "restored";

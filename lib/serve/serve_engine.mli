@@ -22,8 +22,9 @@
 
     Admission: wherever a state enters or changes (cold load, [diff]), a
     degraded state — a compression that fell back to identity — is
-    answered from but never kept, so warm answers are always exact. A
-    degraded [diff] leaves the entry at its pre-diff network.
+    never kept, so warm answers are always exact; [compress], [load] and
+    [diff] answer it [budget-exceeded]. A degraded [diff] leaves the
+    entry at its pre-diff network.
 
     Self-audit: warm answers come from cached state — an engine bug, a
     bad incremental-reuse decision or adopted checkpoint bytes could

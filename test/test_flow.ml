@@ -129,7 +129,7 @@ let test_leak_detected () =
   Alcotest.(check bool) "flow finds the leak" true
     (has_check "cross-protocol-leak" ds);
   (* the per-device linter is silent on this shape *)
-  let per_device = Lint.run ~compression:false net in
+  let per_device = Lint.run net in
   Alcotest.(check bool) "per-device check cannot see it" false
     (has_check "redistribution-cycle" per_device);
   (* diagnostics point at the re-injector *)

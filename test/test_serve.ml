@@ -286,15 +286,7 @@ let test_engine_budget_isolation () =
     (Serve_engine.networks eng);
   (* ... while the engine keeps answering everyone else *)
   let r2 = handle eng "{\"op\":\"compress\",\"network\":\"ring:4\"}" in
-  Alcotest.(check bool) "next request unaffected" true (response_ok r2);
-  (* opting in with "degrade": true turns the same starvation into an ok
-     response that says what fell back *)
-  let r3 =
-    handle eng
-      "{\"op\":\"compress\",\"network\":\"mesh:4\",\"budget_ticks\":1,\
-       \"degrade\":true}"
-  in
-  Alcotest.(check bool) "degrade opt-in" true (response_ok r3)
+  Alcotest.(check bool) "next request unaffected" true (response_ok r2)
 
 let test_engine_typed_errors () =
   let eng = engine () in
@@ -856,37 +848,26 @@ let member name j =
   | Some v -> v
   | None -> Alcotest.failf "no %s in %s" name (Json.to_string j)
 
-(* A degraded diff is answered from but never kept: whether it answers
-   budget-exceeded or, under "degrade": true, ok and degraded, the warm
+(* A degraded diff answers budget-exceeded and is never kept: the warm
    entry stays at its pre-diff network. *)
 let test_engine_starved_diff_keeps_network () =
   let eng = engine () in
   let compress = "{\"op\":\"compress\",\"network\":\"ring:4\"}" in
   let before = handle eng compress in
   Alcotest.(check bool) "warm" true (response_ok before);
-  let diff extra =
+  let starved =
     handle eng
-      ("{\"op\":\"diff\",\"network\":\"ring:4\",\"to\":\"ring:6\",\
-        \"budget_ticks\":1" ^ extra ^ "}")
+      "{\"op\":\"diff\",\"network\":\"ring:4\",\"to\":\"ring:6\",\
+       \"budget_ticks\":1}"
   in
-  let unchanged what =
-    let after = handle eng compress in
-    Alcotest.(check bool) (what ^ ": compress ok") true (response_ok after);
-    Alcotest.(check bool) (what ^ ": undegraded") true
-      (Json.equal (Json.Bool false)
-         (member "degraded" (parse_or_fail "compress" after)));
-    Alcotest.(check string) (what ^ ": byte-identical to before") before after
-  in
-  let starved = diff "" in
   Alcotest.(check string) "starved diff typed" "budget-exceeded"
     (error_class starved);
-  unchanged "after a starved diff";
-  let degraded = parse_or_fail "degraded diff" (diff ",\"degrade\":true") in
-  Alcotest.(check bool) "degrade opt-in ok" true
-    (Json.equal (Json.Bool true) (member "ok" degraded));
-  Alcotest.(check bool) "answer says degraded" true
-    (Json.equal (Json.Bool true) (member "degraded" degraded));
-  unchanged "after a degraded diff";
+  let after = handle eng compress in
+  Alcotest.(check bool) "compress ok" true (response_ok after);
+  Alcotest.(check bool) "undegraded" true
+    (Json.equal (Json.Bool false)
+       (member "degraded" (parse_or_fail "compress" after)));
+  Alcotest.(check string) "byte-identical to before" before after;
   Alcotest.(check int) "one warm entry" 1 (Serve_engine.networks eng)
 
 (* stats counts each warm network's classes and the distinct behaviours
