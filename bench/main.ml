@@ -1017,9 +1017,9 @@ let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let timeout_s = ref 60.0 in
   let samples = ref None in
-  let k = ref 8 in
+  let k = ref None in
   let n_deltas = ref 10 in
-  let json_path = ref "BENCH_incr.json" in
+  let json_path = ref None in
   let assert_speedup = ref None in
   let assert_overhead = ref None in
   let rec parse cmds = function
@@ -1035,7 +1035,9 @@ let () =
       | None -> usage ());
       parse cmds rest
     | "--k" :: v :: rest ->
-      (match int_of_string_opt v with Some n -> k := n | None -> usage ());
+      (match int_of_string_opt v with
+      | Some n -> k := Some n
+      | None -> usage ());
       parse cmds rest
     | "--deltas" :: v :: rest ->
       (match int_of_string_opt v with
@@ -1043,7 +1045,7 @@ let () =
       | None -> usage ());
       parse cmds rest
     | "--json" :: v :: rest ->
-      json_path := v;
+      json_path := Some v;
       parse cmds rest
     | "--assert-speedup" :: v :: rest ->
       (match float_of_string_opt v with
@@ -1059,6 +1061,8 @@ let () =
     | c :: rest -> parse (c :: cmds) rest
   in
   let cmds = match parse [] args with [] -> [ "all" ] | cs -> cs in
+  (* each target has its own default fattree size and output file *)
+  let json default = Option.value ~default !json_path in
   List.iter
     (fun cmd ->
       match cmd with
@@ -1072,33 +1076,17 @@ let () =
       | "faults" -> faults ?samples:!samples ()
       | "harden" -> harden ()
       | "incr" ->
-        incr_bench ~k:!k ~n_deltas:!n_deltas ~json_path:!json_path
+        incr_bench ?k:!k ~n_deltas:!n_deltas ~json_path:(json "BENCH_incr.json")
           ~assert_speedup:!assert_speedup ()
       | "dataplane" ->
-        let json_path =
-          if String.equal !json_path "BENCH_incr.json" then
-            "BENCH_dataplane.json"
-          else !json_path
-        in
-        dataplane_bench ~k:!k ~json_path ~assert_speedup:!assert_speedup ()
+        dataplane_bench ?k:!k ~json_path:(json "BENCH_dataplane.json")
+          ~assert_speedup:!assert_speedup ()
       | "serve" ->
-        (* --json is shared with incr; redirect its default here *)
-        let json_path =
-          if String.equal !json_path "BENCH_incr.json" then "BENCH_serve.json"
-          else !json_path
-        in
-        serve_bench
-          ~k:(if !k = 8 then 6 else !k)
-          ?n_requests:!samples ~json_path ()
+        serve_bench ?k:!k ?n_requests:!samples
+          ~json_path:(json "BENCH_serve.json") ()
       | "certify" ->
-        let json_path =
-          if String.equal !json_path "BENCH_incr.json" then
-            "BENCH_certify.json"
-          else !json_path
-        in
-        certify_bench
-          ~k:(if !k = 8 then 6 else !k)
-          ~json_path ~assert_overhead:!assert_overhead ()
+        certify_bench ?k:!k ~json_path:(json "BENCH_certify.json")
+          ~assert_overhead:!assert_overhead ()
       | "micro" -> micro ()
       | "all" -> all ~timeout_s:!timeout_s ()
       | _ -> usage ())

@@ -1002,7 +1002,7 @@ let parse_host_port s =
     | None -> raise (Usage (Printf.sprintf "invalid port in %S" s)))
 
 let serve_cmd_run stdio socket tcp max_inflight budget_ms budget_ticks
-    max_networks checkpoint_path checkpoint_every drain_ms preload =
+    max_networks checkpoint_path checkpoint_every =
   guarded @@ fun () ->
   let listen =
     match (stdio, socket, tcp) with
@@ -1018,41 +1018,20 @@ let serve_cmd_run stdio socket tcp max_inflight budget_ms budget_ticks
   (* the engine's default resolver answers an unknown spec as a
      bad-request instead of killing the server *)
   let engine = Serve_engine.create ?budget_ms ?budget_ticks ~max_networks () in
-  Serve_loop.run ~engine ~listen ~max_inflight ~drain_ms ?checkpoint_path
-    ~checkpoint_every ~preload ()
+  Serve_loop.run ~engine ~listen ~max_inflight ?checkpoint_path
+    ~checkpoint_every ()
 
 (* --- request ----------------------------------------------------------- *)
 
-(* One-shot client for a running serve instance: build the request line
-   (or take it raw), send it, print the one response line. An ok response
-   exits 0 whatever it reports; an error response exits with its class's
-   CLI code. *)
-let request_cmd_run socket tcp op network ec to_spec k rounds samples seed
-    budget_ms budget_ticks raw =
+(* One-shot client for a running serve instance: send the request line
+   as given (the server is its one parser), print the one response line.
+   An ok response exits 0 whatever it reports; an error response exits
+   with its class's CLI code. *)
+let request_cmd_run socket tcp line =
   guarded @@ fun () ->
-  let line =
-    match raw with
-    | Some r -> r
-    | None ->
-      let op =
-        match op with
-        | Some op -> op
-        | None -> raise (Usage "an OP argument is required (or --raw)")
-      in
-      let str key v =
-        match v with None -> [] | Some s -> [ (key, Json.String s) ]
-      in
-      let int key v =
-        match v with None -> [] | Some i -> [ (key, Json.Int i) ]
-      in
-      Json.to_string
-        (Json.Obj
-           (("op", Json.String op)
-           :: (str "network" network @ str "ec" ec @ str "to" to_spec
-             @ int "k" k @ int "rounds" rounds @ int "samples" samples
-             @ int "seed" seed @ int "budget_ms" budget_ms
-             @ int "budget_ticks" budget_ticks)))
-  in
+  (* a second line would be a second request whose answer nobody reads *)
+  if String.contains line '\n' then
+    raise (Usage "REQUEST must be one line");
   let addr =
     match (socket, tcp) with
     | Some path, None -> Unix.ADDR_UNIX path
@@ -1702,21 +1681,6 @@ let serve_cmd =
           ~doc:"Also checkpoint every N processed requests (0: only at \
                 shutdown).")
   in
-  let drain_ms =
-    Arg.(
-      value & opt int 2000
-      & info [ "drain-ms" ] ~docv:"MS"
-          ~doc:
-            "Graceful-shutdown deadline: queued requests get this much \
-             wall-clock to finish before being answered with \
-             overloaded(\"server draining\").")
-  in
-  let preload =
-    Arg.(
-      value & opt_all string []
-      & info [ "preload" ] ~docv:"NETWORK"
-          ~doc:"Load (compress) this network before serving; repeatable.")
-  in
   Cmd.v
     (cmd_info "serve"
        ~doc:
@@ -1731,79 +1695,35 @@ let serve_cmd =
     Term.(
       const serve_cmd_run $ stdio $ socket_arg $ tcp_arg $ max_inflight
       $ budget_ms_arg $ budget_ticks_arg $ max_networks
-      $ checkpoint $ checkpoint_every $ drain_ms $ preload)
+      $ checkpoint $ checkpoint_every)
 
 let request_cmd =
-  let op =
+  let request =
     Arg.(
-      value
+      required
       & pos 0 (some string) None
-      & info [] ~docv:"OP"
+      & info [] ~docv:"REQUEST"
           ~doc:
-            (Printf.sprintf "Operation (%s)."
-               (String.concat "|" Serve_engine.op_names)))
-  in
-  let network =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "network" ] ~docv:"NETWORK" ~doc:"Network spec parameter.")
-  in
-  let ec =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "ec" ] ~docv:"PREFIX" ~doc:"Destination class prefix.")
-  in
-  let to_spec =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "to" ] ~docv:"NETWORK" ~doc:"Target network for diff.")
-  in
-  let k =
-    Arg.(
-      value & opt (some int) None
-      & info [ "k" ] ~docv:"K"
-          ~doc:"Failure bound for faults/harden (at least 1).")
-  in
-  let rounds =
-    Arg.(
-      value & opt (some int) None
-      & info [ "rounds" ] ~docv:"N" ~doc:"Repair rounds for harden.")
-  in
-  let samples =
-    Arg.(
-      value & opt (some int) None
-      & info [ "samples" ] ~docv:"N" ~doc:"Scenario samples.")
-  in
-  let seed =
-    Arg.(
-      value & opt (some int) None
-      & info [ "seed" ] ~docv:"SEED" ~doc:"Sampling seed.")
-  in
-  let raw =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "raw" ] ~docv:"JSON"
-          ~doc:"Send this exact JSON line instead of building one.")
+            (Printf.sprintf
+               "One request line of the serve protocol, sent as given: a \
+                JSON object with an $(i,op) (%s), an optional $(i,id), and \
+                the op's parameters, e.g. \
+                '{\"op\":\"compress\",\"network\":\"ring:6\"}'."
+               (String.concat ", " Serve_engine.op_names)))
   in
   Cmd.v
     (cmd_info "request"
        ~doc:
-         "Send one request to a running $(b,bonsai serve) and print the \
-          response line. An $(i,overloaded) response is sent again up to \
-          four times, honoring the server's retry_after_ms hint (floored \
-          by exponential backoff). An \
-          $(i,ok) response exits 0 whatever it reports (lint errors and \
-          broken fault scenarios included); an error response exits with \
-          its class's code (budget 3, parse 4, compile 5, and so on, 11 \
-          when the server shed the request as overloaded).")
-    Term.(
-      const request_cmd_run $ socket_arg $ tcp_arg $ op $ network $ ec
-      $ to_spec $ k $ rounds $ samples $ seed $ budget_ms_arg
-      $ budget_ticks_arg $ raw)
+         "Send one request line to a running $(b,bonsai serve) and print \
+          the response line. An $(i,overloaded) response is sent again up \
+          to four times, honoring the server's retry_after_ms hint \
+          (floored by exponential backoff). An $(i,ok) response exits 0 \
+          whatever it reports (lint errors and broken fault scenarios \
+          included); an error response exits with its class's code (budget \
+          3, parse 4, compile 5, and so on; 124 for a bad request such as \
+          invalid JSON, an unknown op or a parameter the op does not read; \
+          11 when the server shed the request as overloaded).")
+    Term.(const request_cmd_run $ socket_arg $ tcp_arg $ request)
 
 
 let () =

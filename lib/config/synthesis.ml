@@ -651,8 +651,18 @@ let of_spec spec =
             wan, file:PATH)"
            spec))
   in
+  (* a size the generator refuses is the spec's fault: its message is
+     the answer *)
+  let build make =
+    match make () with
+    | net -> Ok (net, None)
+    | exception Invalid_argument m ->
+      Error (`Unknown (Printf.sprintf "bad network %S: %s" spec m))
+  in
   let int_arg s make =
-    match int_of_string_opt s with Some k -> Ok (make k, None) | None -> unknown
+    match int_of_string_opt s with
+    | Some k -> build (fun () -> make k)
+    | None -> unknown
   in
   match String.split_on_char ':' spec with
   | "file" :: rest -> (
@@ -670,10 +680,11 @@ let of_spec spec =
   | [ "multiwan"; r; s ] -> (
     match (int_of_string_opt r, int_of_string_opt s) with
     | Some regions, Some region_size ->
-      Ok ((multiwan ~regions ~region_size).net, None)
+      build (fun () -> (multiwan ~regions ~region_size).net)
     | _ -> unknown)
   | [ "random"; n ] -> int_arg n (fun n -> random_network ~n ~seed:0)
-  | [ "random"; n; s ] ->
-    let seed = Option.value ~default:0 (int_of_string_opt s) in
-    int_arg n (fun n -> random_network ~n ~seed)
+  | [ "random"; n; s ] -> (
+    match int_of_string_opt s with
+    | Some seed -> int_arg n (fun n -> random_network ~n ~seed)
+    | None -> unknown)
   | _ -> unknown

@@ -71,8 +71,8 @@ val of_spec :
     [ `Unknown of string | `Parse of (int * string) list ] )
   result
 (** Resolves a network spec: [fattree:K], [fattree-prefer:K], [ring:N],
-    [mesh:N], [random:N[:SEED]] (an unparsable seed is 0),
-    [multiwan:R:S], [datacenter], [wan] or [file:PATH]. Only a [file:]
-    network carries a source location table. [`Unknown] holds the
-    message naming the accepted forms; [`Parse] the file's
-    diagnostics. *)
+    [mesh:N], [random:N[:SEED]], [multiwan:R:S], [datacenter], [wan]
+    or [file:PATH]. Only a [file:] network carries a source location
+    table. [`Unknown] holds the message naming the accepted forms, or,
+    for a size its generator refuses ([fattree:3], [ring:2]), the
+    generator's message; [`Parse] the file's diagnostics. *)

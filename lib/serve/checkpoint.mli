@@ -36,6 +36,3 @@ val sync_count : unit -> int
     rename would leave this unchanged. *)
 
 val load : path:string -> ('a, load_error) result
-
-val build_digest : string lazy_t
-(** Hex MD5 of the running executable, the version-skew guard. *)

@@ -6,7 +6,8 @@
    "error": {"class": ..., "message": ..., ...}}. Error classes extend
    the CLI's typed taxonomy (Bonsai_error.class_name / exit codes) with
    two protocol-level classes: "bad-request" (unparsable or ill-typed
-   request — the request never reached the pipeline) and "overloaded"
+   request, or one with a parameter its op does not read — the request
+   never reached the pipeline) and "overloaded"
    (the admission queue was full; the response carries a retry hint and
    the server keeps running). *)
 
@@ -49,12 +50,6 @@ let int_param req key =
   | None -> None
   | Some (Json.Int i) -> Some i
   | Some _ -> raise (Bad_param (Printf.sprintf "%S must be an integer" key))
-
-let bool_param req key =
-  match Json.member key req.req_body with
-  | None -> None
-  | Some (Json.Bool b) -> Some b
-  | Some _ -> raise (Bad_param (Printf.sprintf "%S must be a boolean" key))
 
 let require_string req key =
   match string_param req key with

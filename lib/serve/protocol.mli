@@ -24,23 +24,14 @@ val parse_request : string -> (request, string) result
 
 exception Bad_param of string
 (** Raised by the typed accessors below on a type mismatch or a missing
-    required parameter; the engine converts it to a bad-request
-    response. *)
+    required parameter, and by the engine's dispatch on a key the op
+    does not read; the engine converts it to a bad-request response. *)
 
 val string_param : request -> string -> string option
 val int_param : request -> string -> int option
-val bool_param : request -> string -> bool option
 val require_string : request -> string -> string
 
 val ok_response : id:Json.t -> op:string -> (string * Json.t) list -> string
-val error_response :
-  id:Json.t ->
-  op:string ->
-  cls:string ->
-  ?data:(string * Json.t) list ->
-  string ->
-  string
-
 val bad_request : id:Json.t -> op:string -> string -> string
 
 val overloaded :

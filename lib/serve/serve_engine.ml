@@ -6,7 +6,7 @@
    The engine is deliberately sequential — the BDD manager is shared
    mutable state — so request isolation comes from budgets, not threads:
    every request runs under its own [Budget.t], the request's own
-   --budget-ms/--budget-ticks clamped by the server-wide caps
+   "budget_ms"/"budget_ticks" clamped by the server-wide caps
    ([Budget.scoped]), and a request that exhausts it gets a typed
    budget-exceeded response while the engine (and every other queued
    request) is untouched. [handle_line] is total: arbitrary bytes in,
@@ -522,38 +522,61 @@ let stats_op t ~queue_depth =
 
 (* --- dispatch --------------------------------------------------------- *)
 
-(* Every public op, in the order --help lists them: dispatch looks ops up
-   here, so the list cannot drift from what the engine answers. The
-   test-corrupt hook is not listed. *)
+(* Every public op with the parameters it reads, in the order --help
+   lists them: dispatch looks ops up here, so the list cannot drift from
+   what the engine answers, and a key an op does not read (a misspelt
+   "budget_tick", say) is refused rather than silently ignored. [id] and
+   [op] are always allowed; the budget pair only on ops that run under
+   [request_budget]. The test-corrupt hook is not listed. *)
+let budgeted params = params @ [ "budget_ms"; "budget_ticks" ]
+let cont op t ~queue_depth:_ req = (op t req, `Continue)
+
 let ops =
-  let cont op t ~queue_depth:_ req = (op t req, `Continue) in
   let counters op t ~queue_depth _ = (op t ~queue_depth, `Continue) in
   [
-    ("compress", cont compress_op);
-    ("lint", cont lint_op);
-    ("flow", cont flow_op);
-    ("diff", cont diff_op);
-    ("dataplane-diff", cont dataplane_diff_op);
-    ("faults", cont faults_op);
-    ("harden", cont harden_op);
-    ("load", cont load_op);
-    ("unload", cont unload_op);
-    ("audit", cont audit_op);
-    ("health", counters health_op);
-    ("stats", counters stats_op);
+    ("compress", (budgeted [ "network"; "ec" ], cont compress_op));
+    ("lint", ([ "network" ], cont lint_op));
+    ("flow", (budgeted [ "network" ], cont flow_op));
+    ("diff", (budgeted [ "network"; "to" ], cont diff_op));
+    ("dataplane-diff", (budgeted [ "network"; "to" ], cont dataplane_diff_op));
+    ( "faults",
+      (budgeted [ "network"; "ec"; "k"; "samples"; "seed" ], cont faults_op) );
+    ( "harden",
+      ( budgeted [ "network"; "ec"; "k"; "rounds"; "samples"; "seed" ],
+        cont harden_op ) );
+    ("load", (budgeted [ "network" ], cont load_op));
+    ("unload", ([ "network" ], cont unload_op));
+    ("audit", (budgeted [ "network"; "audit" ], cont audit_op));
+    ("health", ([], counters health_op));
+    ("stats", ([], counters stats_op));
     ( "shutdown",
-      fun _ ~queue_depth:_ _ -> ([ ("stopping", Json.Bool true) ], `Shutdown) );
+      ( [],
+        fun _ ~queue_depth:_ _ -> ([ ("stopping", Json.Bool true) ], `Shutdown)
+      ) );
   ]
 
 let op_names = List.map fst ops
 
 let dispatch t ~queue_depth (req : Protocol.request) =
   let op = req.Protocol.req_op in
-  match List.assoc_opt op ops with
-  | Some run -> run t ~queue_depth req
-  | None when String.equal op "test-corrupt" && test_hooks_enabled () ->
-    (test_corrupt_op t req, `Continue)
-  | None -> Format.kasprintf failwith "unknown op %S" op
+  let params, run =
+    match List.assoc_opt op ops with
+    | Some entry -> entry
+    | None when String.equal op "test-corrupt" && test_hooks_enabled () ->
+      ([ "network" ], cont test_corrupt_op)
+    | None -> Format.kasprintf failwith "unknown op %S" op
+  in
+  (match req.Protocol.req_body with
+  | Json.Obj fields ->
+    List.iter
+      (fun (key, _) ->
+        if not (List.exists (String.equal key) ("id" :: "op" :: params)) then
+          raise
+            (Protocol.Bad_param
+               (Printf.sprintf "unknown parameter %S for op %S" key op)))
+      fields
+  | _ -> ());
+  run t ~queue_depth req
 
 (* Total: every line in, exactly one typed response line out. The
    catch-all is the isolation boundary — no request, however malformed

@@ -17,8 +17,10 @@
     [lint] with the CLI's findings plus [count] and [errors]. A [file:]
     network keeps its source-line table on its registry entry (replaced
     by a [diff]'s [to] file, saved in checkpoints), so findings carry the
-    CLI's lines. [unload] drops a network's entry. No document carries wall-clock or cache counters, so a warm answer
-    equals a cold one byte for byte.
+    CLI's lines. [unload] drops a network's entry. No document carries
+    wall-clock or cache counters, so a warm answer equals a cold one
+    byte for byte. A request may carry only [id], [op] and the
+    parameters its op reads; any other key is a bad-request naming it.
 
     Admission: wherever a state enters or changes (cold load, [diff]), a
     degraded state — a compression that fell back to identity — is

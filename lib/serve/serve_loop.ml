@@ -17,9 +17,12 @@
    them.
 
    Shutdown (SIGTERM, SIGINT, or the shutdown op) drains: in-flight and
-   queued requests get [drain_ms] of wall-clock to finish, stragglers
-   are answered with a typed overloaded("server draining") response,
-   warm state is checkpointed, and the process exits 0. *)
+   queued requests get [drain_s] (2 s) of wall-clock to finish,
+   stragglers are answered with a typed overloaded("server draining")
+   response, warm state is checkpointed, and the process exits 0.
+
+   Warm state enters only through requests (a client sends
+   {"op":"load",...}) or a checkpoint restore. *)
 
 type listen = Stdio | Unix_socket of string | Tcp of string * int
 
@@ -38,8 +41,9 @@ type server = {
   mutable stop : bool;
   checkpoint_path : string option;
   checkpoint_every : int;
-  drain_ms : int;
 }
+
+let drain_s = 2.0
 
 let maybe_checkpoint sv =
   match sv.checkpoint_path with
@@ -127,9 +131,7 @@ let step sv =
 (* Graceful drain: finish what we can inside the deadline, answer the
    rest with a typed response, persist warm state. *)
 let drain sv =
-  let deadline =
-    Timing.monotonic_now () +. (float_of_int sv.drain_ms /. 1000.0)
-  in
+  let deadline = Timing.monotonic_now () +. drain_s in
   let rec go () =
     if Scheduler.depth sv.sched > 0 && Timing.monotonic_now () < deadline
     then
@@ -329,7 +331,7 @@ let run_socket sv sock_addr cleanup =
     end
   in
   loop ();
-  log "draining (%dms deadline)" sv.drain_ms;
+  log "draining (%.0fs deadline)" drain_s;
   drain sv;
   List.iter close_conn !conns;
   (try Unix.close listener with Unix.Unix_error (_, _, _) -> ());
@@ -338,8 +340,8 @@ let run_socket sv sock_addr cleanup =
 
 (* --- entry point -------------------------------------------------------- *)
 
-let run ~engine ~listen ?(max_inflight = 16) ?(drain_ms = 2000)
-    ?checkpoint_path ?(checkpoint_every = 0) ?(preload = []) () =
+let run ~engine ~listen ?(max_inflight = 16) ?checkpoint_path
+    ?(checkpoint_every = 0) () =
   let sv =
     {
       eng = engine;
@@ -347,7 +349,6 @@ let run ~engine ~listen ?(max_inflight = 16) ?(drain_ms = 2000)
       stop = false;
       checkpoint_path;
       checkpoint_every;
-      drain_ms;
     }
   in
   (* restore warm state before accepting the first request; failure is a
@@ -361,19 +362,6 @@ let run ~engine ~listen ?(max_inflight = 16) ?(drain_ms = 2000)
     | `Missing -> ()
     | `Version_skew reason -> log "cold start: checkpoint version skew: %s" reason
     | `Corrupt reason -> log "cold start: corrupt checkpoint: %s" reason));
-  (* preload after restore: specs already warm from the checkpoint are a
-     registry hit, everything else compresses now instead of on the
-     first request. Responses go to stderr — no client asked. *)
-  List.iter
-    (fun spec ->
-      let line =
-        Json.to_string
-          (Json.Obj
-             [ ("op", Json.String "load"); ("network", Json.String spec) ])
-      in
-      let resp, _ = Serve_engine.handle_line engine ~queue_depth:0 line in
-      log "preload %s" resp)
-    preload;
   match listen with
   | Stdio -> run_stdio sv
   | Unix_socket path ->

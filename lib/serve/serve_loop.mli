@@ -8,7 +8,7 @@
     queue, so an overloaded server still answers its control plane.
 
     SIGTERM, SIGINT, and the [shutdown] op drain: queued requests get
-    [drain_ms] to finish, stragglers are answered with
+    2 s to finish, stragglers are answered with
     overloaded("server draining"), warm state is checkpointed (when
     [checkpoint_path] is set; also every [checkpoint_every] requests),
     and {!run} returns 0. Diagnostics go to stderr; stdout carries only
@@ -20,14 +20,11 @@ val run :
   engine:Serve_engine.t ->
   listen:listen ->
   ?max_inflight:int ->
-  ?drain_ms:int ->
   ?checkpoint_path:string ->
   ?checkpoint_every:int ->
-  ?preload:string list ->
   unit ->
   int
 (** Serve until shutdown; returns the process exit code. When
     [checkpoint_path] is set, warm state is restored from it before the
     first request (corruption or version skew logs a warning and serves
-    cold — exit stays 0). [preload] network specs are loaded before the
-    first request (no-ops when the checkpoint already made them warm). *)
+    cold — exit stays 0). *)

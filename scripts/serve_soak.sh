@@ -63,54 +63,55 @@ start_server() { # logfile extra-args...
   fail "server never created $SOCK ($(cat "$log"))"
 }
 
-req() { # expected-exit-code outfile request-args...
-  local want=$1 out=$2
-  shift 2
-  "$BIN" request --socket "$SOCK" "$@" >"$out"
+req() { # expected-exit-code outfile request-json-line
+  local want=$1 out=$2 line=$3
+  "$BIN" request --socket "$SOCK" "$line" >"$out"
   local code=$?
   [ "$code" -eq "$want" ] ||
-    fail "request $* exited $code, want $want ($(cat "$out"))"
+    fail "request $line exited $code, want $want ($(cat "$out"))"
   grep -q '"ok":' "$out" ||
-    fail "request $* got a non-typed response: $(cat "$out")"
+    fail "request $line got a non-typed response: $(cat "$out")"
 }
 
 echo "== phase 1: mixed stream =="
 start_server "$DIR/s1.log" --checkpoint-every 1 --max-inflight 8
-req 0 "$DIR/r.json" health
-req 0 "$DIR/r.json" load --network ring:6
-req 0 "$DIR/cold.json" compress --network ring:6
-req 0 "$DIR/r.json" compress --network ring:6 --ec 10.0.1.0/24
-req 0 "$DIR/r.json" lint --network ring:6
-req 0 "$DIR/r.json" flow --network ring:6
-req 0 "$DIR/r.json" diff --network ring:6 --to ring:6
+req 0 "$DIR/r.json" '{"op":"health"}'
+req 0 "$DIR/r.json" '{"op":"load","network":"ring:6"}'
+req 0 "$DIR/cold.json" '{"op":"compress","network":"ring:6"}'
+req 0 "$DIR/r.json" '{"op":"compress","network":"ring:6","ec":"10.0.1.0/24"}'
+req 0 "$DIR/r.json" '{"op":"lint","network":"ring:6"}'
+req 0 "$DIR/r.json" '{"op":"flow","network":"ring:6"}'
+req 0 "$DIR/r.json" '{"op":"diff","network":"ring:6","to":"ring:6"}'
 # dataplane-diff against the warm state: identical specs reuse every
 # class; a topology change reports FIB-level changes; a starved request
 # fails typed without poisoning the server
-req 0 "$DIR/dpd.json" dataplane-diff --network ring:6 --to ring:6
+req 0 "$DIR/dpd.json" '{"op":"dataplane-diff","network":"ring:6","to":"ring:6"}'
 grep -q '"changed":false' "$DIR/dpd.json" ||
   fail "identical dataplane-diff reported changes: $(cat "$DIR/dpd.json")"
 grep -q '"reused":6' "$DIR/dpd.json" ||
   fail "warm dataplane-diff did not reuse all classes: $(cat "$DIR/dpd.json")"
-req 0 "$DIR/dpd2.json" dataplane-diff --network ring:6 --to ring:8
+req 0 "$DIR/dpd2.json" '{"op":"dataplane-diff","network":"ring:6","to":"ring:8"}'
 grep -q '"changed":true' "$DIR/dpd2.json" ||
   fail "grown-ring dataplane-diff saw no changes: $(cat "$DIR/dpd2.json")"
-req 3 "$DIR/r.json" dataplane-diff --network mesh:4 --to ring:6 --budget-ticks 1
+req 3 "$DIR/r.json" '{"op":"dataplane-diff","network":"mesh:4","to":"ring:6","budget_ticks":1}'
 # a starved write is answered, never kept: ring:6 stays warm as it was
-req 3 "$DIR/r.json" diff --network ring:6 --to ring:8 --budget-ticks 1
-req 0 "$DIR/kept.json" compress --network ring:6
+req 3 "$DIR/r.json" '{"op":"diff","network":"ring:6","to":"ring:8","budget_ticks":1}'
+req 0 "$DIR/kept.json" '{"op":"compress","network":"ring:6"}'
 cmp -s "$DIR/cold.json" "$DIR/kept.json" ||
   fail "compress after a starved diff differs from the cold response"
-req 0 "$DIR/r.json" stats
+req 0 "$DIR/r.json" '{"op":"stats"}'
 # request isolation: a starved request fails typed, the server lives on
-req 3 "$DIR/r.json" compress --network mesh:4 --budget-ticks 1
-req 124 "$DIR/r.json" frobnicate
-req 124 "$DIR/r.json" compress # missing network param
-req 0 "$DIR/r.json" health
+req 3 "$DIR/r.json" '{"op":"compress","network":"mesh:4","budget_ticks":1}'
+req 124 "$DIR/r.json" '{"op":"frobnicate"}'
+req 124 "$DIR/r.json" '{"op":"compress"}' # missing network param
+# a key the op does not read is refused, never run without it
+req 124 "$DIR/r.json" '{"op":"compress","network":"mesh:4","budget_tick":1}'
+req 0 "$DIR/r.json" '{"op":"health"}'
 
 echo "== phase 2: SIGTERM mid-stream =="
 (
   for _ in 1 2 3; do
-    "$BIN" request --socket "$SOCK" compress --network ring:6 \
+    "$BIN" request --socket "$SOCK" '{"op":"compress","network":"ring:6"}' \
       >/dev/null 2>&1
   done
 ) &
@@ -128,15 +129,15 @@ echo "== phase 3: restart restores warm state =="
 start_server "$DIR/s2.log" --checkpoint-every 1
 grep -q "restored" "$DIR/s2.log" ||
   fail "restart did not restore ($(cat "$DIR/s2.log"))"
-req 0 "$DIR/stats.json" stats
+req 0 "$DIR/stats.json" '{"op":"stats"}'
 grep -q '"restored_from_checkpoint":true' "$DIR/stats.json" ||
   fail "stats does not report the restore: $(cat "$DIR/stats.json")"
-req 0 "$DIR/warm.json" compress --network ring:6
+req 0 "$DIR/warm.json" '{"op":"compress","network":"ring:6"}'
 cmp -s "$DIR/cold.json" "$DIR/warm.json" ||
   fail "warm-restored compress differs from the cold response"
 
 echo "== phase 4: kill -9 survives via the periodic checkpoint =="
-req 0 "$DIR/r.json" load --network ring:8
+req 0 "$DIR/r.json" '{"op":"load","network":"ring:8"}'
 sleep 0.7 # let the post-response checkpoint land before the kill
 kill -9 "$SRV"
 wait "$SRV" 2>/dev/null
@@ -144,11 +145,11 @@ SRV=
 start_server "$DIR/s3.log" --checkpoint-every 1
 grep -q "restored" "$DIR/s3.log" ||
   fail "restart after kill -9 did not restore ($(cat "$DIR/s3.log"))"
-req 0 "$DIR/warm2.json" compress --network ring:6
+req 0 "$DIR/warm2.json" '{"op":"compress","network":"ring:6"}'
 cmp -s "$DIR/cold.json" "$DIR/warm2.json" ||
   fail "post-kill warm compress differs from the cold response"
-req 0 "$DIR/r.json" compress --network ring:8
-req 0 "$DIR/r.json" shutdown
+req 0 "$DIR/r.json" '{"op":"compress","network":"ring:8"}'
+req 0 "$DIR/r.json" '{"op":"shutdown"}'
 wait "$SRV"
 code=$?
 [ "$code" -eq 0 ] || fail "shutdown op exit code $code, want 0"
@@ -159,11 +160,11 @@ printf 'not a checkpoint\n' >"$CKPT"
 start_server "$DIR/s4.log"
 grep -q "cold start" "$DIR/s4.log" ||
   fail "corrupt checkpoint not reported ($(cat "$DIR/s4.log"))"
-req 0 "$DIR/r.json" health
-req 0 "$DIR/cold2.json" compress --network ring:6
+req 0 "$DIR/r.json" '{"op":"health"}'
+req 0 "$DIR/cold2.json" '{"op":"compress","network":"ring:6"}'
 cmp -s "$DIR/cold.json" "$DIR/cold2.json" ||
   fail "cold rebuild after corruption is not deterministic"
-req 0 "$DIR/r.json" shutdown
+req 0 "$DIR/r.json" '{"op":"shutdown"}'
 wait "$SRV"
 code=$?
 [ "$code" -eq 0 ] || fail "exit after corrupt-checkpoint start was $code"
@@ -172,9 +173,9 @@ SRV=
 echo "== phase 6: torn checkpoints (random truncation offsets) =="
 # regenerate a real checkpoint to tear
 start_server "$DIR/s5.log" --checkpoint-every 1
-req 0 "$DIR/r.json" load --network ring:6
-req 0 "$DIR/r.json" compress --network ring:6
-req 0 "$DIR/r.json" shutdown
+req 0 "$DIR/r.json" '{"op":"load","network":"ring:6"}'
+req 0 "$DIR/r.json" '{"op":"compress","network":"ring:6"}'
+req 0 "$DIR/r.json" '{"op":"shutdown"}'
 wait "$SRV"
 SRV=
 [ -f "$CKPT" ] || fail "no checkpoint to tear"
@@ -187,10 +188,10 @@ for i in 1 2 3 4; do
   grep -Eq "restored|cold start" "$DIR/s6-$i.log" ||
     fail "torn checkpoint (cut=$cut/$size) neither restored nor cold:\
  $(cat "$DIR/s6-$i.log")"
-  req 0 "$DIR/torn.json" compress --network ring:6
+  req 0 "$DIR/torn.json" '{"op":"compress","network":"ring:6"}'
   cmp -s "$DIR/cold.json" "$DIR/torn.json" ||
     fail "answer after torn checkpoint (cut=$cut) differs from cold"
-  req 0 "$DIR/r.json" shutdown
+  req 0 "$DIR/r.json" '{"op":"shutdown"}'
   wait "$SRV"
   code=$?
   [ "$code" -eq 0 ] || fail "torn-checkpoint run (cut=$cut) exited $code"
@@ -205,9 +206,9 @@ for i in 1 2 3; do
   # kill -9 at an arbitrary point in the stream
   (
     while :; do
-      "$BIN" request --socket "$SOCK" load --network ring:4 \
+      "$BIN" request --socket "$SOCK" '{"op":"load","network":"ring:4"}' \
         >/dev/null 2>&1 || exit 0
-      "$BIN" request --socket "$SOCK" load --network mesh:4 \
+      "$BIN" request --socket "$SOCK" '{"op":"load","network":"mesh:4"}' \
         >/dev/null 2>&1 || exit 0
     done
   ) &
@@ -228,10 +229,10 @@ for i in 1 2 3; do
     grep -Eq "restored|cold start" "$DIR/s7r-$i.log" ||
       fail "restart after checkpoint race: $(cat "$DIR/s7r-$i.log")"
   fi
-  req 0 "$DIR/race.json" compress --network ring:6
+  req 0 "$DIR/race.json" '{"op":"compress","network":"ring:6"}'
   cmp -s "$DIR/cold.json" "$DIR/race.json" ||
     fail "answer after checkpoint race $i differs from cold"
-  req 0 "$DIR/r.json" shutdown
+  req 0 "$DIR/r.json" '{"op":"shutdown"}'
   wait "$SRV"
   code=$?
   [ "$code" -eq 0 ] || fail "post-race run $i exited $code"
@@ -276,25 +277,25 @@ rm -f "$CKPT"
 export BONSAI_TEST_HOOKS=1
 start_server "$DIR/s8.log" --checkpoint-every 1
 unset BONSAI_TEST_HOOKS
-req 0 "$DIR/cold3.json" compress --network ring:6
-"$BIN" request --socket "$SOCK" \
-  --raw '{"op":"test-corrupt","network":"ring:6"}' >"$DIR/tc.json" ||
+req 0 "$DIR/cold3.json" '{"op":"compress","network":"ring:6"}'
+"$BIN" request --socket "$SOCK" '{"op":"test-corrupt","network":"ring:6"}' \
+  >"$DIR/tc.json" ||
   fail "test-corrupt failed: $(cat "$DIR/tc.json")"
 # the corruption is caught either by the idle self-audit (if the server
 # gets a quiet moment first) or by this explicit audit — both paths end
 # in quarantine + incident; only the wrong answer must never escape
-"$BIN" request --socket "$SOCK" \
-  --raw '{"op":"audit","audit":"full"}' >"$DIR/audit.json" ||
+"$BIN" request --socket "$SOCK" '{"op":"audit","audit":"full"}' \
+  >"$DIR/audit.json" ||
   fail "audit op failed: $(cat "$DIR/audit.json")"
 grep -q '"ok":true' "$DIR/audit.json" ||
   fail "audit op not ok: $(cat "$DIR/audit.json")"
-req 0 "$DIR/rebuilt.json" compress --network ring:6
+req 0 "$DIR/rebuilt.json" '{"op":"compress","network":"ring:6"}'
 cmp -s "$DIR/cold3.json" "$DIR/rebuilt.json" ||
   fail "post-quarantine rebuild differs from the honest cold answer"
-req 0 "$DIR/stats2.json" stats
+req 0 "$DIR/stats2.json" '{"op":"stats"}'
 grep -q '"incidents":1' "$DIR/stats2.json" ||
   fail "incident not counted in stats: $(cat "$DIR/stats2.json")"
-req 0 "$DIR/r.json" shutdown
+req 0 "$DIR/r.json" '{"op":"shutdown"}'
 wait "$SRV"
 code=$?
 [ "$code" -eq 0 ] || fail "self-audit phase exit code $code"

@@ -302,8 +302,15 @@ let test_engine_typed_errors () =
       ("{\"op\":\"frobnicate\"}", "bad-request");
       ("}{ not json", "bad-request");
       ("{\"op\":\"diff\",\"network\":\"ring:4\"}", "bad-request");
+      (* a key the op does not read: a misspelt budget must not buy an
+         unbudgeted answer, nor may a budget ride on an op without one *)
+      ("{\"op\":\"compress\",\"network\":\"ring:4\",\"budget_tick\":1}",
+       "bad-request");
+      ("{\"op\":\"lint\",\"network\":\"ring:4\",\"budget_ms\":5}",
+       "bad-request");
+      ("{\"op\":\"health\",\"network\":\"ring:4\"}", "bad-request");
     ];
-  (* six garbage requests later, the engine still works *)
+  (* nine garbage requests later, the engine still works *)
   Alcotest.(check bool) "still alive" true
     (response_ok (handle eng "{\"op\":\"health\"}"))
 
