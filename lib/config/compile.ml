@@ -62,6 +62,10 @@ type class_index = {
   of_class : int Class_tbl.t;  (* (origin, prefix) -> key id *)
 }
 
+(* An abstraction group shared by the rows of one network: its sorted
+   members and the name of its abstract node. *)
+type group = { members : int list; label : string }
+
 (* The destination-independent facts of every directed edge (receiver
    [u], sender [v]), indexed by edge id: what the transfer of any class
    reads from configuration, resolved once per network. Route maps and
@@ -90,6 +94,7 @@ type edge_facts = {
   acls : Acl.t array;
   tie_filter : int -> bool;  (* [matched_comms] *)
   classes : class_index;
+  groups : (int, group list) Hashtbl.t;  (* [group_table] *)
 }
 
 (* Ids count up from 0 in first-seen order; [None] is -1. The second
@@ -227,6 +232,7 @@ let build_facts (net : Device.network) =
         entries = [||];
         of_class = Class_tbl.create 64;
       };
+    groups = Hashtbl.create 64;
   }
 
 (* Networks are never mutated after construction, so the facts are keyed
@@ -248,6 +254,7 @@ let edge_facts (net : Device.network) =
     f
 
 let matched_comms net = (edge_facts net).tie_filter
+let group_table net = (edge_facts net).groups
 
 (* One destination's view: each distinct route map specialized and each
    ACL's verdict computed on first use. *)

@@ -6,6 +6,16 @@ val matched_comms : Device.network -> int -> bool
     tie-break of compiled SRPs is restricted to these, so route ranking
     commutes with the attribute abstraction. *)
 
+type group = { members : int list; label : string }
+(** A group of an abstraction ([Abstraction.make]): its members,
+    ascending, and the name of its abstract node (with one copy). *)
+
+val group_table : Device.network -> (int, group list) Hashtbl.t
+(** The network's groups so far, keyed by a hash of their members, so
+    every row of the network with the same members holds one copy of the
+    list. The table lives as long as the network's other cached facts:
+    per domain, for the last two networks compiled. *)
+
 val bgp_policy : Device.network -> dest:Prefix.t -> int -> int -> Bgp.policy
 (** [bgp_policy net ~dest u v] is the executable policy for routes received
     at [u] from [v]: [v]'s export route-map, then [u]'s import route-map,

@@ -641,6 +641,12 @@ let multiwan ~regions ~region_size =
         regions region_size regions;
   }
 
+(* The largest network a generated spec may ask for, in nodes plus links,
+   checked from the spec's numbers before anything is built: [mesh:N]
+   alone has N(N-1)/2 links. The largest specs in use are
+   [multiwan:250:40] (30,250) and [fattree:20] (4,500). *)
+let max_spec_size = 100_000
+
 let of_spec spec =
   let unknown =
     Error
@@ -659,11 +665,24 @@ let of_spec spec =
     | exception Invalid_argument m ->
       Error (`Unknown (Printf.sprintf "bad network %S: %s" spec m))
   in
-  let int_arg s make =
-    match int_of_string_opt s with
-    | Some k -> build (fun () -> make k)
-    | None -> unknown
+  let too_large =
+    Error
+      (`Unknown
+        (Printf.sprintf "network %S is too large: more than %d nodes and links"
+           spec max_spec_size))
   in
+  (* A generator has at least as many nodes as the magnitude of any of
+     its numbers, so [num] refuses a number past the limit before a size
+     computed from it could overflow. *)
+  let num s k =
+    match int_of_string_opt s with
+    | None -> unknown
+    | Some n when abs n > max_spec_size -> too_large
+    | Some n -> k n
+  in
+  let sized size make = if size > max_spec_size then too_large else build make in
+  let fattree_size k = (5 * k * k / 4) + (k * k * k / 2) in
+  let random_size n = n + (n - 1) + max 1 (n / 3) in
   match String.split_on_char ':' spec with
   | "file" :: rest -> (
     match Config_text.load_full (String.concat ":" rest) with
@@ -672,19 +691,28 @@ let of_spec spec =
   | [ "datacenter" ] -> Ok ((datacenter ()).net, None)
   | [ "wan" ] -> Ok ((wan ()).net, None)
   | [ "fattree"; k ] ->
-    int_arg k (fun k -> fattree_shortest_path (Generators.fattree ~k))
+    num k (fun k ->
+        sized (fattree_size k) (fun () ->
+            fattree_shortest_path (Generators.fattree ~k)))
   | [ "fattree-prefer"; k ] ->
-    int_arg k (fun k -> fattree_prefer_bottom (Generators.fattree ~k))
-  | [ "ring"; n ] -> int_arg n (fun n -> ring_bgp ~n)
-  | [ "mesh"; n ] -> int_arg n (fun n -> mesh_bgp ~n)
-  | [ "multiwan"; r; s ] -> (
-    match (int_of_string_opt r, int_of_string_opt s) with
-    | Some regions, Some region_size ->
-      build (fun () -> (multiwan ~regions ~region_size).net)
-    | _ -> unknown)
-  | [ "random"; n ] -> int_arg n (fun n -> random_network ~n ~seed:0)
+    num k (fun k ->
+        sized (fattree_size k) (fun () ->
+            fattree_prefer_bottom (Generators.fattree ~k)))
+  | [ "ring"; n ] -> num n (fun n -> sized (2 * n) (fun () -> ring_bgp ~n))
+  | [ "mesh"; n ] ->
+    num n (fun n -> sized (n + (n * (n - 1) / 2)) (fun () -> mesh_bgp ~n))
+  | [ "multiwan"; r; s ] ->
+    (* each region: its routers, its core router and 2s links *)
+    num r (fun regions ->
+        num s (fun region_size ->
+            sized
+              (regions * ((3 * region_size) + 1))
+              (fun () -> (multiwan ~regions ~region_size).net)))
+  | [ "random"; n ] ->
+    num n (fun n -> sized (random_size n) (fun () -> random_network ~n ~seed:0))
   | [ "random"; n; s ] -> (
     match int_of_string_opt s with
-    | Some seed -> int_arg n (fun n -> random_network ~n ~seed)
+    | Some seed ->
+      num n (fun n -> sized (random_size n) (fun () -> random_network ~n ~seed))
     | None -> unknown)
   | _ -> unknown

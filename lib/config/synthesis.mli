@@ -75,4 +75,6 @@ val of_spec :
     or [file:PATH]. Only a [file:] network carries a source location
     table. [`Unknown] holds the message naming the accepted forms, or,
     for a size its generator refuses ([fattree:3], [ring:2]), the
-    generator's message; [`Parse] the file's diagnostics. *)
+    generator's message; [`Parse] the file's diagnostics. A generated
+    network of more than 100,000 nodes and links ([mesh:447]) is refused
+    with [`Unknown] from the spec's numbers, before it is built. *)

@@ -41,64 +41,157 @@ let link_image t (u, v) =
    Walking a group's members in ascending order, and each member's
    successors in ascending order, meets the least edge into every target
    group first; [seen] stamps the target groups met from the current
-   source group. The pairs of source group [g1] are [pairs] from
-   [first.(g1)] to [first.(g1 + 1)], as [(g2, (u, v))] sorted by [g2]. *)
-type edge_reprs = { first : int array; pairs : (int * (int * int)) array }
+   source group. The targets of source group [g1] are [target] from
+   [first.(g1)] to [first.(g1 + 1)], ascending, and [edge] holds each
+   one's edge [(u, v)] as [u * n + v] over the [n] concrete nodes. *)
+type edge_reprs = { first : int array; target : int array; edge : int array }
 
 let group_edge_reprs (net : Device.network) groups group_of =
-  let n_groups = Array.length groups in
+  let g = net.Device.graph in
+  let n = Graph.n_nodes g and n_groups = Array.length groups in
   let seen = Array.make n_groups (-1) in
+  (* Count the pairs by source and by target group, then bucket them by
+     target, each bucket in ascending source order, and deal the buckets
+     out to the sources: each source's targets arrive ascending. The two
+     walks stamp [seen] with distinct values. *)
   let first = Array.make (n_groups + 1) 0 in
-  let segments = Array.make n_groups [||] in
+  let bucket = Array.make (n_groups + 1) 0 in
+  let rec count g1 = function
+    | [] -> ()
+    | u :: rest ->
+      let vs = Graph.succ g u in
+      for i = 0 to Array.length vs - 1 do
+        let g2 = group_of.(vs.(i)) in
+        if seen.(g2) <> g1 then begin
+          seen.(g2) <- g1;
+          first.(g1 + 1) <- first.(g1 + 1) + 1;
+          bucket.(g2 + 1) <- bucket.(g2 + 1) + 1
+        end
+      done;
+      count g1 rest
+  in
   for g1 = 0 to n_groups - 1 do
-    let found = ref [] in
-    List.iter
-      (fun u ->
-        Array.iter
-          (fun v ->
-            let g2 = group_of.(v) in
-            if seen.(g2) <> g1 then begin
-              seen.(g2) <- g1;
-              found := (g2, (u, v)) :: !found
-            end)
-          (Graph.succ net.Device.graph u))
-      groups.(g1);
-    let segment = Array.of_list !found in
-    Array.sort (fun (a, _) (b, _) -> Int.compare a b) segment;
-    first.(g1 + 1) <- first.(g1) + Array.length segment;
-    segments.(g1) <- segment
+    count g1 groups.(g1)
   done;
-  { first; pairs = Array.concat (Array.to_list segments) }
+  for k = 1 to n_groups do
+    first.(k) <- first.(k) + first.(k - 1);
+    bucket.(k) <- bucket.(k) + bucket.(k - 1)
+  done;
+  let n_pairs = first.(n_groups) in
+  let source = Array.make n_pairs 0 and source_edge = Array.make n_pairs 0 in
+  let fill = Array.sub bucket 0 n_groups in
+  let rec place g1 = function
+    | [] -> ()
+    | u :: rest ->
+      let vs = Graph.succ g u in
+      for i = 0 to Array.length vs - 1 do
+        let g2 = group_of.(vs.(i)) in
+        if seen.(g2) <> n_groups + g1 then begin
+          seen.(g2) <- n_groups + g1;
+          source.(fill.(g2)) <- g1;
+          source_edge.(fill.(g2)) <- (u * n) + vs.(i);
+          fill.(g2) <- fill.(g2) + 1
+        end
+      done;
+      place g1 rest
+  in
+  for g1 = 0 to n_groups - 1 do
+    place g1 groups.(g1)
+  done;
+  let target = Array.make n_pairs 0 and edge = Array.make n_pairs 0 in
+  Array.blit first 0 fill 0 n_groups;
+  for g2 = 0 to n_groups - 1 do
+    for k = bucket.(g2) to bucket.(g2 + 1) - 1 do
+      let g1 = source.(k) in
+      target.(fill.(g1)) <- g2;
+      edge.(fill.(g1)) <- source_edge.(k);
+      fill.(g1) <- fill.(g1) + 1
+    done
+  done;
+  { first; target; edge }
 
-let find_repr r g1 g2 =
+let find_repr (net : Device.network) r g1 g2 =
   let rec search lo hi =
     if lo >= hi then raise Not_found
     else
       let mid = (lo + hi) / 2 in
-      let g, e = r.pairs.(mid) in
-      if g = g2 then e else if g < g2 then search (mid + 1) hi else search lo mid
+      let g = r.target.(mid) in
+      if g = g2 then
+        let n = Graph.n_nodes net.Device.graph in
+        (r.edge.(mid) / n, r.edge.(mid) mod n)
+      else if g < g2 then search (mid + 1) hi
+      else search lo mid
   in
   search r.first.(g1) r.first.(g1 + 1)
 
+let rec same_members order i hi = function
+  | [] -> i = hi
+  | m :: rest -> i < hi && order.(i) = m && same_members order (i + 1) hi rest
+
+let rec find_group order lo hi = function
+  | [] -> None
+  | e :: rest ->
+    if same_members order lo hi e.Compile.members then Some e
+    else find_group order lo hi rest
+
+(* Each group's members, ascending, as the network's shared copy from
+   [Compile.group_table]: groups recur across the rows of a network, so
+   most lookups find the list without building it. Members are sorted by
+   group into [order] first (a counting sort); group [g] is the slice
+   from [start.(g)] to [start.(g + 1)]. *)
+let shared_groups (net : Device.network) group_of n_groups =
+  let g = net.Device.graph in
+  let start = Array.make (n_groups + 1) 0 in
+  Array.iter (fun k -> start.(k + 1) <- start.(k + 1) + 1) group_of;
+  for k = 1 to n_groups do
+    start.(k) <- start.(k) + start.(k - 1)
+  done;
+  let order = Array.make (Array.length group_of) 0 in
+  let fill = Array.sub start 0 n_groups in
+  Array.iteri
+    (fun u k ->
+      order.(fill.(k)) <- u;
+      fill.(k) <- fill.(k) + 1)
+    group_of;
+  let table = Compile.group_table net in
+  Array.init n_groups (fun k ->
+      let lo = start.(k) and hi = start.(k + 1) in
+      if lo = hi then invalid_arg "Abstraction.make: empty group";
+      let h = ref (hi - lo) in
+      for i = lo to hi - 1 do
+        h := ((!h * 31) + order.(i)) land max_int
+      done;
+      let bucket =
+        match Hashtbl.find table !h with b -> b | exception Not_found -> []
+      in
+      match find_group order lo hi bucket with
+      | Some e -> e
+      | None ->
+        let members = ref [] in
+        for i = hi - 1 downto lo do
+          members := order.(i) :: !members
+        done;
+        let name = "~" ^ Graph.name g order.(lo) in
+        let label =
+          if hi - lo > 1 then name ^ "(" ^ string_of_int (hi - lo) ^ ")"
+          else name
+        in
+        let e = { Compile.members = !members; label } in
+        Hashtbl.replace table !h (e :: bucket);
+        e)
+
 let make net ~dest ~dest_prefix ~universe ~partition ~copies =
-  let n = Graph.n_nodes net.Device.graph in
   let group_of = Union_split_find.canonical partition in
   let n_groups = Union_split_find.num_classes partition in
-  let groups = Array.make n_groups [] and sizes = Array.make n_groups 0 in
-  for u = n - 1 downto 0 do
-    groups.(group_of.(u)) <- u :: groups.(group_of.(u));
-    sizes.(group_of.(u)) <- sizes.(group_of.(u)) + 1
-  done;
+  let shared = shared_groups net group_of n_groups in
+  let groups = Array.map (fun e -> e.Compile.members) shared in
   let copies_arr =
-    Array.init n_groups (fun g ->
-        match groups.(g) with
-        | [] -> invalid_arg "Abstraction.make: empty group"
-        | m :: _ ->
-          if g = group_of.(dest) then 1 else max 1 (min (copies m) sizes.(g)))
+    Array.mapi
+      (fun g members ->
+        if g = group_of.(dest) then 1
+        else max 1 (min (copies (List.hd members)) (List.length members)))
+      groups
   in
-  (* Intra-group concrete edges yield no abstract self-loop (see
-     Refine): for single-copy groups they are simply omitted; for split
-     groups they become edges between distinct copies below. *)
   let abs_of_group = Array.make n_groups 0 in
   let total = ref 0 in
   Array.iteri
@@ -114,32 +207,41 @@ let make net ~dest ~dest_prefix ~universe ~partition ~copies =
         group_of_abs.(abs_of_group.(g) + i) <- g
       done)
     copies_arr;
-  let b = Graph.Builder.create () in
-  for a = 0 to n_abs - 1 do
-    let g = group_of_abs.(a) in
-    let name = "~" ^ Graph.name net.Device.graph (List.hd groups.(g)) in
-    let size = string_of_int sizes.(g) in
-    let copy = string_of_int (a - abs_of_group.(g)) in
-    let name =
-      if copies_arr.(g) > 1 then name ^ "(" ^ size ^ ")#" ^ copy
-      else if sizes.(g) > 1 then name ^ "(" ^ size ^ ")"
-      else name
-    in
-    ignore (Graph.Builder.add_node b name)
-  done;
-  let reprs = group_edge_reprs net groups group_of in
-  for g1 = 0 to n_groups - 1 do
-    for k = reprs.first.(g1) to reprs.first.(g1 + 1) - 1 do
-      let g2, _ = reprs.pairs.(k) in
-      for i = 0 to copies_arr.(g1) - 1 do
-        for j = 0 to copies_arr.(g2) - 1 do
-          let a1 = abs_of_group.(g1) + i and a2 = abs_of_group.(g2) + j in
-          if a1 <> a2 then Graph.Builder.add_edge b a1 a2
-        done
-      done
-    done
-  done;
-  let abs_graph = Graph.Builder.build b in
+  let names =
+    Array.init n_abs (fun a ->
+        let g = group_of_abs.(a) in
+        let label = shared.(g).Compile.label in
+        if copies_arr.(g) > 1 then
+          label ^ "#" ^ string_of_int (a - abs_of_group.(g))
+        else label)
+  in
+  (* Each abstract node's successors are every copy of each group its
+     group reaches, ascending, since [target] and [abs_of_group] are.
+     Intra-group concrete edges yield no abstract self-loop (see Refine):
+     for single-copy groups they are simply omitted; for split groups
+     they become edges between distinct copies. *)
+  let r = group_edge_reprs net groups group_of in
+  let succ =
+    Array.init n_abs (fun a1 ->
+        let g1 = group_of_abs.(a1) in
+        let degree = ref 0 in
+        for k = r.first.(g1) to r.first.(g1 + 1) - 1 do
+          let g2 = r.target.(k) in
+          degree := !degree + copies_arr.(g2) - if g2 = g1 then 1 else 0
+        done;
+        let out = Array.make !degree 0 and next = ref 0 in
+        for k = r.first.(g1) to r.first.(g1 + 1) - 1 do
+          let g2 = r.target.(k) in
+          for j = 0 to copies_arr.(g2) - 1 do
+            let a2 = abs_of_group.(g2) + j in
+            if a2 <> a1 then begin
+              out.(!next) <- a2;
+              incr next
+            end
+          done
+        done;
+        out)
+  in
   {
     net;
     dest;
@@ -149,7 +251,7 @@ let make net ~dest ~dest_prefix ~universe ~partition ~copies =
     copies = copies_arr;
     abs_of_group;
     group_of_abs;
-    abs_graph;
+    abs_graph = Graph.of_succ names succ;
     abs_dest = abs_of_group.(group_of.(dest));
     universe;
   }
@@ -185,7 +287,7 @@ let is_identity t =
    edge lookup would be quadratic). *)
 let edge_repr_fun t =
   let reprs = group_edge_reprs t.net t.groups t.group_of in
-  fun a1 a2 -> find_repr reprs t.group_of_abs.(a1) t.group_of_abs.(a2)
+  fun a1 a2 -> find_repr t.net reprs t.group_of_abs.(a1) t.group_of_abs.(a2)
 
 let repr_edge t a1 a2 = edge_repr_fun t a1 a2
 

@@ -14,7 +14,11 @@ type t = {
   dest : int;
   dest_prefix : Prefix.t;
   group_of : int array;  (** concrete node -> group id *)
-  groups : int list array;  (** group id -> sorted members *)
+  groups : int list array;
+      (** group id -> sorted members. Each list is the network's one
+          shared copy ([Compile.group_table]): rows with an equal group
+          hold the same list, so never mutate one. Rows hold no closures,
+          because serve's checkpoints [Marshal] them. *)
   copies : int array;  (** group id -> number of abstract copies, >= 1 *)
   abs_of_group : int array;  (** group id -> first abstract node id *)
   group_of_abs : int array;  (** abstract node id -> its group *)

@@ -106,20 +106,29 @@ let exit_code_of_class = function
   | _ -> Bonsai_error.exit_code (Bonsai_error.Internal "")
 
 (* Mirror of the CLI exit-code taxonomy: the same pipeline failure maps
-   to the same class name clients already know from `bonsai --help`. *)
+   to the same class name clients already know from `bonsai --help`. A
+   parse error gives its line numbers but not its messages: they quote
+   the file, and a server must not echo any file a request names. *)
 let of_bonsai_error ~id ~op (e : Bonsai_error.t) =
-  let data =
+  let data, message =
     match e with
     | Bonsai_error.Budget_exceeded info ->
-      [
-        ("phase", Json.String info.Budget.phase);
-        ("ticks", Json.Int info.Budget.ticks);
-      ]
+      ( [
+          ("phase", Json.String info.Budget.phase);
+          ("ticks", Json.Int info.Budget.ticks);
+        ],
+        Bonsai_error.to_string e )
     | Bonsai_error.Parse_error { diagnostics } ->
-      [ ("diagnostics", Json.Int (List.length diagnostics)) ]
-    | _ -> []
+      let n = List.length diagnostics in
+      let lines = List.filter (fun l -> l > 0) (List.map fst diagnostics) in
+      ( [ ("diagnostics", Json.Int n) ],
+        Printf.sprintf "parse error (%d diagnostic%s)%s" n
+          (if n = 1 then "" else "s")
+          (if lines = [] then ""
+           else
+             " at line"
+             ^ (if List.length lines = 1 then " " else "s ")
+             ^ String.concat ", " (List.map string_of_int lines)) )
+    | _ -> ([], Bonsai_error.to_string e)
   in
-  error_response ~id ~op
-    ~cls:(Bonsai_error.class_name e)
-    ~data
-    (Bonsai_error.to_string e)
+  error_response ~id ~op ~cls:(Bonsai_error.class_name e) ~data message

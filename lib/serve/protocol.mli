@@ -41,7 +41,9 @@ val overloaded :
 
 val of_bonsai_error : id:Json.t -> op:string -> Bonsai_error.t -> string
 (** Map a typed pipeline error to its response (class name and, for
-    budget exhaustion, the phase and tick count). *)
+    budget exhaustion, the phase and tick count). A parse error answers
+    with its diagnostic count and line numbers only: the diagnostics'
+    messages quote the file, which the server does not echo. *)
 
 val exit_code_of_class : string -> int
 (** The exit code [bonsai request] uses for a response's error class:

@@ -5,8 +5,41 @@ type t = {
   base : int array;
       (* CSR edge index: u's out-edges are [base.(u) .. base.(u+1) - 1], in
          [succ.(u)] order; [base.(n)] is the number of directed edges *)
-  by_name : (string, int) Hashtbl.t;
+  mutable by_name : (string, int) Hashtbl.t option;
+      (* built by the first [find_by_name]: most graphs (every abstract
+         one) are never searched by name. A table, not a closure, so a
+         graph stays marshalable. *)
 }
+
+let of_succ names succ =
+  let n = Array.length names in
+  if Array.length succ <> n then invalid_arg "Graph.of_succ: length mismatch";
+  let in_deg = Array.make n 0 and base = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    let vs = succ.(u) in
+    for i = 0 to Array.length vs - 1 do
+      let v = vs.(i) in
+      if v < 0 || v >= n then invalid_arg "Graph.of_succ: unknown endpoint";
+      if v = u then invalid_arg "Graph.of_succ: self-loop";
+      if i > 0 && vs.(i - 1) >= v then
+        invalid_arg "Graph.of_succ: successors not strictly ascending";
+      in_deg.(v) <- in_deg.(v) + 1
+    done;
+    base.(u + 1) <- base.(u) + Array.length vs
+  done;
+  let pred = Array.map (fun d -> Array.make d 0) in_deg in
+  (* sources are visited in ascending order, so each [pred] array comes
+     out sorted; [in_deg] counts the filled slots back up *)
+  Array.fill in_deg 0 n 0;
+  for u = 0 to n - 1 do
+    let vs = succ.(u) in
+    for i = 0 to Array.length vs - 1 do
+      let v = vs.(i) in
+      pred.(v).(in_deg.(v)) <- u;
+      in_deg.(v) <- in_deg.(v) + 1
+    done
+  done;
+  { names; succ; pred; base; by_name = None }
 
 module Builder = struct
   type graph = t
@@ -37,33 +70,11 @@ module Builder = struct
 
   let build b : graph =
     let n = b.b_n in
-    let names = Array.of_list (List.rev b.b_names) in
     let out = Array.make n [] in
     List.iter (fun (u, v) -> out.(u) <- v :: out.(u)) b.b_edges;
-    let succ =
-      Array.map (fun vs -> Array.of_list (List.sort_uniq Int.compare vs)) out
-    in
-    let in_deg = Array.make n 0 in
-    Array.iter (Array.iter (fun v -> in_deg.(v) <- in_deg.(v) + 1)) succ;
-    let pred = Array.map (fun d -> Array.make d 0) in_deg in
-    (* sources are visited in ascending order, so each [pred] array comes
-       out sorted *)
-    let fill = Array.make n 0 in
-    Array.iteri
-      (fun u vs ->
-        Array.iter
-          (fun v ->
-            pred.(v).(fill.(v)) <- u;
-            fill.(v) <- fill.(v) + 1)
-          vs)
-      succ;
-    let base = Array.make (n + 1) 0 in
-    for u = 0 to n - 1 do
-      base.(u + 1) <- base.(u) + Array.length succ.(u)
-    done;
-    let by_name = Hashtbl.create n in
-    Array.iteri (fun i s -> Hashtbl.replace by_name s i) names;
-    { names; succ; pred; base; by_name }
+    of_succ
+      (Array.of_list (List.rev b.b_names))
+      (Array.map (fun vs -> Array.of_list (List.sort_uniq Int.compare vs)) out)
 end
 
 let of_links ~n links =
@@ -77,7 +88,18 @@ let of_links ~n links =
 let n_nodes g = Array.length g.names
 let n_edges g = g.base.(n_nodes g)
 let name g i = g.names.(i)
-let find_by_name g s = Hashtbl.find_opt g.by_name s
+let find_by_name g s =
+  let tbl =
+    match g.by_name with
+    | Some tbl -> tbl
+    | None ->
+      let tbl = Hashtbl.create (n_nodes g) in
+      Array.iteri (fun i s -> Hashtbl.replace tbl s i) g.names;
+      g.by_name <- Some tbl;
+      tbl
+  in
+  Hashtbl.find_opt tbl s
+
 let succ g i = g.succ.(i)
 let pred g i = g.pred.(i)
 let edge_base g u = g.base.(u)

@@ -28,6 +28,13 @@ module Builder : sig
   val build : t -> graph
 end
 
+val of_succ : string array -> int array array -> t
+(** [of_succ names succ] is the graph on nodes [0 .. n-1], where [n] is
+    the length of [names], with node [u]'s out-neighbours [succ.(u)]. The
+    arrays are kept, not copied: do not mutate them afterwards.
+    @raise Invalid_argument if the lengths differ, or a [succ] array is
+    not strictly ascending, holds an unknown node or a self-loop. *)
+
 val of_links : n:int -> (int * int) list -> t
 (** [of_links ~n links] builds a graph with nodes [0 .. n-1] named
     ["n<i>"] and an undirected link per pair. *)
@@ -44,6 +51,9 @@ val n_links : t -> int
 
 val name : t -> int -> string
 val find_by_name : t -> string -> int option
+(** The node of that name (the last one, if names repeat). The name index
+    is built on the first call. *)
+
 val succ : t -> int -> int array
 (** Out-neighbors, ascending. Do not mutate. *)
 

@@ -402,6 +402,20 @@ let test_fattree_originators () =
   Alcotest.(check int) "ecs = edge routers" (Array.length ft.Generators.ft_edge)
     (Ecs.count net)
 
+(* A spec's size is bounded from its numbers alone: these would take far
+   more memory than the machine has if the generator ever started. *)
+let test_spec_size_refused () =
+  List.iter
+    (fun spec ->
+      match Synthesis.of_spec spec with
+      | Error (`Unknown m) ->
+        Alcotest.(check bool) (spec ^ " is too large") true
+          (List.mem "large:" (String.split_on_char ' ' m))
+      | Error (`Parse _) -> Alcotest.failf "%s: parse error" spec
+      | Ok _ -> Alcotest.failf "%s: built" spec)
+    [ "mesh:40000"; "mesh:447"; "fattree:100000"; "multiwan:250:100000";
+      "ring:4611686018427387903"; "random:200000:1" ]
+
 let test_config_lines_scale () =
   let dc = Synthesis.datacenter () in
   Alcotest.(check bool) "datacenter config is large" true
@@ -559,6 +573,8 @@ let () =
           Alcotest.test_case "dc/wan counts" `Quick test_synthetic_counts;
           Alcotest.test_case "fattree originators" `Quick test_fattree_originators;
           Alcotest.test_case "config scale" `Quick test_config_lines_scale;
+          Alcotest.test_case "oversized spec refused" `Quick
+            test_spec_size_refused;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

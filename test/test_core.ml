@@ -361,6 +361,50 @@ let test_figure11_prefer_bottom_is_bigger () =
 
 (* --- abstraction accessors --------------------------------------------- *)
 
+(* A network's rows share one copy of each group's member list, so what
+   the rows of fattree:20 retain stays under a fixed bound of words
+   (counted once where rows share data). *)
+let test_rows_share_members () =
+  let net = Synthesis.fattree_shortest_path (Generators.fattree ~k:20) in
+  let s =
+    match Bonsai_api.compress net with
+    | Ok s -> s
+    | Error e -> Alcotest.fail (Bonsai_error.to_string e)
+  in
+  let rows =
+    List.map
+      (fun (r : Bonsai_api.ec_result) ->
+        let a = r.Bonsai_api.abstraction in
+        Obj.repr
+          ( a.Abstraction.group_of, a.Abstraction.groups, a.Abstraction.copies,
+            a.Abstraction.abs_of_group, a.Abstraction.group_of_abs,
+            a.Abstraction.abs_graph ))
+      s.Bonsai_api.results
+  in
+  let words = Obj.reachable_words (Obj.repr rows) in
+  if words > 220_000 then
+    Alcotest.failf "fattree:20 rows retain %d words, bound 220000" words;
+  let lists =
+    List.concat_map
+      (fun (r : Bonsai_api.ec_result) ->
+        Array.to_list r.Bonsai_api.abstraction.Abstraction.groups)
+      s.Bonsai_api.results
+  in
+  let shared =
+    List.exists
+      (fun l ->
+        List.exists (fun l' -> l' != l && l' = l) lists)
+      lists
+  in
+  Alcotest.(check bool) "equal member lists are one copy" false shared;
+  let distinct =
+    List.fold_left
+      (fun acc l -> if List.exists (fun l' -> l' == l) acc then acc else l :: acc)
+      [] lists
+  in
+  Alcotest.(check bool) "rows hold equal lists" true
+    (List.length distinct < List.length lists)
+
 let test_abstraction_accessors () =
   let net = Synthesis.fattree_shortest_path (Generators.fattree ~k:4) in
   let ec = List.hd (Ecs.compute net) in
@@ -970,6 +1014,8 @@ let () =
         [
           Alcotest.test_case "accessors" `Quick test_abstraction_accessors;
           Alcotest.test_case "h erasure" `Quick test_h_attr_erasure;
+          Alcotest.test_case "rows share member lists" `Quick
+            test_rows_share_members;
         ] );
       ( "explain",
         [ Alcotest.test_case "role differences" `Quick test_explain ] );

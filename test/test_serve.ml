@@ -367,6 +367,21 @@ let contains haystack needle =
   in
   go 0
 
+(* A parse error gives the file's line numbers, never its text: the
+   server must not echo a file that a request points it at. *)
+let test_engine_parse_error_quotes_nothing () =
+  with_tmp @@ fun path ->
+  let marker = "marker-7f3a9c" in
+  write_file path ("hostname r1\n" ^ marker ^ " bogus\n");
+  let eng = Serve_engine.create () in
+  let r =
+    handle eng
+      (Printf.sprintf "{\"op\":\"lint\",\"network\":\"file:%s\"}" path)
+  in
+  Alcotest.(check string) "typed class" "parse-error" (error_class r);
+  Alcotest.(check bool) "no byte of the file" false (contains r marker);
+  Alcotest.(check bool) "the line numbers" true (contains r "lines 1, 2")
+
 (* The registry holds compressed networks only, under one LRU bound;
    [modular] is not an op, so it neither answers nor touches the
    registry. *)
@@ -925,6 +940,8 @@ let () =
           Alcotest.test_case "budget isolation" `Quick
             test_engine_budget_isolation;
           Alcotest.test_case "typed errors" `Quick test_engine_typed_errors;
+          Alcotest.test_case "parse error quotes nothing" `Quick
+            test_engine_parse_error_quotes_nothing;
           Alcotest.test_case "shutdown" `Quick test_engine_shutdown_signal;
           Alcotest.test_case "checkpoint restore == cold" `Quick
             test_engine_checkpoint_restore;
