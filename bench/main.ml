@@ -401,7 +401,7 @@ let harden () =
   row "Full mesh (n=10)" (Synthesis.mesh_bgp ~n:10)
 
 (* ------------------------------------------------------------------ *)
-(* Incremental recompression (the `bonsai diff`/`watch` engine)        *)
+(* Incremental recompression (the `bonsai diff` engine)                *)
 (* ------------------------------------------------------------------ *)
 
 (* Run OSPF as an infrastructure underlay on the core/aggregation tiers
@@ -487,7 +487,7 @@ let incr_delta_stream rng (net : Device.network) n =
           { node = name u; nbr = name v; dir = Delta.Import; rm = None })
 
 let incr_bench ?(k = 8) ?(n_deltas = 10) ~json_path ~assert_speedup () =
-  hr "Incremental recompression (the bonsai diff/watch engine)";
+  hr "Incremental recompression (the bonsai diff engine)";
   let net = with_ospf (Synthesis.fattree_shortest_path (Generators.fattree ~k)) in
   let g = net.Device.graph in
   let n_ecs = Ecs.count net in

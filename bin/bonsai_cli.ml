@@ -40,7 +40,7 @@ let network_arg =
     & info [] ~docv:"NETWORK"
         ~doc:
           "Network specification (e.g. fattree:12, or file:PATH for a \
-           configuration file).")
+           configuration file or a directory of *.cfg/*.conf files).")
 
 (* Every command body runs under this wrapper: commands return their exit
    code, and any escaping failure is converted to the typed taxonomy and
@@ -74,8 +74,8 @@ let make_budget ms ticks =
 
 (* Every --format json output is one [Json.t] printed on one line, built
    from the same encoders the resident engine answers with: stdout carries
-   exactly one machine-parseable document (or, for watch, one per event),
-   timings and diagnostics go to stderr. *)
+   exactly one machine-parseable document, timings and diagnostics go to
+   stderr. *)
 let print_json v = print_endline (Json.to_string v)
 
 (* Elapsed wall clock is nondeterministic, so it goes to stderr; the
@@ -87,9 +87,6 @@ let report_budget budget =
 
 let print_degradation =
   Option.iter (Format.printf "@[<v>%a@]@." Bonsai_api.pp_degradation)
-
-let cache_json hits misses =
-  Json.Obj [ ("hits", Json.Int hits); ("misses", Json.Int misses) ]
 
 (* --- info ----------------------------------------------------------- *)
 
@@ -255,23 +252,7 @@ let compress_cmd_run spec ec_prefix dot all check_dataplane format budget_ms
     | `Incomplete, _ | _, `Incomplete -> 3
     | `Ok, (`Certified | `Skipped) -> 0
 
-(* --- diff / watch: incremental recompression --------------------------- *)
-
-(* The recompression document plus the engine's own counters, which a
-   warm serve engine would report differently: signature-cache hits and
-   misses of this recompression, then [extra]. *)
-let report_fields ~deltas ~extra (rep : Incr.report) =
-  Incr.report_json_fields ~deltas rep
-  @ (("cache", cache_json rep.Incr.r_cache_hits rep.Incr.r_cache_misses)
-    :: extra)
-
-let report_text (rep : Incr.report) =
-  Format.printf "classes: %d (%d reused, %d seeded, %d scratch)%s@."
-    rep.Incr.r_ecs rep.Incr.r_reused rep.Incr.r_seeded rep.Incr.r_scratch
-    (if rep.Incr.r_full_rebuild then " [full rebuild]" else "");
-  Format.printf "signature cache: %d hits, %d misses@." rep.Incr.r_cache_hits
-    rep.Incr.r_cache_misses;
-  print_degradation rep.Incr.r_degradation
+(* --- diff: incremental recompression ---------------------------------- *)
 
 let diff_cmd_run old_spec new_spec format budget_ms budget_ticks certify
     audit certificate =
@@ -287,14 +268,28 @@ let diff_cmd_run old_spec new_spec format budget_ms budget_ticks certify
   | `Text ->
     Format.printf "deltas (%d):@." (List.length deltas);
     List.iter (fun d -> Format.printf "  - %a@." Delta.pp d) deltas;
-    report_text rep;
+    Format.printf "classes: %d (%d reused, %d seeded, %d scratch)%s@."
+      rep.Incr.r_ecs rep.Incr.r_reused rep.Incr.r_seeded rep.Incr.r_scratch
+      (if rep.Incr.r_full_rebuild then " [full rebuild]" else "");
+    Format.printf "signature cache: %d hits, %d misses@."
+      rep.Incr.r_cache_hits rep.Incr.r_cache_misses;
+    print_degradation rep.Incr.r_degradation;
     Format.printf "bdd: %a@." Bdd.pp_stats bdd
   | `Json ->
+    (* the serve document plus the engine's own counters, which a warm
+       server would report differently *)
     print_json
       (Json.Obj
-         (report_fields ~deltas
-            ~extra:[ ("bdd", Bdd.stats_to_json bdd) ]
-            rep)));
+         (Incr.report_json_fields ~deltas rep
+         @ [
+             ( "cache",
+               Json.Obj
+                 [
+                   ("hits", Json.Int rep.Incr.r_cache_hits);
+                   ("misses", Json.Int rep.Incr.r_cache_misses);
+                 ] );
+             ("bdd", Bdd.stats_to_json bdd);
+           ])));
   Printf.eprintf "diff: %d deltas recompressed in %.3fs\n%!"
     (List.length deltas) rep.Incr.r_time_s;
   (* the one audit of the recompressed state: every class the engine
@@ -369,191 +364,6 @@ let dataplane_diff_cmd_run old_spec new_spec format budget_ms budget_ticks =
   | [] -> if Dp_diff.changed rep then 1 else 0
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
-
-(* A directory is one network, one-or-more devices per file, concatenated
-   in filename order (our text format is position-independent, so any
-   split across files parses the same). *)
-let read_watch_path path =
-  if Sys.file_exists path && Sys.is_directory path then
-    Sys.readdir path |> Array.to_list |> List.sort String.compare
-    |> List.filter (fun f ->
-           Filename.check_suffix f ".cfg" || Filename.check_suffix f ".conf")
-    |> List.map (fun f -> read_file (Filename.concat path f))
-    |> String.concat "\n"
-  else read_file path
-
-module Names = Set.Make (String)
-
-(* Router stanzas and topology nodes defined by a configuration text —
-   a plain line scan, usable even when the text as a whole no longer
-   parses (e.g. a deleted file left dangling link references). *)
-let defined_router_names text =
-  String.split_on_char '\n' text
-  |> List.fold_left
-       (fun acc line ->
-         match
-           String.split_on_char ' ' (String.trim line)
-           |> List.filter (fun s -> not (String.equal s ""))
-         with
-         | [ "node"; n ] | [ "router"; n ] -> Names.add n acc
-         | _ -> acc)
-       Names.empty
-
-let watch_cmd_run path poll_ms once max_events format budget_ms budget_ticks =
-  guarded @@ fun () ->
-  let read () =
-    try Ok (read_watch_path path) with Sys_error m -> Error [ (0, m) ]
-  in
-  let text0 =
-    match read () with
-    | Ok t -> t
-    | Error ds ->
-      Bonsai_error.error (Bonsai_error.Parse_error { diagnostics = ds })
-  in
-  let net0 =
-    match Config_text.parse_full text0 with
-    | Ok (net, _) -> net
-    | Error ds ->
-      Bonsai_error.error (Bonsai_error.Parse_error { diagnostics = ds })
-  in
-  let st =
-    ok_or_raise (Incr.init ~budget:(make_budget budget_ms budget_ticks) net0)
-  in
-  let s = Incr.summary st in
-  let hits, misses = Incr.cache_stats st in
-  (match format with
-  | `Text ->
-    let g = net0.Device.graph in
-    Format.printf
-      "watch: %d nodes, %d links; %d classes compressed (cache %d hits, %d \
-       misses)@."
-      (Graph.n_nodes g) (Graph.n_links g)
-      (List.length s.Bonsai_api.results)
-      hits misses;
-    print_degradation s.Bonsai_api.degradation
-  | `Json ->
-    (* one document per line (NDJSON): the initial network's compress
-       document, then one per recompression *)
-    print_json
-      (Json.Obj
-         ((("event", Json.String "init") :: Bonsai_api.summary_json_fields s)
-         @ [ ("cache", cache_json hits misses) ])));
-  if once then if Option.is_some s.Bonsai_api.degradation then 3 else 0
-  else begin
-    let last = ref text0 in
-    let events = ref 0 in
-    let report_event deltas rep =
-      (match format with
-      | `Text ->
-        Format.printf "watch: %d delta%s@." (List.length deltas)
-          (if List.length deltas = 1 then "" else "s");
-        List.iter (fun d -> Format.printf "  - %a@." Delta.pp d) deltas;
-        report_text rep;
-        Format.printf "time: %.3fs@." rep.Incr.r_time_s
-      | `Json ->
-        (* milliseconds, as the text report shows *)
-        let t = Float.round (rep.Incr.r_time_s *. 1000.) /. 1000. in
-        print_json
-          (Json.Obj
-             (("event", Json.String "recompress")
-             :: report_fields ~deltas
-                  ~extra:[ ("time_s", Json.Float t) ]
-                  rep)));
-      incr events
-    in
-    (* Consecutive read/parse failures back off exponentially (capped):
-       a file that stays broken — deleted, permission flip, an editor
-       that crashed mid-save — must not make the watcher spin at the
-       poll rate forever. Any successfully parsed snapshot resets the
-       backoff. The policy itself lives in Backoff (lib/serve), where
-       the cap and the never-below-base invariant are unit-tested. *)
-    let bo = Backoff.create ~base_ms:poll_ms () in
-    let note_failure () =
-      let ms = Backoff.note_failure bo in
-      if ms > poll_ms then
-        Printf.eprintf "watch: backing off to %dms after %d failure%s\n%!" ms
-          (Backoff.failures bo)
-          (if Backoff.failures bo = 1 then "" else "s")
-    in
-    let rec loop () =
-      Unix.sleepf (float_of_int (Backoff.sleep_ms bo) /. 1000.0);
-      (match read () with
-      | Error ds ->
-        List.iter (fun (_, m) -> Printf.eprintf "watch: %s\n%!" m) ds;
-        note_failure ()
-      | Ok text when String.equal text !last -> ()
-      | Ok text -> (
-        (* A change seen mid-write (truncate + write, rsync) shows up as
-           an empty or unparsable snapshot; one quick re-read usually
-           sees the completed write. Only after the retry do we report
-           and keep the previous network. *)
-        let text, parsed =
-          Backoff.parse_with_retry ~read ~parse:Config_text.parse_full
-            ~sleep:(fun () -> Unix.sleepf 0.05)
-            text
-        in
-        last := text;
-        match parsed with
-        | Error ds -> (
-          (* A deleted *.cfg/*.conf in directory mode leaves the
-             surviving files' references to its routers dangling — the
-             concatenated text stops parsing even though the operator's
-             intent (remove those nodes) is clear. Routers whose [node]/
-             [router] stanzas vanished from the text become node-removal
-             deltas against the previous network; only a parse failure
-             with nothing removed is reported as an error. *)
-          let defined = defined_router_names text in
-          let cur = Incr.network st in
-          let removed =
-            Graph.fold_nodes cur.Device.graph ~init:[] ~f:(fun acc v ->
-                let nm = Graph.name cur.Device.graph v in
-                if Names.mem nm defined then acc else nm :: acc)
-            |> List.sort String.compare
-          in
-          match removed with
-          | [] ->
-            (* keep serving the previous network; the next edit gets
-               another chance *)
-            Printf.eprintf
-              "watch: parse error (%d diagnostic%s); keeping the previous \
-               network\n%!"
-              (List.length ds)
-              (if List.length ds = 1 then "" else "s");
-            List.iter
-              (fun (line, m) -> Printf.eprintf "  line %d: %s\n%!" line m)
-              ds;
-            note_failure ()
-          | names -> (
-            Backoff.reset bo;
-            Printf.eprintf
-              "watch: %d router%s no longer defined; treating as node \
-               removal\n%!"
-              (List.length names)
-              (if List.length names = 1 then "" else "s");
-            let deltas = List.map (fun n -> Delta.Node_remove n) names in
-            match
-              Incr.recompress
-                ~budget:(make_budget budget_ms budget_ticks)
-                st deltas
-            with
-            | Error e ->
-              Printf.eprintf "watch: %s\n%!"
-                (Format.asprintf "@[%a@]" Bonsai_error.pp e)
-            | Ok rep -> report_event deltas rep))
-        | Ok (net', _) -> (
-          Backoff.reset bo;
-          match
-            Incr.recompress_net ~budget:(make_budget budget_ms budget_ticks)
-              st net'
-          with
-          | Error e ->
-            Printf.eprintf "watch: %s\n%!"
-              (Format.asprintf "@[%a@]" Bonsai_error.pp e)
-          | Ok (deltas, rep) -> report_event deltas rep)));
-      if max_events > 0 && !events >= max_events then 0 else loop ()
-    in
-    loop ()
-  end
 
 (* --- lint -------------------------------------------------------------- *)
 
@@ -1085,11 +895,11 @@ let request_cmd_run socket tcp line =
         resp)
   in
   (* Overload is transient by definition — the server said so with its
-     retry_after_ms hint. Honor it (floored by exponential backoff) for
-     a bounded number of attempts instead of exiting 11 immediately.
-     Only the final response line reaches stdout. *)
+     retry_after_ms hint. Honor it, floored by a doubling pause (200 ms
+     after the first attempt, 1.6 s after the fourth), for a bounded
+     number of attempts instead of exiting 11 immediately. Only the
+     final response line reaches stdout. *)
   let max_attempts = 5 in
-  let bo = Backoff.create ~base_ms:100 ~cap_ms:5000 () in
   let overloaded_hint r =
     match Option.bind (Json.member "error" r) (Json.member "class") with
     | Some (Json.String "overloaded") ->
@@ -1121,7 +931,7 @@ let request_cmd_run socket tcp line =
     | Ok r when attempt < max_attempts -> (
       match overloaded_hint r with
       | Some hint_ms ->
-        let ms = max hint_ms (Backoff.note_failure bo) in
+        let ms = max hint_ms (100 lsl attempt) in
         Printf.eprintf
           "request: server overloaded; retrying in %dms (attempt %d/%d)\n%!"
           ms (attempt + 1) max_attempts;
@@ -1177,7 +987,15 @@ let exits =
        (fun i -> Cmd.Exit.info_code i <> Cmd.Exit.ok)
        Cmd.Exit.defaults
 
-let cmd_info name ~doc = Cmd.info name ~doc ~exits
+(* cmdliner takes any unambiguous prefix of a command or long option
+   name for that name ([compress --check] runs [--check-dataplane]).
+   Every command lists the option names it declares, and [inexact_name]
+   finds any other name before cmdliner reads the command line. *)
+let long_options = Hashtbl.create 32
+
+let cmd_info name ~options ~doc =
+  Hashtbl.replace long_options name options;
+  Cmd.info name ~doc ~exits
 
 let ec_arg =
   Arg.(
@@ -1214,9 +1032,11 @@ let budget_ticks_arg =
            refinement iteration, or uncached BDD operation. Exhaustion \
            behaves like $(b,--budget-ms); useful for reproducible tests.")
 
+let budget_options = [ "budget-ms"; "budget-ticks" ]
+
 let info_cmd =
   Cmd.v
-    (cmd_info "info" ~doc:"Describe a network")
+    (cmd_info "info" ~options:[] ~doc:"Describe a network")
     Term.(const info_cmd_run $ network_arg)
 
 let certify_flag =
@@ -1251,6 +1071,8 @@ let certificate_arg =
           "Write the certificate as JSON to $(docv) (checkable later with \
            $(b,bonsai certify)).")
 
+let certify_options = [ "certify"; "audit"; "certificate" ]
+
 let compress_cmd =
   let dot =
     Arg.(
@@ -1284,6 +1106,9 @@ let compress_cmd =
   in
   Cmd.v
     (cmd_info "compress"
+       ~options:
+         ([ "ec"; "dot"; "all"; "check-dataplane"; "format" ]
+         @ budget_options @ certify_options)
        ~doc:
          "Compress one destination class ($(b,--ec), default the first) or \
           every class ($(b,--all)) into one summary")
@@ -1309,6 +1134,7 @@ let new_arg =
 let diff_cmd =
   Cmd.v
     (cmd_info "diff"
+       ~options:(("format" :: budget_options) @ certify_options)
        ~doc:
          "Diff two network configurations into semantic deltas and \
           incrementally recompress the old network under them (exit 1 iff \
@@ -1322,7 +1148,7 @@ let diff_cmd =
 
 let dataplane_diff_cmd =
   Cmd.v
-    (cmd_info "dataplane-diff"
+    (cmd_info "dataplane-diff" ~options:("format" :: budget_options)
        ~doc:
          "Report the exact forwarding-table changes a configuration change \
           produces: per (router, prefix), added/removed/modified FIB \
@@ -1337,49 +1163,6 @@ let dataplane_diff_cmd =
     Term.(
       const dataplane_diff_cmd_run $ old_arg $ new_arg $ format_arg
       $ budget_ms_arg $ budget_ticks_arg)
-
-let watch_cmd =
-  let path_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"PATH"
-          ~doc:
-            "Configuration file to watch, or a directory whose *.cfg/*.conf \
-             files (concatenated in name order) form one network.")
-  in
-  let poll_ms =
-    Arg.(
-      value & opt int 500
-      & info [ "poll-ms" ] ~docv:"MS" ~doc:"Polling interval.")
-  in
-  let once =
-    Arg.(
-      value & flag
-      & info [ "once" ]
-          ~doc:
-            "Compress the current contents, report, and exit instead of \
-             watching (for scripting and tests).")
-  in
-  let max_events =
-    Arg.(
-      value & opt int 0
-      & info [ "max-events" ] ~docv:"N"
-          ~doc:
-            "Exit 0 after N recompression events (0: watch forever). For \
-             scripting and tests.")
-  in
-  Cmd.v
-    (cmd_info "watch"
-       ~doc:
-         "Watch a configuration file or directory and incrementally \
-          re-compress on every change. A parse error mid-watch keeps the \
-          previous network alive (diagnostics on stderr); every event is \
-          budget-governed by $(b,--budget-ms)/$(b,--budget-ticks) with the \
-          same degradation rules as compress.")
-    Term.(
-      const watch_cmd_run $ path_arg $ poll_ms $ once $ max_events
-      $ format_arg $ budget_ms_arg $ budget_ticks_arg)
 
 let lint_cmd =
   let min_severity =
@@ -1402,7 +1185,7 @@ let lint_cmd =
       & info [ "list-checks" ] ~doc:"List every check and exit.")
   in
   Cmd.v
-    (cmd_info "lint"
+    (cmd_info "lint" ~options:[ "format"; "min-severity"; "list-checks" ]
        ~doc:
          "Run the semantic configuration linter (exit 1 iff any \
           error-severity diagnostic; file:PATH networks get file:line \
@@ -1423,7 +1206,7 @@ let flow_cmd =
              route may carry, grouped by compressed role.")
   in
   Cmd.v
-    (cmd_info "flow"
+    (cmd_info "flow" ~options:([ "ec"; "format"; "facts" ] @ budget_options)
        ~doc:
          "Whole-network route-provenance dataflow analysis: push (origin, \
           taint, communities) facts over every way a route can propagate — \
@@ -1447,7 +1230,7 @@ let verify_cmd =
       & info [ "src" ] ~docv:"ROUTER" ~doc:"Source router name.")
   in
   Cmd.v
-    (cmd_info "verify"
+    (cmd_info "verify" ~options:[ "src"; "ec" ]
        ~doc:
          "Answer a reachability query on the concrete and compressed \
           network (exit 7 if they disagree)")
@@ -1455,7 +1238,7 @@ let verify_cmd =
 
 let roles_cmd =
   Cmd.v
-    (cmd_info "roles" ~doc:"Count unique router roles")
+    (cmd_info "roles" ~options:[] ~doc:"Count unique router roles")
     Term.(const roles_cmd_run $ network_arg)
 
 let policy_cmd =
@@ -1472,7 +1255,7 @@ let policy_cmd =
       & info [ "to" ] ~docv:"ROUTER" ~doc:"Sending neighbor.")
   in
   Cmd.v
-    (cmd_info "policy"
+    (cmd_info "policy" ~options:[ "from"; "to"; "ec" ]
        ~doc:"Show an interface's routing policy and its BDD (paper Figure 10)")
     Term.(const policy_cmd_run $ network_arg $ from_arg $ to_arg $ ec_arg)
 
@@ -1493,7 +1276,8 @@ let trace_cmd =
     Arg.(value & flag & info [ "all" ] ~doc:"Follow every ECMP next hop.")
   in
   Cmd.v
-    (cmd_info "trace" ~doc:"Trace a packet through the data plane")
+    (cmd_info "trace" ~options:[ "src"; "addr"; "all" ]
+       ~doc:"Trace a packet through the data plane")
     Term.(const trace_cmd_run $ network_arg $ src $ addr $ all)
 
 let explain_cmd =
@@ -1510,7 +1294,8 @@ let explain_cmd =
       & info [ "b" ] ~docv:"ROUTER" ~doc:"Second router.")
   in
   Cmd.v
-    (cmd_info "explain" ~doc:"Explain why two routers play different roles")
+    (cmd_info "explain" ~options:[ "a"; "b"; "ec" ]
+       ~doc:"Explain why two routers play different roles")
     Term.(const explain_cmd_run $ network_arg $ a_arg $ b_arg $ ec_arg)
 
 (* The failure bound and sampling seed of faults and harden. *)
@@ -1537,6 +1322,8 @@ let faults_cmd =
   in
   Cmd.v
     (cmd_info "faults"
+       ~options:
+         ([ "ec"; "k"; "kmax"; "samples"; "seed"; "format" ] @ budget_options)
        ~doc:
          "Re-solve the network under link-failure scenarios and check the \
           abstraction stays sound under each (exit 1 iff any scenario \
@@ -1570,6 +1357,9 @@ let harden_cmd =
   in
   Cmd.v
     (cmd_info "harden"
+       ~options:
+         ([ "ec"; "k"; "kmax"; "rounds"; "samples"; "seed"; "format" ]
+         @ budget_options @ certify_options)
        ~doc:
          "Compress with counterexample-guided repair until the abstraction \
           is sound under every swept failure scenario: on a soundness break \
@@ -1594,7 +1384,7 @@ let certify_cmd =
              against $(i,NETWORK).")
   in
   Cmd.v
-    (cmd_info "certify"
+    (cmd_info "certify" ~options:("audit" :: budget_options)
        ~doc:
          "Independently check a stored compression certificate against the \
           live configuration: partition well-formedness, the paper's \
@@ -1621,7 +1411,8 @@ let export_cmd =
           ~doc:"Output format: our text format or Cisco-IOS flavor (text|ios).")
   in
   Cmd.v
-    (cmd_info "export" ~doc:"Write a network as a configuration file")
+    (cmd_info "export" ~options:[ "o"; "format" ]
+       ~doc:"Write a network as a configuration file")
     Term.(const export_cmd_run $ network_arg $ path $ format)
 
 let socket_arg =
@@ -1683,6 +1474,10 @@ let serve_cmd =
   in
   Cmd.v
     (cmd_info "serve"
+       ~options:
+         ([ "stdio"; "socket"; "tcp"; "max-inflight"; "max-networks";
+            "checkpoint"; "checkpoint-every" ]
+         @ budget_options)
        ~doc:
          (Printf.sprintf
             "Run the resident engine: NDJSON requests (%s) over a unix/TCP \
@@ -1712,7 +1507,7 @@ let request_cmd =
                (String.concat ", " Serve_engine.op_names)))
   in
   Cmd.v
-    (cmd_info "request"
+    (cmd_info "request" ~options:[ "socket"; "tcp" ]
        ~doc:
          "Send one request line to a running $(b,bonsai serve) and print \
           the response line. An $(i,overloaded) response is sent again up \
@@ -1725,11 +1520,39 @@ let request_cmd =
           11 when the server shed the request as overloaded).")
     Term.(const request_cmd_run $ socket_arg $ tcp_arg $ request)
 
+(* The first name on the command line that is not exact: a command that
+   is not one of [long_options], or a [--name] ahead of [--] (the name
+   before any [=]) that its command does not declare. *)
+let inexact_name argv =
+  let builtin = [ "help"; "version" ] in
+  let rec option options = function
+    | [] | "--" :: _ -> None
+    | a :: rest when String.starts_with ~prefix:"--" a ->
+      let name =
+        List.hd
+          (String.split_on_char '=' (String.sub a 2 (String.length a - 2)))
+      in
+      if List.exists (String.equal name) options then option options rest
+      else Some (Printf.sprintf "option '%s'" a)
+    | _ :: rest -> option options rest
+  in
+  match List.tl (Array.to_list argv) with
+  | cmd :: args when not (String.starts_with ~prefix:"-" cmd) -> (
+    match Hashtbl.find_opt long_options cmd with
+    | Some options -> option (builtin @ options) args
+    | None -> Some (Printf.sprintf "command '%s'" cmd))
+  | args -> option builtin args
 
 let () =
   let doc = "Bonsai: control plane compression (SIGCOMM 2018 reproduction)" in
-  exit
-    (Cmd.eval'
-       (Cmd.group
-          (Cmd.info "bonsai" ~version:"1.0.0" ~doc ~exits)
-          [ info_cmd; compress_cmd; certify_cmd; diff_cmd; dataplane_diff_cmd; watch_cmd; lint_cmd; flow_cmd; verify_cmd; roles_cmd; export_cmd; policy_cmd; explain_cmd; trace_cmd; faults_cmd; harden_cmd; serve_cmd; request_cmd ]))
+  let main =
+    Cmd.group
+      (Cmd.info "bonsai" ~version:"1.0.0" ~doc ~exits)
+      [ info_cmd; compress_cmd; certify_cmd; diff_cmd; dataplane_diff_cmd; lint_cmd; flow_cmd; verify_cmd; roles_cmd; export_cmd; policy_cmd; explain_cmd; trace_cmd; faults_cmd; harden_cmd; serve_cmd; request_cmd ]
+  in
+  match inexact_name Sys.argv with
+  | Some what ->
+    Format.eprintf
+      "bonsai: unknown %s (names are exact; see bonsai --help)@." what;
+    exit Cmd.Exit.cli_error
+  | None -> exit (Cmd.eval' main)

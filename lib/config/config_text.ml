@@ -553,7 +553,7 @@ let parse_with_locs text =
 
 let parse text = Result.map fst (parse_with_locs text)
 
-let read_file path =
+let read_one path =
   match open_in path with
   | exception Sys_error e -> Error e
   | ic ->
@@ -565,6 +565,33 @@ let read_file path =
         | exception (End_of_file | Sys_error _) ->
           Error (Printf.sprintf "%s: unreadable (truncated or not a regular \
                                  file)" path))
+
+(* A directory is one network: its *.cfg and *.conf files in name order,
+   joined with a newline. No section depends on where it sits, so any
+   split of a network across files parses the same; line numbers count
+   through the joined text. *)
+let read_file path =
+  match Sys.is_directory path with
+  | exception Sys_error _ | false -> read_one path
+  | true -> (
+    match Sys.readdir path with
+    | exception Sys_error e -> Error e
+    | entries -> (
+      let configs =
+        List.filter
+          (fun f ->
+            Filename.check_suffix f ".cfg" || Filename.check_suffix f ".conf")
+          (List.sort String.compare (Array.to_list entries))
+      in
+      let rec read acc = function
+        | [] -> Ok (String.concat "\n" (List.rev acc))
+        | f :: rest ->
+          Result.bind (read_one (Filename.concat path f)) (fun s ->
+              read (s :: acc) rest)
+      in
+      match configs with
+      | [] -> Error (Printf.sprintf "%s: no *.cfg or *.conf file" path)
+      | _ -> read [] configs))
 
 let load path = Result.bind (read_file path) parse
 

@@ -44,7 +44,9 @@ val parse : string -> (Device.network, string) result
     per line. *)
 
 val load : string -> (Device.network, string) result
-(** Read and parse a file. *)
+(** Read and parse a file, or a directory read as one network: its
+    [*.cfg] and [*.conf] files in name order, joined with a newline. Line
+    numbers count through the joined text. *)
 
 (** {1 Source locations}
 
@@ -87,8 +89,9 @@ val parse_full :
 
 val load_full :
   string -> (Device.network * loc_table, (int * string) list) result
-(** Read and {!parse_full} a file; an unreadable file is a single
-    line-0 diagnostic. *)
+(** Read and {!parse_full} a file or a directory, as {!load} reads them;
+    an unreadable file, or a directory without a configuration file, is
+    a single line-0 diagnostic. *)
 
 val save : path:string -> Device.network -> unit
 

@@ -72,9 +72,10 @@ val of_spec :
   result
 (** Resolves a network spec: [fattree:K], [fattree-prefer:K], [ring:N],
     [mesh:N], [random:N[:SEED]], [multiwan:R:S], [datacenter], [wan]
-    or [file:PATH]. Only a [file:] network carries a source location
-    table. [`Unknown] holds the message naming the accepted forms, or,
-    for a size its generator refuses ([fattree:3], [ring:2]), the
+    or [file:PATH], where PATH is a file or a directory of them (see
+    {!Config_text.load}). Only a [file:] network carries a source
+    location table. [`Unknown] holds the message naming the accepted
+    forms, or, for a size its generator refuses ([fattree:3], [ring:2]), the
     generator's message; [`Parse] the file's diagnostics. A generated
     network of more than 100,000 nodes and links ([mesh:447]) is refused
     with [`Unknown] from the spec's numbers, before it is built. *)

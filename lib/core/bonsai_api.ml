@@ -158,10 +158,24 @@ let compress_ec_exn ?universe ?rm_bdd ?(pinned = []) ?seed
       let partition, stats =
         Refine.partition net ~dest ~live_self ~pinned ~budget ~edge_key ~prefs
       in
+      (* The length of [Refine.group_prefs] over m's group, counted
+         without building its member list. *)
       let copies m =
-        let cls = Union_split_find.find partition m in
-        List.length
-          (Refine.group_prefs ~prefs (Union_split_find.members partition cls))
+        let rec mem p = function
+          | [] -> false
+          | q :: rest -> Int.equal p q || mem p rest
+        in
+        let seen = ref [] in
+        let rec add = function
+          | [] -> ()
+          | p :: rest ->
+            if not (mem p !seen) then seen := p :: !seen;
+            add rest
+        in
+        Union_split_find.iter_members partition
+          (Union_split_find.find partition m)
+          (fun u -> add (prefs u));
+        List.length !seen
       in
       (partition, stats, copies)
     | Some seed ->

@@ -78,7 +78,7 @@ val recompress_net :
 (** [recompress_net st net'] diffs the current network against [net'] and
     recompresses; returns the deltas it derived. The state then holds
     [net'] itself, router numbering included (the solver breaks ties by
-    node id). The engine of [diff] and [watch], in the CLI and serve. *)
+    node id). The engine of [diff], in the CLI and serve. *)
 
 val copy : state -> state
 (** A shallow copy that recompresses independently: {!recompress} on it
@@ -141,8 +141,8 @@ val bdd_stats : state -> Bdd.stats
 
 val report_json_fields :
   deltas:Delta.t list -> report -> (string * Json.t) list
-(** The document of [bonsai diff --format json], of [bonsai watch]'s
-    [recompress] events and of serve's [diff] op: [identical], the
+(** The document of [bonsai diff --format json] and of serve's [diff]
+    op: [identical], the
     [deltas] count and [delta_list], [ecs], [reused], [seeded],
     [scratch], [full_rebuild], [degraded] and [degradation]. No wall-clock or cache
     counters, which a warm engine reports differently. *)

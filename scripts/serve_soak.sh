@@ -20,6 +20,10 @@
 #   9. serve self-audit: a corrupted warm abstraction is refuted,
 #      quarantined with a structured incident, and the next answer comes
 #      from a cold rebuild, byte-identical to the honest one
+#  10. a directory network follows its edits: a diff whose "to" is its
+#      own "network" reads the directory again; a save that leaves a
+#      dangling reference is a typed parse-error with line numbers only,
+#      and the warm entry stays as it was
 #
 # Every request must produce exactly one typed JSON response — any
 # empty read, connection error, or unexpected exit code fails the soak.
@@ -302,5 +306,42 @@ code=$?
 SRV=
 grep -q "certificate-incident" "$DIR/s8.log" ||
   fail "no structured incident in the server log: $(cat "$DIR/s8.log")"
+
+echo "== phase 10: a directory network follows its edits =="
+rm -f "$CKPT"
+FIX=test/incr
+NET="$DIR/net"
+mkdir "$NET"
+cp "$FIX/watchdir_a.cfg" "$NET/a.cfg"
+cp "$FIX/watchdir_b.cfg" "$NET/b.cfg"
+start_server "$DIR/s9.log"
+SPEC="file:$NET"
+DIFF="{\"op\":\"diff\",\"network\":\"$SPEC\",\"to\":\"$SPEC\"}"
+req 0 "$DIR/r.json" "{\"op\":\"load\",\"network\":\"$SPEC\"}"
+# b.cfg defines r3: delete it and a.cfg's r3 lines
+rm "$NET/b.cfg"
+grep -v r3 "$FIX/watchdir_a.cfg" >"$NET/a.cfg"
+req 0 "$DIR/dir1.json" "$DIFF"
+grep -q '"delta_list":\["remove node r3","bgp session r2->r3 removed"\]' \
+  "$DIR/dir1.json" || fail "directory diff missed r3's removal: $(cat "$DIR/dir1.json")"
+# a save whose a.cfg links r3 again, which no file defines
+cp "$FIX/watchdir_a.cfg" "$NET/a.cfg"
+req 4 "$DIR/dir2.json" "$DIFF"
+grep -q '"class":"parse-error"' "$DIR/dir2.json" &&
+  grep -q 'lines 7, 23' "$DIR/dir2.json" ||
+  fail "dangling save not a parse-error at lines 7, 23: $(cat "$DIR/dir2.json")"
+grep -q 'unknown node' "$DIR/dir2.json" &&
+  fail "parse-error quotes the diagnostics: $(cat "$DIR/dir2.json")"
+# the fixed save puts b.cfg back: answered from the warm three-router
+# entry, it adds r3 (a cold load of both sides would be identical)
+cp "$FIX/watchdir_b.cfg" "$NET/b.cfg"
+req 0 "$DIR/dir3.json" "$DIFF"
+grep -q '"delta_list":\["add node r3"' "$DIR/dir3.json" ||
+  fail "fixed save not diffed against the warm entry: $(cat "$DIR/dir3.json")"
+req 0 "$DIR/r.json" '{"op":"shutdown"}'
+wait "$SRV"
+code=$?
+[ "$code" -eq 0 ] || fail "directory phase exit code $code"
+SRV=
 
 echo "serve_soak PASS"

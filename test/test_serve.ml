@@ -458,97 +458,6 @@ let test_engine_self_audit_quarantines () =
   Alcotest.(check bool) "incident counted in stats" true
     (contains (handle eng "{\"op\":\"stats\"}") "\"incidents\":1")
 
-(* --- Backoff (the bonsai-watch retry policy) ---------------------------- *)
-
-let test_backoff_cap_and_reset () =
-  let bo = Backoff.create ~base_ms:500 () in
-  Alcotest.(check int) "healthy -> base" 500 (Backoff.sleep_ms bo);
-  Alcotest.(check int) "first failure doubles" 1000 (Backoff.note_failure bo);
-  for _ = 1 to 100 do
-    ignore (Backoff.note_failure bo)
-  done;
-  Alcotest.(check int) "capped at 30s" 30_000 (Backoff.sleep_ms bo);
-  Backoff.reset bo;
-  Alcotest.(check int) "reset -> base" 500 (Backoff.sleep_ms bo)
-
-let test_backoff_never_busy_loops () =
-  (* a persistently failing source sleeps at least base_ms for ANY
-     streak length — including ones where an unclamped 1-lsl-n shift
-     would overflow — so the watcher can never spin *)
-  let bo = Backoff.create ~base_ms:7 ~cap_ms:10_000 () in
-  for i = 1 to 200 do
-    let ms = Backoff.note_failure bo in
-    if ms < 7 then Alcotest.failf "failure %d slept %dms < base" i ms;
-    if ms > 10_000 then Alcotest.failf "failure %d slept %dms > cap" i ms
-  done;
-  Alcotest.(check int) "failures counted" 200 (Backoff.failures bo);
-  Alcotest.(check int) "still exactly the cap" 10_000 (Backoff.sleep_ms bo)
-
-let test_backoff_retry_semantics () =
-  (* mid-write: the re-read sees the completed write *)
-  let reads = ref 0 and slept = ref 0 in
-  let parse s = if String.equal s "good" then Ok s else Error ("bad " ^ s) in
-  let read () =
-    incr reads;
-    Ok "good"
-  in
-  let text, out =
-    Backoff.parse_with_retry ~read ~parse
-      ~sleep:(fun () -> incr slept)
-      "half-writ"
-  in
-  Alcotest.(check string) "settled on the re-read" "good" text;
-  (match out with
-  | Ok _ -> ()
-  | Error m -> Alcotest.failf "retry should have parsed: %s" m);
-  Alcotest.(check int) "slept once" 1 !slept;
-  Alcotest.(check int) "re-read once" 1 !reads;
-  (* a clean first parse never re-reads *)
-  let reads2 = ref 0 in
-  let _, out2 =
-    Backoff.parse_with_retry
-      ~read:(fun () ->
-        incr reads2;
-        Ok "ignored")
-      ~parse
-      ~sleep:(fun () -> ())
-      "good"
-  in
-  (match out2 with Ok _ -> () | Error _ -> Alcotest.fail "clean parse");
-  Alcotest.(check int) "no re-read on success" 0 !reads2
-
-let test_backoff_retry_unchanged_keeps_first_error () =
-  (* identical bytes on re-read: keep the FIRST error, don't burn a
-     second parse on the same input *)
-  let parse_calls = ref 0 in
-  let parse s =
-    incr parse_calls;
-    Error (Printf.sprintf "err%d %s" !parse_calls s)
-  in
-  let text, out =
-    Backoff.parse_with_retry
-      ~read:(fun () -> Ok "same")
-      ~parse
-      ~sleep:(fun () -> ())
-      "same"
-  in
-  Alcotest.(check string) "text unchanged" "same" text;
-  (match out with
-  | Error m -> Alcotest.(check string) "first error kept" "err1 same" m
-  | Ok _ -> Alcotest.fail "should fail");
-  Alcotest.(check int) "parsed once only" 1 !parse_calls;
-  (* a failed re-read also keeps the first error *)
-  let _, out2 =
-    Backoff.parse_with_retry
-      ~read:(fun () -> Error "gone")
-      ~parse:(fun _ -> Error "e1")
-      ~sleep:(fun () -> ())
-      "t"
-  in
-  match out2 with
-  | Error "e1" -> ()
-  | _ -> Alcotest.fail "first error kept when the re-read fails"
-
 (* --- fuzz: arbitrary bytes only ever produce typed responses ----------- *)
 
 (* Random bytes, biased toward JSON-looking shards so the parser gets
@@ -892,6 +801,41 @@ let test_engine_starved_diff_keeps_network () =
   Alcotest.(check string) "byte-identical to before" before after;
   Alcotest.(check int) "one warm entry" 1 (Serve_engine.networks eng)
 
+(* A diff whose [to] is its own [network] follows an edited file: the
+   request reads the file again, recompresses the warm entry into the
+   saved network and keeps it, so the same request then answers
+   identical. *)
+let test_engine_diff_follows_edited_file () =
+  with_tmp @@ fun path ->
+  let fixture f = In_channel.with_open_bin (build_path f) In_channel.input_all in
+  let a = fixture "incr/watchdir_a.cfg" in
+  write_file path (a ^ "\n" ^ fixture "incr/watchdir_b.cfg");
+  let spec = Json.String ("file:" ^ path) in
+  let eng = Serve_engine.create () in
+  let request fields =
+    let resp = handle eng (Json.to_string (Json.Obj fields)) in
+    if not (response_ok resp) then Alcotest.failf "failed: %s" resp;
+    parse_or_fail "response" resp
+  in
+  ignore (request [ ("op", Json.String "compress"); ("network", spec) ] : Json.t);
+  write_file path
+    (String.split_on_char '\n' a
+    |> List.filter (fun l -> not (Astring_contains.contains l "r3"))
+    |> String.concat "\n");
+  let diff () =
+    request [ ("op", Json.String "diff"); ("network", spec); ("to", spec) ]
+  in
+  let saved = diff () in
+  Alcotest.(check bool) "r3 removed" true
+    (Json.equal
+       (Json.List
+          [
+            Json.String "remove node r3"; Json.String "bgp session r2->r3 removed";
+          ])
+       (member "delta_list" saved));
+  Alcotest.(check bool) "the same request again is identical" true
+    (Json.equal (Json.Bool true) (member "identical" (diff ())))
+
 (* stats counts each warm network's classes and the distinct behaviours
    (class keys) among them *)
 let test_engine_stats_behaviours () =
@@ -952,20 +896,12 @@ let () =
             test_engine_version_skew_distinct;
           Alcotest.test_case "starved diff keeps the pre-diff network" `Quick
             test_engine_starved_diff_keeps_network;
+          Alcotest.test_case "diff follows an edited file" `Quick
+            test_engine_diff_follows_edited_file;
           Alcotest.test_case "self-audit quarantines" `Quick
             test_engine_self_audit_quarantines;
           Alcotest.test_case "stats counts behaviours" `Quick
             test_engine_stats_behaviours;
-        ] );
-      ( "backoff",
-        [
-          Alcotest.test_case "cap and reset" `Quick test_backoff_cap_and_reset;
-          Alcotest.test_case "never busy-loops" `Quick
-            test_backoff_never_busy_loops;
-          Alcotest.test_case "mid-write retry" `Quick
-            test_backoff_retry_semantics;
-          Alcotest.test_case "unchanged keeps first error" `Quick
-            test_backoff_retry_unchanged_keeps_first_error;
         ] );
       ( "front-ends",
         [
